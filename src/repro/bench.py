@@ -7,9 +7,10 @@ the Fig. 7 FW → NAT → LB setup by default — through both deployments
 (``fast_path=False``: heapq event loop, string-parsed packet
 construction, per-stage table walks, live cost-model queries) and once
 on the fast path (calendar event loop, pooled packet templates,
-compiled/cached pipeline walks, memoized NF verdicts, precomputed cost
-model).  Both runs produce byte-identical reports — the golden-figure
-suite enforces that — so the only thing that differs is wallclock.
+port plans and cached pipeline decisions, memoized NF verdicts,
+precomputed cost model).  Both runs produce byte-identical reports —
+the golden-figure suite enforces that — so the only thing that differs
+is wallclock.
 
 The committed reference numbers live in
 ``benchmarks/fastpath_baseline.json``; ``check_result`` compares a

@@ -231,6 +231,17 @@ class LookupTable:
             if slot.pass_number == pass_number
         ]
 
+    def block_cells(self) -> List[Tuple[List[bytes], int, int]]:
+        """``(storage, start, end)`` per payload block, in payload order.
+
+        For port plans: a block holds ``parked[start:end]`` of the
+        payload parked at *tbl_idx*, in ``storage[tbl_idx]``.
+        """
+        return [
+            (array.storage, slot.offset, slot.offset + slot.length)
+            for slot, array in zip(self.block_slots, self.block_arrays)
+        ]
+
     # ------------------------------------------------------------------ #
     # Metadata-table dataplane operations
     # ------------------------------------------------------------------ #

@@ -15,23 +15,30 @@ Merge runs on packets arriving from the NF server:
   its register array; when the parked size spans two passes the packet
   recirculates to collect the second pass's blocks.  The deparser
   prepends the collected bytes to the packet's payload.
+
+The tables are the reference.  :meth:`MergePath.compile_plan` fuses them
+into the one kernel the NF port runs by default.
 """
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
 from repro.core.header import OP_EXPLICIT_DROP
-from repro.core.lookup_table import LookupTable
+from repro.core.l2fwd import L2ForwardingTable
+from repro.core.lookup_table import LookupTable, MetadataEntry
+from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.pipeline import Pipeline
+from repro.switchsim.pipe import Pipe
+from repro.switchsim.pipeline import Pipeline, PortPlan
 
 #: Metadata keys used to pass information between Merge stages.
 META_IS_PP_ENB = "merge.is_pp_enb"
 META_MERGE_TBL_IDX = "merge.tbl_idx"
 META_MERGE_BLOCKS = "merge.blocks"
-META_RESTORED = "merge.restored"
 
 
 class MergePath:
@@ -57,6 +64,11 @@ class MergePath:
         self._nf_ports = frozenset((binding.nf_port,))
         #: Flight-recorder hook (repro.obs); None keeps the path lean.
         self.obs_recorder = None
+        #: The installed tables by role, for :meth:`compile_plan`.
+        self.enb_zero_table: Optional[MatchActionTable] = None
+        self.validate_table: Optional[MatchActionTable] = None
+        self.recirculate_table: Optional[MatchActionTable] = None
+        self.load_tables: List[List[MatchActionTable]] = [[], []]
 
     # ------------------------------------------------------------------ #
     # Table installation
@@ -64,7 +76,7 @@ class MergePath:
 
     def install(self) -> None:
         """Create the Merge MATs and place them into their stages."""
-        self.pipeline.stage(self.enb_zero_stage).add_table(
+        self.enb_zero_table = self.pipeline.stage(self.enb_zero_stage).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.merge_enb_zero",
                 match=self._match_enb_zero,
@@ -74,7 +86,7 @@ class MergePath:
                 ingress_ports=self._nf_ports,
             )
         )
-        self.pipeline.stage(self.validate_stage).add_table(
+        self.validate_table = self.pipeline.stage(self.validate_stage).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.merge_validate",
                 match=self._match_enb_one,
@@ -84,20 +96,10 @@ class MergePath:
                 ingress_ports=self._nf_ports,
             )
         )
-        for slot, array in self.lookup.blocks_for_pass(0):
-            self.pipeline.stage(slot.stage_index).add_table(
-                MatchActionTable(
-                    name=f"{self.binding.name}.merge_load[{slot.block_index}]",
-                    match=self._match_load_pass(0),
-                    action=self._make_load_action(slot, array),
-                    match_bits=17,
-                    vliw_slots=1,
-                    ingress_ports=self._nf_ports,
-                )
-            )
+        self._install_loads(0)
         if self.lookup.uses_second_pass:
             last_stage = self.pipeline.stage_count - 1
-            self.pipeline.stage(last_stage).add_table(
+            self.recirculate_table = self.pipeline.stage(last_stage).add_table(
                 MatchActionTable(
                     name=f"{self.binding.name}.merge_recirculate",
                     match=self._match_recirculation_request,
@@ -107,17 +109,21 @@ class MergePath:
                     ingress_ports=self._nf_ports,
                 )
             )
-            for slot, array in self.lookup.blocks_for_pass(1):
-                self.pipeline.stage(slot.stage_index).add_table(
-                    MatchActionTable(
-                        name=f"{self.binding.name}.merge_load[{slot.block_index}]",
-                        match=self._match_load_pass(1),
-                        action=self._make_load_action(slot, array),
-                        match_bits=17,
-                        vliw_slots=1,
-                        ingress_ports=self._nf_ports,
-                    )
+            self._install_loads(1)
+
+    def _install_loads(self, pass_number: int) -> None:
+        for slot, array in self.lookup.blocks_for_pass(pass_number):
+            table = self.pipeline.stage(slot.stage_index).add_table(
+                MatchActionTable(
+                    name=f"{self.binding.name}.merge_load[{slot.block_index}]",
+                    match=self._match_load_pass(pass_number),
+                    action=self._make_load_action(slot, array),
+                    match_bits=17,
+                    vliw_slots=1,
+                    ingress_ports=self._nf_ports,
                 )
+            )
+            self.load_tables[pass_number].append(table)
 
     # ------------------------------------------------------------------ #
     # Match predicates
@@ -183,6 +189,12 @@ class MergePath:
             self.counters.tag_validation_failures += 1
             ctx.drop("payloadpark-tag-corrupt")
             return
+        if not 0 <= header.tbl_idx < self.lookup.entries:
+            # The CRC is no secret: a well-formed tag can still name a
+            # slot this table does not have.
+            self.counters.tag_validation_failures += 1
+            ctx.drop("payloadpark-tag-out-of-range")
+            return
 
         result = self.lookup.validate_and_release(ctx, header.tbl_idx, header.clk)
         if not result.valid:
@@ -230,16 +242,123 @@ class MergePath:
     def deparse(self, ctx: PipelinePacket) -> None:
         """Prepend the collected payload blocks once the last pass is done.
 
-        Called from the program's deparser hook.  The restore is skipped
-        while another pass is pending and performed at most once.
+        Called from the program's deparser hook after every pass of a
+        packet from this binding's NF port.  The restore is skipped while
+        another pass is pending, so it happens once, after the last.
         """
         if ctx.meta.get(META_IS_PP_ENB) != 1 or ctx.dropped:
             return
         if ctx.recirculate_requested:
             return
-        if ctx.meta.get(META_RESTORED):
-            return
         blocks = ctx.meta.get(META_MERGE_BLOCKS, {})
         payload = b"".join(blocks[i] for i in sorted(blocks))
         ctx.packet.restore_leading_payload(payload)
-        ctx.meta[META_RESTORED] = True
+
+    # ------------------------------------------------------------------ #
+    # Port plan
+    # ------------------------------------------------------------------ #
+
+    def compile_plan(
+        self,
+        pipe: Pipe,
+        asic: TofinoAsic,
+        forward_table: MatchActionTable,
+        l2: L2ForwardingTable,
+    ) -> PortPlan:
+        """Fuse the Merge tables into the kernel for this binding's NF port.
+
+        The kernel takes the packet through Algorithm 2 in one function,
+        on the same registers as the tables above and with the same
+        header, counters, drop reasons and recorder calls.  Outcomes: no
+        usable header, ENB=0, dropped by the validate table (after which
+        no table is reached), or merged.  *forward_table* is the
+        binding's from-NF forwarding, *l2* the MAC table it consults.
+        """
+        counters, name = self.counters, self.binding.name
+        default_egress = self.binding.default_egress_port
+        entries = self.lookup.entries
+        metadata = self.lookup.metadata.storage
+        free = MetadataEntry()
+        block_cells = [cells for cells, _start, _end in self.lookup.block_cells()]
+        recirculates = self.lookup.uses_second_pass
+        parser, deparser = pipe.parser, pipe.deparser
+        passthrough, enb_zero, dropped, merged = 0, 1, 2, 3
+        counts = [0, 0, 0, 0]
+
+        def merge(packet, ingress_port: int) -> PipelinePacket:
+            ctx = PipelinePacket(packet, ingress_port)
+            header = packet.pp
+            passes = 1
+            reason = None
+            if header is None or header.enb not in (0, 1):
+                counts[passthrough] += 1
+            elif header.enb == 0:
+                packet.pp = None
+                counters.merge_enb_zero += 1
+                counts[enb_zero] += 1
+            else:
+                tbl_idx = header.tbl_idx
+                recorder = self.obs_recorder
+                if not header.tag_is_valid():
+                    counters.tag_validation_failures += 1
+                    reason = "payloadpark-tag-corrupt"
+                elif not 0 <= tbl_idx < entries:
+                    counters.tag_validation_failures += 1
+                    reason = "payloadpark-tag-out-of-range"
+                elif (entry := metadata[tbl_idx]).exp <= 0 or entry.clk != header.clk:
+                    counters.premature_evictions += 1
+                    if recorder is not None:
+                        recorder.premature_eviction(
+                            name, tbl_idx, packet.meta.get("obs_pkt")
+                        )
+                    reason = "payloadpark-premature-eviction"
+                else:
+                    metadata[tbl_idx] = free
+                    packet.pp = None
+                    if header.op == OP_EXPLICIT_DROP:
+                        counters.explicit_drops += 1
+                        if recorder is not None:
+                            recorder.slot_released(name, tbl_idx, "explicit-drop")
+                        reason = "payloadpark-explicit-drop"
+                    else:
+                        counters.merges += 1
+                        if recorder is not None:
+                            recorder.slot_merged(name, tbl_idx)
+                        blocks = []
+                        for cells in block_cells:
+                            blocks.append(cells[tbl_idx])
+                            cells[tbl_idx] = b""
+                        if recirculates:
+                            ctx.recirculations = 1
+                            pipe.recirculated_packets += 1
+                            passes = 2
+                        packet.restore_leading_payload(b"".join(blocks))
+                        counts[merged] += 1
+            parser.parsed_packets += passes
+            deparser.deparsed_packets += passes
+            asic.processed_packets += 1
+            if reason is None:
+                ctx.egress_port = l2.lookup(packet.eth.dst, default_egress)
+            else:
+                ctx.dropped = True
+                ctx.drop_reason = reason
+                asic.dropped_packets += 1
+                asic.drop_reasons[reason] = asic.drop_reasons.get(reason, 0) + 1
+                counts[dropped] += 1
+            return ctx
+
+        forwarded = [forward_table]
+        merged_passes = [
+            ([self.validate_table, *self.load_tables[0], self.recirculate_table, forward_table], None)
+        ]
+        if recirculates:
+            merged_passes.append(([*self.load_tables[1], forward_table], None))
+        outcomes = [
+            [(forwarded, None)],
+            [([self.enb_zero_table, forward_table], None)],
+            [([self.validate_table], self.validate_table)],
+            merged_passes,
+        ]
+        return PortPlan(
+            self.pipeline, merge, counts, [self.pipeline.walk(passes) for passes in outcomes]
+        )

@@ -15,7 +15,7 @@ Two programs are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import CounterBank, PayloadParkCounters
@@ -30,6 +30,7 @@ from repro.switchsim.asic import AsicConfig, TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.pipe import Pipe
+from repro.switchsim.pipeline import PortPlan
 from repro.switchsim.resources import ResourceReport
 
 
@@ -40,7 +41,7 @@ class SwitchProgram:
     #: packet's pipeline outcome depends only on its ingress port and
     #: destination MAC.  Such programs may memoize whole-pipe outcomes in
     #: the fast path (see :meth:`process`); stateful programs (PayloadPark)
-    #: always walk their tables.
+    #: run a port plan instead.
     decision_cacheable = False
 
     def __init__(
@@ -55,9 +56,13 @@ class SwitchProgram:
         self.bindings = list(bindings)
         self.l2 = L2ForwardingTable()
         self.fast_path = False
-        #: (ingress_port, dst MAC) -> cached pipe outcome; only populated
-        #: for decision-cacheable programs with the fast path enabled.
-        self._decision_cache: Dict[tuple, "_CachedDecision"] = {}
+        #: (ingress_port, dst MAC) -> plan replaying the recorded pipe
+        #: outcome; only populated for decision-cacheable programs with
+        #: the fast path enabled.
+        self._decision_cache: Dict[tuple, PortPlan] = {}
+        #: ingress_port -> compiled plan; only populated for programs that
+        #: are not decision-cacheable, with the fast path enabled.
+        self._plans: Dict[int, PortPlan] = {}
         self._validate_bindings()
 
     # ------------------------------------------------------------------ #
@@ -65,20 +70,19 @@ class SwitchProgram:
     # ------------------------------------------------------------------ #
 
     def enable_fast_path(self, enabled: bool = True) -> None:
-        """Switch the program (and its pipes) to the optimized walk.
+        """Switch the program to its default engine.
 
-        The fast path is behaviour-preserving: compiled table walks,
-        port-gated match skips and (for stateless programs) whole-pipe
-        decision caching all reproduce the reference path's packet
-        outcomes and counters exactly — the golden-figure suite runs
-        every experiment in both modes and diffs the tables.
+        The fast path is behaviour-preserving: port plans (PayloadPark)
+        and whole-pipe decision caching (stateless programs) reproduce
+        the reference stage walk's packet outcomes and counters exactly
+        — the golden-figure suite runs every experiment in both modes
+        and diffs the tables.
         """
         if enabled and self.decision_cacheable:
             stateful = [
                 table.name
                 for pipe in self.asic.pipes
-                for stage in pipe.pipeline.stages
-                for table in stage.tables
+                for table in pipe.pipeline.tables()
                 if table.stateful
             ]
             if stateful:
@@ -87,22 +91,20 @@ class SwitchProgram:
                     f"stateful tables: {stateful}"
                 )
         self.fast_path = enabled
-        for pipe in self.asic.pipes:
-            pipe.fast_path = enabled
-            for stage in pipe.pipeline.stages:
-                for array in stage.register_arrays:
-                    array.guard_enabled = not enabled
         self.invalidate_fast_path()
 
     def invalidate_fast_path(self) -> None:
-        """Drop memoized pipeline outcomes.
+        """Drop memoized pipeline outcomes and compiled port plans.
 
         Control-plane mutations that change forwarding behaviour (L2
         entries, table installs, state resets) call this so the next
         packet re-walks the pipeline; it is also the explicit hook for
         external controllers that mutate program state directly.
         """
-        self._decision_cache.clear()
+        for plans in (self._decision_cache, self._plans):
+            for plan in plans.values():
+                plan.retire()
+            plans.clear()
 
     # ------------------------------------------------------------------ #
     # Binding / port helpers
@@ -160,7 +162,10 @@ class SwitchProgram:
     # Forwarding tables shared by both programs
     # ------------------------------------------------------------------ #
 
-    def _install_forwarding(self, pipe: Pipe, binding: NfServerBinding) -> None:
+    def _install_forwarding(
+        self, pipe: Pipe, binding: NfServerBinding
+    ) -> Tuple[MatchActionTable, MatchActionTable]:
+        """Install and return the binding's to-NF and from-NF tables."""
         last_stage = pipe.pipeline.stage_count - 1
         ingress_ports = frozenset(binding.ingress_ports)
 
@@ -176,7 +181,7 @@ class SwitchProgram:
         def forward_from_nf(ctx: PipelinePacket) -> None:
             ctx.forward_to(self._egress_for(ctx, binding))
 
-        pipe.pipeline.stage(last_stage).add_table(
+        to_nf = pipe.pipeline.stage(last_stage).add_table(
             MatchActionTable(
                 name=f"{binding.name}.l2_fwd_to_nf",
                 match=match_from_traffic,
@@ -185,10 +190,9 @@ class SwitchProgram:
                 vliw_slots=1,
                 ingress_ports=ingress_ports,
                 stateful=False,
-                port_implies_match=True,
             )
         )
-        pipe.pipeline.stage(last_stage).add_table(
+        from_nf = pipe.pipeline.stage(last_stage).add_table(
             MatchActionTable(
                 name=f"{binding.name}.l2_fwd_from_nf",
                 match=match_from_nf,
@@ -198,9 +202,9 @@ class SwitchProgram:
                 vliw_slots=1,
                 ingress_ports=frozenset((binding.nf_port,)),
                 stateful=False,
-                port_implies_match=True,
             )
         )
+        return to_nf, from_nf
 
     # ------------------------------------------------------------------ #
     # Packet processing
@@ -209,26 +213,41 @@ class SwitchProgram:
     def process(self, packet: Packet, ingress_port: int) -> PipelinePacket:
         """Run *packet* through the pipe owning *ingress_port*.
 
-        Decision-cacheable programs on the fast path memoize the pipe
-        outcome per ``(ingress_port, dst MAC)`` header-shape signature:
-        repeated identical shapes skip the per-stage walk entirely while
+        With the fast path off this is the reference stage walk.  With
+        it on, decision-cacheable programs memoize the pipe outcome per
+        ``(ingress_port, dst MAC)`` header-shape signature: repeated
+        identical shapes skip the per-stage walk entirely while
         replaying the same per-table hit/miss accounting the walk would
-        have produced.  The cache is invalidated by pipeline version
-        bumps (table installs) and :meth:`invalidate_fast_path`.
+        have produced.  Other programs run the ingress port's plan (see
+        :meth:`_compile_plan`).  Both are invalidated by pipeline
+        version bumps (table installs) and :meth:`invalidate_fast_path`.
         """
-        if self.fast_path and self.decision_cacheable:
+        if not self.fast_path:
+            return self.asic.process(packet, ingress_port)
+        if self.decision_cacheable:
             signature = (ingress_port, packet.eth.dst.value)
             cached = self._decision_cache.get(signature)
             if cached is not None:
-                ctx = cached.replay(self.asic, packet, ingress_port)
-                if ctx is not None:
-                    return ctx
+                if cached.version == cached.pipeline.version:
+                    return cached.run(packet, ingress_port)
                 del self._decision_cache[signature]  # stale pipeline version
-            ctx, entry = _CachedDecision.record(self.asic, packet, ingress_port)
+            ctx, entry = _record_decision(self.asic, packet, ingress_port)
             if entry is not None:
                 self._decision_cache[signature] = entry
             return ctx
-        return self.asic.process(packet, ingress_port)
+        plan = self._plans.get(ingress_port)
+        if plan is None or plan.version != plan.pipeline.version:
+            plan = self._plans[ingress_port] = self._compile_plan(ingress_port)
+        return plan.run(packet, ingress_port)
+
+    def _compile_plan(self, ingress_port: int) -> PortPlan:
+        """The plan for packets arriving on *ingress_port*.
+
+        A program that can fuse its tables for the port overrides this;
+        the plan every program can offer is the stage walk itself.
+        """
+        pipeline = self.asic.pipe_for_port(ingress_port).pipeline
+        return PortPlan(pipeline, self.asic.process, [], [])
 
     def extra_latency_ns(self, ctx: PipelinePacket) -> int:
         """Program-specific latency beyond the base pipeline latency."""
@@ -310,7 +329,15 @@ class PayloadParkProgram(SwitchProgram):
         self.taggers: Dict[str, PacketTagger] = {}
         self._merge_paths: List[MergePath] = []
         self._split_paths: List[SplitPath] = []
+        #: ingress port -> the path serving it: Split for a traffic port,
+        #: Merge for an NF port.
+        self._split_of_port: Dict[int, SplitPath] = {}
+        self._merge_of_port: Dict[int, MergePath] = {}
+        #: binding name -> its (to-NF, from-NF) forwarding tables.
+        self._forwarding: Dict[str, Tuple[MatchActionTable, MatchActionTable]] = {}
+        foreign = self._installed_tables()
         self._install()
+        self._own_tables = self._installed_tables() - foreign
 
     # ------------------------------------------------------------------ #
     # Installation
@@ -360,11 +387,13 @@ class PayloadParkProgram(SwitchProgram):
             )
             split.install()
             merge.install()
-            self._install_forwarding(pipe, binding)
+            self._forwarding[binding.name] = self._install_forwarding(pipe, binding)
             self.lookup_tables[binding.name] = lookup
             self.taggers[binding.name] = tagger
             self._split_paths.append(split)
             self._merge_paths.append(merge)
+            self._merge_of_port[binding.nf_port] = merge
+            self._split_of_port.update(dict.fromkeys(binding.ingress_ports, split))
 
     def _memory_share(self, binding: NfServerBinding, pipe: Pipe) -> float:
         """Static memory slicing: this binding's share of the pipe's reservation."""
@@ -386,10 +415,47 @@ class PayloadParkProgram(SwitchProgram):
 
     def _install_deparser(self, pipe: Pipe) -> None:
         def deparse(ctx: PipelinePacket) -> None:
-            for merge_path in self._merge_paths:
-                merge_path.deparse(ctx)
+            merge = self._merge_of_port.get(ctx.ingress_port)
+            if merge is not None:
+                merge.deparse(ctx)
 
         pipe.deparser.hook = deparse
+
+    # ------------------------------------------------------------------ #
+    # Port plans
+    # ------------------------------------------------------------------ #
+
+    def _compile_plan(self, ingress_port: int) -> PortPlan:
+        """One fused kernel per ingress port: Split for a traffic port,
+        Merge for an NF port, both passes when parking recirculates.
+
+        Falls back to the stage walk where fusing would not be exact: a
+        port no binding owns, a pipe that may not recirculate although
+        the parked size needs it, or a table this program did not install
+        that could match on the port.
+        """
+        pipe = self.asic.pipe_for_port(ingress_port)
+        split = self._split_of_port.get(ingress_port)
+        merge = self._merge_of_port.get(ingress_port)
+        path = split or merge
+        fusable = (
+            path is not None
+            and (pipe.recirculation_limit >= 1 or not path.lookup.uses_second_pass)
+            and all(
+                table in self._own_tables
+                or (table.ingress_ports is not None and ingress_port not in table.ingress_ports)
+                for table in pipe.pipeline.tables()
+            )
+        )
+        if not fusable:
+            return super()._compile_plan(ingress_port)
+        to_nf, from_nf = self._forwarding[path.binding.name]
+        if split is not None:
+            return split.compile_plan(pipe, self.asic, to_nf)
+        return merge.compile_plan(pipe, self.asic, from_nf, self.l2)
+
+    def _installed_tables(self) -> set:
+        return {table for pipe in self.asic.pipes for table in pipe.pipeline.tables()}
 
     # ------------------------------------------------------------------ #
     # Control-plane introspection
@@ -427,93 +493,59 @@ class PayloadParkProgram(SwitchProgram):
         self.invalidate_fast_path()
 
 
-class _CachedDecision:
-    """Memoized outcome of one pipe pass for a stateless program.
+def _record_decision(asic: TofinoAsic, packet: Packet, ingress_port: int):
+    """Run one reference walk; return its context and a plan replaying it.
 
-    Records the egress decision plus the per-table hit/miss deltas the
-    walk produced, so replays leave every observable counter (table
-    hits, parser/deparser counts, ASIC totals) exactly as a live walk
-    would have.  Entries carry the pipeline version they were recorded
-    against; a version bump (control-plane table install) makes them
-    report stale and the caller re-records.
+    For a stateless program the walk's outcome depends only on the
+    packet's header shape, so the plan's kernel hands every later packet
+    of that shape the recorded egress decision and owes the tables the
+    hits and misses the recording produced — replays leave every
+    observable counter (table hits, parser/deparser counts, ASIC totals)
+    exactly as a live walk would have.  The plan is None where a replay
+    could not be exact.
     """
+    pipe = asic.pipe_for_port(ingress_port)
+    tables = pipe.pipeline.tables()
+    if pipe.parser.hook is not None or pipe.deparser.hook is not None:
+        # Hooks may have effects the replay cannot reproduce; process
+        # live and skip caching for this pipe.
+        return asic.process(packet, ingress_port), None
+    if any(table.stateful for table in tables):
+        # A stateful table installed after enable_fast_path()'s scan
+        # (the control plane may add tables at any time): replays
+        # cannot reproduce stateful actions, so stop caching for
+        # this pipe rather than silently freeze its state.
+        return asic.process(packet, ingress_port), None
+    before = [(table.hit_count, table.miss_count) for table in tables]
+    recorded = asic.process(packet, ingress_port)
+    after = [(table.hit_count, table.miss_count) for table in tables]
+    deltas = [
+        (table, hits - hits_before, misses - misses_before)
+        for table, (hits_before, misses_before), (hits, misses) in zip(tables, before, after)
+        if (hits, misses) != (hits_before, misses_before)
+    ]
+    egress_port, recirculations = recorded.egress_port, recorded.recirculations
+    dropped, drop_reason = recorded.dropped, recorded.drop_reason
+    passes = recirculations + 1
+    parser, deparser = pipe.parser, pipe.deparser
+    counts = [0]
 
-    __slots__ = (
-        "pipe",
-        "version",
-        "egress_port",
-        "dropped",
-        "drop_reason",
-        "recirculations",
-        "counter_deltas",
-    )
-
-    def __init__(self, pipe, version, egress_port, dropped, drop_reason,
-                 recirculations, counter_deltas):
-        self.pipe = pipe
-        self.version = version
-        self.egress_port = egress_port
-        self.dropped = dropped
-        self.drop_reason = drop_reason
-        self.recirculations = recirculations
-        self.counter_deltas = counter_deltas
-
-    @classmethod
-    def record(cls, asic: TofinoAsic, packet: Packet, ingress_port: int):
-        """Run one live walk and capture its outcome + counter effects."""
-        pipe = asic.pipe_for_port(ingress_port)
-        if pipe.parser.hook is not None or pipe.deparser.hook is not None:
-            # Hooks may have effects the replay cannot reproduce; process
-            # live and skip caching for this pipe.
-            return asic.process(packet, ingress_port), None
-        version = pipe.pipeline.version
-        tables = [entry[0] for entry in pipe.pipeline.compiled_tables()]
-        if any(table.stateful for table in tables):
-            # A stateful table installed after enable_fast_path()'s scan
-            # (the control plane may add tables at any time): replays
-            # cannot reproduce stateful actions, so stop caching for
-            # this pipe rather than silently freeze its state.
-            return asic.process(packet, ingress_port), None
-        before = [(table.hit_count, table.miss_count) for table in tables]
-        ctx = asic.process(packet, ingress_port)
-        deltas = []
-        for table, (hits, misses) in zip(tables, before):
-            hit_delta = table.hit_count - hits
-            miss_delta = table.miss_count - misses
-            if hit_delta or miss_delta:
-                deltas.append((table, hit_delta, miss_delta))
-        entry = cls(
-            pipe=pipe,
-            version=version,
-            egress_port=ctx.egress_port,
-            dropped=ctx.dropped,
-            drop_reason=ctx.drop_reason,
-            recirculations=ctx.recirculations,
-            counter_deltas=tuple(deltas),
-        )
-        return ctx, entry
-
-    def replay(self, asic: TofinoAsic, packet: Packet, ingress_port: int):
-        """Reproduce the recorded outcome, or None if the entry is stale."""
-        pipe = self.pipe
-        if pipe.pipeline.version != self.version:
-            return None
-        ctx = PipelinePacket(packet=packet, ingress_port=ingress_port)
-        ctx.egress_port = self.egress_port
-        ctx.recirculations = self.recirculations
-        for table, hit_delta, miss_delta in self.counter_deltas:
-            table.hit_count += hit_delta
-            table.miss_count += miss_delta
-        passes = self.recirculations + 1
-        pipe.parser.parsed_packets += passes
-        pipe.deparser.deparsed_packets += passes
-        pipe.recirculated_packets += self.recirculations
+    def replay(packet: Packet, ingress_port: int) -> PipelinePacket:
+        counts[0] += 1
+        parser.parsed_packets += passes
+        deparser.deparsed_packets += passes
+        pipe.recirculated_packets += recirculations
         asic.processed_packets += 1
-        if self.dropped:
-            ctx.dropped = True
-            ctx.drop_reason = self.drop_reason
+        if dropped:
             asic.dropped_packets += 1
-            asic.drop_reasons[self.drop_reason] = (
-                asic.drop_reasons.get(self.drop_reason, 0) + 1
-            )
-        return ctx
+            asic.drop_reasons[drop_reason] = asic.drop_reasons.get(drop_reason, 0) + 1
+        return PipelinePacket(
+            packet,
+            ingress_port,
+            egress_port=egress_port,
+            dropped=dropped,
+            drop_reason=drop_reason,
+            recirculations=recirculations,
+        )
+
+    return recorded, PortPlan(pipe.pipeline, replay, counts, [deltas])

@@ -17,20 +17,25 @@ Split runs on packets arriving at a PayloadPark-enabled ingress port:
   remaining blocks are written during the second pass.
 * A final forwarding table steers the (now header-mostly) packet to the
   binding's NF-server port.
+
+The tables are the reference.  :meth:`SplitPath.compile_plan` fuses them
+into the one kernel a traffic port runs by default.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
 from repro.core.header import OP_MERGE, PayloadParkHeader
-from repro.core.lookup_table import LookupTable
+from repro.core.lookup_table import LookupTable, MetadataEntry
 from repro.core.tagger import PacketTagger
+from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.pipeline import Pipeline
+from repro.switchsim.pipe import Pipe
+from repro.switchsim.pipeline import Pipeline, PortPlan
 
 #: Metadata keys used to pass information between Split stages, mirroring
 #: the paper's user-defined ``meta`` struct.
@@ -64,6 +69,11 @@ class SplitPath:
         self._ingress_ports = frozenset(binding.ingress_ports)
         #: Flight-recorder hook (repro.obs); None keeps the path lean.
         self.obs_recorder = None
+        #: The installed tables by role, for :meth:`compile_plan`.
+        self.tagger_table: Optional[MatchActionTable] = None
+        self.probe_table: Optional[MatchActionTable] = None
+        self.recirculate_table: Optional[MatchActionTable] = None
+        self.store_tables: List[List[MatchActionTable]] = [[], []]
 
     # ------------------------------------------------------------------ #
     # Table installation
@@ -71,7 +81,7 @@ class SplitPath:
 
     def install(self) -> None:
         """Create the Split MATs and place them into their stages."""
-        self.pipeline.stage(self.tagger_stage).add_table(
+        self.tagger_table = self.pipeline.stage(self.tagger_stage).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.split_tagger",
                 match=self._match_split_candidate,
@@ -81,7 +91,7 @@ class SplitPath:
                 ingress_ports=self._ingress_ports,
             )
         )
-        self.pipeline.stage(self.probe_stage).add_table(
+        self.probe_table = self.pipeline.stage(self.probe_stage).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.split_probe",
                 match=self._match_split_ingress,
@@ -91,20 +101,10 @@ class SplitPath:
                 ingress_ports=self._ingress_ports,
             )
         )
-        for slot, array in self.lookup.blocks_for_pass(0):
-            self.pipeline.stage(slot.stage_index).add_table(
-                MatchActionTable(
-                    name=f"{self.binding.name}.split_store[{slot.block_index}]",
-                    match=self._match_store_pass(0),
-                    action=self._make_store_action(slot, array),
-                    match_bits=17,
-                    vliw_slots=1,
-                    ingress_ports=self._ingress_ports,
-                )
-            )
+        self._install_stores(0)
         if self.lookup.uses_second_pass:
             last_stage = self.pipeline.stage_count - 1
-            self.pipeline.stage(last_stage).add_table(
+            self.recirculate_table = self.pipeline.stage(last_stage).add_table(
                 MatchActionTable(
                     name=f"{self.binding.name}.split_recirculate",
                     match=self._match_recirculation_request,
@@ -114,17 +114,21 @@ class SplitPath:
                     ingress_ports=self._ingress_ports,
                 )
             )
-            for slot, array in self.lookup.blocks_for_pass(1):
-                self.pipeline.stage(slot.stage_index).add_table(
-                    MatchActionTable(
-                        name=f"{self.binding.name}.split_store[{slot.block_index}]",
-                        match=self._match_store_pass(1),
-                        action=self._make_store_action(slot, array),
-                        match_bits=17,
-                        vliw_slots=1,
-                        ingress_ports=self._ingress_ports,
-                    )
+            self._install_stores(1)
+
+    def _install_stores(self, pass_number: int) -> None:
+        for slot, array in self.lookup.blocks_for_pass(pass_number):
+            table = self.pipeline.stage(slot.stage_index).add_table(
+                MatchActionTable(
+                    name=f"{self.binding.name}.split_store[{slot.block_index}]",
+                    match=self._match_store_pass(pass_number),
+                    action=self._make_store_action(slot, array),
+                    match_bits=17,
+                    vliw_slots=1,
+                    ingress_ports=self._ingress_ports,
                 )
+            )
+            self.store_tables[pass_number].append(table)
 
     # ------------------------------------------------------------------ #
     # Match predicates
@@ -231,3 +235,97 @@ class SplitPath:
             )
 
         return action
+
+    # ------------------------------------------------------------------ #
+    # Port plan
+    # ------------------------------------------------------------------ #
+
+    def compile_plan(
+        self, pipe: Pipe, asic: TofinoAsic, forward_table: MatchActionTable
+    ) -> PortPlan:
+        """Fuse the Split tables into the kernel for one of this binding's
+        traffic ports.
+
+        The kernel takes the packet through Algorithm 1 in one function:
+        it reads and writes the same registers as the tables above, in
+        the same order, and leaves the same header, counters and
+        recorder calls behind.  A packet takes one of three outcomes —
+        not tagged (Split off or payload too small), slot occupied, or
+        parked — each hitting a fixed set of tables, *forward_table*
+        (the binding's to-NF forwarding) among them on every pass.
+        """
+        config, counters, name = self.config, self.counters, self.binding.name
+        nf_port = self.binding.nf_port
+        idx_cell, clk_cell = self.tagger.cells()
+        table_entries, clock_max = self.tagger.table_entries, self.tagger.clock_max
+        metadata = self.lookup.metadata.storage
+        block_cells = self.lookup.block_cells()
+        recirculates = self.lookup.uses_second_pass
+        parser, deparser = pipe.parser, pipe.deparser
+        disabled = PayloadParkHeader.disabled
+        not_tagged, occupied, parked = 0, 1, 2
+        counts = [0, 0, 0]
+
+        def split(packet, ingress_port: int) -> PipelinePacket:
+            ctx = PipelinePacket(packet, ingress_port, egress_port=nf_port)
+            passes = 1
+            if not config.split_enabled:
+                packet.pp = disabled()
+                counts[not_tagged] += 1
+            elif len(packet.payload) < config.min_split_payload:
+                counters.split_disabled_small_payload += 1
+                packet.pp = disabled()
+                counts[not_tagged] += 1
+            else:
+                tbl_idx = idx_cell[0] = (idx_cell[0] + 1) % table_entries
+                clk = clk_cell[0] = (clk_cell[0] + 1) % clock_max
+                entry = metadata[tbl_idx]
+                if entry.exp > 1:
+                    metadata[tbl_idx] = MetadataEntry(clk=entry.clk, exp=entry.exp - 1)
+                    counters.split_disabled_table_occupied += 1
+                    packet.pp = disabled()
+                    counts[occupied] += 1
+                else:
+                    metadata[tbl_idx] = MetadataEntry(clk=clk, exp=config.expiry_threshold)
+                    recorder = self.obs_recorder
+                    if entry.exp == 1:
+                        counters.evictions += 1
+                        if recorder is not None:
+                            recorder.slot_evicted(name, tbl_idx)
+                    payload = packet.park_leading_payload(
+                        min(config.parked_bytes, len(packet.payload))
+                    )
+                    packet.pp = PayloadParkHeader(
+                        enb=1, op=OP_MERGE, tbl_idx=tbl_idx, clk=clk
+                    ).seal()
+                    counters.splits += 1
+                    if recorder is not None:
+                        recorder.payload_parked(
+                            name, tbl_idx, clk, packet.meta.get("obs_pkt")
+                        )
+                    for cells, start, end in block_cells:
+                        cells[tbl_idx] = payload[start:end]
+                    if recirculates:
+                        ctx.recirculations = 1
+                        pipe.recirculated_packets += 1
+                        passes = 2
+                    counts[parked] += 1
+            parser.parsed_packets += passes
+            deparser.deparsed_packets += passes
+            asic.processed_packets += 1
+            return ctx
+
+        probed = [self.probe_table, forward_table]
+        parked_passes = [
+            ([*probed, self.tagger_table, *self.store_tables[0], self.recirculate_table], None)
+        ]
+        if recirculates:
+            parked_passes.append(([*self.store_tables[1], forward_table], None))
+        outcomes = [
+            [(probed, None)],
+            [([*probed, self.tagger_table], None)],
+            parked_passes,
+        ]
+        return PortPlan(
+            self.pipeline, split, counts, [self.pipeline.walk(passes) for passes in outcomes]
+        )

@@ -11,6 +11,7 @@ packets in the pipeline receive distinct indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.pipeline import Pipeline
@@ -62,6 +63,10 @@ class PacketTagger:
         )
         clk = self._clk.read_modify_write(ctx, 0, lambda value: (value + 1) % self.clock_max)
         return Tag(tbl_idx=tbl_idx, clk=clk)
+
+    def cells(self) -> Tuple[List[int], List[int]]:
+        """Storage of the table-index and clock registers, for port plans."""
+        return self._tbl_idx.storage, self._clk.storage
 
     # Control-plane helpers ------------------------------------------------
 

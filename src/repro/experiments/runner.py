@@ -345,8 +345,8 @@ class ScenarioConfig:
     #: the legacy constant-rate PacketFactory path.
     traffic_model: Optional[TrafficModel] = None
     #: Use the optimized simulation path: calendar event loop, pooled
-    #: packet templates, compiled/cached pipeline walks and cost-model
-    #: precomputation.  Behaviour-preserving — the golden-figure suite
+    #: packet templates, port plans / cached pipeline decisions and
+    #: cost-model precomputation.  Behaviour-preserving — the golden-figure suite
     #: asserts byte-identical results against ``fast_path=False``, which
     #: keeps the original reference implementations.
     fast_path: bool = field(default_factory=current_default_fast_path)

@@ -89,7 +89,9 @@ class TofinoAsic:
         return ctx
 
     def reset_counters(self) -> None:
-        """Zero the chip-level packet counters (control plane)."""
+        """Zero the chip's and every pipe's packet counters (control plane)."""
         self.processed_packets = 0
         self.dropped_packets = 0
         self.drop_reasons.clear()
+        for pipe in self.pipes:
+            pipe.reset_counters()

@@ -47,8 +47,8 @@ class PipelinePacket:
         Per-pass access counts keyed by register-array name, used to
         enforce the one-stateful-access-per-array-per-pass restriction.
         Allocated lazily by the access guard (``None`` until the first
-        guarded access), since the fast path disables the guard and a
-        context is created per packet per pass.
+        guarded access), since port plans never reach the guard and a
+        context is created per packet.
     """
 
     packet: Packet

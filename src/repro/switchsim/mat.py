@@ -41,18 +41,12 @@ class MatchActionTable:
     vliw_slots:
         VLIW action slots the action consumes.
     ingress_ports:
-        Optional fast-path gate: the set of ingress ports on which this
-        table can possibly match.  The contract is ``match(ctx) is True
-        implies ctx.ingress_port in ingress_ports`` — the compiled
-        pipeline walk then skips the (potentially expensive) match
-        predicate for packets from other ports and records a miss, which
-        is exactly what the predicate would have returned.  ``None``
-        disables the gate.
-    port_implies_match:
-        Declares that the match predicate tests *only* membership of the
-        ingress port in ``ingress_ports``, so a packet that passes the
-        port gate is guaranteed to match.  The compiled walk then runs
-        the action directly.
+        Optional port gate: the set of ingress ports on which this table
+        can possibly match.  The contract is ``match(ctx) is True
+        implies ctx.ingress_port in ingress_ports``, so a port plan (see
+        :class:`~repro.switchsim.pipeline.PortPlan`) for any other port
+        may account the table as a miss without evaluating it.  ``None``
+        declares nothing.
     stateful:
         Whether the table's match/action read or write per-packet
         mutable switch state (register arrays, lookup tables, metadata
@@ -73,7 +67,6 @@ class MatchActionTable:
         vliw_slots: int = 1,
         ingress_ports: Optional[frozenset] = None,
         stateful: bool = True,
-        port_implies_match: bool = False,
     ) -> None:
         self.name = name
         self.match = match
@@ -85,9 +78,25 @@ class MatchActionTable:
         self.vliw_slots = vliw_slots
         self.ingress_ports = ingress_ports
         self.stateful = stateful
-        self.port_implies_match = port_implies_match
-        self.hit_count = 0
-        self.miss_count = 0
+        #: Installed by the owning pipeline: folds hits and misses that
+        #: port plans tallied in bulk into the counters before a read.
+        self.settle: Optional[Callable[[], None]] = None
+        self._hits = 0
+        self._misses = 0
+
+    @property
+    def hit_count(self) -> int:
+        """Packets whose action ran, whichever engine processed them."""
+        if self.settle is not None:
+            self.settle()
+        return self._hits
+
+    @property
+    def miss_count(self) -> int:
+        """Packets that reached the table without matching."""
+        if self.settle is not None:
+            self.settle()
+        return self._misses
 
     def apply(self, ctx: PipelinePacket) -> bool:
         """Run the table on *ctx*; return True if the action executed."""
@@ -95,15 +104,22 @@ class MatchActionTable:
             return False
         if self.match is None or self.match(ctx):
             self.action(ctx)
-            self.hit_count += 1
+            self._hits += 1
             return True
-        self.miss_count += 1
+        self._misses += 1
         return False
+
+    def count(self, hits: int, misses: int) -> None:
+        """Account *hits* and *misses* decided without running :meth:`apply`."""
+        self._hits += hits
+        self._misses += misses
 
     def reset_counters(self) -> None:
         """Zero the hit/miss counters (control plane)."""
-        self.hit_count = 0
-        self.miss_count = 0
+        if self.settle is not None:
+            self.settle()  # or tallies pending in a port plan resurface later
+        self._hits = 0
+        self._misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchActionTable(name={self.name!r}, entries={self.entries})"

@@ -41,10 +41,6 @@ class Pipe:
         self.phv = PhvLayout(capacity_bits=self.budget.phv_bits)
         self.recirculation_limit = recirculation_limit
         self.recirculated_packets = 0
-        #: When True, passes use the pipeline's compiled table walk
-        #: (identical semantics, lower interpreter overhead).  Flipped by
-        #: :meth:`~repro.core.program.SwitchProgram.enable_fast_path`.
-        self.fast_path = False
 
     def process(self, packet: Packet, ingress_port: int) -> PipelinePacket:
         """Run *packet* through the pipe, honouring recirculation requests.
@@ -53,9 +49,8 @@ class Pipe:
         egress decision, the drop flag and ``recirculations`` (to charge
         the recirculation latency/bandwidth penalty).
         """
-        run_pass = self.pipeline.process_fast if self.fast_path else self.pipeline.process
         ctx = self.parser.parse(packet, ingress_port)
-        run_pass(ctx)
+        self.pipeline.process(ctx)
         self.deparser.deparse(ctx)
         while ctx.recirculate_requested and not ctx.dropped:
             if ctx.recirculations >= self.recirculation_limit:
@@ -64,9 +59,16 @@ class Pipe:
             ctx.recirculations += 1
             self.recirculated_packets += 1
             self.parser.reparse(ctx)
-            run_pass(ctx)
+            self.pipeline.process(ctx)
             self.deparser.deparse(ctx)
         return ctx
+
+    def reset_counters(self) -> None:
+        """Zero the pass, recirculation and per-table counters (control plane)."""
+        self.parser.parsed_packets = 0
+        self.deparser.deparsed_packets = 0
+        self.recirculated_packets = 0
+        self.pipeline.reset_counters()
 
     def recirculation_latency_ns(self, ctx: PipelinePacket) -> int:
         """Extra latency the packet accrued from recirculation passes."""

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.packet.packet import Packet
 from repro.switchsim.context import PipelinePacket
+from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.resources import ResourceBudget
 from repro.switchsim.stage import Stage
+
+#: One pass of a packet as a port plan describes it: the tables whose
+#: action ran, and the one among them that dropped the packet (after
+#: which no table is reached), if any.
+PlanPass = Tuple[Iterable[MatchActionTable], Optional[MatchActionTable]]
+#: ``(table, hits, misses)`` for every table a packet touched.
+TableDeltas = List[Tuple[MatchActionTable, int, int]]
 
 
 class Pipeline:
@@ -26,18 +35,20 @@ class Pipeline:
         self.stage_count = stage_count
         self.budget = budget or ResourceBudget()
         self.stages: List[Stage] = [Stage(i, budget=self.budget) for i in range(stage_count)]
-        #: Bumped whenever a stage gains a table; decision caches compare
-        #: it so control-plane table installs invalidate stale entries.
+        #: Bumped whenever a stage gains a table; port plans and decision
+        #: caches compare it so control-plane table installs invalidate
+        #: stale entries.
         self.version = 0
-        self._compiled = None
-        self._compiled_by_port = {}
+        #: Live port plans, whose bulk table accounting may be pending.
+        self._plans: Set["PortPlan"] = set()
         for stage in self.stages:
-            stage.on_change = self._invalidate_compiled
+            stage.on_change = self._table_added
 
-    def _invalidate_compiled(self) -> None:
+    def _table_added(self, table: MatchActionTable) -> None:
+        self.settle_counters()
+        self._plans.clear()  # all compiled against the version that ends here
         self.version += 1
-        self._compiled = None
-        self._compiled_by_port = {}
+        table.settle = self.settle_counters
 
     def stage(self, index: int) -> Stage:
         """Return stage *index* (0-based)."""
@@ -55,71 +66,43 @@ class Pipeline:
             stage.apply(ctx)
         return ctx
 
+    def tables(self) -> List[MatchActionTable]:
+        """Every table in the order :meth:`process` reaches them."""
+        return [table for stage in self.stages for table in stage.tables]
+
     # ------------------------------------------------------------------ #
-    # Fast path
+    # Port plans
     # ------------------------------------------------------------------ #
 
-    def compiled_tables(self):
-        """Tables of every stage flattened into one ordered walk list.
+    def walk(self, passes: Sequence[PlanPass]) -> TableDeltas:
+        """Hits and misses one packet owes each table for taking *passes*."""
+        tables = self.tables()
+        hits: Dict[MatchActionTable, int] = dict.fromkeys(tables, 0)
+        misses: Dict[MatchActionTable, int] = dict.fromkeys(tables, 0)
+        for hit_tables, dropped_by in passes:
+            hit_tables = frozenset(hit_tables)
+            for table in tables:
+                if table in hit_tables:
+                    hits[table] += 1
+                else:
+                    misses[table] += 1
+                if table is dropped_by:
+                    break
+        return [
+            (table, hits[table], misses[table])
+            for table in tables
+            if hits[table] or misses[table]
+        ]
 
-        Each entry is ``(table, ingress_ports, match, action)``.  The
-        list is rebuilt lazily whenever a table is installed (see
-        ``version``); empty stages disappear from the walk entirely.
-        """
-        compiled = self._compiled
-        if compiled is None:
-            compiled = [
-                (table, table.ingress_ports, table.match, table.action)
-                for stage in self.stages
-                for table in stage.tables
-            ]
-            self._compiled = compiled
-            self._compiled_by_port = {}
-        return compiled
+    def settle_counters(self) -> None:
+        """Fold every live plan's tallies into the table counters."""
+        for plan in self._plans:
+            plan.settle()
 
-    def _compile_for_port(self, port: int):
-        """Specialize the walk for one ingress port.
-
-        Entries are ``(mode, table, match, action)`` in stage order:
-        ``mode`` 0 = gated off by ``ingress_ports`` (record a miss, skip
-        the predicate — the result the predicate would produce, per the
-        MatchActionTable contract); 1 = evaluate the predicate; 2 = the
-        port gate alone implies a hit, run the action directly.
-        """
-        entries = []
-        for table, ports, match, action in self.compiled_tables():
-            if ports is not None and port not in ports:
-                entries.append((0, table, match, action))
-            elif match is None or (ports is not None and table.port_implies_match):
-                entries.append((2, table, match, action))
-            else:
-                entries.append((1, table, match, action))
-        self._compiled_by_port[port] = entries
-        return entries
-
-    def process_fast(self, ctx: PipelinePacket) -> PipelinePacket:
-        """One pass over the port-specialized table list (fast path).
-
-        Semantically identical to :meth:`process`: the same tables run
-        in the same order with the same hit/miss accounting, but the
-        per-stage loop, the port gates and port-implied matches are
-        resolved at compile time instead of per packet.
-        """
-        self.compiled_tables()  # ensures the port cache is current
-        entries = self._compiled_by_port.get(ctx.ingress_port)
-        if entries is None:
-            entries = self._compile_for_port(ctx.ingress_port)
-        for mode, table, match, action in entries:
-            if ctx.dropped:
-                break
-            if mode == 0:
-                table.miss_count += 1
-            elif mode == 2 or match(ctx):
-                action(ctx)
-                table.hit_count += 1
-            else:
-                table.miss_count += 1
-        return ctx
+    def reset_counters(self) -> None:
+        """Zero every table's hit/miss counters, pending tallies included."""
+        for table in self.tables():
+            table.reset_counters()
 
     def sram_bytes_used(self) -> int:
         """Total SRAM bytes allocated across all stages."""
@@ -131,3 +114,51 @@ class Pipeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pipeline(stages={self.stage_count})"
+
+
+class PortPlan:
+    """One kernel standing in for the stage walk on an ingress port.
+
+    A program that knows what its tables do to a packet from one port
+    fuses them into a single function, ``run(packet, ingress_port)``,
+    which does the work of every pass and returns the finished
+    :class:`PipelinePacket`.  The kernel owes the pipeline the hit or
+    miss each table would have recorded.  It pays in bulk: every call
+    bumps ``counts[k]`` for the outcome *k* it took, ``deltas[k]`` says
+    what one packet taking that outcome owes each table (see
+    :meth:`Pipeline.walk`), and :meth:`settle` turns the counts into
+    per-table hits and misses whenever a counter is read.  A plan is
+    valid for the pipeline version it was compiled against; the owner
+    checks :attr:`version` before each use.
+    """
+
+    __slots__ = ("pipeline", "version", "run", "counts", "deltas")
+
+    def __init__(
+        self,
+        pipeline: Pipeline,
+        run: Callable[[Packet, int], PipelinePacket],
+        counts: List[int],
+        deltas: Sequence[TableDeltas],
+    ) -> None:
+        self.pipeline = pipeline
+        self.version = pipeline.version
+        self.run = run
+        self.counts = counts
+        self.deltas = deltas
+        if deltas:
+            pipeline._plans.add(self)
+
+    def retire(self) -> None:
+        """Settle up and leave the pipeline: the owner is dropping the plan."""
+        self.settle()
+        self.pipeline._plans.discard(self)
+
+    def settle(self) -> None:
+        """Move the pending tallies into the tables' counters."""
+        counts = self.counts
+        for outcome, packets in enumerate(counts):
+            if packets:
+                counts[outcome] = 0
+                for table, hits, misses in self.deltas[outcome]:
+                    table.count(hits * packets, misses * packets)

@@ -40,15 +40,7 @@ class RegisterArray:
     enforce_single_access:
         Enforce the one-access-per-packet-pass restriction (on by
         default; tests may relax it to model hypothetical hardware).
-
-    The guard's per-access bookkeeping is skipped entirely when
-    ``guard_enabled`` is False — the program fast path flips it off once
-    a program has been exercised with the guard on, since the guard is a
-    development-time assertion (it can only raise on P4-impossible
-    programs) rather than observable simulation state.
     """
-
-    guard_enabled = True
 
     def __init__(
         self,
@@ -84,15 +76,13 @@ class RegisterArray:
     def read(self, ctx: PipelinePacket, index: int) -> Any:
         """Read entry *index* on behalf of the packet in *ctx*."""
         self._check_index(index)
-        if self.guard_enabled:
-            self._note_access(ctx, is_write=False)
+        self._note_access(ctx, is_write=False)
         return self._values[index]
 
     def write(self, ctx: PipelinePacket, index: int, value: Any) -> None:
         """Write entry *index* on behalf of the packet in *ctx*."""
         self._check_index(index)
-        if self.guard_enabled:
-            self._note_access(ctx, is_write=True)
+        self._note_access(ctx, is_write=True)
         self._values[index] = value
 
     def read_modify_write(self, ctx: PipelinePacket, index: int, func) -> Any:
@@ -103,8 +93,7 @@ class RegisterArray:
         decrement.  Returns the *new* value.
         """
         self._check_index(index)
-        if self.guard_enabled:
-            self._note_access(ctx, is_write=True)
+        self._note_access(ctx, is_write=True)
         new_value = func(self._values[index])
         self._values[index] = new_value
         return new_value
@@ -118,8 +107,7 @@ class RegisterArray:
         lines 21–23).
         """
         self._check_index(index)
-        if self.guard_enabled:
-            self._note_access(ctx, is_write=True)
+        self._note_access(ctx, is_write=True)
         old_value = self._values[index]
         self._values[index] = new_value
         return old_value
@@ -127,6 +115,18 @@ class RegisterArray:
     # ------------------------------------------------------------------ #
     # Control-plane access (unrestricted)
     # ------------------------------------------------------------------ #
+
+    @property
+    def storage(self) -> List[Any]:
+        """The backing list itself, for port plans.
+
+        A port plan fuses a program's tables into one kernel that has
+        been diffed against the guarded stage walk, so it indexes the
+        storage directly instead of paying for the guard per access.
+        The list is only ever mutated in place, so a reference stays
+        valid across :meth:`clear`.
+        """
+        return self._values
 
     def peek(self, index: int) -> Any:
         """Control-plane read that bypasses the access guard."""
@@ -140,7 +140,7 @@ class RegisterArray:
 
     def clear(self) -> None:
         """Reset every entry to the initial value (control-plane only)."""
-        self._values = [self._initial] * self.size
+        self._values[:] = [self._initial] * self.size
 
     def occupancy(self, is_occupied=lambda value: bool(value)) -> int:
         """Count entries considered occupied by *is_occupied* (control plane)."""

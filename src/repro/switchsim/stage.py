@@ -25,9 +25,9 @@ class Stage:
         self.resources = StageResources(budget=budget or ResourceBudget())
         self.tables: List[MatchActionTable] = []
         self.register_arrays: List[RegisterArray] = []
-        #: Invalidation callback installed by the owning pipeline so its
-        #: compiled table walk (and any program-level decision cache
-        #: keyed on the pipeline version) notices late table additions.
+        #: Callback installed by the owning pipeline, called with every
+        #: table added, so port plans and decision caches keyed on the
+        #: pipeline version notice late table additions.
         self.on_change: Optional[Any] = None
 
     def add_table(self, table: MatchActionTable) -> MatchActionTable:
@@ -40,7 +40,7 @@ class Stage:
             self.resources.allocate_sram(table.entries * table.entry_bytes, what=table.name)
         self.tables.append(table)
         if self.on_change is not None:
-            self.on_change()
+            self.on_change(table)
         return table
 
     def add_register_array(

@@ -76,7 +76,7 @@ class FastSlowEquivalence(MetamorphicRelation):
     """Fast-path and reference-path runs must produce identical metrics.
 
     This is the differential heart of the suite: the calendar event
-    loop, pooled packet templates, compiled pipeline walks and memoized
+    loop, pooled packet templates, port plans and memoized
     NF verdicts are only admissible because they reproduce the
     reference results exactly — here asserted at an arbitrary operating
     point instead of the golden grid.

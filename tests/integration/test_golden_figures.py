@@ -6,7 +6,7 @@ slow path and the optimized fast path — and the resulting tables must
 match the committed JSON under ``tests/golden/`` exactly, row for row.
 
 This is the contract that lets the fast path exist at all: batched
-events, pooled packets, compiled pipeline walks and memoized NF
+events, pooled packets, port plans and memoized NF
 verdicts are only admissible because this suite proves they reproduce
 the reference results byte-for-byte.  A legitimate behaviour change
 must regenerate the tables (``python tests/golden/regenerate.py``) and

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.controlplane.manager import AdaptiveEvictionPolicy, PayloadParkController
+from repro.controlplane.manager import (
+    AdaptiveEvictionPolicy,
+    ControlPlaneManager,
+    PayloadParkController,
+)
 from repro.controlplane.rules import DeploymentSpec, build_chain
 from repro.core.config import NfServerBinding, PayloadParkConfig
-from repro.core.program import PayloadParkProgram
+from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.nf.firewall import Firewall
 from repro.nf.loadbalancer import MaglevLoadBalancer
 from repro.nf.nat import Nat
@@ -51,6 +55,41 @@ class TestController:
         controller.reset()
         assert controller.counters()["splits"] == 0
         assert controller.occupancy()["srv0"] == 0
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    @pytest.mark.parametrize("parking", [False, True])
+    def test_back_to_back_runs_start_from_zero_pipeline_counters(self, parking, fast_path):
+        if parking:
+            program = _program(parked_bytes=384, enable_recirculation=True)
+        else:
+            program = BaselineProgram(_program().bindings)
+        program.enable_fast_path(fast_path)
+        manager = ControlPlaneManager(program)
+        pipe = program.asic.pipes[0]
+
+        def run():
+            for _ in range(5):
+                packet = Packet.udp(total_size=800)
+                program.process(packet, ingress_port=0)
+                program.process(packet, ingress_port=2)
+            program.process(Packet.udp(total_size=64), ingress_port=9)  # no egress
+            return {
+                "tables": [(t.name, t.hit_count, t.miss_count) for t in pipe.pipeline.tables()],
+                "parsed": pipe.parser.parsed_packets,
+                "deparsed": pipe.deparser.deparsed_packets,
+                "recirculated": pipe.recirculated_packets,
+                "processed": program.asic.processed_packets,
+            }
+
+        first = run()
+        assert first["processed"] == 11
+        assert first["recirculated"] == (10 if parking else 0)
+        assert any(hits for _name, hits, _misses in first["tables"])
+        manager.reset()
+        assert pipe.parser.parsed_packets == pipe.deparser.deparsed_packets == 0
+        assert pipe.recirculated_packets == program.asic.processed_packets == 0
+        assert all(t.hit_count == t.miss_count == 0 for t in pipe.pipeline.tables())
+        assert run() == first
 
     def test_install_l2_route(self):
         program = _program()

@@ -187,32 +187,3 @@ class TestFirewallFastPath:
         assert firewall.process(packet).forwarded
         firewall.add_rule(FirewallRule.blacklist("10.9.9.9/32"))
         assert not firewall.process(packet).forwarded
-
-
-class TestCompiledPipelineWalk:
-    def test_fast_walk_matches_stage_walk_for_payloadpark(self):
-        from repro.packet.packet import Packet
-
-        def run(fast):
-            program = PayloadParkProgram(
-                PayloadParkConfig(sram_fraction=0.26), bindings=[_binding()]
-            )
-            if fast:
-                program.enable_fast_path()
-            outcomes = []
-            for index in range(40):
-                packet = Packet.udp(total_size=800)
-                ctx = program.process(packet, index % 2)
-                outcomes.append(
-                    (ctx.egress_port, ctx.dropped, packet.wire_length,
-                     packet.pp.enb if packet.pp else None)
-                )
-            counters = [
-                (table.name, table.hit_count, table.miss_count)
-                for pipe in program.asic.pipes
-                for stage in pipe.pipeline.stages
-                for table in stage.tables
-            ]
-            return outcomes, counters
-
-        assert run(fast=True) == run(fast=False)

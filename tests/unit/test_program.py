@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
-from repro.core.header import OP_EXPLICIT_DROP
+from repro.core.header import OP_EXPLICIT_DROP, PayloadParkHeader
 from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
 
@@ -153,6 +153,20 @@ class TestSplitMergeRoundTrip:
         ctx = program.process(packet, ingress_port=2)
         assert ctx.dropped
         assert program.counters_for().tag_validation_failures == 1
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_valid_tag_past_the_table_is_dropped_not_raised(self, fast_path):
+        # The CRC is no secret: anyone can seal a tag for a slot the
+        # table does not have.  That is outside input, not a bug to raise.
+        program = _program(table_entries=8)
+        program.enable_fast_path(fast_path)
+        packet = Packet.udp(total_size=512)
+        packet.pp = PayloadParkHeader(enb=1, tbl_idx=60_000, clk=3).seal()
+        ctx = program.process(packet, ingress_port=2)
+        assert ctx.dropped and ctx.drop_reason == "payloadpark-tag-out-of-range"
+        assert program.counters_for().tag_validation_failures == 1
+        assert program.asic.drop_reasons == {"payloadpark-tag-out-of-range": 1}
+        assert program.lookup_table().occupancy() == 0
 
     def test_explicit_drop_reclaims_slot_without_forwarding(self):
         program = _program(enable_explicit_drops=True)

@@ -7,7 +7,7 @@ from repro.switchsim.asic import AsicConfig, TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.pipe import Pipe
-from repro.switchsim.pipeline import Pipeline
+from repro.switchsim.pipeline import Pipeline, PortPlan
 
 
 def _ctx(port=0):
@@ -77,6 +77,51 @@ class TestPipeline:
         pipeline.stage(0).add_register_array("a", size=8, width_bits=32)
         assert pipeline.sram_bytes_used() == 32
         assert pipeline.sram_bytes_capacity() > pipeline.sram_bytes_used()
+
+
+class TestPortPlan:
+    def _pipeline(self):
+        pipeline = Pipeline(stage_count=2)
+        tables = [
+            pipeline.stage(stage).add_table(
+                MatchActionTable(name, match=lambda ctx: False, action=lambda ctx: None)
+            )
+            for stage, name in ((0, "a"), (0, "b"), (1, "c"))
+        ]
+        return pipeline, tables
+
+    def _counts(self, tables):
+        return [(table.hit_count, table.miss_count) for table in tables]
+
+    def test_tallies_settle_into_the_walk_the_outcome_describes(self):
+        pipeline, (a, b, c) = self._pipeline()
+        counts = [0, 0]
+        two_passes = [([a, c], None), ([c], None)]
+        dropped_at_b = [([b], b)]  # b hits and drops: c is never reached
+        deltas = [pipeline.walk(two_passes), pipeline.walk(dropped_at_b)]
+        PortPlan(pipeline, lambda packet, port: None, counts, deltas)
+        counts[0] += 3
+        counts[1] += 2
+        assert self._counts([a, b, c]) == [(3, 5), (2, 6), (6, 0)]
+        assert counts == [0, 0]
+        assert self._counts([a, b, c]) == [(3, 5), (2, 6), (6, 0)]  # settled once
+
+    def test_table_install_settles_then_outdates_the_plan(self):
+        pipeline, (a, b, c) = self._pipeline()
+        counts = [4]
+        deltas = [pipeline.walk([([a], None)])]
+        plan = PortPlan(pipeline, lambda packet, port: None, counts, deltas)
+        late = pipeline.stage(1).add_table(MatchActionTable("late", action=lambda ctx: None))
+        assert plan.version != pipeline.version
+        assert self._counts([a, b, c, late]) == [(4, 0), (0, 4), (0, 4), (0, 0)]
+
+    def test_reset_counters_discards_pending_tallies(self):
+        pipeline, (a, b, c) = self._pipeline()
+        counts = [7]
+        PortPlan(pipeline, lambda packet, port: None, counts, [pipeline.walk([([a], None)])])
+        pipeline.reset_counters()
+        assert counts == [0]
+        assert self._counts([a, b, c]) == [(0, 0)] * 3
 
 
 class TestPipeRecirculation:
