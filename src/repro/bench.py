@@ -1,23 +1,19 @@
-"""Fast-path benchmark: simulated-packets-per-wallclock-second, fast vs slow.
+"""``repro bench``: simulated packets per wall-clock second, and three gates.
 
-Backs the ``repro bench`` CLI subcommand and
-``benchmarks/bench_fastpath.py``.  The benchmark runs one scenario —
-the Fig. 7 FW → NAT → LB setup by default — through both deployments
-(baseline and PayloadPark) twice: once on the reference simulation path
-(``fast_path=False``: heapq event loop, string-parsed packet
-construction, per-stage table walks, live cost-model queries) and once
-on the fast path (calendar event loop, pooled packet templates,
-port plans and cached pipeline decisions, memoized NF verdicts,
-precomputed cost model).  Both runs produce byte-identical reports —
-the golden-figure suite enforces that — so the only thing that differs
-is wallclock.
+With no gate flag the benchmark runs one scenario — the Fig. 7
+FW → NAT → LB setup by default — through both deployments (baseline and
+PayloadPark) on the default engine and reports packets per second; the
+row lands in ``benchmarks/bench_history.jsonl`` (kind ``fastpath``),
+where ``repro bench trend`` watches it.  Each gate compares two
+measurements taken back to back in one process, so machine speed
+cancels out: the disabled observability plane against none
+(``--obs-check``), a bus-enabled campaign against a bus-off one
+(``--bus-check``), and ``fidelity: auto`` against ``packet``
+(``--fidelity-check``).
 
-The committed reference numbers live in
-``benchmarks/fastpath_baseline.json``; ``check_result`` compares a
-fresh measurement's speedup against them with a regression tolerance,
-which is what the CI bench smoke step runs.  Absolute packets/sec vary
-with the host, but the fast/slow *ratio* is fairly stable across
-machines, so the ratio is what the baseline pins.
+Per-layer costs, the default-vs-reference component pairs and the
+commit-to-commit comparison live in the perf ledger
+(``benchmarks/perf/run.py``), not here.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.experiments.runner import (
     DeploymentKind,
     ExperimentRunner,
     ScenarioConfig,
-    default_fast_path,
+    run_options,
 )
 
 #: Scenario name -> builder(rate_gbps) for benchmarkable setups.
@@ -61,19 +57,15 @@ DEFAULT_RATE_GBPS = 10.5
 DEFAULT_TIME_SCALE = 1.0
 QUICK_TIME_SCALE = 0.25
 
-#: CI fails when the measured speedup falls more than this fraction
-#: below the committed baseline speedup.
-DEFAULT_TOLERANCE = 0.30
 
-
-def _measure_mode(
+def _measure(
     build: Callable[[float], ScenarioConfig],
     rate_gbps: float,
     time_scale: float,
-    fast: bool,
+    observe: Optional[object] = None,
 ) -> Dict[str, float]:
-    """Run both deployments once in one mode; return wall time and packets."""
-    with default_fast_path(fast):
+    """Run both deployments once; return wall time and packets."""
+    with run_options(observe=observe):
         scenario = build(rate_gbps)
         runner = ExperimentRunner(time_scale=time_scale)
         started = time.perf_counter()
@@ -94,10 +86,12 @@ def run_bench(
     time_scale: float = DEFAULT_TIME_SCALE,
     repeat: int = 1,
 ) -> Dict[str, object]:
-    """Benchmark *scenario* on both simulation paths.
+    """Benchmark *scenario* on the default engine.
 
-    ``repeat`` keeps the best (highest packets/sec) of N measurements
-    per mode, which damps scheduler noise on loaded machines.
+    ``repeat`` keeps the best (highest packets/sec) of N measurements,
+    which damps scheduler noise on loaded machines.  The measurement
+    sits under the ``fast`` key, where the committed history rows have
+    it and ``repro bench trend`` reads it.
     """
     if scenario not in BENCH_SCENARIOS:
         raise ValueError(
@@ -108,79 +102,24 @@ def run_bench(
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     build = BENCH_SCENARIOS[scenario]
-
-    def best(fast: bool) -> Dict[str, float]:
-        runs = [
-            _measure_mode(build, rate_gbps, time_scale, fast) for _ in range(repeat)
-        ]
-        return max(runs, key=lambda run: run["packets_per_sec"])
-
-    slow = best(fast=False)
-    fast = best(fast=True)
-    speedup = (
-        fast["packets_per_sec"] / slow["packets_per_sec"]
-        if slow["packets_per_sec"]
-        else 0.0
-    )
+    runs = [_measure(build, rate_gbps, time_scale) for _ in range(repeat)]
     return {
         "scenario": scenario,
         "rate_gbps": rate_gbps,
         "time_scale": time_scale,
-        "slow": slow,
-        "fast": fast,
-        "speedup": round(speedup, 3),
+        "fast": max(runs, key=lambda run: run["packets_per_sec"]),
     }
 
 
-def default_baseline_path() -> Path:
-    """The committed baseline next to the benchmark scripts."""
-    return Path(__file__).resolve().parents[2] / "benchmarks" / "fastpath_baseline.json"
-
-
-def load_baseline(path: Optional[Path] = None) -> Dict[str, object]:
-    """Load the committed baseline numbers."""
-    baseline_path = path or default_baseline_path()
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def check_result(
-    result: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple:
-    """Compare a fresh measurement against the committed baseline.
-
-    Returns ``(ok, message)``.  The check is on the fast/slow speedup
-    ratio — the machine-independent part of the measurement — and fails
-    when it regresses more than *tolerance* below the baseline ratio.
-    """
-    baseline_speedup = float(baseline["speedup"])
-    measured = float(result["speedup"])
-    floor = baseline_speedup * (1.0 - tolerance)
-    ok = measured >= floor
-    message = (
-        f"fast-path speedup {measured:.2f}x vs baseline {baseline_speedup:.2f}x "
-        f"(floor {floor:.2f}x at {tolerance:.0%} tolerance): "
-        + ("ok" if ok else "REGRESSION")
-    )
-    return ok, message
-
-
 def format_result(result: Dict[str, object]) -> str:
-    """Human-readable summary table for one benchmark result."""
-    slow = result["slow"]
+    """Human-readable summary of one benchmark result."""
     fast = result["fast"]
-    lines = [
+    return (
         f"scenario: {result['scenario']} @ {result['rate_gbps']} Gbps "
-        f"(time_scale {result['time_scale']})",
-        f"  slow path: {slow['packets']:>8} packets  {slow['wall_s']:>8.2f}s  "
-        f"{slow['packets_per_sec']:>10.0f} pkts/s",
-        f"  fast path: {fast['packets']:>8} packets  {fast['wall_s']:>8.2f}s  "
-        f"{fast['packets_per_sec']:>10.0f} pkts/s",
-        f"  speedup:   {result['speedup']:.2f}x",
-    ]
-    return "\n".join(lines)
+        f"(time_scale {result['time_scale']})\n"
+        f"  {fast['packets']:>8} packets  {fast['wall_s']:>8.2f}s  "
+        f"{fast['packets_per_sec']:>10.0f} pkts/s"
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -188,34 +127,10 @@ def format_result(result: Dict[str, object]) -> str:
 # ---------------------------------------------------------------------- #
 
 #: The disabled observability plane must cost less than this fraction of
-#: fast-path throughput.  The gate compares two in-process measurements
+#: throughput.  The gate compares two in-process measurements
 #: of the *same* build — observe absent vs observe present-but-disabled —
 #: so it pins the hot-path guard cost, not machine speed.
 OBS_OVERHEAD_TOLERANCE = 0.02
-
-
-def _measure_observe_mode(
-    build: Callable[[float], ScenarioConfig],
-    rate_gbps: float,
-    time_scale: float,
-    observe: Optional[object],
-) -> Dict[str, float]:
-    """Run both deployments once on the fast path with one observe spec."""
-    from repro.experiments.runner import default_observe
-
-    with default_fast_path(True), default_observe(observe):
-        scenario = build(rate_gbps)
-        runner = ExperimentRunner(time_scale=time_scale)
-        started = time.perf_counter()
-        baseline = runner.run_deployment(scenario, DeploymentKind.BASELINE)
-        payloadpark = runner.run_deployment(scenario, DeploymentKind.PAYLOADPARK)
-        wall_s = time.perf_counter() - started
-    packets = baseline.packets_sent + payloadpark.packets_sent
-    return {
-        "wall_s": round(wall_s, 4),
-        "packets": packets,
-        "packets_per_sec": round(packets / wall_s, 1) if wall_s > 0 else 0.0,
-    }
 
 
 def run_obs_overhead(
@@ -224,7 +139,7 @@ def run_obs_overhead(
     time_scale: float = DEFAULT_TIME_SCALE,
     repeat: int = 3,
 ) -> Dict[str, object]:
-    """Measure the observability plane's fast-path cost in three modes.
+    """Measure the observability plane's cost in three modes.
 
     ``off`` runs with no observe spec at all (the production default);
     ``disabled`` runs with a spec whose features are all off — the plane
@@ -266,7 +181,7 @@ def run_obs_overhead(
     enabled_ratios = []
     for _ in range(repeat):
         round_runs = {
-            name: _measure_observe_mode(build, rate_gbps, time_scale, observe)
+            name: _measure(build, rate_gbps, time_scale, observe)
             for name, observe in modes.items()
         }
         for name, run in round_runs.items():
@@ -480,7 +395,7 @@ FIDELITY_MIN_SPEEDUP = 5.0
 FIDELITY_BENCH_DURATION_US = 120_000.0
 
 #: The fidelity bench runs in stable underload — the regime the fluid
-#: extrapolation is valid in — not at the fastpath bench's
+#: extrapolation is valid in — not at the throughput bench's
 #: near-saturation 10.5 Gbps operating point, where the baseline's
 #: saturated NF worker correctly makes the controller refuse to jump.
 FIDELITY_BENCH_RATE_GBPS = 6.0
@@ -498,14 +413,11 @@ def _measure_fidelity_mode(
 
     from repro.orchestrator.executor import flatten_comparison
 
-    with default_fast_path(True):
-        scenario = replace(
-            build(rate_gbps), duration_us=duration_us, fidelity=fidelity
-        )
-        runner = ExperimentRunner(time_scale=time_scale)
-        started = time.perf_counter()
-        result = runner.compare(scenario)
-        wall_s = time.perf_counter() - started
+    scenario = replace(build(rate_gbps), duration_us=duration_us, fidelity=fidelity)
+    runner = ExperimentRunner(time_scale=time_scale)
+    started = time.perf_counter()
+    result = runner.compare(scenario)
+    wall_s = time.perf_counter() - started
     return {
         "wall_s": round(wall_s, 4),
         "metrics": flatten_comparison(result.comparison),
@@ -646,8 +558,8 @@ def append_history(
 ) -> Path:
     """Append one stamped bench measurement to the JSONL history.
 
-    The history accumulates every ``repro bench`` run — fastpath and
-    observability alike — so a regression can be traced back through
+    The history accumulates every ``repro bench`` run — throughput and
+    gates alike — so a regression can be traced back through
     time rather than just caught at the gate.  Returns the path written.
     """
     history = history_path or default_history_path()
@@ -666,9 +578,8 @@ def write_bench_artifact(
     """Persist one bench result: overwrite the artifact, append to history.
 
     The artifact file always holds the latest measurement of its *kind*;
-    only ``obs_overhead`` has a default location (the committed fastpath
-    baseline in ``fastpath_baseline.json`` is reference data, not a
-    rolling artifact).  Returns the artifact path written.
+    only ``obs_overhead`` has a default location.  Returns the artifact
+    path written.
     """
     if artifact_path is not None:
         target = artifact_path

@@ -16,8 +16,7 @@ Usage::
     python -m repro faults list              # named fault-injection profiles
     python -m repro faults preview chaos-mix --horizon-us 6000
     python -m repro run fig07 --faults link-flap  # inject faults into a figure
-    python -m repro run fig07 --slow-path    # reference simulation path
-    python -m repro bench --quick --check    # fast-vs-slow speedup smoke
+    python -m repro bench --quick            # default-engine packets/sec
     python -m repro validate run --scenario workload -p workload=bursty-mmpp
     python -m repro validate fuzz --budget 30s --seed 0
     python -m repro validate replay          # re-run the shrunk-repro corpus
@@ -39,7 +38,6 @@ execution, resumable JSONL result store).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import logging
 import sys
@@ -62,7 +60,7 @@ from repro.experiments import (
     functional_equivalence,
     table1_resources,
 )
-from repro.experiments.runner import default_seed
+from repro.experiments.runner import DEFAULT_SEED, run_options
 
 #: Every repro logger hangs off the ``repro`` root name; the CLI installs
 #: one stderr handler on it so library code logs structured diagnostics
@@ -157,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--seed", type=int, default=None,
         help="override the default simulation seed for reproducible runs",
-    )
-    run_parser.add_argument(
-        "--slow-path", action="store_true",
-        help="run on the reference simulation path instead of the fast path "
-             "(results are identical; see the golden-figure suite)",
     )
     run_parser.add_argument(
         "--time-scale", type=float, default=None,
@@ -477,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="measure simulated-packets/sec on the fast vs the slow path",
+        help="measure simulated-packets/sec, or run one of the overhead gates",
     )
     bench_parser.add_argument(
         "--scenario", default=None,
@@ -492,31 +485,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--repeat", type=int, default=1,
-        help="measurements per mode; the best is reported (default 1)",
+        help="measurements (rounds, for a gate); the best is reported "
+             "(default 1)",
     )
     bench_parser.add_argument(
         "--quick", action="store_true",
         help="short smoke measurement (time_scale 0.25) for CI",
     )
     bench_parser.add_argument(
-        "--check", action="store_true",
-        help="compare the speedup against benchmarks/fastpath_baseline.json "
-             "and exit non-zero on regression",
-    )
-    bench_parser.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON path (default benchmarks/fastpath_baseline.json)",
-    )
-    bench_parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed fractional regression for --check (default 0.30)",
-    )
-    bench_parser.add_argument(
         "--json", action="store_true", help="emit the measurement as JSON"
     )
     bench_parser.add_argument(
         "--obs-check", action="store_true",
-        help="also measure observability-plane overhead and fail when the "
+        help="measure observability-plane overhead and fail when the "
              "disabled plane costs more than the budget (see --obs-tolerance)",
     )
     bench_parser.add_argument(
@@ -531,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--bus-check", action="store_true",
-        help="also measure campaign telemetry-bus overhead and fail when a "
+        help="measure campaign telemetry-bus overhead and fail when a "
              "bus-enabled campaign costs more than the budget "
              "(see --bus-tolerance)",
     )
@@ -542,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--fidelity-check", action="store_true",
-        help="also measure the fluid fidelity tier (fidelity: auto vs "
+        help="measure the fluid fidelity tier (fidelity: auto vs "
              "packet) on a long steady horizon; fail on a figure-tolerance "
              "breach or a speedup below --fidelity-min-speedup",
     )
@@ -710,56 +691,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_experiment(
-    name: str,
-    as_json: bool,
-    seed: Optional[int],
-    slow_path: bool = False,
-    time_scale: Optional[float] = None,
-    faults: Optional[str] = None,
-    fidelity: Optional[str] = None,
-    observe=None,
-    obs_dir: Optional[str] = None,
+    name: str, as_json: bool, obs_dir: Optional[str] = None, **flags
 ) -> int:
-    """Execute one experiment, optionally as JSON and/or with overrides."""
-    from contextlib import ExitStack
+    """Execute one experiment under the run options the *flags* name.
 
-    from repro.experiments.runner import (
-        default_fast_path,
-        default_faults,
-        default_fidelity,
-        default_time_scale,
-    )
+    *flags* are :class:`~repro.experiments.runner.RunOptions` fields as
+    parsed from the command line; one left out (``None``) is not an
+    override, so the option keeps its default.
+    """
+    from repro.obs.session import observation_sink
 
+    overrides = {key: value for key, value in flags.items() if value is not None}
     payload = None
-    obs_sink = None
-    with ExitStack() as stack:
-        if seed is not None:
-            stack.enter_context(default_seed(seed))
-        if slow_path:
-            stack.enter_context(default_fast_path(False))
-        if time_scale is not None:
-            stack.enter_context(default_time_scale(time_scale))
-        if faults is not None:
-            stack.enter_context(default_faults(faults))
-        if fidelity is not None:
-            stack.enter_context(default_fidelity(fidelity))
-        if observe is not None:
-            from repro.experiments.runner import default_observe
-            from repro.obs.session import ObservationSink, observation_sink
-
-            obs_sink = ObservationSink()
-            stack.enter_context(default_observe(observe))
-            stack.enter_context(observation_sink(obs_sink))
+    with run_options(**overrides), observation_sink() as obs_sink:
         if not as_json:
             _description, runner = EXPERIMENTS[name]
             runner()
         else:
-            runner = JSON_RUNNERS[name]
-            kwargs = {}
-            if seed is not None and "seed" in inspect.signature(runner).parameters:
-                kwargs["seed"] = seed
-            payload = runner(**kwargs)
-    if obs_sink is not None:
+            payload = JSON_RUNNERS[name]()
+    if "observe" in overrides:
         _export_observations(obs_sink.observations, Path(obs_dir or "observations"))
     if as_json:
         json.dump(
@@ -790,8 +740,7 @@ def _export_observations(observations, out_dir: Path) -> List[Path]:
 
 
 def _bench(args) -> int:
-    from pathlib import Path as _Path
-
+    """Run the gates asked for, or with none the throughput measurement."""
     from repro import bench
 
     time_scale = args.time_scale
@@ -799,97 +748,77 @@ def _bench(args) -> int:
         time_scale = bench.QUICK_TIME_SCALE if args.quick else bench.DEFAULT_TIME_SCALE
     scenario = args.scenario or bench.DEFAULT_SCENARIO
     rate = args.rate if args.rate is not None else bench.DEFAULT_RATE_GBPS
-    result = bench.run_bench(
-        scenario=scenario, rate_gbps=rate, time_scale=time_scale, repeat=args.repeat
-    )
-    obs_result = None
+    payload = {}
+    reports = []
+    exit_code = 0
+
+    def gate(ok: bool, message: str) -> None:
+        nonlocal exit_code
+        (logger.info if ok else logger.error)("%s", message)
+        if not ok:
+            exit_code = 3
+
     if args.obs_check:
-        obs_result = bench.run_obs_overhead(
+        result = bench.run_obs_overhead(
             scenario=scenario, rate_gbps=rate, time_scale=time_scale,
             repeat=args.repeat,
         )
-    bus_result = None
+        payload["obs_overhead"] = result
+        reports.append(bench.format_obs_overhead(result))
+        if not args.no_artifact:
+            artifact = bench.write_bench_artifact(result, kind="obs_overhead")
+            logger.info("wrote observability-overhead artifact %s", artifact)
+        tolerance = (
+            args.obs_tolerance if args.obs_tolerance is not None
+            else bench.OBS_OVERHEAD_TOLERANCE
+        )
+        gate(*bench.check_obs_overhead(result, tolerance=tolerance))
     if args.bus_check:
-        bus_result = bench.run_bus_overhead(repeat=max(args.repeat, 3))
-    fidelity_result = None
+        result = bench.run_bus_overhead(repeat=max(args.repeat, 3))
+        payload["bus_overhead"] = result
+        reports.append(bench.format_bus_overhead(result))
+        if not args.no_artifact:
+            history = bench.append_history(result, kind="campaign_bus")
+            logger.info("appended campaign-bus measurement to %s", history)
+        tolerance = (
+            args.bus_tolerance if args.bus_tolerance is not None
+            else bench.BUS_OVERHEAD_TOLERANCE
+        )
+        gate(*bench.check_bus_overhead(result, tolerance=tolerance))
     if args.fidelity_check:
         # The fidelity bench defaults to stable underload (see
         # FIDELITY_BENCH_RATE_GBPS) unless a rate was given explicitly.
         fidelity_rate = (
             args.rate if args.rate is not None else bench.FIDELITY_BENCH_RATE_GBPS
         )
-        fidelity_result = bench.run_fidelity_bench(
+        result = bench.run_fidelity_bench(
             scenario=scenario, rate_gbps=fidelity_rate, time_scale=time_scale,
             repeat=args.repeat,
         )
-    if args.json:
-        payload = dict(result)
-        if obs_result is not None:
-            payload["obs_overhead"] = obs_result
-        if bus_result is not None:
-            payload["bus_overhead"] = bus_result
-        if fidelity_result is not None:
-            payload["fidelity"] = fidelity_result
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-    else:
-        print(bench.format_result(result))
-        if obs_result is not None:
-            print(bench.format_obs_overhead(obs_result))
-        if bus_result is not None:
-            print(bench.format_bus_overhead(bus_result))
-        if fidelity_result is not None:
-            print(bench.format_fidelity(fidelity_result))
-    if not args.no_artifact:
-        history = bench.append_history(result, kind="fastpath")
-        logger.info("appended fastpath measurement to %s", history)
-        if obs_result is not None:
-            artifact = bench.write_bench_artifact(obs_result, kind="obs_overhead")
-            logger.info("wrote observability-overhead artifact %s", artifact)
-        if bus_result is not None:
-            bus_history = bench.append_history(bus_result, kind="campaign_bus")
-            logger.info("appended campaign-bus measurement to %s", bus_history)
-        if fidelity_result is not None:
-            fid_history = bench.append_history(fidelity_result, kind="fidelity")
-            logger.info("appended fidelity measurement to %s", fid_history)
-    exit_code = 0
-    if obs_result is not None:
-        obs_tolerance = (
-            args.obs_tolerance if args.obs_tolerance is not None
-            else bench.OBS_OVERHEAD_TOLERANCE
-        )
-        ok, message = bench.check_obs_overhead(obs_result, tolerance=obs_tolerance)
-        (logger.info if ok else logger.error)("%s", message)
-        if not ok:
-            exit_code = 3
-    if bus_result is not None:
-        bus_tolerance = (
-            args.bus_tolerance if args.bus_tolerance is not None
-            else bench.BUS_OVERHEAD_TOLERANCE
-        )
-        ok, message = bench.check_bus_overhead(bus_result, tolerance=bus_tolerance)
-        (logger.info if ok else logger.error)("%s", message)
-        if not ok:
-            exit_code = 3
-    if fidelity_result is not None:
+        payload["fidelity"] = result
+        reports.append(bench.format_fidelity(result))
+        if not args.no_artifact:
+            history = bench.append_history(result, kind="fidelity")
+            logger.info("appended fidelity measurement to %s", history)
         min_speedup = (
             args.fidelity_min_speedup if args.fidelity_min_speedup is not None
             else bench.FIDELITY_MIN_SPEEDUP
         )
-        ok, message = bench.check_fidelity(fidelity_result, min_speedup=min_speedup)
-        (logger.info if ok else logger.error)("%s", message)
-        if not ok:
-            exit_code = 3
-    if args.check:
-        baseline_path = _Path(args.baseline) if args.baseline else None
-        baseline = bench.load_baseline(baseline_path)
-        tolerance = (
-            args.tolerance if args.tolerance is not None else bench.DEFAULT_TOLERANCE
+        gate(*bench.check_fidelity(result, min_speedup=min_speedup))
+    if not payload:
+        payload = bench.run_bench(
+            scenario=scenario, rate_gbps=rate, time_scale=time_scale,
+            repeat=args.repeat,
         )
-        ok, message = bench.check_result(result, baseline, tolerance=tolerance)
-        (logger.info if ok else logger.error)("%s", message)
-        if not ok:
-            exit_code = 3
+        reports.append(bench.format_result(payload))
+        if not args.no_artifact:
+            history = bench.append_history(payload, kind="fastpath")
+            logger.info("appended throughput measurement to %s", history)
+    if args.json:
+        json.dump(payload, sys.stdout, indent=2)
+        print()
+    else:
+        print("\n".join(reports))
     return exit_code
 
 
@@ -1442,13 +1371,12 @@ def _faults_describe(args) -> int:
 
 
 def _faults_preview(args) -> int:
-    from repro.experiments.runner import current_default_seed
     from repro.faults import get_fault_profile
     from repro.telemetry.report import render_table
 
     if args.horizon_us <= 0:
         raise ValueError("--horizon-us must be positive")
-    seed = args.seed if args.seed is not None else current_default_seed()
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     schedule = get_fault_profile(args.name)
     events = schedule.materialize(seed, int(args.horizon_us * 1_000))
     rows = [event.as_row() for event in events]
@@ -1513,7 +1441,6 @@ def _workload_describe(args) -> int:
 
 
 def _workload_preview(args) -> int:
-    from repro.experiments.runner import current_default_seed
     from repro.telemetry.report import render_table
     from repro.workloads import summarize
 
@@ -1522,7 +1449,7 @@ def _workload_preview(args) -> int:
     if args.rate is not None and args.rate <= 0:
         raise ValueError("--rate must be positive")
     spec = _resolve_workload(args)
-    seed = args.seed if args.seed is not None else current_default_seed()
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     trace = spec.trace(seed, args.packets, rate_gbps=args.rate)
     summary = summarize(trace)
     # Closed-loop workloads also expose their modeled transport state
@@ -1571,13 +1498,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_experiment(
                 args.experiment,
                 args.json,
-                args.seed,
-                slow_path=args.slow_path,
+                obs_dir=args.obs_dir,
+                seed=args.seed,
                 time_scale=args.time_scale,
                 faults=args.faults,
                 fidelity=args.fidelity,
                 observe=observe,
-                obs_dir=args.obs_dir,
             )
         except ValueError as exc:
             logger.error("error: %s", exc)

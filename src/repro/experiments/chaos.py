@@ -20,11 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from repro.experiments.runner import (
-    ExperimentRunner,
-    current_default_faults,
-    time_scale_override,
-)
+from repro.experiments.runner import ExperimentRunner, current_options
 from repro.experiments.scenarios import workload_scenario
 from repro.telemetry.report import render_table
 
@@ -63,11 +59,10 @@ def run(
     list — the ambient override would otherwise be silently clobbered
     by the per-row ``faults`` assignment.
     """
+    options = current_options()
     if runner is None:
-        runner = ExperimentRunner(
-            time_scale=time_scale_override() or DEFAULT_TIME_SCALE
-        )
-    override = current_default_faults()
+        runner = ExperimentRunner(time_scale=options.time_scale or DEFAULT_TIME_SCALE)
+    override = options.faults
     if override is not None and profiles is DEFAULT_PROFILES:
         profiles = (None, override)
     rows: List[dict] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.experiments.runner import seed_override
+from repro.experiments.runner import current_options
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES
 from repro.telemetry.report import render_table
 from repro.traffic.distributions import enterprise_datacenter_distribution, split_eligible_fraction
@@ -26,7 +26,7 @@ def run(sample_count: int = 20_000, seed: Optional[int] = None) -> Dict[str, obj
     """
     distribution = enterprise_datacenter_distribution()
     if seed is None:
-        seed = seed_override() if seed_override() is not None else 7
+        seed = current_options().seed_or(7)
     rng = random.Random(seed)
     samples = [distribution.sample(rng) for _ in range(sample_count)]
     sampled_mean = sum(samples) / len(samples)

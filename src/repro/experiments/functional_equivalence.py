@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.core.config import PayloadParkConfig
-from repro.experiments.runner import default_binding, seed_override
+from repro.experiments.runner import current_options, default_binding
 from repro.nf.chain import NfChain
 from repro.nf.macswap import MacSwapper
 from repro.packet.pcap import write_pcap
@@ -39,7 +39,7 @@ def run(
     active, else the historical 11.
     """
     if seed is None:
-        seed = seed_override() if seed_override() is not None else 11
+        seed = current_options().seed_or(11)
     binding = default_binding()
     payloadpark = PayloadParkProgram(
         PayloadParkConfig(sram_fraction=0.26, expiry_threshold=1), bindings=[binding]

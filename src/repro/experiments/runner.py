@@ -38,136 +38,102 @@ class DeploymentKind(enum.Enum):
     PAYLOADPARK = "payloadpark"
 
 
-#: Seed scenarios use unless one is set explicitly (see :func:`default_seed`).
-_DEFAULT_SEED = 42
+#: Seed scenarios use when the run options name none.
+DEFAULT_SEED = 42
 
-#: Active override installed by :func:`default_seed` (None = no override).
-_SEED_OVERRIDE: Optional[int] = None
-
-
-def current_default_seed() -> int:
-    """The seed newly-built scenarios pick up by default."""
-    return _SEED_OVERRIDE if _SEED_OVERRIDE is not None else _DEFAULT_SEED
+#: Recognized values for the ``fidelity`` option.
+FIDELITY_MODES = ("packet", "fluid", "auto")
 
 
-def seed_override() -> Optional[int]:
-    """The seed requested via :func:`default_seed`, if any.
+def _check_fidelity(mode: str) -> None:
+    if mode not in FIDELITY_MODES:
+        raise ValueError(f"fidelity must be one of {FIDELITY_MODES}, got {mode!r}")
 
-    Experiments whose sampling seed is independent of
-    :class:`ScenarioConfig` (e.g. the Fig. 6 CDF sampler) consult this
-    so the CLI's ``--seed`` flag reaches them too.
+
+@dataclass(frozen=True)
+class RunOptions:
+    """What every run inside a :func:`run_options` block inherits.
+
+    The CLI's ``repro run`` flags, the bench gates and the validation
+    relations set these once around an experiment instead of threading
+    parameters through each experiment module; the specs are validated
+    on construction, so a typo fails before any simulation starts.
+
+    Attributes
+    ----------
+    seed:
+        Seed for scenarios (and samplers with their own historical
+        default, see :meth:`seed_or`); ``None`` leaves each its default.
+    time_scale:
+        Simulated-duration multiplier for runners built without an
+        explicit one; ``None`` means 1.0 unless the experiment has its
+        own default (the chaos experiment runs at 0.2).
+    faults:
+        Fault spec attached to every built scenario (a profile name or
+        an inline dict, see :mod:`repro.faults`).
+    observe:
+        Observability spec for every built scenario (a bool, a dict or
+        an :class:`~repro.obs.config.ObserveSpec`).
+    fidelity:
+        Fidelity tier of every built scenario (see :mod:`repro.fidelity`).
+    reference:
+        Run on the reference engine — heapq event loop, parsed packet
+        construction, per-stage table walks, live cost-model queries —
+        instead of the default one.  Results are byte-identical; only
+        the golden suite and the ``fast_slow`` relation set it, to diff
+        the default engine against its oracle.
     """
-    return _SEED_OVERRIDE
+
+    seed: Optional[int] = None
+    time_scale: Optional[float] = None
+    faults: Optional[object] = None
+    observe: Optional[object] = None
+    fidelity: str = "packet"
+    reference: bool = False
+
+    def __post_init__(self) -> None:
+        if self.time_scale is not None and self.time_scale <= 0:
+            raise ValueError("time_scale must be positive")
+        _check_fidelity(self.fidelity)
+        # Imported lazily: the fault and observability packages layer on
+        # top of the runner.
+        if self.faults is not None:
+            from repro.faults.schedule import EventSchedule
+
+            EventSchedule.from_spec(self.faults)  # raises FaultSpecError
+        if self.observe is not None:
+            from repro.obs.config import ObserveSpec
+
+            ObserveSpec.from_spec(self.observe)  # raises ObserveSpecError
+
+    def seed_or(self, fallback: int) -> int:
+        """The requested seed, or *fallback* when none was requested."""
+        return fallback if self.seed is None else self.seed
+
+
+#: Options installed by the innermost :func:`run_options` block.
+_OPTIONS = RunOptions()
+
+
+def current_options() -> RunOptions:
+    """The options in force (all defaults outside any block)."""
+    return _OPTIONS
 
 
 @contextmanager
-def default_seed(seed: int):
-    """Temporarily override the seed experiments use.
+def run_options(**overrides):
+    """Override the named :class:`RunOptions` fields inside the block.
 
-    The CLI's ``--seed`` flag wraps experiment execution in this context
-    so every scenario the experiment builds inherits the requested seed
-    without threading a parameter through each module.
+    Blocks nest: fields an inner block does not name keep the outer
+    block's values, and the previous options return on exit.
     """
-    global _SEED_OVERRIDE
-    previous = _SEED_OVERRIDE
-    _SEED_OVERRIDE = int(seed)
+    global _OPTIONS
+    previous = _OPTIONS
+    _OPTIONS = replace(previous, **overrides)
     try:
-        yield
+        yield _OPTIONS
     finally:
-        _SEED_OVERRIDE = previous
-
-
-#: Scenarios take the simulation fast path unless overridden.
-_FAST_PATH_DEFAULT = True
-
-#: Active override installed by :func:`default_fast_path`.
-_FAST_PATH_OVERRIDE: Optional[bool] = None
-
-
-def current_default_fast_path() -> bool:
-    """Whether newly-built scenarios use the fast path by default."""
-    return _FAST_PATH_OVERRIDE if _FAST_PATH_OVERRIDE is not None else _FAST_PATH_DEFAULT
-
-
-@contextmanager
-def default_fast_path(enabled: bool):
-    """Temporarily override the fast-path default for built scenarios.
-
-    The CLI's ``--slow-path`` flag and the golden-figure regression
-    suite wrap experiment execution in this context to force the
-    reference simulation path without threading a parameter through
-    every experiment module.
-    """
-    global _FAST_PATH_OVERRIDE
-    previous = _FAST_PATH_OVERRIDE
-    _FAST_PATH_OVERRIDE = bool(enabled)
-    try:
-        yield
-    finally:
-        _FAST_PATH_OVERRIDE = previous
-
-
-#: Active faults override installed by :func:`default_faults`.
-_FAULTS_OVERRIDE: Optional[object] = None
-
-
-def current_default_faults() -> Optional[object]:
-    """The fault spec newly-built scenarios pick up by default (None = off)."""
-    return _FAULTS_OVERRIDE
-
-
-@contextmanager
-def default_faults(spec):
-    """Temporarily attach a fault schedule to every built scenario.
-
-    The CLI's ``repro run --faults <profile>`` flag wraps experiment
-    execution in this context so every scenario the experiment builds
-    inherits the fault spec (a profile name or an inline dict) without
-    threading a parameter through each module.  The spec is validated
-    eagerly so a typo fails before any simulation starts.
-    """
-    from repro.faults.schedule import EventSchedule
-
-    EventSchedule.from_spec(spec)  # validate (raises FaultSpecError)
-    global _FAULTS_OVERRIDE
-    previous = _FAULTS_OVERRIDE
-    _FAULTS_OVERRIDE = spec
-    try:
-        yield
-    finally:
-        _FAULTS_OVERRIDE = previous
-
-
-#: Active observability override installed by :func:`default_observe`.
-_OBSERVE_OVERRIDE: Optional[object] = None
-
-
-def current_default_observe() -> Optional[object]:
-    """The observe spec newly-built scenarios pick up by default (None = off)."""
-    return _OBSERVE_OVERRIDE
-
-
-@contextmanager
-def default_observe(spec):
-    """Temporarily enable observability on every built scenario.
-
-    The CLI's ``repro run --trace/--metrics/--profile`` flags and the
-    ``repro observe`` commands wrap experiment execution in this context
-    so every scenario inherits the observe spec (a bool, a dict, or an
-    :class:`~repro.obs.config.ObserveSpec`) without threading a
-    parameter through each module.  Validated eagerly so a malformed
-    spec fails before any simulation starts.
-    """
-    from repro.obs.config import ObserveSpec
-
-    ObserveSpec.from_spec(spec)  # validate (raises ObserveSpecError)
-    global _OBSERVE_OVERRIDE
-    previous = _OBSERVE_OVERRIDE
-    _OBSERVE_OVERRIDE = spec
-    try:
-        yield
-    finally:
-        _OBSERVE_OVERRIDE = previous
+        _OPTIONS = previous
 
 
 #: Observer installed by :func:`run_observer` (None = no observer).
@@ -199,8 +165,8 @@ def current_run_observer() -> Optional[RunObserver]:
 def run_observer(observer: RunObserver):
     """Attach *observer* to every deployment run inside the context.
 
-    Nested installations stack (the innermost wins), mirroring the other
-    ambient-override contexts in this module.
+    Nested installations stack (the innermost wins), mirroring
+    :func:`run_options`.
     """
     global _RUN_OBSERVER
     previous = _RUN_OBSERVER
@@ -209,83 +175,6 @@ def run_observer(observer: RunObserver):
         yield observer
     finally:
         _RUN_OBSERVER = previous
-
-
-#: Recognized values for the ``fidelity`` knob on :class:`ScenarioConfig`.
-FIDELITY_MODES = ("packet", "fluid", "auto")
-
-#: Scenarios simulate every packet unless overridden.
-_FIDELITY_DEFAULT = "packet"
-
-#: Active override installed by :func:`default_fidelity`.
-_FIDELITY_OVERRIDE: Optional[str] = None
-
-
-def current_default_fidelity() -> str:
-    """The fidelity tier newly-built scenarios pick up by default."""
-    return _FIDELITY_OVERRIDE if _FIDELITY_OVERRIDE is not None else _FIDELITY_DEFAULT
-
-
-@contextmanager
-def default_fidelity(mode: str):
-    """Temporarily override the fidelity tier for built scenarios.
-
-    The CLI's ``repro run --fidelity`` flag and the fluid-vs-packet
-    bench wrap experiment execution in this context so every scenario
-    the experiment builds inherits the requested tier (``packet``,
-    ``fluid`` or ``auto``) without threading a parameter through each
-    module.
-    """
-    if mode not in FIDELITY_MODES:
-        raise ValueError(
-            f"fidelity must be one of {FIDELITY_MODES}, got {mode!r}"
-        )
-    global _FIDELITY_OVERRIDE
-    previous = _FIDELITY_OVERRIDE
-    _FIDELITY_OVERRIDE = mode
-    try:
-        yield
-    finally:
-        _FIDELITY_OVERRIDE = previous
-
-
-#: Active time-scale override installed by :func:`default_time_scale`.
-_TIME_SCALE_OVERRIDE: Optional[float] = None
-
-
-def current_default_time_scale() -> float:
-    """The simulated-time multiplier runners pick up by default."""
-    return _TIME_SCALE_OVERRIDE if _TIME_SCALE_OVERRIDE is not None else 1.0
-
-
-def time_scale_override() -> Optional[float]:
-    """The time scale requested via :func:`default_time_scale`, if any.
-
-    Experiments with their own fidelity default (the chaos experiment
-    runs at 0.2 unless told otherwise) consult this so the CLI's
-    ``--time-scale`` flag still wins over that default.
-    """
-    return _TIME_SCALE_OVERRIDE
-
-
-@contextmanager
-def default_time_scale(time_scale: float):
-    """Temporarily override the default runner time scale.
-
-    Lets ``repro run --time-scale`` (and the regression suite) shrink
-    every experiment's simulated duration without changing experiment
-    signatures; an explicit ``ExperimentRunner(time_scale=...)`` still
-    wins.
-    """
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    global _TIME_SCALE_OVERRIDE
-    previous = _TIME_SCALE_OVERRIDE
-    _TIME_SCALE_OVERRIDE = float(time_scale)
-    try:
-        yield
-    finally:
-        _TIME_SCALE_OVERRIDE = previous
 
 
 def default_binding(name: str = "srv0", pipe: int = 0) -> NfServerBinding:
@@ -337,26 +226,20 @@ class ScenarioConfig:
     service_jitter: float = 0.3
     cpu_ghz: float = 2.3
     gen_link_gbps: float = 100.0
-    seed: int = field(default_factory=current_default_seed)
+    seed: int = field(default_factory=lambda: current_options().seed_or(DEFAULT_SEED))
     switch_latency_ns: int = 800
     burst_size: int = 32
     #: Optional dynamic traffic bundle (schedule, arrival model, packet
     #: source, replay stream) built by the workload subsystem; None keeps
     #: the legacy constant-rate PacketFactory path.
     traffic_model: Optional[TrafficModel] = None
-    #: Use the optimized simulation path: calendar event loop, pooled
-    #: packet templates, port plans / cached pipeline decisions and
-    #: cost-model precomputation.  Behaviour-preserving — the golden-figure suite
-    #: asserts byte-identical results against ``fast_path=False``, which
-    #: keeps the original reference implementations.
-    fast_path: bool = field(default_factory=current_default_fast_path)
     #: Optional fault-injection spec (see :mod:`repro.faults`): a
     #: registered profile name, an inline schedule dict, or an
     #: :class:`~repro.faults.schedule.EventSchedule`.  Kept as plain data
     #: so scenarios stay picklable and campaign grids can sweep it; the
     #: runner materializes it into a
     #: :class:`~repro.faults.injector.FaultInjectorNode` per run.
-    faults: Optional[object] = field(default_factory=current_default_faults)
+    faults: Optional[object] = field(default_factory=lambda: current_options().faults)
     #: Optional observability spec (see :mod:`repro.obs`): ``None``/bool,
     #: an inline dict, or an :class:`~repro.obs.config.ObserveSpec`.
     #: Plain data for the same picklability reasons as ``faults``; the
@@ -364,7 +247,7 @@ class ScenarioConfig:
     #: :class:`~repro.obs.plane.ObservabilityPlane` per deployment run.
     #: Everything defaults off — the uninstrumented hot path is gated at
     #: <2% overhead by ``repro bench --obs-check``.
-    observe: Optional[object] = field(default_factory=current_default_observe)
+    observe: Optional[object] = field(default_factory=lambda: current_options().observe)
     #: Simulation fidelity tier (see :mod:`repro.fidelity`): ``packet``
     #: simulates every packet; ``auto`` advances eligible steady traffic
     #: segments with the calibrated fluid tier and falls back to the
@@ -373,13 +256,10 @@ class ScenarioConfig:
     #: *requires* at least one steady segment and raises otherwise.
     #: Figure-level agreement between ``auto`` and ``packet`` is pinned
     #: by the fluid-vs-packet metamorphic relation.
-    fidelity: str = field(default_factory=current_default_fidelity)
+    fidelity: str = field(default_factory=lambda: current_options().fidelity)
 
     def __post_init__(self) -> None:
-        if self.fidelity not in FIDELITY_MODES:
-            raise ValueError(
-                f"fidelity must be one of {FIDELITY_MODES}, got {self.fidelity!r}"
-            )
+        _check_fidelity(self.fidelity)
 
     def with_rate(self, rate_gbps: float) -> "ScenarioConfig":
         """A copy of this scenario at a different offered rate.
@@ -418,25 +298,26 @@ class ExperimentRunner:
 
     Parameters
     ----------
-    verbose:
-        Reserved for future diagnostic output.
     time_scale:
         Multiplier applied to every scenario's simulated duration and
         warm-up.  The benchmark harness uses values below 1.0 to keep the
         full figure sweeps fast; results converge for scales ≥ 0.5 at the
         packet rates used in the paper.  ``None`` (the default) resolves
-        through :func:`current_default_time_scale`, so the CLI's
-        ``--time-scale`` flag reaches experiments that build their own
-        runner.
+        through :func:`current_options`, so the CLI's ``--time-scale``
+        flag reaches experiments that build their own runner.
+
+    The engine (default or reference, see :attr:`RunOptions.reference`)
+    is likewise fixed from the options in force at construction.
     """
 
-    def __init__(self, verbose: bool = False, time_scale: Optional[float] = None) -> None:
+    def __init__(self, time_scale: Optional[float] = None) -> None:
+        options = current_options()
         if time_scale is None:
-            time_scale = current_default_time_scale()
+            time_scale = options.time_scale or 1.0
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        self.verbose = verbose
         self.time_scale = time_scale
+        self.reference = options.reference
 
     # ------------------------------------------------------------------ #
     # Single-server runs
@@ -450,7 +331,7 @@ class ExperimentRunner:
             reports = self.run_multi_server(scenario, deployment)
             return _aggregate_reports(reports, scenario, deployment)
 
-        env = FastEventLoop() if scenario.fast_path else EventLoop()
+        env = EventLoop() if self.reference else FastEventLoop()
         binding = default_binding()
         program = self._build_program(scenario, deployment, [binding])
         model = self._build_server_model(scenario)
@@ -459,7 +340,7 @@ class ExperimentRunner:
             workload=scenario.workload,
             burst_size=scenario.burst_size,
             seed=scenario.seed,
-            pooled=scenario.fast_path,
+            pooled=not self.reference,
         )
         topology = SingleServerTopology(
             env,
@@ -469,7 +350,7 @@ class ExperimentRunner:
             nic_spec=scenario.nic,
             gen_link_gbps=scenario.gen_link_gbps,
             traffic_model=scenario.traffic_model,
-            fast_path=scenario.fast_path,
+            fast_path=not self.reference,
         )
         self._attach_faults(scenario, topology, program)
         return self._execute(scenario, deployment, topology, program)[0]
@@ -491,7 +372,7 @@ class ExperimentRunner:
         self, scenario: ScenarioConfig, deployment: DeploymentKind
     ) -> List[DeploymentReport]:
         """Run a multi-server scenario; return one report per NF server."""
-        env = FastEventLoop() if scenario.fast_path else EventLoop()
+        env = EventLoop() if self.reference else FastEventLoop()
         bindings = multi_server_bindings(scenario.server_count)
         program = self._build_program(scenario, deployment, bindings)
         models = [self._build_server_model(scenario) for _ in bindings]
@@ -501,7 +382,7 @@ class ExperimentRunner:
                 workload=scenario.workload,
                 burst_size=scenario.burst_size,
                 seed=scenario.seed + index,
-                pooled=scenario.fast_path,
+                pooled=not self.reference,
             )
             for index in range(len(bindings))
         ]
@@ -513,7 +394,7 @@ class ExperimentRunner:
             nic_spec=scenario.nic,
             gen_link_gbps=scenario.gen_link_gbps,
             traffic_model=scenario.traffic_model,
-            fast_path=scenario.fast_path,
+            fast_path=not self.reference,
         )
         self._attach_faults(scenario, topology, program)
         return self._execute(scenario, deployment, topology, program)
@@ -597,7 +478,7 @@ class ExperimentRunner:
         else:
             pp_config = replace(scenario.payloadpark, bindings=[])
             program = PayloadParkProgram(pp_config, bindings=bindings)
-        if scenario.fast_path:
+        if not self.reference:
             program.enable_fast_path()
         return program
 
@@ -613,7 +494,7 @@ class ExperimentRunner:
             service_jitter=scenario.service_jitter,
         )
         chain = scenario.chain_factory()
-        if scenario.fast_path:
+        if not self.reference:
             for nf in chain:
                 nf.enable_fast_path()
         return NfServerModel(chain=chain, config=config)

@@ -17,9 +17,10 @@ Two interchangeable implementations are provided:
   and one cursor advance instead of a heap push and pop each.
 
 Both loops execute identical event sequences for identical scheduling
-calls (the property suite in ``tests/property`` asserts this), so the
-experiment runner can switch between them via
-``ScenarioConfig.fast_path`` without changing results.
+calls (the property suite in ``tests/property`` asserts this).  The
+experiment runner uses the calendar loop; the heap loop runs only under
+``run_options(reference=True)``, where the golden suite and the
+``fast_slow`` relation diff the two engines.
 """
 
 from __future__ import annotations

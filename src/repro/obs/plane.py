@@ -36,7 +36,6 @@ class RunObservation:
     scenario: str
     deployment: str
     seed: int
-    fast_path: bool
     duration_ns: int
     metrics: Optional[Dict[str, Any]] = None
     trace_jsonl: Optional[str] = None
@@ -49,7 +48,6 @@ class RunObservation:
             "scenario": self.scenario,
             "deployment": self.deployment,
             "seed": self.seed,
-            "fast_path": self.fast_path,
             "duration_ns": self.duration_ns,
         }
         if self.metrics is not None:
@@ -248,7 +246,6 @@ class ObservabilityPlane:
             scenario=scenario.name,
             deployment=deployment,
             seed=scenario.seed,
-            fast_path=bool(getattr(scenario, "fast_path", True)),
             duration_ns=duration_ns,
         )
         if self.registry is not None:

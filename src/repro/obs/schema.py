@@ -317,9 +317,7 @@ def validate_campaign_event(data: Any) -> Dict[str, Any]:
 
 def validate_observation_summary(data: Any) -> Dict[str, Any]:
     """Validate one per-cell observability summary digest."""
-    _require_keys(
-        data, ("scenario", "deployment", "seed", "fast_path"), "observation summary"
-    )
+    _require_keys(data, ("scenario", "deployment", "seed"), "observation summary")
     if "metrics" in data and data["metrics"] is not None:
         _require_keys(
             data["metrics"], ("samples_taken", "series", "counters"),

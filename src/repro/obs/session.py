@@ -1,7 +1,7 @@
 """The ambient observation sink: where finished runs deliver their exports.
 
-Mirrors the runner's ambient-override contexts (``default_seed``,
-``run_observer``, …): installing a sink is orthogonal to enabling
+Mirrors the runner's ambient contexts (``run_options``,
+``run_observer``): installing a sink is orthogonal to enabling
 observability on a scenario, so the CLI can say "observe *and* give me
 the exports" while a campaign worker collects summaries without the
 runner knowing who is listening.  With no sink installed, finished

@@ -59,7 +59,6 @@ SCENARIO_OVERRIDES = frozenset(
         "cpu_ghz",
         "gen_link_gbps",
         "switch_latency_ns",
-        "fast_path",
         # Fault-injection spec: a registered profile name or an inline
         # schedule dict (see repro.faults); both are plain data, so grids
         # sweep fault profiles like any other axis.
@@ -88,6 +87,9 @@ PAYLOADPARK_OVERRIDES = frozenset(
 
 #: Framework name (as written in campaign files) → framework object.
 FRAMEWORKS = {"opennetvm": OPENNETVM, "netbricks": NETBRICKS}
+
+#: Every parameter :func:`apply_overrides` accepts.
+OVERRIDE_PARAMS = SCENARIO_OVERRIDES | PAYLOADPARK_OVERRIDES | {"framework", "packet_size"}
 
 
 def register_scenario(name: str, builder: Callable[..., ScenarioConfig]) -> None:
@@ -229,6 +231,16 @@ class CampaignSpec:
                 raise ValueError(f"grid axis {key!r} must be a non-empty list")
             if key in self.base:
                 raise ValueError(f"parameter {key!r} appears in both base and grid")
+        # Checked here, not in the workers: a misspelt axis would
+        # otherwise run every cell just to record the same error.
+        builder_params = inspect.signature(SCENARIO_REGISTRY[self.scenario]).parameters
+        for key in (*self.base, *self.grid):
+            if key not in builder_params and key not in OVERRIDE_PARAMS:
+                raise ValueError(
+                    f"unknown campaign parameter {key!r}; scenario "
+                    f"{self.scenario!r} takes {sorted(builder_params)}, "
+                    f"overrides: {sorted(OVERRIDE_PARAMS)}"
+                )
 
     @property
     def point_count(self) -> int:
@@ -385,10 +397,9 @@ def apply_overrides(scenario: ScenarioConfig, overrides: Mapping[str, Any]) -> S
         elif key == "packet_size":
             scenario_fields["workload"] = Workload.fixed_size(int(value))
         else:
-            known = sorted(
-                SCENARIO_OVERRIDES | PAYLOADPARK_OVERRIDES | {"framework", "packet_size"}
+            raise ValueError(
+                f"unknown campaign parameter {key!r}; known: {sorted(OVERRIDE_PARAMS)}"
             )
-            raise ValueError(f"unknown campaign parameter {key!r}; known: {known}")
     if payloadpark_fields:
         scenario_fields["payloadpark"] = replace(scenario.payloadpark, **payloadpark_fields)
     if scenario_fields:

@@ -84,8 +84,8 @@ class PktGenConfig:
         Build frames from per-flow :class:`~repro.packet.pool.FramePool`
         templates instead of re-parsing header strings per packet.  The
         frames are identical (same RNG draws, same packet-id sequence,
-        same wire bytes); this is the packet half of the simulator's
-        fast path, enabled via ``ScenarioConfig.fast_path``.
+        same wire bytes).  The experiment runner pools on its default
+        engine and parses on the reference one.
     """
 
     rate_gbps: float

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, run_options
 from repro.orchestrator.executor import flatten_comparison
 from repro.validation.invariants import Violation
 
@@ -88,12 +88,12 @@ class FastSlowEquivalence(MetamorphicRelation):
               fast_metrics: Dict[str, Any] = None) -> List[Violation]:
         """*fast_metrics* lets a caller that already ran the fast path
         (the fuzzer's validated orchestrator run) skip re-running it."""
-        if fast_metrics is not None and getattr(scenario, "fast_path", False):
-            fast = fast_metrics
-        else:
-            fast = comparison_metrics(replace(scenario, fast_path=True), time_scale)
-        slow = comparison_metrics(replace(scenario, fast_path=False), time_scale)
-        diffs = _diff_keys(fast, slow)
+        if fast_metrics is None:
+            with run_options(reference=False):
+                fast_metrics = comparison_metrics(scenario, time_scale)
+        with run_options(reference=True):
+            slow = comparison_metrics(scenario, time_scale)
+        diffs = _diff_keys(fast_metrics, slow)
         if diffs:
             return [
                 self._violation(

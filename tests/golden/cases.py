@@ -10,9 +10,9 @@ The same definitions serve two consumers:
 * ``tests/golden/regenerate.py`` writes ``<name>.json`` next to this
   file from the **slow (reference) path** — the reference semantics are
   the ground truth; and
-* ``tests/integration/test_golden_figures.py`` re-runs every case in
-  both fast-path and slow-path modes and asserts exact equality against
-  the committed JSON.
+* ``tests/integration/test_golden_figures.py`` re-runs every case on
+  the default engine and on the reference one and asserts exact
+  equality against the committed JSON.
 
 Determinism: every case pins its seed through the experiments' default
 seed (42; fig06 uses its historical 7) and runs serially in-process, so

@@ -33,7 +33,7 @@ def _load_cases():
 
 
 def main(argv=None) -> int:
-    from repro.experiments.runner import default_fast_path
+    from repro.experiments.runner import run_options
 
     cases = _load_cases()
     names = (argv if argv is not None else sys.argv[1:]) or sorted(cases)
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
         print(f"unknown golden cases: {unknown}; known: {sorted(cases)}", file=sys.stderr)
         return 2
     for name in names:
-        with default_fast_path(False):
+        with run_options(reference=True):
             payload = cases[name]()
         path = GOLDEN_DIR / f"{name}.json"
         with open(path, "w", encoding="utf-8") as handle:

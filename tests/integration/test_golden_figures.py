@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import default_fast_path
+from repro.experiments.runner import run_options
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -74,11 +74,11 @@ class TestGoldenFigures:
     """Exact row equality in both simulation modes."""
 
     def test_fast_path_matches_golden(self, name):
-        with default_fast_path(True):
+        with run_options(reference=False):
             payload = GOLDEN_CASES[name]()
         assert _normalize(payload) == _golden(name)
 
     def test_slow_path_matches_golden(self, name):
-        with default_fast_path(False):
+        with run_options(reference=True):
             payload = GOLDEN_CASES[name]()
         assert _normalize(payload) == _golden(name)

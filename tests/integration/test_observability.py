@@ -25,7 +25,7 @@ import pytest
 from repro.experiments.runner import (
     DeploymentKind,
     ExperimentRunner,
-    default_time_scale,
+    run_options,
 )
 from repro.experiments.scenarios import workload_scenario
 from repro.obs.config import ObserveSpec
@@ -43,12 +43,10 @@ def _chaos_scenario(observe):
     return dataclasses.replace(scenario, faults="link-flap", observe=observe)
 
 
-def _run(observe, deployment=DeploymentKind.PAYLOADPARK, fast_path=None):
+def _run(observe, deployment=DeploymentKind.PAYLOADPARK, reference=False):
     scenario = _chaos_scenario(observe)
-    if fast_path is not None:
-        scenario = dataclasses.replace(scenario, fast_path=fast_path)
     sink = ObservationSink()
-    with default_time_scale(TIME_SCALE), observation_sink(sink):
+    with run_options(reference=reference), observation_sink(sink):
         report = ExperimentRunner(time_scale=TIME_SCALE).run_deployment(
             scenario, deployment
         )
@@ -155,8 +153,8 @@ class TestDeterminism:
 
     def test_fast_and_slow_paths_trace_identically(self):
         spec = ObserveSpec(trace=True)
-        _rf, (fast,) = _run(spec, fast_path=True)
-        _rs, (slow,) = _run(spec, fast_path=False)
+        _rf, (fast,) = _run(spec)
+        _rs, (slow,) = _run(spec, reference=True)
         assert fast.trace_jsonl == slow.trace_jsonl
 
     def test_trace_sampling_thins_spans_deterministically(self):

@@ -62,14 +62,6 @@ class TestCli:
         direct = fig06_packet_size_cdf.run(seed=3)
         assert first["result"]["sampled_mean_bytes"] == direct["sampled_mean_bytes"]
 
-    def test_seed_flag_changes_scenario_default_seed(self):
-        from repro.experiments.runner import ScenarioConfig, default_seed
-
-        assert ScenarioConfig(name="x").seed == 42
-        with default_seed(7):
-            assert ScenarioConfig(name="x").seed == 7
-        assert ScenarioConfig(name="x").seed == 42
-
 
 class TestCampaignCli:
     def _write_spec(self, tmp_path, time_scale=0.05):
@@ -160,6 +152,22 @@ class TestCampaignCli:
         assert "completed: 1" in status
         assert "pending:   0" in status
         assert "exhausted: 1" in status
+
+    def test_campaign_run_rejects_an_unknown_axis_before_running(self, tmp_path, capsys):
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps({
+            "name": "stale-axis",
+            "scenario": "fw_nat_lb_10ge",
+            "grid": {"send_rate_gbps": [4.0], "fast_path": [True, False]},
+            "time_scale": 0.05,
+        }))
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "unknown campaign parameter 'fast_path'" in errors[0]
+        assert list(tmp_path.iterdir()) == [spec]
 
     def test_campaign_report_without_records(self, tmp_path, capsys):
         spec = self._write_spec(tmp_path)

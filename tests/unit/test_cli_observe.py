@@ -178,3 +178,48 @@ class TestBenchArtifacts:
     def test_artifact_requires_path_for_other_kinds(self, tmp_path):
         with pytest.raises(ValueError, match="no default artifact path"):
             write_bench_artifact({"speedup": 1.0}, kind="fastpath")
+
+
+class TestBenchRunsOnlyWhatWasAsked:
+    def test_no_gate_flag_measures_the_default_engine_once_per_repeat(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import bench
+        from repro.orchestrator.ledger import RunLedger
+
+        history = tmp_path / "history.jsonl"
+        monkeypatch.setattr(bench, "default_history_path", lambda: history)
+        measured = []
+        real_measure = bench._measure
+
+        def counting(*args, **kwargs):
+            measured.append(kwargs)
+            return real_measure(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_measure", counting)
+        assert main(["bench", "--time-scale", "0.05", "--repeat", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert measured == [{}, {}]
+        assert set(payload) == {"scenario", "rate_gbps", "time_scale", "fast"}
+        (row,) = [json.loads(line) for line in history.read_text().splitlines()]
+        assert row["kind"] == "fastpath"
+        # The row `bench trend` reads by default.
+        assert RunLedger(history_path=history).bench_series() == [
+            payload["fast"]["packets_per_sec"]
+        ]
+
+    def test_a_gate_flag_runs_that_gate_alone(self, monkeypatch, capsys):
+        from repro import bench
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a measurement nobody asked for")
+
+        for name in ("run_bench", "run_bus_overhead", "run_fidelity_bench", "_measure"):
+            monkeypatch.setattr(bench, name, unexpected)
+        monkeypatch.setattr(
+            bench, "run_obs_overhead", lambda **kwargs: TestBenchArtifacts.FAKE_OBS
+        )
+        assert main(["bench", "--quick", "--obs-check", "--no-artifact", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "obs_overhead": TestBenchArtifacts.FAKE_OBS
+        }

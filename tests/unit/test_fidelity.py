@@ -22,8 +22,6 @@ from repro.experiments.runner import (
     DeploymentKind,
     ExperimentRunner,
     ScenarioConfig,
-    current_default_fidelity,
-    default_fidelity,
 )
 from repro.experiments.scenarios import fw_nat_lb_10ge, workload_scenario
 from repro.fidelity import (
@@ -211,14 +209,6 @@ class TestFidelityKnob:
             assert _scenario(fidelity=mode).fidelity == mode
         with pytest.raises(ValueError):
             _scenario(fidelity="warp")
-
-    def test_ambient_default_threads_into_scenarios(self):
-        assert current_default_fidelity() == "packet"
-        with default_fidelity("auto"):
-            assert ScenarioConfig(name="ambient").fidelity == "auto"
-        assert ScenarioConfig(name="ambient").fidelity == "packet"
-        with pytest.raises(ValueError):
-            default_fidelity("warp").__enter__()
 
     def test_uniform_fluid_failures_surface_as_fidelity_error(self):
         # A figure experiment whose grid points all fail with

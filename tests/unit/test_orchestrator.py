@@ -89,6 +89,33 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             small_campaign(base={"expiry_threshold": 1})
 
+    @pytest.mark.parametrize("where", ["base", "grid"])
+    @pytest.mark.parametrize("key", ["fast_pth", "fast_path", "chain"])
+    def test_parameter_names_are_checked_when_the_spec_is_built(self, where, key):
+        # "chain" is a builder parameter of the workload scenario only.
+        params = {key: [True, False]} if where == "grid" else {key: True}
+        with pytest.raises(ValueError, match=f"unknown campaign parameter '{key}'"):
+            CampaignSpec(name="x", scenario="fw_nat_lb_10ge", **{where: params})
+
+    def test_builder_and_override_parameters_are_accepted(self):
+        campaign = CampaignSpec(
+            name="x",
+            scenario="workload",
+            base={"chain": "fw_nat", "framework": "netbricks"},
+            grid={"workload": ["bursty-mmpp"], "sram_fraction": [0.1], "seed": [1]},
+        )
+        assert campaign.point_count == 1
+
+    def test_a_misspelt_axis_in_a_file_is_rejected_on_load(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({
+            "name": "x",
+            "scenario": "fw_nat_lb_10ge",
+            "grid": {"send_rate_gbps": [4.0], "fast_pth": [True, False]},
+        }))
+        with pytest.raises(ValueError, match="unknown campaign parameter 'fast_pth'"):
+            CampaignSpec.from_file(path)
+
     def test_per_run_seed_policy_is_deterministic(self):
         campaign = small_campaign(seed_policy="per-run")
         seeds = [run.params["seed"] for run in campaign.expand()]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.runner import run_options
 from repro.experiments.scenarios import (
     fw_nat_lb_10ge,
     functional_equivalence_scenario,
@@ -95,8 +96,8 @@ class TestRelationsCatchInjectedBugs:
 
         monkeypatch.setattr(nf_server.NfServerModel, "bottleneck_service_ns", drifting)
         scenario = _small(fw_nat_lb_10ge(8.0), duration_us=400.0)
-        scenario = replace(scenario, fast_path=False)  # bypass the cost cache
-        violations = SeedDeterminism().check(scenario)
+        with run_options(reference=True):  # bypass the cost cache
+            violations = SeedDeterminism().check(scenario)
         assert violations
         assert "hidden global state" in violations[0].message
 
