@@ -107,16 +107,8 @@ class FaultInjectorNode(Node):
         if duration_ns <= 0:
             raise ValueError("duration_ns must be positive")
         base_ns = self.env.now
-        events = self.schedule.materialize(self.seed, duration_ns)
-        self.env.schedule_many(
-            (base_ns + event.at_ns, self._applier(event)) for event in events
-        )
-
-    def _applier(self, event: FaultEvent):
-        def apply() -> None:
-            self.apply_event(event)
-
-        return apply
+        for event in self.schedule.materialize(self.seed, duration_ns):
+            self.env.schedule_at(base_ns + event.at_ns, self.apply_event, event)
 
     # ------------------------------------------------------------------ #
     # Target resolution

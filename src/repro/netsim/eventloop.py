@@ -4,6 +4,13 @@ Time is an integer number of nanoseconds.  Events are callbacks ordered
 by (time, scheduling order); ties preserve scheduling order so the
 simulation is fully deterministic for a given seed.
 
+An event is a ``(callback, arg)`` record: ``schedule_at(when, callback,
+arg)`` runs ``callback(arg)``, and leaving *arg* out runs ``callback()``
+(``None`` is an ordinary argument).  The per-frame hops — link
+serialization end and arrival, switch egress, NF completion — therefore
+schedule a method bound once at wiring time plus the packet, not a
+closure per frame.
+
 Two interchangeable implementations are provided:
 
 * :class:`EventLoop` — the reference implementation: one ``heapq``
@@ -27,9 +34,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-Callback = Callable[[], None]
+Callback = Callable[..., None]
+
+#: Default *arg* of an event scheduled without one: dispatch calls
+#: ``callback()``.  Any other value, ``None`` included, is passed through.
+_NO_ARG: Any = object()
 
 
 class EventLoop:
@@ -38,7 +49,7 @@ class EventLoop:
     __slots__ = ("_queue", "_sequence", "now", "events_executed", "monitor")
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[int, int, Callback]] = []
+        self._queue: List[Tuple[int, int, Callback, Any]] = []
         self._sequence = itertools.count()
         self.now: int = 0
         self.events_executed = 0
@@ -52,37 +63,20 @@ class EventLoop:
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def schedule_at(self, when_ns: int, callback: Callback) -> None:
-        """Schedule *callback* to run at absolute time *when_ns*."""
+    def schedule_at(self, when_ns: int, callback: Callback, arg: Any = _NO_ARG) -> None:
+        """Schedule ``callback(arg)`` — ``callback()`` when *arg* is left
+        out — to run at absolute time *when_ns*."""
         if when_ns < self.now:
             raise ValueError(
                 f"cannot schedule an event in the past ({when_ns} < now={self.now})"
             )
-        heapq.heappush(self._queue, (when_ns, next(self._sequence), callback))
+        heapq.heappush(self._queue, (when_ns, next(self._sequence), callback, arg))
 
-    def schedule_in(self, delay_ns: int, callback: Callback) -> None:
+    def schedule_in(self, delay_ns: int, callback: Callback, arg: Any = _NO_ARG) -> None:
         """Schedule *callback* to run *delay_ns* nanoseconds from now."""
         if delay_ns < 0:
             raise ValueError(f"delay must be non-negative, got {delay_ns}")
-        self.schedule_at(self.now + delay_ns, callback)
-
-    def schedule_many(self, events: Iterable[Tuple[int, Callback]]) -> None:
-        """Schedule a batch of ``(when_ns, callback)`` pairs.
-
-        Equivalent to calling :meth:`schedule_at` for each pair in order
-        (same tie-breaking), but lets implementations amortize per-event
-        overhead.  Validation matches ``schedule_at``: any pair in the
-        past raises, and pairs before it are already scheduled.
-        """
-        queue = self._queue
-        sequence = self._sequence
-        now = self.now
-        for when_ns, callback in events:
-            if when_ns < now:
-                raise ValueError(
-                    f"cannot schedule an event in the past ({when_ns} < now={now})"
-                )
-            heapq.heappush(queue, (when_ns, next(sequence), callback))
+        self.schedule_at(self.now + delay_ns, callback, arg)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -102,14 +96,17 @@ class EventLoop:
         """
         monitor = self.monitor
         while self._queue:
-            when_ns, _seq, callback = self._queue[0]
+            when_ns, _seq, callback, arg = self._queue[0]
             if when_ns > horizon_ns:
                 break
             heapq.heappop(self._queue)
             self.now = when_ns
             if monitor is not None:
                 monitor(when_ns)
-            callback()
+            if arg is _NO_ARG:
+                callback()
+            else:
+                callback(arg)
             self.events_executed += 1
         # Leave ``now`` at the horizon so rate calculations use the full
         # window; clamp so an earlier horizon cannot rewind time.
@@ -123,11 +120,14 @@ class EventLoop:
         while self._queue:
             if max_events is not None and executed >= max_events:
                 break
-            when_ns, _seq, callback = heapq.heappop(self._queue)
+            when_ns, _seq, callback, arg = heapq.heappop(self._queue)
             self.now = when_ns
             if monitor is not None:
                 monitor(when_ns)
-            callback()
+            if arg is _NO_ARG:
+                callback()
+            else:
+                callback(arg)
             self.events_executed += 1
             executed += 1
 
@@ -167,8 +167,8 @@ class EventLoop:
             shifted.sort(key=lambda entry: (entry[0], entry[1]))
             sequence = self._sequence
             queue[:] = kept + [
-                (when_ns + delta_ns, next(sequence), callback)
-                for when_ns, _seq, callback in shifted
+                (when_ns + delta_ns, next(sequence), callback, arg)
+                for when_ns, _seq, callback, arg in shifted
             ]
             heapq.heapify(queue)
         self.now += delta_ns
@@ -188,13 +188,14 @@ class EventLoop:
 class FastEventLoop(EventLoop):
     """Calendar-bucket scheduler: heap of distinct times, FIFO buckets.
 
-    Events scheduled for the same nanosecond share one list; the heap
-    orders only the distinct timestamps.  Appending to a bucket is O(1)
-    and preserves scheduling order, which reproduces the reference
-    loop's ``(time, sequence)`` tie-breaking exactly — including events
-    scheduled *for the current timestamp while it is being drained*,
-    which land at the tail of the active bucket and run after every
-    already-queued tie.
+    Events scheduled for the same nanosecond share one flat list,
+    ``[callback, arg, callback, arg, ...]``; the heap orders only the
+    distinct timestamps.  Appending to a bucket is O(1), allocates
+    nothing per event and preserves scheduling order, which reproduces
+    the reference loop's ``(time, sequence)`` tie-breaking exactly —
+    including events scheduled *for the current timestamp while it is
+    being drained*, which land at the tail of the active bucket and run
+    after every already-queued tie.
     """
 
     __slots__ = (
@@ -211,16 +212,17 @@ class FastEventLoop(EventLoop):
         self.now = 0
         self.events_executed = 0
         self.monitor = None
-        #: timestamp -> FIFO list of callbacks at that timestamp.
-        self._buckets: Dict[int, List[Callback]] = {}
+        #: timestamp -> FIFO list of that timestamp's events, two slots
+        #: (callback, arg) per event.
+        self._buckets: Dict[int, list] = {}
         #: heap of distinct timestamps present in ``_buckets``.
         self._times: List[int] = []
         self._pending = 0
-        # Drain cursor, kept as instance state so ``run_all(max_events)``
-        # can stop mid-bucket and a later run resumes exactly where it
-        # left off.
+        # Drain cursor (a slot index into the active bucket), kept as
+        # instance state so ``run_all(max_events)`` can stop mid-bucket
+        # and a later run resumes exactly where it left off.
         self._active_time = -1
-        self._active_bucket: Optional[List[Callback]] = None
+        self._active_bucket: Optional[list] = None
         self._active_index = 0
         #: True while run_until/run_all is executing callbacks; guards
         #: translate_events (a re-entrant clock jump would invalidate
@@ -232,45 +234,20 @@ class FastEventLoop(EventLoop):
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def schedule_at(self, when_ns: int, callback: Callback) -> None:
-        """Schedule *callback* at *when_ns* (same semantics as the reference)."""
+    def schedule_at(self, when_ns: int, callback: Callback, arg: Any = _NO_ARG) -> None:
+        """Schedule the event at *when_ns* (same semantics as the reference)."""
         if when_ns < self.now:
             raise ValueError(
                 f"cannot schedule an event in the past ({when_ns} < now={self.now})"
             )
         bucket = self._buckets.get(when_ns)
         if bucket is None:
-            self._buckets[when_ns] = [callback]
+            self._buckets[when_ns] = [callback, arg]
             heapq.heappush(self._times, when_ns)
         else:
             bucket.append(callback)
+            bucket.append(arg)
         self._pending += 1
-
-    def schedule_in(self, delay_ns: int, callback: Callback) -> None:
-        """Schedule *callback* to run *delay_ns* nanoseconds from now."""
-        if delay_ns < 0:
-            raise ValueError(f"delay must be non-negative, got {delay_ns}")
-        self.schedule_at(self.now + delay_ns, callback)
-
-    def schedule_many(self, events: Iterable[Tuple[int, Callback]]) -> None:
-        """Batch-schedule ``(when_ns, callback)`` pairs into their buckets."""
-        buckets = self._buckets
-        now = self.now
-        count = 0
-        for when_ns, callback in events:
-            if when_ns < now:
-                self._pending += count
-                raise ValueError(
-                    f"cannot schedule an event in the past ({when_ns} < now={now})"
-                )
-            bucket = buckets.get(when_ns)
-            if bucket is None:
-                buckets[when_ns] = [callback]
-                heapq.heappush(self._times, when_ns)
-            else:
-                bucket.append(callback)
-            count += 1
-        self._pending += count
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -289,6 +266,7 @@ class FastEventLoop(EventLoop):
         buckets = self._buckets
         pop = heapq.heappop
         monitor = self.monitor
+        no_arg = _NO_ARG
         # ``consumed`` counts events taken off the calendar, ``executed``
         # events whose callback completed; they differ only when a
         # callback raises, and keeping both mirrors the reference loop
@@ -303,7 +281,7 @@ class FastEventLoop(EventLoop):
                         break
                     when_ns = pop(times)
                     bucket = buckets[when_ns]
-                    if len(bucket) == 1:
+                    if len(bucket) == 2:
                         # Singleton bucket: skip the drain-cursor
                         # bookkeeping.  The bucket is removed first, so a
                         # callback scheduling at ``now`` creates a fresh
@@ -314,7 +292,11 @@ class FastEventLoop(EventLoop):
                         if monitor is not None:
                             monitor(when_ns)
                         consumed += 1
-                        bucket[0]()
+                        callback, arg = bucket
+                        if arg is no_arg:
+                            callback()
+                        else:
+                            callback(arg)
                         executed += 1
                         continue
                     self._active_time = when_ns
@@ -330,12 +312,16 @@ class FastEventLoop(EventLoop):
                 # order, matching the reference loop's sequence numbers.
                 while index < len(bucket):
                     callback = bucket[index]
-                    index += 1
+                    arg = bucket[index + 1]
+                    index += 2
                     self._active_index = index
                     if monitor is not None:
                         monitor(self._active_time)
                     consumed += 1
-                    callback()
+                    if arg is no_arg:
+                        callback()
+                    else:
+                        callback(arg)
                     executed += 1
                 del buckets[self._active_time]
                 self._active_bucket = None
@@ -371,12 +357,16 @@ class FastEventLoop(EventLoop):
                 index = self._active_index
                 while index < len(bucket) and remaining > 0:
                     callback = bucket[index]
-                    index += 1
+                    arg = bucket[index + 1]
+                    index += 2
                     self._active_index = index
                     if monitor is not None:
                         monitor(self._active_time)
                     consumed += 1
-                    callback()
+                    if arg is _NO_ARG:
+                        callback()
+                    else:
+                        callback(arg)
                     executed += 1
                     remaining -= 1
                 if self._active_index >= len(bucket):
@@ -415,16 +405,16 @@ class FastEventLoop(EventLoop):
             return 0
         buckets = self._buckets
         shifted = 0
-        rebuilt: Dict[int, List[Callback]] = {
+        rebuilt: Dict[int, list] = {
             when_ns: bucket
             for when_ns, bucket in buckets.items()
             if when_ns >= cutoff_ns
         }
         # Kept buckets first, then shifted ones in timestamp order, so a
-        # collision appends the shifted callbacks after the kept ones.
+        # collision appends the shifted events after the kept ones.
         for when_ns in sorted(when for when in buckets if when < cutoff_ns):
             bucket = buckets[when_ns]
-            shifted += len(bucket)
+            shifted += len(bucket) // 2
             target = when_ns + delta_ns
             existing = rebuilt.get(target)
             if existing is None:

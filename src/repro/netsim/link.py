@@ -8,9 +8,12 @@ link saturates (§6.2.1), and it is the buffer whose occupancy produces
 the latency cliff visible in Fig. 7 and Fig. 16.
 
 The transmit path is deliberately lean: links move every frame of every
-simulated hop, so the delivery callback is pre-bound per direction at
-wiring time, and the two per-frame events (serialization end,
-arrival) are scheduled with one batched call.
+simulated hop, so nothing is allocated per frame beyond the two events
+themselves.  Each direction binds its serialization-end and arrival
+methods once at wiring time and schedules them with the byte count and
+the packet as the event argument; serialization time is looked up per
+wire size (the link rate is fixed after construction); and arrival
+calls the receiving node's ``handle_packet`` directly.
 """
 
 from __future__ import annotations
@@ -77,7 +80,11 @@ class _LinkDirection:
         "next_free_ns",
         "queued_bytes",
         "stats",
-        "_deliver",
+        "_node",
+        "_port",
+        "_serialization",
+        "_on_finish",
+        "_on_arrive",
         "up",
         "loss_probability",
         "jitter_ns",
@@ -95,6 +102,8 @@ class _LinkDirection:
         bandwidth_gbps: float,
         propagation_delay_ns: int,
         buffer_bytes: int,
+        node: Node,
+        port: int,
     ) -> None:
         self.env = env
         self.name = name
@@ -104,8 +113,16 @@ class _LinkDirection:
         self.next_free_ns = 0
         self.queued_bytes = 0
         self.stats = LinkDirectionStats()
-        #: Bound by the owning Link once the receiving endpoint is known.
-        self._deliver = None
+        #: Receiving endpoint: arriving frames go to ``node.handle_packet``
+        #: on *port*, looked up per frame so a wrapped or overridden
+        #: method is honoured.
+        self._node = node
+        self._port = port
+        #: wire bytes -> serialization ns, filled on first use of a size.
+        self._serialization: Dict[int, int] = {}
+        # The two per-frame event callbacks, bound once.
+        self._on_finish = self._finish
+        self._on_arrive = self._arrive
         # Fault-injection state (see repro.faults): a downed direction
         # drops every offered frame; an active loss window drops each
         # frame with ``loss_probability``; an active jitter window adds a
@@ -132,12 +149,8 @@ class _LinkDirection:
         """Time to clock *nbytes* onto the wire at the link rate."""
         return int(round(nbytes * 8 / self.bandwidth_gbps))
 
-    def transmit(self, packet: Packet, deliver=None) -> None:
-        """Queue *packet* for transmission; deliver it on arrival.
-
-        *deliver* overrides the direction's pre-bound delivery callback
-        (kept for tests that drive a direction standalone).
-        """
+    def transmit(self, packet: Packet) -> None:
+        """Queue *packet* for transmission; deliver it on arrival."""
         stats = self.stats
         wire_bytes = packet.wire_length
         if not self.up:
@@ -162,7 +175,10 @@ class _LinkDirection:
         now = self.env.now
         next_free = self.next_free_ns
         start = now if now > next_free else next_free
-        tx_done = start + self.serialization_ns(wire_bytes)
+        serialization = self._serialization.get(wire_bytes)
+        if serialization is None:
+            serialization = self._serialization[wire_bytes] = self.serialization_ns(wire_bytes)
+        tx_done = start + serialization
         self.next_free_ns = tx_done
         self.queued_bytes = queued
         stats.frames_sent += 1
@@ -170,16 +186,6 @@ class _LinkDirection:
         stats.busy_ns += tx_done - start
         if queued > stats.peak_queue_bytes:
             stats.peak_queue_bytes = queued
-
-        if deliver is None:
-            deliver = self._deliver
-
-        def finish_serialization() -> None:
-            self.queued_bytes -= wire_bytes
-
-        def arrive() -> None:
-            stats.frames_delivered += 1
-            deliver(packet)
 
         propagation = self.propagation_delay_ns
         if self.jitter_ns:
@@ -189,16 +195,21 @@ class _LinkDirection:
             arrival = self.last_arrival_ns
         self.last_arrival_ns = arrival
 
-        # One batched call; identical ordering to two schedule_at calls
-        # (schedule_many preserves pair order for tie-breaking).
-        self.env.schedule_many(
-            (
-                (tx_done, finish_serialization),
-                (arrival, arrive),
-            )
-        )
+        # Serialization end first: on a tie it must run before the arrival.
+        schedule_at = self.env.schedule_at
+        schedule_at(tx_done, self._on_finish, wire_bytes)
+        schedule_at(arrival, self._on_arrive, packet)
         if profiler is not None:
             profiler.exit()
+
+    def _finish(self, wire_bytes: int) -> None:
+        """Serialization ended: the frame's bytes leave the egress buffer."""
+        self.queued_bytes -= wire_bytes
+
+    def _arrive(self, packet: Packet) -> None:
+        """The frame reached the far end: hand it to the receiving node."""
+        self.stats.frames_delivered += 1
+        self._node.handle_packet(packet, self._port)
 
     def _record_drop(self, packet: Packet, reason: str) -> None:
         """Flight-recorder drop hook (drop branches only, never the fast case)."""
@@ -237,16 +248,9 @@ class Link:
         self.node_a, self.port_a = node_a, port_a
         self.node_b, self.port_b = node_b, port_b
         self.bandwidth_gbps = bandwidth_gbps
-        self._a_to_b = _LinkDirection(
-            env, f"{self.name}[a->b]", bandwidth_gbps, propagation_delay_ns, buffer_bytes
-        )
-        self._b_to_a = _LinkDirection(
-            env, f"{self.name}[b->a]", bandwidth_gbps, propagation_delay_ns, buffer_bytes
-        )
-        # Pre-bind delivery: the endpoints never change after wiring, so
-        # the per-frame transmit path does not rebuild these closures.
-        self._a_to_b._deliver = lambda pkt: node_b.handle_packet(pkt, port_b)
-        self._b_to_a._deliver = lambda pkt: node_a.handle_packet(pkt, port_a)
+        shape = (bandwidth_gbps, propagation_delay_ns, buffer_bytes)
+        self._a_to_b = _LinkDirection(env, f"{self.name}[a->b]", *shape, node_b, port_b)
+        self._b_to_a = _LinkDirection(env, f"{self.name}[b->a]", *shape, node_a, port_a)
         node_a.attach_link(port_a, self)
         node_b.attach_link(port_b, self)
 

@@ -73,6 +73,9 @@ class NfServerNode(Node):
         # Observability hooks (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
         self.obs_profiler = None
+        # The two per-packet event callbacks, bound once.
+        self._on_complete = self._complete
+        self._on_tx_done = self._send_to_switch
 
     def invalidate_cost_cache(self) -> None:
         """Recompute the memoized cost model after an NF chain mutation.
@@ -141,7 +144,7 @@ class NfServerNode(Node):
         )
         completion = finish + int(pipeline_latency_ns - service)
         completion = max(completion, finish)
-        self.env.schedule_at(completion, lambda: self._complete(packet))
+        self.env.schedule_at(completion, self._on_complete, packet)
 
     def _jittered(self, service_ns: float) -> int:
         jitter = self.model.config.service_jitter
@@ -198,7 +201,10 @@ class NfServerNode(Node):
         pcie_delay = self.pcie.tx_transfer(wire_bytes)
         tx_done = self.nic.tx_ready_at(self.env.now + pcie_delay, wire_bytes)
         self.forwarded_packets += 1
-        self.env.schedule_at(tx_done, lambda: self.send_out(self.switch_port, packet))
+        self.env.schedule_at(tx_done, self._on_tx_done, packet)
+
+    def _send_to_switch(self, packet: Packet) -> None:
+        self.send_out(self.switch_port, packet)
 
     def _send_explicit_drop(self, packet: Packet) -> None:
         """Truncate the packet and return it with the Explicit-Drop opcode."""

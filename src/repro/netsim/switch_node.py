@@ -9,7 +9,8 @@ Egress contention and buffering are modeled by the outgoing link.
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import partial
+from typing import Callable, Dict
 
 from repro.core.program import SwitchProgram
 from repro.netsim.eventloop import EventLoop
@@ -40,6 +41,10 @@ class SwitchNode(Node):
         self.packets_to_nf = 0
         self.drop_reasons: Dict[str, int] = {}
         self._nf_ports = {binding.nf_port for binding in program.bindings}
+        #: egress port -> ``send_out`` bound to that port, built on the
+        #: port's first frame.  An unwired port still gets one:
+        #: ``send_out`` raises at send time, after the forwarding latency.
+        self._egress: Dict[int, Callable[[Packet], None]] = {}
         # Observability hooks (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
         self.obs_profiler = None
@@ -81,7 +86,10 @@ class SwitchNode(Node):
             # case.
             latency += self.program.extra_latency_ns(ctx)
         self.packets_out += 1
-        self.env.schedule_in(latency, lambda: self.send_out(egress, packet))
+        send = self._egress.get(egress)
+        if send is None:
+            send = self._egress[egress] = partial(self.send_out, egress)
+        self.env.schedule_in(latency, send, packet)
 
     def _record_drop(self, packet: Packet, reason: str) -> None:
         """Flight-recorder drop hook (off the hot path's common case)."""

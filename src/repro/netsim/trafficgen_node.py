@@ -244,7 +244,7 @@ class TrafficGenNode(Node):
         if self._stop_at_ns is not None and when_ns >= self._stop_at_ns:
             self._running = False
             return
-        self.env.schedule_at(when_ns, lambda: self._send_stream_frame(data))
+        self.env.schedule_at(when_ns, self._send_stream_frame, data)
 
     def _send_stream_frame(self, data: bytes) -> None:
         if not self._running:

@@ -283,7 +283,7 @@ class ClosedLoopTransport:
         conn.in_recovery = False
         conn.epoch_done = False
         jitter = self._rng.randrange(self.model.start_jitter_ns + 1)
-        self.node.env.schedule_in(max(1, jitter), lambda: self._open_window(conn))
+        self.node.env.schedule_in(max(1, jitter), self._open_window, conn)
 
     def _open_window(self, conn: _Connection) -> None:
         if not self._active():
@@ -302,7 +302,7 @@ class ClosedLoopTransport:
         else:
             self.epochs_completed += 1
             delay = max(1, self._think_time())
-            self.node.env.schedule_in(delay, lambda: self._restart_flow(conn))
+            self.node.env.schedule_in(delay, self._restart_flow, conn)
 
     def _restart_flow(self, conn: _Connection) -> None:
         if not self._active():

@@ -8,7 +8,8 @@ The simulator's determinism rests on two scheduler invariants:
 * :class:`~repro.netsim.eventloop.FastEventLoop` (calendar buckets)
   executes exactly the same event sequence as the reference
   :class:`~repro.netsim.eventloop.EventLoop` (heap) for any interleaving
-  of ``schedule_at`` / ``schedule_in`` / ``schedule_many`` calls.
+  of ``schedule_at`` / ``schedule_in`` calls, whether an event is a
+  zero-argument callback or a ``(callback, arg)`` record.
 
 Hypothesis is not part of the pinned environment, so the generators are
 seeded ``random.Random`` programs replayed against both loop classes —
@@ -23,65 +24,94 @@ from repro.netsim.eventloop import EventLoop, FastEventLoop
 
 LOOPS = (EventLoop, FastEventLoop)
 
+#: Trace marker for an event that ran as ``callback()``.
+NO_ARG = "<no-arg>"
+#: Event kinds a program draws from: zero-argument callback, callback
+#: with a value, callback with ``arg=None`` (an argument like any other).
+KINDS = ("plain", "value", "none")
+
 
 def _random_program(seed, operations=400, horizon=2_000):
     """Build a reproducible scheduling program: a list of op descriptors.
 
-    Ops are ``("at", when, tag)``, ``("in", delay, tag)`` or
-    ``("many", [(when, tag), ...])``.  A fraction of events reschedule
+    Ops are ``("at", when, tag, kind)`` or ``("in", delay, tag, kind)``
+    with *kind* one of :data:`KINDS`.  A fraction of events reschedule
     follow-ups when they execute, covering the schedule-during-drain
     paths.
     """
     rng = random.Random(seed)
     ops = []
     for index in range(operations):
-        kind = rng.random()
-        if kind < 0.45:
-            ops.append(("at", rng.randrange(horizon), f"at{index}"))
-        elif kind < 0.75:
-            ops.append(("in", rng.randrange(horizon // 4), f"in{index}"))
+        kind = rng.choice(KINDS)
+        if rng.random() < 0.6:
+            ops.append(("at", rng.randrange(horizon), f"at{index}", kind))
         else:
-            batch = [
-                (rng.randrange(horizon), f"many{index}.{j}")
-                for j in range(rng.randrange(1, 6))
-            ]
-            ops.append(("many", batch))
+            ops.append(("in", rng.randrange(horizon // 4), f"in{index}", kind))
     return ops
 
 
-def _execute(loop_cls, ops, chain_seed, run_in_windows):
-    """Run one scheduling program; return the observed (time, tag) trace."""
-    env = loop_cls()
-    trace = []
-    chain_rng = random.Random(chain_seed)
+class _Harness:
+    """One loop plus the callbacks that write its execution trace.
 
-    def make_callback(tag, depth):
+    Every executed event appends ``(now, callback name, arg)``; the
+    follow-up decisions come from a seeded RNG consumed in execution
+    order, so two loops that execute the same sequence also schedule the
+    same follow-ups.
+    """
+
+    def __init__(self, loop_cls, chain_seed):
+        self.env = loop_cls()
+        self.trace = []
+        self._chain_rng = random.Random(chain_seed)
+
+    def schedule(self, op):
+        how, offset, tag, kind = op
+        schedule = self.env.schedule_at if how == "at" else self.env.schedule_in
+        self._schedule(schedule, offset, tag, kind, depth=0)
+
+    def _schedule(self, schedule, offset, tag, kind, depth):
+        if kind == "plain":
+            schedule(offset, self._plain(tag, depth))
+        elif kind == "value":
+            schedule(offset, self._with_arg, (tag, depth))
+        else:
+            schedule(offset, self._with_arg, None)
+
+    def _plain(self, tag, depth):
         def callback():
-            trace.append((env.now, tag))
-            # Occasionally schedule follow-ups from inside an executing
-            # event: same-time ties, zero delays and future events.
-            if depth < 2 and chain_rng.random() < 0.25:
-                delay = chain_rng.choice((0, 0, 1, 7, 50))
-                env.schedule_in(delay, make_callback(f"{tag}+{delay}", depth + 1))
+            self.trace.append((self.env.now, tag, NO_ARG))
+            self._maybe_chain(tag, depth)
 
         return callback
 
-    for op in ops:
-        if op[0] == "at":
-            env.schedule_at(op[1], make_callback(op[2], 0))
-        elif op[0] == "in":
-            env.schedule_in(op[1], make_callback(op[2], 0))
-        else:
-            env.schedule_many(
-                [(when, make_callback(tag, 0)) for when, tag in op[1]]
+    def _with_arg(self, arg):
+        self.trace.append((self.env.now, "with_arg", arg))
+        if arg is not None:
+            self._maybe_chain(*arg)
+
+    def _maybe_chain(self, tag, depth):
+        # Occasionally schedule follow-ups from inside an executing
+        # event: same-time ties, zero delays and future events.
+        rng = self._chain_rng
+        if depth < 2 and rng.random() < 0.25:
+            delay = rng.choice((0, 0, 1, 7, 50))
+            self._schedule(
+                self.env.schedule_in, delay, f"{tag}+{delay}", rng.choice(KINDS), depth + 1
             )
 
+
+def _execute(loop_cls, ops, chain_seed, run_in_windows):
+    """Run one scheduling program; return the observed trace and the loop."""
+    harness = _Harness(loop_cls, chain_seed)
+    for op in ops:
+        harness.schedule(op)
+    env = harness.env
     if run_in_windows:
         for horizon in (100, 500, 1_100, 2_500, 10_000):
             env.run_until(horizon)
     else:
         env.run_all()
-    return trace, env
+    return harness.trace, env
 
 
 @pytest.mark.parametrize("loop_cls", LOOPS)
@@ -90,7 +120,7 @@ def test_times_nondecreasing_and_ties_fifo(loop_cls, seed):
     ops = _random_program(seed)
     trace, env = _execute(loop_cls, ops, chain_seed=seed * 31 + 1, run_in_windows=True)
     assert trace, "program should execute events"
-    times = [when for when, _tag in trace]
+    times = [when for when, _tag, _arg in trace]
     assert times == sorted(times), "events must execute in nondecreasing time order"
     assert env.pending_events == 0
     assert env.events_executed == len(trace)
@@ -102,18 +132,23 @@ def test_same_time_events_preserve_scheduling_order(loop_cls):
     order = []
     for index in range(50):
         env.schedule_at(42, lambda i=index: order.append(i))
-    env.schedule_many([(42, lambda i=i: order.append(50 + i)) for i in range(10)])
+    # Arg-carrying and zero-argument events share one FIFO.
+    for index in range(50, 60):
+        env.schedule_at(42, order.append, index)
+    env.schedule_at(42, lambda: order.append(60))
     env.run_until(42)
-    assert order == list(range(60))
+    assert order == list(range(61))
 
 
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("run_in_windows", (False, True))
 def test_fast_and_reference_loops_execute_identical_sequences(seed, run_in_windows):
     ops = _random_program(seed, operations=300)
-    reference, _ = _execute(EventLoop, ops, chain_seed=seed, run_in_windows=run_in_windows)
-    fast, _ = _execute(FastEventLoop, ops, chain_seed=seed, run_in_windows=run_in_windows)
+    reference, ref_env = _execute(EventLoop, ops, chain_seed=seed, run_in_windows=run_in_windows)
+    fast, fast_env = _execute(FastEventLoop, ops, chain_seed=seed, run_in_windows=run_in_windows)
     assert fast == reference
+    assert {kind for _when, _tag, kind in reference} >= {NO_ARG, None}
+    assert fast_env.events_executed == ref_env.events_executed == len(reference)
 
 
 @pytest.mark.parametrize("loop_cls", LOOPS)
@@ -123,30 +158,108 @@ def test_run_all_max_events_resumes_exactly(loop_cls, seed):
     ops = _random_program(seed, operations=120)
     whole, _ = _execute(loop_cls, ops, chain_seed=7, run_in_windows=False)
 
-    env = loop_cls()
-    trace = []
-    chain_rng = random.Random(7)
-
-    def make_callback(tag, depth):
-        def callback():
-            trace.append((env.now, tag))
-            if depth < 2 and chain_rng.random() < 0.25:
-                delay = chain_rng.choice((0, 0, 1, 7, 50))
-                env.schedule_in(delay, make_callback(f"{tag}+{delay}", depth + 1))
-
-        return callback
-
+    harness = _Harness(loop_cls, chain_seed=7)
     for op in ops:
-        if op[0] == "at":
-            env.schedule_at(op[1], make_callback(op[2], 0))
-        elif op[0] == "in":
-            env.schedule_in(op[1], make_callback(op[2], 0))
-        else:
-            env.schedule_many([(when, make_callback(tag, 0)) for when, tag in op[1]])
+        harness.schedule(op)
+    while harness.env.pending_events:
+        harness.env.run_all(max_events=3)
+    assert harness.trace == whole
 
-    while env.pending_events:
-        env.run_all(max_events=3)
-    assert trace == whole
+
+def _drive(loop_cls, seed):
+    """Interleave scheduling with every way of advancing the loop.
+
+    Times sit on a coarse grid (multiples of 10 over a short horizon),
+    so buckets hold many events, ``run_all(max_events)`` keeps stopping
+    mid-bucket, and a translated bucket regularly lands on a kept one.
+    Returns the execution trace plus a log of what each driver step
+    reported.
+    """
+    rng = random.Random(seed)
+    harness = _Harness(loop_cls, chain_seed=seed + 1_000)
+    env = harness.env
+    log = []
+    index = 0
+    for _phase in range(30):
+        for _ in range(rng.randrange(5, 25)):
+            index += 1
+            kind = rng.choice(KINDS)
+            if rng.random() < 0.6:
+                harness.schedule(("at", env.now + rng.randrange(0, 400, 10), f"at{index}", kind))
+            else:
+                harness.schedule(("in", rng.randrange(0, 200, 10), f"in{index}", kind))
+        step = rng.random()
+        if step < 0.35:
+            env.run_all(max_events=rng.randrange(1, 8))
+        elif step < 0.7:
+            env.run_until(env.now + rng.randrange(0, 120, 10))
+        else:
+            # A clock jump needs a loop that is not standing mid-bucket:
+            # finish the current timestamp first (run_until is inclusive).
+            env.run_until(env.now)
+            delta = rng.randrange(10, 200, 10)
+            cutoff = env.now + delta + rng.randrange(0, 200, 10)
+            log.append(("translated", env.translate_events(cutoff, delta)))
+        log.append((env.now, env.events_executed, env.pending_events))
+    env.run_all()
+    log.append((env.now, env.events_executed, env.pending_events))
+    return harness.trace, log
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_fast_and_reference_loops_agree_under_every_driver(seed):
+    """Same ``(time, callback, arg)`` trace, ``events_executed``,
+    ``pending_events`` and ``translate_events`` return values through
+    windows, partial drains and clock jumps."""
+    reference_trace, reference_log = _drive(EventLoop, seed)
+    fast_trace, fast_log = _drive(FastEventLoop, seed)
+    assert fast_trace == reference_trace
+    assert fast_log == reference_log
+    assert reference_log[-1][2] == 0 and reference_log[-1][1] == len(reference_trace)
+
+
+def test_driver_programs_reach_the_corner_cases(monkeypatch):
+    """The generator above is only worth its seeds if it hits the cases
+    it claims: shifted events, mid-bucket stops and ``arg=None`` events."""
+    mid_bucket_stops = 0
+    run_all = FastEventLoop.run_all
+
+    def counting_run_all(self, max_events=None):
+        nonlocal mid_bucket_stops
+        run_all(self, max_events)
+        mid_bucket_stops += self._active_bucket is not None
+
+    monkeypatch.setattr(FastEventLoop, "run_all", counting_run_all)
+    shifted = 0
+    kinds = set()
+    for seed in range(25):
+        trace, log = _drive(FastEventLoop, seed)
+        kinds |= {arg if arg in (NO_ARG, None) else "value" for _when, _tag, arg in trace}
+        shifted += sum(entry[1] for entry in log if entry[0] == "translated")
+    assert kinds == {NO_ARG, None, "value"}
+    assert shifted > 100
+    assert mid_bucket_stops > 20
+
+
+@pytest.mark.parametrize("loop_cls", LOOPS)
+def test_translated_bucket_colliding_with_a_kept_one_runs_after_it(loop_cls):
+    env = loop_cls()
+    order = []
+    env.schedule_at(100, order.append, "shifted-1")
+    env.schedule_at(100, lambda: order.append("shifted-2"))
+    env.schedule_at(100, order.append, None)
+    env.schedule_at(600, order.append, "kept-1")
+    env.schedule_at(600, lambda: order.append("kept-2"))
+    env.schedule_at(50, order.append, "shifted-0")
+    assert env.translate_events(cutoff_ns=600, delta_ns=500) == 4
+    assert env.pending_events == 6
+    env.schedule_at(600, order.append, "late")
+    env.run_all(max_events=4)  # stops inside the merged timestamp
+    assert order == ["shifted-0", "kept-1", "kept-2", "shifted-1"]
+    assert (env.now, env.events_executed, env.pending_events) == (600, 4, 3)
+    env.run_all()
+    assert order[4:] == ["shifted-2", None, "late"]
+    assert env.pending_events == 0
 
 
 @pytest.mark.parametrize("loop_cls", LOOPS)
@@ -162,3 +275,36 @@ def test_raising_callback_consumes_its_event(loop_cls):
     env.run_until(100)
     assert ran == [True]
     assert env.pending_events == 0
+
+
+def _raise(message):
+    raise RuntimeError(message)
+
+
+@pytest.mark.parametrize("loop_cls", LOOPS)
+@pytest.mark.parametrize("drain", ("run_until", "run_all"))
+def test_raising_arg_callback_is_popped_but_not_counted(loop_cls, drain):
+    """Alone at its timestamp and in the middle of a tie."""
+    env = loop_cls()
+    ran = []
+
+    def run():
+        if drain == "run_until":
+            env.run_until(100)
+        else:
+            env.run_all()
+
+    env.schedule_at(10, _raise, "alone")
+    env.schedule_at(20, ran.append, "a")
+    env.schedule_at(20, _raise, "mid-tie")
+    env.schedule_at(20, ran.append, None)
+    with pytest.raises(RuntimeError, match="alone"):
+        run()
+    assert (env.events_executed, env.pending_events) == (0, 3)
+    with pytest.raises(RuntimeError, match="mid-tie"):
+        run()
+    assert ran == ["a"]
+    assert (env.events_executed, env.pending_events) == (1, 1)
+    run()
+    assert ran == ["a", None]
+    assert (env.events_executed, env.pending_events) == (2, 0)

@@ -51,10 +51,15 @@ class TestSchedulingBoundaries:
         with pytest.raises(ValueError, match="non-negative"):
             env.schedule_in(-5, lambda: None)
 
-    def test_schedule_many_rejects_past_events(self, env):
+    def test_past_event_rejected_after_a_valid_one_stays_scheduled(self, env):
         env.run_until(100)
+        fired = []
+        env.schedule_at(150, fired.append, "valid")
         with pytest.raises(ValueError, match="past"):
-            env.schedule_many([(150, lambda: None), (50, lambda: None)])
+            env.schedule_at(50, fired.append, "past")
+        assert env.pending_events == 1
+        env.run_until(200)
+        assert fired == ["valid"]
 
 
 class TestHorizonSemantics:
@@ -196,11 +201,13 @@ class TestOrderingAndAccounting:
         assert hits == [0, 1, 2, 3, 4]
         assert env.pending_events == 0
 
-    def test_schedule_many_interleaves_with_schedule_at_by_call_order(self, env):
+    def test_arg_and_zero_arg_events_interleave_by_call_order(self, env):
         order = []
         env.schedule_at(5, lambda: order.append("a"))
-        env.schedule_many([(5, lambda: order.append("b")),
-                           (3, lambda: order.append("c"))])
-        env.schedule_at(5, lambda: order.append("d"))
+        env.schedule_at(5, order.append, "b")
+        env.schedule_at(3, order.append, None)
+        env.schedule_in(5, lambda: order.append("d"))
+        env.schedule_in(5, order.append, "e")
         env.run_until(10)
-        assert order == ["c", "a", "b", "d"]
+        assert order == [None, "a", "b", "d", "e"]
+        assert env.events_executed == 5

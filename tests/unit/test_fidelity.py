@@ -21,7 +21,10 @@ from repro.experiments.runner import (
     FIDELITY_MODES,
     DeploymentKind,
     ExperimentRunner,
+    RunObserver,
     ScenarioConfig,
+    run_observer,
+    run_options,
 )
 from repro.experiments.scenarios import fw_nat_lb_10ge, workload_scenario
 from repro.fidelity import (
@@ -304,3 +307,45 @@ class TestTierControllerRuns:
         assert summary["jumps"] >= 1
         assert summary["fluid_time_ns"] > 0
         assert summary["events_shifted"] > 0
+
+    def test_events_in_flight_across_a_jump_survive_identically_on_both_engines(
+        self, monkeypatch
+    ):
+        # At every jump the queue holds arg-carrying events (arrivals
+        # with their packet, serialization ends with their byte count,
+        # NF completions) next to zero-argument ones (the burst pacer).
+        # Both loops must carry callback *and* argument across the
+        # translation: the whole report and every link direction's
+        # delivery count agree between the calendar and the heap engine.
+        from repro.fidelity import TierController
+
+        class Capture(RunObserver):
+            def on_run_end(self, scenario, deployment, topology, program, reports):
+                (attachment,) = topology.attachments
+                self.frames_delivered = [
+                    stats.frames_delivered
+                    for link in (*attachment.gen_links, attachment.server_link)
+                    for stats in link.direction_counters()
+                ]
+
+        controllers = []
+        advance = TierController.advance
+
+        def spying(self, horizon_ns):
+            controllers.append(self)
+            return advance(self, horizon_ns)
+
+        monkeypatch.setattr(TierController, "advance", spying)
+        scenario = replace(fw_nat_lb_10ge(6.0), duration_us=30_000.0, fidelity="auto")
+
+        def run(reference):
+            with run_options(reference=reference), run_observer(Capture()) as capture:
+                report = ExperimentRunner(time_scale=0.25).run_deployment(
+                    scenario, DeploymentKind.PAYLOADPARK
+                )
+            return report, capture.frames_delivered, controllers[-1].summary()
+
+        report, delivered, summary = run(reference=False)
+        assert summary["jumps"] >= 1 and summary["events_shifted"] > 0
+        assert report.goodput_to_nf_gbps > 0 and sum(delivered) > 0
+        assert run(reference=True) == (report, delivered, summary)

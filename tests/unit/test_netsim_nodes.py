@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram
-from repro.netsim.eventloop import EventLoop
+from repro.netsim.eventloop import EventLoop, FastEventLoop
 from repro.netsim.link import Link
 from repro.netsim.nic import NIC_10GE
 from repro.netsim.node import Node
@@ -74,6 +74,25 @@ class TestSwitchNode:
         env, switch, gen, server = self._wired_switch(BaselineProgram([_binding()]))
         stats = switch.stats()
         assert {"packets_in", "packets_out", "packets_dropped"} <= set(stats)
+
+    @pytest.mark.parametrize("loop_cls", [EventLoop, FastEventLoop])
+    def test_egress_to_an_unwired_port_raises_at_send_time(self, loop_cls):
+        # The egress decision (NF port 2) is made at pipeline time, but
+        # the missing link is only an error once the frame is sent, one
+        # forwarding latency later — for every frame, not just the first
+        # one to use the port.
+        env = loop_cls()
+        switch = SwitchNode(env, BaselineProgram([_binding()]))
+        Link(env, _Collector(env, "gen"), 0, switch, 0, bandwidth_gbps=100.0)
+        for _ in range(2):
+            sent_at = env.now
+            switch.handle_packet(Packet.udp(total_size=200), port=0)
+            assert env.pending_events == 1
+            with pytest.raises(ValueError, match="switch: no link attached to port 2"):
+                env.run_until(sent_at + 10_000)
+            assert env.now == sent_at + SwitchNode.BASE_LATENCY_NS
+            assert env.pending_events == 0
+        assert switch.packets_out == 2
 
 
 class TestNfServerNode:
