@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from _harness import bench_runner, run_figure
 
-from repro.experiments.runner import DeploymentKind, ExperimentRunner, multi_server_bindings
+from repro.experiments.runner import DeploymentKind, multi_server_bindings
 from repro.experiments.scenarios import multi_server_384b
 
 
@@ -24,10 +24,10 @@ def _run(send_rate_gbps=10.0):
             multi_server_384b(server_count=2, send_rate_gbps=send_rate_gbps),
             name=f"slicing-{label}",
         )
-        bindings = multi_server_bindings(2)
-        bindings = [replace(b, memory_weight=w) for b, w in zip(bindings, weights)]
-
-        reports = _run_with_bindings(runner, scenario, bindings)
+        bindings = [
+            replace(b, memory_weight=w) for b, w in zip(multi_server_bindings(2), weights)
+        ]
+        reports = runner.run_servers(scenario, DeploymentKind.PAYLOADPARK, bindings=bindings)
         for binding, report in zip(bindings, reports):
             rows.append(
                 {
@@ -41,31 +41,6 @@ def _run(send_rate_gbps=10.0):
                 }
             )
     return rows
-
-
-def _run_with_bindings(runner: ExperimentRunner, scenario, bindings):
-    """Run the PayloadPark deployment with an explicit binding list."""
-    from repro.core.program import PayloadParkProgram
-    from repro.netsim.eventloop import EventLoop
-    from repro.netsim.topology import MultiServerTopology
-    from repro.traffic.pktgen import PktGenConfig
-    from dataclasses import replace as dc_replace
-
-    env = EventLoop()
-    program = PayloadParkProgram(
-        dc_replace(scenario.payloadpark, bindings=[]), bindings=bindings
-    )
-    models = [runner._build_server_model(scenario) for _ in bindings]
-    pktgen_configs = [
-        PktGenConfig(
-            rate_gbps=scenario.send_rate_gbps, workload=scenario.workload, seed=scenario.seed + i
-        )
-        for i in range(len(bindings))
-    ]
-    topology = MultiServerTopology(
-        env, program, server_models=models, pktgen_configs=pktgen_configs, nic_spec=scenario.nic
-    )
-    return runner._execute(scenario, DeploymentKind.PAYLOADPARK, topology, program)
 
 
 def test_ablation_memory_slicing(benchmark):

@@ -143,11 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level", choices=LOG_LEVELS, default="info",
         help="stderr diagnostic verbosity for every subcommand (default info)",
     )
+    # Every leaf command names its handler; `errors` are the exceptions
+    # that mean bad input (one `error:` line, exit 2) rather than a bug.
+    parser.set_defaults(handler=None, errors=(ValueError, RuntimeError, OSError))
     subparsers = parser.add_subparsers(dest="command")
 
-    subparsers.add_parser("list", help="list available experiments")
+    list_parser = subparsers.add_parser("list", help="list available experiments")
+    list_parser.set_defaults(handler=_list, errors=())
 
     run_parser = subparsers.add_parser("run", help="run one experiment by name")
+    run_parser.set_defaults(handler=_run, errors=(ValueError,))
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
     run_parser.add_argument(
         "--json", action="store_true", help="emit the experiment's rows as JSON"
@@ -197,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     quick_parser = subparsers.add_parser(
         "quickstart", help="run a single PayloadPark-vs-baseline comparison"
     )
+    quick_parser.set_defaults(handler=_quickstart, errors=())
     quick_parser.add_argument(
         "--rate", type=float, default=10.5, help="offered load in Gbps (default 10.5)"
     )
@@ -226,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     campaign_run = campaign_sub.add_parser("run", help="execute every pending grid point")
+    campaign_run.set_defaults(handler=_campaign_run)
     add_common(campaign_run)
     campaign_run.add_argument(
         "--workers", type=int, default=None,
@@ -270,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_status = campaign_sub.add_parser(
         "status", help="show completed/pending/failed counts"
     )
+    campaign_status.set_defaults(handler=_campaign_status)
     add_common(campaign_status)
 
     campaign_serve = campaign_sub.add_parser(
@@ -277,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP endpoints over campaign state: /status /cells "
              "/violations /events /metrics (live tail or post-hoc)",
     )
+    campaign_serve.set_defaults(handler=_campaign_serve)
     add_common(campaign_serve)
     campaign_serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -303,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_report = campaign_sub.add_parser(
         "report", help="aggregate stored records into a table"
     )
+    campaign_report.set_defaults(handler=_campaign_report)
     add_common(campaign_report)
     campaign_report.add_argument(
         "--json", action="store_true", help="emit the aggregated rows as JSON"
@@ -318,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_sub = workload_parser.add_subparsers(dest="workload_command")
 
     workload_list = workload_sub.add_parser("list", help="list registered workloads")
+    workload_list.set_defaults(handler=_workload_list)
     workload_list.add_argument(
         "--names", action="store_true", help="print bare names only, one per line"
     )
@@ -325,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_describe = workload_sub.add_parser(
         "describe", help="show one workload's composition"
     )
+    workload_describe.set_defaults(handler=_workload_describe)
     workload_describe.add_argument("name", help="workload name (see 'workload list')")
     workload_describe.add_argument(
         "--pcap", default=None,
@@ -336,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="materialize the first N packets and print summary statistics "
              "(no simulation run)",
     )
+    workload_preview.set_defaults(handler=_workload_preview)
     workload_preview.add_argument("name", help="workload name (see 'workload list')")
     workload_preview.add_argument(
         "--packets", type=int, default=2000, help="trace length (default 2000)"
@@ -362,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_sub = faults_parser.add_subparsers(dest="faults_command")
 
     faults_list = faults_sub.add_parser("list", help="list registered fault profiles")
+    faults_list.set_defaults(handler=_faults_list)
     faults_list.add_argument(
         "--names", action="store_true", help="print bare names only, one per line"
     )
@@ -369,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_describe = faults_sub.add_parser(
         "describe", help="show one profile's events and generators"
     )
+    faults_describe.set_defaults(handler=_faults_describe)
     faults_describe.add_argument("name", help="profile name (see 'faults list')")
 
     faults_preview = faults_sub.add_parser(
@@ -376,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="materialize a profile against a horizon and print the event "
              "timeline (no simulation run)",
     )
+    faults_preview.set_defaults(handler=_faults_preview)
     faults_preview.add_argument("name", help="profile name (see 'faults list')")
     faults_preview.add_argument(
         "--horizon-us", type=float, default=6_000.0,
@@ -398,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_run = validate_sub.add_parser(
         "run", help="check invariants/relations on one scenario"
     )
+    validate_run.set_defaults(handler=_validate_run)
     validate_run.add_argument(
         "descriptor", nargs="?", default=None,
         help="scenario descriptor JSON (a corpus entry); omit to use --scenario",
@@ -427,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_fuzz = validate_sub.add_parser(
         "fuzz", help="differential scenario fuzzing with shrinking"
     )
+    validate_fuzz.set_defaults(handler=_validate_fuzz)
     validate_fuzz.add_argument(
         "--seed", type=int, default=0, help="fuzz seed (default 0)"
     )
@@ -460,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_replay = validate_sub.add_parser(
         "replay", help="re-execute every corpus repro"
     )
+    validate_replay.set_defaults(handler=_validate_replay)
     validate_replay.add_argument(
         "--corpus", default=None,
         help="corpus directory (default tests/validation_corpus)",
@@ -472,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="measure simulated-packets/sec, or run one of the overhead gates",
     )
+    bench_parser.set_defaults(handler=_bench)
     bench_parser.add_argument(
         "--scenario", default=None,
         help="bench scenario (default fig07; see repro.bench.BENCH_SCENARIOS)",
@@ -538,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trend",
         help="sliding-window regression detection over the bench history",
     )
+    bench_trend.set_defaults(handler=_bench_trend)
     bench_trend.add_argument(
         "--history", default=None,
         help="bench history JSONL (default benchmarks/bench_history.jsonl)",
@@ -574,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="metric-by-metric delta between two repro.metrics/v1 exports",
     )
+    obs_diff.set_defaults(handler=_obs_diff)
     obs_diff.add_argument(
         "run_a", help="metrics export file, or a directory with exactly one"
     )
@@ -591,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_runs = obs_sub.add_parser(
         "runs", help="summarize every campaign store under the results root"
     )
+    obs_runs.set_defaults(handler=_obs_runs)
     obs_runs.add_argument(
         "--root", default="results",
         help="directory holding campaign stores (default results/)",
@@ -605,6 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
              "phase profiles",
     )
     observe_sub = observe_parser.add_subparsers(dest="observe_command")
+    observe_errors = (KeyError, ValueError, RuntimeError, OSError)
 
     def add_observe_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -647,6 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one scenario with the full plane armed and export "
              "metrics + traces + profile",
     )
+    observe_run.set_defaults(handler=_observe_run, errors=observe_errors)
     add_observe_common(observe_run)
     observe_run.add_argument(
         "--out", default="observations",
@@ -659,6 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe_metrics = observe_sub.add_parser(
         "metrics", help="run one scenario and emit its metrics export"
     )
+    observe_metrics.set_defaults(handler=_observe_metrics, errors=observe_errors)
     add_observe_common(observe_metrics)
     observe_metrics.add_argument(
         "--out", default=None, help="write to this file instead of stdout"
@@ -667,6 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe_trace = observe_sub.add_parser(
         "trace", help="run one scenario and emit its packet-lifecycle trace"
     )
+    observe_trace.set_defaults(handler=_observe_trace, errors=observe_errors)
     add_observe_common(observe_trace)
     observe_trace.add_argument(
         "--format", choices=("jsonl", "chrome"), default="jsonl",
@@ -680,6 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe_profile = observe_sub.add_parser(
         "profile", help="run one scenario and emit its phase-profiler report"
     )
+    observe_profile.set_defaults(handler=_observe_profile, errors=observe_errors)
     add_observe_common(observe_profile)
     observe_profile.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
@@ -1473,160 +1501,58 @@ def _workload_preview(args) -> int:
     return 0
 
 
+def _list(args) -> int:
+    width = max(len(name) for name in EXPERIMENTS)
+    for name in sorted(EXPERIMENTS):
+        description, _runner = EXPERIMENTS[name]
+        print(f"{name.ljust(width)}  {description}")
+    return 0
+
+
+def _run(args) -> int:
+    observe = None
+    if args.metrics or args.trace or args.profile:
+        from repro.obs.config import ObserveSpec
+
+        observe = ObserveSpec(
+            metrics=args.metrics, trace=args.trace, profile=args.profile
+        )
+    return _run_experiment(
+        args.experiment,
+        args.json,
+        obs_dir=args.obs_dir,
+        seed=args.seed,
+        time_scale=args.time_scale,
+        faults=args.faults,
+        fidelity=args.fidelity,
+        observe=observe,
+    )
+
+
+def _quickstart(args) -> int:
+    from repro.experiments.quickstart import run_quickstart
+    from repro.telemetry.report import render_table
+
+    report = run_quickstart(send_rate_gbps=args.rate)
+    print(render_table([report.baseline.as_row(), report.payloadpark.as_row()]))
+    print(f"goodput gain: {report.goodput_gain_percent:+.2f}%  "
+          f"PCIe savings: {report.pcie_savings_percent:+.2f}%")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging("debug" if args.verbose else args.log_level)
-
-    if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name in sorted(EXPERIMENTS):
-            description, _runner = EXPERIMENTS[name]
-            print(f"{name.ljust(width)}  {description}")
-        return 0
-
-    if args.command == "run":
-        observe = None
-        if args.metrics or args.trace or args.profile:
-            from repro.obs.config import ObserveSpec
-
-            observe = ObserveSpec(
-                metrics=args.metrics, trace=args.trace, profile=args.profile
-            )
-        try:
-            return _run_experiment(
-                args.experiment,
-                args.json,
-                obs_dir=args.obs_dir,
-                seed=args.seed,
-                time_scale=args.time_scale,
-                faults=args.faults,
-                fidelity=args.fidelity,
-                observe=observe,
-            )
-        except ValueError as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "quickstart":
-        from repro.experiments.quickstart import run_quickstart
-        from repro.telemetry.report import render_table
-
-        report = run_quickstart(send_rate_gbps=args.rate)
-        print(render_table([report.baseline.as_row(), report.payloadpark.as_row()]))
-        print(f"goodput gain: {report.goodput_gain_percent:+.2f}%  "
-              f"PCIe savings: {report.pcie_savings_percent:+.2f}%")
-        return 0
-
-    if args.command == "bench":
-        try:
-            if getattr(args, "bench_command", None) == "trend":
-                return _bench_trend(args)
-            return _bench(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "campaign":
-        handlers = {
-            "run": _campaign_run,
-            "status": _campaign_status,
-            "report": _campaign_report,
-            "serve": _campaign_serve,
-        }
-        handler = handlers.get(args.campaign_command)
-        if handler is None:
-            parser.print_help()
-            return 1
-        try:
-            return handler(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "obs":
-        handlers = {
-            "diff": _obs_diff,
-            "runs": _obs_runs,
-        }
-        handler = handlers.get(args.obs_command)
-        if handler is None:
-            parser.print_help()
-            return 1
-        try:
-            return handler(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "validate":
-        handlers = {
-            "run": _validate_run,
-            "fuzz": _validate_fuzz,
-            "replay": _validate_replay,
-        }
-        handler = handlers.get(args.validate_command)
-        if handler is None:
-            parser.print_help()
-            return 1
-        try:
-            return handler(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "faults":
-        handlers = {
-            "list": _faults_list,
-            "describe": _faults_describe,
-            "preview": _faults_preview,
-        }
-        handler = handlers.get(args.faults_command)
-        if handler is None:
-            parser.print_help()
-            return 1
-        try:
-            return handler(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "observe":
-        handlers = {
-            "run": _observe_run,
-            "metrics": _observe_metrics,
-            "trace": _observe_trace,
-            "profile": _observe_profile,
-        }
-        handler = handlers.get(args.observe_command)
-        if handler is None:
-            parser.print_help()
-            return 1
-        try:
-            return handler(args)
-        except (KeyError, ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    if args.command == "workload":
-        handlers = {
-            "list": _workload_list,
-            "describe": _workload_describe,
-            "preview": _workload_preview,
-        }
-        handler = handlers.get(args.workload_command)
-        if handler is None:
-            parser.print_help()
-            return 1
-        try:
-            return handler(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            logger.error("error: %s", exc)
-            return 2
-
-    parser.print_help()
-    return 1
+    if args.handler is None:  # no command, or a command group without its leaf
+        parser.print_help()
+        return 1
+    try:
+        return args.handler(args)
+    except args.errors as exc:
+        logger.error("error: %s", exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

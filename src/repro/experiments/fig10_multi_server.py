@@ -24,7 +24,7 @@ def run_comparison(
     """Run the multi-server scenario once under both deployments."""
     runner = runner or ExperimentRunner()
     scenario = multi_server_384b(server_count=server_count, send_rate_gbps=send_rate_gbps)
-    return runner.compare_multi_server(scenario)
+    return runner.compare(scenario)
 
 
 def rows_from_result(result: ExperimentResult) -> List[Dict[str, object]]:

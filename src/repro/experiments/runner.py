@@ -1,12 +1,23 @@
 """The experiment runner: build a testbed, run it, report metrics.
 
 A :class:`ScenarioConfig` describes one operating point (chain, NF
-framework, NIC, workload, offered rate, PayloadPark parameters and
-simulation horizon).  :class:`ExperimentRunner` materializes it twice —
-once with the PayloadPark program, once with the baseline L2-forwarding
-program — and produces :class:`~repro.telemetry.report.DeploymentReport`
-and :class:`~repro.telemetry.report.ComparisonReport` objects, plus a
-peak-goodput search used by the §6.3.1 memory sweep.
+framework, NIC, workload, offered rate, PayloadPark parameters, server
+count and simulation horizon).  :class:`ExperimentRunner` materializes
+it twice — once with the PayloadPark program, once with the baseline
+L2-forwarding program — through one path whatever the server count:
+
+* :meth:`ExperimentRunner._build_testbed` wires the
+  :class:`~repro.netsim.topology.Topology` and is the one place the
+  engine (default or reference, see :attr:`RunOptions.reference`) is
+  chosen;
+* :meth:`ExperimentRunner.run_servers` runs it and returns one
+  :class:`~repro.telemetry.report.DeploymentReport` per NF server;
+* :meth:`ExperimentRunner.run_deployment` folds those into the
+  chip-level report and :meth:`ExperimentRunner.compare` pairs the two
+  deployments, chip-level and per server.
+
+A peak-goodput search over :meth:`~ExperimentRunner.run_deployment`
+serves the §6.3.1 memory sweep.
 """
 
 from __future__ import annotations
@@ -21,11 +32,11 @@ from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgra
 from repro.experiments.chains import ChainFactory, fw_nat
 from repro.netsim.eventloop import EventLoop, FastEventLoop
 from repro.netsim.nic import NicSpec, NIC_10GE
-from repro.netsim.topology import MultiServerTopology, SingleServerTopology
+from repro.netsim.topology import Topology
 from repro.nf.framework import OPENNETVM, NfFramework
 from repro.nf.server import NfServerConfig, NfServerModel
 from repro.telemetry.latency import LatencyRecorder
-from repro.telemetry.report import ComparisonReport, DeploymentReport
+from repro.telemetry.report import ComparisonReport, DeploymentReport, fold_reports
 from repro.traffic.pktgen import PktGenConfig
 from repro.traffic.workload import Workload
 from repro.workloads.base import TrafficModel
@@ -177,19 +188,12 @@ def run_observer(observer: RunObserver):
         _RUN_OBSERVER = previous
 
 
-def default_binding(name: str = "srv0", pipe: int = 0) -> NfServerBinding:
-    """The Fig. 5 port layout on one pipe: two traffic ports, one NF port."""
-    base = pipe * 16
-    return NfServerBinding(
-        name=name,
-        ingress_ports=(base, base + 1),
-        nf_port=base + 2,
-        default_egress_port=base,
-    )
-
-
 def multi_server_bindings(server_count: int, servers_per_pipe: int = 2) -> List[NfServerBinding]:
-    """Port layout for the §6.2.3 multi-server setup (two servers per pipe)."""
+    """The testbed's port layout: per server two traffic ports and one NF port.
+
+    Servers fill the pipes ``servers_per_pipe`` at a time (§6.2.3 runs
+    two per pipe); one server is the Fig. 5 layout.
+    """
     if server_count <= 0:
         raise ValueError("server_count must be positive")
     bindings = []
@@ -206,6 +210,11 @@ def multi_server_bindings(server_count: int, servers_per_pipe: int = 2) -> List[
             )
         )
     return bindings
+
+
+def default_binding() -> NfServerBinding:
+    """The Fig. 5 single-server binding."""
+    return multi_server_bindings(1)[0]
 
 
 @dataclass
@@ -227,7 +236,6 @@ class ScenarioConfig:
     cpu_ghz: float = 2.3
     gen_link_gbps: float = 100.0
     seed: int = field(default_factory=lambda: current_options().seed_or(DEFAULT_SEED))
-    switch_latency_ns: int = 800
     burst_size: int = 32
     #: Optional dynamic traffic bundle (schedule, arrival model, packet
     #: source, replay stream) built by the workload subsystem; None keeps
@@ -320,100 +328,46 @@ class ExperimentRunner:
         self.reference = options.reference
 
     # ------------------------------------------------------------------ #
-    # Single-server runs
+    # Runs (one server is N = 1)
     # ------------------------------------------------------------------ #
+
+    def run_servers(
+        self,
+        scenario: ScenarioConfig,
+        deployment: DeploymentKind,
+        bindings: Optional[List[NfServerBinding]] = None,
+    ) -> List[DeploymentReport]:
+        """Run one deployment of a scenario; return one report per NF server.
+
+        *bindings* replaces the scenario's default port layout (see
+        :meth:`_build_testbed`).
+        """
+        topology, program = self._build_testbed(scenario, deployment, bindings)
+        return self._execute(scenario, deployment, topology, program)
 
     def run_deployment(
         self, scenario: ScenarioConfig, deployment: DeploymentKind
     ) -> DeploymentReport:
-        """Run one deployment of a single-server scenario and report metrics."""
-        if scenario.server_count != 1:
-            reports = self.run_multi_server(scenario, deployment)
-            return _aggregate_reports(reports, scenario, deployment)
+        """Run one deployment of a scenario and report chip-level metrics.
 
-        env = EventLoop() if self.reference else FastEventLoop()
-        binding = default_binding()
-        program = self._build_program(scenario, deployment, [binding])
-        model = self._build_server_model(scenario)
-        pktgen_config = PktGenConfig(
-            rate_gbps=scenario.send_rate_gbps,
-            workload=scenario.workload,
-            burst_size=scenario.burst_size,
-            seed=scenario.seed,
-            pooled=not self.reference,
-        )
-        topology = SingleServerTopology(
-            env,
-            program,
-            server_model=model,
-            pktgen_config=pktgen_config,
-            nic_spec=scenario.nic,
-            gen_link_gbps=scenario.gen_link_gbps,
-            traffic_model=scenario.traffic_model,
-            fast_path=not self.reference,
-        )
-        self._attach_faults(scenario, topology, program)
-        return self._execute(scenario, deployment, topology, program)[0]
+        The per-server reports stay reachable as ``report.servers``.
+        """
+        return fold_reports(self.run_servers(scenario, deployment))
 
     def compare(self, scenario: ScenarioConfig) -> ExperimentResult:
         """Run baseline and PayloadPark at the same operating point."""
+        # Through run_deployment, not run_servers: the perf ledger's tracer
+        # roots every run's spans in that method.
         baseline = self.run_deployment(scenario, DeploymentKind.BASELINE)
         payloadpark = self.run_deployment(scenario, DeploymentKind.PAYLOADPARK)
         return ExperimentResult(
             scenario=scenario,
             comparison=ComparisonReport(baseline=baseline, payloadpark=payloadpark),
+            per_server=[
+                ComparisonReport(baseline=base, payloadpark=park)
+                for base, park in zip(baseline.servers, payloadpark.servers)
+            ],
         )
-
-    # ------------------------------------------------------------------ #
-    # Multi-server runs
-    # ------------------------------------------------------------------ #
-
-    def run_multi_server(
-        self, scenario: ScenarioConfig, deployment: DeploymentKind
-    ) -> List[DeploymentReport]:
-        """Run a multi-server scenario; return one report per NF server."""
-        env = EventLoop() if self.reference else FastEventLoop()
-        bindings = multi_server_bindings(scenario.server_count)
-        program = self._build_program(scenario, deployment, bindings)
-        models = [self._build_server_model(scenario) for _ in bindings]
-        pktgen_configs = [
-            PktGenConfig(
-                rate_gbps=scenario.send_rate_gbps,
-                workload=scenario.workload,
-                burst_size=scenario.burst_size,
-                seed=scenario.seed + index,
-                pooled=not self.reference,
-            )
-            for index in range(len(bindings))
-        ]
-        topology = MultiServerTopology(
-            env,
-            program,
-            server_models=models,
-            pktgen_configs=pktgen_configs,
-            nic_spec=scenario.nic,
-            gen_link_gbps=scenario.gen_link_gbps,
-            traffic_model=scenario.traffic_model,
-            fast_path=not self.reference,
-        )
-        self._attach_faults(scenario, topology, program)
-        return self._execute(scenario, deployment, topology, program)
-
-    def compare_multi_server(self, scenario: ScenarioConfig) -> ExperimentResult:
-        """Baseline vs. PayloadPark, per server, for the §6.2.3 setup."""
-        baseline_reports = self.run_multi_server(scenario, DeploymentKind.BASELINE)
-        payloadpark_reports = self.run_multi_server(scenario, DeploymentKind.PAYLOADPARK)
-        per_server = [
-            ComparisonReport(baseline=base, payloadpark=park)
-            for base, park in zip(baseline_reports, payloadpark_reports)
-        ]
-        aggregate = ComparisonReport(
-            baseline=_aggregate_reports(baseline_reports, scenario, DeploymentKind.BASELINE),
-            payloadpark=_aggregate_reports(
-                payloadpark_reports, scenario, DeploymentKind.PAYLOADPARK
-            ),
-        )
-        return ExperimentResult(scenario=scenario, comparison=aggregate, per_server=per_server)
 
     # ------------------------------------------------------------------ #
     # Peak-goodput search (Fig. 14)
@@ -467,22 +421,60 @@ class ExperimentRunner:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _build_program(
+    def _build_testbed(
         self,
         scenario: ScenarioConfig,
         deployment: DeploymentKind,
-        bindings: List[NfServerBinding],
-    ) -> SwitchProgram:
+        bindings: Optional[List[NfServerBinding]] = None,
+    ) -> Tuple[Topology, SwitchProgram]:
+        """Wire the scenario's testbed: program, servers, generators, faults.
+
+        One NF server per binding (default: ``scenario.server_count``
+        servers in the :func:`multi_server_bindings` layout), generator
+        *i* seeded ``scenario.seed + i``.  This is the only place the
+        engine is chosen: the reference engine gets the heapq event loop,
+        parsed packet construction, per-stage table walks and live
+        cost-model queries; the default one their fast counterparts.
+        """
+        default_engine = not self.reference
+        if bindings is None:
+            bindings = multi_server_bindings(scenario.server_count)
         if deployment is DeploymentKind.BASELINE:
             program: SwitchProgram = BaselineProgram(bindings)
         else:
             pp_config = replace(scenario.payloadpark, bindings=[])
             program = PayloadParkProgram(pp_config, bindings=bindings)
-        if not self.reference:
+        models = [self._build_server_model(scenario) for _ in bindings]
+        if default_engine:
             program.enable_fast_path()
-        return program
+            for model in models:
+                for nf in model.chain:
+                    nf.enable_fast_path()
+        pktgen_configs = [
+            PktGenConfig(
+                rate_gbps=scenario.send_rate_gbps,
+                workload=scenario.workload,
+                burst_size=scenario.burst_size,
+                seed=scenario.seed + index,
+                pooled=default_engine,
+            )
+            for index in range(len(bindings))
+        ]
+        topology = Topology(
+            FastEventLoop() if default_engine else EventLoop(),
+            program,
+            server_models=models,
+            pktgen_configs=pktgen_configs,
+            nic_spec=scenario.nic,
+            gen_link_gbps=scenario.gen_link_gbps,
+            traffic_model=scenario.traffic_model,
+            cache_cost_model=default_engine,
+        )
+        self._attach_faults(scenario, topology, program)
+        return topology, program
 
-    def _build_server_model(self, scenario: ScenarioConfig) -> NfServerModel:
+    @staticmethod
+    def _build_server_model(scenario: ScenarioConfig) -> NfServerModel:
         framework = scenario.framework
         if scenario.explicit_drop:
             framework = framework.with_explicit_drop()
@@ -493,11 +485,7 @@ class ExperimentRunner:
             explicit_drop=scenario.explicit_drop,
             service_jitter=scenario.service_jitter,
         )
-        chain = scenario.chain_factory()
-        if not self.reference:
-            for nf in chain:
-                nf.enable_fast_path()
-        return NfServerModel(chain=chain, config=config)
+        return NfServerModel(chain=scenario.chain_factory(), config=config)
 
     @staticmethod
     def _attach_faults(scenario: ScenarioConfig, topology, program: SwitchProgram) -> None:
@@ -760,41 +748,3 @@ class ExperimentRunner:
 def _delta(end: dict, start: dict) -> dict:
     """Element-wise ``end - start`` for counter snapshots."""
     return {key: end.get(key, 0) - start.get(key, 0) for key in end}
-
-
-def _aggregate_reports(
-    reports: List[DeploymentReport], scenario: ScenarioConfig, deployment: DeploymentKind
-) -> DeploymentReport:
-    """Sum/average per-server reports into one chip-level report."""
-    if not reports:
-        raise ValueError("cannot aggregate an empty report list")
-    total = DeploymentReport(
-        deployment=deployment.value,
-        send_rate_gbps=scenario.send_rate_gbps,
-        duration_ns=reports[0].duration_ns,
-    )
-    for report in reports:
-        total.packets_sent += report.packets_sent
-        total.packets_delivered += report.packets_delivered
-        total.packets_dropped += report.packets_dropped
-        total.goodput_to_nf_gbps += report.goodput_to_nf_gbps
-        total.delivered_goodput_gbps += report.delivered_goodput_gbps
-        total.offered_gbps += report.offered_gbps
-        total.pcie_gbps += report.pcie_gbps
-        total.nf_packets_processed += report.nf_packets_processed
-        total.premature_evictions += report.premature_evictions
-        total.evictions += report.evictions
-        total.splits += report.splits
-        total.merges += report.merges
-        total.explicit_drops += report.explicit_drops
-        total.split_disabled += report.split_disabled
-        total.peak_queue_bytes = max(total.peak_queue_bytes, report.peak_queue_bytes)
-        total.retransmitted_packets += report.retransmitted_packets
-        total.retransmitted_bytes += report.retransmitted_bytes
-        total.duplicate_packets += report.duplicate_packets
-        total.throughput_gbps += report.throughput_gbps
-    total.avg_latency_us = sum(r.avg_latency_us for r in reports) / len(reports)
-    total.p99_latency_us = max(r.p99_latency_us for r in reports)
-    total.max_latency_us = max(r.max_latency_us for r in reports)
-    total.jitter_us = max(r.jitter_us for r in reports)
-    return total

@@ -7,7 +7,7 @@ an event loop, links with serialization/propagation delay and finite
 egress buffers, NIC and PCIe models, a switch node that runs a
 :class:`~repro.core.program.SwitchProgram`, an NF-server node built on
 :class:`~repro.nf.server.NfServerModel`, a PktGen-style traffic source /
-sink, and topology builders for the single- and multi-server setups.
+sink, and the topology that wires them up for any number of servers.
 """
 
 from repro.netsim.eventloop import EventLoop
@@ -16,7 +16,7 @@ from repro.netsim.nic import NicPort, NicSpec, NIC_10GE, NIC_40GE
 from repro.netsim.pcie import PcieBus, PcieSpec
 from repro.netsim.server_node import NfServerNode
 from repro.netsim.switch_node import SwitchNode
-from repro.netsim.topology import MultiServerTopology, SingleServerTopology
+from repro.netsim.topology import Topology
 from repro.netsim.trafficgen_node import TrafficGenNode
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "SwitchNode",
     "NfServerNode",
     "TrafficGenNode",
-    "SingleServerTopology",
-    "MultiServerTopology",
+    "Topology",
 ]

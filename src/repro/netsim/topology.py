@@ -1,19 +1,17 @@
-"""Topology builders for the paper's testbed layouts.
+"""The testbed topology: one switch, N NF servers, one traffic generator each.
 
-Two layouts cover the whole evaluation:
-
-* **Single server** (Fig. 5): one PktGen connected to the switch through
-  two ports (so the generator can overdrive the single server-facing
-  link), and one NF server connected through one port.
-* **Multi server** (§6.2.3): up to eight NF servers, two per pipe, each
-  with its own traffic generator and its own slice of the reserved
-  switch memory.
+One layout covers the whole evaluation.  Every NF-server binding of the
+switch program gets a PktGen connected through the binding's ingress
+ports (two, so the generator can overdrive the single server-facing
+link) and an NF server on its NF port.  Fig. 5's single server is the
+N = 1 case; §6.2.3 attaches up to eight, two per pipe, each with its own
+generator and its own slice of the reserved switch memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import NfServerBinding
 from repro.core.program import SwitchProgram
@@ -43,19 +41,40 @@ class ServerAttachment:
     server_link: Link
 
 
-class BaseTopology:
-    """Common wiring logic for single- and multi-server layouts."""
+class Topology:
+    """The switch plus one :class:`ServerAttachment` per program binding.
 
-    def __init__(self, env: EventLoop, program: SwitchProgram,
-                 switch_latency_ns: int = SwitchNode.BASE_LATENCY_NS) -> None:
+    *wiring* (NIC, link speeds, port buffers, traffic model, cost-model
+    caching) is passed to every :meth:`attach_server` call.  Server *i*
+    draws its service jitter from RNG seed ``i + 1``; every golden table
+    depends on those seeds.
+    """
+
+    def __init__(
+        self,
+        env: EventLoop,
+        program: SwitchProgram,
+        server_models: Sequence[NfServerModel],
+        pktgen_configs: Sequence[PktGenConfig],
+        **wiring,
+    ) -> None:
+        bindings = program.bindings
+        if not (len(bindings) == len(server_models) == len(pktgen_configs)):
+            raise ValueError(
+                "need exactly one server model and one PktGen config per binding"
+            )
         self.env = env
         self.program = program
-        self.switch = SwitchNode(env, program, base_latency_ns=switch_latency_ns)
+        self.switch = SwitchNode(env, program)
         self.attachments: List[ServerAttachment] = []
         #: Optional chaos driver (see repro.faults); attached by the
         #: experiment runner when the scenario carries a ``faults`` spec
         #: and started alongside the traffic generators.
         self.fault_injector = None
+        for index, (binding, model, config) in enumerate(
+            zip(bindings, server_models, pktgen_configs)
+        ):
+            self.attach_server(binding, model, config, seed=index + 1, **wiring)
 
     def attach_server(
         self,
@@ -68,7 +87,7 @@ class BaseTopology:
         port_buffer_bytes: int = DEFAULT_PORT_BUFFER_BYTES,
         seed: int = 1,
         traffic_model: Optional[TrafficModel] = None,
-        fast_path: bool = False,
+        cache_cost_model: bool = False,
     ) -> ServerAttachment:
         """Wire one binding: a PktGen on the ingress ports, a server on the NF port."""
         pktgen = TrafficGenNode(
@@ -99,7 +118,7 @@ class BaseTopology:
             name=f"server-{binding.name}",
             switch_port=0,
             seed=seed,
-            cache_cost_model=fast_path,
+            cache_cost_model=cache_cost_model,
         )
         server_link = Link(
             self.env,
@@ -166,84 +185,5 @@ class BaseTopology:
         return snap
 
 
-class SingleServerTopology(BaseTopology):
-    """Fig. 5: PktGen ↔ switch ↔ one NF server."""
-
-    def __init__(
-        self,
-        env: EventLoop,
-        program: SwitchProgram,
-        server_model: NfServerModel,
-        pktgen_config: PktGenConfig,
-        nic_spec: NicSpec = NIC_10GE,
-        gen_link_gbps: float = 100.0,
-        server_link_gbps: Optional[float] = None,
-        port_buffer_bytes: int = DEFAULT_PORT_BUFFER_BYTES,
-        seed: int = 1,
-        traffic_model: Optional[TrafficModel] = None,
-        fast_path: bool = False,
-    ) -> None:
-        super().__init__(env, program)
-        if len(program.bindings) != 1:
-            raise ValueError("SingleServerTopology expects a program with exactly one binding")
-        self.attachment = self.attach_server(
-            binding=program.bindings[0],
-            server_model=server_model,
-            pktgen_config=pktgen_config,
-            nic_spec=nic_spec,
-            gen_link_gbps=gen_link_gbps,
-            server_link_gbps=server_link_gbps,
-            port_buffer_bytes=port_buffer_bytes,
-            seed=seed,
-            traffic_model=traffic_model,
-            fast_path=fast_path,
-        )
-
-    @property
-    def pktgen(self) -> TrafficGenNode:
-        """The single traffic generator."""
-        return self.attachment.pktgen
-
-    @property
-    def server(self) -> NfServerNode:
-        """The single NF server."""
-        return self.attachment.server
-
-
-class MultiServerTopology(BaseTopology):
-    """§6.2.3: several NF servers share the switch, one slice of memory each."""
-
-    def __init__(
-        self,
-        env: EventLoop,
-        program: SwitchProgram,
-        server_models: List[NfServerModel],
-        pktgen_configs: List[PktGenConfig],
-        nic_spec: NicSpec = NIC_10GE,
-        gen_link_gbps: float = 100.0,
-        server_link_gbps: Optional[float] = None,
-        port_buffer_bytes: int = DEFAULT_PORT_BUFFER_BYTES,
-        traffic_model: Optional[TrafficModel] = None,
-        fast_path: bool = False,
-    ) -> None:
-        super().__init__(env, program)
-        bindings = program.bindings
-        if not (len(bindings) == len(server_models) == len(pktgen_configs)):
-            raise ValueError(
-                "need exactly one server model and one PktGen config per binding"
-            )
-        for index, (binding, model, config) in enumerate(
-            zip(bindings, server_models, pktgen_configs)
-        ):
-            self.attach_server(
-                binding=binding,
-                server_model=model,
-                pktgen_config=config,
-                nic_spec=nic_spec,
-                gen_link_gbps=gen_link_gbps,
-                server_link_gbps=server_link_gbps,
-                port_buffer_bytes=port_buffer_bytes,
-                seed=index + 1,
-                traffic_model=traffic_model,
-                fast_path=fast_path,
-            )
+#: The name the perf ledger's tracer resolves ``run_until`` through.
+BaseTopology = Topology

@@ -43,27 +43,23 @@ class TrafficGenNode(Node):
     ) -> None:
         super().__init__(env, name)
         self.config = config
-        self.traffic_model = traffic_model
-        self.schedule = traffic_model.schedule if traffic_model else None
-        if traffic_model is not None and traffic_model.source_factory is not None:
-            self.source = traffic_model.source_factory(config)
-        else:
-            self.source = PacketFactory(config)
-        self.factory = self.source  # legacy alias; tests and tools peek at it
-        if traffic_model is not None and traffic_model.arrivals is not None:
-            self._gap_sampler = traffic_model.arrivals.sampler(
-                derived_rng(config.seed, _ARRIVALS_SALT)
-            )
-        else:
-            self._gap_sampler = None
-        self._stream_factory = traffic_model.stream_factory if traffic_model else None
-        self._loop_stream = traffic_model.loop_stream if traffic_model else True
+        model = traffic_model or TrafficModel()
+        self.schedule = model.schedule
+        self.source = (model.source_factory or PacketFactory)(config)
+        self._gap_sampler = (
+            model.arrivals.sampler(derived_rng(config.seed, _ARRIVALS_SALT))
+            if model.arrivals is not None
+            else None
+        )
+        self._stream_factory = model.stream_factory
+        self._loop_stream = model.loop_stream
         self._stream_iter: Optional[Iterator[TimedFrame]] = None
         self._stream_epoch_ns = 0
-        if traffic_model is not None and traffic_model.transport_factory is not None:
-            self.transport = traffic_model.transport_factory(config, self)
-        else:
-            self.transport = None
+        self.transport = (
+            model.transport_factory(config, self)
+            if model.transport_factory is not None
+            else None
+        )
         self.tx_ports = list(tx_ports) if tx_ports is not None else [0, 1]
         if not self.tx_ports:
             raise ValueError("the traffic generator needs at least one TX port")

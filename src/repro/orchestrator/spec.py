@@ -17,10 +17,11 @@ import hashlib
 import inspect
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
+from repro.core.config import PayloadParkConfig
 from repro.experiments import scenarios
 from repro.experiments.runner import ScenarioConfig
 from repro.nf.framework import NETBRICKS, OPENNETVM
@@ -58,7 +59,6 @@ SCENARIO_OVERRIDES = frozenset(
         "service_jitter",
         "cpu_ghz",
         "gen_link_gbps",
-        "switch_latency_ns",
         # Fault-injection spec: a registered profile name or an inline
         # schedule dict (see repro.faults); both are plain data, so grids
         # sweep fault profiles like any other axis.
@@ -69,20 +69,10 @@ SCENARIO_OVERRIDES = frozenset(
     }
 )
 
-#: Parameters applied onto the scenario's nested ``PayloadParkConfig``.
+#: Parameters applied onto the scenario's nested ``PayloadParkConfig``:
+#: every field but the bindings, which the testbed's port layout decides.
 PAYLOADPARK_OVERRIDES = frozenset(
-    {
-        "sram_fraction",
-        "expiry_threshold",
-        "parked_bytes",
-        "min_split_payload",
-        "table_entries",
-        "payload_block_bytes",
-        "enable_recirculation",
-        "enable_explicit_drops",
-        "clock_max",
-        "split_enabled",
-    }
+    spec.name for spec in fields(PayloadParkConfig) if spec.name != "bindings"
 )
 
 #: Framework name (as written in campaign files) → framework object.

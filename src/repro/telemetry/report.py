@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+import operator
+from dataclasses import dataclass, field, fields
+from functools import reduce
+from typing import Dict, List, Sequence
 
 from repro.telemetry.goodput import goodput_gain_percent, savings_percent
 
@@ -11,46 +13,76 @@ from repro.telemetry.goodput import goodput_gain_percent, savings_percent
 HEALTHY_DROP_RATE = 0.001
 
 
+def _sum(values):
+    """Left-to-right ``+`` (the order decides the float result); dicts add per key."""
+    if isinstance(values[0], dict):
+        keys = dict.fromkeys(key for value in values for key in value)
+        return {key: _sum([value.get(key, 0) for value in values]) for key in keys}
+    return reduce(operator.add, values)
+
+
+#: How :func:`fold_reports` combines one field's per-server values.
+FOLD_RULES = {
+    "first": operator.itemgetter(0),
+    "sum": _sum,
+    "max": max,
+    "mean": lambda values: sum(values) / len(values),
+}
+
+
+def _folded(rule: str, **kwargs):
+    """A :class:`DeploymentReport` field combined across servers by *rule*."""
+    return field(metadata={"fold": rule}, **kwargs)
+
+
 @dataclass
 class DeploymentReport:
-    """Metrics of one deployment (PayloadPark or baseline) at one operating point."""
+    """Metrics of one deployment (PayloadPark or baseline) at one operating point.
 
-    deployment: str
-    send_rate_gbps: float
-    duration_ns: int
-    packets_sent: int = 0
-    packets_delivered: int = 0
-    packets_dropped: int = 0
-    goodput_to_nf_gbps: float = 0.0
-    delivered_goodput_gbps: float = 0.0
-    offered_gbps: float = 0.0
-    avg_latency_us: float = 0.0
-    p99_latency_us: float = 0.0
-    max_latency_us: float = 0.0
-    jitter_us: float = 0.0
-    pcie_gbps: float = 0.0
-    nf_packets_processed: int = 0
-    premature_evictions: int = 0
-    evictions: int = 0
-    splits: int = 0
-    merges: int = 0
-    explicit_drops: int = 0
-    split_disabled: int = 0
+    Either one NF server's view or, from :func:`fold_reports`, the whole
+    chip's; each field declares how it folds.
+    """
+
+    deployment: str = _folded("first")
+    send_rate_gbps: float = _folded("first")
+    duration_ns: int = _folded("first")
+    packets_sent: int = _folded("sum", default=0)
+    packets_delivered: int = _folded("sum", default=0)
+    packets_dropped: int = _folded("sum", default=0)
+    goodput_to_nf_gbps: float = _folded("sum", default=0.0)
+    delivered_goodput_gbps: float = _folded("sum", default=0.0)
+    offered_gbps: float = _folded("sum", default=0.0)
+    avg_latency_us: float = _folded("mean", default=0.0)
+    p99_latency_us: float = _folded("max", default=0.0)
+    max_latency_us: float = _folded("max", default=0.0)
+    jitter_us: float = _folded("max", default=0.0)
+    pcie_gbps: float = _folded("sum", default=0.0)
+    nf_packets_processed: int = _folded("sum", default=0)
+    premature_evictions: int = _folded("sum", default=0)
+    evictions: int = _folded("sum", default=0)
+    splits: int = _folded("sum", default=0)
+    merges: int = _folded("sum", default=0)
+    explicit_drops: int = _folded("sum", default=0)
+    split_disabled: int = _folded("sum", default=0)
     #: Highest egress-queue occupancy (bytes) seen on any of the run's
     #: links — the figure-level pressure peak the fluid-vs-packet
     #: metamorphic relation compares across fidelity tiers.
-    peak_queue_bytes: int = 0
+    peak_queue_bytes: int = _folded("max", default=0)
     #: Closed-loop transport accounting (all zero for open-loop runs):
     #: second-and-later copies on the wire, deliveries of already-seen
     #: sequence numbers, and the raw delivered-byte rate *including*
     #: duplicates.  ``delivered_goodput_gbps`` stays first-copy-only, so
     #: ``throughput - goodput`` is exactly the duplicated traffic.
-    retransmitted_packets: int = 0
-    retransmitted_bytes: int = 0
-    duplicate_packets: int = 0
-    throughput_gbps: float = 0.0
-    drop_breakdown: Dict[str, int] = field(default_factory=dict)
-    extra: Dict[str, float] = field(default_factory=dict)
+    retransmitted_packets: int = _folded("sum", default=0)
+    retransmitted_bytes: int = _folded("sum", default=0)
+    duplicate_packets: int = _folded("sum", default=0)
+    throughput_gbps: float = _folded("sum", default=0.0)
+    drop_breakdown: Dict[str, int] = _folded("sum", default_factory=dict)
+    #: The per-server reports a folded report was built from (empty on a
+    #: per-server report); not part of the report's value.
+    servers: List["DeploymentReport"] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def drop_rate(self) -> float:
@@ -83,6 +115,27 @@ class DeploymentReport:
             "premature_evictions": self.premature_evictions,
             "healthy": self.healthy,
         }
+
+
+def fold_reports(reports: Sequence[DeploymentReport]) -> DeploymentReport:
+    """Fold per-server reports into one chip-level report.
+
+    Each field combines by the rule it declares, so the fold of a single
+    report equals that report.
+    """
+    if not reports:
+        raise ValueError("cannot fold an empty report list")
+    total = DeploymentReport(
+        **{
+            spec.name: FOLD_RULES[spec.metadata["fold"]](
+                [getattr(report, spec.name) for report in reports]
+            )
+            for spec in fields(DeploymentReport)
+            if spec.init
+        }
+    )
+    total.servers = list(reports)
+    return total
 
 
 @dataclass

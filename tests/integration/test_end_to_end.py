@@ -117,7 +117,7 @@ class TestMultiServer:
     def test_two_servers_are_isolated_and_both_gain(self, runner):
         from repro.experiments.scenarios import multi_server_384b
         scenario = _shrink(multi_server_384b(server_count=2, send_rate_gbps=10.5))
-        result = runner.compare_multi_server(scenario)
+        result = runner.compare(scenario)
         assert len(result.per_server) == 2
         for comparison in result.per_server:
             assert comparison.payloadpark.premature_evictions == 0

@@ -66,7 +66,7 @@ def test_every_frame_crosses_the_class_level_seams(deployment, monkeypatch):
     )
     counter = _SeamCounter(monkeypatch)
     with run_observer(counter):
-        ExperimentRunner().run_multi_server(scenario, deployment)
+        ExperimentRunner().run_servers(scenario, deployment)
 
     topology = counter.topology
     directions = [

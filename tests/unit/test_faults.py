@@ -420,27 +420,7 @@ class TestInjectorUnits:
                      "fw_nat": chains.fw_nat(rule_count=1)}
         scenario = ScenarioConfig(name="unit", chain_factory=factories[chain],
                                   faults=None)
-        runner = ExperimentRunner()
-        env_holder = {}
-
-        class _Grab(Exception):
-            pass
-
-        import repro.experiments.runner as runner_module
-        original = runner_module.ExperimentRunner._execute
-
-        def grab(self, scenario, deployment, topology, program):
-            env_holder["topology"] = topology
-            env_holder["program"] = program
-            raise _Grab
-
-        runner_module.ExperimentRunner._execute = grab
-        try:
-            with pytest.raises(_Grab):
-                runner.run_deployment(scenario, DeploymentKind.PAYLOADPARK)
-        finally:
-            runner_module.ExperimentRunner._execute = original
-        return env_holder["topology"], env_holder["program"]
+        return ExperimentRunner()._build_testbed(scenario, DeploymentKind.PAYLOADPARK)
 
     def test_link_selector_resolution(self):
         topology, program = self._topology()

@@ -10,7 +10,7 @@ from repro.netsim.nic import NIC_10GE
 from repro.netsim.node import Node
 from repro.netsim.server_node import NfServerNode
 from repro.netsim.switch_node import SwitchNode
-from repro.netsim.topology import SingleServerTopology
+from repro.netsim.topology import Topology
 from repro.netsim.trafficgen_node import TrafficGenNode
 from repro.nf.chain import NfChain
 from repro.nf.firewall import Firewall, FirewallRule
@@ -214,25 +214,26 @@ class TestTrafficGenNode:
 
 
 class TestTopology:
-    def test_single_server_topology_wires_everything(self):
+    def test_topology_wires_everything(self):
         env = EventLoop()
         program = BaselineProgram([_binding()])
         model = NfServerModel(NfChain([MacSwapper()]), NfServerConfig(service_jitter=0.0))
         config = PktGenConfig(rate_gbps=5.0, workload=Workload.fixed_size(512))
-        topology = SingleServerTopology(env, program, model, config, nic_spec=NIC_10GE)
+        topology = Topology(env, program, [model], [config], nic_spec=NIC_10GE)
         topology.start_traffic(duration_ns=100_000)
         topology.run_until(500_000)
-        assert topology.pktgen.packets_sent > 0
-        assert topology.server.processed_packets > 0
-        assert topology.pktgen.packets_received > 0
+        (attachment,) = topology.attachments
+        assert attachment.pktgen.packets_sent > 0
+        assert attachment.server.processed_packets > 0
+        assert attachment.pktgen.packets_received > 0
         snapshot = topology.snapshot()
         assert "switch" in snapshot and "links.srv0" in snapshot
 
-    def test_single_server_topology_rejects_multi_binding_program(self):
+    def test_topology_wants_one_model_and_one_config_per_binding(self):
         env = EventLoop()
         bindings = [_binding(), NfServerBinding("b", (4, 5), 6, 4)]
         program = BaselineProgram(bindings)
         model = NfServerModel(NfChain([MacSwapper()]), NfServerConfig())
         config = PktGenConfig(rate_gbps=5.0, workload=Workload.fixed_size(512))
         with pytest.raises(ValueError):
-            SingleServerTopology(env, program, model, config)
+            Topology(env, program, [model], [config])

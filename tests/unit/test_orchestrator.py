@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments import fig07_goodput_latency, fig14_memory_sweep
-from repro.experiments.runner import DeploymentKind, ExperimentRunner
+from repro.experiments.runner import DeploymentKind, ExperimentRunner, ScenarioConfig
 from repro.experiments.scenarios import fw_nat_lb_10ge
 from repro.nf.framework import NETBRICKS, OPENNETVM
 from repro.orchestrator import (
@@ -18,7 +18,7 @@ from repro.orchestrator import (
     execute_run,
 )
 from repro.orchestrator.aggregate import campaign_rows, group_rows
-from repro.orchestrator.spec import dedupe_specs
+from repro.orchestrator.spec import PAYLOADPARK_OVERRIDES, SCENARIO_OVERRIDES, dedupe_specs
 
 #: Simulated-time scale keeping each run cheap while still exercising traffic.
 FAST = 0.05
@@ -90,9 +90,10 @@ class TestCampaignSpec:
             small_campaign(base={"expiry_threshold": 1})
 
     @pytest.mark.parametrize("where", ["base", "grid"])
-    @pytest.mark.parametrize("key", ["fast_pth", "fast_path", "chain"])
+    @pytest.mark.parametrize("key", ["fast_pth", "fast_path", "chain", "switch_latency_ns"])
     def test_parameter_names_are_checked_when_the_spec_is_built(self, where, key):
-        # "chain" is a builder parameter of the workload scenario only.
+        # "chain" is a builder parameter of the workload scenario only;
+        # "switch_latency_ns" was an override no run ever read.
         params = {key: [True, False]} if where == "grid" else {key: True}
         with pytest.raises(ValueError, match=f"unknown campaign parameter '{key}'"):
             CampaignSpec(name="x", scenario="fw_nat_lb_10ge", **{where: params})
@@ -190,6 +191,29 @@ class TestBuildScenario:
     def test_unknown_parameter_raises(self):
         with pytest.raises(ValueError, match="unknown campaign parameter"):
             build_scenario(RunSpec("fw_nat_lb_10ge", params={"warp_factor": 9}))
+
+    def test_every_scenario_override_reaches_the_run(self):
+        # An override the run never reads would give a campaign sweeping
+        # it N spec hashes of one result.
+        reads = set()
+
+        class Recording(ScenarioConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        scenario = fw_nat_lb_10ge()
+        scenario.__class__ = Recording
+        reads.clear()
+        ExperimentRunner(time_scale=0.05).compare(scenario)
+        assert SCENARIO_OVERRIDES <= reads
+
+    def test_payloadpark_overrides_are_the_config_fields(self):
+        assert PAYLOADPARK_OVERRIDES == {
+            "sram_fraction", "expiry_threshold", "parked_bytes", "min_split_payload",
+            "table_entries", "payload_block_bytes", "enable_recirculation",
+            "enable_explicit_drops", "clock_max", "split_enabled",
+        }
 
     def test_missing_required_builder_arg_raises(self):
         with pytest.raises(ValueError, match="could not be built"):

@@ -1,5 +1,7 @@
 """Unit tests for telemetry: latency recorder, goodput math and reports."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.telemetry.goodput import gbps, goodput_gain_percent, savings_percent
@@ -7,7 +9,9 @@ from repro.telemetry.latency import LatencyRecorder
 from repro.telemetry.report import (
     ComparisonReport,
     DeploymentReport,
+    FOLD_RULES,
     HEALTHY_DROP_RATE,
+    fold_reports,
     render_table,
 )
 
@@ -202,6 +206,48 @@ class TestReports:
         assert comparison.pcie_savings_percent == pytest.approx(12.0)
         assert comparison.latency_delta_us == pytest.approx(-3.0)
         assert comparison.latency_win_percent == pytest.approx(10.0)
+
+    def test_every_field_declares_how_it_folds(self):
+        rules = {
+            spec.name: spec.metadata["fold"] for spec in fields(DeploymentReport) if spec.init
+        }
+        assert set(rules.values()) <= set(FOLD_RULES)
+        assert [spec.name for spec in fields(DeploymentReport) if not spec.init] == ["servers"]
+        assert rules["avg_latency_us"] == "mean"
+        assert {name for name, rule in rules.items() if rule == "max"} == {
+            "p99_latency_us", "max_latency_us", "jitter_us", "peak_queue_bytes",
+        }
+        assert {name for name, rule in rules.items() if rule == "first"} == {
+            "deployment", "send_rate_gbps", "duration_ns",
+        }
+
+    def test_fold_combines_each_field_by_its_rule(self):
+        left = self._report(
+            goodput_to_nf_gbps=0.1, avg_latency_us=30.0, p99_latency_us=50.0,
+            drop_breakdown={"link_drops": 3, "server_overflow": 1},
+        )
+        middle = self._report(goodput_to_nf_gbps=0.2, avg_latency_us=10.0, p99_latency_us=90.0)
+        right = self._report(
+            goodput_to_nf_gbps=0.3, avg_latency_us=20.0, p99_latency_us=70.0,
+            drop_breakdown={"link_drops": 4, "server_overflow": 0},
+        )
+        total = fold_reports([left, middle, right])
+        assert (total.deployment, total.send_rate_gbps, total.duration_ns) == (
+            "baseline", 10.0, 1_000_000,
+        )
+        assert total.packets_sent == 30_000
+        # Floats add left to right; every golden multi-server row depends on it.
+        assert total.goodput_to_nf_gbps == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert total.avg_latency_us == 20.0
+        assert total.p99_latency_us == 90.0
+        assert total.drop_breakdown == {"link_drops": 7, "server_overflow": 1}
+        assert total.servers == [left, middle, right]
+
+    def test_fold_of_one_report_is_that_report(self):
+        report = self._report(drop_breakdown={"link_drops": 3}, jitter_us=4.0)
+        assert fold_reports([report]) == report
+        with pytest.raises(ValueError):
+            fold_reports([])
 
     def test_rows_render_as_table(self):
         comparison = ComparisonReport(baseline=self._report(), payloadpark=self._report())
