@@ -17,6 +17,7 @@ import os
 import sys
 from typing import Callable, List, Optional, Sequence
 
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import ExperimentRunner
 from repro.telemetry.report import render_table
 
@@ -50,3 +51,9 @@ def run_figure(
     benchmark.extra_info["title"] = title
     benchmark.extra_info["rows"] = printable
     return rows
+
+
+def run_registered(benchmark, name: str, **kwargs):
+    """:func:`run_figure` on the ``FIGURES`` entry *name*: its title, its ``run``."""
+    figure = FIGURES[name]
+    return run_figure(benchmark, figure.title, figure.run, **kwargs)

@@ -1,18 +1,13 @@
 """Benchmark regenerating Fig. 7 and the §6.2.1 40 GbE result."""
 
-from _harness import bench_runner, run_figure
+from _harness import bench_runner, run_registered
 
 from repro.experiments import fig07_goodput_latency
 from repro.telemetry.report import render_table
 
 
 def test_fig07_goodput_latency_sweep(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 7 — goodput and latency vs. send rate (FW -> NAT -> LB, NetBricks, 10 GbE)",
-        fig07_goodput_latency.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig07", runner=bench_runner())
     below = [row for row in rows if row["send_rate_gbps"] <= 9.5]
     above = [row for row in rows if row["send_rate_gbps"] >= 10.5]
     # Below link saturation the deployments are equivalent and healthy.

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 8: goodput vs. fixed packet size."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig08_fixed_sizes
+from _harness import bench_runner, run_registered
 
 
 def test_fig08_goodput_vs_packet_size(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 8 — goodput with fixed packet sizes (Firewall, NAT, FW -> NAT; 40 GbE)",
-        fig08_fixed_sizes.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig08", runner=bench_runner())
     gains = {
         (row["chain"], row["packet_size_bytes"]): row["goodput_gain_percent"] for row in rows
     }

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 9: PCIe bandwidth vs. fixed packet size."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig09_pcie
+from _harness import bench_runner, run_registered
 
 
 def test_fig09_pcie_bandwidth(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 9 — PCIe bandwidth utilization with fixed packet sizes (FW -> NAT; 40 GbE)",
-        fig09_pcie.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig09", runner=bench_runner())
     savings = {row["packet_size_bytes"]: row["pcie_savings_percent"] for row in rows}
     # Savings shrink as packets grow (paper: ≈58 % at 256 B down to ≈2-10 % at 1492 B).
     assert savings[256] > savings[512] > savings[1492]

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 10: per-server goodput with 8 NF servers."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig10_multi_server
+from _harness import bench_runner, run_registered
 
 
 def test_fig10_multi_server_goodput(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 10 — per-server goodput, 8 NF servers, 384-byte packets",
-        fig10_multi_server.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig10", runner=bench_runner())
     assert len(rows) == 8
     # Every server sees PayloadPark goodput at least on par with the baseline,
     # and the gains are consistent across servers (performance isolation).

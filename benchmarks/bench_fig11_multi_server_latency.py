@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 11: per-server latency with 8 NF servers."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig11_multi_server_latency
+from _harness import bench_runner, run_registered
 
 
 def test_fig11_multi_server_latency(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 11 — per-server latency, 8 NF servers, 384-byte packets",
-        fig11_multi_server_latency.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig11", runner=bench_runner())
     assert len(rows) == 8
     # PayloadPark must not add latency; the paper reports a ~9 % win.
     average_win = sum(row["latency_win_percent"] for row in rows) / len(rows)

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 12: eviction policies vs. Explicit Drops."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig12_explicit_drops
+from _harness import bench_runner, run_registered
 
 
 def test_fig12_explicit_drops(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 12 — goodput with/without Explicit Drops (FW -> NAT)",
-        fig12_explicit_drops.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig12", runner=bench_runner())
 
     def goodput(fraction, policy):
         for row in rows:

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 13: packet recirculation (384 parked bytes)."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig13_recirculation
+from _harness import bench_runner, run_registered
 
 
 def test_fig13_recirculation(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 13 — recirculation-enabled PayloadPark (FW -> NAT -> LB, 10 GbE)",
-        fig13_recirculation.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig13", runner=bench_runner())
     saturated = [row for row in rows if row["send_rate_gbps"] >= 12.0]
     # Past the baseline's saturation, parking 384 bytes beats parking 160.
     assert all(row["pp384_gain_percent"] >= row["pp160_gain_percent"] for row in saturated)

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 14: peak goodput vs. reserved switch memory."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig14_memory_sweep
+from _harness import bench_runner, run_registered
 
 
 def test_fig14_peak_goodput_vs_memory(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 14 — peak goodput vs. % of switch SRAM reserved (384-byte packets, EXP=1)",
-        fig14_memory_sweep.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig14", runner=bench_runner())
     # Peak goodput must not decrease as more memory is reserved, and the
     # largest reservation must beat the smallest one.
     peaks = [row["peak_goodput_gbps"] for row in rows]

@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 15: NF CPU cost vs. PayloadPark benefit."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig15_nf_cycles
+from _harness import bench_runner, run_registered
 
 
 def test_fig15_nf_cycles(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 15 — goodput with NF-Light / NF-Medium / NF-Heavy",
-        fig15_nf_cycles.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig15", runner=bench_runner())
     gains = {(row["nf"], row["packet_size_bytes"]): row["goodput_gain_percent"] for row in rows}
     # Large packets benefit for every NF weight (the server is never compute bound).
     for nf_kind in ("light", "medium", "heavy"):

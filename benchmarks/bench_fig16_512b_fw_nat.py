@@ -1,17 +1,10 @@
 """Benchmark regenerating Fig. 16: 512-byte packets, FW -> NAT, 40 GbE."""
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments import fig16_small_packets
+from _harness import bench_runner, run_registered
 
 
 def test_fig16_small_packets(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Fig. 16 — goodput and latency with 512-byte packets (FW -> NAT, 40 GbE)",
-        fig16_small_packets.run,
-        runner=bench_runner(),
-    )
+    rows = run_registered(benchmark, "fig16", runner=bench_runner())
     top = [row for row in rows if row["send_rate_gbps"] >= 40.0]
     low = [row for row in rows if row["send_rate_gbps"] <= 28.0]
     # Beyond the baseline's NIC/PCIe ceiling PayloadPark keeps processing more packets.

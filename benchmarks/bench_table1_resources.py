@@ -1,16 +1,10 @@
 """Benchmark regenerating Table 1: switch resource utilization."""
 
-from _harness import run_figure
-
-from repro.experiments import table1_resources
+from _harness import run_registered
 
 
 def test_table1_resource_utilization(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Table 1 — resource utilization on the simulated ASIC",
-        table1_resources.run,
-    )
+    rows = run_registered(benchmark, "table1")
     measured = {row["resource"]: row["measured_percent"] for row in rows}
     # Well under half the chip even in the 8-server configuration (paper: <50 %).
     assert measured["SRAM (8 NF servers) peak"] < 60.0

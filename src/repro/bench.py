@@ -216,17 +216,14 @@ def run_obs_overhead(
     }
 
 
-def check_obs_overhead(
-    result: Dict[str, object],
-    tolerance: float = OBS_OVERHEAD_TOLERANCE,
-) -> tuple:
+def check_obs_overhead(result: Dict[str, object]) -> tuple:
     """Gate the disabled-plane overhead; returns ``(ok, message)``."""
     ratio = float(result["disabled_over_off"])
-    floor = 1.0 - tolerance
+    floor = 1.0 - OBS_OVERHEAD_TOLERANCE
     ok = ratio >= floor
     message = (
         f"disabled-observability throughput ratio {ratio:.3f} "
-        f"(floor {floor:.3f} at {tolerance:.0%} overhead budget): "
+        f"(floor {floor:.3f} at {OBS_OVERHEAD_TOLERANCE:.0%} overhead budget): "
         + ("ok" if ok else "REGRESSION")
     )
     return ok, message
@@ -348,17 +345,14 @@ def run_bus_overhead(
     }
 
 
-def check_bus_overhead(
-    result: Dict[str, object],
-    tolerance: float = BUS_OVERHEAD_TOLERANCE,
-) -> tuple:
+def check_bus_overhead(result: Dict[str, object]) -> tuple:
     """Gate the bus-enabled campaign overhead; returns ``(ok, message)``."""
     ratio = float(result["on_over_off"])
-    floor = 1.0 - tolerance
+    floor = 1.0 - BUS_OVERHEAD_TOLERANCE
     ok = ratio >= floor
     message = (
         f"bus-enabled campaign throughput ratio {ratio:.3f} "
-        f"(floor {floor:.3f} at {tolerance:.0%} overhead budget): "
+        f"(floor {floor:.3f} at {BUS_OVERHEAD_TOLERANCE:.0%} overhead budget): "
         + ("ok" if ok else "REGRESSION")
     )
     return ok, message
@@ -481,15 +475,12 @@ def run_fidelity_bench(
     }
 
 
-def check_fidelity(
-    result: Dict[str, object],
-    min_speedup: float = FIDELITY_MIN_SPEEDUP,
-) -> tuple:
+def check_fidelity(result: Dict[str, object]) -> tuple:
     """Gate the fluid tier: fast enough AND figure-faithful.
 
     Returns ``(ok, message)``.  Fails when any figure metric left its
     tolerance band (correctness first) or the speedup fell below
-    *min_speedup* (the tier is not earning its complexity).
+    :data:`FIDELITY_MIN_SPEEDUP` (the tier is not earning its complexity).
     """
     breaches = result["figure_breaches"]
     speedup = float(result["speedup"])
@@ -499,10 +490,10 @@ def check_fidelity(
             f"fluid tier BREACHED figure tolerances on {len(keys)} "
             f"metric(s): {keys}"
         )
-    ok = speedup >= min_speedup
+    ok = speedup >= FIDELITY_MIN_SPEEDUP
     message = (
         f"fluid-tier speedup {speedup:.2f}x over packet "
-        f"(floor {min_speedup:g}x), figures within tolerance: "
+        f"(floor {FIDELITY_MIN_SPEEDUP:g}x), figures within tolerance: "
         + ("ok" if ok else "TOO SLOW")
     )
     return ok, message

@@ -29,8 +29,8 @@ Usage::
     python -m repro bench --quick --fidelity-check  # fluid speedup + agreement gate
     python -m repro --log-level debug run fig07     # verbose stderr diagnostics
 
-The ``run``/``quickstart`` commands are thin wrappers over the modules in
-:mod:`repro.experiments`; ``campaign`` drives the
+``list`` and ``run`` read the one figure registry,
+:data:`repro.experiments.figures.FIGURES`; ``campaign`` drives the
 :mod:`repro.orchestrator` subsystem (grid expansion, multi-process
 execution, resumable JSONL result store).
 """
@@ -42,24 +42,9 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.experiments import (
-    chaos,
-    fig06_packet_size_cdf,
-    fig07_goodput_latency,
-    fig08_fixed_sizes,
-    fig09_pcie,
-    fig10_multi_server,
-    fig11_multi_server_latency,
-    fig12_explicit_drops,
-    fig13_recirculation,
-    fig14_memory_sweep,
-    fig15_nf_cycles,
-    fig16_small_packets,
-    functional_equivalence,
-    table1_resources,
-)
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import DEFAULT_SEED, run_options
 
 #: Every repro logger hangs off the ``repro`` root name; the CLI installs
@@ -92,43 +77,6 @@ def configure_logging(level_name: str = "info") -> None:
     root.propagate = False
 
 
-#: Experiment name → (description, main-function) registry.
-EXPERIMENTS: Dict[str, tuple] = {
-    "fig06": ("Enterprise packet-size CDF", fig06_packet_size_cdf.main),
-    "fig07": ("Goodput/latency vs. rate, FW->NAT->LB, 10GbE", fig07_goodput_latency.main),
-    "fig08": ("Goodput vs. fixed packet size, 40GbE", fig08_fixed_sizes.main),
-    "fig09": ("PCIe bandwidth vs. packet size", fig09_pcie.main),
-    "fig10": ("Per-server goodput, 8 NF servers", fig10_multi_server.main),
-    "fig11": ("Per-server latency, 8 NF servers", fig11_multi_server_latency.main),
-    "fig12": ("Eviction policies vs. Explicit Drops", fig12_explicit_drops.main),
-    "fig13": ("Recirculation (384 parked bytes)", fig13_recirculation.main),
-    "fig14": ("Peak goodput vs. reserved memory", fig14_memory_sweep.main),
-    "fig15": ("NF CPU cost vs. benefit", fig15_nf_cycles.main),
-    "fig16": ("512-byte packets, FW->NAT, 40GbE", fig16_small_packets.main),
-    "table1": ("Switch resource utilization", table1_resources.main),
-    "equivalence": ("Functional equivalence check (§6.2.6)", functional_equivalence.main),
-    "chaos": ("Fault profiles vs. static run (repro-original)", chaos.main),
-}
-
-#: Experiment name → function returning JSON-serializable result data.
-JSON_RUNNERS: Dict[str, Callable] = {
-    "fig06": fig06_packet_size_cdf.run,
-    "fig07": fig07_goodput_latency.run,
-    "fig08": fig08_fixed_sizes.run,
-    "fig09": fig09_pcie.run,
-    "fig10": fig10_multi_server.run,
-    "fig11": fig11_multi_server_latency.run,
-    "fig12": fig12_explicit_drops.run,
-    "fig13": fig13_recirculation.run,
-    "fig14": fig14_memory_sweep.run,
-    "fig15": fig15_nf_cycles.run,
-    "fig16": fig16_small_packets.run,
-    "table1": table1_resources.run,
-    "equivalence": functional_equivalence.run,
-    "chaos": chaos.run,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -153,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment by name")
     run_parser.set_defaults(handler=_run, errors=(ValueError,))
-    run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
+    run_parser.add_argument("experiment", choices=sorted(FIGURES), help="experiment id")
     run_parser.add_argument(
         "--json", action="store_true", help="emit the experiment's rows as JSON"
     )
@@ -518,12 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--obs-check", action="store_true",
         help="measure observability-plane overhead and fail when the "
-             "disabled plane costs more than the budget (see --obs-tolerance)",
-    )
-    bench_parser.add_argument(
-        "--obs-tolerance", type=float, default=None,
-        help="allowed disabled-observability throughput loss for --obs-check "
-             "(default 0.02)",
+             "disabled plane costs more than repro.bench.OBS_OVERHEAD_TOLERANCE",
     )
     bench_parser.add_argument(
         "--no-artifact", action="store_true",
@@ -533,24 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--bus-check", action="store_true",
         help="measure campaign telemetry-bus overhead and fail when a "
-             "bus-enabled campaign costs more than the budget "
-             "(see --bus-tolerance)",
-    )
-    bench_parser.add_argument(
-        "--bus-tolerance", type=float, default=None,
-        help="allowed bus-enabled campaign throughput loss for --bus-check "
-             "(default 0.02)",
+             "bus-enabled campaign costs more than "
+             "repro.bench.BUS_OVERHEAD_TOLERANCE",
     )
     bench_parser.add_argument(
         "--fidelity-check", action="store_true",
         help="measure the fluid fidelity tier (fidelity: auto vs "
              "packet) on a long steady horizon; fail on a figure-tolerance "
-             "breach or a speedup below --fidelity-min-speedup",
-    )
-    bench_parser.add_argument(
-        "--fidelity-min-speedup", type=float, default=None,
-        help="minimum packet/auto wall-clock speedup for --fidelity-check "
-             "(default 5.0)",
+             "breach or a speedup below repro.bench.FIDELITY_MIN_SPEEDUP",
     )
 
     bench_sub = bench_parser.add_subparsers(dest="bench_command")
@@ -718,32 +651,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(
-    name: str, as_json: bool, obs_dir: Optional[str] = None, **flags
-) -> int:
-    """Execute one experiment under the run options the *flags* name.
-
-    *flags* are :class:`~repro.experiments.runner.RunOptions` fields as
-    parsed from the command line; one left out (``None``) is not an
-    override, so the option keeps its default.
-    """
+def _run(args) -> int:
+    """Run one figure under the run options its flags name; print text or JSON."""
     from repro.obs.session import observation_sink
 
+    flags = {
+        "seed": args.seed,
+        "time_scale": args.time_scale,
+        "faults": args.faults,
+        "fidelity": args.fidelity,
+    }
+    if args.metrics or args.trace or args.profile:
+        from repro.obs.config import ObserveSpec
+
+        flags["observe"] = ObserveSpec(
+            metrics=args.metrics, trace=args.trace, profile=args.profile
+        )
+    # A flag left out (None) is not an override: the option keeps its default.
     overrides = {key: value for key, value in flags.items() if value is not None}
-    payload = None
+    figure = FIGURES[args.experiment]
     with run_options(**overrides), observation_sink() as obs_sink:
-        if not as_json:
-            _description, runner = EXPERIMENTS[name]
-            runner()
-        else:
-            payload = JSON_RUNNERS[name]()
+        result = figure.run()
+        text = None if args.json else figure.render(result)
     if "observe" in overrides:
-        _export_observations(obs_sink.observations, Path(obs_dir or "observations"))
-    if as_json:
+        _export_observations(obs_sink.observations, Path(args.obs_dir))
+    if args.json:
         json.dump(
-            {"experiment": name, "result": payload}, sys.stdout, indent=2, default=str
+            {"experiment": args.experiment, "result": result},
+            sys.stdout, indent=2, default=str,
         )
         print()
+    else:
+        print(text)
     return 0
 
 
@@ -796,11 +735,7 @@ def _bench(args) -> int:
         if not args.no_artifact:
             artifact = bench.write_bench_artifact(result, kind="obs_overhead")
             logger.info("wrote observability-overhead artifact %s", artifact)
-        tolerance = (
-            args.obs_tolerance if args.obs_tolerance is not None
-            else bench.OBS_OVERHEAD_TOLERANCE
-        )
-        gate(*bench.check_obs_overhead(result, tolerance=tolerance))
+        gate(*bench.check_obs_overhead(result))
     if args.bus_check:
         result = bench.run_bus_overhead(repeat=max(args.repeat, 3))
         payload["bus_overhead"] = result
@@ -808,11 +743,7 @@ def _bench(args) -> int:
         if not args.no_artifact:
             history = bench.append_history(result, kind="campaign_bus")
             logger.info("appended campaign-bus measurement to %s", history)
-        tolerance = (
-            args.bus_tolerance if args.bus_tolerance is not None
-            else bench.BUS_OVERHEAD_TOLERANCE
-        )
-        gate(*bench.check_bus_overhead(result, tolerance=tolerance))
+        gate(*bench.check_bus_overhead(result))
     if args.fidelity_check:
         # The fidelity bench defaults to stable underload (see
         # FIDELITY_BENCH_RATE_GBPS) unless a rate was given explicitly.
@@ -828,11 +759,7 @@ def _bench(args) -> int:
         if not args.no_artifact:
             history = bench.append_history(result, kind="fidelity")
             logger.info("appended fidelity measurement to %s", history)
-        min_speedup = (
-            args.fidelity_min_speedup if args.fidelity_min_speedup is not None
-            else bench.FIDELITY_MIN_SPEEDUP
-        )
-        gate(*bench.check_fidelity(result, min_speedup=min_speedup))
+        gate(*bench.check_fidelity(result))
     if not payload:
         payload = bench.run_bench(
             scenario=scenario, rate_gbps=rate, time_scale=time_scale,
@@ -1133,8 +1060,8 @@ def _campaign_run(args) -> int:
 def _campaign_serve(args) -> int:
     import time as _time
 
-    from repro.orchestrator import StoreFollower, events_path_for, monitor_from_store
-    from repro.orchestrator.serve import CampaignServer
+    from repro.orchestrator import events_path_for
+    from repro.orchestrator.serve import CampaignServer, StoreFollower, monitor_from_store
 
     campaign, store = _load_campaign(args)
     events_path = events_path_for(store.path)
@@ -1502,31 +1429,10 @@ def _workload_preview(args) -> int:
 
 
 def _list(args) -> int:
-    width = max(len(name) for name in EXPERIMENTS)
-    for name in sorted(EXPERIMENTS):
-        description, _runner = EXPERIMENTS[name]
-        print(f"{name.ljust(width)}  {description}")
+    width = max(len(name) for name in FIGURES)
+    for name in sorted(FIGURES):
+        print(f"{name.ljust(width)}  {FIGURES[name].summary}")
     return 0
-
-
-def _run(args) -> int:
-    observe = None
-    if args.metrics or args.trace or args.profile:
-        from repro.obs.config import ObserveSpec
-
-        observe = ObserveSpec(
-            metrics=args.metrics, trace=args.trace, profile=args.profile
-        )
-    return _run_experiment(
-        args.experiment,
-        args.json,
-        obs_dir=args.obs_dir,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        faults=args.faults,
-        fidelity=args.fidelity,
-        observe=observe,
-    )
 
 
 def _quickstart(args) -> int:

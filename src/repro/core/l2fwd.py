@@ -27,10 +27,6 @@ class L2ForwardingTable:
         """Install (or overwrite) a MAC → port entry."""
         self._entries[mac.value] = port
 
-    def remove_entry(self, mac: MacAddress) -> None:
-        """Remove an entry if present."""
-        self._entries.pop(mac.value, None)
-
     def lookup(self, mac: MacAddress, default: Optional[int] = None) -> Optional[int]:
         """Return the egress port for *mac*, or *default* on a miss."""
         self.lookups += 1

@@ -132,9 +132,6 @@ class MergePath:
     # Flat predicates (no helper-call chains): they run for every packet
     # on every pass and read the same fields the nested helpers did.
 
-    def _is_merge_ingress(self, ctx: PipelinePacket) -> bool:
-        return ctx.ingress_port == self.binding.nf_port
-
     def _match_enb_zero(self, ctx: PipelinePacket) -> bool:
         pp = ctx.packet.pp
         return (

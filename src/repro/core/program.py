@@ -131,13 +131,6 @@ class SwitchProgram:
                         f"stateful memory)"
                     )
 
-    def binding_for_port(self, port: int) -> Optional[NfServerBinding]:
-        """Return the binding that owns *port* (ingress or NF side)."""
-        for binding in self.bindings:
-            if port in binding.ingress_ports or port == binding.nf_port:
-                return binding
-        return None
-
     def bindings_in_pipe(self, pipe: Pipe) -> List[NfServerBinding]:
         """Bindings whose ports live in *pipe*."""
         return [

@@ -138,9 +138,6 @@ class SplitPath:
     # run for every packet on every pass; they read exactly the same
     # fields the original nested helpers did.
 
-    def _is_split_ingress(self, ctx: PipelinePacket) -> bool:
-        return ctx.ingress_port in self._ingress_ports
-
     def _match_split_ingress(self, ctx: PipelinePacket) -> bool:
         return ctx.ingress_port in self._ingress_ports and ctx.recirculations == 0
 

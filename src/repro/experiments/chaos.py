@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentRunner, current_options
 from repro.experiments.scenarios import workload_scenario
-from repro.telemetry.report import render_table
 
 #: Fidelity the experiment uses when neither a runner nor a
 #: ``--time-scale`` override says otherwise (the full five-profile
@@ -90,14 +89,3 @@ def run(
         row["goodput_gain_percent"] = round(result.goodput_gain_percent, 6)
         rows.append(row)
     return rows
-
-
-def main() -> None:
-    """Print the chaos comparison table."""
-    rows = run()
-    print("Chaos suite: FW->NAT->LB + enterprise mix under fault profiles")
-    print(render_table(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    main()

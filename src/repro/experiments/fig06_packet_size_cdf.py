@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from repro.experiments.runner import current_options
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES
-from repro.telemetry.report import render_table
 from repro.traffic.distributions import enterprise_datacenter_distribution, split_eligible_fraction
 
 
@@ -45,23 +44,3 @@ def run(sample_count: int = 20_000, seed: Optional[int] = None) -> Dict[str, obj
         "paper_mean_bytes": 882,
         "paper_fraction_below_160B_payload": 0.30,
     }
-
-
-def main() -> None:
-    """Print the Fig. 6 reproduction."""
-    result = run()
-    print("Fig. 6 — enterprise datacenter packet-size distribution (CDF)")
-    print(render_table(result["rows"]))
-    for key in (
-        "analytic_mean_bytes",
-        "sampled_mean_bytes",
-        "fraction_below_160B_payload",
-        "split_eligible_fraction",
-        "paper_mean_bytes",
-        "paper_fraction_below_160B_payload",
-    ):
-        print(f"{key}: {result[key]}")
-
-
-if __name__ == "__main__":
-    main()

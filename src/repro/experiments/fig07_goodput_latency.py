@@ -13,41 +13,34 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenarios import fw_nat_40ge_enterprise
-from repro.orchestrator import CampaignExecutor, CampaignSpec
-from repro.orchestrator.aggregate import fig07_rows
-from repro.telemetry.report import render_table
+from repro.experiments.scenarios import fw_nat_40ge_enterprise, fw_nat_lb_10ge
 
 #: Send rates swept in Fig. 7 (Gbps); the baseline link capacity is 10 Gbps.
 DEFAULT_RATES_GBPS = (2.0, 4.0, 6.0, 8.0, 9.5, 10.5, 12.0)
 
 
-def campaign(rates_gbps: Sequence[float] = DEFAULT_RATES_GBPS,
-             time_scale: float = 1.0) -> CampaignSpec:
-    """The Fig. 7 rate sweep as an orchestrator campaign."""
-    return CampaignSpec(
-        name="fig07-rate-sweep",
-        scenario="fw_nat_lb_10ge",
-        grid={"send_rate_gbps": list(rates_gbps)},
-        time_scale=time_scale,
-        description="Fig. 7 — goodput/latency vs. send rate, FW -> NAT -> LB, 10 GbE",
-    )
-
-
 def run(rates_gbps: Sequence[float] = DEFAULT_RATES_GBPS,
-        runner: Optional[ExperimentRunner] = None,
-        workers: int = 1) -> List[Dict[str, object]]:
-    """Sweep send rates for the Fig. 7 scenario; one row per rate.
-
-    Execution is delegated to the campaign orchestrator; *runner* only
-    contributes its ``time_scale`` (worker processes build their own
-    runners from the run descriptors).
-    """
+        runner: Optional[ExperimentRunner] = None) -> List[Dict[str, object]]:
+    """Sweep send rates for the Fig. 7 scenario; one row per rate."""
     runner = runner or ExperimentRunner()
-    spec = campaign(rates_gbps, time_scale=runner.time_scale)
-    summary = CampaignExecutor(workers=workers).run_campaign(spec)
-    summary.raise_on_failure()
-    return fig07_rows(spec.expand(), summary.records)
+    rows = []
+    for rate in rates_gbps:
+        comparison = runner.compare(fw_nat_lb_10ge(send_rate_gbps=rate)).comparison
+        rows.append(
+            {
+                "send_rate_gbps": rate,
+                **comparison.as_row(
+                    "baseline_goodput_gbps",
+                    "payloadpark_goodput_gbps",
+                    "goodput_gain_percent",
+                    "baseline_latency_us",
+                    "payloadpark_latency_us",
+                    "baseline_healthy",
+                    "payloadpark_healthy",
+                ),
+            }
+        )
+    return rows
 
 
 def run_40ge_fw_nat(send_rate_gbps: float = 30.0,
@@ -55,26 +48,11 @@ def run_40ge_fw_nat(send_rate_gbps: float = 30.0,
     """The §6.2.1 text result: FW → NAT on the 40 GbE NIC with OpenNetVM."""
     runner = runner or ExperimentRunner()
     result = runner.compare(fw_nat_40ge_enterprise(send_rate_gbps=send_rate_gbps))
-    comparison = result.comparison
     return {
         "send_rate_gbps": send_rate_gbps,
-        "goodput_gain_percent": round(comparison.goodput_gain_percent, 2),
-        "pcie_savings_percent": round(comparison.pcie_savings_percent, 2),
-        "latency_delta_us": round(comparison.latency_delta_us, 2),
+        **result.comparison.as_row(
+            "goodput_gain_percent", "pcie_savings_percent", "latency_delta_us"
+        ),
         "paper_goodput_gain_percent": 15.6,
         "paper_pcie_savings_percent": 12.0,
     }
-
-
-def main() -> None:
-    """Print the Fig. 7 reproduction."""
-    print("Fig. 7 — FW -> NAT -> LB on NetBricks, 10 GbE NIC")
-    print(render_table(run()))
-    print()
-    print("§6.2.1 — FW -> NAT on OpenNetVM, 40 GbE NIC")
-    row = run_40ge_fw_nat()
-    print(render_table([row]))
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import fixed_size_40ge
-from repro.telemetry.report import render_table
 
 #: Packet sizes (bytes) evaluated in Fig. 8/9.
 DEFAULT_SIZES = (256, 384, 512, 1024, 1492)
@@ -38,22 +37,12 @@ def run(
                 {
                     "chain": chain_name,
                     "packet_size_bytes": size,
-                    "baseline_goodput_gbps": round(comparison.baseline.goodput_to_nf_gbps, 4),
-                    "payloadpark_goodput_gbps": round(
-                        comparison.payloadpark.goodput_to_nf_gbps, 4
+                    **comparison.as_row(
+                        "baseline_goodput_gbps",
+                        "payloadpark_goodput_gbps",
+                        "goodput_gain_percent",
+                        "pcie_savings_percent",
                     ),
-                    "goodput_gain_percent": round(comparison.goodput_gain_percent, 2),
-                    "pcie_savings_percent": round(comparison.pcie_savings_percent, 2),
                 }
             )
     return rows
-
-
-def main() -> None:
-    """Print the Fig. 8 reproduction."""
-    print("Fig. 8 — goodput with fixed packet sizes (40 GbE, OpenNetVM)")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

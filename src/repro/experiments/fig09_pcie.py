@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import fixed_size_40ge
 from repro.experiments.fig08_fixed_sizes import DEFAULT_SIZES
-from repro.telemetry.report import render_table
 
 
 def run(
@@ -34,19 +33,9 @@ def run(
                 {
                     "chain": chain_name,
                     "packet_size_bytes": size,
-                    "baseline_pcie_gbps": round(comparison.baseline.pcie_gbps, 3),
-                    "payloadpark_pcie_gbps": round(comparison.payloadpark.pcie_gbps, 3),
-                    "pcie_savings_percent": round(comparison.pcie_savings_percent, 2),
+                    **comparison.as_row(
+                        "baseline_pcie_gbps", "payloadpark_pcie_gbps", "pcie_savings_percent"
+                    ),
                 }
             )
     return rows
-
-
-def main() -> None:
-    """Print the Fig. 9 reproduction."""
-    print("Fig. 9 — PCIe bandwidth utilization with fixed packet sizes")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import multi_server_384b
-from repro.telemetry.report import render_table
 
 
 def run_comparison(
@@ -29,19 +28,15 @@ def run_comparison(
 
 def rows_from_result(result: ExperimentResult) -> List[Dict[str, object]]:
     """Fig. 10 rows: per-server goodput under both deployments."""
-    rows = []
-    for index, comparison in enumerate(result.per_server, start=1):
-        rows.append(
-            {
-                "server": index,
-                "baseline_goodput_gbps": round(comparison.baseline.goodput_to_nf_gbps, 4),
-                "payloadpark_goodput_gbps": round(
-                    comparison.payloadpark.goodput_to_nf_gbps, 4
-                ),
-                "goodput_gain_percent": round(comparison.goodput_gain_percent, 2),
-            }
-        )
-    return rows
+    return [
+        {
+            "server": index,
+            **comparison.as_row(
+                "baseline_goodput_gbps", "payloadpark_goodput_gbps", "goodput_gain_percent"
+            ),
+        }
+        for index, comparison in enumerate(result.per_server, start=1)
+    ]
 
 
 def run(server_count: int = 8, send_rate_gbps: float = 9.0,
@@ -50,17 +45,3 @@ def run(server_count: int = 8, send_rate_gbps: float = 9.0,
     return rows_from_result(
         run_comparison(server_count=server_count, send_rate_gbps=send_rate_gbps, runner=runner)
     )
-
-
-def main() -> None:
-    """Print the Fig. 10 reproduction."""
-    result = run_comparison()
-    rows = rows_from_result(result)
-    print("Fig. 10 — per-server goodput, 8 NF servers, 384-byte packets")
-    print(render_table(rows))
-    average_gain = sum(row["goodput_gain_percent"] for row in rows) / len(rows)
-    print(f"average goodput gain: {average_gain:.2f}% (paper: 31.22%)")
-
-
-if __name__ == "__main__":
-    main()

@@ -12,22 +12,19 @@ from typing import Dict, List, Optional
 
 from repro.experiments.fig10_multi_server import run_comparison
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
-from repro.telemetry.report import render_table
 
 
 def rows_from_result(result: ExperimentResult) -> List[Dict[str, object]]:
     """Fig. 11 rows: per-server average latency under both deployments."""
-    rows = []
-    for index, comparison in enumerate(result.per_server, start=1):
-        rows.append(
-            {
-                "server": index,
-                "baseline_latency_us": round(comparison.baseline.avg_latency_us, 2),
-                "payloadpark_latency_us": round(comparison.payloadpark.avg_latency_us, 2),
-                "latency_win_percent": round(comparison.latency_win_percent, 2),
-            }
-        )
-    return rows
+    return [
+        {
+            "server": index,
+            **comparison.as_row(
+                "baseline_latency_us", "payloadpark_latency_us", "latency_win_percent"
+            ),
+        }
+        for index, comparison in enumerate(result.per_server, start=1)
+    ]
 
 
 def run(server_count: int = 8, send_rate_gbps: float = 9.0,
@@ -36,16 +33,3 @@ def run(server_count: int = 8, send_rate_gbps: float = 9.0,
     return rows_from_result(
         run_comparison(server_count=server_count, send_rate_gbps=send_rate_gbps, runner=runner)
     )
-
-
-def main() -> None:
-    """Print the Fig. 11 reproduction."""
-    rows = run()
-    print("Fig. 11 — per-server latency, 8 NF servers, 384-byte packets")
-    print(render_table(rows))
-    average_win = sum(row["latency_win_percent"] for row in rows) / len(rows)
-    print(f"average latency win: {average_win:.2f}% (paper: 9.4%)")
-
-
-if __name__ == "__main__":
-    main()

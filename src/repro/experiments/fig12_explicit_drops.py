@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.experiments.scenarios import explicit_drop_scenario
-from repro.telemetry.report import render_table
 
 #: Fraction of traffic aimed at blacklisted sources (controls the firewall drop rate).
 DEFAULT_DROP_FRACTIONS = (0.0, 0.02, 0.05, 0.10)
@@ -74,13 +73,3 @@ def run(
                 }
             )
     return rows
-
-
-def main() -> None:
-    """Print the Fig. 12 reproduction."""
-    print("Fig. 12 — goodput with/without Explicit Drops (FW -> NAT, enterprise mix)")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

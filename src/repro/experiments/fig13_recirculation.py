@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import fw_nat_lb_10ge, fw_nat_lb_10ge_recirculation
-from repro.telemetry.report import render_table
 
 #: Send rates swept in Fig. 13 (the x-axis extends past Fig. 7's because
 #: recirculation pushes the PayloadPark saturation point further right).
@@ -33,24 +32,14 @@ def run(rates_gbps: Sequence[float] = DEFAULT_RATES_GBPS,
         rows.append(
             {
                 "send_rate_gbps": rate,
-                "baseline_goodput_gbps": round(plain.baseline.goodput_to_nf_gbps, 4),
-                "pp160_goodput_gbps": round(plain.payloadpark.goodput_to_nf_gbps, 4),
-                "pp384_goodput_gbps": round(recirculated.payloadpark.goodput_to_nf_gbps, 4),
-                "pp160_gain_percent": round(plain.goodput_gain_percent, 2),
-                "pp384_gain_percent": round(recirculated.goodput_gain_percent, 2),
-                "pp384_latency_us": round(recirculated.payloadpark.avg_latency_us, 2),
-                "baseline_latency_us": round(recirculated.baseline.avg_latency_us, 2),
-                "pp384_pcie_savings_percent": round(recirculated.pcie_savings_percent, 2),
+                "baseline_goodput_gbps": plain.column("baseline_goodput_gbps"),
+                "pp160_goodput_gbps": plain.column("payloadpark_goodput_gbps"),
+                "pp384_goodput_gbps": recirculated.column("payloadpark_goodput_gbps"),
+                "pp160_gain_percent": plain.column("goodput_gain_percent"),
+                "pp384_gain_percent": recirculated.column("goodput_gain_percent"),
+                "pp384_latency_us": recirculated.column("payloadpark_latency_us"),
+                "baseline_latency_us": recirculated.column("baseline_latency_us"),
+                "pp384_pcie_savings_percent": recirculated.column("pcie_savings_percent"),
             }
         )
     return rows
-
-
-def main() -> None:
-    """Print the Fig. 13 reproduction."""
-    print("Fig. 13 — recirculation (384 parked bytes), FW -> NAT -> LB, 10 GbE")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

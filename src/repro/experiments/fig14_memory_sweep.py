@@ -10,60 +10,13 @@ and the peak moves up — until the NF server's own limits take over.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.runner import ExperimentRunner
-from repro.orchestrator import CampaignExecutor, RunSpec
-from repro.orchestrator.aggregate import fig14_rows
-from repro.telemetry.report import render_table
+from repro.experiments.runner import DeploymentKind, ExperimentRunner
+from repro.experiments.scenarios import memory_sweep_scenario
 
 #: SRAM fractions swept (the paper's labelled points are 17.81 %, 21.56 %, 25.94 %).
 DEFAULT_SRAM_FRACTIONS = (0.10, 0.178, 0.216, 0.26)
-
-
-def sweep_specs(
-    sram_fractions: Sequence[float] = DEFAULT_SRAM_FRACTIONS,
-    rate_bounds_gbps: Tuple[float, float] = (4.0, 44.0),
-    tolerance_gbps: float = 2.0,
-    include_baseline: bool = True,
-    time_scale: float = 1.0,
-) -> Tuple[List[RunSpec], Optional[RunSpec]]:
-    """The Fig. 14 grid as orchestrator run descriptors.
-
-    Returns the PayloadPark sweep points plus (optionally) the single
-    baseline peak-goodput run the figure's reference line uses.
-    """
-    bounds = [float(rate_bounds_gbps[0]), float(rate_bounds_gbps[1])]
-    baseline_spec = None
-    if include_baseline:
-        baseline_spec = RunSpec(
-            scenario="memory_sweep",
-            mode="peak",
-            params={"sram_fraction": DEFAULT_SRAM_FRACTIONS[-1]},
-            options={
-                "deployment": "baseline",
-                "require_zero_premature_evictions": False,
-                "rate_bounds_gbps": bounds,
-                "tolerance_gbps": tolerance_gbps,
-            },
-            time_scale=time_scale,
-        )
-    sweep = [
-        RunSpec(
-            scenario="memory_sweep",
-            mode="peak",
-            params={"sram_fraction": fraction},
-            options={
-                "deployment": "payloadpark",
-                "require_zero_premature_evictions": True,
-                "rate_bounds_gbps": bounds,
-                "tolerance_gbps": tolerance_gbps,
-            },
-            time_scale=time_scale,
-        )
-        for fraction in sram_fractions
-    ]
-    return sweep, baseline_spec
 
 
 def run(
@@ -72,33 +25,38 @@ def run(
     rate_bounds_gbps=(4.0, 44.0),
     tolerance_gbps: float = 2.0,
     include_baseline: bool = True,
-    workers: int = 1,
 ) -> List[Dict[str, object]]:
     """One row per memory fraction: the peak healthy goodput and its send rate.
 
-    Execution is delegated to the campaign orchestrator; *runner* only
-    contributes its ``time_scale`` (worker processes build their own
-    runners from the run descriptors).
+    *include_baseline* adds the figure's reference line: the baseline's
+    own peak goodput (one search, at the largest default reservation).
     """
     runner = runner or ExperimentRunner()
-    sweep, baseline_spec = sweep_specs(
-        sram_fractions,
-        rate_bounds_gbps=rate_bounds_gbps,
-        tolerance_gbps=tolerance_gbps,
-        include_baseline=include_baseline,
-        time_scale=runner.time_scale,
-    )
-    specs = ([baseline_spec] if baseline_spec is not None else []) + sweep
-    summary = CampaignExecutor(workers=workers).run_specs(specs)
-    summary.raise_on_failure()
-    return fig14_rows(sweep, summary.records, baseline_spec=baseline_spec)
-
-
-def main() -> None:
-    """Print the Fig. 14 reproduction."""
-    print("Fig. 14 — peak goodput vs. reserved switch memory (384-byte packets, EXP=1)")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()
+    baseline_peak_goodput = None
+    if include_baseline:
+        _rate, report = runner.peak_goodput(
+            memory_sweep_scenario(DEFAULT_SRAM_FRACTIONS[-1]),
+            deployment=DeploymentKind.BASELINE,
+            require_zero_premature_evictions=False,
+            rate_bounds_gbps=rate_bounds_gbps,
+            tolerance_gbps=tolerance_gbps,
+        )
+        baseline_peak_goodput = round(report.goodput_to_nf_gbps, 4)
+    rows = []
+    for fraction in sram_fractions:
+        rate, report = runner.peak_goodput(
+            memory_sweep_scenario(fraction),
+            rate_bounds_gbps=rate_bounds_gbps,
+            tolerance_gbps=tolerance_gbps,
+        )
+        row = {
+            "sram_fraction_percent": round(fraction * 100, 2),
+            "peak_send_rate_gbps": round(rate, 2),
+            "peak_goodput_gbps": round(report.goodput_to_nf_gbps, 4),
+            "premature_evictions": report.premature_evictions,
+            "drop_rate": round(report.drop_rate, 5),
+        }
+        if baseline_peak_goodput is not None:
+            row["baseline_peak_goodput_gbps"] = baseline_peak_goodput
+        rows.append(row)
+    return rows

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import nf_cycles_scenario
-from repro.telemetry.report import render_table
 
 #: Packet sizes evaluated in Fig. 15.
 DEFAULT_SIZES = (256, 384, 1024, 1492)
@@ -39,21 +38,11 @@ def run(
                 {
                     "nf": nf_kind,
                     "packet_size_bytes": size,
-                    "baseline_goodput_gbps": round(comparison.baseline.goodput_to_nf_gbps, 4),
-                    "payloadpark_goodput_gbps": round(
-                        comparison.payloadpark.goodput_to_nf_gbps, 4
+                    **comparison.as_row(
+                        "baseline_goodput_gbps",
+                        "payloadpark_goodput_gbps",
+                        "goodput_gain_percent",
                     ),
-                    "goodput_gain_percent": round(comparison.goodput_gain_percent, 2),
                 }
             )
     return rows
-
-
-def main() -> None:
-    """Print the Fig. 15 reproduction."""
-    print("Fig. 15 — goodput with NF-Light / NF-Medium / NF-Heavy")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import small_packet_40ge
-from repro.telemetry.report import render_table
 
 #: Send rates swept in Fig. 16 (Gbps); the baseline link capacity is 40 Gbps.
 DEFAULT_RATES_GBPS = (10.0, 20.0, 28.0, 33.0, 36.0, 40.0, 44.0)
@@ -30,24 +29,14 @@ def run(rates_gbps: Sequence[float] = DEFAULT_RATES_GBPS,
         rows.append(
             {
                 "send_rate_gbps": rate,
-                "baseline_goodput_gbps": round(comparison.baseline.goodput_to_nf_gbps, 4),
-                "payloadpark_goodput_gbps": round(
-                    comparison.payloadpark.goodput_to_nf_gbps, 4
+                **comparison.as_row(
+                    "baseline_goodput_gbps",
+                    "payloadpark_goodput_gbps",
+                    "baseline_latency_us",
+                    "payloadpark_latency_us",
+                    "baseline_healthy",
+                    "payloadpark_healthy",
                 ),
-                "baseline_latency_us": round(comparison.baseline.avg_latency_us, 2),
-                "payloadpark_latency_us": round(comparison.payloadpark.avg_latency_us, 2),
-                "baseline_healthy": comparison.baseline.healthy,
-                "payloadpark_healthy": comparison.payloadpark.healthy,
             }
         )
     return rows
-
-
-def main() -> None:
-    """Print the Fig. 16 reproduction."""
-    print("Fig. 16 — 512-byte packets, FW -> NAT, 40 GbE NIC")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

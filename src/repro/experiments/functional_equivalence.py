@@ -99,15 +99,3 @@ def run(
         "merges": counters.merges,
         "split_disabled_small_payload": counters.split_disabled_small_payload,
     }
-
-
-def main() -> None:
-    """Print the §6.2.6 reproduction."""
-    report = run()
-    print("§6.2.6 — functional equivalence (MAC-swapping NF, enterprise mix)")
-    for key, value in report.items():
-        print(f"{key}: {value}")
-
-
-if __name__ == "__main__":
-    main()

@@ -282,10 +282,6 @@ class ScenarioConfig:
             traffic_model = traffic_model.rescale(rate_gbps)
         return replace(self, send_rate_gbps=rate_gbps, traffic_model=traffic_model)
 
-    def with_payloadpark(self, config: PayloadParkConfig) -> "ScenarioConfig":
-        """A copy of this scenario with different PayloadPark parameters."""
-        return replace(self, payloadpark=config)
-
 
 @dataclass
 class ExperimentResult:

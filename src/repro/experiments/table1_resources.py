@@ -14,7 +14,6 @@ from typing import Dict, List
 from repro.core.config import PayloadParkConfig
 from repro.core.program import PayloadParkProgram
 from repro.experiments.runner import multi_server_bindings
-from repro.telemetry.report import render_table
 
 #: Utilization numbers reported in the paper's Table 1 for comparison.
 PAPER_TABLE1 = {
@@ -91,13 +90,3 @@ def run() -> List[Dict[str, object]]:
         },
     ]
     return rows
-
-
-def main() -> None:
-    """Print the Table 1 reproduction."""
-    print("Table 1 — resource utilization on the simulated ASIC")
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -320,12 +320,6 @@ class Link:
             direction.obs_recorder = recorder
             direction.obs_profiler = profiler
 
-    def clear_faults(self) -> None:
-        """Return the link to its fault-free state (up, lossless, jitterless)."""
-        self.set_up(True)
-        self.set_loss(0.0)
-        self.set_jitter(0)
-
     def reset_stats(self) -> None:
         """Zero both directions' counters (live state — queue occupancy,
         serialization cursor — is untouched; see ControlPlaneManager.reset)."""

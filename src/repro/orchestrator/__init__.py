@@ -12,11 +12,12 @@ The subsystem has seven layers:
 - :mod:`repro.orchestrator.store` — append-only JSONL records keyed by
   spec hash (optionally sharded by hash), enabling resume;
 - :mod:`repro.orchestrator.aggregate` — regrouping records into
-  per-figure tables;
+  per-campaign tables;
 - :mod:`repro.orchestrator.telemetrybus` — structured worker events over
   a multiprocessing queue into live campaign state;
 - :mod:`repro.orchestrator.serve` — ``repro campaign serve`` HTTP
   endpoints (status/cells/violations/events/metrics), live or post-hoc;
+  not re-exported here, so only that command imports :mod:`http.server`;
 - :mod:`repro.orchestrator.ledger` — cross-run index over stores and the
   bench history, with sliding-window regression detection.
 """
@@ -30,7 +31,6 @@ from repro.orchestrator.executor import (
     flatten_report,
 )
 from repro.orchestrator.ledger import RunLedger, detect_regression
-from repro.orchestrator.serve import CampaignServer, StoreFollower, monitor_from_store
 from repro.orchestrator.spec import (
     SCENARIO_REGISTRY,
     CampaignSpec,
@@ -50,14 +50,12 @@ __all__ = [
     "SCENARIO_REGISTRY",
     "CampaignExecutor",
     "CampaignMonitor",
-    "CampaignServer",
     "CampaignSpec",
     "CampaignSummary",
     "DispatchLoop",
     "ResultStore",
     "RunLedger",
     "RunSpec",
-    "StoreFollower",
     "TelemetryBus",
     "build_scenario",
     "default_store_path",
@@ -68,6 +66,5 @@ __all__ = [
     "execute_run",
     "flatten_comparison",
     "flatten_report",
-    "monitor_from_store",
     "register_scenario",
 ]

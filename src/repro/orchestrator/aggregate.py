@@ -1,10 +1,9 @@
-"""Aggregation: group stored run records back into per-figure tables.
+"""Aggregation: group stored run records back into per-campaign tables.
 
 The store holds one flat record per run in completion order; this module
 re-aligns them with a campaign's grid (via spec hashes) and produces the
-row dicts that :func:`repro.telemetry.report.render_table` prints.  The
-``fig07``/``fig14`` helpers rebuild those experiments' historical table
-shapes so routing them through the orchestrator is output-identical.
+row dicts that :func:`repro.telemetry.report.render_table` prints for
+``repro campaign report``.
 """
 
 from __future__ import annotations
@@ -125,62 +124,3 @@ def _round(value: Any, digits: int = 4) -> Any:
     if isinstance(value, float):
         return round(value, digits)
     return value
-
-
-# ---------------------------------------------------------------------- #
-# Figure-shaped tables
-# ---------------------------------------------------------------------- #
-
-
-def fig07_rows(specs: Sequence[RunSpec], records: Iterable[Record]) -> List[Dict[str, Any]]:
-    """Rebuild the historical Fig. 7 table from orchestrator records."""
-    rows = []
-    for spec, record in zip(specs, align(specs, records)):
-        if record is None:
-            continue
-        metrics = record["metrics"]
-        rows.append(
-            {
-                "send_rate_gbps": spec.params["send_rate_gbps"],
-                "baseline_goodput_gbps": round(metrics["baseline_goodput_to_nf_gbps"], 4),
-                "payloadpark_goodput_gbps": round(
-                    metrics["payloadpark_goodput_to_nf_gbps"], 4
-                ),
-                "goodput_gain_percent": round(metrics["goodput_gain_percent"], 2),
-                "baseline_latency_us": round(metrics["baseline_avg_latency_us"], 2),
-                "payloadpark_latency_us": round(metrics["payloadpark_avg_latency_us"], 2),
-                "baseline_healthy": metrics["baseline_healthy"],
-                "payloadpark_healthy": metrics["payloadpark_healthy"],
-            }
-        )
-    return rows
-
-
-def fig14_rows(
-    sweep_specs: Sequence[RunSpec],
-    records: Iterable[Record],
-    baseline_spec: Optional[RunSpec] = None,
-) -> List[Dict[str, Any]]:
-    """Rebuild the historical Fig. 14 table from orchestrator records."""
-    records = list(records)
-    baseline_peak_goodput = None
-    if baseline_spec is not None:
-        aligned = align([baseline_spec], records)[0]
-        if aligned is not None:
-            baseline_peak_goodput = aligned["metrics"]["peak_goodput_to_nf_gbps"]
-    rows = []
-    for spec, record in zip(sweep_specs, align(sweep_specs, records)):
-        if record is None:
-            continue
-        metrics = record["metrics"]
-        row = {
-            "sram_fraction_percent": round(spec.params["sram_fraction"] * 100, 2),
-            "peak_send_rate_gbps": round(metrics["peak_send_rate_gbps"], 2),
-            "peak_goodput_gbps": round(metrics["peak_goodput_to_nf_gbps"], 4),
-            "premature_evictions": metrics["peak_premature_evictions"],
-            "drop_rate": round(metrics["peak_drop_rate"], 5),
-        }
-        if baseline_peak_goodput is not None:
-            row["baseline_peak_goodput_gbps"] = round(baseline_peak_goodput, 4)
-        rows.append(row)
-    return rows

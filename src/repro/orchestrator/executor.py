@@ -9,8 +9,9 @@ backoff, and crash recovery, so one wedged or OOM-killed worker can
 delay a campaign but never stall it — and streams completed records
 back into the result store as they arrive.  ``workers=1`` (or a single
 pending run) falls back to plain in-process execution — the debugging
-path, and the path the experiment modules use so figure regeneration
-stays deterministic and cheap to trace.
+path.  The figure experiments do not come through here: they loop over
+:meth:`~repro.experiments.runner.ExperimentRunner.compare` themselves,
+so their errors stay typed exceptions instead of record strings.
 
 Retry budgets span resumes: failed attempts recorded in the store
 (``error``/``violation`` records) count against ``max_attempts``, and a
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.errors import FidelityError
 from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.orchestrator.spec import CampaignSpec, RunSpec, build_scenario, dedupe_specs
 from repro.orchestrator.store import ResultStore
@@ -253,39 +253,6 @@ class CampaignSummary:
         """Runs that finished successfully in this invocation."""
         return self.executed - self.failed
 
-    def raise_on_failure(self) -> None:
-        """Raise if any run failed — for callers that need every point.
-
-        The figure experiments use this so a broken grid point surfaces
-        as an exception (like the pre-orchestrator serial loops did)
-        instead of a silently shorter table.
-        """
-        if not self.failed:
-            return
-        failures = [
-            record for record in self.records if record.get("status") != "ok"
-        ]
-        errors = [
-            f"{record['scenario']}({record['params']}): {record.get('error')}"
-            for record in failures
-        ]
-        # A fidelity misconfiguration (fidelity: fluid on a scenario with
-        # no steady segment) fails every grid point identically; surface
-        # it as the configuration error it is — a clean `error:` line and
-        # exit 2 at the CLI — not a broken-grid RuntimeError traceback.
-        fidelity_prefix = f"{FidelityError.__name__}: "
-        if all(
-            str(record.get("error", "")).startswith(fidelity_prefix)
-            for record in failures
-        ):
-            raise FidelityError(
-                str(failures[0]["error"])[len(fidelity_prefix):]
-            )
-        raise RuntimeError(
-            f"{self.failed} of {self.executed} campaign runs failed:\n"
-            + "\n".join(errors)
-        )
-
     def as_row(self) -> Dict[str, Any]:
         """Flat dict for table rendering."""
         return {
@@ -493,8 +460,8 @@ class CampaignExecutor:
             return
         if self.workers <= 1 or len(pending) == 1:
             # Serial path: same telemetry contract as the dispatcher,
-            # armed in-process (and restored afterwards — figure
-            # experiments share this process).  No second process exists
+            # armed in-process (and restored afterwards — the caller's
+            # process outlives the campaign).  No second process exists
             # to recover a crash or enforce a timeout here; failures are
             # captured as error records and budgeted at the next resume.
             with telemetrybus.worker_sink(

@@ -20,9 +20,10 @@ The same server runs in two modes.  *Post-hoc*, the monitor is rebuilt
 from the result store alone (:func:`monitor_from_store`).  *Live*, a
 :class:`StoreFollower` thread tails the store and its telemetry-events
 sidecar while another process appends to them — offsets guarantee each
-line is folded exactly once, and store records whose cell is already
-terminal in the monitor are skipped, so a cell seen through the events
-file is not double-counted when its record lands in the store.
+line is folded exactly once, and a store record is skipped when its cell
+is already ``ok`` (the store's ok-wins rule) or already shows the
+record's status, so a cell seen through the events file is not
+double-counted when its record lands in the store.
 """
 
 from __future__ import annotations
@@ -169,11 +170,12 @@ class StoreFollower(threading.Thread):
             except json.JSONDecodeError:
                 continue
             if from_store:
-                spec_hash = data.get("spec_hash", "")
-                # The events sidecar already delivered this cell's
-                # terminal events — folding the record again would
-                # double-count violations.
-                if self.monitor.has_terminal(spec_hash):
+                # Ok-wins, like the post-hoc replay; a record whose
+                # outcome the events sidecar already delivered is not
+                # folded twice.
+                if self.monitor.outranks(
+                    data.get("spec_hash", ""), data.get("status", "ok")
+                ):
                     continue
                 for event in events_from_record(data):
                     self.monitor.handle(event)

@@ -8,7 +8,7 @@ it can cross a process boundary and be hashed into a stable identity —
 the key the result store uses to resume interrupted campaigns.
 
 Campaigns load from YAML or JSON files (see ``examples/campaigns/``) or
-are built programmatically by the experiment modules.
+are built programmatically.
 """
 
 from __future__ import annotations

@@ -387,6 +387,19 @@ class CampaignMonitor:
             cell = self.cells.get(spec_hash)
             return bool(cell and cell["status"] in TERMINAL_STATUSES)
 
+    def outranks(self, spec_hash: str, status: str) -> bool:
+        """True when a store record of *status* must not touch *spec_hash*'s cell.
+
+        The rule :meth:`~repro.orchestrator.store.ResultStore.
+        latest_by_hash` applies: ``ok`` wins, otherwise the most recent
+        record does.  So a cell that is already ``ok`` keeps that
+        against any later record, and one already showing *status* had
+        this outcome delivered by the events sidecar.
+        """
+        with self._lock:
+            cell = self.cells.get(spec_hash)
+            return cell is not None and cell["status"] in ("ok", status)
+
     # ------------------------------------------------------------------ #
     # Payloads (repro.campaign/v1)
     # ------------------------------------------------------------------ #

@@ -138,6 +138,27 @@ def fold_reports(reports: Sequence[DeploymentReport]) -> DeploymentReport:
     return total
 
 
+#: Comparison column → (attribute path on the :class:`ComparisonReport`,
+#: decimal places; ``None`` keeps the value as is).  The one place a
+#: column's source and rounding are written down: the figure modules
+#: select from here by name.
+COMPARISON_COLUMNS = {
+    "send_rate_gbps": ("baseline.send_rate_gbps", 3),
+    "baseline_goodput_gbps": ("baseline.goodput_to_nf_gbps", 4),
+    "payloadpark_goodput_gbps": ("payloadpark.goodput_to_nf_gbps", 4),
+    "goodput_gain_percent": ("goodput_gain_percent", 2),
+    "baseline_latency_us": ("baseline.avg_latency_us", 2),
+    "payloadpark_latency_us": ("payloadpark.avg_latency_us", 2),
+    "latency_delta_us": ("latency_delta_us", 2),
+    "latency_win_percent": ("latency_win_percent", 2),
+    "baseline_pcie_gbps": ("baseline.pcie_gbps", 3),
+    "payloadpark_pcie_gbps": ("payloadpark.pcie_gbps", 3),
+    "pcie_savings_percent": ("pcie_savings_percent", 2),
+    "baseline_healthy": ("baseline.healthy", None),
+    "payloadpark_healthy": ("payloadpark.healthy", None),
+}
+
+
 @dataclass
 class ComparisonReport:
     """PayloadPark vs. baseline at the same operating point."""
@@ -176,17 +197,15 @@ class ComparisonReport:
             return 0.0
         return -self.latency_delta_us / self.baseline.avg_latency_us * 100.0
 
-    def as_row(self) -> Dict[str, float]:
-        """Flat comparison row for the benchmark harness."""
-        return {
-            "send_rate_gbps": round(self.baseline.send_rate_gbps, 3),
-            "baseline_goodput_gbps": round(self.baseline.goodput_to_nf_gbps, 4),
-            "payloadpark_goodput_gbps": round(self.payloadpark.goodput_to_nf_gbps, 4),
-            "goodput_gain_percent": round(self.goodput_gain_percent, 2),
-            "baseline_latency_us": round(self.baseline.avg_latency_us, 2),
-            "payloadpark_latency_us": round(self.payloadpark.avg_latency_us, 2),
-            "pcie_savings_percent": round(self.pcie_savings_percent, 2),
-        }
+    def column(self, name: str):
+        """One :data:`COMPARISON_COLUMNS` value, rounded as every table prints it."""
+        path, digits = COMPARISON_COLUMNS[name]
+        value = operator.attrgetter(path)(self)
+        return value if digits is None else round(value, digits)
+
+    def as_row(self, *columns: str) -> Dict[str, float]:
+        """Flat comparison row: the named columns, or all of them."""
+        return {name: self.column(name) for name in columns or COMPARISON_COLUMNS}
 
 
 def render_table(rows, columns=None) -> str:

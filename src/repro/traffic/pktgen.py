@@ -150,7 +150,3 @@ class PacketFactory:
             )
         self.packets_built += 1
         return packet
-
-    def burst_bytes_estimate(self) -> float:
-        """Expected L2 bytes per burst, used to pace generation events."""
-        return self.config.burst_size * self.config.workload.mean_frame_bytes()

@@ -28,9 +28,8 @@ from repro.orchestrator import (
     ResultStore,
     TelemetryBus,
     events_path_for,
-    monitor_from_store,
 )
-from repro.orchestrator.serve import CampaignServer, StoreFollower
+from repro.orchestrator.serve import CampaignServer, StoreFollower, monitor_from_store
 
 FAST = 0.05
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import run_options
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
@@ -67,6 +68,10 @@ class TestGoldenTablesExist:
             if path.stem not in GOLDEN_CASES
         ]
         assert orphans == []
+
+    def test_cases_cover_the_figure_registry(self):
+        # `equivalence` is pinned byte for byte by its own integration test.
+        assert set(GOLDEN_CASES) | {"equivalence"} == set(FIGURES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -205,6 +205,30 @@ class TestStoreFollower:
         assert status["cells_done"] == 1
         assert status["violations_total"] == 1
 
+    @pytest.mark.parametrize(
+        "attempts, winner",
+        [
+            (("error", "ok"), "ok"),          # failed attempt, then its resume
+            (("ok", "error"), "ok"),          # ok-wins: a later failure is history
+            (("error", "exhausted"), "exhausted"),
+        ],
+    )
+    def test_follower_and_post_hoc_monitor_apply_the_same_rule(
+        self, tmp_path, attempts, winner
+    ):
+        """One spec hash, several store records, no events sidecar (`--no-bus`)."""
+        store = ResultStore(tmp_path / "c.jsonl")
+        live = CampaignMonitor(total=1)
+        follower = StoreFollower(live, store.path)
+        for status in attempts:
+            store.append(_record("a", status=status))
+            follower.poll_once()
+        post_hoc = monitor_from_store(store=ResultStore(store.path))
+        for monitor in (live, post_hoc):
+            status = monitor.status()
+            assert status["cells_done"] == 1
+            assert status[f"cells_{winner}"] == 1
+
     def test_follows_shard_files_that_appear_mid_poll(self, tmp_path):
         """A sharded store's files are picked up live — even shards
         created after the follower started polling."""

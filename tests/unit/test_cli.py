@@ -1,19 +1,128 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, JSON_RUNNERS, build_parser, main
+from repro.cli import build_parser, main
+from repro.errors import WorkloadSpecError
+from repro.experiments import fig07_goodput_latency
+from repro.experiments.figures import FIGURES
+from repro.experiments.runner import ExperimentRunner
+from repro.telemetry.report import render_table
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+COLD_IMPORT = (
+    "import repro.experiments.runner, repro.experiments.scenarios, "
+    "repro.orchestrator.executor, repro.orchestrator.store, repro.workloads.registry"
+)
+
+
+def _error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+
+class TestFigureRegistry:
+    def test_list_prints_exactly_the_registry(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(None, 1) for line in lines] == [
+            [name, FIGURES[name].summary] for name in sorted(FIGURES)
+        ]
+
+    def test_every_entry_has_a_summary_and_a_title(self):
+        for name, figure in FIGURES.items():
+            assert figure.summary.strip() and figure.title.strip(), name
+
+    def test_readme_table_lists_exactly_the_registry(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Figures and tables")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `python -m repro run (\w+)` \|", section, re.M)
+        assert sorted(rows) == sorted(FIGURES)
+
+    @pytest.mark.parametrize(
+        "name, result, epilogue",
+        [
+            (
+                "fig06",
+                {"rows": [{"packet_size_bytes": 64, "cdf": 0.05}],
+                 "analytic_mean_bytes": 884.6, "paper_mean_bytes": 882},
+                ["analytic_mean_bytes: 884.6", "paper_mean_bytes: 882"],
+            ),
+            (
+                "fig07",
+                [{"send_rate_gbps": 2.0, "goodput_gain_percent": -20.0}],
+                ["", "§6.2.1 — FW -> NAT on OpenNetVM, 40 GbE NIC",
+                 render_table([{"send_rate_gbps": 30.0}])],
+            ),
+            (
+                "fig10",
+                [{"server": 1, "goodput_gain_percent": 1.0},
+                 {"server": 2, "goodput_gain_percent": 2.5}],
+                ["average goodput gain: 1.75% (paper: 31.22%)"],
+            ),
+            (
+                "fig11",
+                [{"server": 1, "latency_win_percent": 9.0},
+                 {"server": 2, "latency_win_percent": 10.0}],
+                ["average latency win: 9.50% (paper: 9.4%)"],
+            ),
+        ],
+    )
+    def test_epilogue_prints_below_the_table(
+        self, name, result, epilogue, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(FIGURES, name, replace(FIGURES[name], run=lambda: result))
+        monkeypatch.setattr(
+            fig07_goodput_latency, "run_40ge_fw_nat", lambda: {"send_rate_gbps": 30.0}
+        )
+        assert main(["run", name]) == 0
+        rows = result["rows"] if name == "fig06" else result
+        expected = [FIGURES[name].title, render_table(rows), *epilogue]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_no_other_figure_has_an_epilogue(self):
+        assert {name for name, figure in FIGURES.items() if figure.epilogue} == {
+            "fig06", "fig07", "fig10", "fig11",
+        }
+
+    @pytest.mark.parametrize("name", ["fig07", "fig14"])
+    def test_unrunnable_time_scale_is_one_error_line(self, name, capsys):
+        # Both figures loop in process, so the runner's ValueError reaches
+        # the CLI as itself instead of as a failed-campaign RuntimeError.
+        assert main(["run", name, "--time-scale", "1e-7"]) == 2
+        errors = _error_lines(capsys)
+        assert len(errors) == 1
+        assert errors[0].endswith("error: warmup must be shorter than the total duration")
+
+    def test_negative_rate_is_a_typed_error(self):
+        with pytest.raises(WorkloadSpecError, match="rate_gbps must be positive"):
+            fig07_goodput_latency.run((-1.0,), runner=ExperimentRunner(time_scale=0.05))
+
+    def test_cold_import_of_the_run_stack_skips_figures_and_http(self):
+        """The perf ledger's `setup_s` import line must stay this light."""
+        loaded = subprocess.run(
+            [sys.executable, "-c", f"{COLD_IMPORT}\nimport sys\nprint(*sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "repro.experiments.runner" in loaded
+        heavy = [
+            name for name in loaded
+            if name == "http.server" or name.startswith("repro.experiments.fig")
+        ]
+        assert heavy == []
 
 
 class TestCli:
-    def test_list_prints_every_experiment(self, capsys):
-        assert main(["list"]) == 0
-        output = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in output
-
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
@@ -35,15 +144,6 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["quickstart", "--rate", "8.5"])
         assert args.rate == 8.5
-
-    def test_registry_covers_every_figure_and_table(self):
-        expected = {f"fig{number:02d}" for number in range(6, 17)} | {
-            "table1", "equivalence", "chaos",
-        }
-        assert expected == set(EXPERIMENTS)
-
-    def test_json_runners_cover_every_experiment(self):
-        assert set(JSON_RUNNERS) == set(EXPERIMENTS)
 
     def test_run_json_emits_parseable_payload(self, capsys):
         assert main(["run", "table1", "--json"]) == 0

@@ -213,35 +213,18 @@ class TestFidelityKnob:
         with pytest.raises(ValueError):
             _scenario(fidelity="warp")
 
-    def test_uniform_fluid_failures_surface_as_fidelity_error(self):
-        # A figure experiment whose grid points all fail with
-        # FidelityError is a configuration error (clean `error:` line,
-        # exit 2), not a broken grid — raise_on_failure must re-raise
-        # the original type.  Mixed failures stay RuntimeError.
-        from repro.orchestrator.executor import CampaignSummary
+    def test_fluid_on_a_figure_without_steady_segments_is_one_cli_error(self, capsys):
+        # Every fig07 grid point refuses `fluid`; the figure loops in
+        # process, so the CLI sees the FidelityError itself: one
+        # `error:` line and exit 2, not a failed-campaign traceback.
+        from repro.cli import main
 
-        def summary_with(errors):
-            return CampaignSummary(
-                total=len(errors),
-                executed=len(errors),
-                failed=len(errors),
-                records=[
-                    {"scenario": "s", "params": {}, "status": "error",
-                     "error": e}
-                    for e in errors
-                ],
-            )
-
-        uniform = summary_with(
-            ["FidelityError: no steady segment"] * 2
-        )
-        with pytest.raises(FidelityError, match="no steady segment"):
-            uniform.raise_on_failure()
-        mixed = summary_with(
-            ["FidelityError: no steady segment", "KeyError: 'boom'"]
-        )
-        with pytest.raises(RuntimeError, match="2 of 2 campaign runs"):
-            mixed.raise_on_failure()
+        assert main(["run", "fig07", "--fidelity", "fluid", "--time-scale", "0.02"]) == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "fidelity: fluid requires a steady traffic segment" in errors[0]
 
     def test_fluid_mode_raises_without_steady_segments(self):
         scenario = replace(

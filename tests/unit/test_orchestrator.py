@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import fig07_goodput_latency, fig14_memory_sweep
-from repro.experiments.runner import DeploymentKind, ExperimentRunner, ScenarioConfig
+from repro.experiments.runner import ExperimentRunner, ScenarioConfig
 from repro.experiments.scenarios import fw_nat_lb_10ge
 from repro.nf.framework import NETBRICKS, OPENNETVM
 from repro.orchestrator import (
@@ -456,8 +455,6 @@ class TestExecutor:
         assert marker["status"] == "exhausted"
         assert marker["attempts"] == 3
         assert "retry budget exhausted" in marker["error"]
-        with pytest.raises(RuntimeError, match="retry budget"):
-            summary.raise_on_failure()
 
         # A second resume skips the cell without stamping another marker.
         again = CampaignExecutor(workers=1, max_attempts=3).run_campaign(
@@ -543,32 +540,6 @@ class TestExecutor:
         assert summary.exhausted == 0
         assert store.completed_hashes() == {spec_hash}
 
-    def test_summary_raise_on_failure_lists_errors(self):
-        from repro.orchestrator import CampaignSummary
-
-        CampaignSummary(total=2, executed=2).raise_on_failure()  # no-op
-        summary = CampaignSummary(
-            total=1,
-            executed=1,
-            failed=1,
-            records=[
-                {
-                    "status": "error",
-                    "scenario": "fw_nat_lb_10ge",
-                    "params": {"send_rate_gbps": 8.0},
-                    "error": "ValueError: boom",
-                }
-            ],
-        )
-        with pytest.raises(RuntimeError, match="boom"):
-            summary.raise_on_failure()
-
-    def test_figure_port_raises_on_failed_grid_point(self):
-        runner = ExperimentRunner(time_scale=FAST)
-        with pytest.raises(RuntimeError, match="campaign runs failed"):
-            # Negative rate makes the traffic generator reject the run.
-            fig07_goodput_latency.run((-1.0,), runner=runner)
-
     def test_peak_mode_records_peak_metrics(self):
         record = execute_run(
             RunSpec(
@@ -615,71 +586,3 @@ class TestAggregate:
         assert grouped == [{"chain": "fw", "gain": 15.0}, {"chain": "nat", "gain": 5.0}]
         with pytest.raises(ValueError):
             group_rows(rows, by=["chain"], reductions={"gain": "median"})
-
-
-class TestFigurePorts:
-    def test_fig07_rows_match_legacy_direct_loop(self):
-        runner = ExperimentRunner(time_scale=FAST)
-        rates = (4.0, 10.5)
-        legacy = []
-        for rate in rates:
-            comparison = runner.compare(fw_nat_lb_10ge(send_rate_gbps=rate)).comparison
-            legacy.append(
-                {
-                    "send_rate_gbps": rate,
-                    "baseline_goodput_gbps": round(
-                        comparison.baseline.goodput_to_nf_gbps, 4
-                    ),
-                    "payloadpark_goodput_gbps": round(
-                        comparison.payloadpark.goodput_to_nf_gbps, 4
-                    ),
-                    "goodput_gain_percent": round(comparison.goodput_gain_percent, 2),
-                    "baseline_latency_us": round(comparison.baseline.avg_latency_us, 2),
-                    "payloadpark_latency_us": round(
-                        comparison.payloadpark.avg_latency_us, 2
-                    ),
-                    "baseline_healthy": comparison.baseline.healthy,
-                    "payloadpark_healthy": comparison.payloadpark.healthy,
-                }
-            )
-        assert fig07_goodput_latency.run(rates, runner=runner) == legacy
-
-    def test_fig14_rows_match_legacy_direct_loop(self):
-        runner = ExperimentRunner(time_scale=FAST)
-        fractions = (0.26,)
-        bounds, tolerance = (4.0, 12.0), 8.0
-        _rate, baseline_report = runner.peak_goodput(
-            build_scenario(RunSpec("memory_sweep", params={"sram_fraction": 0.26})),
-            deployment=DeploymentKind.BASELINE,
-            require_zero_premature_evictions=False,
-            rate_bounds_gbps=bounds,
-            tolerance_gbps=tolerance,
-        )
-        rate, report = runner.peak_goodput(
-            build_scenario(RunSpec("memory_sweep", params={"sram_fraction": 0.26})),
-            deployment=DeploymentKind.PAYLOADPARK,
-            require_zero_premature_evictions=True,
-            rate_bounds_gbps=bounds,
-            tolerance_gbps=tolerance,
-        )
-        legacy = [
-            {
-                "sram_fraction_percent": 26.0,
-                "peak_send_rate_gbps": round(rate, 2),
-                "peak_goodput_gbps": round(report.goodput_to_nf_gbps, 4),
-                "premature_evictions": report.premature_evictions,
-                "drop_rate": round(report.drop_rate, 5),
-                "baseline_peak_goodput_gbps": round(
-                    baseline_report.goodput_to_nf_gbps, 4
-                ),
-            }
-        ]
-        assert (
-            fig14_memory_sweep.run(
-                fractions,
-                runner=runner,
-                rate_bounds_gbps=bounds,
-                tolerance_gbps=tolerance,
-            )
-            == legacy
-        )

@@ -7,6 +7,7 @@ import pytest
 from repro.telemetry.goodput import gbps, goodput_gain_percent, savings_percent
 from repro.telemetry.latency import LatencyRecorder
 from repro.telemetry.report import (
+    COMPARISON_COLUMNS,
     ComparisonReport,
     DeploymentReport,
     FOLD_RULES,
@@ -254,6 +255,22 @@ class TestReports:
         text = render_table([comparison.as_row()])
         assert "send_rate_gbps" in text
         assert "|" in text
+
+    def test_comparison_columns_are_selected_by_name(self):
+        comparison = ComparisonReport(
+            baseline=self._report(goodput_to_nf_gbps=0.123456, pcie_gbps=10.12345),
+            payloadpark=self._report(goodput_to_nf_gbps=0.2, packets_dropped=5_000),
+        )
+        assert comparison.as_row(
+            "payloadpark_healthy", "baseline_goodput_gbps", "baseline_pcie_gbps"
+        ) == {
+            "payloadpark_healthy": False,
+            "baseline_goodput_gbps": 0.1235,
+            "baseline_pcie_gbps": 10.123,
+        }
+        assert list(comparison.as_row()) == list(COMPARISON_COLUMNS)
+        with pytest.raises(KeyError):
+            comparison.column("goodput")
 
     def test_render_table_empty(self):
         assert render_table([]) == "(no data)"
