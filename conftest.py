@@ -1,8 +1,8 @@
 """Pytest bootstrap: make ``src/`` importable without an installed package.
 
 The canonical workflow is ``pip install -e .``; this fallback lets the
-test and benchmark suites run from a plain checkout (e.g. in offline CI
-where editable installs are awkward).
+test suite run from a plain checkout (e.g. in offline CI where editable
+installs are awkward).
 """
 
 import sys

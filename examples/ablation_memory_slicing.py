@@ -1,3 +1,4 @@
+#!/usr/bin/env python3
 """Ablation: static memory slicing between NF servers sharing a pipe (§6.2.3).
 
 The prototype slices the reserved lookup-table memory statically between
@@ -6,18 +7,25 @@ isolation.  This ablation compares equal slicing against a deliberately
 skewed split (75/25) under identical offered load, showing that the
 starved binding falls back to non-PayloadPark mode more often while the
 favoured one is unaffected — the isolation property the paper argues for.
+
+Run with:
+
+    python examples/ablation_memory_slicing.py
 """
 
 from dataclasses import replace
 
-from _harness import bench_runner, run_figure
-
-from repro.experiments.runner import DeploymentKind, multi_server_bindings
+from repro.experiments.runner import (
+    DeploymentKind,
+    ExperimentRunner,
+    multi_server_bindings,
+)
 from repro.experiments.scenarios import multi_server_384b
+from repro.telemetry.report import render_table
 
 
-def _run(send_rate_gbps=10.0):
-    runner = bench_runner()
+def run(send_rate_gbps=10.0):
+    runner = ExperimentRunner(time_scale=0.4)
     rows = []
     for label, weights in (("equal 50/50", (1.0, 1.0)), ("skewed 75/25", (3.0, 1.0))):
         scenario = replace(
@@ -43,12 +51,10 @@ def _run(send_rate_gbps=10.0):
     return rows
 
 
-def test_ablation_memory_slicing(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Ablation — static memory slicing between two NF servers on one pipe",
-        _run,
-    )
+def main() -> None:
+    rows = run()
+    print("Ablation — static memory slicing between two NF servers on one pipe")
+    print(render_table(rows))
     equal = [row for row in rows if row["slicing"] == "equal 50/50"]
     skewed = {row["binding"]: row for row in rows if row["slicing"] == "skewed 75/25"}
     # Equal slicing treats both servers alike.
@@ -56,3 +62,7 @@ def test_ablation_memory_slicing(benchmark):
     # The favoured binding keeps (at least) its goodput; the starved one
     # falls back to non-PayloadPark mode more often than its peer.
     assert skewed["srv1"]["split_disabled"] >= skewed["srv0"]["split_disabled"]
+
+
+if __name__ == "__main__":
+    main()

@@ -1,3 +1,4 @@
+#!/usr/bin/env python3
 """Ablation: the minimum-payload split threshold (§6.3.3 discussion).
 
 The prototype refuses to split payloads smaller than the parked size
@@ -5,19 +6,22 @@ The prototype refuses to split payloads smaller than the parked size
 the paper suggests raising the threshold to 384 bytes would use switch
 memory even better.  This ablation compares thresholds on the enterprise
 mix, reporting how many packets are parked and what goodput results.
+
+Run with:
+
+    python examples/ablation_min_payload.py
 """
 
 from dataclasses import replace
 
-from _harness import bench_runner, run_figure
-
 from repro.core.config import PayloadParkConfig
-from repro.experiments.runner import DeploymentKind
+from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.experiments.scenarios import fw_nat_40ge_enterprise
+from repro.telemetry.report import render_table
 
 
-def _run(thresholds=(0, 160, 384), send_rate_gbps=34.0):
-    runner = bench_runner()
+def run(thresholds=(0, 160, 384), send_rate_gbps=34.0):
+    runner = ExperimentRunner(time_scale=0.4)
     rows = []
     for threshold in thresholds:
         scenario = fw_nat_40ge_enterprise(send_rate_gbps=send_rate_gbps)
@@ -45,14 +49,17 @@ def _run(thresholds=(0, 160, 384), send_rate_gbps=34.0):
     return rows
 
 
-def test_ablation_min_split_payload(benchmark):
-    rows = run_figure(
-        benchmark,
-        "Ablation — minimum payload size worth splitting (enterprise mix, FW -> NAT, 40 GbE)",
-        _run,
-    )
+def main() -> None:
+    rows = run()
+    print("Ablation — minimum payload size worth splitting "
+          "(enterprise mix, FW -> NAT, 40 GbE)")
+    print(render_table(rows))
     by_threshold = {row["min_split_payload_bytes"]: row for row in rows}
     # Raising the threshold parks fewer packets...
     assert by_threshold[384]["splits"] < by_threshold[160]["splits"]
     # ...and lowering it to zero parks (nearly) everything.
     assert by_threshold[0]["split_fraction"] >= by_threshold[160]["split_fraction"]
+
+
+if __name__ == "__main__":
+    main()

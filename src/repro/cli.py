@@ -16,7 +16,6 @@ Usage::
     python -m repro faults list              # named fault-injection profiles
     python -m repro faults preview chaos-mix --horizon-us 6000
     python -m repro run fig07 --faults link-flap  # inject faults into a figure
-    python -m repro bench --quick            # default-engine packets/sec
     python -m repro validate run --scenario workload -p workload=bursty-mmpp
     python -m repro validate fuzz --budget 30s --seed 0
     python -m repro validate replay          # re-run the shrunk-repro corpus
@@ -24,9 +23,9 @@ Usage::
     python -m repro observe trace --format chrome   # chrome://tracing export
     python -m repro observe profile          # wall-time per engine stage
     python -m repro run chaos --trace --metrics     # figures with the plane on
-    python -m repro bench --quick --obs-check       # observability overhead gate
+    python -m repro bench --obs-check               # observability overhead gate
     python -m repro run fig07 --fidelity auto       # fluid tier on steady segments
-    python -m repro bench --quick --fidelity-check  # fluid speedup + agreement gate
+    python -m repro bench --fidelity-check          # fluid speedup + agreement gate
     python -m repro --log-level debug run fig07     # verbose stderr diagnostics
 
 ``list`` and ``run`` read the one figure registry,
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     quick_parser = subparsers.add_parser(
         "quickstart", help="run a single PayloadPark-vs-baseline comparison"
     )
-    quick_parser.set_defaults(handler=_quickstart, errors=())
+    quick_parser.set_defaults(handler=_quickstart)
     quick_parser.add_argument(
         "--rate", type=float, default=10.5, help="offered load in Gbps (default 10.5)"
     )
@@ -437,85 +436,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="measure simulated-packets/sec, or run one of the overhead gates",
+        help="run the overhead gates (all three, or the ones named); "
+             "exit 3 when one fails",
     )
     bench_parser.set_defaults(handler=_bench)
     bench_parser.add_argument(
-        "--scenario", default=None,
-        help="bench scenario (default fig07; see repro.bench.BENCH_SCENARIOS)",
-    )
-    bench_parser.add_argument(
-        "--rate", type=float, default=None, help="offered load in Gbps",
-    )
-    bench_parser.add_argument(
-        "--time-scale", type=float, default=None,
-        help="simulated-duration multiplier (longer runs amortize caches)",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=1,
-        help="measurements (rounds, for a gate); the best is reported "
-             "(default 1)",
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="short smoke measurement (time_scale 0.25) for CI",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true", help="emit the measurement as JSON"
+        "--json", action="store_true", help="emit the measurements as JSON"
     )
     bench_parser.add_argument(
         "--obs-check", action="store_true",
-        help="measure observability-plane overhead and fail when the "
-             "disabled plane costs more than repro.bench.OBS_OVERHEAD_TOLERANCE",
-    )
-    bench_parser.add_argument(
-        "--no-artifact", action="store_true",
-        help="do not write benchmarks/obs_overhead.json or append to "
-             "benchmarks/bench_history.jsonl",
+        help="fail when the disabled observability plane costs more than "
+             "repro.bench.OBS_OVERHEAD_TOLERANCE of throughput",
     )
     bench_parser.add_argument(
         "--bus-check", action="store_true",
-        help="measure campaign telemetry-bus overhead and fail when a "
-             "bus-enabled campaign costs more than "
-             "repro.bench.BUS_OVERHEAD_TOLERANCE",
+        help="fail when a bus-enabled campaign costs more than "
+             "repro.bench.BUS_OVERHEAD_TOLERANCE of campaign throughput",
     )
     bench_parser.add_argument(
         "--fidelity-check", action="store_true",
-        help="measure the fluid fidelity tier (fidelity: auto vs "
-             "packet) on a long steady horizon; fail on a figure-tolerance "
-             "breach or a speedup below repro.bench.FIDELITY_MIN_SPEEDUP",
-    )
-
-    bench_sub = bench_parser.add_subparsers(dest="bench_command")
-    bench_trend = bench_sub.add_parser(
-        "trend",
-        help="sliding-window regression detection over the bench history",
-    )
-    bench_trend.set_defaults(handler=_bench_trend)
-    bench_trend.add_argument(
-        "--history", default=None,
-        help="bench history JSONL (default benchmarks/bench_history.jsonl)",
-    )
-    bench_trend.add_argument(
-        "--kind", default="fastpath",
-        help="history entry kind to analyse (default fastpath)",
-    )
-    bench_trend.add_argument(
-        "--metric", default="fast.packets_per_sec",
-        help="dotted metric path inside each entry "
-             "(default fast.packets_per_sec)",
-    )
-    bench_trend.add_argument(
-        "--window", type=int, default=3,
-        help="trailing samples that must all regress to flag (default 3)",
-    )
-    bench_trend.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="fractional drop below the pre-window median that counts as "
-             "regressed (default 0.25)",
-    )
-    bench_trend.add_argument(
-        "--json", action="store_true", help="emit the analysis as JSON"
+        help="fidelity: auto vs packet on a long steady horizon; fail on a "
+             "figure-tolerance breach or a speedup below "
+             "repro.bench.FIDELITY_MIN_SPEEDUP",
     )
 
     obs_parser = subparsers.add_parser(
@@ -707,96 +649,32 @@ def _export_observations(observations, out_dir: Path) -> List[Path]:
 
 
 def _bench(args) -> int:
-    """Run the gates asked for, or with none the throughput measurement."""
+    """Run the gates named, or all three when none is; exit 3 if one fails."""
     from repro import bench
 
-    time_scale = args.time_scale
-    if time_scale is None:
-        time_scale = bench.QUICK_TIME_SCALE if args.quick else bench.DEFAULT_TIME_SCALE
-    scenario = args.scenario or bench.DEFAULT_SCENARIO
-    rate = args.rate if args.rate is not None else bench.DEFAULT_RATE_GBPS
+    named = {
+        "obs_overhead": args.obs_check,
+        "bus_overhead": args.bus_check,
+        "fidelity": args.fidelity_check,
+    }
     payload = {}
     reports = []
     exit_code = 0
-
-    def gate(ok: bool, message: str) -> None:
-        nonlocal exit_code
+    for key in [key for key in bench.GATES if named[key]] or bench.GATES:
+        gate = bench.GATES[key]
+        result = bench.run_gate(gate)
+        payload[key] = result
+        reports.append(bench.format_gate(gate, result))
+        ok, message = bench.check_gate(gate, result)
         (logger.info if ok else logger.error)("%s", message)
         if not ok:
             exit_code = 3
-
-    if args.obs_check:
-        result = bench.run_obs_overhead(
-            scenario=scenario, rate_gbps=rate, time_scale=time_scale,
-            repeat=args.repeat,
-        )
-        payload["obs_overhead"] = result
-        reports.append(bench.format_obs_overhead(result))
-        if not args.no_artifact:
-            artifact = bench.write_bench_artifact(result, kind="obs_overhead")
-            logger.info("wrote observability-overhead artifact %s", artifact)
-        gate(*bench.check_obs_overhead(result))
-    if args.bus_check:
-        result = bench.run_bus_overhead(repeat=max(args.repeat, 3))
-        payload["bus_overhead"] = result
-        reports.append(bench.format_bus_overhead(result))
-        if not args.no_artifact:
-            history = bench.append_history(result, kind="campaign_bus")
-            logger.info("appended campaign-bus measurement to %s", history)
-        gate(*bench.check_bus_overhead(result))
-    if args.fidelity_check:
-        # The fidelity bench defaults to stable underload (see
-        # FIDELITY_BENCH_RATE_GBPS) unless a rate was given explicitly.
-        fidelity_rate = (
-            args.rate if args.rate is not None else bench.FIDELITY_BENCH_RATE_GBPS
-        )
-        result = bench.run_fidelity_bench(
-            scenario=scenario, rate_gbps=fidelity_rate, time_scale=time_scale,
-            repeat=args.repeat,
-        )
-        payload["fidelity"] = result
-        reports.append(bench.format_fidelity(result))
-        if not args.no_artifact:
-            history = bench.append_history(result, kind="fidelity")
-            logger.info("appended fidelity measurement to %s", history)
-        gate(*bench.check_fidelity(result))
-    if not payload:
-        payload = bench.run_bench(
-            scenario=scenario, rate_gbps=rate, time_scale=time_scale,
-            repeat=args.repeat,
-        )
-        reports.append(bench.format_result(payload))
-        if not args.no_artifact:
-            history = bench.append_history(payload, kind="fastpath")
-            logger.info("appended throughput measurement to %s", history)
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
         print()
     else:
         print("\n".join(reports))
     return exit_code
-
-
-def _bench_trend(args) -> int:
-    from pathlib import Path as _Path
-
-    from repro.orchestrator.ledger import RunLedger, detect_regression, format_trend
-
-    ledger = RunLedger(
-        history_path=_Path(args.history) if args.history else None
-    )
-    values = ledger.bench_series(kind=args.kind, metric=args.metric)
-    result = detect_regression(
-        values, window=args.window, threshold=args.threshold
-    )
-    result["kind"] = args.kind
-    result["metric"] = args.metric
-    if args.json:
-        json.dump(result, sys.stdout, indent=2)
-        print()
-    else:
-        print(format_trend(result, args.kind, args.metric))
-    return 3 if result["regressed"] else 0
 
 
 # ---------------------------------------------------------------------- #
@@ -820,10 +698,10 @@ def _obs_diff(args) -> int:
 
 
 def _obs_runs(args) -> int:
-    from repro.orchestrator.ledger import RunLedger
+    from repro.orchestrator.store import campaign_runs
     from repro.telemetry.report import render_table
 
-    rows = RunLedger(results_root=Path(args.root)).campaign_runs()
+    rows = campaign_runs(args.root)
     if args.json:
         json.dump({"runs": rows}, sys.stdout, indent=2)
         print()
@@ -1014,33 +892,32 @@ def _campaign_run(args) -> int:
             line += f" — {record.get('error', 'unknown error')}"
         logger.info("%s", line)
 
-    bus = None
+    # Built before the bus starts: a bad --workers / --cell-timeout /
+    # --max-attempts / --retry-backoff is rejected with nothing on disk.
+    executor = CampaignExecutor(
+        workers=workers,
+        progress=None if args.json else progress,
+        log_level="debug" if args.verbose else args.log_level,
+        heartbeat_interval_s=args.heartbeat,
+        cell_timeout_s=args.cell_timeout,
+        max_attempts=args.max_attempts,
+        retry_backoff_s=args.retry_backoff,
+    )
     if not args.no_bus:
         # Bus on by default: workers stream telemetry into the events
         # sidecar so a separate `repro campaign serve` can attach live.
         events_path = events_path_for(store.path)
-        bus = TelemetryBus(
+        executor.bus = TelemetryBus(
             events_path=events_path, heartbeat_interval_s=args.heartbeat
         ).start()
         logger.info("telemetry bus -> %s", events_path)
-    log_level = "debug" if args.verbose else args.log_level
     try:
-        executor = CampaignExecutor(
-            workers=workers,
-            progress=None if args.json else progress,
-            bus=bus,
-            log_level=log_level,
-            heartbeat_interval_s=args.heartbeat,
-            cell_timeout_s=args.cell_timeout,
-            max_attempts=args.max_attempts,
-            retry_backoff_s=args.retry_backoff,
-        )
         summary = executor.run_campaign(
             campaign, store=store, resume=not args.no_resume
         )
     finally:
-        if bus is not None:
-            bus.stop()
+        if executor.bus is not None:
+            executor.bus.stop()
     if args.json:
         json.dump(summary.as_row(), sys.stdout, indent=2)
         print()

@@ -6,8 +6,7 @@ server(s)) for a scenario, runs it under both the PayloadPark and the
 baseline deployments, and returns comparable reports.  Each module
 exposes one ``run(...)`` that loops over the runner in process and
 returns JSON-serializable rows; :mod:`repro.experiments.figures` is the
-one table that names them all (``repro list`` / ``repro run``), and the
-scripts under ``benchmarks/`` time the same ``run`` functions.
+one table that names them all (``repro list`` / ``repro run``).
 
 This package imports only the runner: importing the registry pulls in
 all fourteen experiment modules, which campaign workers and the perf

@@ -65,8 +65,8 @@ def _check_fidelity(mode: str) -> None:
 class RunOptions:
     """What every run inside a :func:`run_options` block inherits.
 
-    The CLI's ``repro run`` flags, the bench gates and the validation
-    relations set these once around an experiment instead of threading
+    The CLI's ``repro run`` flags and the validation relations set
+    these once around an experiment instead of threading
     parameters through each experiment module; the specs are validated
     on construction, so a typo fails before any simulation starts.
 
@@ -304,7 +304,7 @@ class ExperimentRunner:
     ----------
     time_scale:
         Multiplier applied to every scenario's simulated duration and
-        warm-up.  The benchmark harness uses values below 1.0 to keep the
+        warm-up.  Tests and smoke runs use values below 1.0 to keep the
         full figure sweeps fast; results converge for scales ≥ 0.5 at the
         packet rates used in the paper.  ``None`` (the default) resolves
         through :func:`current_options`, so the CLI's ``--time-scale``

@@ -10,16 +10,15 @@ The subsystem has seven layers:
   behind the executor: cell leases, per-cell timeouts, bounded retry
   with backoff, worker-crash recovery;
 - :mod:`repro.orchestrator.store` — append-only JSONL records keyed by
-  spec hash (optionally sharded by hash), enabling resume;
+  spec hash (optionally sharded by hash), enabling resume, and the
+  per-store summary behind ``repro obs runs``;
 - :mod:`repro.orchestrator.aggregate` — regrouping records into
   per-campaign tables;
 - :mod:`repro.orchestrator.telemetrybus` — structured worker events over
   a multiprocessing queue into live campaign state;
 - :mod:`repro.orchestrator.serve` — ``repro campaign serve`` HTTP
   endpoints (status/cells/violations/events/metrics), live or post-hoc;
-  not re-exported here, so only that command imports :mod:`http.server`;
-- :mod:`repro.orchestrator.ledger` — cross-run index over stores and the
-  bench history, with sliding-window regression detection.
+  not re-exported here, so only that command imports :mod:`http.server`.
 """
 
 from repro.orchestrator.dispatcher import DispatchLoop
@@ -30,7 +29,6 @@ from repro.orchestrator.executor import (
     flatten_comparison,
     flatten_report,
 )
-from repro.orchestrator.ledger import RunLedger, detect_regression
 from repro.orchestrator.spec import (
     SCENARIO_REGISTRY,
     CampaignSpec,
@@ -54,13 +52,11 @@ __all__ = [
     "CampaignSummary",
     "DispatchLoop",
     "ResultStore",
-    "RunLedger",
     "RunSpec",
     "TelemetryBus",
     "build_scenario",
     "default_store_path",
     "derived_seed",
-    "detect_regression",
     "events_from_record",
     "events_path_for",
     "execute_run",

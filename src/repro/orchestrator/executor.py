@@ -318,6 +318,10 @@ class CampaignExecutor:
             raise ValueError("workers must be at least 1")
         if max_attempts is not None and max_attempts < 0:
             raise ValueError("max_attempts must be >= 0")
+        if cell_timeout_s is not None and cell_timeout_s <= 0:
+            raise ValueError("cell_timeout_s must be positive")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
         self.workers = workers
         self.progress = progress
         self.bus = bus

@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set
 
@@ -296,3 +297,40 @@ def events_path_for(store_path) -> Path:
     """The telemetry-events sidecar next to a store: ``<name>.events.jsonl``."""
     store_path = Path(store_path)
     return store_path.with_name(f"{store_path.stem}.events.jsonl")
+
+
+def campaign_runs(root) -> List[Dict[str, Any]]:
+    """One summary row per campaign store under *root* (``repro obs runs``).
+
+    Events sidecars are skipped and shard files collapse into their base
+    store path, so a sharded campaign is one row — whether or not the
+    legacy single file also exists on disk.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        return []
+    bases = set()
+    for path in root.glob("*.jsonl"):
+        if path.name.endswith(".events.jsonl"):
+            continue
+        stem = shard_stem(path)
+        bases.add(path.with_name(f"{stem}.jsonl") if stem is not None else path)
+    rows = []
+    for path in sorted(bases):
+        latest = ResultStore(path).latest_by_hash().values()
+        statuses = Counter(record.get("status", "ok") for record in latest)
+        rows.append(
+            {
+                "campaign": path.stem,
+                "store": str(path),
+                "cells": len(latest),
+                "ok": statuses["ok"],
+                "error": statuses["error"],
+                "violation": statuses["violation"],
+                "exhausted": statuses["exhausted"],
+                "violations_total": sum(
+                    len(record.get("violations", [])) for record in latest
+                ),
+            }
+        )
+    return rows

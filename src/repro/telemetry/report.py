@@ -102,7 +102,7 @@ class DeploymentReport:
         return self.premature_evictions == 0
 
     def as_row(self) -> Dict[str, float]:
-        """Flat dict used by the benchmark harness to print result rows."""
+        """Flat dict printed as one row of a result table."""
         return {
             "deployment": self.deployment,
             "send_rate_gbps": round(self.send_rate_gbps, 3),
@@ -211,8 +211,8 @@ class ComparisonReport:
 def render_table(rows, columns=None) -> str:
     """Render a list of dict rows as an aligned text table.
 
-    The benchmark harness prints these tables so each bench regenerates
-    the corresponding figure/table of the paper in textual form.
+    ``repro run`` and the example scripts print these tables, so each
+    regenerates its figure/table of the paper in textual form.
     """
     rows = list(rows)
     if not rows:

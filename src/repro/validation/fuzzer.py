@@ -365,6 +365,8 @@ def fuzz(
     """
     if max_scenarios is None and budget_s is None:
         max_scenarios = 50
+    if max_scenarios is not None and max_scenarios < 1:
+        raise ValueError("max_scenarios must be at least 1")
     rng = random.Random(seed)
     relations = build_relations(relation_names)
     determinism = SeedDeterminism()

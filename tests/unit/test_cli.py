@@ -30,6 +30,12 @@ def _error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
 
 
+def _one_error(capsys):
+    """The message of the single ``error:`` line on stderr."""
+    (line,) = _error_lines(capsys)
+    return line.split("error: ", 1)[1]
+
+
 class TestFigureRegistry:
     def test_list_prints_exactly_the_registry(self, capsys):
         assert main(["list"]) == 0
@@ -144,6 +150,15 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["quickstart", "--rate", "8.5"])
         assert args.rate == 8.5
+
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    def test_quickstart_nonpositive_rate_is_one_error_line(self, rate, capsys):
+        assert main(["quickstart", "--rate", rate]) == 2
+        assert _one_error(capsys) == "rate_gbps must be positive"
+
+    def test_fuzz_with_no_scenarios_is_an_error_not_a_green_run(self, capsys):
+        assert main(["validate", "fuzz", "--scenarios", "0", "--no-corpus"]) == 2
+        assert _one_error(capsys) == "max_scenarios must be at least 1"
 
     def test_run_json_emits_parseable_payload(self, capsys):
         assert main(["run", "table1", "--json"]) == 0
@@ -267,6 +282,33 @@ class TestCampaignCli:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "unknown campaign parameter 'fast_path'" in errors[0]
+        assert list(tmp_path.iterdir()) == [spec]
+
+    BAD_DISPATCH_VALUES = {
+        "--cell-timeout=0": "cell_timeout_s must be positive",
+        "--cell-timeout=-5": "cell_timeout_s must be positive",
+        "--retry-backoff=-1": "retry_backoff_s must be >= 0",
+        "--max-attempts=-1": "max_attempts must be >= 0",
+    }
+
+    @pytest.mark.parametrize("dispatch", ["--serial", "--workers=2"])
+    @pytest.mark.parametrize("flag", BAD_DISPATCH_VALUES)
+    def test_campaign_run_rejects_bad_dispatch_values_with_nothing_on_disk(
+        self, flag, dispatch, tmp_path, capsys
+    ):
+        spec = self._write_spec(tmp_path)
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store),
+                     dispatch, flag]) == 2
+        assert _one_error(capsys) == self.BAD_DISPATCH_VALUES[flag]
+        assert list(tmp_path.iterdir()) == [spec]  # no store, no events sidecar
+
+    def test_campaign_run_rejects_zero_workers_with_nothing_on_disk(self, tmp_path, capsys):
+        spec = self._write_spec(tmp_path)
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store),
+                     "--workers=0"]) == 2
+        assert _one_error(capsys) == "workers must be at least 1"
         assert list(tmp_path.iterdir()) == [spec]
 
     def test_campaign_report_without_records(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""CLI tests for campaign serve, obs diff/runs, and bench trend."""
+"""CLI tests for campaign serve and obs diff/runs."""
 
 import json
 import logging
@@ -29,14 +29,6 @@ def _metrics_export(counters):
         "histograms": {},
         "series": {},
     }
-
-
-def _write_history(path, values):
-    with path.open("w") as handle:
-        for value in values:
-            handle.write(json.dumps(
-                {"kind": "fastpath", "fast": {"packets_per_sec": value}}
-            ) + "\n")
 
 
 @pytest.fixture()
@@ -132,76 +124,6 @@ class TestObsCLI:
     def test_runs_empty_root(self, tmp_path, capsys):
         assert main(["obs", "runs", "--root", str(tmp_path / "none")]) == 0
         assert "no campaign stores" in capsys.readouterr().out
-
-
-class TestBenchTrendCLI:
-    def test_flags_injected_2x_regression(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        _write_history(history, [100.0, 101.0, 99.0, 100.0, 50.0, 49.0, 48.0])
-        assert main([
-            "bench", "trend", "--history", str(history),
-        ]) == 3
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_quiet_on_flat_history(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        _write_history(history, [100.0, 104.0, 97.0, 101.0, 95.0, 103.0, 99.0])
-        assert main(["bench", "trend", "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out and "REGRESSION" not in out
-
-    def test_json_mode_reports_ratio(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        _write_history(history, [100.0] * 4 + [50.0] * 3)
-        assert main([
-            "bench", "trend", "--history", str(history), "--json",
-        ]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regressed"] is True
-        assert payload["ratio"] == pytest.approx(0.5)
-
-    def test_custom_window_and_threshold(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        _write_history(history, [100.0, 100.0, 90.0])
-        # 10% drop trips a 5% threshold with a window of 1.
-        assert main([
-            "bench", "trend", "--history", str(history),
-            "--window", "1", "--threshold", "0.05",
-        ]) == 3
-
-
-class TestBusOverheadBench:
-    FAKE_BUS = {
-        "cells": 6, "time_scale": 0.05, "workers": 1, "repeat": 3,
-        "off": {"wall_s": 1.0, "cells": 6, "cells_per_sec": 6.0},
-        "on": {"wall_s": 1.01, "cells": 6, "cells_per_sec": 5.94},
-        "on_over_off": 0.99,
-    }
-
-    def test_check_bus_overhead_gate(self):
-        from repro.bench import check_bus_overhead
-
-        ok, message = check_bus_overhead(self.FAKE_BUS)
-        assert ok and "ok" in message
-        bad = dict(self.FAKE_BUS, on_over_off=0.9)
-        ok, message = check_bus_overhead(bad)
-        assert not ok and "REGRESSION" in message
-
-    def test_format_bus_overhead(self):
-        from repro.bench import format_bus_overhead
-
-        text = format_bus_overhead(self.FAKE_BUS)
-        assert "bus off" in text and "bus  on" in text
-        assert "0.990" in text
-
-    def test_run_bus_overhead_measures_both_modes(self):
-        from repro.bench import run_bus_overhead
-
-        result = run_bus_overhead(cells=2, time_scale=0.05, repeat=1)
-        assert result["off"]["cells"] == result["on"]["cells"] == 2
-        assert result["off"]["cells_per_sec"] > 0
-        assert result["on"]["cells_per_sec"] > 0
-        assert result["on_over_off"] > 0
 
 
 class TestWorkerLogLevelPropagation:

@@ -5,7 +5,6 @@ import logging
 
 import pytest
 
-from repro.bench import append_history, check_obs_overhead, write_bench_artifact
 from repro.cli import LOG_LEVELS, configure_logging, main
 from repro.obs.schema import (
     validate_chrome_trace,
@@ -131,95 +130,3 @@ class TestRunObserveFlags:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "fig13", "--json", "--time-scale", "0.05"]) == 0
         assert not (tmp_path / "observations").exists()
-
-
-class TestBenchArtifacts:
-    FAKE_OBS = {
-        "scenario": "fig07", "rate_gbps": 10.5, "time_scale": 0.25, "repeat": 1,
-        "off": {"wall_s": 1.0, "packets": 100, "packets_per_sec": 100.0},
-        "disabled": {"wall_s": 1.0, "packets": 100, "packets_per_sec": 99.5},
-        "enabled": {"wall_s": 2.0, "packets": 100, "packets_per_sec": 50.0},
-        "disabled_over_off": 0.995, "enabled_over_off": 0.5,
-    }
-
-    def test_check_obs_overhead_gate(self):
-        ok, message = check_obs_overhead(self.FAKE_OBS)
-        assert ok and "ok" in message
-        bad = dict(self.FAKE_OBS, disabled_over_off=0.9)
-        ok, message = check_obs_overhead(bad)
-        assert not ok and "REGRESSION" in message
-
-    def test_write_artifact_and_history(self, tmp_path):
-        artifact = tmp_path / "obs_overhead.json"
-        history = tmp_path / "history.jsonl"
-        written = write_bench_artifact(
-            self.FAKE_OBS, kind="obs_overhead",
-            artifact_path=artifact, history_path=history,
-        )
-        assert written == artifact
-        payload = json.loads(artifact.read_text())
-        assert payload["kind"] == "obs_overhead"
-        assert payload["disabled_over_off"] == 0.995
-        assert "measured_at" in payload
-        write_bench_artifact(
-            self.FAKE_OBS, kind="obs_overhead",
-            artifact_path=artifact, history_path=history,
-        )
-        lines = history.read_text().splitlines()
-        assert len(lines) == 2  # history appends, artifact overwrites
-        assert json.loads(lines[0])["kind"] == "obs_overhead"
-
-    def test_append_history_alone(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        append_history({"speedup": 1.5}, kind="fastpath", history_path=history)
-        entry = json.loads(history.read_text())
-        assert entry["kind"] == "fastpath" and entry["speedup"] == 1.5
-
-    def test_artifact_requires_path_for_other_kinds(self, tmp_path):
-        with pytest.raises(ValueError, match="no default artifact path"):
-            write_bench_artifact({"speedup": 1.0}, kind="fastpath")
-
-
-class TestBenchRunsOnlyWhatWasAsked:
-    def test_no_gate_flag_measures_the_default_engine_once_per_repeat(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro import bench
-        from repro.orchestrator.ledger import RunLedger
-
-        history = tmp_path / "history.jsonl"
-        monkeypatch.setattr(bench, "default_history_path", lambda: history)
-        measured = []
-        real_measure = bench._measure
-
-        def counting(*args, **kwargs):
-            measured.append(kwargs)
-            return real_measure(*args, **kwargs)
-
-        monkeypatch.setattr(bench, "_measure", counting)
-        assert main(["bench", "--time-scale", "0.05", "--repeat", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert measured == [{}, {}]
-        assert set(payload) == {"scenario", "rate_gbps", "time_scale", "fast"}
-        (row,) = [json.loads(line) for line in history.read_text().splitlines()]
-        assert row["kind"] == "fastpath"
-        # The row `bench trend` reads by default.
-        assert RunLedger(history_path=history).bench_series() == [
-            payload["fast"]["packets_per_sec"]
-        ]
-
-    def test_a_gate_flag_runs_that_gate_alone(self, monkeypatch, capsys):
-        from repro import bench
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("a measurement nobody asked for")
-
-        for name in ("run_bench", "run_bus_overhead", "run_fidelity_bench", "_measure"):
-            monkeypatch.setattr(bench, name, unexpected)
-        monkeypatch.setattr(
-            bench, "run_obs_overhead", lambda **kwargs: TestBenchArtifacts.FAKE_OBS
-        )
-        assert main(["bench", "--quick", "--obs-check", "--no-artifact", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {
-            "obs_overhead": TestBenchArtifacts.FAKE_OBS
-        }

@@ -1,4 +1,4 @@
-"""Unit tests for the cross-run ledger, bench trend, and obs diff."""
+"""Unit tests for the campaign-store index (``repro obs runs``) and obs diff."""
 
 import json
 
@@ -6,23 +6,7 @@ import pytest
 
 from repro.obs.diff import diff_metrics, format_diff, load_metrics_export
 from repro.obs.schema import SchemaError
-from repro.orchestrator.ledger import (
-    RunLedger,
-    detect_regression,
-    dotted_get,
-    format_trend,
-)
-from repro.orchestrator.store import ResultStore
-
-
-def _history(tmp_path, values, kind="fastpath"):
-    path = tmp_path / "bench_history.jsonl"
-    with path.open("w") as handle:
-        for value in values:
-            handle.write(json.dumps(
-                {"kind": kind, "fast": {"packets_per_sec": value}}
-            ) + "\n")
-    return path
+from repro.orchestrator.store import ResultStore, campaign_runs
 
 
 def _metrics_export(counters=None, gauges=None, series=None):
@@ -37,109 +21,14 @@ def _metrics_export(counters=None, gauges=None, series=None):
     }
 
 
-class TestDetectRegression:
-    def test_flags_a_sustained_2x_drop(self):
-        values = [100.0, 102.0, 98.0, 101.0, 50.0, 49.0, 51.0]
-        result = detect_regression(values, window=3, threshold=0.25)
-        assert result["regressed"]
-        assert result["baseline"] == pytest.approx(100.5)
-        assert "below" in result["reason"]
-
-    def test_quiet_on_flat_history_with_noise(self):
-        values = [100.0, 104.0, 97.0, 101.0, 95.0, 103.0, 99.0]
-        assert not detect_regression(values, window=3, threshold=0.25)["regressed"]
-
-    def test_single_bad_sample_does_not_flag(self):
-        # One noisy run in the window is not a sustained regression.
-        values = [100.0, 100.0, 100.0, 100.0, 40.0, 100.0, 100.0]
-        assert not detect_regression(values, window=3, threshold=0.25)["regressed"]
-
-    def test_insufficient_history_is_quiet(self):
-        result = detect_regression([100.0, 50.0], window=3)
-        assert not result["regressed"]
-        assert "insufficient history" in result["reason"]
-
-    def test_exact_window_length_history_uses_single_sample_baseline(self):
-        # window + 1 samples is the smallest history that can be judged:
-        # the baseline is the lone leading sample, and a sustained drop
-        # below it must flag without any mis-indexing.
-        result = detect_regression([100.0, 40.0, 41.0, 42.0], window=3)
-        assert result["samples"] == 4
-        assert result["baseline"] == 100.0
-        assert result["regressed"]
-        # Same length, flat values: quiet.
-        flat = detect_regression([100.0, 99.0, 101.0, 100.0], window=3)
-        assert not flat["regressed"]
-
-    def test_cli_trend_exits_zero_quietly_on_short_history(self, tmp_path, capsys):
-        # `repro bench trend` over a history shorter than the sliding
-        # window must exit 0 and say why, never flag or traceback.
-        from repro.cli import main
-
-        path = _history(tmp_path, [100.0, 50.0])
-        assert main(["bench", "trend", "--history", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "insufficient history" in out
-
-        empty = tmp_path / "empty_history.jsonl"
-        empty.write_text("")
-        assert main(["bench", "trend", "--history", str(empty)]) == 0
-
-        missing = tmp_path / "does_not_exist.jsonl"
-        assert main(["bench", "trend", "--history", str(missing)]) == 0
-
-    def test_cli_trend_exact_window_length_flags_and_stays_quiet(self, tmp_path):
-        from repro.cli import main
-
-        regressed = _history(tmp_path, [100.0, 40.0, 41.0, 42.0])
-        assert main(["bench", "trend", "--history", str(regressed)]) == 3
-        flat = _history(tmp_path, [100.0, 99.0, 101.0, 100.0])
-        assert main(["bench", "trend", "--history", str(flat)]) == 0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            detect_regression([1.0], window=0)
-        with pytest.raises(ValueError, match="threshold"):
-            detect_regression([1.0], threshold=1.5)
-
-    def test_format_trend_mentions_regression(self):
-        result = detect_regression([100.0] * 4 + [10.0] * 3, window=3)
-        text = format_trend(result, "fastpath", "fast.packets_per_sec")
-        assert "REGRESSION" in text
-        quiet = detect_regression([100.0] * 7, window=3)
-        assert "ok" in format_trend(quiet, "fastpath", "fast.packets_per_sec")
-
-
-class TestRunLedger:
-    def test_bench_series_extracts_dotted_metric_in_order(self, tmp_path):
-        history = _history(tmp_path, [10.0, 20.0, 30.0])
-        ledger = RunLedger(history_path=history)
-        assert ledger.bench_series() == [10.0, 20.0, 30.0]
-
-    def test_bench_entries_filter_by_kind_and_skip_junk(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text(
-            json.dumps({"kind": "fastpath", "fast": {"packets_per_sec": 1.0}})
-            + "\nnot json\n"
-            + json.dumps({"kind": "obs_overhead", "disabled_over_off": 0.99})
-            + "\n"
-        )
-        ledger = RunLedger(history_path=path)
-        assert len(ledger.bench_entries()) == 2
-        assert len(ledger.bench_entries(kind="fastpath")) == 1
-
-    def test_missing_history_is_empty(self, tmp_path):
-        ledger = RunLedger(history_path=tmp_path / "absent.jsonl")
-        assert ledger.bench_entries() == []
-        assert ledger.bench_series() == []
-
+class TestCampaignRuns:
     def test_campaign_runs_skip_events_sidecars(self, tmp_path):
         store = ResultStore(tmp_path / "grid.jsonl")
         store.append({"spec_hash": "a", "status": "ok"})
         store.append({"spec_hash": "b", "status": "violation",
                       "violations": [{"check": "c", "message": "m"}]})
         (tmp_path / "grid.events.jsonl").write_text("{}\n")
-        rows = RunLedger(results_root=tmp_path).campaign_runs()
+        rows = campaign_runs(tmp_path)
         assert len(rows) == 1
         assert rows[0]["campaign"] == "grid"
         assert rows[0]["cells"] == 2
@@ -154,21 +43,14 @@ class TestRunLedger:
         sharded.append({"spec_hash": hashes[0], "status": "error"})  # stale retry
         other = ResultStore(tmp_path / "other.jsonl")
         other.append({"spec_hash": "zz", "status": "exhausted", "attempts": 3})
-        ledger = RunLedger(results_root=tmp_path)
-        assert [path.name for path in ledger.store_paths()] == [
-            "grid.jsonl", "other.jsonl",
+        rows = campaign_runs(tmp_path)
+        assert [row["store"] for row in rows] == [
+            str(tmp_path / "grid.jsonl"), str(tmp_path / "other.jsonl"),
         ]
-        rows = ledger.campaign_runs()
-        assert len(rows) == 2
         grid = next(row for row in rows if row["campaign"] == "grid")
         assert grid["cells"] == 6
         assert grid["ok"] == 6  # ok-wins over the later failed retry
         assert next(r for r in rows if r["campaign"] == "other")["exhausted"] == 1
-
-    def test_dotted_get(self):
-        assert dotted_get({"a": {"b": 3}}, "a.b") == 3
-        assert dotted_get({"a": {"b": 3}}, "a.c") is None
-        assert dotted_get({"a": 1}, "a.b") is None
 
 
 class TestObsDiff:
