@@ -45,35 +45,9 @@ from typing import Dict, List, Optional
 
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import DEFAULT_SEED, run_options
+from repro.logconfig import LOG_LEVELS, configure_logging
 
-#: Every repro logger hangs off the ``repro`` root name; the CLI installs
-#: one stderr handler on it so library code logs structured diagnostics
-#: without polluting stdout (which carries the machine-readable results).
 logger = logging.getLogger("repro.cli")
-
-LOG_LEVELS = ("debug", "info", "warning", "error")
-
-
-def configure_logging(level_name: str = "info") -> None:
-    """Install the package-wide stderr log handler at *level_name*.
-
-    Replaces any previous handler on the ``repro`` logger (rather than
-    appending), so repeated CLI invocations in one process — the test
-    suite, notebooks — neither duplicate output nor keep writing to a
-    stale stream.
-    """
-    if level_name not in LOG_LEVELS:
-        raise ValueError(
-            f"unknown log level {level_name!r}; expected one of {LOG_LEVELS}"
-        )
-    root = logging.getLogger("repro")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(
-        logging.Formatter("%(levelname)s %(name)s: %(message)s")
-    )
-    root.handlers[:] = [handler]
-    root.setLevel(getattr(logging, level_name.upper()))
-    root.propagate = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -937,26 +911,25 @@ def _campaign_run(args) -> int:
 def _campaign_serve(args) -> int:
     import time as _time
 
-    from repro.orchestrator import events_path_for
     from repro.orchestrator.serve import CampaignServer, StoreFollower, monitor_from_store
 
+    # Checked before anything starts: a bad value leaves no thread or socket.
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"--port must be in 0..65535, got {args.port}")
+    if args.poll_interval <= 0:
+        raise ValueError(f"--poll-interval must be positive, got {args.poll_interval}")
+    if args.max_seconds is not None and args.max_seconds < 0:
+        raise ValueError(f"--max-seconds must be >= 0, got {args.max_seconds}")
     campaign, store = _load_campaign(args)
-    events_path = events_path_for(store.path)
-    monitor = monitor_from_store(
-        campaign, store, events_path if args.no_follow else None
+    # Post-hoc serving is the follower's first poll; following a live
+    # `repro campaign run` is the same follower polling on.
+    follower = StoreFollower(
+        monitor_from_store(campaign), store.path, poll_interval_s=args.poll_interval
     )
-    follower = None
+    follower.poll_once()
+    server = CampaignServer(follower.monitor, host=args.host, port=args.port)
     if not args.no_follow:
-        # Live mode: the monitor starts from the store snapshot and the
-        # follower keeps folding in whatever a concurrently running
-        # `repro campaign run` appends (events sidecar first, so
-        # violations surface before the record lands).
-        follower = StoreFollower(
-            monitor, store.path, events_path, poll_interval_s=args.poll_interval
-        )
-        follower.poll_once()
         follower.start()
-    server = CampaignServer(monitor, host=args.host, port=args.port)
     server.start()
     print(f"serving campaign {campaign.name!r} on {server.url}")
     print("  endpoints: /status /cells /violations /events /metrics")
@@ -971,40 +944,27 @@ def _campaign_serve(args) -> int:
         logger.info("interrupted; shutting down")
     finally:
         server.stop()
-        if follower is not None:
-            follower.stop()
+        follower.stop()
     return 0
 
 
 def _campaign_status(args) -> int:
+    from collections import Counter
+
     campaign, store = _load_campaign(args)
     specs = campaign.expand()
-    latest = store.latest_by_hash()  # ok-wins: agrees with `campaign report`
-    completed = store.completed_hashes()  # mirrors the executor's resume set
-    done = sum(1 for spec in specs if spec.spec_hash in completed)
-    exhausted = sum(
-        1
-        for spec in specs
-        if latest.get(spec.spec_hash, {}).get("status") == "exhausted"
-    )
-    # Only count points whose attempts all failed; errors superseded by a
-    # successful retry are history, not outstanding failures.
-    failing = sum(
-        1
-        for spec in specs
-        if spec.spec_hash in latest
-        and spec.spec_hash not in completed
-        and latest[spec.spec_hash].get("status") != "exhausted"
+    cells = Counter(
+        state for state, _ in store.cell_states(spec.spec_hash for spec in specs)
     )
     print(f"campaign:  {campaign.name} ({campaign.scenario}, mode={campaign.mode})")
     print(f"store:     {store.path}")
     if store.shards > 1:
         print(f"shards:    {store.shards}")
     print(f"points:    {len(specs)}")
-    print(f"completed: {done}")
-    print(f"pending:   {len(specs) - done - exhausted}")
-    print(f"failing:   {failing} (latest attempt errored; retried on resume)")
-    print(f"exhausted: {exhausted} (retry budget spent; re-run with --no-resume)")
+    print(f"completed: {cells['ok']}")
+    print(f"pending:   {cells['pending'] + cells['failing']}")
+    print(f"failing:   {cells['failing']} (latest attempt errored; retried on resume)")
+    print(f"exhausted: {cells['exhausted']} (retry budget spent; re-run with --no-resume)")
     return 0
 
 
@@ -1016,7 +976,7 @@ def _campaign_report(args) -> int:
     columns = None
     if args.columns:
         columns = [name.strip() for name in args.columns.split(",") if name.strip()]
-    rows = campaign_rows(campaign, store.load(), metric_columns=columns)
+    rows = campaign_rows(campaign, store.latest_by_hash(), metric_columns=columns)
     if args.json:
         json.dump({"campaign": campaign.name, "rows": rows}, sys.stdout, indent=2)
         print()

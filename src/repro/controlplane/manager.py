@@ -38,12 +38,6 @@ class PayloadParkController:
             for name, table in self.program.lookup_tables.items()
         }
 
-    def memory_report(self) -> Dict[str, int]:
-        """SRAM bytes consumed by every binding's lookup table."""
-        return {
-            name: table.sram_bytes() for name, table in self.program.lookup_tables.items()
-        }
-
     def health(self) -> Dict[str, bool]:
         """Per-binding functional-equivalence health: zero premature evictions."""
         return {

@@ -468,12 +468,6 @@ class PayloadParkProgram(SwitchProgram):
             return self.counters.total()
         return self.counters.for_binding(binding_name)
 
-    def total_parked_bytes_capacity(self) -> int:
-        """Bytes of payload the deployment can park simultaneously."""
-        return sum(
-            table.entries * self.config.parked_bytes for table in self.lookup_tables.values()
-        )
-
     def reset_state(self) -> None:
         """Clear lookup tables, taggers and counters between runs (control plane)."""
         for table in self.lookup_tables.values():

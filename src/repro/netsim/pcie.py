@@ -65,10 +65,3 @@ class PcieBus:
         if window_ns <= 0:
             return 0.0
         return self.total_bytes * 8 / window_ns
-
-    def utilization_over(self, window_ns: int) -> float:
-        """Fraction of the bus's bidirectional capacity used over *window_ns*."""
-        capacity = 2 * self.spec.bandwidth_gbps
-        if capacity <= 0:
-            return 0.0
-        return self.bandwidth_gbps_over(window_ns) / capacity

@@ -189,8 +189,6 @@ def validate_observation(observation: Any) -> None:
 
 CAMPAIGN_SCHEMA = "repro.campaign/v1"
 
-_CELL_STATUSES = ("running", "ok", "error", "violation", "exhausted")
-
 
 def _require_campaign_envelope(data: Any, kind: str) -> None:
     _require_keys(data, ("schema", "type"), f"campaign {kind}")
@@ -206,33 +204,33 @@ def _require_campaign_envelope(data: Any, kind: str) -> None:
 
 def validate_campaign_status(data: Any) -> Dict[str, Any]:
     """Validate a ``repro.campaign/v1`` `/status` payload."""
+    # The cell-status vocabulary is the store's; imported here so that
+    # validating a run's exports does not load the orchestrator.
+    from repro.orchestrator.store import CELL_STATES, TERMINAL_STATUSES
+
+    counts = (
+        "cells_total", "cells_done",
+        *(f"cells_{state}" for state in CELL_STATES),
+        "retries_total", "workers_died", "violations_total",
+    )
     _require_campaign_envelope(data, "status")
     _require_keys(
-        data,
-        ("state", "cells_total", "cells_done", "cells_ok", "cells_error",
-         "cells_violation", "cells_exhausted", "cells_running",
-         "cells_pending", "retries_total", "workers_died",
-         "violations_total", "progress", "eta_s", "slices"),
-        "campaign status",
+        data, ("state", *counts, "progress", "eta_s", "slices"), "campaign status"
     )
     _require(
         data["state"] in ("running", "finished", "idle"),
         f"campaign status: bad state {data['state']!r}",
     )
-    for key in ("cells_total", "cells_done", "cells_ok", "cells_error",
-                "cells_violation", "cells_exhausted", "cells_running",
-                "cells_pending", "retries_total", "workers_died",
-                "violations_total"):
+    for key in counts:
         _require(
             isinstance(data[key], int) and data[key] >= 0,
             f"campaign status: {key} must be a non-negative integer",
         )
-    done = (data["cells_ok"] + data["cells_error"]
-            + data["cells_violation"] + data["cells_exhausted"])
+    done = sum(data[f"cells_{status}"] for status in TERMINAL_STATUSES)
     _require(
         data["cells_done"] == done,
         "campaign status: cells_done "
-        f"{data['cells_done']} != ok+error+violation+exhausted {done}",
+        f"{data['cells_done']} != {'+'.join(TERMINAL_STATUSES)} {done}",
     )
     _require(
         data["cells_done"] <= data["cells_total"],
@@ -263,6 +261,8 @@ def validate_campaign_status(data: Any) -> Dict[str, Any]:
 
 def validate_campaign_cells(data: Any) -> Dict[str, Any]:
     """Validate a ``repro.campaign/v1`` `/cells` payload."""
+    from repro.orchestrator.store import LIVE_STATUSES
+
     _require_campaign_envelope(data, "cells")
     _require_keys(data, ("cells",), "campaign cells")
     _require(isinstance(data["cells"], list), "campaign cells: cells must be a list")
@@ -274,7 +274,7 @@ def validate_campaign_cells(data: Any) -> Dict[str, Any]:
             f"campaign cells[{index}]",
         )
         _require(
-            cell["status"] in _CELL_STATUSES,
+            cell["status"] in LIVE_STATUSES,
             f"campaign cells[{index}]: bad status {cell['status']!r}",
         )
         _require(

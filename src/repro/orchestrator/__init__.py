@@ -10,12 +10,14 @@ The subsystem has seven layers:
   behind the executor: cell leases, per-cell timeouts, bounded retry
   with backoff, worker-crash recovery;
 - :mod:`repro.orchestrator.store` — append-only JSONL records keyed by
-  spec hash (optionally sharded by hash), enabling resume, and the
-  per-store summary behind ``repro obs runs``;
-- :mod:`repro.orchestrator.aggregate` — regrouping records into
-  per-campaign tables;
+  spec hash (optionally sharded by hash), and the campaign's whole read
+  side: the cell-status vocabulary, the one rule for which record
+  speaks for a cell, the one tail reader, the incremental index behind
+  resume / ``status`` / ``report`` / ``repro obs runs``;
+- :mod:`repro.orchestrator.aggregate` — that index laid over a
+  campaign's grid as table rows;
 - :mod:`repro.orchestrator.telemetrybus` — structured worker events over
-  a multiprocessing queue into live campaign state;
+  a multiprocessing queue into live campaign state, under the same rule;
 - :mod:`repro.orchestrator.serve` — ``repro campaign serve`` HTTP
   endpoints (status/cells/violations/events/metrics), live or post-hoc;
   not re-exported here, so only that command imports :mod:`http.server`.

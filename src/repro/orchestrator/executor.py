@@ -330,6 +330,7 @@ class CampaignExecutor:
         self.cell_timeout_s = cell_timeout_s
         self.max_attempts = max_attempts or None
         self.retry_backoff_s = retry_backoff_s
+        self._campaign_meta: Dict[str, Any] = {}
 
     def run_campaign(
         self,
@@ -356,42 +357,35 @@ class CampaignExecutor:
     ) -> CampaignSummary:
         """Execute *specs*, skipping hashes the store already completed.
 
-        Resume semantics: hashes with an ``ok`` record are skipped;
-        hashes whose recorded failed attempts meet ``max_attempts`` are
-        stamped with a terminal ``exhausted`` record (once) instead of
-        being re-run; everything else is dispatched, with its store
-        attempt count carried into the dispatcher's budget.
+        Resume semantics, per :meth:`ResultStore.cell_states`: ``ok``
+        and ``exhausted`` cells are skipped; a ``failing`` cell whose
+        recorded failed attempts meet ``max_attempts`` is stamped with a
+        terminal ``exhausted`` record (once) instead of being re-run;
+        everything else is dispatched, with its store attempt count
+        carried into the dispatcher's budget.
         """
         from repro.orchestrator.dispatcher import exhausted_record
 
         started = time.perf_counter()
         specs = dedupe_specs(specs)
-        completed: set = set()
-        attempts: Dict[str, int] = {}
-        latest: Dict[str, Dict[str, Any]] = {}
+        states = [("pending", 0)] * len(specs)
         if store is not None and resume:
-            completed = store.completed_hashes()
-            attempts = store.attempt_counts()
-            latest = store.latest_by_hash()
+            states = store.cell_states(spec.spec_hash for spec in specs)
+        attempts: Dict[str, int] = {}
         pending: List[RunSpec] = []
         newly_exhausted: List[RunSpec] = []
         already_exhausted = 0
-        for spec in specs:
-            if spec.spec_hash in completed:
+        for spec, (state, failed) in zip(specs, states):
+            if state == "ok":
                 continue
-            if latest.get(spec.spec_hash, {}).get("status") == "exhausted":
-                # Already stamped terminal (possibly by in-run crash
-                # retries, which leave no error records to count);
-                # only --no-resume re-runs it.
+            if state == "exhausted":
                 already_exhausted += 1
                 continue
-            if (
-                self.max_attempts is not None
-                and attempts.get(spec.spec_hash, 0) >= self.max_attempts
-            ):
+            attempts[spec.spec_hash] = failed
+            if self.max_attempts is not None and failed >= self.max_attempts:
                 newly_exhausted.append(spec)
-                continue
-            pending.append(spec)
+            else:
+                pending.append(spec)
         # Cells exhausted on an *earlier* resume are skipped like
         # completed ones; newly exhausted cells flow through the record
         # stream below so their terminal marker is stored and reported.
@@ -409,7 +403,7 @@ class CampaignExecutor:
                     "skipped": summary.skipped,
                     "exhausted": already_exhausted + len(newly_exhausted),
                     "workers": min(self.workers, len(pending)) or 1,
-                    **getattr(self, "_campaign_meta", {}),
+                    **self._campaign_meta,
                 }
             )
 
@@ -417,7 +411,7 @@ class CampaignExecutor:
             for spec in newly_exhausted:
                 yield exhausted_record(
                     spec,
-                    attempts.get(spec.spec_hash, 0),
+                    attempts[spec.spec_hash],
                     "recorded failures from previous runs",
                 )
             for record in self._execute(pending, attempts):

@@ -16,14 +16,15 @@ telemetrybus.CampaignMonitor` and exposes:
 ``/metrics``
     Prometheus text exposition (``text/plain; version=0.0.4``).
 
-The same server runs in two modes.  *Post-hoc*, the monitor is rebuilt
-from the result store alone (:func:`monitor_from_store`).  *Live*, a
-:class:`StoreFollower` thread tails the store and its telemetry-events
-sidecar while another process appends to them — offsets guarantee each
-line is folded exactly once, and a store record is skipped when its cell
-is already ``ok`` (the store's ok-wins rule) or already shows the
-record's status, so a cell seen through the events file is not
-double-counted when its record lands in the store.
+There is one way state reaches the monitor: a :class:`StoreFollower`
+reads the complete lines each store file and the telemetry-events
+sidecar gained since its previous poll (the store's own tail reader,
+:func:`~repro.orchestrator.store.read_appended`) and hands them to
+:meth:`CampaignMonitor.handle`, which decides what they change.  *Live*,
+the follower is a thread polling while another process appends.
+*Post-hoc* (:func:`monitor_from_store`, ``serve --no-follow``) is the
+same follower polled once — so the two agree by construction, and with
+``campaign status`` / ``report``, whose index applies the same rule.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from repro.obs.schema import (
     validate_campaign_status,
     validate_campaign_violations,
 )
-from repro.orchestrator.store import ResultStore, events_path_for
-from repro.orchestrator.telemetrybus import (
-    TERMINAL_STATUSES,
-    CampaignMonitor,
-    events_from_record,
+from repro.orchestrator.store import (
+    CELL_STATES,
+    ResultStore,
+    events_path_for,
+    read_appended,
 )
+from repro.orchestrator.telemetrybus import CampaignMonitor, events_from_record
 
 logger = logging.getLogger("repro.orchestrator.serve")
 
@@ -60,15 +62,12 @@ _INDEX = {
 
 
 def monitor_from_store(
-    campaign: Optional[Any] = None,
-    store: Optional[ResultStore] = None,
-    events_path: Optional[Path] = None,
+    campaign: Optional[Any] = None, store: Optional[ResultStore] = None
 ) -> CampaignMonitor:
-    """Rebuild a monitor post-hoc from a result store (and spec, if given).
+    """A monitor over what is on disk now: a follower's first poll.
 
-    Replays the latest record per cell through the same
-    :func:`events_from_record` translation the live bus uses, so the
-    resulting state matches what a live monitor would have converged to.
+    Sized and labelled from *campaign* when given; without a *store* it
+    is the empty monitor a follower starts from.
     """
     monitor = CampaignMonitor(
         total=campaign.point_count if campaign is not None else None,
@@ -77,48 +76,20 @@ def monitor_from_store(
         mode=getattr(campaign, "mode", None),
     )
     if store is not None:
-        for record in store.latest_by_hash().values():
-            for event in events_from_record(record):
-                monitor.handle(event)
-    if events_path is not None and Path(events_path).exists():
-        _replay_events_file(monitor, Path(events_path))
-    # Only *terminal* cells count toward completion: a store replayed
-    # mid-campaign holds running cells too, and marking the monitor
-    # finished from their mere presence made `/status` claim a finished
-    # campaign (with ``eta_s: 0.0``) at t=0.
-    terminal = sum(
-        1 for cell in monitor.cells.values()
-        if cell["status"] in TERMINAL_STATUSES
-    )
-    if monitor.total is not None and terminal >= monitor.total:
-        monitor.finished = True
+        StoreFollower(monitor, store.path).poll_once()
     return monitor
-
-
-def _replay_events_file(monitor: CampaignMonitor, events_path: Path) -> None:
-    """Fold non-terminal context (timestamps, workers) from the sidecar."""
-    with events_path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if event.get("type") in ("cell_finished", "violation", "obs_summary"):
-                if monitor.has_terminal(event.get("spec_hash", "")):
-                    continue
-            monitor.handle(event)
 
 
 class StoreFollower(threading.Thread):
     """Tails a store (all shards) and its events sidecar into a monitor.
 
-    Byte offsets ensure every complete line is consumed exactly once;
-    a torn trailing line (no newline yet) is left for the next poll.
-    The set of store files is re-resolved on every poll, so shard files
-    that appear after the follower starts are picked up live.
+    Byte offsets ensure every complete line is read exactly once; a torn
+    trailing line (no newline yet) is left for the next poll.  The set
+    of store files is re-resolved on every poll, so shard files that
+    appear after the follower starts are picked up live.  Nothing is
+    filtered here: a store record becomes the events it implies, and
+    the monitor drops what it has already folded or what the rule says
+    must not replace a cell's outcome.
     """
 
     def __init__(
@@ -130,7 +101,6 @@ class StoreFollower(threading.Thread):
     ) -> None:
         super().__init__(daemon=True, name="store-follower")
         self.monitor = monitor
-        self.store_path = Path(store_path)
         self._store = ResultStore(store_path)
         self.events_path = (
             Path(events_path) if events_path is not None
@@ -141,48 +111,24 @@ class StoreFollower(threading.Thread):
         self._stopped = threading.Event()
 
     def poll_once(self) -> int:
-        """Consume new complete lines from every file; returns lines folded."""
-        folded = 0
-        folded += self._consume(self.events_path, from_store=False)
-        for path in self._store.reader_paths():
-            folded += self._consume(path, from_store=True)
-        return folded
+        """Hand the monitor every line appended since the last poll; returns how many.
 
-    def _consume(self, path: Path, from_store: bool) -> int:
-        if not path.exists():
-            return 0
-        folded = 0
-        offset = self._offsets.get(path, 0)
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-        # Only complete lines count; a torn tail stays unconsumed.
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return 0
-        self._offsets[path] = offset + end + 1
-        for raw in chunk[: end + 1].splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if from_store:
-                # Ok-wins, like the post-hoc replay; a record whose
-                # outcome the events sidecar already delivered is not
-                # folded twice.
-                if self.monitor.outranks(
-                    data.get("spec_hash", ""), data.get("status", "ok")
-                ):
-                    continue
-                for event in events_from_record(data):
+        Store files come first — records are durable and written before
+        their events are emitted — so cells appear in store order and
+        the sidecar adds what only it knows: workers, pids, heartbeats,
+        retries, cells still running.
+        """
+        seen = 0
+        for path in (*self._store.reader_paths(), self.events_path):
+            lines, self._offsets[path] = read_appended(
+                path, self._offsets.get(path, 0)
+            )
+            sidecar = path == self.events_path  # its lines are events already
+            for line in lines:
+                for event in [line] if sidecar else events_from_record(line):
                     self.monitor.handle(event)
-            else:
-                self.monitor.handle(data)
-            folded += 1
-        return folded
+            seen += len(lines)
+        return seen
 
     def run(self) -> None:
         while not self._stopped.is_set():
@@ -229,7 +175,7 @@ def prometheus_text(status: Dict[str, Any]) -> str:
         "# HELP repro_campaign_cells Cells by state.\n"
         "# TYPE repro_campaign_cells gauge\n",
     ]
-    for state in ("ok", "error", "violation", "exhausted", "running", "pending"):
+    for state in CELL_STATES:
         value = status.get(f"cells_{state}")
         if value is None:
             continue

@@ -1,12 +1,26 @@
-"""Sharded append-only JSONL result store with incremental aggregation.
+"""Sharded append-only JSONL result store: a campaign's durable side.
 
 Every completed run becomes one JSON line: the run's spec hash, its
-parameters, the seed actually used and the flattened metrics.  The store
-is the campaign's durable state — :meth:`ResultStore.completed_hashes`
-tells the executor which grid points already finished so a re-run of the
-same campaign only executes what is missing, and
-:meth:`ResultStore.attempt_counts` bounds how often a failing point is
-retried before it is declared ``exhausted``.
+parameters, the seed actually used and the flattened metrics.  Every
+reader of a campaign asks the same question — *which record speaks for
+a cell* — and this module is the one place that answers it:
+
+- the **cell-status vocabulary** (:data:`TERMINAL_STATUSES`,
+  :data:`ATTEMPT_STATUSES`, :data:`LIVE_STATUSES`, :data:`CELL_STATES`),
+  imported by the monitor, the Prometheus exposition and the
+  ``repro.campaign/v1`` validators;
+- the **rule**, :func:`supersedes`: ``ok`` wins, otherwise the most
+  recent record does.  :meth:`ResultStore.refresh` applies it to records,
+  :meth:`~repro.orchestrator.telemetrybus.CampaignMonitor.handle` to
+  ``cell_finished`` events — nothing else decides;
+- the **tail reader**, :func:`read_appended`: the complete JSON lines
+  appended to one file since a byte offset, shared by the store's index
+  and by the serve follower (store files *and* events sidecar);
+- the **index**: :meth:`ResultStore.latest_by_hash` (that record, per
+  hash) and :meth:`ResultStore.cell_states` (``ok`` / ``failing`` with
+  its failed-attempt count / ``exhausted`` / ``pending``), which resume,
+  ``campaign status``, ``campaign report`` and ``repro obs runs`` read
+  instead of re-deriving either from a full scan.
 
 Two layouts share one class:
 
@@ -19,17 +33,14 @@ Two layouts share one class:
 A store always *reads* both layouts — a campaign started single-shard
 resumes cleanly after being promoted to shards, because the legacy file
 is folded in before the shard files.  Records for one spec hash always
-land in the same file, so per-hash append order (the property resume and
-latest-wins semantics rely on) is preserved under sharding.
+land in the same file, so per-hash append order (what "most recent"
+means in the rule) is preserved under sharding.
 
 Reads are incremental: the store keeps a byte-offset cursor per file and
-an in-memory index (latest record per hash, resume set, attempt counts,
-record count) that is extended from the cursors only — a status poll
-over a long campaign costs the bytes appended since the previous poll,
-not a rescan of the whole store.  Only complete lines are consumed; a
-torn trailing line — e.g. from a run killed mid-write — is left at the
-cursor until its newline arrives (or is skipped with a warning if it
-turns out to be malformed), never poisoning the whole store.
+an in-memory index (authoritative record and failed-attempt count per
+hash, record count) that is extended from the cursors only — a status
+poll over a long campaign costs the bytes appended since the previous
+poll, not a rescan of the whole store.
 
 Only the orchestrating process writes (workers hand records back over
 the dispatcher), so appends never interleave.
@@ -42,14 +53,93 @@ import logging
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 logger = logging.getLogger("repro.orchestrator.store")
+
+#: Terminal cell statuses, as written into records and ``cell_finished``
+#: events (``exhausted`` is the retry-budget-spent marker).
+TERMINAL_STATUSES = ("ok", "error", "violation", "exhausted")
 
 #: Statuses that count as a *failed attempt* toward the retry budget.
 #: ``exhausted`` markers are bookkeeping, not attempts, and ``ok`` ends
 #: the cell's retry life entirely.
 ATTEMPT_STATUSES = ("error", "violation")
+
+#: What a monitor cell can show: a terminal status, or ``running``.
+LIVE_STATUSES = (*TERMINAL_STATUSES, "running")
+
+#: Every state `/status` and `/metrics` count cells under — the live
+#: statuses plus ``pending`` for cells nothing has touched yet.
+CELL_STATES = (*LIVE_STATUSES, "pending")
+
+
+def status_of(record: Mapping[str, Any]) -> str:
+    """A record's status; one written without the field finished ``ok``."""
+    return record.get("status", "ok")
+
+
+def supersedes(current: Optional[str], new: str) -> bool:
+    """The rule: may an outcome of status *new* replace one of *current*?
+
+    ``ok`` wins, otherwise the most recent outcome does — a failed
+    re-run never shadows a success, and a cell that never succeeded
+    shows its latest attempt.  *current* is ``None`` (or ``running``)
+    for a cell with no outcome yet.
+    """
+    return current != "ok" or new == "ok"
+
+
+def _parse_line(path: Path, line_no: int, line) -> Optional[Dict[str, Any]]:
+    if isinstance(line, bytes):
+        line = line.decode("utf-8", errors="replace")
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        logger.warning(
+            "%s:%d: skipping torn/malformed record (%d bytes) "
+            "— likely a partial write from a killed run",
+            path, line_no, len(line),
+        )
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def read_appended(path: Path, offset: int) -> Tuple[List[Dict[str, Any]], int]:
+    """The complete JSON lines appended to *path* since byte *offset*.
+
+    Returns ``(records, new_offset)``.  A torn trailing line — e.g. from
+    a run killed mid-write — stays beyond the returned offset until its
+    newline arrives; a complete but malformed line is skipped with a
+    warning, never poisoning the file; a missing file reads as empty.
+    A file now shorter than *offset* was truncated or rewritten, which
+    is answered with ``([], 0)``: the caller starts over from the top.
+    """
+    try:
+        size = path.stat().st_size
+    except OSError:
+        return [], offset
+    if size < offset:
+        return [], 0
+    if size == offset:
+        return [], offset
+    with path.open("rb") as handle:
+        handle.seek(offset)
+        chunk = handle.read()
+    end = chunk.rfind(b"\n")
+    if end < 0:
+        return [], offset
+    records = []
+    # Line numbers are unknowable mid-file; a warning reports line 0.
+    for raw in chunk[: end + 1].splitlines():
+        record = _parse_line(path, 0, raw)
+        if record is not None:
+            records.append(record)
+    return records, offset + end + 1
+
 
 #: Shard file naming: ``<stem>.shard-NN.jsonl`` next to the base path.
 _SHARD_RE = re.compile(r"^(?P<stem>.+)\.shard-(?P<index>\d+)\.jsonl$")
@@ -69,12 +159,7 @@ class ResultStore:
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self._configured_shards = shards
-        # Incremental index state (extended from cursors, never rescanned).
-        self._offsets: Dict[Path, int] = {}
-        self._count = 0
-        self._latest_any: Dict[str, Dict[str, Any]] = {}
-        self._latest_ok: Dict[str, Dict[str, Any]] = {}
-        self._attempts: Dict[str, int] = {}
+        self._reset_index()
 
     # ------------------------------------------------------------------ #
     # Layout
@@ -146,7 +231,7 @@ class ResultStore:
             handle.flush()
 
     # ------------------------------------------------------------------ #
-    # Full-scan reads (load/report paths; unchanged semantics)
+    # Full scan (every record, superseded ones included)
     # ------------------------------------------------------------------ #
 
     def load(self) -> List[Dict[str, Any]]:
@@ -162,26 +247,9 @@ class ResultStore:
         for path in self.reader_paths():
             with path.open("r", encoding="utf-8") as handle:
                 for line_no, line in enumerate(handle, start=1):
-                    record = self._parse_line(path, line_no, line)
+                    record = _parse_line(path, line_no, line)
                     if record is not None:
                         yield record
-
-    def _parse_line(self, path: Path, line_no: int, line) -> Optional[Dict[str, Any]]:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", errors="replace")
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            logger.warning(
-                "%s:%d: skipping torn/malformed record (%d bytes) "
-                "— likely a partial write from a killed run",
-                path, line_no, len(line),
-            )
-            return None
-        return record if isinstance(record, dict) else None
 
     # ------------------------------------------------------------------ #
     # Incremental index (cursor-extended, O(new bytes) per call)
@@ -191,87 +259,81 @@ class ResultStore:
         """Fold newly appended complete lines into the index; returns how many."""
         folded = 0
         for path in self.reader_paths():
-            offset = self._offsets.get(path, 0)
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            if size < offset:
-                # The file shrank under us (truncated/rewritten): the
-                # cursors are meaningless, rebuild the index from scratch.
+            cursor = self._offsets.get(path, 0)
+            records, offset = read_appended(path, cursor)
+            if offset < cursor:
+                # The file shrank under us: what it held is already
+                # folded in and cannot be taken back out, so rebuild.
                 self._reset_index()
                 return self.refresh()
-            if size == offset:
-                continue
-            with path.open("rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-            # Only complete lines count; a torn tail stays at the cursor.
-            end = chunk.rfind(b"\n")
-            if end < 0:
-                continue
-            self._offsets[path] = offset + end + 1
-            line_no = None  # line numbers are unknowable mid-file; report offsets
-            for raw in chunk[: end + 1].splitlines():
-                record = self._parse_line(path, line_no or 0, raw)
-                if record is not None:
-                    self._fold(record)
-                    folded += 1
+            self._offsets[path] = offset
+            for record in records:
+                self._fold(record)
+            folded += len(records)
         return folded
 
     def _reset_index(self) -> None:
-        self._offsets = {}
+        """Empty index: extended from the cursors, never rescanned."""
+        self._offsets: Dict[Path, int] = {}
         self._count = 0
-        self._latest_any = {}
-        self._latest_ok = {}
-        self._attempts = {}
+        self._winner: Dict[str, Dict[str, Any]] = {}
+        self._attempts: Dict[str, int] = {}
 
     def _fold(self, record: Dict[str, Any]) -> None:
         self._count += 1
         spec_hash = record.get("spec_hash")
         if not spec_hash:
             return
-        self._latest_any[spec_hash] = record
-        status = record.get("status")
-        if status == "ok":
-            self._latest_ok[spec_hash] = record
-        elif status in ATTEMPT_STATUSES:
+        status = status_of(record)
+        winner = self._winner.get(spec_hash)
+        if winner is None or supersedes(status_of(winner), status):
+            self._winner[spec_hash] = record
+        if status in ATTEMPT_STATUSES:
             self._attempts[spec_hash] = self._attempts.get(spec_hash, 0) + 1
 
-    def completed_hashes(self) -> Set[str]:
-        """Spec hashes of successfully finished runs (the resume set).
-
-        Failed runs are *not* included, so resuming a campaign retries
-        them — up to the executor's attempt budget.
-        """
-        self.refresh()
-        return set(self._latest_ok)
-
     def latest_by_hash(self) -> Dict[str, Dict[str, Any]]:
-        """Authoritative record per spec hash, **ok-wins**.
+        """The record that speaks for each spec hash (see :func:`supersedes`).
 
-        A successful record is never shadowed by a later failed retry:
-        per hash, the most recent ``ok`` record wins; only hashes that
-        never succeeded report their most recent record of any status.
-        This is the same rule :func:`repro.orchestrator.aggregate.
-        latest_ok_by_hash` applies, so ``campaign status`` and
-        ``campaign report`` agree about every cell.
+        The most recent ``ok`` record where there is one; for a hash
+        that never succeeded, its most recent record of any status.
         """
         self.refresh()
+        return dict(self._winner)
+
+    def completed_hashes(self) -> Set[str]:
+        """Spec hashes whose authoritative record is ``ok`` (the resume set)."""
         return {
-            spec_hash: self._latest_ok.get(spec_hash, record)
-            for spec_hash, record in self._latest_any.items()
+            spec_hash
+            for spec_hash, record in self.latest_by_hash().items()
+            if status_of(record) == "ok"
         }
 
-    def attempt_counts(self) -> Dict[str, int]:
-        """Failed attempts per spec hash (``error``/``violation`` records).
+    def cell_states(self, spec_hashes: Iterable[str]) -> List[Tuple[str, int]]:
+        """``(state, failed attempts)`` per spec hash, in the order given.
 
-        The executor's retry budget is enforced against these counts, so
-        a deterministically failing cell stops being re-run once the
-        budget is spent instead of burning a worker on every resume.
+        The one classification of a grid cell, read off the index:
+
+        - ``ok`` — a successful record exists; resume skips the cell;
+        - ``exhausted`` — its retry-budget marker speaks for it (possibly
+          stamped by in-run crash retries, which leave no failed records
+          to count); only ``--no-resume`` re-runs it;
+        - ``failing`` — it has records but never succeeded; resume
+          retries it until its failed attempts (``error``/``violation``
+          records, across resumes) reach the executor's budget;
+        - ``pending`` — no record at all.
         """
         self.refresh()
-        return dict(self._attempts)
+        states = []
+        for spec_hash in spec_hashes:
+            record = self._winner.get(spec_hash)
+            if record is None:
+                state = "pending"
+            else:
+                state = status_of(record)
+                if state not in ("ok", "exhausted"):
+                    state = "failing"
+            states.append((state, self._attempts.get(spec_hash, 0)))
+        return states
 
     def record_count(self) -> int:
         """Number of well-formed records on disk (cursor-cached).
@@ -318,16 +380,13 @@ def campaign_runs(root) -> List[Dict[str, Any]]:
     rows = []
     for path in sorted(bases):
         latest = ResultStore(path).latest_by_hash().values()
-        statuses = Counter(record.get("status", "ok") for record in latest)
+        statuses = Counter(status_of(record) for record in latest)
         rows.append(
             {
                 "campaign": path.stem,
                 "store": str(path),
                 "cells": len(latest),
-                "ok": statuses["ok"],
-                "error": statuses["error"],
-                "violation": statuses["violation"],
-                "exhausted": statuses["exhausted"],
+                **{status: statuses[status] for status in TERMINAL_STATUSES},
                 "violations_total": sum(
                     len(record.get("violations", [])) for record in latest
                 ),

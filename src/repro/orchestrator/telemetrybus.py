@@ -15,9 +15,15 @@ Every event the bus sees is also appended to an NDJSON sidecar file
 (``results/<name>.events.jsonl`` by convention), which is what lets a
 *separate* ``repro campaign serve`` process attach to a running
 campaign: the server tails the sidecar while the campaign appends to
-it.  Post-hoc, the same monitor state is rebuilt from the result store
-alone via :func:`events_from_record` — live and replayed state agree by
-construction because both funnel through the same event shapes.
+it.  Store records reach a monitor as the events
+:func:`events_from_record` derives from them, so every delivery — the
+in-process bus, a follower tailing sidecar and store, a post-hoc read of
+the files — funnels through :meth:`CampaignMonitor.handle`, which
+applies the store's one rule (:func:`~repro.orchestrator.store.
+supersedes`: ok wins, otherwise the most recent outcome) to
+``cell_finished`` and drops an outcome it has already folded.  Which
+path delivered an event, in what order and how often cannot change the
+state they converge to.
 
 Everything defaults off: a :class:`~repro.orchestrator.executor.
 CampaignExecutor` without a bus runs the exact pre-telemetry path,
@@ -37,6 +43,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
+from repro.logconfig import configure_logging
+from repro.orchestrator.store import (
+    LIVE_STATUSES,
+    TERMINAL_STATUSES,
+    status_of,
+    supersedes,
+)
+
 logger = logging.getLogger("repro.orchestrator.telemetrybus")
 
 #: Event types the bus understands (anything else is carried verbatim —
@@ -53,14 +67,8 @@ EVENT_TYPES = (
     "campaign_finished",
 )
 
-#: Terminal cell statuses (mirrors the executor's record statuses;
-#: ``exhausted`` is the dispatcher's retry-budget-spent terminal).
-TERMINAL_STATUSES = ("ok", "error", "violation", "exhausted")
-
 #: Default seconds between worker heartbeats while a cell runs.
 DEFAULT_HEARTBEAT_INTERVAL_S = 5.0
-
-LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 # ---------------------------------------------------------------------- #
@@ -138,27 +146,11 @@ class CellTagFilter(logging.Filter):
 
 
 def configure_worker_logging(level_name: str) -> None:
-    """Install the campaign-worker stderr handler at *level_name*.
+    """The package's stderr handler, with every record tagged by cell hash.
 
-    Mirrors the CLI's ``configure_logging`` (one handler on the
-    ``repro`` root, stderr only) but tags every record with the cell
-    hash so interleaved multi-worker output stays attributable.
+    Interleaved multi-worker output stays attributable.
     """
-    if level_name not in LOG_LEVELS:
-        raise ValueError(
-            f"unknown log level {level_name!r}; expected one of {LOG_LEVELS}"
-        )
-    import sys
-
-    root = logging.getLogger("repro")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(
-        logging.Formatter("%(levelname)s %(name)s [cell %(cell)s]: %(message)s")
-    )
-    handler.addFilter(CellTagFilter())
-    root.handlers[:] = [handler]
-    root.setLevel(getattr(logging, level_name.upper()))
-    root.propagate = False
+    configure_logging(level_name, " [cell %(cell)s]", CellTagFilter())
 
 
 class _HeartbeatThread(threading.Thread):
@@ -210,7 +202,7 @@ def events_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
     }
     finished = {
         "type": "cell_finished",
-        "status": record.get("status", "ok"),
+        "status": status_of(record),
         "wall_time_s": record.get("wall_time_s"),
         **base,
     }
@@ -345,14 +337,23 @@ class CampaignMonitor:
                 self.workers_died += 1
             elif etype == "cell_finished":
                 cell = self._cell(event)
-                cell["status"] = event.get("status", "ok")
-                cell["wall_time_s"] = event.get("wall_time_s")
+                outcome = (status_of(event), event.get("wall_time_s"))
+                if (
+                    not supersedes(cell["status"], outcome[0])
+                    or outcome == (cell["status"], cell["wall_time_s"])
+                ):
+                    # Ok wins; and the sidecar and the store each deliver
+                    # every outcome, so the second copy is not news.
+                    return
+                cell["status"], cell["wall_time_s"] = outcome
                 if event.get("scenario"):
                     cell["scenario"] = event["scenario"]
                 if event.get("params"):
                     cell["params"] = dict(event["params"])
                 if event.get("error"):
                     cell["error"] = event["error"]
+                else:
+                    cell.pop("error", None)  # the superseded attempt's
                 if event.get("ts") is not None:
                     cell["finished_ts"] = event["ts"]
             elif etype == "violation":
@@ -381,25 +382,6 @@ class CampaignMonitor:
             elif etype == "campaign_finished":
                 self.finished = True
 
-    def has_terminal(self, spec_hash: str) -> bool:
-        """True when *spec_hash* already has a terminal record folded in."""
-        with self._lock:
-            cell = self.cells.get(spec_hash)
-            return bool(cell and cell["status"] in TERMINAL_STATUSES)
-
-    def outranks(self, spec_hash: str, status: str) -> bool:
-        """True when a store record of *status* must not touch *spec_hash*'s cell.
-
-        The rule :meth:`~repro.orchestrator.store.ResultStore.
-        latest_by_hash` applies: ``ok`` wins, otherwise the most recent
-        record does.  So a cell that is already ``ok`` keeps that
-        against any later record, and one already showing *status* had
-        this outcome delivered by the events sidecar.
-        """
-        with self._lock:
-            cell = self.cells.get(spec_hash)
-            return cell is not None and cell["status"] in ("ok", status)
-
     # ------------------------------------------------------------------ #
     # Payloads (repro.campaign/v1)
     # ------------------------------------------------------------------ #
@@ -409,13 +391,7 @@ class CampaignMonitor:
         from repro.obs.schema import CAMPAIGN_SCHEMA
 
         with self._lock:
-            by_status: Dict[str, int] = {
-                "ok": 0,
-                "error": 0,
-                "violation": 0,
-                "exhausted": 0,
-                "running": 0,
-            }
+            by_status: Dict[str, int] = dict.fromkeys(LIVE_STATUSES, 0)
             wall_times: List[float] = []
             for cell in self.cells.values():
                 status = cell["status"]
@@ -428,9 +404,9 @@ class CampaignMonitor:
                     and cell["wall_time_s"] is not None
                 ):
                     wall_times.append(float(cell["wall_time_s"]))
-            done = sum(by_status.get(name, 0) for name in TERMINAL_STATUSES)
+            done = sum(by_status[name] for name in TERMINAL_STATUSES)
             total = self.total if self.total is not None else len(self.cells)
-            running = by_status.get("running", 0)
+            running = by_status["running"]
             pending = max(total - done - running, 0)
             mean_wall = (sum(wall_times) / len(wall_times)) if wall_times else None
             if self.finished or (total and done >= total):
@@ -462,11 +438,7 @@ class CampaignMonitor:
                 "state": state,
                 "cells_total": total,
                 "cells_done": done,
-                "cells_ok": by_status.get("ok", 0),
-                "cells_error": by_status.get("error", 0),
-                "cells_violation": by_status.get("violation", 0),
-                "cells_exhausted": by_status.get("exhausted", 0),
-                "cells_running": running,
+                **{f"cells_{name}": by_status[name] for name in LIVE_STATUSES},
                 "cells_pending": pending,
                 "retries_total": self.retries_total,
                 "workers_died": self.workers_died,

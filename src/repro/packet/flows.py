@@ -8,7 +8,7 @@ number of distinct flows so those NFs exercise realistic table sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Address
 
@@ -115,11 +115,3 @@ class FlowGenerator:
             src_port=src_port,
             dst_port=dst_port,
         )
-
-    def round_robin(self) -> Iterator[FiveTuple]:
-        """Yield flows forever in round-robin order."""
-        flows = self.flows()
-        index = 0
-        while True:
-            yield flows[index]
-            index = (index + 1) % self.flow_count

@@ -23,7 +23,7 @@ the Table 1 reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,3 @@ class ResourceReport:
             phv_percent=100.0 * phv_bits_used / phv_bits_budget,
             per_stage_sram_percent=sram,
         )
-
-    def as_table_rows(self) -> List[Dict[str, str]]:
-        """Render the report as rows matching Table 1's layout."""
-        return [
-            {"resource": "SRAM (avg per stage)", "utilization": f"{self.sram_avg_percent:.2f}%"},
-            {"resource": "SRAM (peak per stage)", "utilization": f"{self.sram_peak_percent:.2f}%"},
-            {"resource": "TCAM", "utilization": f"{self.tcam_percent:.2f}%"},
-            {"resource": "VLIW", "utilization": f"{self.vliw_percent:.2f}%"},
-            {
-                "resource": "Exact Match Crossbar",
-                "utilization": f"{self.exact_crossbar_percent:.2f}%",
-            },
-            {
-                "resource": "Ternary Match Crossbar",
-                "utilization": f"{self.ternary_crossbar_percent:.2f}%",
-            },
-            {"resource": "Packet Header Vector", "utilization": f"{self.phv_percent:.2f}%"},
-        ]

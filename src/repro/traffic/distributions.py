@@ -148,16 +148,6 @@ class EmpiricalDistribution(PacketSizeDistribution):
     def cdf_points(self) -> List[Tuple[int, float]]:
         return list(zip(self._sizes, self._cumulative))
 
-    def fraction_below(self, frame_size: int) -> float:
-        """Fraction of packets strictly smaller than *frame_size* bytes."""
-        fraction = 0.0
-        for size, cumulative in zip(self._sizes, self._cumulative):
-            if size < frame_size:
-                fraction = cumulative
-            else:
-                break
-        return fraction
-
 
 def _clamped_numeric_mean(cdf: Callable[[float], float]) -> float:
     """Mean of a size law clamped to the legal frame range.

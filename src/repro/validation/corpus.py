@@ -21,6 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.orchestrator.spec import RunSpec
 from repro.validation.invariants import Violation
+from repro.validation.metamorphic import RELATION_REGISTRY, build_relations
+
+#: Violation check name -> registry key, for every registered relation
+#: (replay re-runs the relations an entry names; invariant checks always
+#: run).
+_RELATION_CHECKS = {factory.name: key for key, factory in RELATION_REGISTRY.items()}
 
 #: Default corpus location, replayed by the pytest suite.
 DEFAULT_CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "validation_corpus"
@@ -59,16 +65,6 @@ def entry_from_failure(failure, seed: Optional[int] = None) -> Dict[str, Any]:
         },
         "violations": [violation.as_dict() for violation in failure.violations],
     }
-
-
-#: Metamorphic check names (replay re-runs these relations; invariant
-#: checks always run).
-_RELATION_CHECKS = {
-    "fast-slow-equivalence": "fast_slow",
-    "seed-determinism": "determinism",
-    "time-scale-invariance": "time_scale",
-    "rate-monotonicity": "rate_monotonicity",
-}
 
 
 def write_entry(corpus_dir, failure, seed: Optional[int] = None) -> Path:
@@ -171,7 +167,6 @@ def replay_entry(entry: Dict[str, Any], source: Any = "corpus entry") -> List[Vi
     registered (see :func:`validate_entry_names`).
     """
     from repro.validation.fuzzer import check_run
-    from repro.validation.metamorphic import build_relations
 
     validate_entry_names(entry, source=source)
     return check_run(

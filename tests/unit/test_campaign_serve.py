@@ -19,8 +19,10 @@ from repro.orchestrator.serve import (
     monitor_from_store,
     prometheus_text,
 )
-from repro.orchestrator.store import ResultStore, events_path_for
-from repro.orchestrator.telemetrybus import CampaignMonitor
+from repro.cli import main
+from repro.orchestrator.spec import CampaignSpec
+from repro.orchestrator.store import TERMINAL_STATUSES, ResultStore, events_path_for
+from repro.orchestrator.telemetrybus import CampaignMonitor, events_from_record
 
 
 def _record(spec_hash, status="ok", violations=None, wall=1.0):
@@ -229,6 +231,34 @@ class TestStoreFollower:
             assert status["cells_done"] == 1
             assert status[f"cells_{winner}"] == 1
 
+    def test_malformed_complete_line_warns_like_the_store(self, tmp_path):
+        """One reader: the follower reports the line `refresh` reports."""
+        import logging
+
+        store = ResultStore(tmp_path / "c.jsonl")
+        store.append(_record("a"))
+        with store.path.open("a") as handle:
+            handle.write('{"spec_hash": "b", "status": "o\n')  # complete, not JSON
+        store.append(_record("c"))
+        messages = []
+
+        class Capture(logging.Handler):
+            def emit(self, record):
+                messages.append(record.getMessage())
+
+        store_logger = logging.getLogger("repro.orchestrator.store")
+        handler = Capture()
+        store_logger.addHandler(handler)
+        try:
+            assert ResultStore(store.path).refresh() == 2
+            monitor = CampaignMonitor(total=2)
+            assert StoreFollower(monitor, store.path).poll_once() == 2
+        finally:
+            store_logger.removeHandler(handler)
+        assert len(messages) == 2 and messages[0] == messages[1]
+        assert str(store.path) in messages[0] and "malformed" in messages[0]
+        assert monitor.status()["cells_ok"] == 2
+
     def test_follows_shard_files_that_appear_mid_poll(self, tmp_path):
         """A sharded store's files are picked up live — even shards
         created after the follower started polling."""
@@ -258,6 +288,110 @@ class TestStoreFollower:
             deadline -= 0.02
         follower.stop()
         assert monitor.status()["cells_done"] == 1
+
+
+#: status sequence of one cell's records -> index of the record that
+#: speaks for it (ok wins, otherwise the most recent).
+SEQUENCES = {
+    ("error", "ok"): 1,
+    ("ok", "error"): 0,
+    ("error", "exhausted"): 1,
+    ("violation", "ok"): 1,
+    ("error", "error"): 1,
+}
+
+
+class TestReadSideParity:
+    """Every reader of a campaign names the same winner per cell.
+
+    The store's index (`latest_by_hash`, `campaign status`, `campaign
+    report`, `obs runs`) and every way events reach a monitor — the
+    in-process bus, a follower over store and sidecar in either arrival
+    order, the post-hoc read — must agree, whatever the delivery.
+    """
+
+    @pytest.mark.parametrize(
+        "delivery",
+        ["store only", "bus only", "sidecar then store", "store then sidecar"],
+    )
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids="-".join)
+    def test_same_winner_and_counts_everywhere(
+        self, tmp_path, capsys, sequence, delivery
+    ):
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps({
+            "name": "parity", "scenario": "fw_nat_lb_10ge",
+            "grid": {"send_rate_gbps": [4.0]}, "time_scale": 0.05,
+        }))
+        campaign = CampaignSpec.from_file(spec)
+        (cell,) = campaign.expand()
+        records = [
+            {**_record(cell.spec_hash, status=status, wall=attempt + 1.0),
+             "metrics": {"attempt": attempt}}
+            for attempt, status in enumerate(sequence)
+        ]
+        for attempt, record in enumerate(records):
+            if record["status"] != "ok":
+                record["error"] = f"attempt {attempt} failed"
+        winner = records[SEQUENCES[sequence]]
+        store = ResultStore(tmp_path / "parity.jsonl")
+        events_path = events_path_for(store.path)
+        events = [
+            {**event, "ts": 10.0}
+            for record in records for event in events_from_record(record)
+        ]
+
+        def to_store():
+            for record in records:
+                store.append(record)
+
+        def to_sidecar():
+            with events_path.open("a") as handle:
+                for event in events:
+                    handle.write(json.dumps(event) + "\n")
+
+        monitor = CampaignMonitor(total=1)
+        follower = StoreFollower(monitor, store.path)
+
+        def to_bus():  # what TelemetryBus._dispatch does in the campaign's process
+            for event in events:
+                monitor.handle(event)
+
+        for step in {
+            "store only": [to_store],
+            "bus only": [to_bus],
+            "sidecar then store": [to_sidecar, to_store],
+            "store then sidecar": [to_store, to_sidecar],
+        }[delivery]:
+            step()
+            follower.poll_once()
+        if delivery == "bus only":
+            to_store()  # for the store's own readers; the monitor never polls it
+
+        expected = {status: int(status == winner["status"]) for status in TERMINAL_STATUSES}
+        for reader in (monitor, monitor_from_store(campaign, ResultStore(store.path))):
+            status = validate_campaign_status(reader.status())
+            assert {name: status[f"cells_{name}"] for name in TERMINAL_STATUSES} == expected
+            (shown,) = reader.cells_payload()["cells"]
+            assert (shown["status"], shown["wall_time_s"]) == (
+                winner["status"], winner["wall_time_s"])
+            assert shown.get("error") == winner.get("error")
+
+        assert ResultStore(store.path).latest_by_hash() == {cell.spec_hash: winner}
+
+        store_args = [str(spec), "--store", str(store.path)]
+        assert main(["campaign", "status", *store_args]) == 0
+        printed = capsys.readouterr().out
+        assert f"completed: {expected['ok']}" in printed
+        assert f"failing:   {expected['error'] + expected['violation']} " in printed
+        assert f"exhausted: {expected['exhausted']} " in printed
+        assert main(["campaign", "report", *store_args, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["attempt"] for row in rows] == (
+            [winner["metrics"]["attempt"]] if expected["ok"] else [])
+        assert main(["obs", "runs", "--root", str(tmp_path), "--json"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert {name: run[name] for name in TERMINAL_STATUSES} == expected
 
 
 class TestCampaignSchemas:

@@ -311,6 +311,32 @@ class TestCampaignCli:
         assert _one_error(capsys) == "workers must be at least 1"
         assert list(tmp_path.iterdir()) == [spec]
 
+    BAD_SERVE_VALUES = {
+        "--port=99999": "--port must be in 0..65535, got 99999",
+        "--port=-1": "--port must be in 0..65535, got -1",
+        "--poll-interval=0": "--poll-interval must be positive, got 0.0",
+        "--poll-interval=-1": "--poll-interval must be positive, got -1.0",
+        "--max-seconds=-1": "--max-seconds must be >= 0, got -1.0",
+    }
+
+    @pytest.mark.parametrize("flag", BAD_SERVE_VALUES)
+    def test_campaign_serve_rejects_bad_values_before_starting_anything(
+        self, flag, tmp_path, capsys
+    ):
+        import threading
+
+        spec = self._write_spec(tmp_path)
+        store = tmp_path / "results.jsonl"
+        before = set(threading.enumerate())
+        assert main(["campaign", "serve", str(spec), "--store", str(store),
+                     "--port=0", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # never got as far as "serving campaign ..."
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert [line.split("error: ", 1)[1] for line in errors] == [
+            self.BAD_SERVE_VALUES[flag]]
+        assert set(threading.enumerate()) == before  # no follower, no server
+
     def test_campaign_report_without_records(self, tmp_path, capsys):
         spec = self._write_spec(tmp_path)
         assert main(["campaign", "report", str(spec),

@@ -46,13 +46,6 @@ class TestFlowGenerator:
         generator = FlowGenerator(flow_count=10)
         assert generator.flow(3) == generator.flow(13)
 
-    def test_round_robin_cycles(self):
-        generator = FlowGenerator(flow_count=4)
-        iterator = generator.round_robin()
-        first_cycle = [next(iterator) for _ in range(4)]
-        second_cycle = [next(iterator) for _ in range(4)]
-        assert first_cycle == second_cycle
-
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             FlowGenerator(flow_count=0)

@@ -167,4 +167,3 @@ class TestPcie:
         bus = PcieBus(PcieSpec(per_packet_overhead_bytes=0))
         bus.rx_transfer(125)  # 1000 bits
         assert bus.bandwidth_gbps_over(1_000) == pytest.approx(1.0)
-        assert 0 < bus.utilization_over(1_000) < 1

@@ -16,7 +16,7 @@ from repro.orchestrator import (
     derived_seed,
     execute_run,
 )
-from repro.orchestrator.aggregate import campaign_rows, group_rows
+from repro.orchestrator.aggregate import campaign_rows
 from repro.orchestrator.spec import PAYLOADPARK_OVERRIDES, SCENARIO_OVERRIDES, dedupe_specs
 
 #: Simulated-time scale keeping each run cheap while still exercising traffic.
@@ -276,13 +276,7 @@ class TestResultStore:
         assert store.latest_by_hash()["aa"]["metrics"] == {"x": 2}
 
     def test_ok_wins_over_later_failed_retry(self, tmp_path):
-        """Regression: a failed retry after an ok record must not shadow it.
-
-        `campaign status` (store.latest_by_hash) and `campaign report`
-        (aggregate.latest_ok_by_hash) must agree about the same cell.
-        """
-        from repro.orchestrator.aggregate import latest_ok_by_hash
-
+        """Regression: a failed retry after an ok record must not shadow it."""
         store = ResultStore(tmp_path / "runs.jsonl")
         store.append({"spec_hash": "aa", "status": "ok", "metrics": {"x": 1}})
         store.append({"spec_hash": "aa", "status": "error", "error": "flake"})
@@ -293,8 +287,6 @@ class TestResultStore:
         assert latest["aa"]["metrics"] == {"x": 1}
         assert latest["bb"]["status"] == "error"  # never-ok: real status
         assert store.completed_hashes() == {"aa"}
-        # Both entry points return the identical authoritative record.
-        assert latest_ok_by_hash(store.load())["aa"] == latest["aa"]
 
     def test_attempt_counts_track_failures_only(self, tmp_path):
         store = ResultStore(tmp_path / "runs.jsonl")
@@ -302,8 +294,10 @@ class TestResultStore:
         store.append({"spec_hash": "aa", "status": "violation", "error": "2"})
         store.append({"spec_hash": "bb", "status": "ok"})
         store.append({"spec_hash": "cc", "status": "exhausted", "attempts": 3})
-        counts = store.attempt_counts()
-        assert counts == {"aa": 2}  # ok and exhausted markers are not attempts
+        # ok and exhausted markers are not attempts; "dd" has no record.
+        assert store.cell_states(["aa", "bb", "cc", "dd"]) == [
+            ("failing", 2), ("ok", 0), ("exhausted", 0), ("pending", 0),
+        ]
 
     def test_record_count_extends_from_cursor(self, tmp_path):
         """Regression: __len__ must not rescan the file on every poll."""
@@ -360,7 +354,7 @@ class TestShardedStore:
         assert len(holding) == 1
         # Per-hash append order survived: latest-wins still works.
         assert store.latest_by_hash()["ab34"]["n"] == 99
-        assert store.attempt_counts() == {"ab34": 3}
+        assert store.cell_states(["ab34"]) == [("ok", 3)]
 
     def test_legacy_single_file_resumes_into_shards(self, tmp_path):
         base = tmp_path / "grid.jsonl"
@@ -490,20 +484,12 @@ class TestExecutor:
         assert latest[spec_hash]["status"] == "exhausted"
         assert fresh.completed_hashes() == set()
 
-        # The `campaign status` arithmetic: the cell is exhausted, not
+        # The classification `campaign status` prints: exhausted, not
         # pending (and certainly not completed).
-        specs = campaign.expand()
-        done = sum(1 for spec in specs if spec.spec_hash in fresh.completed_hashes())
-        exhausted = sum(
-            1
-            for spec in specs
-            if latest.get(spec.spec_hash, {}).get("status") == "exhausted"
-        )
-        assert done == 0
-        assert len(specs) - done - exhausted == 0  # pending count
+        assert fresh.cell_states([spec_hash]) == [("exhausted", 3)]
 
         # The aggregate surface agrees.
-        rows = campaign_rows(campaign, fresh.load(), include_missing=True)
+        rows = campaign_rows(campaign, latest, include_missing=True)
         assert [row["status"] for row in rows] == ["exhausted"]
 
         # Resuming against the re-opened store skips the cell cleanly.
@@ -565,24 +551,13 @@ class TestAggregate:
         store = ResultStore(tmp_path / "grid.jsonl")
         CampaignExecutor(workers=1).run_campaign(campaign, store=store)
         rows = campaign_rows(
-            campaign, store.load(), metric_columns=["goodput_gain_percent"]
+            campaign, store.latest_by_hash(), metric_columns=["goodput_gain_percent"]
         )
         assert [row["send_rate_gbps"] for row in rows] == [8.0, 4.0]
         assert all("goodput_gain_percent" in row for row in rows)
 
     def test_campaign_rows_marks_missing_points(self):
         campaign = small_campaign(grid={"send_rate_gbps": [4.0, 8.0]})
-        rows = campaign_rows(campaign, [], include_missing=True)
+        rows = campaign_rows(campaign, {}, include_missing=True)
         assert [row["status"] for row in rows] == ["pending", "pending"]
-        assert campaign_rows(campaign, []) == []
-
-    def test_group_rows_reductions(self):
-        rows = [
-            {"chain": "fw", "gain": 10.0},
-            {"chain": "fw", "gain": 20.0},
-            {"chain": "nat", "gain": 5.0},
-        ]
-        grouped = group_rows(rows, by=["chain"], reductions={"gain": "mean"})
-        assert grouped == [{"chain": "fw", "gain": 15.0}, {"chain": "nat", "gain": 5.0}]
-        with pytest.raises(ValueError):
-            group_rows(rows, by=["chain"], reductions={"gain": "median"})
+        assert campaign_rows(campaign, {}) == []

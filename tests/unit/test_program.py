@@ -223,10 +223,6 @@ class TestMultiBindingAndState:
         assert program.lookup_tables["a"].occupancy() == 1
         assert program.lookup_tables["b"].occupancy() == 0
 
-    def test_total_parked_capacity(self):
-        program = _program(table_entries=10)
-        assert program.total_parked_bytes_capacity() == 10 * 160
-
     def test_reset_state_clears_everything(self):
         program = _program()
         packet = Packet.udp(total_size=512)

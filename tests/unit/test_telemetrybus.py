@@ -127,7 +127,7 @@ class TestCampaignMonitor:
         assert status["cells_done"] == 2
         assert status["cells_exhausted"] == 1
         assert status["cells_pending"] == 0
-        assert monitor.has_terminal("b")
+        assert monitor.cells["b"]["status"] == "exhausted"
         # The exhausted marker's 0.0 wall time must not skew the mean.
         assert status["mean_cell_wall_s"] == pytest.approx(1.0)
 
@@ -181,21 +181,19 @@ class TestCampaignMonitor:
         assert finished["eta_s"] == 0.0
         assert "repro_campaign_eta_seconds" in prometheus_text(finished)
 
-    def test_monitor_from_store_ignores_running_cells_for_finished(self):
+    def test_monitor_from_store_ignores_running_cells_for_finished(self, tmp_path):
         # monitor_from_store used to flip `finished` whenever the number
         # of *known* cells reached the total, counting still-running
         # cells replayed from the events sidecar.
         from repro.orchestrator.serve import monitor_from_store
+        from repro.orchestrator.store import ResultStore
 
         monitor = monitor_from_store()
         assert monitor.status()["state"] == "idle"
 
-        class _Store:
-            def latest_by_hash(self):
-                return {
-                    "a": {"spec_hash": "a", "scenario": "s", "params": {},
-                          "status": "ok", "wall_time_s": 1.0},
-                }
+        def record(spec_hash):
+            return {"spec_hash": spec_hash, "scenario": "s", "params": {},
+                    "status": "ok", "wall_time_s": 1.0}
 
         class _Campaign:
             point_count = 2
@@ -203,7 +201,9 @@ class TestCampaignMonitor:
             scenario = "s"
             mode = "both"
 
-        partial = monitor_from_store(campaign=_Campaign(), store=_Store())
+        store = ResultStore(tmp_path / "c.jsonl")
+        store.append(record("a"))
+        partial = monitor_from_store(campaign=_Campaign(), store=store)
         partial.handle({"type": "cell_started", "spec_hash": "b",
                         "scenario": "s", "params": {}, "pid": 1, "ts": 5.0})
         # Two known cells, but only one terminal: not finished.
@@ -211,16 +211,8 @@ class TestCampaignMonitor:
         assert status["state"] != "finished"
         assert status["cells_done"] == 1
 
-        class _FullStore:
-            def latest_by_hash(self):
-                return {
-                    "a": {"spec_hash": "a", "scenario": "s", "params": {},
-                          "status": "ok", "wall_time_s": 1.0},
-                    "b": {"spec_hash": "b", "scenario": "s", "params": {},
-                          "status": "ok", "wall_time_s": 1.0},
-                }
-
-        complete = monitor_from_store(campaign=_Campaign(), store=_FullStore())
+        store.append(record("b"))
+        complete = monitor_from_store(campaign=_Campaign(), store=store)
         status = complete.status()
         assert status["state"] == "finished"
         assert status["eta_s"] == 0.0
@@ -277,14 +269,6 @@ class TestCampaignMonitor:
         monitor.handle({"type": "mystery", "payload": 1})
         assert monitor.cells == {}
         assert monitor.events_tail(5)[-1]["type"] == "mystery"
-
-    def test_has_terminal(self):
-        monitor = CampaignMonitor(total=2)
-        monitor.handle({"type": "cell_started", "spec_hash": "a"})
-        assert not monitor.has_terminal("a")
-        monitor.handle(_finished("a"))
-        assert monitor.has_terminal("a")
-        assert not monitor.has_terminal("zz")
 
 
 class TestTelemetryBus:

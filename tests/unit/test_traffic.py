@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import WorkloadSpecError
-from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES
 from repro.traffic.distributions import (
     EmpiricalDistribution,
     FixedSizeDistribution,
@@ -95,8 +94,6 @@ class TestDistributions:
     def test_enterprise_distribution_matches_paper_statistics(self):
         distribution = enterprise_datacenter_distribution()
         assert distribution.mean() == pytest.approx(882, abs=25)
-        small = distribution.fraction_below(ETHERNET_UDP_HEADER_BYTES + 160)
-        assert small == pytest.approx(0.30, abs=0.03)
         assert split_eligible_fraction(distribution) == pytest.approx(0.70, abs=0.03)
 
 

@@ -12,15 +12,17 @@ from repro.validation.corpus import (
     entry_relation_names,
     load_entry,
     replay_corpus,
+    replay_entry,
     run_spec_from_entry,
     validate_entry_names,
     write_entry,
 )
 from repro.validation.fuzzer import FuzzFailure
 from repro.validation.invariants import Violation
+from repro.validation.metamorphic import RELATION_REGISTRY, FluidPacketEquivalence
 
 
-def _failure():
+def _failure(check="fast-slow-equivalence"):
     original = RunSpec(
         scenario="workload",
         params={"workload": "bursty-mmpp", "send_rate_gbps": 8.0,
@@ -32,7 +34,7 @@ def _failure():
                 "warmup_us": 100.0, "seed": 7},
     )
     violation = Violation(
-        check="fast-slow-equivalence",
+        check=check,
         message="fast path diverges",
         scenario="workload-bursty-mmpp",
         deployment="both",
@@ -62,6 +64,27 @@ class TestCorpusEntries:
         # Invariant-only entries fall back to the differential default.
         entry["relations"] = ["packet-conservation"]
         assert entry_relation_names(entry) == ["fast_slow"]
+
+    @pytest.mark.parametrize("key", sorted(RELATION_REGISTRY))
+    def test_every_registered_relation_round_trips(self, key):
+        # A hand-kept second table of relation names once omitted the
+        # fluid relation: its failures were written with `relations: []`
+        # and replayed clean under fast_slow alone.
+        entry = entry_from_failure(_failure(RELATION_REGISTRY[key].name), seed=1)
+        assert entry["relations"] == [RELATION_REGISTRY[key].name]
+        assert entry_relation_names(entry) == [key]
+
+    def test_fluid_relation_entry_replays_the_fluid_relation(self, monkeypatch):
+        from repro.validation import fuzzer
+
+        replayed = []
+        monkeypatch.setattr(
+            fuzzer, "check_run",
+            lambda run, relations=(): replayed.extend(relations) or [],
+        )
+        entry = entry_from_failure(_failure("fluid-packet-equivalence"), seed=1)
+        assert replay_entry(entry) == []
+        assert [type(relation) for relation in replayed] == [FluidPacketEquivalence]
 
     def test_corpus_dir_gets_a_triage_readme(self, tmp_path):
         write_entry(tmp_path, _failure())
