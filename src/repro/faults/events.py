@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import FaultSpecError
+from repro.nf.firewall import FirewallRule
 
 #: Event kind -> (required params, optional params).  ``at_us``/``at_frac``
 #: and ``duration_us``/``duration_frac`` are handled generically.
@@ -164,6 +165,14 @@ def _validate_params(kind: str, record: Mapping[str, Any]) -> None:
             raise FaultSpecError(
                 f"firewall_churn action must be 'add' or 'remove', got {action!r}"
             )
+        subnet = record.get("subnet")
+        if subnet is not None:
+            try:
+                FirewallRule.blacklist(subnet)
+            except ValueError as error:
+                raise FaultSpecError(
+                    f"firewall_churn subnet {subnet!r}: {error}"
+                ) from None
     if kind == "expiry_threshold" and int(record["value"]) < 1:
         raise FaultSpecError("expiry_threshold value must be at least 1")
     if kind == "park_drain":

@@ -118,14 +118,17 @@ class TrafficGenNode(Node):
             return self.config.rate_gbps
         return self.schedule.rate_at(self.env.now - self._start_ns)
 
-    def _transmit(self, packet: Packet) -> None:
-        """Stamp, count and send one frame out the next TX port."""
+    def _transmit(self, packet: Packet) -> int:
+        """Stamp, count and send one frame out the next TX port.
+
+        Returns the frame's wire length as it left the generator.
+        """
         packet.meta["tx_ns"] = self.env.now
-        packet.meta["generator"] = self.name
         port = self.tx_ports[self._port_cursor]
         self._port_cursor = (self._port_cursor + 1) % len(self.tx_ports)
+        wire_bytes = packet.wire_length
         self.packets_sent += 1
-        self.bytes_sent += packet.wire_length
+        self.bytes_sent += wire_bytes
         recorder = self.obs_recorder
         if recorder is not None:
             # Deterministic 1-in-N sampling decided at generation time:
@@ -135,10 +138,9 @@ class TrafficGenNode(Node):
             if self._obs_pkt_index % recorder.sample_every == 0:
                 pkt_id = f"{self.name}#{self._obs_pkt_index}"
                 packet.meta["obs_pkt"] = pkt_id
-                recorder.packet_generated(
-                    pkt_id, self.env.now, port, packet.wire_length
-                )
+                recorder.packet_generated(pkt_id, self.env.now, port, wire_bytes)
         self.send_out(port, packet)
+        return wire_bytes
 
     def transmit_segment(self, packet: Packet, retransmission: bool) -> None:
         """Put one closed-loop transport segment on the wire.
@@ -177,9 +179,7 @@ class TrafficGenNode(Node):
             return
         burst_bytes = 0
         for _ in range(self.config.burst_size):
-            packet = self.source.next_packet()
-            burst_bytes += packet.wire_length
-            self._transmit(packet)
+            burst_bytes += self._transmit(self.source.next_packet())
         # Pace the next burst so the long-run offered rate matches the
         # schedule (or the config's constant rate); the arrival model
         # perturbs individual gaps around that target.  Scheduled rates

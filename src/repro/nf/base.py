@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.packet.packet import Packet
@@ -16,9 +17,12 @@ class NfVerdict(enum.Enum):
     DROP = "drop"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NfResult:
     """Outcome of one NF processing one packet.
+
+    Immutable, so NFs and chains hand the same instance to every packet
+    with the same outcome instead of allocating one per packet.
 
     Attributes
     ----------
@@ -39,6 +43,16 @@ class NfResult:
     def forwarded(self) -> bool:
         """True when the packet continues down the chain."""
         return self.verdict is NfVerdict.FORWARD
+
+
+@lru_cache(maxsize=4096)
+def forward_result(cycles: int) -> NfResult:
+    """The FORWARD result with *cycles* total cost, one instance per total.
+
+    An NF has a handful of distinct totals and a chain one per path
+    through it, so the per-packet results are looked up, not allocated.
+    """
+    return NfResult(verdict=NfVerdict.FORWARD, cycles=cycles)
 
 
 class NetworkFunction:
@@ -76,18 +90,19 @@ class NetworkFunction:
         self.packets_dropped = 0
 
     def enable_fast_path(self, enabled: bool = True) -> None:
-        """Opt into behaviour-preserving per-NF caches (default: no-op).
+        """Opt into a behaviour-preserving faster datapath (default: no-op).
 
         NFs whose per-packet decision is a pure function of the packet
-        override this: the firewall memoizes verdicts, the Maglev LB
+        override this: the firewall classifies through a table compiled
+        from its rule list instead of probing it linearly, the Maglev LB
         memoizes its (deterministic-per-flow) backend choice.  NFs with
         per-packet state transitions (the NAT's binding allocation)
         keep the default no-op — their work cannot be skipped.
         """
 
     def forward(self, cycles: int) -> NfResult:
-        """Helper: build a FORWARD result with *cycles* total cost."""
-        return NfResult(verdict=NfVerdict.FORWARD, cycles=cycles)
+        """Helper: the FORWARD result with *cycles* total cost."""
+        return forward_result(cycles)
 
     def drop(self, cycles: int, reason: str = "") -> NfResult:
         """Helper: build a DROP result with *cycles* total cost."""

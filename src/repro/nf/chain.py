@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.nf.base import NetworkFunction, NfResult, NfVerdict
+from repro.nf.base import NetworkFunction, NfResult, NfVerdict, forward_result
 from repro.packet.packet import Packet
 
 
@@ -56,7 +56,7 @@ class NfChain:
                     verdict=NfVerdict.DROP, cycles=total_cycles, reason=result.reason
                 )
         self.packets_out += 1
-        return NfResult(verdict=NfVerdict.FORWARD, cycles=total_cycles)
+        return forward_result(total_cycles)
 
     # ------------------------------------------------------------------ #
     # Cost model helpers

@@ -4,12 +4,22 @@ The paper's firewall "linearly probes through a list of blacklisted IP
 addresses" — the three-NF chain uses 20 rules, the two-NF chain a single
 rule — so its per-packet cost grows with the rule count, which is what
 makes the FW → NAT chain more compute-hungry than a lone NAT (§6.2.2).
+
+That linear probe (:meth:`Firewall._probe`) is the reference.  The
+default engine answers the same question — which is the *first* rule
+that matches, and hence the verdict and the modelled cycle cost —
+through a classifier compiled from the rule list: rules grouped by
+prefix length, one dict probe per distinct mask, lowest matching rule
+index wins.  It costs the same for a flow it has never seen as for one
+it has, which a verdict memo in front of a linear probe does not: on
+the headline scenario (4096 flows, ~3.5 k packets per deployment) such
+a memo was measured to miss on every packet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.nf.base import NetworkFunction, NfResult
 from repro.packet.ipv4 import IPv4Address
@@ -31,6 +41,12 @@ class FirewallRule:
     network: IPv4Address
     prefix_len: int = 32
     dst_port: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.prefix_len <= 32:
+            raise ValueError(f"invalid prefix length: {self.prefix_len}")
+        if self.dst_port is not None and not 0 <= self.dst_port <= 0xFFFF:
+            raise ValueError(f"dst_port out of range: {self.dst_port}")
 
     def matches(self, packet: Packet) -> bool:
         """True when *packet* should be dropped by this rule."""
@@ -73,109 +89,96 @@ class Firewall(NetworkFunction):
         super().__init__(name=name or "Firewall")
         self.rules: List[FirewallRule] = list(rules or [])
         self.cycles_per_rule = cycles_per_rule
-        #: Fast-path verdict memo keyed by the fields the ACL examines
-        #: (source address, destination port); None = disabled.
-        self._verdict_cache: Optional[dict] = None
-        #: Fast-path pre-masked rule list: (mask, masked network, dst_port).
-        self._compiled_rules: Optional[list] = None
-        #: Cache efficiency counters (sampled by repro.obs as a hit-ratio
-        #: gauge); plain int bumps, cheap enough to keep unconditional.
-        self.cache_lookups = 0
-        self.cache_hits = 0
+        #: Whether packets go through the classifier or the linear probe.
+        self.fast_path = False
+        #: Compiled from ``rules`` on the first packet after a change.
+        self._classifier: Optional[tuple] = None
 
     def add_rule(self, rule: FirewallRule) -> None:
-        """Append an ACL entry (invalidates the fast-path structures)."""
+        """Append an ACL entry (invalidates the classifier)."""
         self.rules.append(rule)
         self._invalidate()
 
     def remove_rule(self, index: int) -> FirewallRule:
         """Remove and return the ACL entry at *index* (control plane).
 
-        Like :meth:`add_rule`, drops the memoized verdicts and the
-        pre-masked rule list: both the verdicts themselves and their
-        cycle costs (probe counts) depend on the rule list.
+        Like :meth:`add_rule`, drops the classifier: both the verdicts
+        and their cycle costs (probe counts) depend on the rule list.
         """
         rule = self.rules.pop(index)
         self._invalidate()
         return rule
 
     def _invalidate(self) -> None:
-        if self._verdict_cache is not None:
-            self._verdict_cache.clear()
-        self._compiled_rules = None
+        self._classifier = None
 
     def enable_fast_path(self, enabled: bool = True) -> None:
-        """Memoize verdicts per (src address, dst port).
+        """Classify through a table compiled from the rule list.
 
         The ACL is stateless and rules only test the source prefix and
-        optional destination port, so the verdict — including the probed
-        rule count that sets the cycle cost — is a pure function of that
-        pair.  Cold lookups probe a pre-masked rule list instead of
-        calling :meth:`FirewallRule.matches` per rule.  ``add_rule``
-        invalidates both structures.
+        optional destination port, so the first matching rule — and with
+        it the verdict and the probed rule count that sets the cycle
+        cost — is a pure function of that pair.  The classifier finds it
+        with one dict probe per distinct prefix length instead of one
+        comparison per rule; it is compiled lazily, on the first packet
+        after ``add_rule`` / ``remove_rule``.
         """
-        self._verdict_cache = {} if enabled else None
-        self._compiled_rules = None
+        self.fast_path = enabled
+        self._invalidate()
 
     def process(self, packet: Packet) -> NfResult:
         """Probe the ACL; drop on the first match."""
-        cache = self._verdict_cache
-        if cache is not None:
-            ip = packet.ip
+        if not self.fast_path:
+            return self._probe(packet)
+        classifier = self._classifier
+        if classifier is None:
+            classifier = self._classifier = self._compile()
+        groups, results = classifier
+        first = len(results) - 1
+        ip = packet.ip
+        if ip is not None:
+            src_value = ip.src.value
             l4 = packet.l4
-            key = (
-                ip.src.value if ip is not None else None,
-                l4.dst_port if l4 is not None else None,
-            )
-            self.cache_lookups += 1
-            result = cache.get(key)
-            if result is None:
-                result = self._probe_compiled(key[0], key[1])
-                if len(cache) >= 65_536:
-                    cache.clear()
-                cache[key] = result
-            else:
-                self.cache_hits += 1
-            return result
-        return self._probe(packet)
+            dst_port = l4.dst_port if l4 is not None else None
+            for mask, table in groups:
+                entries = table.get(src_value & mask)
+                if entries is not None:
+                    for index, port in entries:
+                        if index >= first:
+                            break
+                        if port is None or port == dst_port:
+                            first = index
+                            break
+        return results[first]
+
+    def _compile(self) -> tuple:
+        """The rule list as a first-match classifier, ``(groups, results)``.
+
+        ``groups`` holds one ``(mask, table)`` pair per distinct prefix
+        length; ``table`` maps a masked source address to the ``(rule
+        index, dst_port)`` pairs of the rules with that prefix, in rule
+        order.  ``results[i]`` is the outcome of matching rule *i*
+        first, ``results[len(rules)]`` that of matching none.
+        """
+        tables: Dict[int, Dict[int, List[Tuple[int, Optional[int]]]]] = {}
+        for index, rule in enumerate(self.rules):
+            mask = (0xFFFFFFFF << (32 - rule.prefix_len)) & 0xFFFFFFFF
+            tables.setdefault(mask, {}).setdefault(
+                rule.network.value & mask, []
+            ).append((index, rule.dst_port))
+        base, per_rule = self.base_cycles, self.cycles_per_rule
+        results = [
+            self.drop(base + (index + 1) * per_rule, f"blacklisted by rule {index}")
+            for index in range(len(self.rules))
+        ]
+        results.append(self.forward(base + len(self.rules) * per_rule))
+        return list(tables.items()), results
 
     def _probe(self, packet: Packet) -> NfResult:
         probed = 0
         for rule in self.rules:
             probed += 1
             if rule.matches(packet):
-                cycles = self.base_cycles + probed * self.cycles_per_rule
-                return self.drop(cycles, reason=f"blacklisted by rule {probed - 1}")
-        cycles = self.base_cycles + probed * self.cycles_per_rule
-        return self.forward(cycles)
-
-    def _probe_compiled(self, src_value: Optional[int], dst_port: Optional[int]) -> NfResult:
-        """Linear probe over pre-masked rules; same verdicts as :meth:`_probe`."""
-        compiled = self._compiled_rules
-        if compiled is None:
-            compiled = self._compiled_rules = [
-                (
-                    (0xFFFFFFFF << (32 - rule.prefix_len)) & 0xFFFFFFFF
-                    if rule.prefix_len
-                    else 0,
-                    rule.network.value
-                    & (
-                        (0xFFFFFFFF << (32 - rule.prefix_len)) & 0xFFFFFFFF
-                        if rule.prefix_len
-                        else 0
-                    ),
-                    rule.dst_port,
-                )
-                for rule in self.rules
-            ]
-        probed = 0
-        for mask, network, port in compiled:
-            probed += 1
-            if (
-                src_value is not None
-                and (src_value & mask) == network
-                and (port is None or port == dst_port)
-            ):
                 cycles = self.base_cycles + probed * self.cycles_per_rule
                 return self.drop(cycles, reason=f"blacklisted by rule {probed - 1}")
         cycles = self.base_cycles + probed * self.cycles_per_rule

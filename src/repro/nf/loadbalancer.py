@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.nf.base import NetworkFunction, NfResult
-from repro.packet.flows import FiveTuple
+from repro.packet.flows import FiveTuple, FlowKey, flow_hash
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
 
@@ -82,10 +82,11 @@ class MaglevLoadBalancer(NetworkFunction):
         self.rewrite_cycles = rewrite_cycles
         self.lookup_table: List[int] = self._populate()
         self.assignments: Dict[str, int] = {backend.name: 0 for backend in self.backends}
-        #: Fast-path memo: flow -> backend.  Maglev is deterministic per
-        #: flow (that is its whole point), so the FNV walk over the
-        #: 5-tuple can be skipped for flows already mapped.
-        self._backend_cache: Optional[Dict[FiveTuple, Backend]] = None
+        #: Fast-path memo: flow (as plain ints, read straight off the
+        #: headers) -> backend.  Maglev is deterministic per flow (that
+        #: is its whole point), so the FNV walk over the 5-tuple can be
+        #: skipped for flows already mapped.
+        self._backend_cache: Optional[Dict[FlowKey, Backend]] = None
         #: Cache efficiency counters (sampled by repro.obs as a hit-ratio
         #: gauge); plain int bumps, cheap enough to keep unconditional.
         self.cache_lookups = 0
@@ -176,31 +177,36 @@ class MaglevLoadBalancer(NetworkFunction):
 
     def backend_for(self, flow: FiveTuple) -> Backend:
         """Return the backend consistently chosen for *flow*."""
+        return self._backend_for(flow.key())
+
+    def _backend_for(self, key: FlowKey) -> Backend:
         cache = self._backend_cache
-        if cache is not None:
-            self.cache_lookups += 1
-            backend = cache.get(flow)
-            if backend is None:
-                backend = self.backends[
-                    self.lookup_table[flow.stable_hash() % self.table_size]
-                ]
-                if len(cache) >= 65_536:
-                    cache.clear()
-                cache[flow] = backend
-            else:
-                self.cache_hits += 1
-            return backend
-        index = self.lookup_table[flow.stable_hash() % self.table_size]
-        return self.backends[index]
+        if cache is None:
+            return self.backends[self.lookup_table[flow_hash(key) % self.table_size]]
+        self.cache_lookups += 1
+        backend = cache.get(key)
+        if backend is None:
+            backend = self.backends[
+                self.lookup_table[flow_hash(key) % self.table_size]
+            ]
+            if len(cache) >= 65_536:
+                cache.clear()
+            cache[key] = backend
+        else:
+            self.cache_hits += 1
+        return backend
 
     def process(self, packet: Packet) -> NfResult:
         """Rewrite the destination address to the chosen backend."""
         cycles = self.base_cycles + self.hash_cycles
-        flow = packet.five_tuple()
-        if flow is None or packet.ip is None:
+        ip = packet.ip
+        l4 = packet.l4
+        if ip is None or l4 is None:
             return self.forward(cycles)
-        backend = self.backend_for(flow)
-        packet.ip.dst = backend.ip
+        backend = self._backend_for(
+            (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
+        )
+        ip.dst = backend.ip
         self.assignments[backend.name] += 1
         return self.forward(cycles + self.rewrite_cycles)
 

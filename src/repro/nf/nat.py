@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.nf.base import NetworkFunction, NfResult
-from repro.packet.flows import FiveTuple
+from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
 
@@ -60,7 +60,9 @@ class Nat(NetworkFunction):
             raise ValueError("port_range must be an increasing (low, high) pair")
         self.lookup_cycles = lookup_cycles
         self.rewrite_cycles = rewrite_cycles
-        self._bindings: Dict[FiveTuple, NatBinding] = {}
+        #: Keyed by the flow's plain-int form, which the datapath reads
+        #: straight off the headers; a FiveTuple is built per *binding*.
+        self._bindings: Dict[FlowKey, NatBinding] = {}
         self._reverse: Dict[int, NatBinding] = {}
         self._next_port = self.port_low
 
@@ -79,15 +81,17 @@ class Nat(NetworkFunction):
 
     def binding_for(self, flow: FiveTuple) -> NatBinding:
         """Return (allocating if needed) the binding for an outbound flow."""
-        binding = self._bindings.get(flow)
-        if binding is None:
-            binding = NatBinding(
-                internal=flow,
-                external_ip=self.external_ip,
-                external_port=self._allocate_port(),
-            )
-            self._bindings[flow] = binding
-            self._reverse[binding.external_port] = binding
+        key = flow.key()
+        return self._bindings.get(key) or self._bind(key, flow)
+
+    def _bind(self, key: FlowKey, flow: FiveTuple) -> NatBinding:
+        binding = NatBinding(
+            internal=flow,
+            external_ip=self.external_ip,
+            external_port=self._allocate_port(),
+        )
+        self._bindings[key] = binding
+        self._reverse[binding.external_port] = binding
         return binding
 
     @property
@@ -102,19 +106,25 @@ class Nat(NetworkFunction):
     def process(self, packet: Packet) -> NfResult:
         """Translate the packet's source address and port."""
         cycles = self.base_cycles + self.lookup_cycles
-        flow = packet.five_tuple()
-        if flow is None or packet.ip is None or packet.l4 is None:
+        ip = packet.ip
+        l4 = packet.l4
+        if ip is None or l4 is None:
             # Non-IP or headerless traffic passes through untranslated.
             return self.forward(cycles)
-        if packet.ip.dst == self.external_ip:
+        if ip.dst.value == self.external_ip.value:
             # Reverse direction: translate the destination back.
-            binding = self._reverse.get(packet.l4.dst_port)
+            binding = self._reverse.get(l4.dst_port)
             if binding is None:
                 return self.drop(cycles, reason="no NAT binding for reverse flow")
-            packet.ip.dst = binding.internal.src_ip
-            packet.l4.dst_port = binding.internal.src_port
+            ip.dst = binding.internal.src_ip
+            l4.dst_port = binding.internal.src_port
             return self.forward(cycles + self.rewrite_cycles)
-        binding = self.binding_for(flow)
-        packet.ip.src = binding.external_ip
-        packet.l4.src_port = binding.external_port
+        key = (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
+        binding = self._bindings.get(key)
+        if binding is None:
+            binding = self._bind(
+                key, FiveTuple(ip.src, ip.dst, ip.protocol, l4.src_port, l4.dst_port)
+            )
+        ip.src = binding.external_ip
+        l4.src_port = binding.external_port
         return self.forward(cycles + self.rewrite_cycles)

@@ -7,10 +7,32 @@ number of distinct flows so those NFs exercise realistic table sizes.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Address
+
+#: A flow as five plain ints ``(src, dst, protocol, src_port, dst_port)``
+#: — what the NAT and Maglev tables are keyed by, because it can be read
+#: off a packet's headers without building a :class:`FiveTuple`.
+FlowKey = Tuple[int, int, int, int, int]
+
+_pack_key = struct.Struct("<5I").pack
+
+
+def flow_hash(key: FlowKey) -> int:
+    """A deterministic 64-bit hash independent of Python's seeded hash().
+
+    Maglev needs a hash that is stable across runs so that experiments
+    are reproducible; Python's builtin ``hash`` is salted per process,
+    so the fields are mixed here: FNV-1a over each field's four
+    low-order bytes, least significant first.
+    """
+    value = 0xCBF29CE484222325
+    for byte in _pack_key(*key):
+        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
 
 
 @dataclass(frozen=True)
@@ -33,25 +55,19 @@ class FiveTuple:
             dst_port=self.src_port,
         )
 
-    def stable_hash(self) -> int:
-        """A deterministic 64-bit hash independent of Python's seeded hash().
-
-        Maglev and the NAT need a hash that is stable across runs so that
-        experiments are reproducible; Python's builtin ``hash`` on strings
-        is salted per process, so we mix the fields ourselves (FNV-1a).
-        """
-        value = 0xCBF29CE484222325
-        for part in (
+    def key(self) -> FlowKey:
+        """The flow as five plain ints (see :data:`FlowKey`)."""
+        return (
             self.src_ip.value,
             self.dst_ip.value,
             self.protocol,
             self.src_port,
             self.dst_port,
-        ):
-            for shift in (0, 8, 16, 24):
-                value ^= (part >> shift) & 0xFF
-                value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return value
+        )
+
+    def stable_hash(self) -> int:
+        """:func:`flow_hash` of this flow."""
+        return flow_hash(self.key())
 
     def __str__(self) -> str:
         proto = {PROTO_UDP: "udp", PROTO_TCP: "tcp"}.get(self.protocol, str(self.protocol))

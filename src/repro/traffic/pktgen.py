@@ -40,10 +40,10 @@ def build_udp_frame(
 ) -> Packet:
     """Build one UDP frame of *size* wire bytes for *flow*.
 
-    The single frame-construction path shared by :class:`PacketFactory`
-    and the workload subsystem's generative sources: payload bytes are
-    slices of the reusable pattern, and *src_ip* (when given) overrides
-    the flow's source for blacklist steering.
+    The reference engine's builder, which every frame producer falls
+    back to when ``pooled`` is off: payload bytes are slices of the
+    reusable pattern, and *src_ip* (when given) overrides the flow's
+    source for blacklist steering.
     """
     size = max(size, ETHERNET_UDP_HEADER_BYTES)
     payload_len = size - ETHERNET_UDP_HEADER_BYTES
@@ -81,11 +81,14 @@ class PktGenConfig:
         is the traffic generator's own sink MAC so merged packets return
         to it, as in the paper's measurement loop).
     pooled:
-        Build frames from per-flow :class:`~repro.packet.pool.FramePool`
-        templates instead of re-parsing header strings per packet.  The
-        frames are identical (same RNG draws, same packet-id sequence,
-        same wire bytes).  The experiment runner pools on its default
-        engine and parses on the reference one.
+        Build frames through a :class:`~repro.packet.pool.FramePool`
+        (header fields stored directly, no per-flow state) instead of
+        re-parsing header strings per packet; every producer of frames — this
+        module's :class:`PacketFactory`, the generative sources, the
+        closed-loop transport — honours it.  The frames are identical
+        (same RNG draws, same packet-id sequence, same wire bytes).  The
+        experiment runner pools on its default engine and parses on the
+        reference one.
     """
 
     rate_gbps: float

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.core.program import PayloadParkProgram
+from repro.packet.flows import FiveTuple, flow_hash
+from repro.packet.ipv4 import IPv4Address
 from repro.telemetry.report import DeploymentReport
 
 #: Relative slack for floating-point rate comparisons.
@@ -547,22 +549,29 @@ class NoOrphanedPayload(Invariant):
         return violations
 
 
+def _flow_name(key) -> str:
+    """A Maglev memo key (five plain ints) as a readable flow."""
+    return str(FiveTuple(IPv4Address(key[0]), IPv4Address(key[1]), *key[2:]))
+
+
 class NfStateConsistency(Invariant):
-    """Fast-path NF caches must agree with the NFs' live configuration.
+    """Fast-path NF state must agree with the NFs' live configuration.
 
     Control-plane churn (backend drains, rule bursts) invalidates the
-    Maglev per-flow memo and the firewall verdict memo; a missed
-    invalidation silently pins flows to removed backends or replays
-    stale verdicts.  After the run, every cached Maglev entry must map
-    to a backend still in the pool *and* match a fresh walk of the
-    current lookup table; a bounded sample of firewall verdicts is
-    re-derived against the current ACL.  (This is the invariant that
-    catches a `remove_backend` that forgets to drop the flow cache.)
+    Maglev per-flow memo and the firewall's compiled classifier; a
+    missed invalidation silently pins flows to removed backends or keeps
+    classifying against a rule list that no longer exists.  After the
+    run, every cached Maglev entry must map to a backend still in the
+    pool *and* match a fresh walk of the current lookup table, and a
+    firewall's live classifier must equal a fresh compile of its current
+    rule list.  (This is the invariant that catches a `remove_backend`
+    that forgets to drop the flow cache, or an `add_rule` that skips
+    `_invalidate`.)
     """
 
     name = "nf-state-consistency"
 
-    #: Bound on re-derived cache entries per NF (cost control).
+    #: Bound on re-derived Maglev memo entries per NF (cost control).
     SAMPLE = 512
 
     def check(self, obs: RunObservation) -> List[Violation]:
@@ -579,12 +588,12 @@ class NfStateConsistency(Invariant):
             return []
         current = {id(backend) for backend in nf.backends}
         violations: List[Violation] = []
-        for flow, backend in list(cache.items())[: self.SAMPLE]:
+        for key, backend in list(cache.items())[: self.SAMPLE]:
             if id(backend) not in current:
                 violations.append(
                     self._violation(
                         obs,
-                        f"{nf.name}: cached flow {flow} is pinned to backend "
+                        f"{nf.name}: cached flow {_flow_name(key)} is pinned to backend "
                         f"{backend.name!r}, which left the pool (stale cache "
                         "after churn)",
                         nf=nf.name,
@@ -592,12 +601,12 @@ class NfStateConsistency(Invariant):
                     )
                 )
                 continue
-            fresh = nf.backends[nf.lookup_table[flow.stable_hash() % nf.table_size]]
+            fresh = nf.backends[nf.lookup_table[flow_hash(key) % nf.table_size]]
             if fresh is not backend:
                 violations.append(
                     self._violation(
                         obs,
-                        f"{nf.name}: cached flow {flow} maps to {backend.name!r} "
+                        f"{nf.name}: cached flow {_flow_name(key)} maps to {backend.name!r} "
                         f"but the current Maglev table chooses {fresh.name!r}",
                         nf=nf.name,
                         cached=backend.name,
@@ -607,25 +616,21 @@ class NfStateConsistency(Invariant):
         return violations
 
     def _check_firewall(self, obs: RunObservation, nf) -> List[Violation]:
-        cache = getattr(nf, "_verdict_cache", None)
-        if not cache or not hasattr(nf, "rules"):
+        live = getattr(nf, "_classifier", None)
+        if live is None or live == nf._compile():
             return []
-        violations: List[Violation] = []
-        for (src_value, dst_port), cached in list(cache.items())[: self.SAMPLE]:
-            fresh = nf._probe_compiled(src_value, dst_port)
-            if fresh != cached:
-                violations.append(
-                    self._violation(
-                        obs,
-                        f"{nf.name}: memoized verdict for (src={src_value}, "
-                        f"dport={dst_port}) is {cached}, but the current ACL "
-                        f"yields {fresh} (stale cache after rule churn)",
-                        nf=nf.name,
-                        src=src_value,
-                        dst_port=dst_port,
-                    )
-                )
-        return violations
+        return [
+            self._violation(
+                obs,
+                f"{nf.name}: the live classifier was compiled from "
+                f"{len(live[1]) - 1} rule(s) and no longer equals a fresh "
+                f"compile of the current {len(nf.rules)}-rule ACL (stale "
+                "classifier after rule churn)",
+                nf=nf.name,
+                compiled_rules=len(live[1]) - 1,
+                rules=len(nf.rules),
+            )
+        ]
 
 
 #: The invariants every validated run checks unless overridden.

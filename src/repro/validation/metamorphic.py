@@ -76,8 +76,8 @@ class FastSlowEquivalence(MetamorphicRelation):
     """Fast-path and reference-path runs must produce identical metrics.
 
     This is the differential heart of the suite: the calendar event
-    loop, pooled packet templates, port plans and memoized
-    NF verdicts are only admissible because they reproduce the
+    loop, pooled packet frames, port plans, the firewall's classifier
+    and the Maglev memo are only admissible because they reproduce the
     reference results exactly — here asserted at an arbitrary operating
     point instead of the golden grid.
     """

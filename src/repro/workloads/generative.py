@@ -59,7 +59,7 @@ class GenerativePacketSource:
         self.src_mac = src_mac
         self.dst_mac = dst_mac
         self.blacklisted_fraction = blacklisted_fraction
-        #: Fast-path flag: clone frames from pooled per-flow templates.
+        #: Fast-path flag: build frames through a FramePool.
         #: May be flipped until the first packet is built (the topology
         #: sets it together with the generator MACs).
         self.pooled = pooled

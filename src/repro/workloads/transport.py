@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import WorkloadSpecError
 from repro.packet.flows import FiveTuple, FlowGenerator
+from repro.packet.pool import FramePool
 from repro.traffic.distributions import FixedSizeDistribution
 from repro.traffic.pktgen import build_udp_frame
 from repro.traffic.workload import Workload
@@ -219,6 +220,11 @@ class ClosedLoopTransport:
         self.config = config
         self.node = node
         self._rng = derived_rng(config.seed, _TRANSPORT_SALT)
+        # Same choice of builder as the open-loop sources: pooled on the
+        # default engine, parsed on the reference one.
+        self._pool = (
+            FramePool(config.src_mac, config.dst_mac) if config.pooled else None
+        )
         tuples = FlowGenerator(flow_count=model.flow_count).flows()
         self.flows: List[_Connection] = [
             _Connection(index, five_tuple, model)
@@ -341,12 +347,15 @@ class ClosedLoopTransport:
         return max(self.model.mss_bytes, _MIN_SEGMENT_BYTES)
 
     def _put_on_wire(self, conn: _Connection, seq: int, retransmission: bool) -> None:
-        packet = build_udp_frame(
-            self._segment_bytes(),
-            conn.five_tuple,
-            src_mac=self.config.src_mac,
-            dst_mac=self.config.dst_mac,
-        )
+        if self._pool is not None:
+            packet = self._pool.frame(self._segment_bytes(), conn.five_tuple)
+        else:
+            packet = build_udp_frame(
+                self._segment_bytes(),
+                conn.five_tuple,
+                src_mac=self.config.src_mac,
+                dst_mac=self.config.dst_mac,
+            )
         packet.meta["cl_flow"] = conn.flow_id
         packet.meta["cl_seq"] = seq
         if retransmission:

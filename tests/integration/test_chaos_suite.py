@@ -8,7 +8,8 @@ Three layers of proof:
   parking-slot leak detection) while links flap, backends drain and
   rules burst mid-run;
 * **red under injected bugs** — deliberately broken invalidation (a
-  ``remove_backend`` that forgets the Maglev flow cache, a drain that
+  ``remove_backend`` that forgets the Maglev flow cache, an ``add_rule``
+  that forgets the firewall's compiled classifier, a drain that
   forgets its eviction accounting, a drain that loses payload under its
   owner, a link that drops without counting) is caught by the exact
   invariant built to see it;
@@ -24,6 +25,7 @@ import pytest
 from repro.controlplane.manager import ControlPlaneManager
 from repro.experiments.runner import ExperimentRunner, run_observer
 from repro.experiments.scenarios import workload_scenario
+from repro.nf.firewall import Firewall
 from repro.nf.loadbalancer import MaglevLoadBalancer
 from repro.orchestrator import CampaignExecutor, CampaignSpec
 from repro.validation.engine import ValidationObserver, check_scenario
@@ -195,6 +197,24 @@ class TestInjectedBugsAreCaught:
         assert "nf-state-consistency" in checks
         assert any("left the pool" in violation.message or
                    "Maglev table chooses" in violation.message
+                   for violation in report.violations)
+
+    def test_stale_firewall_classifier_after_add_rule(self, monkeypatch):
+        # The firewall's counterpart: add_rule grows the ACL but skips
+        # _invalidate, so the compiled classifier keeps answering for
+        # the pre-churn rule list (verdicts and cycle costs alike).
+        monkeypatch.setattr(
+            Firewall, "add_rule", lambda self, rule: self.rules.append(rule)
+        )
+        schedule = {"events": [
+            {"kind": "firewall_churn", "at_frac": 0.6, "action": "add", "count": 2},
+        ]}
+        report = check_scenario(_chaos_scenario(schedule), time_scale=0.1)
+        assert not report.ok
+        assert {violation.check for violation in report.violations} == {
+            "nf-state-consistency"
+        }
+        assert all("stale classifier" in violation.message
                    for violation in report.violations)
 
     def test_unaccounted_park_drain_is_caught(self, monkeypatch):

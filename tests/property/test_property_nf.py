@@ -3,12 +3,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import chains
 from repro.nf.firewall import Firewall, FirewallRule
 from repro.nf.loadbalancer import MaglevLoadBalancer
 from repro.nf.nat import Nat
-from repro.packet.flows import FiveTuple
-from repro.packet.ipv4 import PROTO_UDP, IPv4Address
+from repro.packet.ethernet import EthernetHeader, MacAddress
+from repro.packet.flows import FiveTuple, FlowGenerator
+from repro.packet.ipv4 import PROTO_UDP, IPv4Address, IPv4Header
 from repro.packet.packet import Packet
+from repro.packet.pool import FramePool
+from repro.traffic.pktgen import blacklisted_source
 
 flow_strategy = st.builds(
     FiveTuple,
@@ -18,6 +22,44 @@ flow_strategy = st.builds(
     src_port=st.integers(min_value=1, max_value=65_535),
     dst_port=st.integers(min_value=1, max_value=65_535),
 )
+
+
+# Addresses a few bits apart under a handful of bases, so that random
+# rules overlap (same prefix at different lengths, duplicates, /0) and
+# random sources land inside, beside and outside them.
+address_strategy = st.builds(
+    lambda base, low: base | low,
+    st.sampled_from([0x00000000, 0x0A000000, 0x0A010000, 0x0A010100, 0xC0A80000]),
+    st.integers(min_value=0, max_value=7),
+)
+port_strategy = st.sampled_from([0, 53, 80, 443, 65_535])
+rule_strategy = st.builds(
+    FirewallRule,
+    network=st.builds(IPv4Address, address_strategy),
+    prefix_len=st.one_of(
+        st.sampled_from([0, 8, 16, 24, 29, 32]), st.integers(min_value=0, max_value=32)
+    ),
+    dst_port=st.one_of(st.none(), port_strategy),
+)
+
+
+def _nested_loop_hash(flow: FiveTuple) -> int:
+    """FNV-1a over the 5-tuple, one shift and mask per byte (the reference)."""
+    value = 0xCBF29CE484222325
+    for part in (
+        flow.src_ip.value, flow.dst_ip.value, flow.protocol, flow.src_port, flow.dst_port
+    ):
+        for shift in (0, 8, 16, 24):
+            value ^= (part >> shift) & 0xFF
+            value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+class TestFlowHash:
+    @settings(max_examples=200, deadline=None)
+    @given(flow_strategy)
+    def test_stable_hash_equals_the_nested_loop_form(self, flow):
+        assert flow.stable_hash() == _nested_loop_hash(flow)
 
 
 class TestMaglevProperties:
@@ -77,6 +119,28 @@ class TestFirewallProperties:
         )
         assert firewall(packet).forwarded != expected_drop
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(rule_strategy, max_size=12),
+        st.lists(st.tuples(address_strategy, port_strategy), min_size=1, max_size=8),
+    )
+    def test_classifier_agrees_with_the_linear_probe(self, rules, probes):
+        fast = Firewall(rules=rules)
+        fast.enable_fast_path()
+        slow = Firewall(rules=rules)
+        eth = EthernetHeader(dst=MacAddress(2), src=MacAddress(1))
+        packets = [
+            Packet.udp(src_ip=str(IPv4Address(src)), dst_port=dst_port)
+            for src, dst_port in probes
+        ]
+        # No L4 header: only port-less rules can match.  No IP header: none can.
+        src = IPv4Address(probes[0][0])
+        packets.append(Packet(eth=eth, ip=IPv4Header(src=src, dst=src)))
+        packets.append(Packet(eth=eth))
+        for packet in packets:
+            # Equal verdict, cycles and reason (NfResult compares all three).
+            assert fast.process(packet) == slow._probe(packet)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=64))
     def test_cycle_cost_monotone_in_rule_count(self, rule_count):
@@ -84,3 +148,39 @@ class TestFirewallProperties:
         larger = Firewall.with_rule_count(rule_count + 10)
         packet = Packet.udp(total_size=128)
         assert larger(packet).cycles >= small(packet).cycles
+
+
+class TestChainProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_a_warmed_chain_processes_like_a_fresh_one(self, sequence):
+        # Per-packet work must not depend on whether the flow was seen
+        # before: same results and same rewritten wire bytes from a chain
+        # that already processed the sequence once, from a fresh one, and
+        # from a fresh one on the reference path.
+        flows = FlowGenerator(flow_count=16).flows()
+        pool = FramePool("02:00:00:00:00:01", "02:00:00:00:00:02")
+
+        def build(fast_path=True):
+            chain = chains.fw_nat_lb(rule_count=20)()
+            for nf in chain:
+                nf.enable_fast_path(fast_path)
+            return chain
+
+        def run(chain):
+            out = []
+            for index, blacklisted in sequence:
+                src_ip = blacklisted_source(index) if blacklisted else None
+                packet = pool.frame(128, flows[index], src_ip=src_ip)
+                out.append((chain.process(packet), packet.to_bytes()))
+            return out
+
+        warmed = build()
+        run(warmed)
+        assert run(warmed) == run(build()) == run(build(fast_path=False))

@@ -5,13 +5,19 @@ to the reference implementation; these tests pin that equivalence at
 the component level (the golden-figure suite pins it end to end).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram
+from repro.experiments.runner import DeploymentKind, ExperimentRunner, run_options
+from repro.experiments.scenarios import fw_nat_lb_10ge, workload_scenario
 from repro.nf.firewall import Firewall, FirewallRule
 from repro.packet.ipv4 import IPv4Address
+from repro.packet.packet import Packet
 from repro.packet.pool import FramePool
+from repro.traffic import pktgen
 from repro.traffic.pktgen import (
     PacketFactory,
     PktGenConfig,
@@ -19,6 +25,7 @@ from repro.traffic.pktgen import (
     build_udp_frame,
 )
 from repro.traffic.workload import Workload
+from repro.workloads import generative, transport
 
 
 def _binding():
@@ -32,7 +39,8 @@ class TestFramePool:
         pool = FramePool("02:00:00:00:00:01", "02:00:00:00:00:02")
         flows = Workload.enterprise().flows.flows()
         for flow in flows[:16]:
-            for size in (64, 342, 1514):
+            # 0 and 41 are below the 42-byte header stack: both builders clamp.
+            for size in (0, 41, 42, 64, 342, 1514, 9000):
                 reference = build_udp_frame(
                     size,
                     flow,
@@ -40,6 +48,12 @@ class TestFramePool:
                     dst_mac="02:00:00:00:00:02",
                 )
                 pooled = pool.frame(size, flow)
+                # Field by field first (to_bytes fills in the checksums),
+                # which also pins the header defaults the pool restates.
+                assert (pooled.eth, pooled.ip, pooled.l4, pooled.payload) == (
+                    reference.eth, reference.ip, reference.l4, reference.payload
+                )
+                assert vars(pooled).keys() == vars(reference).keys()
                 assert pooled.to_bytes() == reference.to_bytes()
                 assert pooled.wire_length == reference.wire_length
                 assert pooled.five_tuple() == reference.five_tuple()
@@ -58,12 +72,28 @@ class TestFramePool:
         pooled = pool.frame(500, flow, src_ip=source)
         assert pooled.to_bytes() == reference.to_bytes()
 
-    def test_templates_are_reused_per_flow(self):
+    def test_a_cold_flow_builds_the_same_frame_as_a_warm_one(self):
+        # The pool keeps no per-flow state: building frames leaves it as
+        # it was, so a frame cannot depend on the flows built before it.
+        flows = Workload.enterprise().flows.flows()
+        warm = FramePool("02:00:00:00:00:01", "02:00:00:00:00:02")
+        for flow in flows[:64]:
+            warm.frame(128, flow)
+        cold = FramePool("02:00:00:00:00:01", "02:00:00:00:00:02")
+        assert vars(cold) == vars(warm)
+        assert cold.frame(700, flows[900]).to_bytes() == warm.frame(700, flows[900]).to_bytes()
+
+    @pytest.mark.parametrize("field", ["src_port", "dst_port"])
+    @pytest.mark.parametrize("port", [-1, 65_536])
+    def test_out_of_range_port_raises_like_the_reference(self, field, port):
+        flow = replace(Workload.enterprise().flows.flows()[0], **{field: port})
         pool = FramePool("02:00:00:00:00:01", "02:00:00:00:00:02")
-        flow = Workload.enterprise().flows.flows()[0]
-        pool.frame(128, flow)
-        pool.frame(900, flow)
-        assert pool.templates_built == 1
+        with pytest.raises(ValueError, match=f"{field} out of range: {port}"):
+            pool.frame(128, flow)
+        with pytest.raises(ValueError, match=f"{field} out of range: {port}"):
+            build_udp_frame(
+                128, flow, src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02"
+            )
 
     def test_clones_are_independent(self):
         pool = FramePool("02:00:00:00:00:01", "02:00:00:00:00:02")
@@ -86,6 +116,40 @@ class TestFramePool:
         )
         for _ in range(256):
             assert pooled.next_packet().to_bytes() == reference.next_packet().to_bytes()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [fw_nat_lb_10ge(), workload_scenario("incast-collapse")],
+    ids=["fw_nat_lb_10ge", "incast-collapse"],
+)
+def test_only_the_reference_engine_parses_frames(monkeypatch, scenario):
+    # Every frame producer (factory, generative source, closed-loop
+    # transport) must build through the pool on the default engine; a
+    # producer that forgets `pooled` still passes every equivalence
+    # check, only slower, so count the calls.
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (pktgen, generative, transport):
+        monkeypatch.setattr(module, "build_udp_frame", counted(build_udp_frame))
+    monkeypatch.setattr(Packet, "udp", counted(Packet.udp))
+
+    def run():
+        runner = ExperimentRunner(time_scale=0.05)
+        return runner.run_deployment(scenario, DeploymentKind.PAYLOADPARK).packets_sent
+
+    assert run() > 0
+    assert calls == []
+    with run_options(reference=True):
+        assert run() > 0
+    assert {"build_udp_frame", "udp"} == set(calls)
 
 
 class TestDecisionCache:

@@ -1,12 +1,12 @@
-"""Control-plane invalidation of the fast-path caches.
+"""Control-plane invalidation of the fast-path state.
 
-The fast path memoizes aggressively — whole-pipe decisions keyed by
-(ingress port, dst MAC), firewall verdicts keyed by (src, dst port),
-Maglev backend choices keyed by flow.  Every control-plane mutation that
-changes forwarding behaviour must evict the corresponding cache, or the
-dataplane silently keeps replaying a stale world.  These tests mutate
-each control surface and assert both the eviction and the behaviour
-change it must produce.
+The fast path keeps derived state — whole-pipe decisions keyed by
+(ingress port, dst MAC), the firewall's classifier compiled from its
+rule list, Maglev backend choices keyed by flow.  Every control-plane
+mutation that changes forwarding behaviour must drop the corresponding
+state, or the dataplane silently keeps replaying a stale world.  These
+tests mutate each control surface and assert the behaviour change it
+must produce.
 """
 
 import pytest
@@ -96,19 +96,23 @@ class TestDecisionCacheInvalidation:
 
 
 class TestFirewallVerdictCacheInvalidation:
+    """Rule churn must show in the very next verdict and its cycle cost."""
+
     def _packet(self, src="172.16.5.9"):
         return Packet.udp(src_ip=src, dst_port=80)
+
+    def _outcome(self, firewall):
+        result = firewall.process(self._packet())
+        return result.forwarded, result.cycles
 
     def test_add_rule_evicts_cached_verdicts(self):
         firewall = Firewall(rules=[FirewallRule.blacklist("192.168.0.0/16")])
         firewall.enable_fast_path()
-        assert firewall.process(self._packet()).forwarded
-        assert firewall._verdict_cache  # memoized
+        per_rule, base = firewall.cycles_per_rule, firewall.base_cycles
+        assert self._outcome(firewall) == (True, base + per_rule)
 
         firewall.add_rule(FirewallRule.blacklist("172.16.0.0/12"))
-        assert not firewall._verdict_cache
-        result = firewall.process(self._packet())
-        assert not result.forwarded
+        assert self._outcome(firewall) == (False, base + 2 * per_rule)
 
     def test_remove_rule_evicts_cached_verdicts(self):
         firewall = Firewall(
@@ -118,16 +122,15 @@ class TestFirewallVerdictCacheInvalidation:
             ]
         )
         firewall.enable_fast_path()
-        assert not firewall.process(self._packet()).forwarded
-        assert firewall._verdict_cache
+        per_rule, base = firewall.cycles_per_rule, firewall.base_cycles
+        assert self._outcome(firewall) == (False, base + per_rule)
 
         removed = firewall.remove_rule(0)
         assert removed.prefix_len == 12
-        assert not firewall._verdict_cache
-        assert firewall.process(self._packet()).forwarded
+        assert self._outcome(firewall) == (True, base + per_rule)
 
     def test_rule_updates_change_cycle_costs_too(self):
-        # The memoized verdict includes the probe count; rule changes must
+        # The pre-built result includes the probe count; rule changes must
         # refresh it or the cost model drifts.
         firewall = Firewall(rules=[FirewallRule.blacklist("192.168.0.0/16")])
         firewall.enable_fast_path()

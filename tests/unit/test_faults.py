@@ -78,6 +78,9 @@ class TestEventValidation:
         ({"kind": "expiry_threshold", "at_us": 1, "value": 0}, "at least 1"),
         ({"kind": "park_drain", "at_us": 1, "fraction": 0.0}, "fraction"),
         ({"kind": "link_down", "at_frac": 1.5}, "at_frac"),
+        ({"kind": "firewall_churn", "at_us": 1, "subnet": "10.0.0.0/40"}, "prefix length: 40"),
+        ({"kind": "firewall_churn", "at_us": 1, "subnet": "10.0.0.0/-3"}, "prefix length: -3"),
+        ({"kind": "firewall_churn", "at_us": 1, "subnet": "10.0.0/8"}, "malformed IPv4"),
     ])
     def test_parameter_bounds(self, record, match):
         with pytest.raises(FaultSpecError, match=match):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane.rules import build_chain
 from repro.nf.base import NfVerdict
 from repro.nf.chain import NfChain
 from repro.nf.firewall import Firewall, FirewallRule
@@ -30,6 +31,23 @@ class TestFirewall:
         result = firewall(_packet(src_ip="192.168.5.5"))
         assert result.verdict is NfVerdict.DROP
         assert firewall.packets_dropped == 1
+
+    @pytest.mark.parametrize("cidr", ["10.0.0.0/40", "10.0.0.0/-3", "10.0.0.0/33"])
+    def test_bad_prefix_length_fails_when_the_rule_is_built(self, cidr):
+        # Used to construct, then raise on the first packet ("/40":
+        # negative shift on the default engine, "invalid prefix length"
+        # on the reference) or compile to mask 0 and drop everything on
+        # the default engine only ("/-3").  Neither engine may ever hold
+        # such a rule, so no firewall can be built around one either.
+        with pytest.raises(ValueError, match="invalid prefix length"):
+            FirewallRule.blacklist(cidr)
+        with pytest.raises(ValueError, match="invalid prefix length"):
+            build_chain([{"type": "firewall", "blacklist": ["192.168.0.0/16", cidr]}])
+
+    @pytest.mark.parametrize("port", [-1, 65_536])
+    def test_bad_port_qualifier_fails_when_the_rule_is_built(self, port):
+        with pytest.raises(ValueError, match="dst_port out of range"):
+            FirewallRule(network=IPv4Address(0), dst_port=port)
 
     def test_rule_with_port_qualifier(self):
         rule = FirewallRule(

@@ -76,7 +76,7 @@ def test_the_engine_is_chosen_where_the_testbed_is_built(reference, server_count
         assert (attachment.pktgen.source._pool is None) is reference
         assert (attachment.server._bottleneck_ns is None) is reference
         firewall = next(iter(attachment.server.model.chain))
-        assert (firewall._verdict_cache is None) is reference
+        assert firewall.fast_path is not reference
 
 
 def test_explicit_bindings_replace_the_default_layout():

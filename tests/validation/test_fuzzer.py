@@ -102,15 +102,15 @@ class TestAcceptance:
     def test_injected_bug_is_caught_with_a_half_size_repro(
         self, monkeypatch, tmp_path
     ):
-        # Injected bug: pooled frame templates build four extra wire
-        # bytes, so the fast path diverges from the reference path at
-        # every operating point.
-        original = pool._FrameTemplate.build
+        # Injected bug: the frame pool builds four extra wire bytes, so
+        # the fast path diverges from the reference path at every
+        # operating point.
+        original = pool.FramePool.frame
 
-        def buggy(self, size):
-            return original(self, size + 4)
+        def buggy(self, size, flow, src_ip=None):
+            return original(self, size + 4, flow, src_ip)
 
-        monkeypatch.setattr(pool._FrameTemplate, "build", buggy)
+        monkeypatch.setattr(pool.FramePool, "frame", buggy)
         corpus = tmp_path / "corpus"
         result = fuzz(seed=3, max_scenarios=1, corpus_dir=str(corpus))
         assert len(result.failures) == 1
@@ -126,7 +126,7 @@ class TestAcceptance:
 
         assert replay_entry(load_entry(entries[0]))
         # ...and replays clean once the bug is fixed.
-        monkeypatch.setattr(pool._FrameTemplate, "build", original)
+        monkeypatch.setattr(pool.FramePool, "frame", original)
         assert replay_entry(load_entry(entries[0])) == []
 
     def test_shrunk_repro_descriptor_survives_check_run_roundtrip(self):

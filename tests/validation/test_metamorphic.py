@@ -70,14 +70,14 @@ class TestRelationsHoldOnMain:
 
 class TestRelationsCatchInjectedBugs:
     def test_fast_slow_catches_a_pooled_frame_divergence(self, monkeypatch):
-        # Injected bug: pooled templates build one extra wire byte, so the
+        # Injected bug: the frame pool builds one extra wire byte, so the
         # fast path offers slightly more load than the reference path.
-        original = pool._FrameTemplate.build
+        original = pool.FramePool.frame
 
-        def buggy(self, size):
-            return original(self, size + 1)
+        def buggy(self, size, flow, src_ip=None):
+            return original(self, size + 1, flow, src_ip)
 
-        monkeypatch.setattr(pool._FrameTemplate, "build", buggy)
+        monkeypatch.setattr(pool.FramePool, "frame", buggy)
         scenario = _small(fw_nat_lb_10ge(8.0))
         violations = FastSlowEquivalence().check(scenario)
         assert violations
