@@ -12,9 +12,10 @@ Run with:
     python examples/datacenter_traffic.py
 """
 
+import tempfile
 from pathlib import Path
 
-from repro.experiments.fig07_goodput_latency import run as run_fig07
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import ExperimentRunner
 from repro.telemetry.report import render_table
 from repro.traffic.workload import Workload
@@ -22,17 +23,19 @@ from repro.traffic.workload import Workload
 
 def main() -> None:
     workload = Workload.enterprise()
-    pcap_path = Path("enterprise_workload.pcap")
-    workload.export_pcap(pcap_path, packet_count=2_000)
-    print(f"Exported a representative workload to {pcap_path} "
-          f"(mean frame size {workload.mean_frame_bytes():.0f} B, "
-          f"{workload.useful_fraction() * 100:.1f}% useful header bytes).")
+    with tempfile.TemporaryDirectory() as scratch:
+        pcap_path = Path(scratch) / "enterprise_workload.pcap"
+        workload.export_pcap(pcap_path, packet_count=2_000)
+        print(f"Exported a representative workload to a temporary {pcap_path.name} "
+              f"({pcap_path.stat().st_size} bytes, "
+              f"mean frame size {workload.mean_frame_bytes():.0f} B, "
+              f"{workload.useful_fraction() * 100:.1f}% useful header bytes).")
     print()
 
     print("Sweeping send rates for FW -> NAT -> LB on NetBricks (10 GbE)...")
-    rows = run_fig07(
-        rates_gbps=(4.0, 8.0, 10.5, 12.0),
+    rows = FIGURES["fig07"].run(
         runner=ExperimentRunner(time_scale=0.75),
+        send_rate_gbps=(4.0, 8.0, 10.5, 12.0),
     )
     print(render_table(rows))
     print()

@@ -14,8 +14,7 @@ Run with:
 
 import sys
 
-from repro.experiments.fig10_multi_server import run_comparison, rows_from_result
-from repro.experiments.fig11_multi_server_latency import rows_from_result as latency_rows
+from repro.experiments.multi_server import per_server_rows, run_comparison
 from repro.experiments.runner import ExperimentRunner
 from repro.telemetry.report import render_table
 
@@ -29,8 +28,13 @@ def main() -> None:
         runner=ExperimentRunner(time_scale=0.75),
     )
 
-    goodput = rows_from_result(result)
-    latency = latency_rows(result)
+    goodput = per_server_rows(
+        result,
+        ("baseline_goodput_gbps", "payloadpark_goodput_gbps", "goodput_gain_percent"),
+    )
+    latency = per_server_rows(
+        result, ("baseline_latency_us", "payloadpark_latency_us", "latency_win_percent")
+    )
     print()
     print("Per-server goodput (Fig. 10 shape):")
     print(render_table(goodput))

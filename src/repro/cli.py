@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import DEFAULT_SEED, run_options
+from repro.experiments.runner import DEFAULT_SEED, FIDELITY_MODES, run_options
 from repro.logconfig import LOG_LEVELS, configure_logging
 
 logger = logging.getLogger("repro.cli")
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
              "quick reduced-fidelity pass)",
     )
     run_parser.add_argument(
-        "--fidelity", choices=("packet", "fluid", "auto"), default=None,
+        "--fidelity", choices=FIDELITY_MODES, default=None,
         help="simulation fidelity tier: packet (default) simulates every "
              "packet, auto batch-advances steady traffic segments as fluid "
              "flows where provably safe, fluid additionally fails when a "

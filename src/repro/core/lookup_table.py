@@ -24,6 +24,12 @@ from repro.switchsim.context import PipelinePacket
 from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.registers import RegisterArray
 
+#: Where the table sits in the pipeline (0-indexed).  The metadata array
+#: is in the paper's Stage 2, the one Algorithm 1 probes and Algorithm 2
+#: validates in; payload blocks start in the stage after it (Stages 3..N).
+METADATA_STAGE = 1
+FIRST_PAYLOAD_STAGE = 2
+
 
 @dataclass(frozen=True)
 class MetadataEntry:
@@ -88,10 +94,6 @@ class LookupTable:
         Total payload bytes parked per packet.
     block_bytes:
         Payload-block width (bytes stored per register array).
-    metadata_stage:
-        Stage holding the metadata array (stage 1 in the paper).
-    first_payload_stage:
-        First stage available for payload blocks (stage 2 in the paper).
     allow_second_pass:
         Whether blocks that do not fit in the first pass may be placed
         for a recirculation pass (striped across *all* stages, mirroring
@@ -107,8 +109,6 @@ class LookupTable:
         entries: int,
         parked_bytes: int,
         block_bytes: int = 16,
-        metadata_stage: int = 1,
-        first_payload_stage: int = 2,
         allow_second_pass: bool = False,
     ) -> None:
         if entries <= 0:
@@ -121,11 +121,9 @@ class LookupTable:
         self.entries = entries
         self.parked_bytes = parked_bytes
         self.block_bytes = block_bytes
-        self.metadata_stage = metadata_stage
-        self.first_payload_stage = first_payload_stage
         self._pipeline = pipeline
 
-        self.metadata = pipeline.stage(metadata_stage).add_register_array(
+        self.metadata = pipeline.stage(METADATA_STAGE).add_register_array(
             name=f"{name}.meta_tbl",
             size=entries,
             width_bits=self.METADATA_ENTRY_BITS,
@@ -133,7 +131,7 @@ class LookupTable:
         )
 
         self.block_slots: List[PayloadBlockSlot] = self._plan_blocks(
-            pipeline, parked_bytes, block_bytes, first_payload_stage, allow_second_pass
+            pipeline, parked_bytes, block_bytes, allow_second_pass
         )
         self.block_arrays: List[RegisterArray] = []
         for slot in self.block_slots:
@@ -154,13 +152,12 @@ class LookupTable:
         pipeline: Pipeline,
         parked_bytes: int,
         block_bytes: int,
-        first_payload_stage: int,
         allow_second_pass: bool,
     ) -> List[PayloadBlockSlot]:
         """Assign each payload block to a stage and a pipeline pass.
 
         First-pass blocks occupy one register array per stage from
-        ``first_payload_stage`` to the end of the pipeline (10 stages →
+        :data:`FIRST_PAYLOAD_STAGE` to the end of the pipeline (10 stages →
         160 bytes with 16-byte blocks).  Remaining bytes require a
         recirculation pass and are striped round-robin across *all*
         stages, which corresponds to the paper storing the extra 224
@@ -171,7 +168,7 @@ class LookupTable:
         offset = 0
         block_index = 0
 
-        first_pass_stages = list(range(first_payload_stage, pipeline.stage_count))
+        first_pass_stages = list(range(FIRST_PAYLOAD_STAGE, pipeline.stage_count))
         for stage_index in first_pass_stages:
             if remaining <= 0:
                 break

@@ -28,7 +28,7 @@ from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
 from repro.core.header import OP_EXPLICIT_DROP
 from repro.core.l2fwd import L2ForwardingTable
-from repro.core.lookup_table import LookupTable, MetadataEntry
+from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
@@ -39,6 +39,11 @@ from repro.switchsim.pipeline import Pipeline, PortPlan
 META_IS_PP_ENB = "merge.is_pp_enb"
 META_MERGE_TBL_IDX = "merge.tbl_idx"
 META_MERGE_BLOCKS = "merge.blocks"
+
+#: Algorithm 2's Stage 1 and Stage 2, as 0-indexed pipeline stages; the
+#: validation runs in the stage that holds the metadata array it checks.
+ENB_ZERO_STAGE = 0
+VALIDATE_STAGE = METADATA_STAGE
 
 
 class MergePath:
@@ -51,16 +56,12 @@ class MergePath:
         pipeline: Pipeline,
         lookup: LookupTable,
         counters: PayloadParkCounters,
-        enb_zero_stage: int = 0,
-        validate_stage: int = 1,
     ) -> None:
         self.binding = binding
         self.config = config
         self.pipeline = pipeline
         self.lookup = lookup
         self.counters = counters
-        self.enb_zero_stage = enb_zero_stage
-        self.validate_stage = validate_stage
         self._nf_ports = frozenset((binding.nf_port,))
         #: Flight-recorder hook (repro.obs); None keeps the path lean.
         self.obs_recorder = None
@@ -76,7 +77,7 @@ class MergePath:
 
     def install(self) -> None:
         """Create the Merge MATs and place them into their stages."""
-        self.enb_zero_table = self.pipeline.stage(self.enb_zero_stage).add_table(
+        self.enb_zero_table = self.pipeline.stage(ENB_ZERO_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.merge_enb_zero",
                 match=self._match_enb_zero,
@@ -86,7 +87,7 @@ class MergePath:
                 ingress_ports=self._nf_ports,
             )
         )
-        self.validate_table = self.pipeline.stage(self.validate_stage).add_table(
+        self.validate_table = self.pipeline.stage(VALIDATE_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.merge_validate",
                 match=self._match_enb_one,

@@ -29,7 +29,7 @@ from typing import List, Optional
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
 from repro.core.header import OP_MERGE, PayloadParkHeader
-from repro.core.lookup_table import LookupTable, MetadataEntry
+from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.core.tagger import PacketTagger
 from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
@@ -43,6 +43,11 @@ META_TAG_TBL_IDX = "split.tag_tbl_idx"
 META_TAG_CLK = "split.tag_clk"
 META_PARKED_PAYLOAD = "split.parked_payload"
 
+#: Algorithm 1's Stage 1 and Stage 2, as 0-indexed pipeline stages; the
+#: probe runs in the stage that holds the metadata array it probes.
+TAGGER_STAGE = 0
+PROBE_STAGE = METADATA_STAGE
+
 
 class SplitPath:
     """Installs and implements the Split tables for one NF-server binding."""
@@ -55,8 +60,6 @@ class SplitPath:
         lookup: LookupTable,
         tagger: PacketTagger,
         counters: PayloadParkCounters,
-        tagger_stage: int = 0,
-        probe_stage: int = 1,
     ) -> None:
         self.binding = binding
         self.config = config
@@ -64,8 +67,6 @@ class SplitPath:
         self.lookup = lookup
         self.tagger = tagger
         self.counters = counters
-        self.tagger_stage = tagger_stage
-        self.probe_stage = probe_stage
         self._ingress_ports = frozenset(binding.ingress_ports)
         #: Flight-recorder hook (repro.obs); None keeps the path lean.
         self.obs_recorder = None
@@ -81,7 +82,7 @@ class SplitPath:
 
     def install(self) -> None:
         """Create the Split MATs and place them into their stages."""
-        self.tagger_table = self.pipeline.stage(self.tagger_stage).add_table(
+        self.tagger_table = self.pipeline.stage(TAGGER_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.split_tagger",
                 match=self._match_split_candidate,
@@ -91,7 +92,7 @@ class SplitPath:
                 ingress_ports=self._ingress_ports,
             )
         )
-        self.probe_table = self.pipeline.stage(self.probe_stage).add_table(
+        self.probe_table = self.pipeline.stage(PROBE_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.split_probe",
                 match=self._match_split_ingress,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgram
@@ -376,7 +376,6 @@ class ExperimentRunner:
         require_zero_premature_evictions: bool = True,
         rate_bounds_gbps: Tuple[float, float] = (1.0, 60.0),
         tolerance_gbps: float = 1.0,
-        constraint: Optional[Callable[[DeploymentReport], bool]] = None,
     ) -> Tuple[float, DeploymentReport]:
         """Binary-search the highest offered rate that keeps the system healthy.
 
@@ -386,8 +385,6 @@ class ExperimentRunner:
         """
 
         def is_acceptable(report: DeploymentReport) -> bool:
-            if constraint is not None and not constraint(report):
-                return False
             if not report.healthy:
                 return False
             if (

@@ -25,9 +25,9 @@ from repro.nf.server import NfServerModel
 from repro.traffic.pktgen import PktGenConfig
 from repro.workloads.base import TrafficModel
 
-#: Default egress-buffer size of a switch port (bytes); the baseline's
-#: latency cliff at link saturation comes from this buffer filling up.
-DEFAULT_PORT_BUFFER_BYTES = 256 * 1024
+#: Egress-buffer size of a switch port (bytes); the baseline's latency
+#: cliff at link saturation comes from this buffer filling up.
+PORT_BUFFER_BYTES = 256 * 1024
 
 
 @dataclass
@@ -44,7 +44,7 @@ class ServerAttachment:
 class Topology:
     """The switch plus one :class:`ServerAttachment` per program binding.
 
-    *wiring* (NIC, link speeds, port buffers, traffic model, cost-model
+    *wiring* (NIC, generator link speed, traffic model, cost-model
     caching) is passed to every :meth:`attach_server` call.  Server *i*
     draws its service jitter from RNG seed ``i + 1``; every golden table
     depends on those seeds.
@@ -83,8 +83,6 @@ class Topology:
         pktgen_config: PktGenConfig,
         nic_spec: NicSpec = NIC_10GE,
         gen_link_gbps: float = 100.0,
-        server_link_gbps: Optional[float] = None,
-        port_buffer_bytes: int = DEFAULT_PORT_BUFFER_BYTES,
         seed: int = 1,
         traffic_model: Optional[TrafficModel] = None,
         cache_cost_model: bool = False,
@@ -107,7 +105,7 @@ class Topology:
                     self.switch,
                     switch_port,
                     bandwidth_gbps=gen_link_gbps,
-                    buffer_bytes=port_buffer_bytes,
+                    buffer_bytes=PORT_BUFFER_BYTES,
                     name=f"{binding.name}-gen{local_port}",
                 )
             )
@@ -126,8 +124,8 @@ class Topology:
             0,
             self.switch,
             binding.nf_port,
-            bandwidth_gbps=server_link_gbps or nic_spec.speed_gbps,
-            buffer_bytes=port_buffer_bytes,
+            bandwidth_gbps=nic_spec.speed_gbps,
+            buffer_bytes=PORT_BUFFER_BYTES,
             name=f"{binding.name}-server",
         )
         attachment = ServerAttachment(

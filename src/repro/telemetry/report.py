@@ -140,7 +140,7 @@ def fold_reports(reports: Sequence[DeploymentReport]) -> DeploymentReport:
 
 #: Comparison column → (attribute path on the :class:`ComparisonReport`,
 #: decimal places; ``None`` keeps the value as is).  The one place a
-#: column's source and rounding are written down: the figure modules
+#: column's source and rounding are written down: the figure declarations
 #: select from here by name.
 COMPARISON_COLUMNS = {
     "send_rate_gbps": ("baseline.send_rate_gbps", 3),

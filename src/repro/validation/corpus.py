@@ -127,11 +127,16 @@ def validate_entry_names(entry: Dict[str, Any], source: Any = "corpus entry") ->
 
 
 def corpus_entries(corpus_dir=None) -> List[Path]:
-    """Corpus entry files under *corpus_dir* (default: the committed corpus)."""
-    corpus_dir = Path(corpus_dir) if corpus_dir is not None else DEFAULT_CORPUS_DIR
-    if not corpus_dir.is_dir():
-        return []
-    return sorted(corpus_dir.glob("repro-*.json"))
+    """Corpus entry files under *corpus_dir* (default: the committed corpus).
+
+    A directory the caller named must exist — a misspelt ``--corpus``
+    would otherwise replay nothing and pass; the default may be absent.
+    """
+    if corpus_dir is None:
+        corpus_dir = DEFAULT_CORPUS_DIR
+    elif not Path(corpus_dir).is_dir():
+        raise ValueError(f"corpus {corpus_dir} is not a directory")
+    return sorted(Path(corpus_dir).glob("repro-*.json"))
 
 
 def run_spec_from_entry(entry: Dict[str, Any]) -> RunSpec:

@@ -23,21 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.experiments import (
-    chaos,
-    fig06_packet_size_cdf,
-    fig07_goodput_latency,
-    fig08_fixed_sizes,
-    fig09_pcie,
-    fig10_multi_server,
-    fig11_multi_server_latency,
-    fig12_explicit_drops,
-    fig13_recirculation,
-    fig14_memory_sweep,
-    fig15_nf_cycles,
-    fig16_small_packets,
-    table1_resources,
-)
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -46,40 +32,42 @@ def _runner(time_scale: float) -> ExperimentRunner:
 
 
 GOLDEN_CASES: Dict[str, Callable[[], object]] = {
-    "fig06": lambda: fig06_packet_size_cdf.run(sample_count=4_000),
-    "fig07": lambda: fig07_goodput_latency.run(
-        rates_gbps=(6.0, 10.5), runner=_runner(0.1)
+    "fig06": lambda: FIGURES["fig06"].run(sample_count=4_000),
+    # The declared sweeps (fig07/08/09/15/16) take their reduced grid as
+    # axis overrides, keyed by the scenario builder's keyword.
+    "fig07": lambda: FIGURES["fig07"].run(
+        runner=_runner(0.1), send_rate_gbps=(6.0, 10.5)
     ),
-    "fig08": lambda: fig08_fixed_sizes.run(
-        sizes=(256, 1024), chain_names=("fw_nat",), runner=_runner(0.05)
+    "fig08": lambda: FIGURES["fig08"].run(
+        runner=_runner(0.05), packet_size=(256, 1024), chain_name=("fw_nat",)
     ),
-    "fig09": lambda: fig09_pcie.run(sizes=(512, 1472), runner=_runner(0.05)),
-    "fig10": lambda: fig10_multi_server.run(server_count=2, runner=_runner(0.1)),
-    "fig11": lambda: fig11_multi_server_latency.run(
-        server_count=2, runner=_runner(0.1)
+    "fig09": lambda: FIGURES["fig09"].run(
+        runner=_runner(0.05), packet_size=(512, 1472)
     ),
-    "fig12": lambda: fig12_explicit_drops.run(
+    "fig10": lambda: FIGURES["fig10"].run(server_count=2, runner=_runner(0.1)),
+    "fig11": lambda: FIGURES["fig11"].run(server_count=2, runner=_runner(0.1)),
+    "fig12": lambda: FIGURES["fig12"].run(
         drop_fractions=(0.1,), policies=((1, False), (1, True)), runner=_runner(0.1)
     ),
-    "fig13": lambda: fig13_recirculation.run(rates_gbps=(10.5,), runner=_runner(0.1)),
-    "fig14": lambda: fig14_memory_sweep.run(
+    "fig13": lambda: FIGURES["fig13"].run(rates_gbps=(10.5,), runner=_runner(0.1)),
+    "fig14": lambda: FIGURES["fig14"].run(
         sram_fractions=(0.10, 0.26),
         runner=_runner(0.05),
         rate_bounds_gbps=(10.0, 26.0),
         tolerance_gbps=8.0,
         include_baseline=False,
     ),
-    "fig15": lambda: fig15_nf_cycles.run(
-        sizes=(512,), nf_kinds=("light", "heavy"), runner=_runner(0.05)
+    "fig15": lambda: FIGURES["fig15"].run(
+        runner=_runner(0.05), packet_size=(512,), nf_kind=("light", "heavy")
     ),
-    "fig16": lambda: fig16_small_packets.run(
-        rates_gbps=(20.0, 36.0), runner=_runner(0.05)
+    "fig16": lambda: FIGURES["fig16"].run(
+        runner=_runner(0.05), send_rate_gbps=(20.0, 36.0)
     ),
-    "table1": table1_resources.run,
+    "table1": FIGURES["table1"].run,
     # The canonical fault scenario: chaos profiles must reproduce
     # bit-identically across the fast and reference paths (mid-run cache
     # invalidation, Maglev rebuilds and parking-slot drains included).
-    "chaos": lambda: chaos.run(
+    "chaos": lambda: FIGURES["chaos"].run(
         profiles=(None, "link-flap", "chaos-mix"), runner=_runner(0.1)
     ),
 }

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import inspect
 import json
 import os
 import re
@@ -12,10 +13,11 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import WorkloadSpecError
-from repro.experiments import fig07_goodput_latency
-from repro.experiments.figures import FIGURES
+from repro.experiments import figures
+from repro.experiments.figures import FIGURES, Sweep
 from repro.experiments.runner import ExperimentRunner
-from repro.telemetry.report import render_table
+from repro.experiments.scenarios import fixed_size_40ge
+from repro.telemetry.report import COMPARISON_COLUMNS, render_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -88,7 +90,7 @@ class TestFigureRegistry:
     ):
         monkeypatch.setitem(FIGURES, name, replace(FIGURES[name], run=lambda: result))
         monkeypatch.setattr(
-            fig07_goodput_latency, "run_40ge_fw_nat", lambda: {"send_rate_gbps": 30.0}
+            figures, "run_40ge_fw_nat", lambda: {"send_rate_gbps": 30.0}
         )
         assert main(["run", name]) == 0
         rows = result["rows"] if name == "fig06" else result
@@ -111,7 +113,37 @@ class TestFigureRegistry:
 
     def test_negative_rate_is_a_typed_error(self):
         with pytest.raises(WorkloadSpecError, match="rate_gbps must be positive"):
-            fig07_goodput_latency.run((-1.0,), runner=ExperimentRunner(time_scale=0.05))
+            FIGURES["fig07"].run(
+                runner=ExperimentRunner(time_scale=0.05), send_rate_gbps=(-1.0,)
+            )
+
+    def test_declared_sweeps_name_builder_parameters_and_comparison_columns(self):
+        sweeps = {
+            name: figure.run.__self__
+            for name, figure in FIGURES.items()
+            if isinstance(getattr(figure.run, "__self__", None), Sweep)
+        }
+        assert sorted(sweeps) == ["fig07", "fig08", "fig09", "fig15", "fig16"]
+        for name, sweep in sweeps.items():
+            parameters = inspect.signature(sweep.scenario).parameters
+            assert {*sweep.axes, *sweep.fixed} <= set(parameters), name
+            assert set(sweep.columns) <= set(COMPARISON_COLUMNS), name
+
+    @pytest.mark.parametrize(
+        "axes, columns, fixed, named",
+        [
+            ({"packet_sise": ("packet_size_bytes", (256,))}, (), {}, "packet_sise"),
+            ({}, (), {"send_rate": 30.0}, "send_rate"),
+            ({}, ("goodput_gain_pct",), {}, "goodput_gain_pct"),
+        ],
+    )
+    def test_misspelt_declaration_fails_when_it_is_made(self, axes, columns, fixed, named):
+        with pytest.raises(TypeError, match=named):
+            Sweep(fixed_size_40ge, axes, columns, fixed)
+
+    def test_unknown_axis_override_is_a_type_error_naming_it(self):
+        with pytest.raises(TypeError, match=r"no axis \['bogus'\].*'send_rate_gbps'"):
+            FIGURES["fig07"].run(bogus=(1,))
 
     def test_cold_import_of_the_run_stack_skips_figures_and_http(self):
         """The perf ledger's `setup_s` import line must stay this light."""

@@ -100,10 +100,23 @@ class TestCorpusEntries:
         payload = entry_from_failure(_failure(), seed=1)
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_missing_corpus_dir_is_empty(self, tmp_path):
-        assert corpus_entries(tmp_path / "absent") == []
-        summary = replay_corpus(tmp_path / "absent")
-        assert summary == {"entries": 0, "failing": 0, "results": []}
+    def test_only_the_default_corpus_dir_may_be_missing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.validation import corpus
+
+        # A misspelt --corpus used to replay 0 entries and exit 0.
+        absent = tmp_path / "absent"
+        with pytest.raises(ValueError, match="absent is not a directory"):
+            corpus_entries(absent)
+        assert main(["validate", "replay", "--corpus", str(absent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+
+        monkeypatch.setattr(corpus, "DEFAULT_CORPUS_DIR", absent)
+        assert replay_corpus() == {"entries": 0, "failing": 0, "results": []}
 
 
 class TestStaleCorpusEntries:
