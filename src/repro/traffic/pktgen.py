@@ -112,7 +112,10 @@ class PacketFactory:
     def __init__(self, config: PktGenConfig) -> None:
         self.config = config
         self._rng = random.Random(config.seed)
+        # The population is lazy; ``_slots`` is its backing list, read
+        # directly per packet (see FlowPopulation).
         self._flows = config.workload.flows.flows()
+        self._slots = self._flows.slots
         self._flow_cursor = 0
         self._pool = (
             FramePool(config.src_mac, config.dst_mac) if config.pooled else None
@@ -128,8 +131,11 @@ class PacketFactory:
         """
         workload = self.config.workload
         size = workload.sizes.sample(self._rng)
-        flow = self._flows[self._flow_cursor]
-        self._flow_cursor = (self._flow_cursor + 1) % len(self._flows)
+        cursor = self._flow_cursor
+        flow = self._slots[cursor]
+        if flow is None:
+            flow = self._flows[cursor]
+        self._flow_cursor = (cursor + 1) % len(self._slots)
 
         # Steer a sampled fraction of packets into the firewall's
         # blacklisted subnet.

@@ -131,12 +131,11 @@ class Workload:
         import random
 
         rng = random.Random(seed)
-        flows = self.flows.flows()
         timestamp = 0.0
         with PcapWriter(path) as writer:
             for index in range(packet_count):
                 size = self.sizes.sample(rng)
-                flow = flows[index % len(flows)]
+                flow = self.flows.flow(index)
                 packet = Packet.udp(
                     src_ip=str(flow.src_ip),
                     dst_ip=str(flow.dst_ip),

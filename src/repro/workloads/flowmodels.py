@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import WorkloadSpecError
-from repro.packet.flows import FiveTuple, FlowGenerator
+from repro.packet.flows import FiveTuple, FlowGenerator, check_flow_count
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 
 
@@ -51,11 +51,12 @@ class FlowModel:
 class _RoundRobinSampler(FlowSampler):
     def __init__(self, flows) -> None:
         self._flows = flows
+        self._count = len(flows)
         self._cursor = 0
 
     def next_flow(self) -> FiveTuple:
         flow = self._flows[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self._flows)
+        self._cursor = (self._cursor + 1) % self._count
         return flow
 
 
@@ -66,8 +67,7 @@ class RoundRobinFlows(FlowModel):
     flow_count: int = 1024
 
     def __post_init__(self) -> None:
-        if self.flow_count <= 0:
-            raise WorkloadSpecError("flow_count must be positive")
+        check_flow_count(self.flow_count)
 
     def sampler(self, rng: random.Random) -> FlowSampler:
         return _RoundRobinSampler(FlowGenerator(flow_count=self.flow_count).flows())
@@ -108,8 +108,7 @@ class HeavyTailFlows(FlowModel):
     elephant_weight: float = 0.80
 
     def __post_init__(self) -> None:
-        if self.flow_count <= 0:
-            raise WorkloadSpecError("flow_count must be positive")
+        check_flow_count(self.flow_count)
         if not 0.0 < self.elephant_fraction < 1.0:
             raise WorkloadSpecError("elephant_fraction must lie in (0, 1)")
         if not 0.0 < self.elephant_weight < 1.0:

@@ -42,12 +42,12 @@ def synthetic_enterprise_capture(
         raise WorkloadSpecError("packet_count must be positive")
     rng = random.Random(seed)
     sizes = enterprise_datacenter_distribution()
-    flows = FlowGenerator(flow_count=flow_count).flows()
+    generator = FlowGenerator(flow_count=flow_count)
     records: List[PcapRecord] = []
     timestamp = 0.0
     for index in range(packet_count):
         size = max(sizes.sample(rng), ETHERNET_UDP_HEADER_BYTES)
-        flow = flows[index % len(flows)]
+        flow = generator.flow(index)
         packet = Packet.udp(
             src_ip=str(flow.src_ip),
             dst_ip=str(flow.dst_ip),

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.errors import WorkloadSpecError
-from repro.packet.flows import FiveTuple, FlowGenerator
+from repro.packet.flows import FlowGenerator, check_flow_count
 from repro.packet.pool import FramePool
 from repro.traffic.distributions import FixedSizeDistribution
 from repro.traffic.pktgen import build_udp_frame
@@ -120,8 +120,7 @@ class ClosedLoopFlows(FlowModel):
     start_jitter_ns: int = 2_000
 
     def __post_init__(self) -> None:
-        if self.flow_count < 1:
-            raise WorkloadSpecError("flow_count must be >= 1")
+        check_flow_count(self.flow_count)
         if self.segments_per_transfer < 1:
             raise WorkloadSpecError("segments_per_transfer must be >= 1")
         if self.mss_bytes < _MIN_SEGMENT_BYTES:
@@ -167,15 +166,14 @@ class _Connection:
     """Mutable sender state of one closed-loop flow."""
 
     __slots__ = (
-        "flow_id", "five_tuple", "cwnd", "ssthresh", "next_seq", "cum",
+        "flow_id", "cwnd", "ssthresh", "next_seq", "cum",
         "sacked", "outstanding", "retx_seqs", "dup_acks", "in_recovery",
         "recovery_point", "srtt_ns", "rttvar_ns", "rto_ns", "timer_gen",
         "timer_armed", "transfer_end", "epoch_done", "distinct_sent",
     )
 
-    def __init__(self, flow_id: int, five_tuple: FiveTuple, model: ClosedLoopFlows) -> None:
+    def __init__(self, flow_id: int, model: ClosedLoopFlows) -> None:
         self.flow_id = flow_id
-        self.five_tuple = five_tuple
         self.cwnd = float(model.initial_cwnd_segments)
         self.ssthresh = float(model.initial_ssthresh_segments)
         self.next_seq = 0            # next fresh sequence number
@@ -225,10 +223,11 @@ class ClosedLoopTransport:
         self._pool = (
             FramePool(config.src_mac, config.dst_mac) if config.pooled else None
         )
-        tuples = FlowGenerator(flow_count=model.flow_count).flows()
+        # Connection *i* sends flow *i* of the population (built on its
+        # first segment, like every other reader's).
+        self._tuples = FlowGenerator(flow_count=model.flow_count).flows()
         self.flows: List[_Connection] = [
-            _Connection(index, five_tuple, model)
-            for index, five_tuple in enumerate(tuples)
+            _Connection(index, model) for index in range(model.flow_count)
         ]
         self._stop_at_ns: Optional[int] = None
         self._stopped = False
@@ -347,12 +346,13 @@ class ClosedLoopTransport:
         return max(self.model.mss_bytes, _MIN_SEGMENT_BYTES)
 
     def _put_on_wire(self, conn: _Connection, seq: int, retransmission: bool) -> None:
+        five_tuple = self._tuples[conn.flow_id]
         if self._pool is not None:
-            packet = self._pool.frame(self._segment_bytes(), conn.five_tuple)
+            packet = self._pool.frame(self._segment_bytes(), five_tuple)
         else:
             packet = build_udp_frame(
                 self._segment_bytes(),
-                conn.five_tuple,
+                five_tuple,
                 src_mac=self.config.src_mac,
                 dst_mac=self.config.dst_mac,
             )

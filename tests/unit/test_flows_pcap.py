@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.packet.flows import FiveTuple, FlowGenerator
+from repro.packet.flows import FLOW_PERIOD, FiveTuple, FlowGenerator
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 from repro.packet.packet import Packet
 from repro.packet.pcap import PcapReader, read_pcap, write_pcap
@@ -49,6 +49,47 @@ class TestFlowGenerator:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             FlowGenerator(flow_count=0)
+
+    def test_population_is_lazy_and_stable(self):
+        flows = FlowGenerator(flow_count=100).flows()
+        assert flows.slots == [None] * 100
+        first = flows[7]
+        assert flows[7] is first and flows[-93] is first and flows[5:9][2] is first
+        assert flows.wrap(107) is first
+        assert sum(flow is not None for flow in flows.slots) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            # Died at packet 5536 of the run with "src_port out of range".
+            ({"flow_count": 10_000, "base_src_port": 60_000}, "base_src_port"),
+            ({"flow_count": 100_000, "base_src_port": 15_537}, "base_src_port"),
+            ({"base_src_port": -1}, "base_src_port"),
+            ({"base_dst_port": 65_521}, "base_dst_port"),
+            ({"base_dst_port": -1}, "base_dst_port"),
+        ],
+    )
+    def test_rejects_ports_outside_16_bits(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            FlowGenerator(**kwargs)
+
+    def test_accepts_ports_up_to_65535(self):
+        flows = FlowGenerator(
+            flow_count=5_536, base_src_port=60_000, base_dst_port=65_520
+        ).flows()
+        assert flows[-1].src_port == 65_535
+        assert flows[15].dst_port == 65_535
+        assert FlowGenerator(flow_count=100_000, base_src_port=15_536).flows()[49_999].src_port == 65_535
+
+    def test_flow_count_stops_at_the_period(self):
+        # Flow i + FLOW_PERIOD would equal flow i: a larger population
+        # is not one of distinct flows.
+        generator = FlowGenerator(flow_count=FLOW_PERIOD)
+        assert FLOW_PERIOD == 650_000
+        assert generator._make_flow(FLOW_PERIOD) == generator.flow(0)
+        assert generator.flows()[-1] != generator.flow(0)
+        with pytest.raises(ValueError, match="flow_count"):
+            FlowGenerator(flow_count=FLOW_PERIOD + 1)
 
 
 class TestPcap:

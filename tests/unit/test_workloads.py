@@ -6,9 +6,11 @@ import statistics
 import pytest
 
 from repro.errors import WorkloadSpecError
+from repro.packet.flows import FLOW_PERIOD
 from repro.traffic.distributions import FixedSizeDistribution
 from repro.workloads import (
     ChurnFlows,
+    ClosedLoopFlows,
     GenerativeWorkload,
     HeavyTailFlows,
     IncastArrivals,
@@ -136,6 +138,14 @@ class TestFlowModels:
             HeavyTailFlows(elephant_fraction=1.5)
         with pytest.raises(WorkloadSpecError):
             ChurnFlows(packets_per_flow=0)
+
+    @pytest.mark.parametrize("model", [RoundRobinFlows, HeavyTailFlows, ClosedLoopFlows])
+    def test_fixed_population_stops_at_the_generator_period(self, model):
+        assert model(flow_count=FLOW_PERIOD).nominal_flow_count() == FLOW_PERIOD
+        with pytest.raises(WorkloadSpecError, match="flow_count"):
+            model(flow_count=FLOW_PERIOD + 1)
+        with pytest.raises(WorkloadSpecError, match="flow_count"):
+            model(flow_count=0)
 
 
 class TestRegistry:
