@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.compat import SLOTTED
 from repro.packet.crc import crc16
 
 #: Opcode values for the OP bit.
@@ -36,7 +37,7 @@ _TAG_CRC_MEMO = {}
 _TAG_CRC_MEMO_LIMIT = 1 << 20
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class PayloadParkHeader:
     """The 7-byte PayloadPark header."""
 

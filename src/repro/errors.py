@@ -7,6 +7,9 @@ creating import cycles.
 
 from __future__ import annotations
 
+import math
+from typing import Type
+
 
 class FaultSpecError(ValueError):
     """An invalid fault-injection specification.
@@ -55,3 +58,19 @@ class FidelityError(ValueError):
     ``except ValueError`` handlers (the CLI, campaign loaders) keep
     working.
     """
+
+
+def require_positive_finite(
+    field: str, value: float, error: Type[ValueError] = ValueError
+) -> None:
+    """Raise *error*, naming *field*, unless *value* is a finite number > 0.
+
+    The check for every rate / scale knob that ends up as a divisor or
+    inside an ``int(...)``: ``inf`` passes a bare ``<= 0`` test and then
+    paces a generator at the 1 ns floor forever or overflows the
+    conversion, and ``nan`` passes every comparison.
+    """
+    if not math.isfinite(value):
+        raise error(f"{field} must be finite, got {value}")
+    if value <= 0:
+        raise error(f"{field} must be positive")

@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgram
+from repro.errors import require_positive_finite
 from repro.experiments.chains import ChainFactory, fw_nat
 from repro.netsim.eventloop import EventLoop, FastEventLoop
 from repro.netsim.nic import NicSpec, NIC_10GE
@@ -103,8 +104,8 @@ class RunOptions:
     reference: bool = False
 
     def __post_init__(self) -> None:
-        if self.time_scale is not None and self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if self.time_scale is not None:
+            require_positive_finite("time_scale", self.time_scale)
         _check_fidelity(self.fidelity)
         # Imported lazily: the fault and observability packages layer on
         # top of the runner.
@@ -318,8 +319,7 @@ class ExperimentRunner:
         options = current_options()
         if time_scale is None:
             time_scale = options.time_scale or 1.0
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        require_positive_finite("time_scale", time_scale)
         self.time_scale = time_scale
         self.reference = options.reference
 

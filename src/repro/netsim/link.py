@@ -9,11 +9,23 @@ the latency cliff visible in Fig. 7 and Fig. 16.
 
 The transmit path is deliberately lean: links move every frame of every
 simulated hop, so nothing is allocated per frame beyond the two events
-themselves.  Each direction binds its serialization-end and arrival
-methods once at wiring time and schedules them with the byte count and
-the packet as the event argument; serialization time is looked up per
-wire size (the link rate is fixed after construction); and arrival
-calls the receiving node's ``handle_packet`` directly.
+themselves, and a frame crossing a link is four Python frames —
+the sending node's per-port sender (:meth:`Node.port_sender`),
+:meth:`Link.transmit`, and the direction's serialization-end and
+arrival callbacks.  ``Link.transmit`` is the one transmit body: it
+picks the sender's direction and does that direction's work itself.
+The per-direction object keeps the state (queue, serialization cursor,
+counters, fault windows) and binds its two callbacks once at wiring
+time; they are scheduled with the byte count and the packet as the
+event argument.  The byte count is the frame's stored ``wire_length``,
+read once.  Serialization time is looked up per wire size (the link
+rate is fixed after construction), and arrival calls the receiving
+node's ``handle_packet`` directly.
+
+``Link.transmit`` and every ``handle_packet`` are looked up per frame,
+never captured bound: the perf ledger's tracer and
+``tests/integration/test_hop_seams.py`` wrap them at class level after
+the testbed is wired.
 """
 
 from __future__ import annotations
@@ -22,12 +34,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.compat import SLOTTED
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.node import Node
 from repro.packet.packet import Packet
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class LinkDirectionStats:
     """Counters for one direction of a link.
 
@@ -69,7 +82,8 @@ class LinkDirectionStats:
 
 
 class _LinkDirection:
-    """One direction of a full-duplex link."""
+    """One direction of a full-duplex link: its state, counters and the
+    two per-frame event callbacks.  :meth:`Link.transmit` drives it."""
 
     __slots__ = (
         "env",
@@ -149,59 +163,6 @@ class _LinkDirection:
         """Time to clock *nbytes* onto the wire at the link rate."""
         return int(round(nbytes * 8 / self.bandwidth_gbps))
 
-    def transmit(self, packet: Packet) -> None:
-        """Queue *packet* for transmission; deliver it on arrival."""
-        stats = self.stats
-        wire_bytes = packet.wire_length
-        if not self.up:
-            stats.frames_dropped_down += 1
-            stats.bytes_dropped_fault += wire_bytes
-            self._record_drop(packet, "link-down")
-            return
-        if self.loss_probability > 0.0 and self._loss_rng.random() < self.loss_probability:
-            stats.frames_dropped_loss += 1
-            stats.bytes_dropped_fault += wire_bytes
-            self._record_drop(packet, "link-loss")
-            return
-        queued = self.queued_bytes + wire_bytes
-        if queued > self.buffer_bytes:
-            stats.frames_dropped += 1
-            stats.bytes_dropped += wire_bytes
-            self._record_drop(packet, "link-buffer-overflow")
-            return
-        profiler = self.obs_profiler
-        if profiler is not None:
-            profiler.enter("link_transmit")
-        now = self.env.now
-        next_free = self.next_free_ns
-        start = now if now > next_free else next_free
-        serialization = self._serialization.get(wire_bytes)
-        if serialization is None:
-            serialization = self._serialization[wire_bytes] = self.serialization_ns(wire_bytes)
-        tx_done = start + serialization
-        self.next_free_ns = tx_done
-        self.queued_bytes = queued
-        stats.frames_sent += 1
-        stats.bytes_sent += wire_bytes
-        stats.busy_ns += tx_done - start
-        if queued > stats.peak_queue_bytes:
-            stats.peak_queue_bytes = queued
-
-        propagation = self.propagation_delay_ns
-        if self.jitter_ns:
-            propagation += int(self._jitter_rng.random() * self.jitter_ns)
-        arrival = tx_done + propagation
-        if arrival < self.last_arrival_ns:
-            arrival = self.last_arrival_ns
-        self.last_arrival_ns = arrival
-
-        # Serialization end first: on a tie it must run before the arrival.
-        schedule_at = self.env.schedule_at
-        schedule_at(tx_done, self._on_finish, wire_bytes)
-        schedule_at(arrival, self._on_arrive, packet)
-        if profiler is not None:
-            profiler.exit()
-
     def _finish(self, wire_bytes: int) -> None:
         """Serialization ended: the frame's bytes leave the egress buffer."""
         self.queued_bytes -= wire_bytes
@@ -255,13 +216,74 @@ class Link:
         node_b.attach_link(port_b, self)
 
     def transmit(self, packet: Packet, sender: Node) -> None:
-        """Send *packet* from *sender* toward the other end of the link."""
+        """Send *packet* from *sender* toward the other end of the link.
+
+        Queues the frame on *sender*'s direction and schedules its
+        serialization end and its arrival; a downed direction, an active
+        loss window or a full egress buffer drops it instead.
+        """
         if sender is self.node_a:
-            self._a_to_b.transmit(packet)
+            direction = self._a_to_b
         elif sender is self.node_b:
-            self._b_to_a.transmit(packet)
+            direction = self._b_to_a
         else:
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
+        stats = direction.stats
+        wire_bytes = packet.wire_length
+        if not direction.up:
+            stats.frames_dropped_down += 1
+            stats.bytes_dropped_fault += wire_bytes
+            direction._record_drop(packet, "link-down")
+            return
+        if (
+            direction.loss_probability > 0.0
+            and direction._loss_rng.random() < direction.loss_probability
+        ):
+            stats.frames_dropped_loss += 1
+            stats.bytes_dropped_fault += wire_bytes
+            direction._record_drop(packet, "link-loss")
+            return
+        queued = direction.queued_bytes + wire_bytes
+        if queued > direction.buffer_bytes:
+            stats.frames_dropped += 1
+            stats.bytes_dropped += wire_bytes
+            direction._record_drop(packet, "link-buffer-overflow")
+            return
+        profiler = direction.obs_profiler
+        if profiler is not None:
+            profiler.enter("link_transmit")
+        env = self.env
+        now = env.now
+        next_free = direction.next_free_ns
+        start = now if now > next_free else next_free
+        serialization = direction._serialization.get(wire_bytes)
+        if serialization is None:
+            serialization = direction._serialization[wire_bytes] = (
+                direction.serialization_ns(wire_bytes)
+            )
+        tx_done = start + serialization
+        direction.next_free_ns = tx_done
+        direction.queued_bytes = queued
+        stats.frames_sent += 1
+        stats.bytes_sent += wire_bytes
+        stats.busy_ns += serialization
+        if queued > stats.peak_queue_bytes:
+            stats.peak_queue_bytes = queued
+
+        propagation = direction.propagation_delay_ns
+        if direction.jitter_ns:
+            propagation += int(direction._jitter_rng.random() * direction.jitter_ns)
+        arrival = tx_done + propagation
+        if arrival < direction.last_arrival_ns:
+            arrival = direction.last_arrival_ns
+        direction.last_arrival_ns = arrival
+
+        # Serialization end first: on a tie it must run before the arrival.
+        schedule_at = env.schedule_at
+        schedule_at(tx_done, direction._on_finish, wire_bytes)
+        schedule_at(arrival, direction._on_arrive, packet)
+        if profiler is not None:
+            profiler.exit()
 
     # ------------------------------------------------------------------ #
     # Fault injection (control plane; see repro.faults)

@@ -1,8 +1,16 @@
-"""Base class for simulation nodes (hosts and switches)."""
+"""Base class for simulation nodes (hosts and switches).
+
+A node sends in one of two ways.  Code that is already running for the
+frame (the traffic generator's burst loop) calls :meth:`Node.send_out`.
+Code that sends from a *scheduled event* — the switch after its
+forwarding latency, the NF server when its NIC finishes — schedules the
+port's :meth:`Node.port_sender` as the event callback, so the event's
+own frame is the one that calls ``Link.transmit``.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.packet.packet import Packet
 
@@ -37,6 +45,31 @@ class Node:
         if link is None:
             raise ValueError(f"{self.name}: no link attached to port {port}")
         link.transmit(packet, self)
+
+    def port_sender(self, port: int) -> Callable[[Packet], None]:
+        """``send_out`` bound to *port*, as a one-argument event callback.
+
+        An event carries one argument, the packet, so a node that sends
+        from a scheduled event (the switch after its forwarding latency,
+        the server when its NIC finishes) schedules a per-port sender:
+        built once per port, it runs as the event's own frame and calls
+        the link directly — no ``partial`` and no ``send_out`` frame in
+        between.  It resolves the port's link and the link's
+        ``transmit`` *per frame*, never at build time: a sender may be
+        built before the port is wired (an unwired port raises at send
+        time, like ``send_out``), and the perf ledger's tracer and the
+        hop-seam tests swap ``Link.transmit`` at class level after
+        wiring — a bound ``transmit`` captured here would run past them.
+        """
+        links = self.links
+
+        def send(packet: Packet) -> None:
+            link = links.get(port)
+            if link is None:
+                raise ValueError(f"{self.name}: no link attached to port {port}")
+            link.transmit(packet, self)
+
+        return send
 
     def handle_packet(self, packet: Packet, port: int) -> None:
         """Receive a frame that arrived on local *port*; must be overridden."""

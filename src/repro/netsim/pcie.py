@@ -37,20 +37,16 @@ class PcieBus:
         self.rx_transfers = 0
         self.tx_transfers = 0
 
-    def transfer_bytes(self, wire_bytes: int) -> int:
-        """Bytes actually moved over PCIe for a frame of *wire_bytes*."""
-        return wire_bytes + self.spec.per_packet_overhead_bytes
-
     def rx_transfer(self, wire_bytes: int) -> int:
         """Account a device→host transfer; return its delay in nanoseconds."""
-        nbytes = self.transfer_bytes(wire_bytes)
+        nbytes = wire_bytes + self.spec.per_packet_overhead_bytes
         self.rx_bytes += nbytes
         self.rx_transfers += 1
         return self.spec.dma_latency_ns + int(round(nbytes * 8 / self.spec.bandwidth_gbps))
 
     def tx_transfer(self, wire_bytes: int) -> int:
         """Account a host→device transfer; return its delay in nanoseconds."""
-        nbytes = self.transfer_bytes(wire_bytes)
+        nbytes = wire_bytes + self.spec.per_packet_overhead_bytes
         self.tx_bytes += nbytes
         self.tx_transfers += 1
         return self.spec.dma_latency_ns + int(round(nbytes * 8 / self.spec.bandwidth_gbps))

@@ -73,9 +73,11 @@ class NfServerNode(Node):
         # Observability hooks (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
         self.obs_profiler = None
-        # The two per-packet event callbacks, bound once.
+        # The two per-packet event callbacks, bound once: NF completion,
+        # and the NIC-tx end, which is the switch port's sender (see
+        # ``Node.port_sender``) — the frame goes straight onto the link.
         self._on_complete = self._complete
-        self._on_tx_done = self._send_to_switch
+        self._on_tx_done = self.port_sender(switch_port)
 
     def invalidate_cost_cache(self) -> None:
         """Recompute the memoized cost model after an NF chain mutation.
@@ -98,103 +100,95 @@ class NfServerNode(Node):
     def handle_packet(self, packet: Packet, port: int) -> None:
         """A frame arrived from the switch on the server's NIC port."""
         profiler = self.obs_profiler
-        if profiler is None:
-            self._receive(packet)
-            return
-        profiler.enter("nf_processing")
+        if profiler is not None:
+            profiler.enter("nf_processing")
         try:
-            self._receive(packet)
+            if self._in_server >= self._buffer_capacity:
+                self.nic.note_rx_drop()
+                self.overflow_drops += 1
+                recorder = self.obs_recorder
+                if recorder is not None:
+                    pkt_id = packet.meta.get("obs_pkt")
+                    if pkt_id is not None:
+                        recorder.packet_dropped(
+                            pkt_id, self.env.now, self.name, "server-buffer-overflow"
+                        )
+                return
+            self._in_server += 1
+            self.accepted_packets += 1
+            wire_bytes = packet.wire_length
+            nic_done = self.nic.rx_ready_at(self.env.now, wire_bytes)
+            pcie_delay = self.pcie.rx_transfer(wire_bytes)
+            ready = nic_done + pcie_delay
+            bottleneck_ns = (
+                self._bottleneck_ns
+                if self._bottleneck_ns is not None
+                else self.model.bottleneck_service_ns()
+            )
+            # Per-packet service time: the bottleneck stage's, jittered.
+            jitter = self.model.config.service_jitter
+            if jitter <= 0:
+                service = int(bottleneck_ns)
+            else:
+                factor = max(0.1, self._rng.gauss(1.0, jitter))
+                service = max(1, int(bottleneck_ns * factor))
+            start = max(ready, self._worker_free_at_ns)
+            finish = start + service
+            self._worker_free_at_ns = finish
+            self.busy_ns += service
+            # The remaining (non-bottleneck) pipeline stages add latency
+            # but do not constrain throughput.
+            pipeline_latency_ns = (
+                self._pipeline_latency_ns
+                if self._pipeline_latency_ns is not None
+                else self.model.pipeline_latency_ns()
+            )
+            completion = finish + int(pipeline_latency_ns - service)
+            completion = max(completion, finish)
+            self.env.schedule_at(completion, self._on_complete, packet)
         finally:
-            profiler.exit()
-
-    def _receive(self, packet: Packet) -> None:
-        if self._in_server >= self._buffer_capacity:
-            self.nic.note_rx_drop()
-            self.overflow_drops += 1
-            recorder = self.obs_recorder
-            if recorder is not None:
-                pkt_id = packet.meta.get("obs_pkt")
-                if pkt_id is not None:
-                    recorder.packet_dropped(
-                        pkt_id, self.env.now, self.name, "server-buffer-overflow"
-                    )
-            return
-        self._in_server += 1
-        self.accepted_packets += 1
-        wire_bytes = packet.wire_length
-        nic_done = self.nic.rx_ready_at(self.env.now, wire_bytes)
-        pcie_delay = self.pcie.rx_transfer(wire_bytes)
-        ready = nic_done + pcie_delay
-        bottleneck_ns = (
-            self._bottleneck_ns
-            if self._bottleneck_ns is not None
-            else self.model.bottleneck_service_ns()
-        )
-        service = self._jittered(bottleneck_ns)
-        start = max(ready, self._worker_free_at_ns)
-        finish = start + service
-        self._worker_free_at_ns = finish
-        self.busy_ns += service
-        # The remaining (non-bottleneck) pipeline stages add latency but do
-        # not constrain throughput.
-        pipeline_latency_ns = (
-            self._pipeline_latency_ns
-            if self._pipeline_latency_ns is not None
-            else self.model.pipeline_latency_ns()
-        )
-        completion = finish + int(pipeline_latency_ns - service)
-        completion = max(completion, finish)
-        self.env.schedule_at(completion, self._on_complete, packet)
-
-    def _jittered(self, service_ns: float) -> int:
-        jitter = self.model.config.service_jitter
-        if jitter <= 0:
-            return int(service_ns)
-        factor = max(0.1, self._rng.gauss(1.0, jitter))
-        return max(1, int(service_ns * factor))
+            if profiler is not None:
+                profiler.exit()
 
     # ------------------------------------------------------------------ #
     # Completion / transmit path
     # ------------------------------------------------------------------ #
 
     def _complete(self, packet: Packet) -> None:
+        """The NF pipeline finished with *packet*: run the chain on it."""
         profiler = self.obs_profiler
-        if profiler is None:
-            self._complete_now(packet)
-            return
-        profiler.enter("nf_processing")
+        if profiler is not None:
+            profiler.enter("nf_processing")
         try:
-            self._complete_now(packet)
-        finally:
-            profiler.exit()
-
-    def _complete_now(self, packet: Packet) -> None:
-        self._in_server -= 1
-        self.processed_packets += 1
-        result = self.model.process_packet(packet)
-        recorder = self.obs_recorder
-        if recorder is not None:
-            pkt_id = packet.meta.get("obs_pkt")
-            if pkt_id is not None:
-                recorder.nf_processed(
-                    pkt_id, self.env.now, self.name, result.forwarded
-                )
-        if not result.forwarded:
-            self.chain_dropped_packets += 1
+            self._in_server -= 1
+            self.processed_packets += 1
+            result = self.model.process_packet(packet)
+            recorder = self.obs_recorder
             if recorder is not None:
                 pkt_id = packet.meta.get("obs_pkt")
                 if pkt_id is not None:
-                    recorder.packet_dropped(
-                        pkt_id, self.env.now, self.name, "nf-chain-drop"
+                    recorder.nf_processed(
+                        pkt_id, self.env.now, self.name, result.forwarded
                     )
-            if (
-                self.model.wants_explicit_drop
-                and packet.pp is not None
-                and packet.pp.enb == 1
-            ):
-                self._send_explicit_drop(packet)
-            return
-        self._transmit(packet)
+            if not result.forwarded:
+                self.chain_dropped_packets += 1
+                if recorder is not None:
+                    pkt_id = packet.meta.get("obs_pkt")
+                    if pkt_id is not None:
+                        recorder.packet_dropped(
+                            pkt_id, self.env.now, self.name, "nf-chain-drop"
+                        )
+                if (
+                    self.model.wants_explicit_drop
+                    and packet.pp is not None
+                    and packet.pp.enb == 1
+                ):
+                    self._send_explicit_drop(packet)
+                return
+            self._transmit(packet)
+        finally:
+            if profiler is not None:
+                profiler.exit()
 
     def _transmit(self, packet: Packet) -> None:
         wire_bytes = packet.wire_length
@@ -202,9 +196,6 @@ class NfServerNode(Node):
         tx_done = self.nic.tx_ready_at(self.env.now + pcie_delay, wire_bytes)
         self.forwarded_packets += 1
         self.env.schedule_at(tx_done, self._on_tx_done, packet)
-
-    def _send_to_switch(self, packet: Packet) -> None:
-        self.send_out(self.switch_port, packet)
 
     def _send_explicit_drop(self, packet: Packet) -> None:
         """Truncate the packet and return it with the Explicit-Drop opcode."""

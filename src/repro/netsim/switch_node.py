@@ -9,7 +9,6 @@ Egress contention and buffering are modeled by the outgoing link.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict
 
 from repro.core.program import SwitchProgram
@@ -32,6 +31,8 @@ class SwitchNode(Node):
         base_latency_ns: int = BASE_LATENCY_NS,
     ) -> None:
         super().__init__(env, name)
+        if base_latency_ns < 0:
+            raise ValueError(f"base_latency_ns must be non-negative, got {base_latency_ns}")
         self.program = program
         self.base_latency_ns = base_latency_ns
         self.packets_in = 0
@@ -41,9 +42,9 @@ class SwitchNode(Node):
         self.packets_to_nf = 0
         self.drop_reasons: Dict[str, int] = {}
         self._nf_ports = {binding.nf_port for binding in program.bindings}
-        #: egress port -> ``send_out`` bound to that port, built on the
-        #: port's first frame.  An unwired port still gets one:
-        #: ``send_out`` raises at send time, after the forwarding latency.
+        #: egress port -> that port's sender (``Node.port_sender``),
+        #: built on the port's first frame.  An unwired port still gets
+        #: one: it raises at send time, after the forwarding latency.
         self._egress: Dict[int, Callable[[Packet], None]] = {}
         # Observability hooks (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
@@ -88,8 +89,9 @@ class SwitchNode(Node):
         self.packets_out += 1
         send = self._egress.get(egress)
         if send is None:
-            send = self._egress[egress] = partial(self.send_out, egress)
-        self.env.schedule_in(latency, send, packet)
+            send = self._egress[egress] = self.port_sender(egress)
+        env = self.env
+        env.schedule_at(env.now + latency, send, packet)
 
     def _record_drop(self, packet: Packet, reason: str) -> None:
         """Flight-recorder drop hook (off the hot path's common case)."""

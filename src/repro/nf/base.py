@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -33,16 +33,20 @@ class NfResult:
         analysis of §6.3.3).
     reason:
         Optional human-readable reason for a drop.
+    forwarded:
+        True when the packet continues down the chain.  Stored at
+        construction from ``verdict`` (every NF, the chain and the
+        server read it for every packet); not a constructor argument
+        and not part of equality.
     """
 
     verdict: NfVerdict
     cycles: int
     reason: str = ""
+    forwarded: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def forwarded(self) -> bool:
-        """True when the packet continues down the chain."""
-        return self.verdict is NfVerdict.FORWARD
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "forwarded", self.verdict is NfVerdict.FORWARD)
 
 
 @lru_cache(maxsize=4096)

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.config import PayloadParkConfig
+from repro.errors import require_positive_finite
 from repro.experiments import scenarios
 from repro.experiments.runner import ScenarioConfig
 from repro.nf.framework import NETBRICKS, OPENNETVM
@@ -135,8 +136,7 @@ class RunSpec:
             )
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        require_positive_finite("time_scale", self.time_scale)
 
     def canonical(self) -> Dict[str, Any]:
         """The hashed identity of this run."""

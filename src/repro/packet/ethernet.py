@@ -5,6 +5,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.compat import SLOTTED
+
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 ETHERTYPE_VLAN = 0x8100
@@ -68,7 +70,7 @@ class MacAddress:
 BROADCAST_MAC = MacAddress(0xFFFFFFFFFFFF)
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class EthernetHeader:
     """Ethernet II header (destination, source, ethertype)."""
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from repro.compat import SLOTTED
 from repro.packet.checksum import internet_checksum
 
 IPV4_HEADER_LEN = 20
@@ -62,7 +63,7 @@ class IPv4Address:
         return (self.value & mask) == (network.value & mask)
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class IPv4Header:
     """An option-less IPv4 header.
 

@@ -8,12 +8,33 @@ only stores a reference to that header object, so the switch code in
 frame.  ``to_bytes``/``from_bytes`` give byte-exact wire images, which the
 functional-equivalence experiment (§6.2.6) compares between PayloadPark
 and baseline deployments.
+
+**A frame knows its size.**  PayloadPark's claim is about how many bytes
+a frame occupies on the switch ↔ NF-server link, so every hop reads
+``wire_length`` (and the switch and sink read ``useful_bytes``).  Both
+are *stored* integers, not derivations: they are worked out from the
+parts once, where a frame is constructed (:meth:`Packet._measure`, run
+by the constructor and hence by ``from_bytes`` and ``copy``;
+:meth:`repro.packet.pool.FramePool.frame` stores the size it was asked
+for), and afterwards adjusted only by what can change a frame's size:
+
+* :meth:`Packet.park_leading_payload` / :meth:`Packet.restore_leading_payload`
+  (Split, Merge and the NF server's Explicit-Drop truncation),
+* attaching or detaching the PayloadPark header (``packet.pp = ...``),
+* assigning ``packet.payload``, ``packet.ip`` or ``packet.l4``.
+
+The four size-bearing parts are therefore properties over private slots:
+reading one costs no Python frame (the getter is the slot's own C-level
+``__get__``), writing one runs a setter that moves the stored size with
+it.  There is no "call ``resize()`` afterwards" rule — plain assignment
+keeps the size right.  What nobody may do is write ``_payload`` / ``_pp``
+/ ``_ip`` / ``_l4`` from outside this package without moving
+``wire_length`` too; ``FramePool.frame`` is the one such writer.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.packet.ethernet import ETHERTYPE_IPV4, EthernetHeader, MacAddress
@@ -31,7 +52,6 @@ _packet_ids = itertools.count()
 _FiveTuple = None
 
 
-@dataclass
 class Packet:
     """A parsed network packet plus simulator metadata.
 
@@ -47,22 +67,90 @@ class Packet:
         Application payload bytes (after the L4 header).
     pp:
         The PayloadPark header attached by the switch's Split stage, or
-        ``None``.  Stored by reference; it contributes
-        ``pp.byte_length()`` bytes to the wire length while attached.
+        ``None``.  Stored by reference; it contributes its
+        ``HEADER_LEN`` bytes (as the L4 header does) to the wire length
+        while attached.
     meta:
         Free-form simulation metadata (ingress port, timestamps, …).
     packet_id:
         Monotonic identifier assigned at construction, used for
         latency bookkeeping and functional-equivalence matching.
+    wire_length:
+        Total bytes this frame occupies on a link right now, including
+        the PayloadPark header if attached.  After Split the payload has
+        been truncated, so the wire length shrinks — that is the whole
+        point of PayloadPark.  Stored; see the module docstring for who
+        moves it.
+    useful_bytes:
+        Bytes of useful information for goodput accounting.  The paper
+        counts the Ethernet+IPv4+UDP header (42 bytes) as the useful
+        part of each packet, because that is all a shallow NF examines;
+        packets without an L4 header count their actual header bytes.
+        Stored, like ``wire_length``.
     """
 
-    eth: EthernetHeader
-    ip: Optional[IPv4Header] = None
-    l4: Optional[Union[UdpHeader, TcpHeader]] = None
-    payload: bytes = b""
-    pp: Optional[Any] = None
-    meta: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = (
+        "eth",
+        "_ip",
+        "_l4",
+        "_payload",
+        "_pp",
+        "meta",
+        "packet_id",
+        "wire_length",
+        "useful_bytes",
+    )
+
+    #: Mutable and compared by value (as the dataclass it used to be).
+    __hash__ = None
+
+    def __init__(
+        self,
+        eth: EthernetHeader,
+        ip: Optional[IPv4Header] = None,
+        l4: Optional[Union[UdpHeader, TcpHeader]] = None,
+        payload: bytes = b"",
+        pp: Optional[Any] = None,
+        meta: Optional[Dict[str, Any]] = None,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        self.eth = eth
+        self._ip = ip
+        self._l4 = l4
+        self._payload = payload
+        self._pp = pp
+        self.meta = {} if meta is None else meta
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        self._measure()
+
+    def _measure(self) -> None:
+        """Work ``wire_length`` and ``useful_bytes`` out from the parts.
+
+        The one derivation of a frame's size: run when a frame is
+        constructed from parts (and when ``ip`` / ``l4`` are reassigned,
+        which changes both figures).  Never on a hop — the per-hop
+        writers (park / restore / ``pp``) move the stored value by the
+        bytes they add or remove.
+        """
+        headers = self.header_length
+        self.useful_bytes = min(headers, ETHERNET_UDP_HEADER_BYTES)
+        pp = self._pp
+        self.wire_length = (
+            headers + len(self._payload) + (pp.HEADER_LEN if pp is not None else 0)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.eth == other.eth
+            and self._ip == other._ip
+            and self._l4 == other._l4
+            and self._payload == other._payload
+            and self._pp == other._pp
+            and self.meta == other.meta
+            and self.packet_id == other.packet_id
+        )
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -151,48 +239,17 @@ class Packet:
     def header_length(self) -> int:
         """Bytes of protocol headers (Ethernet + IPv4 + L4), excluding PayloadPark."""
         length = EthernetHeader.HEADER_LEN
-        if self.ip is not None:
+        if self._ip is not None:
             length += IPv4Header.HEADER_LEN
-        if self.l4 is not None:
-            length += self.l4.HEADER_LEN
+        l4 = self._l4
+        if l4 is not None:
+            length += l4.HEADER_LEN
         return length
 
     @property
     def payload_length(self) -> int:
         """Bytes of application payload currently carried in the frame."""
-        return len(self.payload)
-
-    @property
-    def wire_length(self) -> int:
-        """Total bytes this frame occupies on a link right now.
-
-        Includes the PayloadPark header if attached.  After Split the
-        payload has been truncated, so the wire length shrinks — that is
-        the whole point of PayloadPark.  (Computed inline rather than
-        via :attr:`header_length`: this property runs several times per
-        simulated hop.)
-        """
-        length = EthernetHeader.HEADER_LEN + len(self.payload)
-        if self.ip is not None:
-            length += IPv4Header.HEADER_LEN
-        l4 = self.l4
-        if l4 is not None:
-            length += l4.HEADER_LEN
-        pp = self.pp
-        if pp is not None:
-            length += pp.byte_length()
-        return length
-
-    @property
-    def useful_bytes(self) -> int:
-        """Bytes of useful information for goodput accounting.
-
-        The paper counts the Ethernet+IPv4+UDP header (42 bytes) as the
-        useful part of each packet, because that is all a shallow NF
-        examines.  Packets without an L4 header count their actual header
-        bytes.
-        """
-        return min(self.header_length, ETHERNET_UDP_HEADER_BYTES)
+        return len(self._payload)
 
     # ------------------------------------------------------------------ #
     # Flow identity
@@ -210,14 +267,15 @@ class Packet:
             from repro.packet.flows import FiveTuple
 
             _FiveTuple = FiveTuple
-        if self.ip is None or self.l4 is None:
+        ip, l4 = self._ip, self._l4
+        if ip is None or l4 is None:
             return None
         return FiveTuple(
-            src_ip=self.ip.src,
-            dst_ip=self.ip.dst,
-            protocol=self.ip.protocol,
-            src_port=self.l4.src_port,
-            dst_port=self.l4.dst_port,
+            src_ip=ip.src,
+            dst_ip=ip.dst,
+            protocol=ip.protocol,
+            src_port=l4.src_port,
+            dst_port=l4.dst_port,
         )
 
     # ------------------------------------------------------------------ #
@@ -232,13 +290,13 @@ class Packet:
         mismatch is a bug we want tests to catch.
         """
         parts = [self.eth.to_bytes()]
-        if self.ip is not None:
-            parts.append(self.ip.to_bytes())
-        if self.l4 is not None:
-            parts.append(self.l4.to_bytes())
-        if self.pp is not None:
-            parts.append(self.pp.to_bytes())
-        parts.append(self.payload)
+        if self._ip is not None:
+            parts.append(self._ip.to_bytes())
+        if self._l4 is not None:
+            parts.append(self._l4.to_bytes())
+        if self._pp is not None:
+            parts.append(self._pp.to_bytes())
+        parts.append(self._payload)
         return b"".join(parts)
 
     @classmethod
@@ -277,26 +335,30 @@ class Packet:
         Length fields in the IPv4 and UDP headers are adjusted so the
         truncated frame is self-consistent on the wire.
         """
-        if parked_bytes < 0 or parked_bytes > len(self.payload):
+        payload = self._payload
+        if parked_bytes < 0 or parked_bytes > len(payload):
             raise ValueError(
-                f"cannot park {parked_bytes} bytes of a {len(self.payload)}-byte payload"
+                f"cannot park {parked_bytes} bytes of a {len(payload)}-byte payload"
             )
-        parked = self.payload[:parked_bytes]
-        self.payload = self.payload[parked_bytes:]
+        self._payload = payload[parked_bytes:]
         self._adjust_lengths(-parked_bytes)
-        return parked
+        return payload[:parked_bytes]
 
     def restore_leading_payload(self, parked: bytes) -> None:
         """Prepend previously parked bytes back onto the payload."""
-        self.payload = parked + self.payload
+        self._payload = parked + self._payload
         self._adjust_lengths(len(parked))
 
     def _adjust_lengths(self, delta: int) -> None:
-        """Apply *delta* bytes to the IPv4 total length and UDP length fields."""
-        if self.ip is not None:
-            self.ip.total_length += delta
-        if isinstance(self.l4, UdpHeader):
-            self.l4.length += delta
+        """Apply *delta* payload bytes to the stored wire length and to
+        the IPv4 total length and UDP length fields."""
+        self.wire_length += delta
+        ip = self._ip
+        if ip is not None:
+            ip.total_length += delta
+        l4 = self._l4
+        if isinstance(l4, UdpHeader):
+            l4.length += delta
 
     def copy(self) -> "Packet":
         """Deep-enough copy: headers are copied, payload bytes are shared.
@@ -304,21 +366,22 @@ class Packet:
         ``bytes`` objects are immutable so sharing them is safe; header
         objects are mutable (NFs rewrite them) and therefore copied.
         """
+        ip, l4, pp = self._ip, self._l4, self._pp
         return Packet(
             eth=self.eth.copy(),
-            ip=self.ip.copy() if self.ip is not None else None,
-            l4=self.l4.copy() if self.l4 is not None else None,
-            payload=self.payload,
-            pp=self.pp.copy() if self.pp is not None else None,
+            ip=ip.copy() if ip is not None else None,
+            l4=l4.copy() if l4 is not None else None,
+            payload=self._payload,
+            pp=pp.copy() if pp is not None else None,
             meta=dict(self.meta),
             packet_id=self.packet_id,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        proto = type(self.l4).__name__ if self.l4 is not None else "raw"
+        proto = type(self._l4).__name__ if self._l4 is not None else "raw"
         return (
             f"Packet(id={self.packet_id}, {proto}, wire={self.wire_length}B, "
-            f"payload={len(self.payload)}B, pp={'yes' if self.pp else 'no'})"
+            f"payload={len(self._payload)}B, pp={'yes' if self._pp else 'no'})"
         )
 
 
@@ -330,3 +393,36 @@ def _pad_payload(payload: bytes, target_len: int) -> bytes:
     needed = target_len - len(payload)
     filler = (pattern * (needed // len(pattern) + 1))[:needed]
     return payload + filler
+
+
+def _set_payload(self: Packet, payload: bytes) -> None:
+    self.wire_length += len(payload) - len(self._payload)
+    self._payload = payload
+
+
+def _set_pp(self: Packet, pp: Optional[Any]) -> None:
+    old = self._pp
+    self.wire_length += (pp.HEADER_LEN if pp is not None else 0) - (
+        old.HEADER_LEN if old is not None else 0
+    )
+    self._pp = pp
+
+
+def _set_ip(self: Packet, ip: Optional[IPv4Header]) -> None:
+    self._ip = ip
+    self._measure()
+
+
+def _set_l4(self: Packet, l4: Optional[Union[UdpHeader, TcpHeader]]) -> None:
+    self._l4 = l4
+    self._measure()
+
+
+# The size-bearing parts are properties over the private slots.  The
+# getter is the slot descriptor's own C-level ``__get__``, so a read runs
+# no Python frame (a hop reads ``payload`` and ``pp`` several times);
+# only the writes — two or three per parked packet — pay for a setter.
+Packet.payload = property(Packet._payload.__get__, _set_payload)
+Packet.pp = property(Packet._pp.__get__, _set_pp)
+Packet.ip = property(Packet._ip.__get__, _set_ip)
+Packet.l4 = property(Packet._l4.__get__, _set_l4)

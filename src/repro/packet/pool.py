@@ -17,10 +17,18 @@ scenario offers 4096 flows and a benchmark round sends ~3.5 k packets
 per deployment, so every frame there belongs to a new flow — a
 per-flow memo was measured to miss on all of them, at twice the cost
 of a hit.  Nor is a prototype cloned with ``__dict__.update``: storing
-the fields in declaration order is as cheap, and it keeps the headers
-on CPython's shared-key attribute layout, which makes every later read
-of them (switch, NFs, links) measurably faster and each frame ~190
-bytes smaller.
+the fields one by one is as cheap, works on the slotted layout the
+frame and header classes have from Python 3.10 (no ``__dict__`` to
+update), and on 3.9 keeps them on CPython's shared-key attribute
+layout — either way every later read of them (switch, NFs, links) is
+measurably faster than on a cloned ``__dict__``.
+
+A pooled frame's ``wire_length`` / ``useful_bytes`` are stored, like
+every frame's (see :mod:`repro.packet.packet`), but not derived: the
+pool was asked for *size* wire bytes of Ethernet + IPv4 + UDP, so it
+stores *size* and 42.  It is the one writer outside ``Packet`` that
+fills the private part slots directly; everything downstream that
+changes a frame's size goes through ``Packet``'s own writers.
 
 The pooled frames are byte-for-byte identical to what
 :func:`repro.traffic.pktgen.build_udp_frame` produces (``tests/unit``
@@ -81,6 +89,8 @@ class FramePool:
         Ethernet addresses stamped on every frame; parsed once.
     """
 
+    __slots__ = ("_src_mac", "_dst_mac")
+
     def __init__(self, src_mac: str, dst_mac: str) -> None:
         self._src_mac = MacAddress.from_string(src_mac)
         self._dst_mac = MacAddress.from_string(dst_mac)
@@ -126,12 +136,17 @@ class FramePool:
         l4.length = udp_len
         l4.checksum = 0
 
+        # The slots themselves, not the size-keeping properties: this
+        # frame's size is known, not derived — Ethernet + IPv4 + UDP
+        # headers (all useful bytes) plus the payload is *size*.
         packet = object.__new__(Packet)
         packet.eth = eth
-        packet.ip = ip
-        packet.l4 = l4
-        packet.payload = payload_slice(payload_len)
-        packet.pp = None
+        packet._ip = ip
+        packet._l4 = l4
+        packet._payload = payload_slice(payload_len)
+        packet._pp = None
         packet.meta = {}
         packet.packet_id = next(_packet_ids)
+        packet.wire_length = size
+        packet.useful_bytes = ETHERNET_UDP_HEADER_BYTES
         return packet

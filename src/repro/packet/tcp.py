@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.compat import SLOTTED
+
 TCP_HEADER_LEN = 20
 
 FLAG_FIN = 0x01
@@ -20,7 +22,7 @@ FLAG_ACK = 0x10
 FLAG_URG = 0x20
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class TcpHeader:
     """An option-less TCP header."""
 

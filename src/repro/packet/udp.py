@@ -10,10 +10,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.compat import SLOTTED
+
 UDP_HEADER_LEN = 8
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class UdpHeader:
     """A UDP header.  ``length`` covers the UDP header plus its payload."""
 

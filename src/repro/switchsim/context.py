@@ -11,18 +11,14 @@ and per-pass bookkeeping such as the register-access guard.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.compat import SLOTTED
 from repro.packet.packet import Packet
 
-#: ``slots=True`` trims per-packet context allocation, but only exists
-#: from Python 3.10; older interpreters fall back to normal dataclasses.
-_DATACLASS_OPTIONS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-
-@dataclass(**_DATACLASS_OPTIONS)
+@dataclass(**SLOTTED)
 class PipelinePacket:
     """A packet travelling through one pass of a switch pipe.
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import WorkloadSpecError
+from repro.errors import WorkloadSpecError, require_positive_finite
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
 from repro.packet.pool import FramePool
@@ -100,8 +100,7 @@ class PktGenConfig:
     pooled: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate_gbps <= 0:
-            raise WorkloadSpecError("rate_gbps must be positive")
+        require_positive_finite("rate_gbps", self.rate_gbps, WorkloadSpecError)
         if self.burst_size <= 0:
             raise WorkloadSpecError("burst_size must be positive")
 

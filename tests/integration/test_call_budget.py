@@ -1,0 +1,101 @@
+"""A clock-free cost budget: Python calls per generated packet.
+
+Wall-clock rows need alternating pairs and a quiet host; this one needs
+neither.  After one discarded run (lazy imports, memo fills), the number
+of Python-level ``call`` events ``sys.setprofile`` sees while
+``ExperimentRunner.compare`` runs a scenario — set-up included — divided
+by the packets the two deployments sent in their measured windows is a
+pure function of the code and the seed.  It was measured equal, to the
+last digit printed, on a second run in the same process (asserted
+below), in a fresh process, under ``PYTHONHASHSEED=0`` and between
+CPython 3.11.7 and ``~/.pyenv/versions/3.9.18/bin/python`` (which has no
+pytest: run this file as a script there, it prints the four figures).
+
+Each of the perf ledger's four engine workloads is held to a committed
+ceiling of *measured × 1.03*, so a change that adds a Python frame or
+two per hop fails here, on any machine, before anyone times anything
+(ROADMAP item 1(a)).  A change that *lowers* a figure should lower its
+ceiling in the same commit; ``python tests/integration/test_call_budget.py``
+prints the new ones.  The time scales are small (a few hundred packets
+per deployment) to keep the module to a few seconds, so set-up weighs
+more here than at ledger size and the figures sit above the ledger's.
+"""
+
+import gc
+import sys
+from dataclasses import replace
+
+from repro.experiments import scenarios
+from repro.experiments.runner import ExperimentRunner
+
+SEED = 91
+
+#: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
+#: Measured at PR 23: 96.877, 91.746, 88.505, 126.561 (its parent:
+#: 141.542, 130.097, 128.270, 181.827).
+BUDGETS = {
+    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 99.8),
+    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 94.5),
+    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 91.2),
+    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 130.4),
+}
+
+
+def _compare(name):
+    build, time_scale, _ceiling = BUDGETS[name]
+    # A fresh scenario per run: its flow population is lazy and would
+    # otherwise carry the previous run's flows.
+    result = ExperimentRunner(time_scale=time_scale).compare(replace(build(), seed=SEED))
+    comparison = result.comparison
+    return comparison.baseline.packets_sent + comparison.payloadpark.packets_sent
+
+
+def python_calls_per_packet(name, runs=1):
+    """``call`` events per window packet over *runs* compares, after one
+    discarded compare; one figure per run.
+
+    The collector is emptied before and held off during each counted
+    compare: the simulator's own objects have no Python-level finalizers,
+    but garbage left by whatever ran earlier in the process (hypothesis
+    does) can, and a collection inside the window would count them.
+    """
+    _compare(name)
+    figures = []
+    for _ in range(runs):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            packets = _compare(name)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        figures.append(calls / packets)
+    return figures
+
+
+def pytest_generate_tests(metafunc):
+    if "workload" in metafunc.fixturenames:
+        metafunc.parametrize("workload", list(BUDGETS))
+
+
+def test_python_calls_per_packet_stay_under_the_ceiling(workload):
+    first, second = python_calls_per_packet(workload, runs=2)
+    assert first == second, "the count must not depend on the run"
+    ceiling = BUDGETS[workload][2]
+    assert first <= ceiling, (
+        f"{workload}: {first:.2f} Python calls per packet, ceiling {ceiling:.2f}"
+    )
+
+
+if __name__ == "__main__":
+    for workload in BUDGETS:
+        (figure,) = python_calls_per_packet(workload)
+        print(f"{workload:16s} {figure:8.3f}  x1.03 = {figure * 1.03:.1f}")

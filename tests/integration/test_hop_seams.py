@@ -6,7 +6,10 @@ methods.  The hop path schedules methods bound once at wiring time, so a
 bound ``transmit`` or ``handle_packet`` captured there would run past a
 wrapper installed later and the layer would drop out of the trace.  This
 installs the wrappers *after* the testbed is wired and checks every
-frame still goes through each of them.
+frame still goes through each of them — on a two-server run, and on a
+single-server Explicit-Drop run, whose notifications leave the server
+through ``_send_explicit_drop`` → NIC-tx → the port's sender →
+``Link.transmit``.
 """
 
 from dataclasses import replace
@@ -19,7 +22,7 @@ from repro.experiments.runner import (
     RunObserver,
     run_observer,
 )
-from repro.experiments.scenarios import multi_server_384b
+from repro.experiments.scenarios import explicit_drop_scenario, multi_server_384b
 from repro.netsim.link import Link
 from repro.netsim.server_node import NfServerNode
 from repro.netsim.switch_node import SwitchNode
@@ -57,13 +60,16 @@ class _SeamCounter(RunObserver):
         self.topology = topology
 
 
+SCENARIOS = {
+    "two_servers": lambda: multi_server_384b(server_count=2, send_rate_gbps=10.5),
+    "explicit_drop": lambda: explicit_drop_scenario(1, True),
+}
+
+
 @pytest.mark.parametrize("deployment", list(DeploymentKind), ids=lambda kind: kind.value)
-def test_every_frame_crosses_the_class_level_seams(deployment, monkeypatch):
-    scenario = replace(
-        multi_server_384b(server_count=2, send_rate_gbps=10.5),
-        duration_us=1_200.0,
-        warmup_us=300.0,
-    )
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_frame_crosses_the_class_level_seams(name, deployment, monkeypatch):
+    scenario = replace(SCENARIOS[name](), duration_us=1_200.0, warmup_us=300.0)
     counter = _SeamCounter(monkeypatch)
     with run_observer(counter):
         ExperimentRunner().run_servers(scenario, deployment)
@@ -93,3 +99,5 @@ def test_every_frame_crosses_the_class_level_seams(deployment, monkeypatch):
     # Every delivered frame entered exactly one of the three handlers.
     handled = sum(count for (owner, _), count in counter.calls.items() if owner is not Link)
     assert handled == sum(stats.frames_delivered for stats in directions)
+    if name == "explicit_drop" and deployment is DeploymentKind.PAYLOADPARK:
+        assert sum(server.explicit_drop_notifications for server in servers) > 0

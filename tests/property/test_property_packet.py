@@ -3,11 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.header import PayloadParkHeader
 from repro.packet.checksum import internet_checksum, verify_internet_checksum
 from repro.packet.crc import crc16, crc32
-from repro.packet.ethernet import EthernetHeader, MacAddress
+from repro.packet.ethernet import ETHERTYPE_ARP, EthernetHeader, MacAddress
 from repro.packet.flows import FiveTuple
-from repro.packet.ipv4 import PROTO_UDP, IPv4Address, IPv4Header
+from repro.packet.ipv4 import PROTO_ICMP, PROTO_UDP, IPv4Address, IPv4Header
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
 from repro.packet.pool import FramePool
 from repro.packet.udp import UdpHeader
@@ -175,3 +176,128 @@ class TestFramePoolProperties:
             second_size, flow, src_mac=SRC_MAC, dst_mac=DST_MAC
         )
         assert fresh.to_bytes() == reference.to_bytes()
+
+
+# ---------------------------------------------------------------------- #
+# The stored size is the derived size
+# ---------------------------------------------------------------------- #
+
+
+def _pooled_udp(flow, size, payload):
+    return FramePool(SRC_MAC, DST_MAC).frame(size, flow)
+
+
+def _parsed_udp(flow, size, payload):
+    return Packet.from_bytes(
+        build_udp_frame(size, flow, src_mac=SRC_MAC, dst_mac=DST_MAC).to_bytes()
+    )
+
+
+def _tcp(flow, size, payload):
+    return Packet.tcp(
+        src_ip=str(flow.src_ip), dst_ip=str(flow.dst_ip),
+        src_port=flow.src_port, dst_port=flow.dst_port, payload=payload,
+    )
+
+
+def _ip_without_l4(flow, size, payload):
+    # ICMP: an IPv4 header the parser leaves without an L4 header.
+    packet = Packet.udp(payload=payload)
+    packet.ip.protocol = PROTO_ICMP
+    packet.ip.total_length -= UdpHeader.HEADER_LEN
+    packet.l4 = None
+    return packet
+
+
+def _non_ip(flow, size, payload):
+    eth = EthernetHeader(
+        dst=MacAddress.from_string(DST_MAC),
+        src=MacAddress.from_string(SRC_MAC),
+        ethertype=ETHERTYPE_ARP,
+    )
+    return Packet(eth=eth, payload=payload)
+
+
+frame_builders = st.sampled_from(
+    [_pooled_udp, _parsed_udp, _tcp, _ip_without_l4, _non_ip]
+)
+small_payloads = st.binary(min_size=0, max_size=96)
+pp_headers = st.builds(
+    lambda enb, idx, clk: PayloadParkHeader(enb=enb, tbl_idx=idx, clk=clk).seal(),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.integers(min_value=0, max_value=0xFFFF),
+)
+size_changing_ops = st.one_of(
+    st.tuples(st.just("park"), st.integers(min_value=0, max_value=1472)),
+    st.tuples(st.just("restore"), st.none()),
+    st.tuples(st.just("pp"), st.one_of(st.none(), pp_headers)),
+    st.tuples(st.just("payload"), small_payloads),
+    st.tuples(st.just("drop_l4"), st.none()),
+    st.tuples(st.just("copy"), st.none()),
+    st.tuples(st.just("reparse"), st.none()),
+)
+
+
+def _sync_length_fields(packet):
+    """Make the IPv4 / UDP length fields cover the current payload, as a
+    caller that swaps payloads must (park subtracts from them, and they
+    have to stay serializable)."""
+    payload_len = packet.payload_length
+    if packet.ip is not None:
+        packet.ip.total_length = (
+            packet.header_length - EthernetHeader.HEADER_LEN + payload_len
+        )
+    if isinstance(packet.l4, UdpHeader):
+        packet.l4.length = UdpHeader.HEADER_LEN + payload_len
+
+
+def _assert_stored_size_is_derived_size(packet):
+    assert packet.wire_length == len(packet.to_bytes())
+    assert packet.useful_bytes == min(packet.header_length, ETHERNET_UDP_HEADER_BYTES)
+
+
+class TestStoredSizeProperties:
+    """``wire_length`` / ``useful_bytes`` are stored integers; whatever a
+    caller does to a frame, they equal what the parts add up to."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frame_builders,
+        flows,
+        frame_sizes,
+        small_payloads,
+        st.lists(size_changing_ops, min_size=1, max_size=10),
+    )
+    def test_any_operation_sequence_keeps_the_stored_size_right(
+        self, build, flow, size, payload, operations
+    ):
+        packet = build(flow, size, payload)
+        _assert_stored_size_is_derived_size(packet)
+        parked = []
+        for operation, argument in operations:
+            if operation == "park":
+                parked.append(
+                    packet.park_leading_payload(min(argument, packet.payload_length))
+                )
+            elif operation == "restore":
+                if parked:
+                    packet.restore_leading_payload(parked.pop())
+            elif operation == "pp":
+                packet.pp = argument
+            elif operation == "payload":
+                # Plain assignment, as user code does it.
+                packet.payload = argument
+                _sync_length_fields(packet)
+            elif operation == "drop_l4":
+                packet.l4 = None
+            elif operation == "copy":
+                clone = packet.copy()
+                assert clone == packet
+                packet = clone
+            elif operation == "reparse":
+                # An attached PayloadPark header parses back as payload
+                # the length fields never counted.
+                packet = Packet.from_bytes(packet.to_bytes())
+                _sync_length_fields(packet)
+            _assert_stored_size_is_derived_size(packet)

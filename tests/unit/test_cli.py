@@ -188,6 +188,29 @@ class TestCli:
         assert main(["quickstart", "--rate", rate]) == 2
         assert _one_error(capsys) == "rate_gbps must be positive"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quickstart", "--rate", "inf"], "rate_gbps must be finite, got inf"),
+            (["quickstart", "--rate", "nan"], "rate_gbps must be finite, got nan"),
+            (["run", "fig07", "--time-scale", "inf"], "time_scale must be finite, got inf"),
+            (["run", "fig07", "--time-scale", "nan"], "time_scale must be finite, got nan"),
+        ],
+        ids=["rate-inf", "rate-nan", "time-scale-inf", "time-scale-nan"],
+    )
+    def test_non_finite_number_is_one_error_line_not_a_hang(self, argv, message):
+        # A fresh process under a wall-clock cap: `--rate inf` used to
+        # pace the generator at the 1 ns floor and never return.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True, timeout=20,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.endswith(f"error: {message}")
+
     def test_fuzz_with_no_scenarios_is_an_error_not_a_green_run(self, capsys):
         assert main(["validate", "fuzz", "--scenarios", "0", "--no-corpus"]) == 2
         assert _one_error(capsys) == "max_scenarios must be at least 1"

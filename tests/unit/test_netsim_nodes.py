@@ -94,6 +94,25 @@ class TestSwitchNode:
             assert env.pending_events == 0
         assert switch.packets_out == 2
 
+    def test_egress_sender_finds_a_link_wired_after_its_first_use(self):
+        # The per-port sender resolves the link per frame: a port that
+        # raised while unwired forwards once its link is attached.
+        env = FastEventLoop()
+        switch = SwitchNode(env, BaselineProgram([_binding()]))
+        Link(env, _Collector(env, "gen"), 0, switch, 0, bandwidth_gbps=100.0)
+        switch.handle_packet(Packet.udp(total_size=200), port=0)
+        with pytest.raises(ValueError, match="no link attached to port 2"):
+            env.run_until(10_000)
+        server = _Collector(env, "server")
+        Link(env, server, 0, switch, 2, bandwidth_gbps=100.0)
+        switch.handle_packet(Packet.udp(total_size=200), port=0)
+        env.run_until(1_000_000)
+        assert len(server.received) == 1
+
+    def test_negative_forwarding_latency_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="base_latency_ns must be non-negative"):
+            SwitchNode(EventLoop(), BaselineProgram([_binding()]), base_latency_ns=-1)
+
 
 class TestNfServerNode:
     def _server(self, chain=None, jitter=0.0, explicit_drop=False):
@@ -148,6 +167,20 @@ class TestNfServerNode:
         assert len(sink.received) == 1
         assert sink.received[0].pp.op == OP_EXPLICIT_DROP
         assert sink.received[0].payload_length == 0
+
+    def test_nic_tx_on_an_unwired_port_raises_at_send_time(self):
+        # The NIC-tx event is the switch port's sender, built before any
+        # link exists; the missing link is an error when the frame
+        # leaves the NIC, not when it arrives or completes.
+        env = EventLoop()
+        server = NfServerNode(
+            env, NfServerModel(NfChain([MacSwapper()]), NfServerConfig(service_jitter=0.0))
+        )
+        server.handle_packet(Packet.udp(total_size=300), port=0)
+        with pytest.raises(ValueError, match="nf-server: no link attached to port 0"):
+            env.run_until(1_000_000)
+        assert server.forwarded_packets == 1
+        assert env.pending_events == 0
 
     def test_buffer_overflow_drops(self):
         env, server, sink = self._server()

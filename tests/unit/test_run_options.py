@@ -14,7 +14,9 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import fw_nat_lb_10ge
 from repro.obs.schema import validate_observation_summary
-from repro.orchestrator.spec import SCENARIO_OVERRIDES, apply_overrides
+from repro.orchestrator.spec import SCENARIO_OVERRIDES, RunSpec, apply_overrides
+from repro.traffic.pktgen import PktGenConfig
+from repro.traffic.workload import Workload
 
 #: (field, outer value, inner value) — one case per declared option.
 NESTING_CASES = [
@@ -52,6 +54,8 @@ def test_blocks_nest_inherit_and_restore(name, outer, inner):
         {"fidelity": "warp"},
         {"time_scale": 0},
         {"time_scale": -1.0},
+        {"time_scale": float("inf")},
+        {"time_scale": float("nan")},
         {"faults": "no-such-profile"},
         {"faults": {"bogus": 1}},
         {"observe": {"bogus": True}},
@@ -64,6 +68,26 @@ def test_a_bad_value_raises_before_the_block_runs(overrides):
         with run_options(seed=1, **overrides):
             pytest.fail("the block ran")
     assert current_options() == RunOptions()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=str)
+def test_a_non_finite_number_is_rejected_where_the_field_is_declared(value):
+    # One helper (`repro.errors.require_positive_finite`) behind all four;
+    # `inf` passes a bare `<= 0` test and `nan` passes every comparison.
+    declarations = {
+        "time_scale": [
+            lambda: RunOptions(time_scale=value),
+            lambda: ExperimentRunner(time_scale=value),
+            lambda: RunSpec(scenario="fw_nat_lb_10ge", time_scale=value),
+        ],
+        "rate_gbps": [
+            lambda: PktGenConfig(rate_gbps=value, workload=Workload.enterprise()),
+        ],
+    }
+    for field, builders in declarations.items():
+        for build in builders:
+            with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+                build()
 
 
 def test_an_undeclared_option_is_a_type_error():
