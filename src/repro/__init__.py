@@ -32,6 +32,7 @@ __all__ = [
     "__version__",
 ]
 
+#: The one version: pyproject.toml reads it from here.
 __version__ = "1.0.0"
 
 _EXPERIMENT_EXPORTS = ("ExperimentRunner", "ExperimentResult", "ScenarioConfig")

@@ -170,7 +170,7 @@ class ControlPlaneManager:
         """Reset the deployment between runs: program state *and* testbed counters.
 
         Clears the program's tables/taggers/counters (PayloadPark) or
-        memoized decisions (baseline), and zeroes every link's counters —
+        compiled port plans (baseline), and zeroes every link's counters —
         drop/occupancy statistics must not leak into the next run on a
         shared topology.
         """

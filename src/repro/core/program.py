@@ -15,7 +15,7 @@ Two programs are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import CounterBank, PayloadParkCounters
@@ -26,7 +26,7 @@ from repro.core.split import SplitPath
 from repro.core.tagger import PacketTagger
 from repro.packet.ethernet import MacAddress
 from repro.packet.packet import Packet
-from repro.switchsim.asic import AsicConfig, TofinoAsic
+from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.pipe import Pipe
@@ -37,32 +37,29 @@ from repro.switchsim.resources import ResourceReport
 class SwitchProgram:
     """Common behaviour of the PayloadPark and baseline programs."""
 
-    #: True when every table the program installs is stateless, i.e. a
-    #: packet's pipeline outcome depends only on its ingress port and
-    #: destination MAC.  Such programs may memoize whole-pipe outcomes in
-    #: the fast path (see :meth:`process`); stateful programs (PayloadPark)
-    #: run a port plan instead.
-    decision_cacheable = False
-
     def __init__(
         self,
         bindings: List[NfServerBinding],
         asic: Optional[TofinoAsic] = None,
-        asic_config: Optional[AsicConfig] = None,
     ) -> None:
         if not bindings:
             raise ValueError("a switch program needs at least one NF-server binding")
-        self.asic = asic or TofinoAsic(asic_config)
+        self.asic = asic or TofinoAsic()
         self.bindings = list(bindings)
         self.l2 = L2ForwardingTable()
         self.fast_path = False
-        #: (ingress_port, dst MAC) -> plan replaying the recorded pipe
-        #: outcome; only populated for decision-cacheable programs with
-        #: the fast path enabled.
-        self._decision_cache: Dict[tuple, PortPlan] = {}
-        #: ingress_port -> compiled plan; only populated for programs that
-        #: are not decision-cacheable, with the fast path enabled.
+        #: ingress_port -> compiled plan; only populated with the fast
+        #: path enabled.
         self._plans: Dict[int, PortPlan] = {}
+        #: ingress port (traffic or NF) -> the binding that owns it.
+        self._binding_of_port: Dict[int, NfServerBinding] = {}
+        #: binding name -> its (to-NF, from-NF) forwarding tables.
+        self._forwarding: Dict[str, Tuple[MatchActionTable, MatchActionTable]] = {}
+        #: What this program's kernels reproduce: the tables it installed
+        #: (see :meth:`_install_owned`) and the parser / deparser hooks it
+        #: set — None, "no hook", among them.
+        self._own_tables: Set[MatchActionTable] = set()
+        self._own_hooks: Set[Optional[Callable]] = {None}
         self._validate_bindings()
 
     # ------------------------------------------------------------------ #
@@ -72,56 +69,42 @@ class SwitchProgram:
     def enable_fast_path(self, enabled: bool = True) -> None:
         """Switch the program to its default engine.
 
-        The fast path is behaviour-preserving: port plans (PayloadPark)
-        and whole-pipe decision caching (stateless programs) reproduce
-        the reference stage walk's packet outcomes and counters exactly
-        — the golden-figure suite runs every experiment in both modes
-        and diffs the tables.
+        The fast path is behaviour-preserving: port plans reproduce the
+        reference stage walk's packet outcomes and counters exactly —
+        the golden-figure suite runs every experiment in both modes and
+        diffs the tables.
         """
-        if enabled and self.decision_cacheable:
-            stateful = [
-                table.name
-                for pipe in self.asic.pipes
-                for table in pipe.pipeline.tables()
-                if table.stateful
-            ]
-            if stateful:
-                raise ValueError(
-                    f"{type(self).__name__} declares decision_cacheable but installs "
-                    f"stateful tables: {stateful}"
-                )
         self.fast_path = enabled
         self.invalidate_fast_path()
 
     def invalidate_fast_path(self) -> None:
-        """Drop memoized pipeline outcomes and compiled port plans.
+        """Drop the compiled port plans.
 
-        Control-plane mutations that change forwarding behaviour (L2
-        entries, table installs, state resets) call this so the next
-        packet re-walks the pipeline; it is also the explicit hook for
-        external controllers that mutate program state directly.
+        State resets call this so the next packet recompiles its port's
+        plan (a table install drops plans by itself, through the
+        pipeline version); it is also the explicit hook for external
+        controllers that mutate program state directly.
         """
-        for plans in (self._decision_cache, self._plans):
-            for plan in plans.values():
-                plan.retire()
-            plans.clear()
+        for plan in self._plans.values():
+            plan.retire()
+        self._plans.clear()
 
     # ------------------------------------------------------------------ #
     # Binding / port helpers
     # ------------------------------------------------------------------ #
 
     def _validate_bindings(self) -> None:
-        seen_ports: Dict[int, str] = {}
+        owner = self._binding_of_port
         for binding in self.bindings:
             ports = list(binding.ingress_ports) + [binding.nf_port]
             for port in ports:
                 self.asic.pipe_for_port(port)  # raises on out-of-range ports
-                if port in seen_ports:
+                if port in owner:
                     raise ValueError(
-                        f"port {port} is used by both {seen_ports[port]!r} and "
+                        f"port {port} is used by both {owner[port].name!r} and "
                         f"{binding.name!r}"
                     )
-                seen_ports[port] = binding.name
+                owner[port] = binding
             pipe = self.asic.pipe_for_port(binding.nf_port)
             for port in binding.ingress_ports:
                 if self.asic.pipe_for_port(port) is not pipe:
@@ -140,25 +123,18 @@ class SwitchProgram:
         ]
 
     def add_l2_entry(self, mac: str, port: int) -> None:
-        """Install a destination-MAC forwarding entry (control plane)."""
-        self.l2.add_entry(MacAddress.from_string(mac), port)
-        self.invalidate_fast_path()
+        """Install a destination-MAC forwarding entry (control plane).
 
-    def _egress_for(self, ctx: PipelinePacket, binding: NfServerBinding) -> int:
-        """Egress decision for a packet heading away from the NF server."""
-        port = self.l2.lookup(ctx.packet.eth.dst, default=None)
-        if port is not None:
-            return port
-        return binding.default_egress_port
+        The kernels read the MAC table live, so no plan is invalidated.
+        """
+        self.l2.add_entry(MacAddress.from_string(mac), port)
 
     # ------------------------------------------------------------------ #
     # Forwarding tables shared by both programs
     # ------------------------------------------------------------------ #
 
-    def _install_forwarding(
-        self, pipe: Pipe, binding: NfServerBinding
-    ) -> Tuple[MatchActionTable, MatchActionTable]:
-        """Install and return the binding's to-NF and from-NF tables."""
+    def _install_forwarding(self, pipe: Pipe, binding: NfServerBinding) -> None:
+        """Install the binding's to-NF and from-NF tables."""
         last_stage = pipe.pipeline.stage_count - 1
         ingress_ports = frozenset(binding.ingress_ports)
 
@@ -172,7 +148,7 @@ class SwitchProgram:
             return ctx.ingress_port == binding.nf_port
 
         def forward_from_nf(ctx: PipelinePacket) -> None:
-            ctx.forward_to(self._egress_for(ctx, binding))
+            ctx.forward_to(self.l2.lookup(ctx.packet.eth.dst, binding.default_egress_port))
 
         to_nf = pipe.pipeline.stage(last_stage).add_table(
             MatchActionTable(
@@ -182,7 +158,6 @@ class SwitchProgram:
                 match_bits=16,
                 vliw_slots=1,
                 ingress_ports=ingress_ports,
-                stateful=False,
             )
         )
         from_nf = pipe.pipeline.stage(last_stage).add_table(
@@ -194,10 +169,18 @@ class SwitchProgram:
                 entries=64,
                 vliw_slots=1,
                 ingress_ports=frozenset((binding.nf_port,)),
-                stateful=False,
             )
         )
-        return to_nf, from_nf
+        self._forwarding[binding.name] = (to_nf, from_nf)
+
+    def _install_owned(self, install: Callable[[], None]) -> None:
+        """Run *install* and claim the tables it adds to the ASIC."""
+        foreign = self._installed_tables()
+        install()
+        self._own_tables = self._installed_tables() - foreign
+
+    def _installed_tables(self) -> Set[MatchActionTable]:
+        return {table for pipe in self.asic.pipes for table in pipe.pipeline.tables()}
 
     # ------------------------------------------------------------------ #
     # Packet processing
@@ -207,27 +190,12 @@ class SwitchProgram:
         """Run *packet* through the pipe owning *ingress_port*.
 
         With the fast path off this is the reference stage walk.  With
-        it on, decision-cacheable programs memoize the pipe outcome per
-        ``(ingress_port, dst MAC)`` header-shape signature: repeated
-        identical shapes skip the per-stage walk entirely while
-        replaying the same per-table hit/miss accounting the walk would
-        have produced.  Other programs run the ingress port's plan (see
-        :meth:`_compile_plan`).  Both are invalidated by pipeline
-        version bumps (table installs) and :meth:`invalidate_fast_path`.
+        it on, the ingress port's plan runs instead (see
+        :meth:`_compile_plan`); a plan is dropped by a pipeline version
+        bump (a table install) and by :meth:`invalidate_fast_path`.
         """
         if not self.fast_path:
             return self.asic.process(packet, ingress_port)
-        if self.decision_cacheable:
-            signature = (ingress_port, packet.eth.dst.value)
-            cached = self._decision_cache.get(signature)
-            if cached is not None:
-                if cached.version == cached.pipeline.version:
-                    return cached.run(packet, ingress_port)
-                del self._decision_cache[signature]  # stale pipeline version
-            ctx, entry = _record_decision(self.asic, packet, ingress_port)
-            if entry is not None:
-                self._decision_cache[signature] = entry
-            return ctx
         plan = self._plans.get(ingress_port)
         if plan is None or plan.version != plan.pipeline.version:
             plan = self._plans[ingress_port] = self._compile_plan(ingress_port)
@@ -236,11 +204,32 @@ class SwitchProgram:
     def _compile_plan(self, ingress_port: int) -> PortPlan:
         """The plan for packets arriving on *ingress_port*.
 
-        A program that can fuse its tables for the port overrides this;
-        the plan every program can offer is the stage walk itself.
+        A program overrides this to fuse its tables into one kernel for
+        a port that is :meth:`_fusable`; the plan every program can
+        offer for every port is the stage walk itself.
         """
         pipeline = self.asic.pipe_for_port(ingress_port).pipeline
         return PortPlan(pipeline, self.asic.process, [], [])
+
+    def _fusable(self, ingress_port: int) -> bool:
+        """Whether a kernel written from this program's tables alone is
+        exact on *ingress_port*.
+
+        It is when one of the bindings owns the port, the pipe's parser
+        and deparser run no hook but the program's own, and every table
+        in the pipe is the program's own or scoped to other ports.
+        """
+        pipe = self.asic.pipe_for_port(ingress_port)
+        return (
+            ingress_port in self._binding_of_port
+            and pipe.parser.hook in self._own_hooks
+            and pipe.deparser.hook in self._own_hooks
+            and all(
+                table in self._own_tables
+                or (table.ingress_ports is not None and ingress_port not in table.ingress_ports)
+                for table in pipe.pipeline.tables()
+            )
+        )
 
     def extra_latency_ns(self, ctx: PipelinePacket) -> int:
         """Program-specific latency beyond the base pipeline latency."""
@@ -262,25 +251,60 @@ class BaselineProgram(SwitchProgram):
     Traffic-generator ports forward to the NF server; packets coming back
     from the NF server are forwarded by destination MAC (falling back to
     the binding's default egress port).
-
-    Every table is stateless, so the fast path may memoize whole-pipe
-    outcomes per (ingress port, dst MAC) header shape.
     """
-
-    decision_cacheable = True
 
     def __init__(
         self,
         bindings: List[NfServerBinding],
         asic: Optional[TofinoAsic] = None,
-        asic_config: Optional[AsicConfig] = None,
     ) -> None:
-        super().__init__(bindings, asic=asic, asic_config=asic_config)
+        super().__init__(bindings, asic=asic)
         self.name = "baseline"
+        self._install_owned(self._install)
+
+    def _install(self) -> None:
         for binding in self.bindings:
             pipe = self.asic.pipe_for_port(binding.nf_port)
             self._declare_phv(pipe)
             self._install_forwarding(pipe, binding)
+
+    def _compile_plan(self, ingress_port: int) -> PortPlan:
+        """One kernel per ingress port: to the NF server from a traffic
+        port, by destination MAC (read live) from an NF port.  Either
+        way the packet takes one pass and hits one forwarding table.
+        """
+        if not self._fusable(ingress_port):
+            return super()._compile_plan(ingress_port)
+        binding = self._binding_of_port[ingress_port]
+        pipe = self.asic.pipe_for_port(ingress_port)
+        to_nf, from_nf = self._forwarding[binding.name]
+        asic, l2, parser, deparser = self.asic, self.l2, pipe.parser, pipe.deparser
+        nf_port, default_egress = binding.nf_port, binding.default_egress_port
+        counts = [0]
+
+        if ingress_port == nf_port:
+            table = from_nf
+
+            def forward(packet, ingress_port: int) -> PipelinePacket:
+                counts[0] += 1
+                parser.parsed_packets += 1
+                deparser.deparsed_packets += 1
+                asic.processed_packets += 1
+                return PipelinePacket(
+                    packet, ingress_port, egress_port=l2.lookup(packet.eth.dst, default_egress)
+                )
+
+        else:
+            table = to_nf
+
+            def forward(packet, ingress_port: int) -> PipelinePacket:
+                counts[0] += 1
+                parser.parsed_packets += 1
+                deparser.deparsed_packets += 1
+                asic.processed_packets += 1
+                return PipelinePacket(packet, ingress_port, egress_port=nf_port)
+
+        return PortPlan(pipe.pipeline, forward, counts, [pipe.pipeline.walk([([table], None)])])
 
     @staticmethod
     def _declare_phv(pipe: Pipe) -> None:
@@ -301,9 +325,9 @@ class PayloadParkProgram(SwitchProgram):
         bindings, or they can be passed separately via *bindings*.
     bindings:
         Overrides ``config.bindings`` when given.
-    asic / asic_config:
-        An existing simulated ASIC to install into, or the configuration
-        for a fresh one.
+    asic:
+        An existing simulated ASIC to install into; a fresh one with the
+        default dimensions otherwise.
     """
 
     def __init__(
@@ -311,10 +335,9 @@ class PayloadParkProgram(SwitchProgram):
         config: PayloadParkConfig,
         bindings: Optional[List[NfServerBinding]] = None,
         asic: Optional[TofinoAsic] = None,
-        asic_config: Optional[AsicConfig] = None,
     ) -> None:
         resolved_bindings = list(bindings) if bindings is not None else list(config.bindings)
-        super().__init__(resolved_bindings, asic=asic, asic_config=asic_config)
+        super().__init__(resolved_bindings, asic=asic)
         self.name = "payloadpark"
         self.config = config
         self.counters = CounterBank()
@@ -326,11 +349,7 @@ class PayloadParkProgram(SwitchProgram):
         #: Merge for an NF port.
         self._split_of_port: Dict[int, SplitPath] = {}
         self._merge_of_port: Dict[int, MergePath] = {}
-        #: binding name -> its (to-NF, from-NF) forwarding tables.
-        self._forwarding: Dict[str, Tuple[MatchActionTable, MatchActionTable]] = {}
-        foreign = self._installed_tables()
-        self._install()
-        self._own_tables = self._installed_tables() - foreign
+        self._install_owned(self._install)
 
     # ------------------------------------------------------------------ #
     # Installation
@@ -380,7 +399,7 @@ class PayloadParkProgram(SwitchProgram):
             )
             split.install()
             merge.install()
-            self._forwarding[binding.name] = self._install_forwarding(pipe, binding)
+            self._install_forwarding(pipe, binding)
             self.lookup_tables[binding.name] = lookup
             self.taggers[binding.name] = tagger
             self._split_paths.append(split)
@@ -413,6 +432,7 @@ class PayloadParkProgram(SwitchProgram):
                 merge.deparse(ctx)
 
         pipe.deparser.hook = deparse
+        self._own_hooks.add(deparse)
 
     # ------------------------------------------------------------------ #
     # Port plans
@@ -422,33 +442,22 @@ class PayloadParkProgram(SwitchProgram):
         """One fused kernel per ingress port: Split for a traffic port,
         Merge for an NF port, both passes when parking recirculates.
 
-        Falls back to the stage walk where fusing would not be exact: a
-        port no binding owns, a pipe that may not recirculate although
-        the parked size needs it, or a table this program did not install
-        that could match on the port.
+        Falls back to the stage walk where fusing would not be exact:
+        a port that is not :meth:`_fusable`, or a pipe that may not
+        recirculate although the parked size needs it.
         """
         pipe = self.asic.pipe_for_port(ingress_port)
         split = self._split_of_port.get(ingress_port)
         merge = self._merge_of_port.get(ingress_port)
         path = split or merge
-        fusable = (
-            path is not None
-            and (pipe.recirculation_limit >= 1 or not path.lookup.uses_second_pass)
-            and all(
-                table in self._own_tables
-                or (table.ingress_ports is not None and ingress_port not in table.ingress_ports)
-                for table in pipe.pipeline.tables()
-            )
-        )
-        if not fusable:
+        if not self._fusable(ingress_port) or (
+            path.lookup.uses_second_pass and pipe.recirculation_limit < 1
+        ):
             return super()._compile_plan(ingress_port)
         to_nf, from_nf = self._forwarding[path.binding.name]
         if split is not None:
             return split.compile_plan(pipe, self.asic, to_nf)
         return merge.compile_plan(pipe, self.asic, from_nf, self.l2)
-
-    def _installed_tables(self) -> set:
-        return {table for pipe in self.asic.pipes for table in pipe.pipeline.tables()}
 
     # ------------------------------------------------------------------ #
     # Control-plane introspection
@@ -479,60 +488,3 @@ class PayloadParkProgram(SwitchProgram):
         self.asic.reset_counters()
         self.invalidate_fast_path()
 
-
-def _record_decision(asic: TofinoAsic, packet: Packet, ingress_port: int):
-    """Run one reference walk; return its context and a plan replaying it.
-
-    For a stateless program the walk's outcome depends only on the
-    packet's header shape, so the plan's kernel hands every later packet
-    of that shape the recorded egress decision and owes the tables the
-    hits and misses the recording produced — replays leave every
-    observable counter (table hits, parser/deparser counts, ASIC totals)
-    exactly as a live walk would have.  The plan is None where a replay
-    could not be exact.
-    """
-    pipe = asic.pipe_for_port(ingress_port)
-    tables = pipe.pipeline.tables()
-    if pipe.parser.hook is not None or pipe.deparser.hook is not None:
-        # Hooks may have effects the replay cannot reproduce; process
-        # live and skip caching for this pipe.
-        return asic.process(packet, ingress_port), None
-    if any(table.stateful for table in tables):
-        # A stateful table installed after enable_fast_path()'s scan
-        # (the control plane may add tables at any time): replays
-        # cannot reproduce stateful actions, so stop caching for
-        # this pipe rather than silently freeze its state.
-        return asic.process(packet, ingress_port), None
-    before = [(table.hit_count, table.miss_count) for table in tables]
-    recorded = asic.process(packet, ingress_port)
-    after = [(table.hit_count, table.miss_count) for table in tables]
-    deltas = [
-        (table, hits - hits_before, misses - misses_before)
-        for table, (hits_before, misses_before), (hits, misses) in zip(tables, before, after)
-        if (hits, misses) != (hits_before, misses_before)
-    ]
-    egress_port, recirculations = recorded.egress_port, recorded.recirculations
-    dropped, drop_reason = recorded.dropped, recorded.drop_reason
-    passes = recirculations + 1
-    parser, deparser = pipe.parser, pipe.deparser
-    counts = [0]
-
-    def replay(packet: Packet, ingress_port: int) -> PipelinePacket:
-        counts[0] += 1
-        parser.parsed_packets += passes
-        deparser.deparsed_packets += passes
-        pipe.recirculated_packets += recirculations
-        asic.processed_packets += 1
-        if dropped:
-            asic.dropped_packets += 1
-            asic.drop_reasons[drop_reason] = asic.drop_reasons.get(drop_reason, 0) + 1
-        return PipelinePacket(
-            packet,
-            ingress_port,
-            egress_port=egress_port,
-            dropped=dropped,
-            drop_reason=drop_reason,
-            recirculations=recirculations,
-        )
-
-    return recorded, PortPlan(pipe.pipeline, replay, counts, [deltas])

@@ -218,6 +218,14 @@ def default_binding() -> NfServerBinding:
     return multi_server_bindings(1)[0]
 
 
+def _override(**kwargs):
+    """A :class:`ScenarioConfig` field a campaign may set by its name.
+
+    The marked fields are ``repro.orchestrator.spec.SCENARIO_OVERRIDES``.
+    """
+    return field(metadata={"override": True}, **kwargs)
+
+
 @dataclass
 class ScenarioConfig:
     """One experiment operating point."""
@@ -227,17 +235,17 @@ class ScenarioConfig:
     framework: NfFramework = OPENNETVM
     nic: NicSpec = NIC_10GE
     workload: Workload = field(default_factory=Workload.enterprise)
-    send_rate_gbps: float = 8.0
+    send_rate_gbps: float = _override(default=8.0)
     payloadpark: PayloadParkConfig = field(default_factory=PayloadParkConfig)
-    duration_us: float = 6_000.0
-    warmup_us: float = 1_500.0
-    server_count: int = 1
-    explicit_drop: bool = False
-    service_jitter: float = 0.3
-    cpu_ghz: float = 2.3
-    gen_link_gbps: float = 100.0
-    seed: int = field(default_factory=lambda: current_options().seed_or(DEFAULT_SEED))
-    burst_size: int = 32
+    duration_us: float = _override(default=6_000.0)
+    warmup_us: float = _override(default=1_500.0)
+    server_count: int = _override(default=1)
+    explicit_drop: bool = _override(default=False)
+    service_jitter: float = _override(default=0.3)
+    cpu_ghz: float = _override(default=2.3)
+    gen_link_gbps: float = _override(default=100.0)
+    seed: int = _override(default_factory=lambda: current_options().seed_or(DEFAULT_SEED))
+    burst_size: int = _override(default=32)
     #: Optional dynamic traffic bundle (schedule, arrival model, packet
     #: source, replay stream) built by the workload subsystem; None keeps
     #: the legacy constant-rate PacketFactory path.
@@ -248,7 +256,7 @@ class ScenarioConfig:
     #: so scenarios stay picklable and campaign grids can sweep it; the
     #: runner materializes it into a
     #: :class:`~repro.faults.injector.FaultInjectorNode` per run.
-    faults: Optional[object] = field(default_factory=lambda: current_options().faults)
+    faults: Optional[object] = _override(default_factory=lambda: current_options().faults)
     #: Optional observability spec (see :mod:`repro.obs`): ``None``/bool,
     #: an inline dict, or an :class:`~repro.obs.config.ObserveSpec`.
     #: Plain data for the same picklability reasons as ``faults``; the
@@ -265,7 +273,7 @@ class ScenarioConfig:
     #: *requires* at least one steady segment and raises otherwise.
     #: Figure-level agreement between ``auto`` and ``packet`` is pinned
     #: by the fluid-vs-packet metamorphic relation.
-    fidelity: str = field(default_factory=lambda: current_options().fidelity)
+    fidelity: str = _override(default_factory=lambda: current_options().fidelity)
 
     def __post_init__(self) -> None:
         _check_fidelity(self.fidelity)

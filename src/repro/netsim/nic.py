@@ -23,7 +23,6 @@ class NicSpec:
     effective_rx_gbps: float
     effective_tx_gbps: float
     rx_ring_entries: int = 1024
-    tx_ring_entries: int = 1024
     rx_processing_ns: int = 300  # fixed per-packet DMA/IRQ-less poll cost
 
 

@@ -21,7 +21,7 @@ from repro.core.header import OP_EXPLICIT_DROP
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.nic import NicPort, NicSpec, NIC_10GE
 from repro.netsim.node import Node
-from repro.netsim.pcie import PcieBus, PcieSpec
+from repro.netsim.pcie import PcieBus
 from repro.nf.server import NfServerModel
 from repro.packet.packet import Packet
 
@@ -34,7 +34,6 @@ class NfServerNode(Node):
         env: EventLoop,
         model: NfServerModel,
         nic_spec: NicSpec = NIC_10GE,
-        pcie_spec: Optional[PcieSpec] = None,
         name: str = "nf-server",
         switch_port: int = 0,
         seed: int = 1,
@@ -43,7 +42,7 @@ class NfServerNode(Node):
         super().__init__(env, name)
         self.model = model
         self.nic = NicPort(nic_spec)
-        self.pcie = PcieBus(pcie_spec or PcieSpec())
+        self.pcie = PcieBus()
         self.switch_port = switch_port
         self._rng = random.Random(seed)
         self._worker_free_at_ns = 0

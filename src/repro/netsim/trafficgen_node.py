@@ -23,11 +23,7 @@ from repro.netsim.node import Node
 from repro.packet.packet import Packet
 from repro.telemetry.latency import LatencyRecorder
 from repro.traffic.pktgen import PacketFactory, PktGenConfig
-from repro.workloads.base import TimedFrame, TrafficModel, derived_rng
-
-#: RNG salt for arrival-gap sampling (kept distinct from the packet
-#: content RNG so pacing noise never perturbs generated frames).
-_ARRIVALS_SALT = 1
+from repro.workloads.base import ARRIVALS_SALT, TimedFrame, TrafficModel, derived_rng
 
 
 class TrafficGenNode(Node):
@@ -47,7 +43,7 @@ class TrafficGenNode(Node):
         self.schedule = model.schedule
         self.source = (model.source_factory or PacketFactory)(config)
         self._gap_sampler = (
-            model.arrivals.sampler(derived_rng(config.seed, _ARRIVALS_SALT))
+            model.arrivals.sampler(derived_rng(config.seed, ARRIVALS_SALT))
             if model.arrivals is not None
             else None
         )
@@ -158,48 +154,44 @@ class TrafficGenNode(Node):
 
     def _emit_burst(self) -> None:
         profiler = self.obs_profiler
-        if profiler is None:
-            self._emit_burst_now()
-            return
-        profiler.enter("traffic_gen")
+        if profiler is not None:
+            profiler.enter("traffic_gen")
         try:
-            self._emit_burst_now()
-        finally:
-            profiler.exit()
-
-    def _emit_burst_now(self) -> None:
-        if not self._running:
-            return
-        if self._stop_at_ns is not None and self.env.now >= self._stop_at_ns:
-            self._running = False
-            return
-        rate_gbps = self.current_rate_gbps()
-        if rate_gbps <= 0:
-            self._sleep_until_active()
-            return
-        burst_bytes = 0
-        for _ in range(self.config.burst_size):
-            burst_bytes += self._transmit(self.source.next_packet())
-        # Pace the next burst so the long-run offered rate matches the
-        # schedule (or the config's constant rate); the arrival model
-        # perturbs individual gaps around that target.  Scheduled rates
-        # pace from the rate *integral*: quoting the instantaneous rate
-        # would sleep almost forever on a ramp rising from ~zero and
-        # blindly across phase boundaries.
-        if self.schedule is not None:
-            target_gap_ns = self.schedule.gap_for_bits(
-                self.env.now - self._start_ns, burst_bytes * 8
-            )
-            if target_gap_ns is None:  # silent for the rest of the run
+            if not self._running:
+                return
+            if self._stop_at_ns is not None and self.env.now >= self._stop_at_ns:
                 self._running = False
                 return
-        else:
-            target_gap_ns = burst_bytes * 8 / rate_gbps
-        if self._gap_sampler is not None:
-            gap_ns = self._gap_sampler.next_gap_ns(target_gap_ns)
-        else:
-            gap_ns = target_gap_ns
-        self.env.schedule_in(max(1, int(round(gap_ns))), self._emit_burst)
+            rate_gbps = self.current_rate_gbps()
+            if rate_gbps <= 0:
+                self._sleep_until_active()
+                return
+            burst_bytes = 0
+            for _ in range(self.config.burst_size):
+                burst_bytes += self._transmit(self.source.next_packet())
+            # Pace the next burst so the long-run offered rate matches the
+            # schedule (or the config's constant rate); the arrival model
+            # perturbs individual gaps around that target.  Scheduled rates
+            # pace from the rate *integral*: quoting the instantaneous rate
+            # would sleep almost forever on a ramp rising from ~zero and
+            # blindly across phase boundaries.
+            if self.schedule is not None:
+                target_gap_ns = self.schedule.gap_for_bits(
+                    self.env.now - self._start_ns, burst_bytes * 8
+                )
+                if target_gap_ns is None:  # silent for the rest of the run
+                    self._running = False
+                    return
+            else:
+                target_gap_ns = burst_bytes * 8 / rate_gbps
+            if self._gap_sampler is not None:
+                gap_ns = self._gap_sampler.next_gap_ns(target_gap_ns)
+            else:
+                gap_ns = target_gap_ns
+            self.env.schedule_in(max(1, int(round(gap_ns))), self._emit_burst)
+        finally:
+            if profiler is not None:
+                profiler.exit()
 
     def _sleep_until_active(self) -> None:
         """Skip a zero-rate phase: wake at the next moment the schedule is live."""

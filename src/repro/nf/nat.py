@@ -17,6 +17,9 @@ from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
 
+#: Inclusive range of external ports available for allocation.
+PORT_LOW, PORT_HIGH = 20_000, 60_000
+
 
 @dataclass(frozen=True)
 class NatBinding:
@@ -38,8 +41,6 @@ class Nat(NetworkFunction):
     ----------
     external_ip:
         Address that replaces the source address of outbound packets.
-    port_range:
-        Inclusive range of external ports available for allocation.
     lookup_cycles / rewrite_cycles:
         CPU cost of the flow-table lookup and of the header rewrite
         (including checksum adjustment).
@@ -48,35 +49,32 @@ class Nat(NetworkFunction):
     def __init__(
         self,
         external_ip: str = "203.0.113.1",
-        port_range: tuple = (20_000, 60_000),
         lookup_cycles: int = 80,
         rewrite_cycles: int = 60,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name=name or "NAT")
         self.external_ip = IPv4Address.from_string(external_ip)
-        self.port_low, self.port_high = port_range
-        if self.port_low >= self.port_high:
-            raise ValueError("port_range must be an increasing (low, high) pair")
         self.lookup_cycles = lookup_cycles
         self.rewrite_cycles = rewrite_cycles
         #: Keyed by the flow's plain-int form, which the datapath reads
         #: straight off the headers; a FiveTuple is built per *binding*.
         self._bindings: Dict[FlowKey, NatBinding] = {}
         self._reverse: Dict[int, NatBinding] = {}
-        self._next_port = self.port_low
+        self._next_port = PORT_LOW
 
     # ------------------------------------------------------------------ #
     # Binding management
     # ------------------------------------------------------------------ #
 
     def _allocate_port(self) -> int:
-        if len(self._reverse) >= (self.port_high - self.port_low + 1):
+        span = PORT_HIGH - PORT_LOW + 1
+        if len(self._reverse) >= span:
             raise NatPortExhausted("all external NAT ports are in use")
         port = self._next_port
         while port in self._reverse:
-            port = self.port_low + ((port + 1 - self.port_low) % (self.port_high - self.port_low + 1))
-        self._next_port = self.port_low + ((port + 1 - self.port_low) % (self.port_high - self.port_low + 1))
+            port = PORT_LOW + (port + 1 - PORT_LOW) % span
+        self._next_port = PORT_LOW + (port + 1 - PORT_LOW) % span
         return port
 
     def binding_for(self, flow: FiveTuple) -> NatBinding:

@@ -22,18 +22,15 @@ NF_HEAVY_CYCLES = 570
 class SyntheticNf(NetworkFunction):
     """A MAC swapper padded with a busy loop to a target cycle count."""
 
-    def __init__(self, cycles_per_packet: int, swap_macs: bool = True,
-                 name: Optional[str] = None) -> None:
+    def __init__(self, cycles_per_packet: int, name: Optional[str] = None) -> None:
         if cycles_per_packet <= 0:
             raise ValueError("cycles_per_packet must be positive")
         super().__init__(name=name or f"SyntheticNf({cycles_per_packet})")
         self.cycles_per_packet = cycles_per_packet
-        self.swap_macs = swap_macs
 
     def process(self, packet: Packet) -> NfResult:
-        """Optionally swap MACs, then charge the configured cycle budget."""
-        if self.swap_macs:
-            packet.eth.swap_addresses()
+        """Swap MACs, then charge the configured cycle budget."""
+        packet.eth.swap_addresses()
         return self.forward(self.cycles_per_packet)
 
     @classmethod

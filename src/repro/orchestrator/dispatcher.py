@@ -243,7 +243,6 @@ class DispatchLoop:
         cell_timeout_s: Optional[float] = None,
         max_attempts: Optional[int] = 3,
         retry_backoff_s: float = 0.5,
-        mp_context=None,
     ) -> None:
         if processes < 1:
             raise ValueError("processes must be at least 1")
@@ -255,7 +254,7 @@ class DispatchLoop:
         self.cell_timeout_s = cell_timeout_s
         self.max_attempts = max_attempts
         self.retry_backoff_s = retry_backoff_s
-        self._ctx = mp_context if mp_context is not None else multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context()
         self._spawn_args = (bus_queue, log_level, heartbeat_interval_s)
         self._emit = emit
         self._workers: Dict[int, _Worker] = {}

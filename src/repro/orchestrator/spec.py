@@ -47,27 +47,10 @@ SCENARIO_REGISTRY: Dict[str, Callable[..., ScenarioConfig]] = {
     "workload": scenarios.workload_scenario,
 }
 
-#: Parameters applied directly onto :class:`ScenarioConfig` fields.
+#: Parameters applied directly onto :class:`ScenarioConfig` fields: the
+#: ones its declaration marks as overridable.
 SCENARIO_OVERRIDES = frozenset(
-    {
-        "send_rate_gbps",
-        "seed",
-        "burst_size",
-        "server_count",
-        "explicit_drop",
-        "duration_us",
-        "warmup_us",
-        "service_jitter",
-        "cpu_ghz",
-        "gen_link_gbps",
-        # Fault-injection spec: a registered profile name or an inline
-        # schedule dict (see repro.faults); both are plain data, so grids
-        # sweep fault profiles like any other axis.
-        "faults",
-        # Fidelity tier (packet | fluid | auto, see repro.fidelity) —
-        # sweepable so campaigns can compare tiers cell by cell.
-        "fidelity",
-    }
+    spec.name for spec in fields(ScenarioConfig) if spec.metadata.get("override")
 )
 
 #: Parameters applied onto the scenario's nested ``PayloadParkConfig``:

@@ -19,6 +19,8 @@ PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 PCAP_VERSION_MAJOR = 2
 PCAP_VERSION_MINOR = 4
 LINKTYPE_ETHERNET = 1
+#: Bytes kept per frame: the classic format's customary maximum.
+PCAP_SNAPLEN = 65535
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
@@ -41,9 +43,8 @@ class PcapRecord:
 class PcapWriter:
     """Write frames to a classic little-endian pcap file."""
 
-    def __init__(self, path: Union[str, Path], snaplen: int = 65535) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
-        self._snaplen = snaplen
         self._file = open(self._path, "wb")
         self._file.write(
             _GLOBAL_HEADER.pack(
@@ -52,7 +53,7 @@ class PcapWriter:
                 PCAP_VERSION_MINOR,
                 0,  # thiszone
                 0,  # sigfigs
-                snaplen,
+                PCAP_SNAPLEN,
                 LINKTYPE_ETHERNET,
             )
         )
@@ -61,7 +62,7 @@ class PcapWriter:
         """Append one frame with the given timestamp (seconds)."""
         ts_sec = int(timestamp)
         ts_usec = int(round((timestamp - ts_sec) * 1_000_000))
-        captured = data[: self._snaplen]
+        captured = data[:PCAP_SNAPLEN]
         self._file.write(_RECORD_HEADER.pack(ts_sec, ts_usec, len(captured), len(data)))
         self._file.write(captured)
 

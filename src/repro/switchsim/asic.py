@@ -23,7 +23,6 @@ class AsicConfig:
     pipe_count: int = 4
     ports_per_pipe: int = 16
     stages_per_pipe: int = 12
-    port_speed_gbps: float = 100.0
     recirculation_limit: int = 1
     budget: ResourceBudget = ResourceBudget()
 

@@ -13,6 +13,9 @@ from typing import Callable, Optional
 
 from repro.switchsim.context import PipelinePacket
 
+#: SRAM bytes per exact-match entry (key + action data + overhead).
+ENTRY_BYTES = 16
+
 MatchFn = Callable[[PipelinePacket], bool]
 ActionFn = Callable[[PipelinePacket], None]
 
@@ -36,8 +39,6 @@ class MatchActionTable:
     entries:
         Number of match entries the table is provisioned for; exact-match
         entries consume stage SRAM, ternary entries consume TCAM.
-    entry_bytes:
-        SRAM bytes per exact-match entry (key + action data + overhead).
     vliw_slots:
         VLIW action slots the action consumes.
     ingress_ports:
@@ -47,12 +48,6 @@ class MatchActionTable:
         :class:`~repro.switchsim.pipeline.PortPlan`) for any other port
         may account the table as a miss without evaluating it.  ``None``
         declares nothing.
-    stateful:
-        Whether the table's match/action read or write per-packet
-        mutable switch state (register arrays, lookup tables, metadata
-        carried between packets).  Only programs composed entirely of
-        stateless tables are eligible for the program-level decision
-        cache (see :class:`~repro.core.program.SwitchProgram`).
     """
 
     def __init__(
@@ -63,10 +58,8 @@ class MatchActionTable:
         match_bits: int = 16,
         ternary: bool = False,
         entries: int = 1,
-        entry_bytes: int = 16,
         vliw_slots: int = 1,
         ingress_ports: Optional[frozenset] = None,
-        stateful: bool = True,
     ) -> None:
         self.name = name
         self.match = match
@@ -74,10 +67,8 @@ class MatchActionTable:
         self.match_bits = match_bits
         self.ternary = ternary
         self.entries = entries
-        self.entry_bytes = entry_bytes
         self.vliw_slots = vliw_slots
         self.ingress_ports = ingress_ports
-        self.stateful = stateful
         #: Installed by the owning pipeline: folds hits and misses that
         #: port plans tallied in bulk into the counters before a read.
         self.settle: Optional[Callable[[], None]] = None

@@ -35,9 +35,8 @@ class Pipeline:
         self.stage_count = stage_count
         self.budget = budget or ResourceBudget()
         self.stages: List[Stage] = [Stage(i, budget=self.budget) for i in range(stage_count)]
-        #: Bumped whenever a stage gains a table; port plans and decision
-        #: caches compare it so control-plane table installs invalidate
-        #: stale entries.
+        #: Bumped whenever a stage gains a table; port plans compare it
+        #: so a control-plane table install retires the stale ones.
         self.version = 0
         #: Live port plans, whose bulk table accounting may be pending.
         self._plans: Set["PortPlan"] = set()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.switchsim.context import PipelinePacket
-from repro.switchsim.mat import MatchActionTable
+from repro.switchsim.mat import ENTRY_BYTES, MatchActionTable
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.resources import ResourceBudget, StageResources
 
@@ -26,8 +26,8 @@ class Stage:
         self.tables: List[MatchActionTable] = []
         self.register_arrays: List[RegisterArray] = []
         #: Callback installed by the owning pipeline, called with every
-        #: table added, so port plans and decision caches keyed on the
-        #: pipeline version notice late table additions.
+        #: table added, so port plans keyed on the pipeline version
+        #: notice late table additions.
         self.on_change: Optional[Any] = None
 
     def add_table(self, table: MatchActionTable) -> MatchActionTable:
@@ -37,7 +37,7 @@ class Stage:
         if table.ternary:
             self.resources.allocate_tcam(table.entries, what=table.name)
         else:
-            self.resources.allocate_sram(table.entries * table.entry_bytes, what=table.name)
+            self.resources.allocate_sram(table.entries * ENTRY_BYTES, what=table.name)
         self.tables.append(table)
         if self.on_change is not None:
             self.on_change(table)

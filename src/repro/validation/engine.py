@@ -63,11 +63,9 @@ class ValidationObserver(RunObserver):
     def __init__(
         self,
         invariants: Optional[Sequence[Invariant]] = None,
-        drain_max_events: int = DRAIN_MAX_EVENTS,
         keep_observations: bool = False,
     ) -> None:
         self.invariants = tuple(invariants if invariants is not None else DEFAULT_INVARIANTS)
-        self.drain_max_events = drain_max_events
         self.violations: List[Violation] = []
         self.runs_checked = 0
         #: When enabled, finished observations (including their live
@@ -87,7 +85,7 @@ class ValidationObserver(RunObserver):
         horizon_ns = env.now
         # Drain in-flight packets so conservation is an exact identity;
         # the traffic generators stop at the horizon, so this terminates.
-        env.run_all(max_events=self.drain_max_events)
+        env.run_all(max_events=DRAIN_MAX_EVENTS)
         monitor = self._monitors.pop(id(env), None) or _TimeMonitor()
         env.monitor = None
         observation = RunObservation(

@@ -32,6 +32,13 @@ def derived_rng(seed: int, salt: int) -> random.Random:
     return random.Random((seed * 1_000_003 + salt) & 0xFFFFFFFFFFFFFFFF)
 
 
+#: Salt of the arrival-gap RNG, apart from the packet-content RNG so
+#: pacing noise never perturbs generated frames.  The generator's live
+#: pacing and the workload preview trace both draw from it, which is
+#: what makes the preview equal the run.
+ARRIVALS_SALT = 1
+
+
 @dataclass
 class TrafficModel:
     """Everything a traffic generator needs beyond the legacy constant path.

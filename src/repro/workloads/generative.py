@@ -25,14 +25,10 @@ from repro.traffic.distributions import PacketSizeDistribution
 from repro.traffic.pktgen import blacklisted_source, build_udp_frame
 from repro.traffic.workload import Workload
 from repro.workloads.arrivals import ArrivalModel, UniformArrivals
-from repro.workloads.base import TrafficModel, WorkloadSpec, derived_rng
+from repro.workloads.base import ARRIVALS_SALT, TrafficModel, WorkloadSpec, derived_rng
 from repro.workloads.flowmodels import FlowModel, FlowSampler, RoundRobinFlows
 from repro.workloads.schedule import TraceSchedule
 from repro.workloads.stats import TracedPacket
-
-#: RNG salt separating arrival-gap sampling from packet-content sampling,
-#: so adding an arrival model never perturbs the generated frames.
-_ARRIVALS_SALT = 1
 
 
 class GenerativePacketSource:
@@ -188,7 +184,7 @@ class GenerativeWorkload(WorkloadSpec):
             schedule = schedule.with_mean(rate_gbps)
         flat_rate = rate_gbps if rate_gbps is not None else self.rate_gbps
         source = self.packet_source(seed)
-        sampler = self.arrivals.sampler(derived_rng(seed, _ARRIVALS_SALT))
+        sampler = self.arrivals.sampler(derived_rng(seed, ARRIVALS_SALT))
         trace: List[TracedPacket] = []
         t_ns = 0.0
         for _ in range(max_packets):

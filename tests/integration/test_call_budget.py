@@ -32,7 +32,10 @@ SEED = 91
 
 #: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
 #: Measured at PR 23: 96.877, 91.746, 88.505, 126.561 (its parent:
-#: 141.542, 130.097, 128.270, 181.827).
+#: 141.542, 130.097, 128.270, 181.827).  PR 24 kept the ceilings and
+#: measures 97.369, 91.303, 89.038, 127.233: the baseline's NF-port
+#: kernel calls ``l2.lookup`` per packet, a frame (and a count) the
+#: recorded replay it replaced skipped.
 BUDGETS = {
     "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 99.8),
     "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 94.5),

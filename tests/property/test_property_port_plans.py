@@ -1,12 +1,12 @@
 """Port plans against the stage walk: a seeded differential.
 
-A port plan (``SplitPath.compile_plan`` / ``MergePath.compile_plan``)
-is admissible only if nothing observable tells it from the reference
-stage walk.  Two identical PayloadPark programs — one on plans, one
-walking its tables with the register guard on — are fed the same random
-interleaving of everything an ingress port can see, and compared packet
-by packet and, at several points mid-stream, counter by counter and
-slot by slot.
+A port plan (``SplitPath.compile_plan`` / ``MergePath.compile_plan`` /
+``BaselineProgram._compile_plan``) is admissible only if nothing
+observable tells it from the reference stage walk.  Two identical
+programs — one on plans, one walking its tables (PayloadPark's with the
+register guard on) — are fed the same random interleaving of everything
+an ingress port can see, and compared packet by packet and, at several
+points mid-stream, counter by counter and slot by slot.
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.header import OP_EXPLICIT_DROP, PayloadParkHeader
-from repro.core.program import PayloadParkProgram
+from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.packet.packet import Packet
 from repro.switchsim.mat import MatchActionTable
 
@@ -23,6 +23,10 @@ BINDINGS = [
     NfServerBinding(name="srv0", ingress_ports=(0, 1), nf_port=2, default_egress_port=0),
     NfServerBinding(name="srv1", ingress_ports=(3, 4), nf_port=5, default_egress_port=3),
 ]
+#: The two above share pipe 0; the baseline run adds one in pipe 1.
+OTHER_PIPE_BINDING = NfServerBinding(
+    name="srv2", ingress_ports=(16, 17), nf_port=18, default_egress_port=16
+)
 UNBOUND_PORT = 7
 STEPS = 1500
 CHECKPOINT_EVERY = 125
@@ -200,3 +204,97 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
     assert {"payloadpark-tag-corrupt", "payloadpark-tag-out-of-range"} <= set(final["asic"][2])
     if parked_bytes > 160:
         assert final["passes"][0][2] > 0
+
+
+
+def _baseline_state(program):
+    asic = program.asic
+    return {
+        "tables": {
+            (pipe.index, table.name): (table.hit_count, table.miss_count)
+            for pipe in asic.pipes
+            for table in pipe.pipeline.tables()
+        },
+        "passes": [
+            (pipe.parser.parsed_packets, pipe.deparser.deparsed_packets, pipe.recirculated_packets)
+            for pipe in asic.pipes
+        ],
+        "asic": (asic.processed_packets, asic.dropped_packets, dict(asic.drop_reasons)),
+        "l2": (program.l2.lookups, program.l2.hits),
+    }
+
+
+@pytest.mark.parametrize("seed", [91, 92, 93])
+def test_baseline_plans_match_the_stage_walk(seed):
+    rng = random.Random(seed)
+    bindings = [*BINDINGS, OTHER_PIPE_BINDING]
+    fast, slow = BaselineProgram(bindings), BaselineProgram(bindings)
+    fast.enable_fast_path()
+    ports = [port for b in bindings for port in (*b.ingress_ports, b.nf_port)] + [UNBOUND_PORT]
+
+    def send(port):
+        packet = Packet.udp(
+            total_size=rng.choice([64, 512, 1400]),
+            dst_mac="02:00:00:00:00:%02x" % rng.randrange(6),
+        )
+        twin = packet.copy()
+        assert _outcome(fast.process(packet, port), packet) == _outcome(
+            slow.process(twin, port), twin
+        )
+
+    def drop_mac_3(name, ingress_ports):
+        return MatchActionTable(
+            name=name,
+            match=lambda ctx: ctx.packet.eth.dst.value & 0xFF == 3
+            and (ingress_ports is None or ctx.ingress_port in ingress_ports),
+            action=lambda ctx: ctx.drop(name),
+            match_bits=48,
+            ingress_ports=ingress_ports,
+        )
+
+    for step in range(STEPS):
+        send(rng.choice(ports))
+        if step in (STEPS // 7, 2 * STEPS // 7):
+            mac, egress = "02:00:00:00:00:0%d" % (step % 5), rng.choice(ports)
+            for program in (fast, slow):
+                program.add_l2_entry(mac, egress)
+        if step == 3 * STEPS // 7:
+            fast.invalidate_fast_path()
+        if step == 4 * STEPS // 7:
+            assert _baseline_state(fast) == _baseline_state(slow)
+            for program in (fast, slow):
+                program.asic.reset_counters()
+        if step == 5 * STEPS // 7:
+            # A late table scoped to a port no binding owns: plans stay fused.
+            for program in (fast, slow):
+                pipeline = program.asic.pipes[0].pipeline
+                pipeline.stage(1).add_table(drop_mac_3("tap", frozenset((UNBOUND_PORT,))))
+            send(0)
+            assert fast._plans[0].counts
+        if step == 6 * STEPS // 7:
+            # One that matches anywhere: pipe 0 is back on the stage walk,
+            # pipe 1 is not.
+            for program in (fast, slow):
+                pipeline = program.asic.pipes[0].pipeline
+                pipeline.stage(3).add_table(drop_mac_3("anywhere", None))
+            send(0)
+            send(16)
+            assert not fast._plans[0].counts and fast._plans[16].counts
+        if step % CHECKPOINT_EVERY == 0:
+            assert _baseline_state(fast) == _baseline_state(slow)
+
+    final = _baseline_state(fast)
+    assert final == _baseline_state(slow)
+    assert final["l2"][0] > final["l2"][1] > 0  # MAC hits and default egresses
+    assert set(final["asic"][2]) == {"tap", "anywhere"}
+
+
+def test_baseline_keeps_one_plan_per_port_whatever_the_macs():
+    program = BaselineProgram([BINDINGS[0]])
+    program.enable_fast_path()
+    nf_port = BINDINGS[0].nf_port
+    for index in range(1000):
+        mac = "02:00:00:00:%02x:%02x" % divmod(index, 256)
+        program.process(Packet.udp(dst_mac=mac), nf_port)
+    assert len(program.asic.pipe_for_port(nf_port).pipeline._plans) == 1
+    assert program.l2.lookups == 1000

@@ -9,8 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.config import NfServerBinding, PayloadParkConfig
-from repro.core.program import BaselineProgram, PayloadParkProgram
+from repro.core.config import NfServerBinding
+from repro.core.program import BaselineProgram
 from repro.experiments.runner import DeploymentKind, ExperimentRunner, run_options
 from repro.experiments.scenarios import fw_nat_lb_10ge, workload_scenario
 from repro.nf.firewall import Firewall, FirewallRule
@@ -168,7 +168,7 @@ def test_only_the_reference_engine_parses_frames(monkeypatch, scenario):
     assert {"build_udp_frame", "udp"} == set(calls)
 
 
-class TestDecisionCache:
+class TestBaselinePlans:
     def _program(self):
         program = BaselineProgram([_binding()])
         program.add_l2_entry("02:00:00:00:00:02", 0)
@@ -189,7 +189,7 @@ class TestDecisionCache:
                 expected.egress_port,
                 expected.dropped,
             )
-        # Second round hits the cache; ASIC counters must keep advancing.
+        # Later rounds run the compiled plans; ASIC counters must keep advancing.
         assert program.asic.processed_packets == reference.asic.processed_packets
 
     def test_control_plane_update_invalidates_cache(self):
@@ -198,19 +198,11 @@ class TestDecisionCache:
         program = self._program()
         ctx = program.process(Packet.udp(total_size=200), 2)
         assert ctx.egress_port == 0
-        # New L2 entry steers the sink MAC to port 1; the memoized
-        # decision for port 2 must not survive the control-plane write.
+        # New L2 entry steers the sink MAC to port 1; port 2's plan must
+        # show the control-plane write on the next packet.
         program.add_l2_entry("02:00:00:00:00:02", 1)
         ctx = program.process(Packet.udp(total_size=200), 2)
         assert ctx.egress_port == 1
-
-    def test_payloadpark_is_not_decision_cacheable(self):
-        program = PayloadParkProgram(
-            PayloadParkConfig(sram_fraction=0.26), bindings=[_binding()]
-        )
-        program.enable_fast_path()
-        assert program.decision_cacheable is False
-        assert program._decision_cache == {}
 
     def test_table_counters_match_between_modes(self):
         from repro.packet.packet import Packet

@@ -1,12 +1,11 @@
 """Control-plane invalidation of the fast-path state.
 
-The fast path keeps derived state — whole-pipe decisions keyed by
-(ingress port, dst MAC), the firewall's classifier compiled from its
-rule list, Maglev backend choices keyed by flow.  Every control-plane
-mutation that changes forwarding behaviour must drop the corresponding
-state, or the dataplane silently keeps replaying a stale world.  These
-tests mutate each control surface and assert the behaviour change it
-must produce.
+The fast path keeps derived state — the switch program's compiled port
+plans, the firewall's classifier compiled from its rule list, Maglev
+backend choices keyed by flow.  Every control-plane mutation that
+changes forwarding behaviour must drop the corresponding state, or the
+dataplane silently keeps replaying a stale world.  These tests mutate
+each control surface and assert the behaviour change it must produce.
 """
 
 import pytest
@@ -15,6 +14,7 @@ from repro.core.program import BaselineProgram
 from repro.experiments.runner import default_binding
 from repro.nf.firewall import Firewall, FirewallRule
 from repro.nf.loadbalancer import Backend, MaglevLoadBalancer
+from repro.packet.ethernet import MacAddress
 from repro.packet.flows import FiveTuple
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 from repro.packet.packet import Packet
@@ -28,71 +28,63 @@ def _baseline_program():
 
 
 class TestDecisionCacheInvalidation:
-    def test_l2_entry_install_evicts_whole_pipe_decisions(self):
+    """The packet after a control-plane write takes the new decision."""
+
+    MAC = "02:aa:00:00:00:07"
+
+    def _egress_from_nf(self, program):
+        binding = program.bindings[0]
+        return program.process(Packet.udp(dst_mac=self.MAC), binding.nf_port).egress_port
+
+    def test_l2_entry_install_changes_the_next_decision(self):
         program = _baseline_program()
         binding = program.bindings[0]
-        packet = Packet.udp(dst_mac="02:aa:00:00:00:07")
+        for _ in range(2):  # the second packet runs the compiled plan
+            assert self._egress_from_nf(program) == binding.default_egress_port
 
-        ctx = program.process(packet, binding.nf_port)
-        assert ctx.egress_port == binding.default_egress_port
-        assert program._decision_cache  # the walk was memoized
+        program.add_l2_entry(self.MAC, binding.ingress_ports[1])
+        assert self._egress_from_nf(program) == binding.ingress_ports[1]
+        # A write straight to the table, with no invalidation, shows too.
+        program.l2.add_entry(MacAddress.from_string(self.MAC), binding.ingress_ports[0])
+        assert self._egress_from_nf(program) == binding.ingress_ports[0]
 
-        # Replays hit the cache (no new recording).
-        cached_before = dict(program._decision_cache)
-        ctx = program.process(Packet.udp(dst_mac="02:aa:00:00:00:07"), binding.nf_port)
-        assert ctx.egress_port == binding.default_egress_port
-        assert program._decision_cache == cached_before
-
-        # Installing an L2 route for that MAC must evict the cache and
-        # change the egress decision on the very next packet.
-        program.add_l2_entry("02:aa:00:00:00:07", binding.ingress_ports[1])
-        assert not program._decision_cache
-        ctx = program.process(Packet.udp(dst_mac="02:aa:00:00:00:07"), binding.nf_port)
-        assert ctx.egress_port == binding.ingress_ports[1]
-
-    def test_invalidate_fast_path_clears_the_cache(self):
+    def test_table_install_changes_the_next_decision(self):
         program = _baseline_program()
         binding = program.bindings[0]
-        program.process(Packet.udp(), binding.ingress_ports[0])
-        assert program._decision_cache
-        program.invalidate_fast_path()
-        assert not program._decision_cache
+        port = binding.ingress_ports[0]
+        pipe = program.asic.pipe_for_port(port)
+        assert program.process(Packet.udp(), port).egress_port == binding.nf_port
 
-    def test_pipeline_version_bump_makes_cached_decisions_stale(self):
-        program = _baseline_program()
-        binding = program.bindings[0]
-        pipe = program.asic.pipe_for_port(binding.nf_port)
-
-        program.process(Packet.udp(), binding.ingress_ports[0])
-        (entry,) = program._decision_cache.values()
-        recorded_version = entry.version
-
-        # A control-plane table install bumps the pipeline version.
-        pipe.pipeline.stage(0).add_table(
+        # A control-plane table the program knows nothing about.
+        acl = pipe.pipeline.stage(0).add_table(
             MatchActionTable(
-                name="noop",
-                match=lambda ctx: False,
-                action=lambda ctx: None,
+                name="acl",
+                match=lambda ctx: ctx.ingress_port == port,
+                action=lambda ctx: ctx.drop("acl"),
                 match_bits=8,
-                stateful=False,
             )
         )
-        assert pipe.pipeline.version > recorded_version
+        ctx = program.process(Packet.udp(), port)
+        assert (ctx.dropped, ctx.drop_reason) == (True, "acl")
+        assert (acl.hit_count, program.asic.drop_reasons) == (1, {"acl": 1})
+        # The binding's other traffic port is judged by the table too.
+        other = program.process(Packet.udp(), binding.ingress_ports[1])
+        assert (other.dropped, other.egress_port) == (False, binding.nf_port)
+        assert acl.miss_count == 1
 
-        # The stale entry must be re-recorded, not replayed.
-        ctx = program.process(Packet.udp(), binding.ingress_ports[0])
-        assert ctx.egress_port == binding.nf_port
-        (fresh,) = program._decision_cache.values()
-        assert fresh.version == pipe.pipeline.version
-
-    def test_reset_state_invalidates(self):
+    def test_invalidate_keeps_decisions_and_counters(self):
         program = _baseline_program()
         binding = program.bindings[0]
-        program.process(Packet.udp(), binding.ingress_ports[0])
-        assert program._decision_cache
-        program.invalidate_fast_path()
-        ctx = program.process(Packet.udp(), binding.ingress_ports[0])
-        assert ctx.egress_port == binding.nf_port
+        port = binding.ingress_ports[0]
+        to_nf = next(
+            table
+            for table in program.asic.pipe_for_port(port).pipeline.tables()
+            if table.name.endswith("l2_fwd_to_nf")
+        )
+        for sent in (1, 2, 3):
+            assert program.process(Packet.udp(), port).egress_port == binding.nf_port
+            program.invalidate_fast_path()  # pending tallies settle, nothing is lost
+            assert (to_nf.hit_count, program.asic.processed_packets) == (sent, sent)
 
 
 class TestFirewallVerdictCacheInvalidation:

@@ -207,6 +207,15 @@ class TestBuildScenario:
         ExperimentRunner(time_scale=0.05).compare(scenario)
         assert SCENARIO_OVERRIDES <= reads
 
+    def test_scenario_overrides_are_the_marked_fields(self):
+        # Derived from the ScenarioConfig declaration; a name added or
+        # lost here moves what a campaign file may say.
+        assert SCENARIO_OVERRIDES == {
+            "send_rate_gbps", "seed", "burst_size", "server_count", "explicit_drop",
+            "duration_us", "warmup_us", "service_jitter", "cpu_ghz", "gen_link_gbps",
+            "faults", "fidelity",
+        }
+
     def test_payloadpark_overrides_are_the_config_fields(self):
         assert PAYLOADPARK_OVERRIDES == {
             "sram_fraction", "expiry_threshold", "parked_bytes", "min_split_payload",
