@@ -901,7 +901,8 @@ def _campaign_run(args) -> int:
             failed += f", {summary.exhausted} exhausted"
         print(
             f"campaign {campaign.name!r}: {summary.total} points, "
-            f"{summary.executed} executed ({failed}), "
+            f"{summary.executed} executed, "
+            f"{summary.baselines_simulated} baselines simulated, {failed}, "
             f"{summary.skipped} skipped, {summary.wall_time_s:.2f}s "
             f"-> {store.path}"
         )

@@ -362,7 +362,16 @@ class ExperimentRunner:
         """Run baseline and PayloadPark at the same operating point."""
         # Through run_deployment, not run_servers: the perf ledger's tracer
         # roots every run's spans in that method.
-        baseline = self.run_deployment(scenario, DeploymentKind.BASELINE)
+        return self.compare_against(
+            scenario, self.run_deployment(scenario, DeploymentKind.BASELINE)
+        )
+
+    def compare_against(
+        self, scenario: ScenarioConfig, baseline: DeploymentReport
+    ) -> ExperimentResult:
+        """Run PayloadPark and pair it with *baseline*, this scenario's
+        baseline report (from :meth:`compare`, or a campaign's shared run).
+        """
         payloadpark = self.run_deployment(scenario, DeploymentKind.PAYLOADPARK)
         return ExperimentResult(
             scenario=scenario,

@@ -12,7 +12,10 @@ it with an explicit dispatch loop:
   its siblings;
 - cells are **leased** to workers one at a time; a lease carries the
   cell's attempt number and, when a per-cell timeout is configured, a
-  deadline;
+  deadline.  An idle worker gets a ready cell whose baseline it already
+  holds, else one whose baseline no other worker holds, else the oldest
+  (each worker keeps the baselines it simulated, see
+  :func:`~repro.orchestrator.executor.execute_run`);
 - a worker that dies (crash, OOM kill) or blows its deadline loses the
   lease: the dispatcher SIGKILLs it if needed, re-queues the cell with
   exponential backoff, spawns a replacement worker, and emits
@@ -33,6 +36,7 @@ run's).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -41,7 +45,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+)
 
 from repro.orchestrator.spec import RunSpec
 
@@ -126,9 +132,14 @@ def _dispatch_worker_main(
     heartbeat_interval_s: float,
 ) -> None:
     """Worker loop: receive leases over the pipe, send back records."""
-    from repro.orchestrator.executor import _campaign_worker_init, execute_run
+    from repro.orchestrator.executor import (
+        BaselineTable,
+        _campaign_worker_init,
+        execute_run,
+    )
 
     _campaign_worker_init(bus_queue, log_level, heartbeat_interval_s)
+    baselines: BaselineTable = {}  # lives as long as this worker
     while True:
         try:
             lease = conn.recv()
@@ -138,7 +149,7 @@ def _dispatch_worker_main(
             return
         spec, attempt = lease
         apply_chaos(spec, attempt)
-        record = execute_run(spec)
+        record = execute_run(spec, baselines)
         try:
             conn.send(record)
         except (BrokenPipeError, OSError):
@@ -150,13 +161,15 @@ def _dispatch_worker_main(
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingCell:
     """A cell waiting for a worker (possibly in retry backoff)."""
 
     spec: RunSpec
     attempt: int      # failed attempts so far (store history + this run)
     ready_at: float   # monotonic time at which it may be leased
+    #: The key a worker keeps this cell's baseline under (None: never shared).
+    baseline: Optional[str] = None
 
 
 class _Worker:
@@ -176,6 +189,8 @@ class _Worker:
         child_conn.close()
         self.lease: Optional[_PendingCell] = None
         self.deadline: Optional[float] = None
+        #: Baselines this process holds, or is simulating for its lease.
+        self.baselines: Set[str] = set()
 
     @property
     def idle(self) -> bool:
@@ -185,6 +200,8 @@ class _Worker:
         self.conn.send((cell.spec, cell.attempt))
         self.lease = cell
         self.deadline = deadline
+        if cell.baseline is not None:
+            self.baselines.add(cell.baseline)
 
     def release(self) -> None:
         self.lease = None
@@ -309,7 +326,13 @@ class DispatchLoop:
         base = dict(base_attempts or {})
         now = time.monotonic()
         ready: Deque[_PendingCell] = deque(
-            _PendingCell(spec, base.get(spec.spec_hash, 0), now) for spec in specs
+            _PendingCell(
+                spec,
+                base.get(spec.spec_hash, 0),
+                now,
+                spec.baseline_hash if spec.shares_baseline else None,
+            )
+            for spec in specs
         )
         for _ in range(min(self.processes, len(ready))):
             self._spawn()
@@ -326,18 +349,17 @@ class DispatchLoop:
             self._workers.clear()
 
     def _assign(self, ready: Deque[_PendingCell]) -> None:
+        """Lease ready cells (not in backoff) to idle workers, by affinity."""
         now = time.monotonic()
-        # Rotate through the deque once, leasing whatever is ready; cells
-        # still in backoff go back to the tail.
-        for _ in range(len(ready)):
-            cell = ready.popleft()
-            if cell.ready_at > now:
-                ready.append(cell)
-                continue
+        while True:
+            leasable = [cell for cell in ready if cell.ready_at <= now]
+            if not leasable:
+                return
             worker = self._idle_worker(want_more=True)
             if worker is None:
-                ready.appendleft(cell)
                 return
+            cell = self._choose(worker, leasable)
+            ready.remove(cell)
             deadline = (
                 now + self.cell_timeout_s if self.cell_timeout_s is not None else None
             )
@@ -350,6 +372,21 @@ class DispatchLoop:
                 self._event(self._worker_died_event(worker, "crashed", None))
                 self._remove(worker)
                 return
+
+    def _choose(self, worker: _Worker, leasable: List[_PendingCell]) -> _PendingCell:
+        """The cell *worker* runs next: one whose baseline it already holds,
+        else one whose baseline no other worker holds, else the oldest."""
+        held_elsewhere: Set[str] = set()
+        for other in self._workers.values():
+            if other is not worker:
+                held_elsewhere |= other.baselines
+        unclaimed = None
+        for cell in leasable:
+            if cell.baseline in worker.baselines:
+                return cell
+            if unclaimed is None and cell.baseline not in held_elsewhere:
+                unclaimed = cell
+        return unclaimed if unclaimed is not None else leasable[0]
 
     def _collect(self, ready: Deque[_PendingCell]) -> List[Dict[str, Any]]:
         """One wait round plus a health scan; returns terminal records."""
@@ -411,7 +448,11 @@ class DispatchLoop:
                 "backoff_s": round(backoff, 3),
             }
         )
-        ready.append(_PendingCell(cell.spec, attempts, time.monotonic() + backoff))
+        ready.append(
+            dataclasses.replace(
+                cell, attempt=attempts, ready_at=time.monotonic() + backoff
+            )
+        )
         return []
 
     @staticmethod

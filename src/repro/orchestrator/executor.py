@@ -22,6 +22,13 @@ every resume forever.
 Run descriptors carry only plain data; workers rebuild the scenario
 (chains, workload, topology) from the registry on their side of the
 process boundary.
+
+The baseline deployment never reads the PayloadPark knobs, so compare
+cells that differ only in them (equal
+:attr:`~repro.orchestrator.spec.RunSpec.baseline_hash`) pair against
+one baseline run per process: the serial path simulates each baseline
+once, and the dispatcher leases a worker the cells whose baseline it
+already holds.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.orchestrator.spec import CampaignSpec, RunSpec, build_scenario, dedupe_specs
@@ -105,12 +112,51 @@ def flatten_comparison(comparison: ComparisonReport) -> Dict[str, Any]:
     return metrics
 
 
-def execute_run(run: RunSpec) -> Dict[str, Any]:
+#: The baselines one campaign execution simulated (the serial path's, or
+#: one dispatcher worker's): ``baseline_hash`` → (report, the violations
+#: its validated run raised).
+BaselineTable = Dict[str, Tuple[DeploymentReport, List[Any]]]
+
+
+def _compare(
+    runner: ExperimentRunner,
+    scenario,
+    run: RunSpec,
+    observer,
+    record: Dict[str, Any],
+    baselines: Optional[BaselineTable],
+) -> ComparisonReport:
+    """The cell's comparison, on a baseline from *baselines* if it holds one."""
+    key = run.baseline_hash
+    table = baselines if run.shares_baseline else None
+    entry = table.get(key) if table is not None else None
+    record["baseline_hash"] = key
+    record["baseline_simulated"] = entry is None
+    if entry is None:
+        baseline = runner.run_deployment(scenario, DeploymentKind.BASELINE)
+        violations = list(observer.violations) if observer is not None else []
+        if table is not None:
+            table[key] = (baseline, violations)
+    else:
+        baseline, violations = entry
+        if observer is not None:
+            # The observer reads as if the baseline had run under it.
+            observer.violations.extend(violations)
+            observer.runs_checked += 1
+    return runner.compare_against(scenario, baseline).comparison
+
+
+def execute_run(
+    run: RunSpec, baselines: Optional[BaselineTable] = None
+) -> Dict[str, Any]:
     """Execute one run descriptor and return its result record.
 
     Top-level so it pickles into pool workers.  Failures are captured in
     the record (``status: "error"``) instead of tearing down the pool;
-    failed hashes are retried on the next resume.
+    failed hashes are retried on the next resume.  Given its campaign
+    execution's *baselines*, a compare cell reuses the baseline of an
+    earlier cell with its ``baseline_hash`` and adds its own; the record
+    says which (``baseline_simulated``).
     """
     started = time.perf_counter()
     record: Dict[str, Any] = {
@@ -172,8 +218,9 @@ def execute_run(run: RunSpec) -> Dict[str, Any]:
                 stack.enter_context(observation_sink(obs_sink))
             with stack:
                 if run.mode == "compare":
-                    result = runner.compare(scenario)
-                    record["metrics"] = flatten_comparison(result.comparison)
+                    record["metrics"] = flatten_comparison(
+                        _compare(runner, scenario, run, observer, record, baselines)
+                    )
                 else:
                     record["metrics"] = _execute_peak(runner, scenario, run.options)
             if obs_sink is not None:
@@ -245,6 +292,9 @@ class CampaignSummary:
     #: stamped at resume time from store history or mid-run by the
     #: dispatcher after repeated crashes/timeouts.
     exhausted: int = 0
+    #: Compare cells that simulated their baseline rather than reusing
+    #: one an earlier cell of the same ``baseline_hash`` ran.
+    baselines_simulated: int = 0
     wall_time_s: float = 0.0
     records: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -261,6 +311,7 @@ class CampaignSummary:
             "skipped": self.skipped,
             "failed": self.failed,
             "exhausted": self.exhausted,
+            "baselines_simulated": self.baselines_simulated,
             "wall_time_s": round(self.wall_time_s, 2),
         }
 
@@ -425,6 +476,8 @@ class CampaignExecutor:
                     summary.failed += 1
                 if status == "exhausted":
                     summary.exhausted += 1
+                if record.get("baseline_simulated"):
+                    summary.baselines_simulated += 1
                 if store is not None:
                     store.append(record)
                 if self.bus is not None:
@@ -462,12 +515,13 @@ class CampaignExecutor:
             # process outlives the campaign).  No second process exists
             # to recover a crash or enforce a timeout here; failures are
             # captured as error records and budgeted at the next resume.
+            baselines: BaselineTable = {}
             with telemetrybus.worker_sink(
                 self.bus.queue.put if self.bus is not None else None,
                 self.heartbeat_interval_s,
             ):
                 for spec in pending:
-                    yield execute_run(spec)
+                    yield execute_run(spec, baselines)
             return
         # Imported lazily: the dispatcher's workers import this module.
         from repro.orchestrator.dispatcher import DispatchLoop

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.config import PayloadParkConfig
 from repro.errors import require_positive_finite
@@ -55,6 +55,8 @@ SCENARIO_OVERRIDES = frozenset(
 
 #: Parameters applied onto the scenario's nested ``PayloadParkConfig``:
 #: every field but the bindings, which the testbed's port layout decides.
+#: An override named here reaches the scenario's ``PayloadParkConfig``
+#: and nothing else, which :attr:`RunSpec.baseline_hash` relies on.
 PAYLOADPARK_OVERRIDES = frozenset(
     spec.name for spec in fields(PayloadParkConfig) if spec.name != "bindings"
 )
@@ -97,6 +99,25 @@ def canonical_json(value: Any) -> str:
     return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
+def _hash16(value: Any) -> str:
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()[:16]
+
+
+def _split_params(
+    scenario: str, params: Mapping[str, Any]
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """``(builder kwargs, overrides)``: the builder takes what it names."""
+    builder_params = inspect.signature(SCENARIO_REGISTRY[scenario]).parameters
+    builder_kwargs: Dict[str, Any] = {}
+    overrides: Dict[str, Any] = {}
+    for key, value in params.items():
+        if key in builder_params:
+            builder_kwargs[key] = value
+        else:
+            overrides[key] = value
+    return builder_kwargs, overrides
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One concrete run of a campaign: scenario name + parameter values.
@@ -134,8 +155,39 @@ class RunSpec:
     @property
     def spec_hash(self) -> str:
         """Stable 16-hex-digit identity of this run (resume key)."""
-        digest = hashlib.sha256(canonical_json(self.canonical()).encode("utf-8"))
-        return digest.hexdigest()[:16]
+        return _hash16(self.canonical())
+
+    @property
+    def baseline_hash(self) -> str:
+        """Identity of this run's baseline deployment (the control arm).
+
+        The spec hash with mode ``baseline`` and without the overrides
+        :func:`build_scenario` routes only into the scenario's
+        ``PayloadParkConfig``, which the baseline never reads: compare
+        cells that differ only in PayloadPark knobs name the same
+        baseline.  A parameter the scenario builder takes stays in,
+        whatever its name.
+        """
+        _, overrides = _split_params(self.scenario, self.params)
+        identity = self.canonical()
+        identity["mode"] = "baseline"
+        identity["params"] = _jsonable(
+            {
+                key: value
+                for key, value in self.params.items()
+                if not (key in overrides and key in PAYLOADPARK_OVERRIDES)
+            }
+        )
+        return _hash16(identity)
+
+    @property
+    def shares_baseline(self) -> bool:
+        """Whether a campaign may reuse an equal-``baseline_hash`` run's baseline.
+
+        Compare cells only, and not ``observe:`` ones: their plane exports
+        go to one directory per cell, so each runs its own baseline.
+        """
+        return self.mode == "compare" and not self.options.get("observe")
 
 
 def derived_seed(scenario: str, params: Mapping[str, Any]) -> int:
@@ -199,6 +251,7 @@ class CampaignSpec:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.seed_policy not in ("fixed", "per-run"):
             raise ValueError("seed_policy must be 'fixed' or 'per-run'")
+        require_positive_finite("time_scale", self.time_scale)
         for key, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"grid axis {key!r} must be a non-empty list")
@@ -331,18 +384,9 @@ def build_scenario(run: RunSpec) -> ScenarioConfig:
     the rest are applied as overrides on the returned config (scenario
     fields, PayloadPark fields, ``framework`` and ``packet_size``).
     """
-    builder = SCENARIO_REGISTRY[run.scenario]
-    signature = inspect.signature(builder)
-    builder_kwargs = {}
-    overrides = {}
-    for key, value in run.params.items():
-        if key in signature.parameters:
-            builder_kwargs[key] = value
-        else:
-            overrides[key] = value
-
+    builder_kwargs, overrides = _split_params(run.scenario, run.params)
     try:
-        scenario = builder(**builder_kwargs)
+        scenario = SCENARIO_REGISTRY[run.scenario](**builder_kwargs)
     except TypeError as exc:
         raise ValueError(
             f"scenario {run.scenario!r} could not be built from "
@@ -356,10 +400,10 @@ def apply_overrides(scenario: ScenarioConfig, overrides: Mapping[str, Any]) -> S
     scenario_fields = {}
     payloadpark_fields = {}
     for key, value in overrides.items():
-        if key in SCENARIO_OVERRIDES:
-            scenario_fields[key] = value
-        elif key in PAYLOADPARK_OVERRIDES:
+        if key in PAYLOADPARK_OVERRIDES:
             payloadpark_fields[key] = value
+        elif key in SCENARIO_OVERRIDES:
+            scenario_fields[key] = value
         elif key == "framework":
             framework = FRAMEWORKS.get(str(value).lower())
             if framework is None:

@@ -14,8 +14,10 @@ import pytest
 from repro.orchestrator import (
     CampaignExecutor,
     CampaignSpec,
+    DispatchLoop,
     ResultStore,
     TelemetryBus,
+    execute_run,
 )
 from repro.orchestrator.dispatcher import CHAOS_ENV
 
@@ -83,6 +85,40 @@ class TestWorkerCrashRecovery:
             actual = dict(record)
             expected.pop("wall_time_s")
             actual.pop("wall_time_s")
+            assert actual == expected
+
+    def test_killing_the_worker_that_holds_a_baseline_loses_nothing(self, monkeypatch):
+        """One worker, two baselines of two cells each: with affinity it
+        runs (r2,e1) (r2,e10) (r4,e1) (r4,e10), and the last SIGKILLs it
+        while it holds both.  The replacement starts with an empty table
+        and simulates r4's baseline again; every record equals the one
+        its cell produces alone."""
+        campaign = CampaignSpec(
+            name="held-baseline",
+            scenario="fw_nat_lb_10ge",
+            grid={"send_rate_gbps": [2.0, 4.0], "expiry_threshold": [1, 10]},
+            time_scale=FAST,
+        )
+        specs = campaign.expand()
+        alone = {spec.spec_hash: execute_run(spec) for spec in specs}
+        monkeypatch.setenv(
+            CHAOS_ENV,
+            json.dumps([{"match": {"send_rate_gbps": 4.0, "expiry_threshold": 10},
+                         "crash_attempts": 1}]),
+        )
+        records = list(DispatchLoop(processes=1, retry_backoff_s=0.05).run(specs))
+
+        assert sorted(r["spec_hash"] for r in records) == sorted(alone)
+        order = [(r["params"]["send_rate_gbps"], r["params"]["expiry_threshold"])
+                 for r in records]
+        assert order == [(2.0, 1), (2.0, 10), (4.0, 1), (4.0, 10)]
+        assert [r["baseline_simulated"] for r in records] == [True, False, True, True]
+        for record in records:
+            expected = dict(alone[record["spec_hash"]])
+            actual = dict(record)
+            for key in ("wall_time_s", "baseline_simulated"):
+                expected.pop(key)
+                actual.pop(key)
             assert actual == expected
 
     def test_crash_applies_to_sharded_store_too(self, tmp_path, monkeypatch):

@@ -358,6 +358,40 @@ class TestCampaignCli:
         assert _one_error(capsys) == self.BAD_DISPATCH_VALUES[flag]
         assert list(tmp_path.iterdir()) == [spec]  # no store, no events sidecar
 
+    BAD_TIME_SCALES = {
+        "-1": "time_scale must be positive",
+        "0": "time_scale must be positive",
+        "inf": "time_scale must be finite, got inf",
+        "nan": "time_scale must be finite, got nan",
+    }
+
+    @pytest.mark.parametrize("value", BAD_TIME_SCALES)
+    def test_campaign_run_rejects_a_bad_time_scale_with_nothing_on_disk(
+        self, value, tmp_path, capsys
+    ):
+        # The bus is on by default: its events sidecar must not be opened.
+        spec = self._write_spec(tmp_path)
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store),
+                     "--serial", f"--time-scale={value}"]) == 2
+        assert _one_error(capsys) == self.BAD_TIME_SCALES[value]
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_campaign_run_summary_counts_simulated_baselines(self, tmp_path, capsys):
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps({
+            "name": "shared",
+            "scenario": "fw_nat_lb_10ge",
+            "grid": {"send_rate_gbps": [4.0], "expiry_threshold": [1, 10]},
+            "time_scale": 0.05,
+        }))
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store),
+                     "--serial", "--no-bus"]) == 0
+        assert "2 executed, 1 baselines simulated, 0 failed, 0 skipped" in (
+            capsys.readouterr().out
+        )
+
     def test_campaign_run_rejects_zero_workers_with_nothing_on_disk(self, tmp_path, capsys):
         spec = self._write_spec(tmp_path)
         store = tmp_path / "results.jsonl"

@@ -1,6 +1,9 @@
 """Unit tests for the campaign orchestrator: specs, store, executor, aggregation."""
 
+import hashlib
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +20,13 @@ from repro.orchestrator import (
     execute_run,
 )
 from repro.orchestrator.aggregate import campaign_rows
+from repro.orchestrator.dispatcher import DispatchLoop, _PendingCell
 from repro.orchestrator.spec import PAYLOADPARK_OVERRIDES, SCENARIO_OVERRIDES, dedupe_specs
 
 #: Simulated-time scale keeping each run cheap while still exercising traffic.
 FAST = 0.05
+
+CAMPAIGNS = Path(__file__).resolve().parents[2] / "examples" / "campaigns"
 
 
 def small_campaign(**kwargs) -> CampaignSpec:
@@ -73,6 +79,73 @@ class TestRunSpec:
         b = RunSpec("fw_nat_lb_10ge", params={"send_rate_gbps": 4.0})
         assert dedupe_specs([a, b, a]) == [a, b]
 
+    def test_baseline_hash_leaves_out_only_payloadpark_overrides(self):
+        base = {"send_rate_gbps": 8.0, "seed": 3}
+        run = RunSpec("fw_nat_lb_10ge", params=base)
+        knobs = RunSpec(
+            "fw_nat_lb_10ge",
+            params={**base, "expiry_threshold": 10, "sram_fraction": 0.1,
+                    "enable_recirculation": True, "split_enabled": False},
+        )
+        assert knobs.spec_hash != run.spec_hash
+        assert knobs.baseline_hash == run.baseline_hash
+        assert run.baseline_hash != run.spec_hash
+        for other in (
+            {**base, "seed": 4},
+            {**base, "send_rate_gbps": 9.0},
+            {**base, "explicit_drop": True},
+            {**base, "framework": "opennetvm"},
+        ):
+            assert RunSpec("fw_nat_lb_10ge", params=other).baseline_hash != run.baseline_hash
+        assert RunSpec(
+            "fw_nat_lb_10ge", params=base, time_scale=0.5
+        ).baseline_hash != run.baseline_hash
+        assert RunSpec(
+            "fw_nat_lb_10ge", params=base, options={"validate": True}
+        ).baseline_hash != run.baseline_hash
+
+    @pytest.mark.parametrize(
+        "scenario, params, knob",
+        [
+            ("explicit_drop", {"explicit_drop": True}, "expiry_threshold"),
+            ("memory_sweep", {}, "sram_fraction"),
+        ],
+    )
+    def test_a_builder_parameter_stays_in_the_baseline_hash(self, scenario, params, knob):
+        # The builder may use its parameter anywhere (memory_sweep names
+        # the scenario after it), so its PayloadPark-sounding name does
+        # not take it out of the key.
+        a = RunSpec(scenario, params={**params, knob: 1})
+        b = RunSpec(scenario, params={**params, knob: 0.5})
+        assert a.baseline_hash != b.baseline_hash
+
+    def test_observe_and_peak_cells_do_not_share_baselines(self):
+        assert RunSpec("fw_nat_lb_10ge").shares_baseline
+        assert not RunSpec("fw_nat_lb_10ge", mode="peak").shares_baseline
+        assert not RunSpec(
+            "fw_nat_lb_10ge", options={"observe": {"metrics": True}}
+        ).shares_baseline
+
+    def test_example_campaign_spec_hashes_are_unchanged(self):
+        # sha256 over each file's expanded spec hashes, in grid order: a
+        # change here orphans every record already stored for it.
+        pinned = {
+            "closed_loop_sweep.yaml": "c63bf3f86e987857",
+            "dispatcher_chaos.yaml": "4f499698b3f5d02b",
+            "fault_chaos.yaml": "54e57642c99256f7",
+            "memory_peak_sweep.yaml": "63598b852244a605",
+            "rate_expiry_grid.yaml": "5121fccbf4aa1c76",
+            "serve_smoke.yaml": "0008bd68dc5f7e78",
+            "validated_rate_sweep.yaml": "e65fec49170440c1",
+            "workload_sweep.yaml": "8699020d426ebf7a",
+        }
+        pytest.importorskip("yaml")
+        found = {}
+        for path in sorted(CAMPAIGNS.glob("*.yaml")):
+            joined = ",".join(run.spec_hash for run in CampaignSpec.from_file(path).expand())
+            found[path.name] = hashlib.sha256(joined.encode()).hexdigest()[:16]
+        assert found == pinned
+
 
 class TestCampaignSpec:
     def test_expand_is_cartesian_and_ordered(self):
@@ -87,6 +160,13 @@ class TestCampaignSpec:
     def test_base_and_grid_may_not_overlap(self):
         with pytest.raises(ValueError):
             small_campaign(base={"expiry_threshold": 1})
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_time_scale_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="time_scale must be"):
+            small_campaign(time_scale=value)
+        with pytest.raises(ValueError, match="time_scale must be"):
+            small_campaign().with_time_scale(value)
 
     @pytest.mark.parametrize("where", ["base", "grid"])
     @pytest.mark.parametrize("key", ["fast_pth", "fast_path", "chain", "switch_latency_ns"])
@@ -552,6 +632,41 @@ class TestExecutor:
         assert record["status"] == "ok"
         assert record["metrics"]["peak_send_rate_gbps"] >= 4.0
         assert "peak_goodput_to_nf_gbps" in record["metrics"]
+
+
+class TestLeaseAffinity:
+    """Which ready cell an idle worker is leased (no processes started)."""
+
+    @staticmethod
+    def _loop(held):
+        loop = DispatchLoop(processes=len(held))
+        for worker_id, baselines in enumerate(held):
+            loop._workers[worker_id] = SimpleNamespace(baselines=set(baselines))
+        return loop
+
+    @staticmethod
+    def _cells(*baselines):
+        return [
+            _PendingCell(RunSpec("fw_nat_lb_10ge", params={"seed": index}), 0, 0.0, key)
+            for index, key in enumerate(baselines)
+        ]
+
+    def test_a_held_baseline_wins_over_age(self):
+        loop = self._loop([{"a"}, {"b"}])
+        cells = self._cells("b", "c", "a")
+        assert loop._choose(loop._workers[0], cells) is cells[2]
+
+    def test_then_a_baseline_no_other_worker_holds(self):
+        loop = self._loop([{"a"}, {"b"}])
+        cells = self._cells("b", None, "c")
+        assert loop._choose(loop._workers[0], cells) is cells[1]
+        cells = self._cells("b", "c")
+        assert loop._choose(loop._workers[0], cells) is cells[1]
+
+    def test_then_the_oldest(self):
+        loop = self._loop([set(), {"a", "b"}])
+        cells = self._cells("b", "a")
+        assert loop._choose(loop._workers[0], cells) is cells[0]
 
 
 class TestAggregate:
