@@ -10,7 +10,7 @@ dictionaries (or JSON/YAML parsed into them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.nf.chain import NfChain
 from repro.nf.firewall import Firewall, FirewallRule
@@ -37,6 +37,11 @@ class DeploymentSpec:
             {"type": "nat", "external_ip": "203.0.113.1"}
             {"type": "loadbalancer", "backends": {"web-1": "10.100.0.1"}}
             {"type": "synthetic", "cycles": 300}
+
+        A firewall takes ``rule_count`` (an int >= 1) or ``blacklist``,
+        not both; a load balancer's ``backends`` may be a count in
+        1..255.  A key the type does not read is a ``ValueError`` naming
+        the type and the key, never silently ignored.
     """
 
     name: str
@@ -55,23 +60,56 @@ def build_chain(descriptions: List[Dict[str, Any]], name: str = "chain") -> NfCh
     return NfChain(nfs, name=name)
 
 
+#: The keys each NF type reads besides ``type``; any other key is refused.
+_NF_KEYS = {
+    "firewall": {"rule_count", "blacklist"},
+    "nat": {"external_ip"},
+    "loadbalancer": {"backends"},
+    "macswap": set(),
+    "synthetic": {"cycles"},
+}
+
+
+def _count(kind: str, key: str, value: Any, high: Optional[int] = None) -> int:
+    """*value* as a count of at least 1 (and at most *high*), or a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1 or (
+        high is not None and value > high
+    ):
+        span = f"in 1..{high}" if high is not None else ">= 1"
+        raise ValueError(f"{kind}: {key!r} must be an int {span}, got {value!r}")
+    return value
+
+
 def _build_nf(description: Dict[str, Any]):
     kind = description.get("type")
+    if not isinstance(kind, str) or kind not in _NF_KEYS:
+        raise ValueError(f"unknown NF type {kind!r}")
+    unknown = sorted(set(description) - _NF_KEYS[kind] - {"type"})
+    if unknown:
+        raise ValueError(
+            f"{kind}: unknown key {unknown[0]!r} "
+            f"(a {kind} takes {sorted(_NF_KEYS[kind]) or 'no keys'})"
+        )
     if kind == "firewall":
-        rules = [FirewallRule.blacklist(cidr) for cidr in description.get("blacklist", [])]
         if "rule_count" in description:
-            return Firewall.with_rule_count(int(description["rule_count"]))
+            if "blacklist" in description:
+                raise ValueError(f"{kind}: 'rule_count' and 'blacklist' are exclusive")
+            return Firewall.with_rule_count(_count(kind, "rule_count", description["rule_count"]))
+        rules = [FirewallRule.blacklist(cidr) for cidr in description.get("blacklist", [])]
         return Firewall(rules=rules)
     if kind == "nat":
         return Nat(external_ip=description.get("external_ip", "203.0.113.1"))
     if kind == "loadbalancer":
         backends_spec = description.get("backends", {})
-        if isinstance(backends_spec, int):
-            return MaglevLoadBalancer.with_backend_count(backends_spec)
+        if not isinstance(backends_spec, dict):
+            # The count shorthand: backends at 10.100.0.1 .. 10.100.0.<count>.
+            return MaglevLoadBalancer.with_backend_count(
+                _count(kind, "backends", backends_spec, high=255)
+            )
         backends = [Backend.from_string(name, ip) for name, ip in backends_spec.items()]
         return MaglevLoadBalancer(backends=backends)
     if kind == "macswap":
         return MacSwapper()
-    if kind == "synthetic":
-        return SyntheticNf(int(description["cycles"]))
-    raise ValueError(f"unknown NF type {kind!r}")
+    if "cycles" not in description:
+        raise ValueError(f"{kind}: 'cycles' is required")
+    return SyntheticNf(int(description["cycles"]))

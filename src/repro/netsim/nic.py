@@ -12,6 +12,7 @@ and the receive descriptor ring whose depth bounds in-server buffering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,15 @@ NIC_40GE = NicSpec(
 
 
 class NicPort:
-    """Run-time state of one NIC port: a byte-rate limiter plus a ring."""
+    """Run-time state of one NIC port: a byte-rate limiter plus a ring.
+
+    A frame's time on the NIC is ``round(bytes * 8 / gbps)`` — a
+    function of its size alone, because the spec is frozen and a port
+    never swaps it.  So each direction looks the time up by wire size,
+    filling its table on a size's first frame, as a link direction does
+    for serialization; a looked-up value is the computed one, and every
+    counter still moves per frame.
+    """
 
     def __init__(self, spec: NicSpec) -> None:
         self.spec = spec
@@ -57,11 +66,19 @@ class NicPort:
         self.rx_bytes = 0
         self.tx_bytes = 0
         self.rx_dropped = 0
+        #: wire bytes -> receive / transmit ns, filled on first use of a size.
+        self._rx_ns: Dict[int, int] = {}
+        self._tx_ns: Dict[int, int] = {}
 
     def rx_ready_at(self, now_ns: int, wire_bytes: int) -> int:
         """Time at which the NIC finishes moving a received frame to the host."""
-        start = max(now_ns, self.rx_free_at_ns)
-        done = start + int(round(wire_bytes * 8 / self.spec.effective_rx_gbps))
+        busy = self._rx_ns.get(wire_bytes)
+        if busy is None:
+            busy = self._rx_ns[wire_bytes] = int(
+                round(wire_bytes * 8 / self.spec.effective_rx_gbps)
+            )
+        free_at = self.rx_free_at_ns
+        done = (now_ns if now_ns > free_at else free_at) + busy
         self.rx_free_at_ns = done
         self.rx_packets += 1
         self.rx_bytes += wire_bytes
@@ -69,8 +86,13 @@ class NicPort:
 
     def tx_ready_at(self, now_ns: int, wire_bytes: int) -> int:
         """Time at which the NIC finishes transmitting a frame from the host."""
-        start = max(now_ns, self.tx_free_at_ns)
-        done = start + int(round(wire_bytes * 8 / self.spec.effective_tx_gbps))
+        busy = self._tx_ns.get(wire_bytes)
+        if busy is None:
+            busy = self._tx_ns[wire_bytes] = int(
+                round(wire_bytes * 8 / self.spec.effective_tx_gbps)
+            )
+        free_at = self.tx_free_at_ns
+        done = (now_ns if now_ns > free_at else free_at) + busy
         self.tx_free_at_ns = done
         self.tx_packets += 1
         self.tx_bytes += wire_bytes

@@ -11,6 +11,7 @@ exposes the transfer delay used in the latency budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,16 @@ class PcieSpec:
 
 
 class PcieBus:
-    """Run-time accounting for one server's PCIe bus."""
+    """Run-time accounting for one server's PCIe bus.
+
+    A transfer's delay is the DMA latency plus ``round((bytes +
+    overhead) * 8 / gbps)`` — a function of the frame's size alone,
+    because the spec is frozen and a bus never swaps it, and the same
+    function in both directions.  So both look the delay up in one table
+    by wire size, filled on a size's first transfer; a looked-up value is
+    the computed one, and the byte and transfer counters still move per
+    transfer.
+    """
 
     def __init__(self, spec: PcieSpec = PcieSpec()) -> None:
         self.spec = spec
@@ -36,20 +46,34 @@ class PcieBus:
         self.tx_bytes = 0          # host -> device (transmitted packets)
         self.rx_transfers = 0
         self.tx_transfers = 0
+        #: wire bytes -> transfer delay ns, filled on first use of a size.
+        self._delay_ns: Dict[int, int] = {}
 
     def rx_transfer(self, wire_bytes: int) -> int:
         """Account a device→host transfer; return its delay in nanoseconds."""
-        nbytes = wire_bytes + self.spec.per_packet_overhead_bytes
+        spec = self.spec
+        nbytes = wire_bytes + spec.per_packet_overhead_bytes
         self.rx_bytes += nbytes
         self.rx_transfers += 1
-        return self.spec.dma_latency_ns + int(round(nbytes * 8 / self.spec.bandwidth_gbps))
+        delay = self._delay_ns.get(wire_bytes)
+        if delay is None:
+            delay = self._delay_ns[wire_bytes] = spec.dma_latency_ns + int(
+                round(nbytes * 8 / spec.bandwidth_gbps)
+            )
+        return delay
 
     def tx_transfer(self, wire_bytes: int) -> int:
         """Account a host→device transfer; return its delay in nanoseconds."""
-        nbytes = wire_bytes + self.spec.per_packet_overhead_bytes
+        spec = self.spec
+        nbytes = wire_bytes + spec.per_packet_overhead_bytes
         self.tx_bytes += nbytes
         self.tx_transfers += 1
-        return self.spec.dma_latency_ns + int(round(nbytes * 8 / self.spec.bandwidth_gbps))
+        delay = self._delay_ns.get(wire_bytes)
+        if delay is None:
+            delay = self._delay_ns[wire_bytes] = spec.dma_latency_ns + int(
+                round(nbytes * 8 / spec.bandwidth_gbps)
+            )
+        return delay
 
     @property
     def total_bytes(self) -> int:

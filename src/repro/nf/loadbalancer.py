@@ -10,10 +10,16 @@ it only reads the 5-tuple and rewrites the destination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.nf.base import NetworkFunction, NfResult
-from repro.packet.flows import FiveTuple, FlowKey, flow_hash
+from repro.nf.base import NetworkFunction, NfResult, forward_result
+from repro.packet.flows import (
+    FiveTuple,
+    FlowKey,
+    flow_hash,
+    flow_hash_ports,
+    flow_hash_prefix,
+)
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
 
@@ -65,6 +71,11 @@ class MaglevLoadBalancer(NetworkFunction):
         CPU cost of hashing the 5-tuple and rewriting the destination.
     """
 
+    #: Entries either fast-path memo holds before it is emptied.  A
+    #: cleared memo only recomputes what it held, so the bound moves
+    #: host time, never a backend choice.
+    MEMO_ENTRIES = 65_536
+
     def __init__(
         self,
         backends: Sequence[Backend],
@@ -85,8 +96,15 @@ class MaglevLoadBalancer(NetworkFunction):
         #: Fast-path memo: flow (as plain ints, read straight off the
         #: headers) -> backend.  Maglev is deterministic per flow (that
         #: is its whole point), so the FNV walk over the 5-tuple can be
-        #: skipped for flows already mapped.
+        #: skipped for flows already mapped.  Exact while the table is:
+        #: :meth:`set_backends` empties it.
         self._backend_cache: Optional[Dict[FlowKey, Backend]] = None
+        #: The fast path's miss side: (src, dst, protocol) ->
+        #: :func:`flow_hash_prefix` state, so a new flow between known
+        #: hosts hashes only its ports.  The state is a pure function of
+        #: those three ints — not of the pool — so it is exact for as
+        #: long as it is kept, including across :meth:`set_backends`.
+        self._prefix_states: Dict[Tuple[int, int, int], int] = {}
         #: Cache efficiency counters (sampled by repro.obs as a hit-ratio
         #: gauge); plain int bumps, cheap enough to keep unconditional.
         self.cache_lookups = 0
@@ -107,7 +125,8 @@ class MaglevLoadBalancer(NetworkFunction):
         their backend when the pool changes), but every cached per-flow
         choice is stale the moment the table is repopulated, so the
         fast-path memo is dropped — keeping it would silently pin flows
-        to removed backends.
+        to removed backends.  The prefix states stay: they are hash
+        values, and the hash does not read the pool.
         """
         if not backends:
             raise ValueError("the load balancer needs at least one backend")
@@ -185,15 +204,23 @@ class MaglevLoadBalancer(NetworkFunction):
             return self.backends[self.lookup_table[flow_hash(key) % self.table_size]]
         self.cache_lookups += 1
         backend = cache.get(key)
-        if backend is None:
-            backend = self.backends[
-                self.lookup_table[flow_hash(key) % self.table_size]
-            ]
-            if len(cache) >= 65_536:
-                cache.clear()
-            cache[key] = backend
-        else:
+        if backend is not None:
             self.cache_hits += 1
+            return backend
+        # A new flow: resume flow_hash from its hosts' prefix state.
+        prefixes = self._prefix_states
+        hosts = key[:3]
+        state = prefixes.get(hosts)
+        if state is None:
+            if len(prefixes) >= self.MEMO_ENTRIES:
+                prefixes.clear()
+            state = prefixes[hosts] = flow_hash_prefix(*hosts)
+        backend = self.backends[
+            self.lookup_table[flow_hash_ports(state, key[3], key[4]) % self.table_size]
+        ]
+        if len(cache) >= self.MEMO_ENTRIES:
+            cache.clear()
+        cache[key] = backend
         return backend
 
     def process(self, packet: Packet) -> NfResult:
@@ -202,13 +229,13 @@ class MaglevLoadBalancer(NetworkFunction):
         ip = packet.ip
         l4 = packet.l4
         if ip is None or l4 is None:
-            return self.forward(cycles)
+            return forward_result(cycles)
         backend = self._backend_for(
             (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
         )
         ip.dst = backend.ip
         self.assignments[backend.name] += 1
-        return self.forward(cycles + self.rewrite_cycles)
+        return forward_result(cycles + self.rewrite_cycles)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -10,9 +10,9 @@ shallow NF that PayloadPark can serve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.nf.base import NetworkFunction, NfResult
+from repro.nf.base import NetworkFunction, NfResult, forward_result
 from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
@@ -57,40 +57,45 @@ class Nat(NetworkFunction):
         self.external_ip = IPv4Address.from_string(external_ip)
         self.lookup_cycles = lookup_cycles
         self.rewrite_cycles = rewrite_cycles
-        #: Keyed by the flow's plain-int form, which the datapath reads
-        #: straight off the headers; a FiveTuple is built per *binding*.
-        self._bindings: Dict[FlowKey, NatBinding] = {}
-        self._reverse: Dict[int, NatBinding] = {}
+        #: Outbound table: the flow's plain-int form, read straight off
+        #: the headers -> its external port.  The external address is
+        #: the same for every binding, so the port is all a binding adds.
+        self._bindings: Dict[FlowKey, int] = {}
+        #: Reverse table: external port -> the (source address, source
+        #: port) it replaced, which is what a reply's destination is
+        #: translated back to.  Its size is the number of ports in use.
+        self._reverse: Dict[int, Tuple[IPv4Address, int]] = {}
         self._next_port = PORT_LOW
 
     # ------------------------------------------------------------------ #
     # Binding management
     # ------------------------------------------------------------------ #
 
-    def _allocate_port(self) -> int:
+    def _bind(self, key: FlowKey, src_ip: IPv4Address, src_port: int) -> int:
+        """Allocate the next free external port to the flow *key*."""
+        reverse = self._reverse
         span = PORT_HIGH - PORT_LOW + 1
-        if len(self._reverse) >= span:
+        if len(reverse) >= span:
             raise NatPortExhausted("all external NAT ports are in use")
         port = self._next_port
-        while port in self._reverse:
+        while port in reverse:
             port = PORT_LOW + (port + 1 - PORT_LOW) % span
         self._next_port = PORT_LOW + (port + 1 - PORT_LOW) % span
+        self._bindings[key] = port
+        reverse[port] = (src_ip, src_port)
         return port
 
     def binding_for(self, flow: FiveTuple) -> NatBinding:
-        """Return (allocating if needed) the binding for an outbound flow."""
-        key = flow.key()
-        return self._bindings.get(key) or self._bind(key, flow)
+        """Return (allocating if needed) the binding for an outbound flow.
 
-    def _bind(self, key: FlowKey, flow: FiveTuple) -> NatBinding:
-        binding = NatBinding(
-            internal=flow,
-            external_ip=self.external_ip,
-            external_port=self._allocate_port(),
-        )
-        self._bindings[key] = binding
-        self._reverse[binding.external_port] = binding
-        return binding
+        The :class:`NatBinding` is built here, on request; the datapath
+        never builds one.
+        """
+        key = flow.key()
+        port = self._bindings.get(key)
+        if port is None:
+            port = self._bind(key, flow.src_ip, flow.src_port)
+        return NatBinding(internal=flow, external_ip=self.external_ip, external_port=port)
 
     @property
     def active_bindings(self) -> int:
@@ -108,21 +113,19 @@ class Nat(NetworkFunction):
         l4 = packet.l4
         if ip is None or l4 is None:
             # Non-IP or headerless traffic passes through untranslated.
-            return self.forward(cycles)
+            return forward_result(cycles)
         if ip.dst.value == self.external_ip.value:
             # Reverse direction: translate the destination back.
-            binding = self._reverse.get(l4.dst_port)
-            if binding is None:
+            internal = self._reverse.get(l4.dst_port)
+            if internal is None:
                 return self.drop(cycles, reason="no NAT binding for reverse flow")
-            ip.dst = binding.internal.src_ip
-            l4.dst_port = binding.internal.src_port
-            return self.forward(cycles + self.rewrite_cycles)
-        key = (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
-        binding = self._bindings.get(key)
-        if binding is None:
-            binding = self._bind(
-                key, FiveTuple(ip.src, ip.dst, ip.protocol, l4.src_port, l4.dst_port)
-            )
-        ip.src = binding.external_ip
-        l4.src_port = binding.external_port
-        return self.forward(cycles + self.rewrite_cycles)
+            ip.dst, l4.dst_port = internal
+            return forward_result(cycles + self.rewrite_cycles)
+        src = ip.src
+        key = (src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
+        port = self._bindings.get(key)
+        if port is None:
+            port = self._bind(key, src, l4.src_port)
+        ip.src = self.external_ip
+        l4.src_port = port
+        return forward_result(cycles + self.rewrite_cycles)

@@ -33,7 +33,48 @@ from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Address
 #: off a packet's headers without building a :class:`FiveTuple`.
 FlowKey = Tuple[int, int, int, int, int]
 
-_pack_key = struct.Struct("<5I").pack
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Three FNV-1a steps with nothing to XOR in the last two: one multiply.
+_FNV_PRIME_CUBED = _FNV_PRIME ** 3 & _MASK64
+
+_pack_prefix = struct.Struct("<3I").pack
+_pack_ports = struct.Struct("<2I").pack
+
+
+def _fnv1a(value: int, data: bytes) -> int:
+    for byte in data:
+        value = ((value ^ byte) * _FNV_PRIME) & _MASK64
+    return value
+
+
+def flow_hash_prefix(src: int, dst: int, protocol: int) -> int:
+    """The :func:`flow_hash` state after a flow's first 12 bytes.
+
+    Pass it to :func:`flow_hash_ports` with the flow's ports to finish
+    the hash; flows that share addresses and protocol share this state.
+    """
+    return _fnv1a(_FNV_OFFSET, _pack_prefix(src, dst, protocol))
+
+
+def flow_hash_ports(state: int, src_port: int, dst_port: int) -> int:
+    """Finish :func:`flow_hash` from a :func:`flow_hash_prefix` *state*.
+
+    A port below 2**16 packs to two bytes and two zeros.  XORing a zero
+    changes nothing, so once the port's second byte is XORed in, its
+    step and the two zero steps are three multiplies in a row: one by
+    P**3 mod 2**64.  Any other
+    value (negative, or 2**16 and above) takes the byte loop, which
+    hashes a 32-bit port exactly and raises ``struct.error`` for what
+    does not pack, as :func:`flow_hash` always did.
+    """
+    if 0 <= (src_port | dst_port) <= 0xFFFF:
+        state = ((state ^ (src_port & 0xFF)) * _FNV_PRIME) & _MASK64
+        state = ((state ^ (src_port >> 8)) * _FNV_PRIME_CUBED) & _MASK64
+        state = ((state ^ (dst_port & 0xFF)) * _FNV_PRIME) & _MASK64
+        return ((state ^ (dst_port >> 8)) * _FNV_PRIME_CUBED) & _MASK64
+    return _fnv1a(state, _pack_ports(src_port, dst_port))
 
 
 def flow_hash(key: FlowKey) -> int:
@@ -43,11 +84,16 @@ def flow_hash(key: FlowKey) -> int:
     are reproducible; Python's builtin ``hash`` is salted per process,
     so the fields are mixed here: FNV-1a over each field's four
     low-order bytes, least significant first.
+
+    FNV-1a is a left fold over those 20 bytes — each step reads only the
+    running state and the next byte — so folding the first 12 (addresses
+    and protocol, :func:`flow_hash_prefix`) and continuing from that
+    state over the last 8 (the ports, :func:`flow_hash_ports`) is the
+    same fold, split in two.  A caller that sees many flows between the
+    same hosts can keep the prefix state and pay only for the ports.
     """
-    value = 0xCBF29CE484222325
-    for byte in _pack_key(*key):
-        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return value
+    src, dst, protocol, src_port, dst_port = key
+    return flow_hash_ports(flow_hash_prefix(src, dst, protocol), src_port, dst_port)
 
 
 @dataclass(frozen=True)

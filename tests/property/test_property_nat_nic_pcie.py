@@ -1,0 +1,229 @@
+"""The NAT and the NIC / PCIe delay tables against the code they replaced.
+
+The NAT keeps two int tables instead of building a ``FiveTuple`` and a
+``NatBinding`` per flow; the NIC and PCIe models look a frame's delay up
+by its size instead of dividing per frame.  Neither may change a single
+result, so each is held here to its predecessor: the NAT to a verbatim
+copy of the object-per-binding ``Nat`` (``_ObjectNat``), driven through
+the same random interleaving of packets and ``binding_for`` calls, and
+the delay tables to the closed-form formula at every wire size.
+"""
+
+import sys
+from typing import Dict, Optional
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.nf.nat as nat_module
+from repro.netsim.nic import NIC_10GE, NIC_40GE, NicPort, NicSpec
+from repro.netsim.pcie import PcieBus, PcieSpec
+from repro.nf.base import NetworkFunction, NfResult
+from repro.nf.nat import Nat, NatBinding, NatPortExhausted
+from repro.packet.flows import FiveTuple, FlowKey
+from repro.packet.ipv4 import PROTO_UDP, IPv4Address
+from repro.packet.packet import Packet
+
+PORT_LOW, PORT_HIGH = nat_module.PORT_LOW, nat_module.PORT_HIGH
+
+
+class _ObjectNat(NetworkFunction):
+    """The NAT as it was before the int tables: one object per binding."""
+
+    def __init__(
+        self,
+        external_ip: str = "203.0.113.1",
+        lookup_cycles: int = 80,
+        rewrite_cycles: int = 60,
+        name: Optional[str] = None,
+    ) -> None:
+        super().__init__(name=name or "NAT")
+        self.external_ip = IPv4Address.from_string(external_ip)
+        self.lookup_cycles = lookup_cycles
+        self.rewrite_cycles = rewrite_cycles
+        self._bindings: Dict[FlowKey, NatBinding] = {}
+        self._reverse: Dict[int, NatBinding] = {}
+        self._next_port = PORT_LOW
+
+    def _allocate_port(self) -> int:
+        span = PORT_HIGH - PORT_LOW + 1
+        if len(self._reverse) >= span:
+            raise NatPortExhausted("all external NAT ports are in use")
+        port = self._next_port
+        while port in self._reverse:
+            port = PORT_LOW + (port + 1 - PORT_LOW) % span
+        self._next_port = PORT_LOW + (port + 1 - PORT_LOW) % span
+        return port
+
+    def binding_for(self, flow: FiveTuple) -> NatBinding:
+        key = flow.key()
+        return self._bindings.get(key) or self._bind(key, flow)
+
+    def _bind(self, key: FlowKey, flow: FiveTuple) -> NatBinding:
+        binding = NatBinding(
+            internal=flow,
+            external_ip=self.external_ip,
+            external_port=self._allocate_port(),
+        )
+        self._bindings[key] = binding
+        self._reverse[binding.external_port] = binding
+        return binding
+
+    @property
+    def active_bindings(self) -> int:
+        return len(self._bindings)
+
+    def process(self, packet: Packet) -> NfResult:
+        cycles = self.base_cycles + self.lookup_cycles
+        ip = packet.ip
+        l4 = packet.l4
+        if ip is None or l4 is None:
+            return self.forward(cycles)
+        if ip.dst.value == self.external_ip.value:
+            binding = self._reverse.get(l4.dst_port)
+            if binding is None:
+                return self.drop(cycles, reason="no NAT binding for reverse flow")
+            ip.dst = binding.internal.src_ip
+            l4.dst_port = binding.internal.src_port
+            return self.forward(cycles + self.rewrite_cycles)
+        key = (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
+        binding = self._bindings.get(key)
+        if binding is None:
+            binding = self._bind(
+                key, FiveTuple(ip.src, ip.dst, ip.protocol, l4.src_port, l4.dst_port)
+            )
+        ip.src = binding.external_ip
+        l4.src_port = binding.external_port
+        return self.forward(cycles + self.rewrite_cycles)
+
+
+address_strategy = st.builds(IPv4Address, st.integers(min_value=1, max_value=0xFFFFFFFE))
+flow_strategy = st.builds(
+    FiveTuple,
+    src_ip=address_strategy,
+    dst_ip=address_strategy,
+    protocol=st.just(PROTO_UDP),
+    src_port=st.integers(min_value=1, max_value=65_535),
+    dst_port=st.integers(min_value=1, max_value=65_535),
+)
+# Each step names a flow by index into the drawn pool, so flows repeat.
+step_strategy = st.one_of(
+    st.tuples(st.just("outbound"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("binding_for"), st.integers(min_value=0, max_value=15)),
+    # Reverse traffic to the first allocated ports (known once bound)
+    # or to any port at all (almost always unknown).
+    st.tuples(
+        st.just("reverse"),
+        st.one_of(
+            st.integers(min_value=PORT_LOW, max_value=PORT_LOW + 15),
+            st.integers(min_value=0, max_value=65_535),
+        ),
+    ),
+)
+
+
+def _packet(step, flows, external_ip):
+    kind, value = step
+    if kind == "reverse":
+        return Packet.udp(
+            src_ip="198.51.100.7", dst_ip=str(external_ip), src_port=443,
+            dst_port=value, total_size=96,
+        )
+    flow = flows[value % len(flows)]
+    return Packet.udp(
+        src_ip=str(flow.src_ip), dst_ip=str(flow.dst_ip), src_port=flow.src_port,
+        dst_port=flow.dst_port, total_size=96,
+    )
+
+
+def _apply(nat, step, flows):
+    """What one step does to *nat*: its result (or exception) and the frame."""
+    kind, value = step
+    try:
+        if kind == "binding_for":
+            return nat.binding_for(flows[value % len(flows)]), None
+        packet = _packet(step, flows, nat.external_ip)
+        return nat(packet), packet.to_bytes()
+    except NatPortExhausted as error:
+        return ("exhausted", str(error)), None
+
+
+class TestNatAgainstTheObjectNat:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(flow_strategy, min_size=1, max_size=16, unique_by=FiveTuple.key),
+        st.lists(step_strategy, min_size=1, max_size=60),
+        st.sampled_from([PORT_LOW + 3, PORT_LOW + 7, PORT_HIGH]),
+    )
+    def test_every_step_matches(self, flows, steps, port_high):
+        # A small span runs out of ports within the drawn steps: both
+        # NATs must refuse the same flow at the same step, and go on
+        # serving the flows they already bound.
+        this_module = sys.modules[__name__]
+        with mock.patch.object(nat_module, "PORT_HIGH", port_high), \
+                mock.patch.object(this_module, "PORT_HIGH", port_high):
+            ints, objects = Nat(), _ObjectNat()
+            for step in steps:
+                assert _apply(ints, step, flows) == _apply(objects, step, flows), step
+                assert ints.active_bindings == objects.active_bindings
+                assert ints.packets_seen == objects.packets_seen
+                assert ints.packets_dropped == objects.packets_dropped
+
+    def test_a_small_span_is_exhausted_at_the_same_flow(self):
+        flows = [
+            FiveTuple(IPv4Address(0x0A000001 + i), IPv4Address(0x0A020001), PROTO_UDP, 1000 + i, 80)
+            for i in range(6)
+        ]
+        steps = [("outbound", i) for i in range(6)] + [("binding_for", 1), ("outbound", 5)]
+        this_module = sys.modules[__name__]
+        with mock.patch.object(nat_module, "PORT_HIGH", PORT_LOW + 3), \
+                mock.patch.object(this_module, "PORT_HIGH", PORT_LOW + 3):
+            results = [
+                [_apply(nat, step, flows)[0] for step in steps] for nat in (Nat(), _ObjectNat())
+            ]
+        assert results[0] == results[1]
+        exhausted = [i for i, result in enumerate(results[0]) if isinstance(result, tuple)]
+        assert exhausted == [4, 5, 7]
+
+
+def _closed_form_ns(nbytes, gbps):
+    return int(round(nbytes * 8 / gbps))
+
+
+class TestDelayTablesAgainstTheFormula:
+    SIZES = range(60, 9217)
+
+    def test_nic_delays_and_counters(self):
+        lopsided = NicSpec("lopsided", 25.0, effective_rx_gbps=21.3, effective_tx_gbps=17.9)
+        for spec in (NIC_10GE, NIC_40GE, lopsided):
+            nic = NicPort(spec)
+            rx_free = tx_free = packets = nbytes = 0
+            # Every size twice (a table fill, then a read), once queued
+            # behind the previous frame and once on an idle port.
+            for repeat, size in enumerate(s for s in self.SIZES for _ in range(2)):
+                now = rx_free - 5 if repeat % 2 else rx_free + 1_000
+                rx_free = max(now, rx_free) + _closed_form_ns(size, spec.effective_rx_gbps)
+                assert nic.rx_ready_at(now, size) == rx_free + spec.rx_processing_ns
+                tx_free = max(now, tx_free) + _closed_form_ns(size, spec.effective_tx_gbps)
+                assert nic.tx_ready_at(now, size) == tx_free
+                packets += 1
+                nbytes += size
+                assert (nic.rx_free_at_ns, nic.tx_free_at_ns) == (rx_free, tx_free)
+                assert (nic.rx_packets, nic.tx_packets) == (packets, packets)
+                assert (nic.rx_bytes, nic.tx_bytes) == (nbytes, nbytes)
+
+    def test_pcie_delays_and_counters(self):
+        for spec in (PcieSpec(), PcieSpec(bandwidth_gbps=7.9, per_packet_overhead_bytes=24,
+                                          dma_latency_ns=0)):
+            bus = PcieBus(spec)
+            transfers = nbytes = 0
+            for size in (s for s in self.SIZES for _ in range(2)):
+                moved = size + spec.per_packet_overhead_bytes
+                delay = spec.dma_latency_ns + _closed_form_ns(moved, spec.bandwidth_gbps)
+                assert bus.rx_transfer(size) == delay
+                assert bus.tx_transfer(size) == delay
+                transfers += 1
+                nbytes += moved
+                assert (bus.rx_transfers, bus.tx_transfers) == (transfers, transfers)
+                assert (bus.rx_bytes, bus.tx_bytes) == (nbytes, nbytes)

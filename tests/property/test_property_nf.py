@@ -1,5 +1,7 @@
 """Property-based tests for NF invariants (NAT, Maglev, firewall)."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,13 @@ from repro.nf.firewall import Firewall, FirewallRule
 from repro.nf.loadbalancer import MaglevLoadBalancer
 from repro.nf.nat import Nat
 from repro.packet.ethernet import EthernetHeader, MacAddress
-from repro.packet.flows import FiveTuple, FlowGenerator
+from repro.packet.flows import (
+    FiveTuple,
+    FlowGenerator,
+    flow_hash,
+    flow_hash_ports,
+    flow_hash_prefix,
+)
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address, IPv4Header
 from repro.packet.packet import Packet
 from repro.packet.pool import FramePool
@@ -55,11 +63,70 @@ def _nested_loop_hash(flow: FiveTuple) -> int:
     return value
 
 
+_pack_five = struct.Struct("<5I").pack
+
+
+def _whole_key_hash(key) -> int:
+    """The one-loop flow_hash the split form replaced: FNV-1a over all 20 bytes."""
+    value = 0xCBF29CE484222325
+    for byte in _pack_five(*key):
+        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+def _outcome(hash_function, key):
+    try:
+        return hash_function(key)
+    except struct.error as error:
+        return ("struct.error", str(error))
+
+
+def _two_stage(key):
+    src, dst, protocol, src_port, dst_port = key
+    return flow_hash_ports(flow_hash_prefix(src, dst, protocol), src_port, dst_port)
+
+
+# One field: a byte, a 16-bit port, a full 32-bit value, or (rarely) a
+# value that does not pack — negative or past 2**32.
+field_strategy = st.one_of(
+    st.integers(min_value=0, max_value=0xFF),
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.sampled_from([0, 0xFFFF, 0x10000, 0xFFFFFFFF]),
+)
+unpackable_strategy = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=1 << 32)
+)
+
+
 class TestFlowHash:
     @settings(max_examples=200, deadline=None)
     @given(flow_strategy)
     def test_stable_hash_equals_the_nested_loop_form(self, flow):
         assert flow.stable_hash() == _nested_loop_hash(flow)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[field_strategy] * 5))
+    def test_the_split_hash_is_the_whole_fold(self, key):
+        # Protocols past a byte and ports past 16 bits take the byte loop.
+        flow = FiveTuple(IPv4Address(key[0]), IPv4Address(key[1]), *key[2:])
+        expected = _nested_loop_hash(flow)
+        assert flow_hash(key) == _two_stage(key) == _whole_key_hash(key) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[field_strategy] * 5),
+        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5, unique=True),
+        st.data(),
+    )
+    def test_unpackable_fields_raise_what_the_whole_fold_raised(self, key, bad, data):
+        key = list(key)
+        for index in bad:
+            key[index] = data.draw(unpackable_strategy)
+        key = tuple(key)
+        expected = _outcome(_whole_key_hash, key)
+        assert isinstance(expected, tuple)
+        assert _outcome(flow_hash, key) == _outcome(_two_stage, key) == expected
 
 
 class TestMaglevProperties:

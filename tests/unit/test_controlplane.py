@@ -177,3 +177,24 @@ class TestDeploymentSpec:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             build_chain([])
+
+    @pytest.mark.parametrize(
+        "description, key",
+        [
+            ({"type": "firewall", "rule_count": 0}, "rule_count"),
+            ({"type": "firewall", "rule_count": -3}, "rule_count"),
+            ({"type": "firewall", "rule_count": True}, "rule_count"),
+            ({"type": "firewall", "rule_count": 5, "blacklist": ["10.0.0.0/8"]}, "blacklist"),
+            ({"type": "synthetic"}, "cycles"),
+            ({"type": "loadbalancer", "backends": True}, "backends"),
+            ({"type": "loadbalancer", "backends": 0}, "backends"),
+            ({"type": "loadbalancer", "backends": 256}, "backends"),
+            ({"type": "nat", "extrnal_ip": "198.51.100.1"}, "extrnal_ip"),
+            ({"type": "macswap", "cycles": 10}, "cycles"),
+        ],
+    )
+    def test_bad_description_names_the_type_and_the_key(self, description, key):
+        with pytest.raises(ValueError) as excinfo:
+            build_chain([description])
+        message = str(excinfo.value)
+        assert description["type"] in message and key in message, message

@@ -15,7 +15,7 @@ from repro.experiments.runner import default_binding
 from repro.nf.firewall import Firewall, FirewallRule
 from repro.nf.loadbalancer import Backend, MaglevLoadBalancer
 from repro.packet.ethernet import MacAddress
-from repro.packet.flows import FiveTuple
+from repro.packet.flows import FiveTuple, flow_hash
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 from repro.packet.packet import Packet
 from repro.switchsim.mat import MatchActionTable
@@ -187,6 +187,31 @@ class TestMaglevBackendChurnInvalidation:
         after = {flow: balancer.backend_for(flow).name for flow in flows}
         # The new backend must actually receive traffic (cache was evicted).
         assert "backend-99" in set(after.values())
+
+    def test_prefix_states_are_bounded_and_survive_churn(self, monkeypatch):
+        # The hosts' hash prefixes do not depend on the pool: set_backends
+        # keeps them, the per-flow memo goes, and every choice is still
+        # the table's entry for the full flow_hash.
+        monkeypatch.setattr(MaglevLoadBalancer, "MEMO_ENTRIES", 8)
+        balancer = MaglevLoadBalancer.with_backend_count(4)
+        balancer.enable_fast_path()
+
+        def choose(flows):
+            for flow in flows:
+                expected = balancer.lookup_table[flow_hash(flow.key()) % balancer.table_size]
+                assert balancer.backend_for(flow) is balancer.backends[expected]
+
+        flows = [self._flow(i) for i in range(8)]
+        choose(flows)
+        held = dict(balancer._prefix_states)
+        assert len(held) == 8
+        balancer.add_backend(Backend.from_string("backend-99", "10.100.0.99"))
+        assert not balancer._backend_cache
+        assert balancer._prefix_states == held
+        choose(flows)
+        # A ninth pair of hosts finds the table full: it is emptied first.
+        choose([self._flow(8)])
+        assert list(balancer._prefix_states) == [self._flow(8).key()[:3]]
 
     def test_churn_validation(self):
         balancer = MaglevLoadBalancer.with_backend_count(2)
