@@ -9,6 +9,10 @@ NAT / Maglev load-balancer NFs, a discrete-event network with NICs and a
 PCIe model, traffic generation, and telemetry) is implemented as substrate
 subpackages so the full evaluation can be regenerated on a laptop.
 
+Every package ``__init__`` re-exports lazily (:mod:`repro.lazy`): a name
+is imported on its first read, so ``import repro`` — and importing any
+one submodule — loads nothing the caller does not use.
+
 Quickstart
 ----------
 >>> from repro import quickstart
@@ -16,40 +20,21 @@ Quickstart
 >>> report.goodput_gain_percent                # doctest: +SKIP
 """
 
-from repro.core.config import PayloadParkConfig
-from repro.core.header import PayloadParkHeader
-from repro.core.program import BaselineProgram, PayloadParkProgram
-
-__all__ = [
-    "PayloadParkConfig",
-    "PayloadParkHeader",
-    "PayloadParkProgram",
-    "BaselineProgram",
-    "ExperimentRunner",
-    "ExperimentResult",
-    "ScenarioConfig",
-    "quickstart",
-    "__version__",
-]
+from repro.lazy import lazy_exports
 
 #: The one version: pyproject.toml reads it from here.
 __version__ = "1.0.0"
 
-_EXPERIMENT_EXPORTS = ("ExperimentRunner", "ExperimentResult", "ScenarioConfig")
-
-
-def __getattr__(name):
-    """Lazily expose the experiment-harness classes.
-
-    The experiment runner pulls in the whole simulation stack; deferring
-    its import keeps ``import repro`` cheap for users who only need the
-    dataplane classes.
-    """
-    if name in _EXPERIMENT_EXPORTS:
-        from repro.experiments import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("PayloadParkConfig",),
+        "repro.core.header": ("PayloadParkHeader",),
+        "repro.core.program": ("PayloadParkProgram", "BaselineProgram"),
+        "repro.experiments.runner": ("ExperimentRunner", "ExperimentResult", "ScenarioConfig"),
+    },
+)
+__all__ = [*_EXPORTS, "quickstart", "__version__"]
 
 
 def quickstart():

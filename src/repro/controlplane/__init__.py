@@ -10,17 +10,16 @@ forwarding entries and NF rule sets, and an implementation of the
 adaptive eviction-policy controller the paper proposes.
 """
 
-from repro.controlplane.manager import (
-    AdaptiveEvictionPolicy,
-    ControlPlaneManager,
-    PayloadParkController,
-)
-from repro.controlplane.rules import DeploymentSpec, build_chain
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ControlPlaneManager",
-    "PayloadParkController",
-    "AdaptiveEvictionPolicy",
-    "DeploymentSpec",
-    "build_chain",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.controlplane.manager": (
+            "ControlPlaneManager",
+            "PayloadParkController",
+            "AdaptiveEvictionPolicy",
+        ),
+        "repro.controlplane.rules": ("DeploymentSpec", "build_chain"),
+    },
+)

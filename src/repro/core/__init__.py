@@ -8,24 +8,16 @@ substrate in :mod:`repro.switchsim`, plus the baseline L2-forwarding
 program used for comparison throughout the evaluation.
 """
 
-from repro.core.config import NfServerBinding, PayloadParkConfig
-from repro.core.counters import PayloadParkCounters
-from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
-from repro.core.lookup_table import LookupTable, MetadataEntry
-from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgram
-from repro.core.tagger import PacketTagger
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PayloadParkConfig",
-    "NfServerBinding",
-    "PayloadParkHeader",
-    "OP_MERGE",
-    "OP_EXPLICIT_DROP",
-    "PayloadParkCounters",
-    "LookupTable",
-    "MetadataEntry",
-    "PacketTagger",
-    "PayloadParkProgram",
-    "BaselineProgram",
-    "SwitchProgram",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("PayloadParkConfig", "NfServerBinding"),
+        "repro.core.header": ("PayloadParkHeader", "OP_MERGE", "OP_EXPLICIT_DROP"),
+        "repro.core.counters": ("PayloadParkCounters",),
+        "repro.core.lookup_table": ("LookupTable", "MetadataEntry"),
+        "repro.core.tagger": ("PacketTagger",),
+        "repro.core.program": ("PayloadParkProgram", "BaselineProgram", "SwitchProgram"),
+    },
+)

@@ -12,21 +12,21 @@ the irregular ones (Fig. 6, 12, 13, 14, Table 1, equivalence, chaos)
 keep a module whose ``run(...)`` loops over the runner in process.
 Every ``run`` returns JSON-serializable rows.
 
-This package imports only the runner: importing the registry pulls in
+This package re-exports only the runner: importing the registry pulls in
 every experiment module, which campaign workers and the perf ledger's
 cold-import measurement should not pay for.
 """
 
-from repro.experiments.runner import (
-    DeploymentKind,
-    ExperimentResult,
-    ExperimentRunner,
-    ScenarioConfig,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ExperimentRunner",
-    "ExperimentResult",
-    "ScenarioConfig",
-    "DeploymentKind",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.runner": (
+            "ExperimentRunner",
+            "ExperimentResult",
+            "ScenarioConfig",
+            "DeploymentKind",
+        ),
+    },
+)

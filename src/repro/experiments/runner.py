@@ -23,6 +23,7 @@ serves the §6.3.1 memory sweep.
 from __future__ import annotations
 
 import enum
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
@@ -277,6 +278,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_fidelity(self.fidelity)
+        # A non-finite rate is PktGenConfig's error (require_positive_finite).
+        if math.isfinite(self.send_rate_gbps) and self.send_rate_gbps > self.gen_link_gbps:
+            raise ValueError(
+                f"send_rate_gbps {self.send_rate_gbps:g} exceeds gen_link_gbps "
+                f"{self.gen_link_gbps:g}: the generator's own link drops the excess"
+            )
 
     def with_rate(self, rate_gbps: float) -> "ScenarioConfig":
         """A copy of this scenario at a different offered rate.

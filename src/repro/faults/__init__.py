@@ -25,24 +25,19 @@ axis; every mutation preserves fast-vs-slow equality and seed
 determinism (the chaos test suite proves it).
 """
 
-from repro.faults.events import EVENT_KINDS, FaultEvent, validate_event_record
-from repro.faults.injector import FaultInjectorNode
-from repro.faults.registry import (
-    FAULT_REGISTRY,
-    fault_profile_names,
-    get_fault_profile,
-    register_fault_profile,
-)
-from repro.faults.schedule import EventSchedule
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "EventSchedule",
-    "FAULT_REGISTRY",
-    "FaultEvent",
-    "FaultInjectorNode",
-    "fault_profile_names",
-    "get_fault_profile",
-    "register_fault_profile",
-    "validate_event_record",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.events": ("EVENT_KINDS", "FaultEvent", "validate_event_record"),
+        "repro.faults.injector": ("FaultInjectorNode",),
+        "repro.faults.registry": (
+            "FAULT_REGISTRY",
+            "fault_profile_names",
+            "get_fault_profile",
+            "register_fault_profile",
+        ),
+        "repro.faults.schedule": ("EventSchedule",),
+    },
+)

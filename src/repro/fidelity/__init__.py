@@ -43,23 +43,19 @@ the ``fluid_vs_packet`` metamorphic relation and gated in CI by
 ``repro bench --fidelity-check``.
 """
 
-from repro.errors import FidelityError
-from repro.fidelity.controller import (
-    FluidParams,
-    TierController,
-    TierJump,
-    fluid_eligible,
-)
-from repro.fidelity.segments import SteadySegment, plan_steady_segments
-from repro.fidelity.state import FluidStateMap
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "FidelityError",
-    "FluidParams",
-    "FluidStateMap",
-    "SteadySegment",
-    "TierController",
-    "TierJump",
-    "fluid_eligible",
-    "plan_steady_segments",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.errors": ("FidelityError",),
+        "repro.fidelity.controller": (
+            "FluidParams",
+            "TierController",
+            "TierJump",
+            "fluid_eligible",
+        ),
+        "repro.fidelity.segments": ("SteadySegment", "plan_steady_segments"),
+        "repro.fidelity.state": ("FluidStateMap",),
+    },
+)

@@ -10,26 +10,18 @@ egress buffers, NIC and PCIe models, a switch node that runs a
 sink, and the topology that wires them up for any number of servers.
 """
 
-from repro.netsim.eventloop import EventLoop
-from repro.netsim.link import Link
-from repro.netsim.nic import NicPort, NicSpec, NIC_10GE, NIC_40GE
-from repro.netsim.pcie import PcieBus, PcieSpec
-from repro.netsim.server_node import NfServerNode
-from repro.netsim.switch_node import SwitchNode
-from repro.netsim.topology import Topology
-from repro.netsim.trafficgen_node import TrafficGenNode
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "EventLoop",
-    "Link",
-    "NicSpec",
-    "NicPort",
-    "NIC_10GE",
-    "NIC_40GE",
-    "PcieBus",
-    "PcieSpec",
-    "SwitchNode",
-    "NfServerNode",
-    "TrafficGenNode",
-    "Topology",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.netsim.eventloop": ("EventLoop",),
+        "repro.netsim.link": ("Link",),
+        "repro.netsim.nic": ("NicSpec", "NicPort", "NIC_10GE", "NIC_40GE"),
+        "repro.netsim.pcie": ("PcieBus", "PcieSpec"),
+        "repro.netsim.switch_node": ("SwitchNode",),
+        "repro.netsim.server_node": ("NfServerNode",),
+        "repro.netsim.trafficgen_node": ("TrafficGenNode",),
+        "repro.netsim.topology": ("Topology",),
+    },
+)

@@ -10,35 +10,24 @@ per-packet overhead and buffering that determine when the NF server
 becomes compute bound.
 """
 
-from repro.nf.base import NetworkFunction, NfResult, NfVerdict
-from repro.nf.chain import NfChain
-from repro.nf.firewall import Firewall, FirewallRule
-from repro.nf.framework import NETBRICKS, OPENNETVM, NfFramework
-from repro.nf.loadbalancer import Backend, MaglevLoadBalancer
-from repro.nf.macswap import MacSwapper
-from repro.nf.nat import Nat, NatBinding
-from repro.nf.server import NfServerConfig, NfServerModel
-from repro.nf.synthetic import NF_HEAVY_CYCLES, NF_LIGHT_CYCLES, NF_MEDIUM_CYCLES, SyntheticNf
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "NetworkFunction",
-    "NfResult",
-    "NfVerdict",
-    "NfChain",
-    "Firewall",
-    "FirewallRule",
-    "Nat",
-    "NatBinding",
-    "MaglevLoadBalancer",
-    "Backend",
-    "MacSwapper",
-    "SyntheticNf",
-    "NF_LIGHT_CYCLES",
-    "NF_MEDIUM_CYCLES",
-    "NF_HEAVY_CYCLES",
-    "NfFramework",
-    "OPENNETVM",
-    "NETBRICKS",
-    "NfServerModel",
-    "NfServerConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.nf.base": ("NetworkFunction", "NfResult", "NfVerdict"),
+        "repro.nf.chain": ("NfChain",),
+        "repro.nf.firewall": ("Firewall", "FirewallRule"),
+        "repro.nf.nat": ("Nat", "NatBinding"),
+        "repro.nf.loadbalancer": ("MaglevLoadBalancer", "Backend"),
+        "repro.nf.macswap": ("MacSwapper",),
+        "repro.nf.synthetic": (
+            "SyntheticNf",
+            "NF_LIGHT_CYCLES",
+            "NF_MEDIUM_CYCLES",
+            "NF_HEAVY_CYCLES",
+        ),
+        "repro.nf.framework": ("NfFramework", "OPENNETVM", "NETBRICKS"),
+        "repro.nf.server": ("NfServerModel", "NfServerConfig"),
+    },
+)

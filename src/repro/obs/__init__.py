@@ -19,35 +19,20 @@ The disabled path is budgeted at <2% overhead and gated by
 ``repro bench --obs-check``.
 """
 
-from repro.obs.config import ObserveSpec
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-)
-from repro.obs.plane import ObservabilityPlane, RunObservation
-from repro.obs.profiler import PhaseProfiler
-from repro.obs.session import (
-    ObservationSink,
-    current_observation_sink,
-    observation_sink,
-)
-from repro.obs.trace import FlightRecorder
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObservabilityPlane",
-    "ObservationSink",
-    "ObserveSpec",
-    "PhaseProfiler",
-    "RunObservation",
-    "TimeSeries",
-    "current_observation_sink",
-    "observation_sink",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.config": ("ObserveSpec",),
+        "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeries"),
+        "repro.obs.plane": ("ObservabilityPlane", "RunObservation"),
+        "repro.obs.profiler": ("PhaseProfiler",),
+        "repro.obs.session": (
+            "ObservationSink",
+            "current_observation_sink",
+            "observation_sink",
+        ),
+        "repro.obs.trace": ("FlightRecorder",),
+    },
+)

@@ -23,46 +23,32 @@ The subsystem has seven layers:
   not re-exported here, so only that command imports :mod:`http.server`.
 """
 
-from repro.orchestrator.dispatcher import DispatchLoop
-from repro.orchestrator.executor import (
-    CampaignExecutor,
-    CampaignSummary,
-    execute_run,
-    flatten_comparison,
-    flatten_report,
-)
-from repro.orchestrator.spec import (
-    SCENARIO_REGISTRY,
-    CampaignSpec,
-    RunSpec,
-    build_scenario,
-    derived_seed,
-    register_scenario,
-)
-from repro.orchestrator.store import ResultStore, default_store_path, events_path_for
-from repro.orchestrator.telemetrybus import (
-    CampaignMonitor,
-    TelemetryBus,
-    events_from_record,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SCENARIO_REGISTRY",
-    "CampaignExecutor",
-    "CampaignMonitor",
-    "CampaignSpec",
-    "CampaignSummary",
-    "DispatchLoop",
-    "ResultStore",
-    "RunSpec",
-    "TelemetryBus",
-    "build_scenario",
-    "default_store_path",
-    "derived_seed",
-    "events_from_record",
-    "events_path_for",
-    "execute_run",
-    "flatten_comparison",
-    "flatten_report",
-    "register_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.orchestrator.dispatcher": ("DispatchLoop",),
+        "repro.orchestrator.executor": (
+            "CampaignExecutor",
+            "CampaignSummary",
+            "execute_run",
+            "flatten_comparison",
+            "flatten_report",
+        ),
+        "repro.orchestrator.spec": (
+            "SCENARIO_REGISTRY",
+            "CampaignSpec",
+            "RunSpec",
+            "build_scenario",
+            "derived_seed",
+            "register_scenario",
+        ),
+        "repro.orchestrator.store": ("ResultStore", "default_store_path", "events_path_for"),
+        "repro.orchestrator.telemetrybus": (
+            "CampaignMonitor",
+            "TelemetryBus",
+            "events_from_record",
+        ),
+    },
+)

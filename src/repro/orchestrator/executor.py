@@ -34,15 +34,14 @@ already holds.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
-import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import require_positive_finite
 from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.orchestrator.spec import CampaignSpec, RunSpec, build_scenario, dedupe_specs
 from repro.orchestrator.store import ResultStore
@@ -250,6 +249,8 @@ def execute_run(
                         f"first: {observer.violations[0]}"
                     )
     except Exception as exc:  # noqa: BLE001 - worker must not crash the pool
+        import traceback
+
         record["status"] = "error"
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["traceback"] = traceback.format_exc()
@@ -364,6 +365,8 @@ class CampaignExecutor:
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     ) -> None:
         if workers is None:
+            import multiprocessing
+
             workers = multiprocessing.cpu_count()
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -373,6 +376,7 @@ class CampaignExecutor:
             raise ValueError("cell_timeout_s must be positive")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
+        require_positive_finite("heartbeat_interval_s", heartbeat_interval_s)
         self.workers = workers
         self.progress = progress
         self.bus = bus

@@ -13,7 +13,6 @@ are built programmatically.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import itertools
 import json
@@ -100,6 +99,8 @@ def canonical_json(value: Any) -> str:
 
 
 def _hash16(value: Any) -> str:
+    import hashlib  # OpenSSL loads at the first hash, not with this module
+
     return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()[:16]
 
 
@@ -192,6 +193,8 @@ class RunSpec:
 
 def derived_seed(scenario: str, params: Mapping[str, Any]) -> int:
     """A deterministic per-run seed from the run's parameter point."""
+    import hashlib
+
     payload = canonical_json({"scenario": scenario, "params": dict(params)})
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return int(digest[:8], 16) % (2**31 - 1)

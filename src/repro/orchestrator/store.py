@@ -49,13 +49,10 @@ the dispatcher), so appends never interleave.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
-
-logger = logging.getLogger("repro.orchestrator.store")
 
 #: Terminal cell statuses, as written into records and ``cell_finished``
 #: events (``exhausted`` is the retry-budget-spent marker).
@@ -99,7 +96,9 @@ def _parse_line(path: Path, line_no: int, line) -> Optional[Dict[str, Any]]:
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
-        logger.warning(
+        import logging
+
+        logging.getLogger("repro.orchestrator.store").warning(
             "%s:%d: skipping torn/malformed record (%d bytes) "
             "— likely a partial write from a killed run",
             path, line_no, len(line),

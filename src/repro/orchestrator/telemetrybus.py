@@ -33,17 +33,14 @@ which is what the ``repro bench --bus-check`` overhead gate pins.
 from __future__ import annotations
 
 import json
-import logging
-import multiprocessing
 import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional
 
-from repro.logconfig import configure_logging
 from repro.orchestrator.store import (
     LIVE_STATUSES,
     TERMINAL_STATUSES,
@@ -51,7 +48,15 @@ from repro.orchestrator.store import (
     supersedes,
 )
 
-logger = logging.getLogger("repro.orchestrator.telemetrybus")
+if TYPE_CHECKING:
+    import logging
+
+
+def _logger() -> logging.Logger:
+    """This module's logger; :mod:`logging` loads when something is logged."""
+    import logging
+
+    return logging.getLogger("repro.orchestrator.telemetrybus")
 
 #: Event types the bus understands (anything else is carried verbatim —
 #: the monitor keeps unknown events in the ring so /events never lies).
@@ -117,7 +122,7 @@ def worker_emit(event: Dict[str, Any]) -> None:
     try:
         sink(event)
     except Exception:  # noqa: BLE001 - telemetry must never kill a cell
-        logger.debug("telemetry emit failed", exc_info=True)
+        _logger().debug("telemetry emit failed", exc_info=True)
 
 
 def current_cell_hash() -> str:
@@ -137,8 +142,12 @@ def cell_context(spec_hash: str) -> Iterator[None]:
         _CURRENT_CELL = previous
 
 
-class CellTagFilter(logging.Filter):
-    """Stamps every record with the running cell's hash (``record.cell``)."""
+class CellTagFilter:
+    """Stamps every record with the running cell's hash (``record.cell``).
+
+    :mod:`logging` takes any object with a ``filter`` method as a
+    filter, so this class needs no :class:`logging.Filter` base.
+    """
 
     def filter(self, record: logging.LogRecord) -> bool:
         record.cell = _CURRENT_CELL
@@ -150,6 +159,8 @@ def configure_worker_logging(level_name: str) -> None:
 
     Interleaved multi-worker output stays attributable.
     """
+    from repro.logconfig import configure_logging
+
     configure_logging(level_name, " [cell %(cell)s]", CellTagFilter())
 
 
@@ -538,6 +549,8 @@ class TelemetryBus:
         monitor: Optional[CampaignMonitor] = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
     ) -> None:
+        import multiprocessing
+
         self._ctx = multiprocessing.get_context()
         self.queue = self._ctx.Queue()
         self.monitor = monitor if monitor is not None else CampaignMonitor()
@@ -586,11 +599,11 @@ class TelemetryBus:
                 self._handle.write(json.dumps(event, sort_keys=True) + "\n")
                 self._handle.flush()
             except OSError:
-                logger.warning("could not append to %s", self.events_path)
+                _logger().warning("could not append to %s", self.events_path)
         try:
             self.monitor.handle(event)
         except Exception:  # noqa: BLE001 - a bad event must not kill the drain
-            logger.exception("monitor rejected event %r", event.get("type"))
+            _logger().exception("monitor rejected event %r", event.get("type"))
 
     def stop(self) -> None:
         """Drain everything already queued, then stop the thread."""

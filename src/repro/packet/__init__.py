@@ -7,33 +7,19 @@ used to validate the PayloadPark tag, a minimal libpcap-format reader and
 writer (the paper replays PCAP files), and 5-tuple flow helpers.
 """
 
-from repro.packet.checksum import internet_checksum, verify_internet_checksum
-from repro.packet.crc import crc16, crc32
-from repro.packet.ethernet import EthernetHeader, MacAddress
-from repro.packet.flows import FiveTuple, FlowGenerator
-from repro.packet.ipv4 import IPv4Address, IPv4Header
-from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
-from repro.packet.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
-from repro.packet.tcp import TcpHeader
-from repro.packet.udp import UdpHeader
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "EthernetHeader",
-    "MacAddress",
-    "IPv4Header",
-    "IPv4Address",
-    "UdpHeader",
-    "TcpHeader",
-    "Packet",
-    "ETHERNET_UDP_HEADER_BYTES",
-    "internet_checksum",
-    "verify_internet_checksum",
-    "crc16",
-    "crc32",
-    "PcapReader",
-    "PcapWriter",
-    "read_pcap",
-    "write_pcap",
-    "FiveTuple",
-    "FlowGenerator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.packet.ethernet": ("EthernetHeader", "MacAddress"),
+        "repro.packet.ipv4": ("IPv4Header", "IPv4Address"),
+        "repro.packet.udp": ("UdpHeader",),
+        "repro.packet.tcp": ("TcpHeader",),
+        "repro.packet.packet": ("Packet", "ETHERNET_UDP_HEADER_BYTES"),
+        "repro.packet.checksum": ("internet_checksum", "verify_internet_checksum"),
+        "repro.packet.crc": ("crc16", "crc32"),
+        "repro.packet.pcap": ("PcapReader", "PcapWriter", "read_pcap", "write_pcap"),
+        "repro.packet.flows": ("FiveTuple", "FlowGenerator"),
+    },
+)

@@ -16,29 +16,19 @@ restrictions as the hardware:
 * recirculation as the only way to get more stages per packet.
 """
 
-from repro.switchsim.asic import AsicConfig, TofinoAsic
-from repro.switchsim.context import PipelinePacket
-from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.parser import Deparser, Parser
-from repro.switchsim.pipe import Pipe
-from repro.switchsim.pipeline import Pipeline
-from repro.switchsim.registers import RegisterAccessError, RegisterArray
-from repro.switchsim.resources import ResourceBudget, ResourceReport, StageResources
-from repro.switchsim.stage import Stage
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "TofinoAsic",
-    "AsicConfig",
-    "PipelinePacket",
-    "MatchActionTable",
-    "Parser",
-    "Deparser",
-    "Pipe",
-    "Pipeline",
-    "RegisterArray",
-    "RegisterAccessError",
-    "ResourceBudget",
-    "ResourceReport",
-    "StageResources",
-    "Stage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.switchsim.asic": ("TofinoAsic", "AsicConfig"),
+        "repro.switchsim.context": ("PipelinePacket",),
+        "repro.switchsim.mat": ("MatchActionTable",),
+        "repro.switchsim.parser": ("Parser", "Deparser"),
+        "repro.switchsim.pipe": ("Pipe",),
+        "repro.switchsim.pipeline": ("Pipeline",),
+        "repro.switchsim.registers": ("RegisterArray", "RegisterAccessError"),
+        "repro.switchsim.resources": ("ResourceBudget", "ResourceReport", "StageResources"),
+        "repro.switchsim.stage": ("Stage",),
+    },
+)

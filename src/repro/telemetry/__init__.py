@@ -7,15 +7,13 @@ packet drop rate below 0.1 %.  This subpackage provides the recorders
 and report dataclasses the experiment runner fills in.
 """
 
-from repro.telemetry.goodput import gbps, goodput_gain_percent
-from repro.telemetry.latency import LatencyRecorder
-from repro.telemetry.report import ComparisonReport, DeploymentReport, HEALTHY_DROP_RATE
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "LatencyRecorder",
-    "gbps",
-    "goodput_gain_percent",
-    "DeploymentReport",
-    "ComparisonReport",
-    "HEALTHY_DROP_RATE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.latency": ("LatencyRecorder",),
+        "repro.telemetry.goodput": ("gbps", "goodput_gain_percent"),
+        "repro.telemetry.report": ("DeploymentReport", "ComparisonReport", "HEALTHY_DROP_RATE"),
+    },
+)

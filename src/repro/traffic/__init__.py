@@ -8,21 +8,18 @@ provides those size distributions, the flow population, and the packet
 factory used by the traffic-generator node.
 """
 
-from repro.traffic.distributions import (
-    EmpiricalDistribution,
-    FixedSizeDistribution,
-    PacketSizeDistribution,
-    enterprise_datacenter_distribution,
-)
-from repro.traffic.pktgen import PktGenConfig, PacketFactory
-from repro.traffic.workload import Workload
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PacketSizeDistribution",
-    "FixedSizeDistribution",
-    "EmpiricalDistribution",
-    "enterprise_datacenter_distribution",
-    "Workload",
-    "PktGenConfig",
-    "PacketFactory",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.traffic.distributions": (
+            "PacketSizeDistribution",
+            "FixedSizeDistribution",
+            "EmpiricalDistribution",
+            "enterprise_datacenter_distribution",
+        ),
+        "repro.traffic.workload": ("Workload",),
+        "repro.traffic.pktgen": ("PktGenConfig", "PacketFactory"),
+    },
+)

@@ -16,7 +16,6 @@ from typing import Optional, Union
 from repro.packet.flows import FlowGenerator
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
 from repro.errors import WorkloadSpecError
-from repro.packet.pcap import PcapWriter, read_pcap
 from repro.traffic.distributions import (
     EmpiricalDistribution,
     FixedSizeDistribution,
@@ -85,6 +84,8 @@ class Workload:
     def from_pcap(cls, path: Union[str, Path], flow_count: int = 1024,
                   name: Optional[str] = None) -> "Workload":
         """Build a workload whose size distribution matches a PCAP capture."""
+        from repro.packet.pcap import read_pcap
+
         records = read_pcap(path)
         if not records:
             raise WorkloadSpecError(f"PCAP {path} contains no packets")
@@ -129,6 +130,8 @@ class Workload:
         correspond to back-to-back transmission at *rate_gbps*.
         """
         import random
+
+        from repro.packet.pcap import PcapWriter
 
         rng = random.Random(seed)
         timestamp = 0.0

@@ -20,96 +20,56 @@ CLI: ``repro validate run|fuzz|replay``.  Campaigns opt in with
 ``validate: true`` in their spec file.
 """
 
-from repro.validation.corpus import (
-    DEFAULT_CORPUS_DIR,
-    corpus_entries,
-    load_entry,
-    replay_corpus,
-    replay_entry,
-    run_spec_from_entry,
-    validate_entry_names,
-    write_entry,
-)
-from repro.validation.engine import (
-    ValidationObserver,
-    ValidationReport,
-    check_scenario,
-)
-from repro.validation.fuzzer import (
-    FuzzFailure,
-    FuzzResult,
-    check_run,
-    descriptor_size,
-    fuzz,
-    generate_run,
-    parse_budget,
-    shrink,
-)
-from repro.validation.invariants import (
-    DEFAULT_INVARIANTS,
-    GoodputBound,
-    Invariant,
-    LatencyCausality,
-    NfStateConsistency,
-    NoOrphanedPayload,
-    PacketConservation,
-    ParkingSlotLeak,
-    RegisterBounds,
-    RetransmitAccounting,
-    RunObservation,
-    Violation,
-)
-from repro.validation.metamorphic import (
-    DEFAULT_RELATION_NAMES,
-    RELATION_REGISTRY,
-    FastSlowEquivalence,
-    MetamorphicRelation,
-    RateMonotonicity,
-    SeedDeterminism,
-    TimeScaleInvariance,
-    build_relations,
-    comparison_metrics,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CORPUS_DIR",
-    "DEFAULT_INVARIANTS",
-    "DEFAULT_RELATION_NAMES",
-    "FastSlowEquivalence",
-    "FuzzFailure",
-    "FuzzResult",
-    "GoodputBound",
-    "Invariant",
-    "LatencyCausality",
-    "MetamorphicRelation",
-    "NfStateConsistency",
-    "NoOrphanedPayload",
-    "PacketConservation",
-    "ParkingSlotLeak",
-    "RELATION_REGISTRY",
-    "RateMonotonicity",
-    "RegisterBounds",
-    "RetransmitAccounting",
-    "RunObservation",
-    "SeedDeterminism",
-    "TimeScaleInvariance",
-    "ValidationObserver",
-    "ValidationReport",
-    "Violation",
-    "build_relations",
-    "check_run",
-    "check_scenario",
-    "comparison_metrics",
-    "corpus_entries",
-    "descriptor_size",
-    "fuzz",
-    "generate_run",
-    "load_entry",
-    "parse_budget",
-    "replay_corpus",
-    "replay_entry",
-    "run_spec_from_entry",
-    "shrink",
-    "validate_entry_names",
-    "write_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.validation.corpus": (
+            "DEFAULT_CORPUS_DIR",
+            "corpus_entries",
+            "load_entry",
+            "replay_corpus",
+            "replay_entry",
+            "run_spec_from_entry",
+            "validate_entry_names",
+            "write_entry",
+        ),
+        "repro.validation.engine": ("ValidationObserver", "ValidationReport", "check_scenario"),
+        "repro.validation.fuzzer": (
+            "FuzzFailure",
+            "FuzzResult",
+            "check_run",
+            "descriptor_size",
+            "fuzz",
+            "generate_run",
+            "parse_budget",
+            "shrink",
+        ),
+        "repro.validation.invariants": (
+            "DEFAULT_INVARIANTS",
+            "GoodputBound",
+            "Invariant",
+            "LatencyCausality",
+            "NfStateConsistency",
+            "NoOrphanedPayload",
+            "PacketConservation",
+            "ParkingSlotLeak",
+            "RegisterBounds",
+            "RetransmitAccounting",
+            "RunObservation",
+            "Violation",
+        ),
+        "repro.validation.metamorphic": (
+            "DEFAULT_RELATION_NAMES",
+            "RELATION_REGISTRY",
+            "FastSlowEquivalence",
+            "MetamorphicRelation",
+            "RateMonotonicity",
+            "SeedDeterminism",
+            "TimeScaleInvariance",
+            "build_relations",
+            "comparison_metrics",
+        ),
+    },
+)

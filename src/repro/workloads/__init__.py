@@ -7,71 +7,45 @@ schedules into named workloads that the simulator, the campaign
 orchestrator and the ``repro workload`` CLI all consume.
 """
 
-from repro.errors import WorkloadSpecError
-from repro.workloads.arrivals import (
-    ArrivalModel,
-    IncastArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    UniformArrivals,
-)
-from repro.workloads.base import TrafficModel, WorkloadSpec, derived_rng
-from repro.workloads.flowmodels import (
-    ChurnFlows,
-    FlowModel,
-    HeavyTailFlows,
-    RoundRobinFlows,
-)
-from repro.workloads.generative import GenerativePacketSource, GenerativeWorkload
-from repro.workloads.registry import (
-    WORKLOAD_REGISTRY,
-    get_workload,
-    register_workload,
-    workload_names,
-)
-from repro.workloads.replay import PcapReplayWorkload, synthetic_enterprise_capture
-from repro.workloads.schedule import RatePhase, TraceSchedule
-from repro.workloads.transport import (
-    ClosedLoopFlows,
-    ClosedLoopTransport,
-    ClosedLoopWorkload,
-)
-from repro.workloads.stats import (
-    SMALL_FRAME_THRESHOLD_BYTES,
-    TracedPacket,
-    WorkloadSummary,
-    summarize,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ArrivalModel",
-    "ChurnFlows",
-    "ClosedLoopFlows",
-    "ClosedLoopTransport",
-    "ClosedLoopWorkload",
-    "FlowModel",
-    "GenerativePacketSource",
-    "GenerativeWorkload",
-    "HeavyTailFlows",
-    "IncastArrivals",
-    "MMPPArrivals",
-    "PcapReplayWorkload",
-    "PoissonArrivals",
-    "RatePhase",
-    "RoundRobinFlows",
-    "SMALL_FRAME_THRESHOLD_BYTES",
-    "TraceSchedule",
-    "TracedPacket",
-    "TrafficModel",
-    "UniformArrivals",
-    "WORKLOAD_REGISTRY",
-    "WorkloadSpec",
-    "WorkloadSpecError",
-    "WorkloadSummary",
-    "derived_rng",
-    "get_workload",
-    "register_workload",
-    "summarize",
-    "synthetic_enterprise_capture",
-    "workload_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.errors": ("WorkloadSpecError",),
+        "repro.workloads.arrivals": (
+            "ArrivalModel",
+            "IncastArrivals",
+            "MMPPArrivals",
+            "PoissonArrivals",
+            "UniformArrivals",
+        ),
+        "repro.workloads.base": ("TrafficModel", "WorkloadSpec", "derived_rng"),
+        "repro.workloads.flowmodels": (
+            "ChurnFlows",
+            "FlowModel",
+            "HeavyTailFlows",
+            "RoundRobinFlows",
+        ),
+        "repro.workloads.generative": ("GenerativePacketSource", "GenerativeWorkload"),
+        "repro.workloads.registry": (
+            "WORKLOAD_REGISTRY",
+            "get_workload",
+            "register_workload",
+            "workload_names",
+        ),
+        "repro.workloads.replay": ("PcapReplayWorkload", "synthetic_enterprise_capture"),
+        "repro.workloads.schedule": ("RatePhase", "TraceSchedule"),
+        "repro.workloads.transport": (
+            "ClosedLoopFlows",
+            "ClosedLoopTransport",
+            "ClosedLoopWorkload",
+        ),
+        "repro.workloads.stats": (
+            "SMALL_FRAME_THRESHOLD_BYTES",
+            "TracedPacket",
+            "WorkloadSummary",
+            "summarize",
+        ),
+    },
+)

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.traffic.workload import Workload
-from repro.workloads.arrivals import ArrivalModel
-from repro.workloads.schedule import TraceSchedule
-from repro.workloads.stats import TracedPacket, WorkloadSummary, summarize
+
+if TYPE_CHECKING:
+    from repro.workloads.arrivals import ArrivalModel
+    from repro.workloads.schedule import TraceSchedule
+    from repro.workloads.stats import TracedPacket, WorkloadSummary
 
 #: A replay stream yields ``(relative_time_ns, frame_bytes)`` pairs; the
 #: traffic generator rebuilds a fresh Packet per frame so loop iterations
@@ -126,6 +128,8 @@ class WorkloadSpec:
 
     def summary(self, seed: int = 42, max_packets: int = 2000) -> WorkloadSummary:
         """Summary statistics of the first *max_packets* packets."""
+        from repro.workloads.stats import summarize
+
         return summarize(self.trace(seed, max_packets))
 
     def describe(self) -> Dict[str, str]:

@@ -8,27 +8,18 @@ and swept by campaigns (``grid: {workload: [...]}``).
 Builders, not instances, are registered: each lookup constructs a fresh
 spec so stateful pieces (replay streams, flow samplers) never leak
 between runs, and construction cost is only paid for workloads actually
-used.
+used.  Import cost too: each builder imports the models it constructs,
+so looking a name up loads only that workload's implementation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.errors import WorkloadSpecError
-from repro.traffic.distributions import (
-    EmpiricalDistribution,
-    FixedSizeDistribution,
-    ParetoSizeDistribution,
-    enterprise_datacenter_distribution,
-)
-from repro.workloads.arrivals import IncastArrivals, MMPPArrivals, PoissonArrivals
-from repro.workloads.base import WorkloadSpec
-from repro.workloads.flowmodels import ChurnFlows, HeavyTailFlows, RoundRobinFlows
-from repro.workloads.generative import GenerativeWorkload
-from repro.workloads.replay import PcapReplayWorkload
-from repro.workloads.schedule import TraceSchedule
-from repro.workloads.transport import ClosedLoopFlows, ClosedLoopWorkload
+
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadSpec
 
 #: Workload name → zero-argument builder returning a fresh spec.
 WORKLOAD_REGISTRY: Dict[str, Callable[[], WorkloadSpec]] = {}
@@ -62,6 +53,11 @@ def get_workload(name: str) -> WorkloadSpec:
 
 
 def _enterprise_poisson() -> WorkloadSpec:
+    from repro.traffic.distributions import enterprise_datacenter_distribution
+    from repro.workloads.arrivals import PoissonArrivals
+    from repro.workloads.flowmodels import RoundRobinFlows
+    from repro.workloads.generative import GenerativeWorkload
+
     return GenerativeWorkload(
         name="enterprise-poisson",
         description="Benson enterprise size mix, Poisson arrivals, 4096 flows",
@@ -73,6 +69,11 @@ def _enterprise_poisson() -> WorkloadSpec:
 
 
 def _bursty_mmpp() -> WorkloadSpec:
+    from repro.traffic.distributions import enterprise_datacenter_distribution
+    from repro.workloads.arrivals import MMPPArrivals
+    from repro.workloads.flowmodels import RoundRobinFlows
+    from repro.workloads.generative import GenerativeWorkload
+
     return GenerativeWorkload(
         name="bursty-mmpp",
         description="on/off MMPP bursts (3x rate in bursts) over the enterprise mix",
@@ -84,6 +85,11 @@ def _bursty_mmpp() -> WorkloadSpec:
 
 
 def _incast_sync() -> WorkloadSpec:
+    from repro.traffic.distributions import EmpiricalDistribution
+    from repro.workloads.arrivals import IncastArrivals
+    from repro.workloads.flowmodels import RoundRobinFlows
+    from repro.workloads.generative import GenerativeWorkload
+
     # Small response frames bunched by fan-in synchronization: the worst
     # case for switch egress buffers and a torture test for parking-slot
     # occupancy spikes.
@@ -100,6 +106,11 @@ def _incast_sync() -> WorkloadSpec:
 
 
 def _heavy_tail() -> WorkloadSpec:
+    from repro.traffic.distributions import ParetoSizeDistribution
+    from repro.workloads.arrivals import PoissonArrivals
+    from repro.workloads.flowmodels import HeavyTailFlows
+    from repro.workloads.generative import GenerativeWorkload
+
     return GenerativeWorkload(
         name="heavy-tail",
         description="Pareto frame sizes; 5% elephant flows carry 80% of packets",
@@ -111,6 +122,11 @@ def _heavy_tail() -> WorkloadSpec:
 
 
 def _flood_churn() -> WorkloadSpec:
+    from repro.traffic.distributions import FixedSizeDistribution
+    from repro.workloads.arrivals import PoissonArrivals
+    from repro.workloads.flowmodels import ChurnFlows
+    from repro.workloads.generative import GenerativeWorkload
+
     # SYN-flood shape: minimum-size frames, every packet a fresh 5-tuple.
     # No payload is ever parkable (64B frames), and flow churn maximizes
     # parking-slot turnover pressure on the switch tables.
@@ -125,6 +141,11 @@ def _flood_churn() -> WorkloadSpec:
 
 
 def _rate_ramp() -> WorkloadSpec:
+    from repro.traffic.distributions import enterprise_datacenter_distribution
+    from repro.workloads.flowmodels import RoundRobinFlows
+    from repro.workloads.generative import GenerativeWorkload
+    from repro.workloads.schedule import TraceSchedule
+
     return GenerativeWorkload(
         name="rate-ramp",
         description="enterprise mix ramping 2 -> 12 Gbps over 4 ms",
@@ -135,6 +156,12 @@ def _rate_ramp() -> WorkloadSpec:
 
 
 def _diurnal_steps() -> WorkloadSpec:
+    from repro.traffic.distributions import enterprise_datacenter_distribution
+    from repro.workloads.arrivals import PoissonArrivals
+    from repro.workloads.flowmodels import RoundRobinFlows
+    from repro.workloads.generative import GenerativeWorkload
+    from repro.workloads.schedule import TraceSchedule
+
     return GenerativeWorkload(
         name="diurnal",
         description="repeating day/night cycle between 3 and 11 Gbps (1 ms period)",
@@ -146,10 +173,14 @@ def _diurnal_steps() -> WorkloadSpec:
 
 
 def _pcap_replay() -> WorkloadSpec:
+    from repro.workloads.replay import PcapReplayWorkload
+
     return PcapReplayWorkload.synthetic(packet_count=512, seed=20, rate_gbps=8.0)
 
 
 def _incast_collapse() -> WorkloadSpec:
+    from repro.workloads.transport import ClosedLoopFlows, ClosedLoopWorkload
+
     # The TCP-incast pathology: many synchronized senders slow-start
     # into one egress buffer at once.  The 1 ms minimum RTO is enormous
     # against the microsecond base RTT, so each synchronized loss epoch
@@ -174,6 +205,8 @@ def _incast_collapse() -> WorkloadSpec:
 
 
 def _rpc_fanout() -> WorkloadSpec:
+    from repro.workloads.transport import ClosedLoopFlows, ClosedLoopWorkload
+
     # Request/response RPC shape: modest fan-out, short responses,
     # independent (unsynchronized) flow restarts with think time — the
     # regime where parking-induced RTT inflation shows up as spurious

@@ -21,11 +21,8 @@ from repro.telemetry.report import COMPARISON_COLUMNS, render_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-
-COLD_IMPORT = (
-    "import repro.experiments.runner, repro.experiments.scenarios, "
-    "repro.orchestrator.executor, repro.orchestrator.store, repro.workloads.registry"
-)
+#: The run stack's import budget; a script, so CI runs it without pytest.
+IMPORT_BUDGET = Path(__file__).with_name("import_budget.py")
 
 
 def _error_lines(capsys):
@@ -146,18 +143,20 @@ class TestFigureRegistry:
             FIGURES["fig07"].run(bogus=(1,))
 
     def test_cold_import_of_the_run_stack_skips_figures_and_http(self):
-        """The perf ledger's `setup_s` import line must stay this light."""
-        loaded = subprocess.run(
-            [sys.executable, "-c", f"{COLD_IMPORT}\nimport sys\nprint(*sys.modules)"],
+        """The perf ledger's `setup_s` import line loads only what a run uses.
+
+        In one fresh interpreter: no figure module, `http.server`,
+        `multiprocessing*`, `traceback`, closed-loop / replay / generative
+        workload or PCAP module, at most the budgeted `repro.*` count,
+        and a short `fig07_sat` compare afterwards imports nothing more.
+        """
+        done = subprocess.run(
+            [sys.executable, str(IMPORT_BUDGET)],
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-            capture_output=True, text=True, check=True,
-        ).stdout.split()
-        assert "repro.experiments.runner" in loaded
-        heavy = [
-            name for name in loaded
-            if name == "http.server" or name.startswith("repro.experiments.fig")
-        ]
-        assert heavy == []
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "a fig07_sat compare imported 0 more" in done.stdout
 
 
 class TestCli:
@@ -210,6 +209,19 @@ class TestCli:
         assert done.stdout == ""
         (line,) = done.stderr.splitlines()
         assert line.endswith(f"error: {message}")
+
+    def test_rate_above_the_generator_link_is_one_error_line_not_a_hang(self):
+        # 1e308 is finite and positive, so it used to pace the generator
+        # at the 1 ns floor; the generator link (100 Gb/s) bounds it now.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "quickstart", "--rate", "1e308"],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True, timeout=20,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert "error: send_rate_gbps 1e+308 exceeds gen_link_gbps 100" in line
 
     def test_fuzz_with_no_scenarios_is_an_error_not_a_green_run(self, capsys):
         assert main(["validate", "fuzz", "--scenarios", "0", "--no-corpus"]) == 2
@@ -375,6 +387,26 @@ class TestCampaignCli:
         assert main(["campaign", "run", str(spec), "--store", str(store),
                      "--serial", f"--time-scale={value}"]) == 2
         assert _one_error(capsys) == self.BAD_TIME_SCALES[value]
+        assert list(tmp_path.iterdir()) == [spec]
+
+    BAD_HEARTBEATS = {
+        "-1": "heartbeat_interval_s must be positive",
+        "0": "heartbeat_interval_s must be positive",
+        "inf": "heartbeat_interval_s must be finite, got inf",
+        "nan": "heartbeat_interval_s must be finite, got nan",
+    }
+
+    @pytest.mark.parametrize("value", BAD_HEARTBEATS)
+    def test_campaign_run_rejects_a_bad_heartbeat_with_nothing_on_disk(
+        self, value, tmp_path, capsys
+    ):
+        # `-1` and `0` used to become 10 ms and `nan` ran on; each wrote a
+        # store and its events sidecar and exited 0.
+        spec = self._write_spec(tmp_path)
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store),
+                     "--serial", f"--heartbeat={value}"]) == 2
+        assert _one_error(capsys) == self.BAD_HEARTBEATS[value]
         assert list(tmp_path.iterdir()) == [spec]
 
     def test_campaign_run_summary_counts_simulated_baselines(self, tmp_path, capsys):

@@ -79,6 +79,17 @@ def test_the_engine_is_chosen_where_the_testbed_is_built(reference, server_count
         assert firewall.fast_path is not reference
 
 
+def test_a_rate_above_the_generator_link_is_refused_at_declaration():
+    # The generator's own egress would drop the excess, and a finite
+    # 1e308 Gb/s paced the generator at the 1 ns floor without end.
+    with pytest.raises(ValueError, match=r"send_rate_gbps 44 exceeds gen_link_gbps 40"):
+        replace(fw_nat_lb_10ge(), gen_link_gbps=40.0, send_rate_gbps=44.0)
+    at_link = fw_nat_lb_10ge(send_rate_gbps=100.0)
+    assert at_link.gen_link_gbps == 100.0
+    with pytest.raises(ValueError, match=r"send_rate_gbps 1e\+308 exceeds gen_link_gbps 100"):
+        at_link.with_rate(1e308)
+
+
 def test_explicit_bindings_replace_the_default_layout():
     scenario = multi_server_384b(server_count=2)
     bindings = [
