@@ -1,11 +1,10 @@
-"""``repro bench``: three overhead gates, one implementation.
+"""``repro bench``: two overhead gates, one implementation.
 
 Each entry of :data:`GATES` names a few *arms* — the same work under
 different settings — and the floor one arm's rate must hold against the
-first: the disabled observability plane against none (``--obs-check``),
-a bus-enabled campaign against a bus-off one (``--bus-check``), and
-``fidelity: auto`` against ``packet`` (``--fidelity-check``).  The arms
-run back to back inside one process, so machine speed cancels out of the
+first: the disabled observability plane against none (``--obs-check``)
+and a bus-enabled campaign against a bus-off one (``--bus-check``).  The
+arms run back to back inside one process, so machine speed cancels out of the
 ratio.  Nothing here writes a file or reports a throughput of its own:
 packets per second, per-layer costs and the commit-to-commit comparison
 are rows of the perf ledger (``benchmarks/perf/run.py``).
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, ContextManager, Dict, Optional
+from typing import Any, Callable, ContextManager, Dict
 
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.experiments.scenarios import fw_nat_lb_10ge
@@ -34,11 +33,6 @@ OBS_OVERHEAD_TOLERANCE = 0.02
 #: throughput over the identical bus-off campaign.
 BUS_OVERHEAD_TOLERANCE = 0.02
 
-#: ``fidelity: auto`` must deliver at least this wall-clock speedup over
-#: ``packet`` on the long steady horizon, or the tier is not earning its
-#: complexity.
-FIDELITY_MIN_SPEEDUP = 5.0
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -48,9 +42,6 @@ class Gate:
     one arm up (untimed) and yields the callable to time; the first arm
     is the reference every ratio is taken against.  ``work`` reads the
     amount of work, in ``unit``, out of what that callable returned.
-    ``breaches``, when set, is handed the first round's returns by arm
-    name and reports results that disagree; any breach fails the gate
-    before speed is looked at.
     """
 
     title: str
@@ -61,16 +52,14 @@ class Gate:
     unit: str
     gated: str
     floor: float
-    failure: str = "REGRESSION"
-    breaches: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
 
 
 @contextmanager
 def _fig07_arm(rate_gbps: float, time_scale: float, **fields):
     """Baseline and PayloadPark on the Fig. 7 FW → NAT → LB scenario.
 
-    *fields* override the scenario's own (``observe``, ``fidelity``,
-    ``duration_us``); building it and the runner stays outside the timer.
+    *fields* override the scenario's own (``observe``); building it and
+    the runner stays outside the timer.
     """
     scenario = replace(fw_nat_lb_10ge(send_rate_gbps=rate_gbps), **fields)
     runner = ExperimentRunner(time_scale=time_scale)
@@ -108,25 +97,6 @@ def _packets_sent(result: ExperimentResult) -> int:
     return comparison.baseline.packets_sent + comparison.payloadpark.packets_sent
 
 
-def _simulated_us(result: ExperimentResult) -> float:
-    """The measured window of both deployments — equal in every tier, so
-    the rate ratio of two tiers is exactly their wall-time speedup."""
-    comparison = result.comparison
-    return (comparison.baseline.duration_ns + comparison.payloadpark.duration_ns) / 1_000
-
-
-def _fluid_breaches(results: Dict[str, ExperimentResult]) -> Dict[str, Any]:
-    """Both tiers are deterministic, so the figures come straight from the
-    timed runs, held to the tolerances the metamorphic relation certifies."""
-    from repro.orchestrator.executor import flatten_comparison
-    from repro.validation.metamorphic import fluid_figure_breaches
-
-    return fluid_figure_breaches(
-        flatten_comparison(results["packet"].comparison),
-        flatten_comparison(results["auto"].comparison),
-    )
-
-
 #: ``--json`` payload key -> gate, in the order ``repro bench`` runs them.
 #: Each ``point`` is the operating point CI has always passed.
 GATES: Dict[str, Gate] = {
@@ -162,25 +132,6 @@ GATES: Dict[str, Gate] = {
         gated="on",
         floor=1.0 - BUS_OVERHEAD_TOLERANCE,
     ),
-    # Stable underload on a ~120 ms horizon dominated by jumpable steady
-    # time — the regime the fluid tier exists for.  At the obs gate's
-    # near-saturation point the baseline's saturated NF worker correctly
-    # makes the controller refuse to jump.
-    "fidelity": Gate(
-        title="fidelity tiers (fig07)",
-        point={"rate_gbps": 6.0, "time_scale": 0.25, "duration_us": 120_000.0},
-        rounds=1,
-        arms={
-            "packet": partial(_fig07_arm, fidelity="packet"),
-            "auto": partial(_fig07_arm, fidelity="auto"),
-        },
-        work=_simulated_us,
-        unit="sim-us",
-        gated="auto",
-        floor=FIDELITY_MIN_SPEEDUP,
-        failure="TOO SLOW",
-        breaches=_fluid_breaches,
-    ),
 }
 
 
@@ -197,16 +148,14 @@ def run_gate(gate: Gate) -> Dict[str, Any]:
     reference = next(iter(gate.arms))
     best: Dict[str, Dict[str, float]] = {}
     ratios = {name: 0.0 for name in gate.arms if name != reference}
-    breaches: Dict[str, Any] = {}
-    for round_index in range(gate.rounds):
-        returned = {}
+    for _ in range(gate.rounds):
         rates = {}
         for name, arm in gate.arms.items():
             with arm(**gate.point) as run:
                 started = perf_counter()
-                returned[name] = run()
+                returned = run()
                 wall_s = perf_counter() - started
-            work = gate.work(returned[name])
+            work = gate.work(returned)
             rates[name] = work / wall_s if wall_s > 0 else 0.0
             if name not in best or rates[name] > best[name]["rate"]:
                 best[name] = {
@@ -217,8 +166,6 @@ def run_gate(gate: Gate) -> Dict[str, Any]:
         if rates[reference]:
             for name in ratios:
                 ratios[name] = max(ratios[name], rates[name] / rates[reference])
-        if round_index == 0 and gate.breaches is not None:
-            breaches = gate.breaches(returned)
     return {
         "point": dict(gate.point),
         "rounds": gate.rounds,
@@ -227,25 +174,18 @@ def run_gate(gate: Gate) -> Dict[str, Any]:
         "ratios": {name: round(ratio, 4) for name, ratio in ratios.items()},
         "gated": gate.gated,
         "floor": gate.floor,
-        "breaches": breaches,
     }
 
 
 def check_gate(gate: Gate, result: Dict[str, Any]) -> tuple:
-    """``(ok, message)`` for one :func:`run_gate` result: agreement first,
-    then the gated arm's best-round ratio against the floor."""
-    if result["breaches"]:
-        keys = sorted(result["breaches"])
-        return False, (
-            f"{gate.title}: {gate.gated} BREACHED figure tolerances on "
-            f"{len(keys)} metric(s): {keys}"
-        )
+    """``(ok, message)`` for one :func:`run_gate` result: the gated arm's
+    best-round ratio against the floor."""
     ratio = float(result["ratios"][gate.gated])
     ok = ratio >= gate.floor
     reference = next(iter(gate.arms))
     return ok, (
         f"{gate.title}: best-round {gate.gated}/{reference} rate ratio "
-        f"{ratio:.3f} (floor {gate.floor:g}): " + ("ok" if ok else gate.failure)
+        f"{ratio:.3f} (floor {gate.floor:g}): " + ("ok" if ok else "REGRESSION")
     )
 
 
@@ -266,9 +206,4 @@ def format_gate(gate: Gate, result: Dict[str, Any]) -> str:
             for name, ratio in result["ratios"].items()
         )
     )
-    for key, detail in sorted(result["breaches"].items()):
-        lines.append(
-            f"  BREACH {key}: packet {detail['packet']} vs "
-            f"fluid {detail['fluid']} (bound {detail['bound']})"
-        )
     return "\n".join(lines)

@@ -24,8 +24,6 @@ Usage::
     python -m repro observe profile          # wall-time per engine stage
     python -m repro run chaos --trace --metrics     # figures with the plane on
     python -m repro bench --obs-check               # observability overhead gate
-    python -m repro run fig07 --fidelity auto       # fluid tier on steady segments
-    python -m repro bench --fidelity-check          # fluid speedup + agreement gate
     python -m repro --log-level debug run fig07     # verbose stderr diagnostics
 
 ``list`` and ``run`` read the one figure registry,
@@ -39,12 +37,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import DEFAULT_SEED, FIDELITY_MODES, run_options
+from repro.errors import require_positive_finite
+from repro.experiments.runner import DEFAULT_SEED, run_options
 from repro.logconfig import LOG_LEVELS, configure_logging
 
 logger = logging.getLogger("repro.cli")
@@ -85,14 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--time-scale", type=float, default=None,
         help="scale every scenario's simulated duration (e.g. 0.1 for a "
-             "quick reduced-fidelity pass)",
-    )
-    run_parser.add_argument(
-        "--fidelity", choices=FIDELITY_MODES, default=None,
-        help="simulation fidelity tier: packet (default) simulates every "
-             "packet, auto batch-advances steady traffic segments as fluid "
-             "flows where provably safe, fluid additionally fails when a "
-             "scenario admits no steady segment (see repro.fidelity)",
+             "quick shorter-horizon pass)",
     )
     run_parser.add_argument(
         "--faults", default=None, metavar="PROFILE",
@@ -410,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="run the overhead gates (all three, or the ones named); "
+        help="run the overhead gates (both, or the ones named); "
              "exit 3 when one fails",
     )
     bench_parser.set_defaults(handler=_bench)
@@ -426,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bus-check", action="store_true",
         help="fail when a bus-enabled campaign costs more than "
              "repro.bench.BUS_OVERHEAD_TOLERANCE of campaign throughput",
-    )
-    bench_parser.add_argument(
-        "--fidelity-check", action="store_true",
-        help="fidelity: auto vs packet on a long steady horizon; fail on a "
-             "figure-tolerance breach or a speedup below "
-             "repro.bench.FIDELITY_MIN_SPEEDUP",
     )
 
     obs_parser = subparsers.add_parser(
@@ -575,7 +562,6 @@ def _run(args) -> int:
         "seed": args.seed,
         "time_scale": args.time_scale,
         "faults": args.faults,
-        "fidelity": args.fidelity,
     }
     if args.metrics or args.trace or args.profile:
         from repro.obs.config import ObserveSpec
@@ -623,13 +609,12 @@ def _export_observations(observations, out_dir: Path) -> List[Path]:
 
 
 def _bench(args) -> int:
-    """Run the gates named, or all three when none is; exit 3 if one fails."""
+    """Run the gates named, or both when none is; exit 3 if one fails."""
     from repro import bench
 
     named = {
         "obs_overhead": args.obs_check,
         "bus_overhead": args.bus_check,
-        "fidelity": args.fidelity_check,
     }
     payload = {}
     reports = []
@@ -917,10 +902,8 @@ def _campaign_serve(args) -> int:
     # Checked before anything starts: a bad value leaves no thread or socket.
     if not 0 <= args.port <= 65535:
         raise ValueError(f"--port must be in 0..65535, got {args.port}")
-    if args.poll_interval <= 0:
-        raise ValueError(f"--poll-interval must be positive, got {args.poll_interval}")
-    if args.max_seconds is not None and args.max_seconds < 0:
-        raise ValueError(f"--max-seconds must be >= 0, got {args.max_seconds}")
+    if args.max_seconds is not None and not 0 <= args.max_seconds < math.inf:
+        raise ValueError(f"--max-seconds must be finite and >= 0, got {args.max_seconds}")
     campaign, store = _load_campaign(args)
     # Post-hoc serving is the follower's first poll; following a live
     # `repro campaign run` is the same follower polling on.
@@ -1167,8 +1150,7 @@ def _faults_preview(args) -> int:
     from repro.faults import get_fault_profile
     from repro.telemetry.report import render_table
 
-    if args.horizon_us <= 0:
-        raise ValueError("--horizon-us must be positive")
+    require_positive_finite("--horizon-us", args.horizon_us)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     schedule = get_fault_profile(args.name)
     events = schedule.materialize(seed, int(args.horizon_us * 1_000))

@@ -47,19 +47,6 @@ class WorkloadSpecError(ValueError):
     """
 
 
-class FidelityError(ValueError):
-    """An unsatisfiable fidelity-tier request.
-
-    Raised by :mod:`repro.fidelity` when ``fidelity: fluid`` is asked of
-    a scenario that admits no steady traffic segment (arrival-model or
-    replay workloads, all-ramp schedules, horizons shorter than one
-    calibration window) — ``auto`` silently stays packet-level in those
-    cases instead.  Subclasses :class:`ValueError`, so pre-existing
-    ``except ValueError`` handlers (the CLI, campaign loaders) keep
-    working.
-    """
-
-
 def require_positive_finite(
     field: str, value: float, error: Type[ValueError] = ValueError
 ) -> None:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from repro.experiments.runner import ExperimentRunner, current_options
 from repro.experiments.scenarios import workload_scenario
 
-#: Fidelity the experiment uses when neither a runner nor a
+#: Time scale the experiment uses when neither a runner nor a
 #: ``--time-scale`` override says otherwise (the full five-profile
 #: comparison at scale 1.0 takes minutes; 0.2 keeps it interactive).
 DEFAULT_TIME_SCALE = 0.2

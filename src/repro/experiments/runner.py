@@ -54,15 +54,6 @@ class DeploymentKind(enum.Enum):
 #: Seed scenarios use when the run options name none.
 DEFAULT_SEED = 42
 
-#: Recognized values for the ``fidelity`` option.
-FIDELITY_MODES = ("packet", "fluid", "auto")
-
-
-def _check_fidelity(mode: str) -> None:
-    if mode not in FIDELITY_MODES:
-        raise ValueError(f"fidelity must be one of {FIDELITY_MODES}, got {mode!r}")
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """What every run inside a :func:`run_options` block inherits.
@@ -87,8 +78,6 @@ class RunOptions:
     observe:
         Observability spec for every built scenario (a bool, a dict or
         an :class:`~repro.obs.config.ObserveSpec`).
-    fidelity:
-        Fidelity tier of every built scenario (see :mod:`repro.fidelity`).
     reference:
         Run on the reference engine — heapq event loop, parsed packet
         construction, per-stage table walks, live cost-model queries —
@@ -101,13 +90,11 @@ class RunOptions:
     time_scale: Optional[float] = None
     faults: Optional[object] = None
     observe: Optional[object] = None
-    fidelity: str = "packet"
     reference: bool = False
 
     def __post_init__(self) -> None:
         if self.time_scale is not None:
             require_positive_finite("time_scale", self.time_scale)
-        _check_fidelity(self.fidelity)
         # Imported lazily: the fault and observability packages layer on
         # top of the runner.
         if self.faults is not None:
@@ -266,18 +253,8 @@ class ScenarioConfig:
     #: Everything defaults off — the uninstrumented hot path is gated at
     #: <2% overhead by ``repro bench --obs-check``.
     observe: Optional[object] = field(default_factory=lambda: current_options().observe)
-    #: Simulation fidelity tier (see :mod:`repro.fidelity`): ``packet``
-    #: simulates every packet; ``auto`` advances eligible steady traffic
-    #: segments with the calibrated fluid tier and falls back to the
-    #: packet engine around boundaries (fault windows, rate
-    #: discontinuities, SRAM pressure); ``fluid`` is ``auto`` that
-    #: *requires* at least one steady segment and raises otherwise.
-    #: Figure-level agreement between ``auto`` and ``packet`` is pinned
-    #: by the fluid-vs-packet metamorphic relation.
-    fidelity: str = _override(default_factory=lambda: current_options().fidelity)
 
     def __post_init__(self) -> None:
-        _check_fidelity(self.fidelity)
         # A non-finite rate is PktGenConfig's error (require_positive_finite).
         if math.isfinite(self.send_rate_gbps) and self.send_rate_gbps > self.gen_link_gbps:
             raise ValueError(
@@ -554,22 +531,19 @@ class ExperimentRunner:
 
         observer = current_run_observer()
         plane = self._attach_observability(scenario, topology, program)
-        controller = self._build_tier_controller(
-            scenario, topology, program, duration_ns, plane
-        )
         if observer is not None:
             observer.on_run_start(scenario, deployment, topology, program)
         topology.start_traffic(duration_ns)
         if plane is not None:
             plane.start(duration_ns)
-        self._advance(topology, plane, warmup_ns, controller)
+        self._advance(topology, plane, warmup_ns)
         warm_snapshot = topology.snapshot()
         warm_counters = self._pp_counter_snapshot(program)
         warm_latency_counts = {
             attachment.binding.name: attachment.pktgen.latency.count
             for attachment in topology.attachments
         }
-        self._advance(topology, plane, duration_ns, controller)
+        self._advance(topology, plane, duration_ns)
         end_snapshot = topology.snapshot()
         end_counters = self._pp_counter_snapshot(program)
 
@@ -601,48 +575,18 @@ class ExperimentRunner:
                 sink.add(observation)
         return reports
 
-    def _build_tier_controller(
-        self, scenario: ScenarioConfig, topology, program, duration_ns: int, plane
-    ):
-        """Materialize the scenario's fidelity tier, if not pure packet.
-
-        Imported lazily like the fault and observability planes — the
-        fidelity package layers on top of the runner.  Returns None for
-        ``fidelity: packet``, keeping the default path byte-identical to
-        what it was before the tiered engine existed.
-        """
-        if scenario.fidelity == "packet":
-            return None
-        from repro.fidelity import TierController
-
-        controller = TierController(
-            scenario,
-            topology,
-            program,
-            duration_ns,
-            time_scale=self.time_scale,
-            observed=plane is not None,
-        )
-        # Exposed for diagnostics and the fidelity bench (not part of the
-        # report pipeline).
-        topology.tier_controller = controller
-        return controller
-
     @staticmethod
-    def _advance(topology, plane, horizon_ns: int, controller=None) -> None:
+    def _advance(topology, plane, horizon_ns: int) -> None:
         """Run the event loop to *horizon_ns*, under the profiler if armed.
 
         ``measure_total`` brackets the whole dispatch loop so the profiler
-        can attribute the un-instrumented residue to event dispatch.  A
-        tier controller, when present, takes the place of the raw
-        ``run_until`` and interleaves fluid jumps with packet stretches.
+        can attribute the un-instrumented residue to event dispatch.
         """
-        step = controller.advance if controller is not None else topology.run_until
         if plane is not None and plane.profiler is not None:
             with plane.profiler.measure_total():
-                step(horizon_ns)
+                topology.run_until(horizon_ns)
         else:
-            step(horizon_ns)
+            topology.run_until(horizon_ns)
 
     @staticmethod
     def _pp_counter_snapshot(program: SwitchProgram):

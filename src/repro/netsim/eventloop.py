@@ -131,49 +131,6 @@ class EventLoop:
             self.events_executed += 1
             executed += 1
 
-    def translate_events(self, cutoff_ns: int, delta_ns: int) -> int:
-        """Shift every pending event scheduled before *cutoff_ns* forward
-        by *delta_ns* and advance ``now`` by the same amount.
-
-        This is the clock jump the fluid fidelity tier performs when it
-        extrapolates a steady traffic segment: near-term machinery events
-        (in-flight link deliveries, burst emissions, server completions —
-        all scheduled before the segment boundary) ride along with the
-        clock, while boundary events at or beyond *cutoff_ns* (fault
-        windows, rate-phase wakes, traffic stop) keep their absolute
-        times.  Shifted events keep their relative order; where a shifted
-        event lands on the same nanosecond as an unshifted one, the
-        unshifted (boundary) event runs first.  Returns the number of
-        events shifted.
-
-        *cutoff_ns* must be at least ``now + delta_ns`` so no event —
-        shifted or kept — ends up in the past.
-        """
-        if delta_ns < 0:
-            raise ValueError(f"delta_ns must be non-negative, got {delta_ns}")
-        if cutoff_ns < self.now + delta_ns:
-            raise ValueError(
-                f"cutoff_ns ({cutoff_ns}) must cover the translated clock "
-                f"({self.now} + {delta_ns})"
-            )
-        if delta_ns == 0:
-            return 0
-        queue = self._queue
-        shifted = [entry for entry in queue if entry[0] < cutoff_ns]
-        if shifted:
-            kept = [entry for entry in queue if entry[0] >= cutoff_ns]
-            # Re-sequence the shifted events in their original execution
-            # order so they sort after any kept event they now tie with.
-            shifted.sort(key=lambda entry: (entry[0], entry[1]))
-            sequence = self._sequence
-            queue[:] = kept + [
-                (when_ns + delta_ns, next(sequence), callback, arg)
-                for when_ns, _seq, callback, arg in shifted
-            ]
-            heapq.heapify(queue)
-        self.now += delta_ns
-        return len(shifted)
-
     @property
     def pending_events(self) -> int:
         """Number of events still queued."""
@@ -205,7 +162,6 @@ class FastEventLoop(EventLoop):
         "_active_time",
         "_active_bucket",
         "_active_index",
-        "_draining",
     )
 
     def __init__(self) -> None:
@@ -224,11 +180,6 @@ class FastEventLoop(EventLoop):
         self._active_time = -1
         self._active_bucket: Optional[list] = None
         self._active_index = 0
-        #: True while run_until/run_all is executing callbacks; guards
-        #: translate_events (a re-entrant clock jump would invalidate
-        #: the popped-timestamp the drain loop is standing on, even on
-        #: the singleton-bucket fast path that bypasses the cursor).
-        self._draining = False
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -273,7 +224,6 @@ class FastEventLoop(EventLoop):
         # (the heap entry is popped even if the callback then raises).
         consumed = 0
         executed = 0
-        self._draining = True
         try:
             while True:
                 if self._active_bucket is None:
@@ -327,7 +277,6 @@ class FastEventLoop(EventLoop):
                 self._active_bucket = None
                 self._active_time = -1
         finally:
-            self._draining = False
             self.events_executed += executed
             self._pending -= consumed
         if self.now < horizon_ns:
@@ -342,7 +291,6 @@ class FastEventLoop(EventLoop):
         remaining = float("inf") if max_events is None else max_events
         consumed = 0
         executed = 0
-        self._draining = True
         try:
             while remaining > 0:
                 if self._active_bucket is None:
@@ -374,7 +322,6 @@ class FastEventLoop(EventLoop):
                     self._active_bucket = None
                     self._active_time = -1
         finally:
-            self._draining = False
             self.events_executed += executed
             self._pending -= consumed
 
@@ -382,48 +329,3 @@ class FastEventLoop(EventLoop):
     def pending_events(self) -> int:
         """Number of events still queued."""
         return self._pending
-
-    def translate_events(self, cutoff_ns: int, delta_ns: int) -> int:
-        """Calendar version of :meth:`EventLoop.translate_events`.
-
-        Rebuilds the bucket map with shifted keys.  Buckets keep their
-        FIFO order, and a shifted bucket landing on an existing
-        (unshifted) timestamp is appended after it — the same
-        kept-before-shifted tie order the reference loop produces.  Must
-        not be called mid-drain (from inside a running callback).
-        """
-        if self._draining or self._active_bucket is not None:
-            raise RuntimeError("cannot translate events while the loop is draining")
-        if delta_ns < 0:
-            raise ValueError(f"delta_ns must be non-negative, got {delta_ns}")
-        if cutoff_ns < self.now + delta_ns:
-            raise ValueError(
-                f"cutoff_ns ({cutoff_ns}) must cover the translated clock "
-                f"({self.now} + {delta_ns})"
-            )
-        if delta_ns == 0:
-            return 0
-        buckets = self._buckets
-        shifted = 0
-        rebuilt: Dict[int, list] = {
-            when_ns: bucket
-            for when_ns, bucket in buckets.items()
-            if when_ns >= cutoff_ns
-        }
-        # Kept buckets first, then shifted ones in timestamp order, so a
-        # collision appends the shifted events after the kept ones.
-        for when_ns in sorted(when for when in buckets if when < cutoff_ns):
-            bucket = buckets[when_ns]
-            shifted += len(bucket) // 2
-            target = when_ns + delta_ns
-            existing = rebuilt.get(target)
-            if existing is None:
-                rebuilt[target] = bucket
-            else:
-                existing.extend(bucket)
-        if shifted:
-            self._buckets = rebuilt
-            self._times = list(rebuilt)
-            heapq.heapify(self._times)
-        self.now += delta_ns
-        return shifted

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping, Optional
 
-from repro.errors import ObserveSpecError
+from repro.errors import ObserveSpecError, require_positive_finite
 
 #: Keys accepted in a dict-form observe spec.
 _SPEC_KEYS = frozenset(
@@ -70,10 +70,9 @@ class ObserveSpec:
     trace_max_events: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.sample_interval_us <= 0:
-            raise ObserveSpecError(
-                f"sample_interval_us must be positive, got {self.sample_interval_us}"
-            )
+        require_positive_finite(
+            "sample_interval_us", self.sample_interval_us, ObserveSpecError
+        )
         if self.series_capacity < 2:
             raise ObserveSpecError(
                 f"series_capacity must be at least 2, got {self.series_capacity}"

@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import signal
 import time
@@ -49,6 +50,7 @@ from typing import (
     Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set,
 )
 
+from repro.errors import require_positive_finite
 from repro.orchestrator.spec import RunSpec
 
 logger = logging.getLogger("repro.orchestrator.dispatcher")
@@ -263,8 +265,10 @@ class DispatchLoop:
     ) -> None:
         if processes < 1:
             raise ValueError("processes must be at least 1")
-        if cell_timeout_s is not None and cell_timeout_s <= 0:
-            raise ValueError("cell_timeout_s must be positive")
+        if cell_timeout_s is not None:
+            require_positive_finite("cell_timeout_s", cell_timeout_s)
+        if not 0 <= retry_backoff_s < math.inf:
+            raise ValueError(f"retry_backoff_s must be finite and >= 0, got {retry_backoff_s}")
         import multiprocessing
 
         self.processes = processes

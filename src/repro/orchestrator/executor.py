@@ -34,6 +34,7 @@ already holds.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from contextlib import ExitStack
@@ -372,8 +373,10 @@ class CampaignExecutor:
             raise ValueError("workers must be at least 1")
         if max_attempts is not None and max_attempts < 0:
             raise ValueError("max_attempts must be >= 0")
-        if cell_timeout_s is not None and cell_timeout_s <= 0:
-            raise ValueError("cell_timeout_s must be positive")
+        if cell_timeout_s is not None:
+            require_positive_finite("cell_timeout_s", cell_timeout_s)
+        if not math.isfinite(retry_backoff_s):
+            raise ValueError(f"retry_backoff_s must be finite, got {retry_backoff_s}")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
         require_positive_finite("heartbeat_interval_s", heartbeat_interval_s)

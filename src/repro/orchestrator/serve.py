@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.errors import require_positive_finite
 from repro.obs.schema import (
     validate_campaign_cells,
     validate_campaign_status,
@@ -106,6 +107,7 @@ class StoreFollower(threading.Thread):
             Path(events_path) if events_path is not None
             else events_path_for(store_path)
         )
+        require_positive_finite("poll_interval_s", poll_interval_s)
         self.poll_interval_s = poll_interval_s
         self._offsets: Dict[Path, int] = {}
         self._stopped = threading.Event()

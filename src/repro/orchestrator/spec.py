@@ -27,9 +27,23 @@ from repro.experiments.runner import ScenarioConfig
 from repro.nf.framework import NETBRICKS, OPENNETVM
 from repro.traffic.workload import Workload
 
-#: Campaign run modes: a baseline-vs-PayloadPark comparison at a fixed
-#: operating point, or the §6.3.1 peak-goodput binary search.
-MODES = ("compare", "peak")
+#: Campaign run modes — a baseline-vs-PayloadPark comparison at a fixed
+#: operating point, or the §6.3.1 peak-goodput binary search — and the
+#: ``options`` keys each one reads (see ``executor.execute_run``).
+MODE_OPTIONS: Dict[str, frozenset] = {
+    "compare": frozenset({"validate", "observe"}),
+    "peak": frozenset(
+        {
+            "validate",
+            "observe",
+            "deployment",
+            "rate_bounds_gbps",
+            "tolerance_gbps",
+            "require_zero_premature_evictions",
+        }
+    ),
+}
+MODES = tuple(MODE_OPTIONS)
 
 #: Scenario name → builder returning a fresh :class:`ScenarioConfig`.
 SCENARIO_REGISTRY: Dict[str, Callable[..., ScenarioConfig]] = {
@@ -219,9 +233,11 @@ class CampaignSpec:
     grid:
         Parameter name → list of values; runs are the cartesian product.
     options:
-        Mode-specific knobs (peak mode: ``deployment``,
-        ``rate_bounds_gbps``, ``tolerance_gbps``,
-        ``require_zero_premature_evictions``).
+        Per-run knobs, the keys :data:`MODE_OPTIONS` lists for the mode:
+        ``validate`` and ``observe`` (an observe spec, plus an optional
+        ``out_dir``), and in peak mode ``deployment``,
+        ``rate_bounds_gbps``, ``tolerance_gbps`` and
+        ``require_zero_premature_evictions``.
     validate:
         When true, every grid point runs with the invariant engine
         attached (:mod:`repro.validation`): violations are recorded on
@@ -270,6 +286,20 @@ class CampaignSpec:
                     f"{self.scenario!r} takes {sorted(builder_params)}, "
                     f"overrides: {sorted(OVERRIDE_PARAMS)}"
                 )
+        accepted = MODE_OPTIONS[self.mode]
+        unknown = sorted(set(self.options) - accepted)
+        if unknown:
+            raise ValueError(
+                f"unknown campaign option(s) {unknown} for mode {self.mode!r}; "
+                f"accepted: {sorted(accepted)}"
+            )
+        observe = self.options.get("observe")
+        if observe is not None:
+            from repro.obs.config import ObserveSpec
+
+            if isinstance(observe, Mapping):
+                observe = {key: value for key, value in observe.items() if key != "out_dir"}
+            ObserveSpec.from_spec(observe)  # raises ObserveSpecError
 
     @property
     def point_count(self) -> int:
@@ -303,7 +333,7 @@ class CampaignSpec:
         return runs
 
     def with_time_scale(self, time_scale: float) -> "CampaignSpec":
-        """A copy of this campaign at a different simulation fidelity."""
+        """A copy of this campaign at a different simulated-time scale."""
         return replace(self, time_scale=time_scale)
 
     # ------------------------------------------------------------------ #

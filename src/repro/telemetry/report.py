@@ -65,8 +65,7 @@ class DeploymentReport:
     explicit_drops: int = _folded("sum", default=0)
     split_disabled: int = _folded("sum", default=0)
     #: Highest egress-queue occupancy (bytes) seen on any of the run's
-    #: links — the figure-level pressure peak the fluid-vs-packet
-    #: metamorphic relation compares across fidelity tiers.
+    #: links — the figure-level queue-pressure peak of the deployment.
     peak_queue_bytes: int = _folded("max", default=0)
     #: Closed-loop transport accounting (all zero for open-loop runs):
     #: second-and-later copies on the wire, deliveries of already-seen

@@ -13,12 +13,7 @@ dozen hand-picked operating points) to arbitrary scenarios:
 * :class:`TimeScaleInvariance` — stretching the simulated horizon must
   leave the steady-state rate metrics approximately unchanged;
 * :class:`RateMonotonicity` — offering less load can never yield more
-  goodput (up to measurement noise);
-* :class:`FluidPacketEquivalence` — the fluid fidelity tier
-  (``fidelity: auto``) must reproduce the packet engine's figure
-  outputs within declared tolerances, and *exactly* whenever the
-  scenario admits no steady segment (auto never leaves the packet
-  tier there).
+  goodput (up to measurement noise).
 
 Each relation returns :class:`~repro.validation.invariants.Violation`
 records, so the fuzzer and CLI treat invariants and relations
@@ -27,7 +22,6 @@ uniformly.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, List
 
 from repro.experiments.runner import ExperimentRunner, run_options
@@ -221,129 +215,12 @@ class RateMonotonicity(MetamorphicRelation):
         return violations
 
 
-#: Figure-level agreement ``fidelity: auto`` must hold against the packet
-#: engine: metric → ``(relative, absolute, sqrt)`` bound, compared per
-#: deployment prefix as
-#: ``|packet - fluid| <= max(|p|, |f|) * rel + sqrt_coeff * sqrt(max) + abs``.
-#: The relative term absorbs systematic calibration bias (burst pacing
-#: re-samples packet sizes, so a finite window's mean rate is noisy); the
-#: ``sqrt`` term is counting statistics — an extrapolated count of N
-#: carries O(sqrt(N)) noise, and *subcategory* counters (small-payload
-#: split bypasses, per-reason drops) are exactly the low-N tail where a
-#: flat relative band is either too lax for big counters or too tight for
-#: small ones; the absolute floor keeps near-zero metrics from failing on
-#: a handful of packets.  Latency metrics are exempt by design: samples
-#: are only drawn during packet-level windows, so the sample *population*
-#: differs between tiers even when behaviour agrees.
-FLUID_FIGURE_TOLERANCES: Dict[str, tuple] = {
-    "goodput_to_nf_gbps": (0.05, 0.05, 0.0),
-    "delivered_goodput_gbps": (0.05, 0.05, 0.0),
-    "offered_gbps": (0.05, 0.05, 0.0),
-    "pcie_gbps": (0.05, 0.05, 0.0),
-    "packets_sent": (0.05, 64, 6.0),
-    "packets_delivered": (0.05, 64, 6.0),
-    "packets_dropped": (0.05, 64, 6.0),
-    "nf_packets_processed": (0.05, 64, 6.0),
-    "splits": (0.05, 64, 6.0),
-    "merges": (0.05, 64, 6.0),
-    "evictions": (0.05, 64, 6.0),
-    "premature_evictions": (0.05, 64, 6.0),
-    "explicit_drops": (0.05, 64, 6.0),
-    "split_disabled": (0.05, 64, 6.0),
-    #: The queue-pressure peak is a max over time, not a time average —
-    #: a single packet-level burst alignment moves it, so it gets the
-    #: loosest band.
-    "peak_queue_bytes": (0.25, 4096, 0.0),
-}
-
-#: Per-reason drop-breakdown bound (keys are dynamic: ``drop_<reason>``).
-FLUID_DROP_TOLERANCE = (0.05, 64, 6.0)
-
-
-def fluid_figure_breaches(
-    packet: Dict[str, Any], fluid: Dict[str, Any]
-) -> Dict[str, Dict[str, float]]:
-    """Figure metrics where *fluid* leaves *packet*'s tolerance band.
-
-    Returns ``{key: {"packet": p, "fluid": f, "bound": b}}`` — empty when
-    the fluid tier's figures are certified equivalent.  Shared by
-    :class:`FluidPacketEquivalence` and the ``repro bench
-    --fidelity-check`` gate so both enforce the same declaration.
-    """
-    breaches: Dict[str, Dict[str, float]] = {}
-
-    def compare(key: str, rel: float, absolute: float, sqrt_coeff: float) -> None:
-        a = float(packet.get(key, 0.0))
-        b = float(fluid.get(key, 0.0))
-        magnitude = max(abs(a), abs(b))
-        bound = magnitude * rel + sqrt_coeff * magnitude ** 0.5 + absolute
-        if abs(a - b) > bound:
-            breaches[key] = {"packet": a, "fluid": b, "bound": round(bound, 6)}
-
-    for prefix in ("baseline_", "payloadpark_"):
-        for metric, (rel, absolute, sqrt_coeff) in FLUID_FIGURE_TOLERANCES.items():
-            compare(prefix + metric, rel, absolute, sqrt_coeff)
-        drop_prefix = prefix + "drop_"
-        for key in sorted(set(packet) | set(fluid)):
-            if key.startswith(drop_prefix):
-                compare(key, *FLUID_DROP_TOLERANCE)
-    return breaches
-
-
-class FluidPacketEquivalence(MetamorphicRelation):
-    """``fidelity: auto`` must reproduce the packet engine's figures.
-
-    Two regimes, decided by :func:`repro.fidelity.fluid_eligible`:
-
-    * the scenario admits steady segments — the fluid tier engages and
-      every figure output (goodput, packet/action counts, drop
-      breakdown, queue-pressure peaks) must agree within the declared
-      :data:`FLUID_FIGURE_TOLERANCES`;
-    * it admits none (arrival-model or replay workload, all-ramp
-      schedule, horizon too short) — ``auto`` must never leave the
-      packet tier, so the runs must be *byte-identical*.
-    """
-
-    name = "fluid-packet-equivalence"
-
-    def check(self, scenario, time_scale: float = 1.0) -> List[Violation]:
-        from repro.fidelity import fluid_eligible
-
-        packet = comparison_metrics(replace(scenario, fidelity="packet"), time_scale)
-        fluid = comparison_metrics(replace(scenario, fidelity="auto"), time_scale)
-        if not fluid_eligible(scenario, time_scale):
-            diffs = _diff_keys(packet, fluid)
-            if diffs:
-                return [
-                    self._violation(
-                        scenario,
-                        f"fidelity: auto must equal the packet engine exactly "
-                        f"when no steady segment exists, but {len(diffs)}+ "
-                        f"metric(s) differ: {sorted(diffs)}",
-                        diffs=diffs,
-                    )
-                ]
-            return []
-        breaches = fluid_figure_breaches(packet, fluid)
-        if breaches:
-            return [
-                self._violation(
-                    scenario,
-                    f"fluid tier leaves the packet engine's tolerance band on "
-                    f"{len(breaches)} figure metric(s): {sorted(breaches)}",
-                    breaches=breaches,
-                )
-            ]
-        return []
-
-
 #: Name → relation factory, mirroring the scenario/workload registries.
 RELATION_REGISTRY = {
     "fast_slow": FastSlowEquivalence,
     "determinism": SeedDeterminism,
     "time_scale": TimeScaleInvariance,
     "rate_monotonicity": RateMonotonicity,
-    "fluid_vs_packet": FluidPacketEquivalence,
 }
 
 #: Exact (noise-free) relations the fuzzer applies to every scenario.

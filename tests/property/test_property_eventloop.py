@@ -170,9 +170,8 @@ def _drive(loop_cls, seed):
     """Interleave scheduling with every way of advancing the loop.
 
     Times sit on a coarse grid (multiples of 10 over a short horizon),
-    so buckets hold many events, ``run_all(max_events)`` keeps stopping
-    mid-bucket, and a translated bucket regularly lands on a kept one.
-    Returns the execution trace plus a log of what each driver step
+    so buckets hold many events and ``run_all(max_events)`` keeps
+    stopping mid-bucket.  Returns the execution trace plus a log of what each driver step
     reported.
     """
     rng = random.Random(seed)
@@ -188,18 +187,10 @@ def _drive(loop_cls, seed):
                 harness.schedule(("at", env.now + rng.randrange(0, 400, 10), f"at{index}", kind))
             else:
                 harness.schedule(("in", rng.randrange(0, 200, 10), f"in{index}", kind))
-        step = rng.random()
-        if step < 0.35:
+        if rng.random() < 0.5:
             env.run_all(max_events=rng.randrange(1, 8))
-        elif step < 0.7:
-            env.run_until(env.now + rng.randrange(0, 120, 10))
         else:
-            # A clock jump needs a loop that is not standing mid-bucket:
-            # finish the current timestamp first (run_until is inclusive).
-            env.run_until(env.now)
-            delta = rng.randrange(10, 200, 10)
-            cutoff = env.now + delta + rng.randrange(0, 200, 10)
-            log.append(("translated", env.translate_events(cutoff, delta)))
+            env.run_until(env.now + rng.randrange(0, 120, 10))
         log.append((env.now, env.events_executed, env.pending_events))
     env.run_all()
     log.append((env.now, env.events_executed, env.pending_events))
@@ -208,9 +199,8 @@ def _drive(loop_cls, seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_fast_and_reference_loops_agree_under_every_driver(seed):
-    """Same ``(time, callback, arg)`` trace, ``events_executed``,
-    ``pending_events`` and ``translate_events`` return values through
-    windows, partial drains and clock jumps."""
+    """Same ``(time, callback, arg)`` trace, ``events_executed`` and
+    ``pending_events`` through windows and partial drains."""
     reference_trace, reference_log = _drive(EventLoop, seed)
     fast_trace, fast_log = _drive(FastEventLoop, seed)
     assert fast_trace == reference_trace
@@ -220,7 +210,7 @@ def test_fast_and_reference_loops_agree_under_every_driver(seed):
 
 def test_driver_programs_reach_the_corner_cases(monkeypatch):
     """The generator above is only worth its seeds if it hits the cases
-    it claims: shifted events, mid-bucket stops and ``arg=None`` events."""
+    it claims: mid-bucket stops and every event kind."""
     mid_bucket_stops = 0
     run_all = FastEventLoop.run_all
 
@@ -230,36 +220,12 @@ def test_driver_programs_reach_the_corner_cases(monkeypatch):
         mid_bucket_stops += self._active_bucket is not None
 
     monkeypatch.setattr(FastEventLoop, "run_all", counting_run_all)
-    shifted = 0
     kinds = set()
     for seed in range(25):
-        trace, log = _drive(FastEventLoop, seed)
+        trace, _log = _drive(FastEventLoop, seed)
         kinds |= {arg if arg in (NO_ARG, None) else "value" for _when, _tag, arg in trace}
-        shifted += sum(entry[1] for entry in log if entry[0] == "translated")
     assert kinds == {NO_ARG, None, "value"}
-    assert shifted > 100
     assert mid_bucket_stops > 20
-
-
-@pytest.mark.parametrize("loop_cls", LOOPS)
-def test_translated_bucket_colliding_with_a_kept_one_runs_after_it(loop_cls):
-    env = loop_cls()
-    order = []
-    env.schedule_at(100, order.append, "shifted-1")
-    env.schedule_at(100, lambda: order.append("shifted-2"))
-    env.schedule_at(100, order.append, None)
-    env.schedule_at(600, order.append, "kept-1")
-    env.schedule_at(600, lambda: order.append("kept-2"))
-    env.schedule_at(50, order.append, "shifted-0")
-    assert env.translate_events(cutoff_ns=600, delta_ns=500) == 4
-    assert env.pending_events == 6
-    env.schedule_at(600, order.append, "late")
-    env.run_all(max_events=4)  # stops inside the merged timestamp
-    assert order == ["shifted-0", "kept-1", "kept-2", "shifted-1"]
-    assert (env.now, env.events_executed, env.pending_events) == (600, 4, 3)
-    env.run_all()
-    assert order[4:] == ["shifted-2", None, "late"]
-    assert env.pending_events == 0
 
 
 @pytest.mark.parametrize("loop_cls", LOOPS)

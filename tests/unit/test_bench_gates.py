@@ -1,4 +1,4 @@
-"""The three ``repro bench`` gates: one run / check / format, three table rows."""
+"""The two ``repro bench`` gates: one run / check / format, two table rows."""
 
 import itertools
 import json
@@ -13,11 +13,10 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: ``--json`` payload key -> (CLI flag, the word a too-low ratio is reported with).
+#: ``--json`` payload key -> CLI flag.
 GATE_FLAGS = {
-    "obs_overhead": ("--obs-check", "REGRESSION"),
-    "bus_overhead": ("--bus-check", "REGRESSION"),
-    "fidelity": ("--fidelity-check", "TOO SLOW"),
+    "obs_overhead": "--obs-check",
+    "bus_overhead": "--bus-check",
 }
 
 
@@ -31,12 +30,10 @@ class ScriptedClock:
         return self.now
 
 
-def scripted(monkeypatch, key, walls, **fields):
+def scripted(monkeypatch, key, walls):
     """The real gate *key* on fake arms: 100 units of work per run, taking
     ``walls[arm][round]`` scripted seconds (over again on a second run).
-    Floor, gated arm and failure word stay the gate's own; the fakes
-    return nothing a real ``breaches`` could read, so that is off unless
-    passed."""
+    Floor and gated arm stay the gate's own."""
     clock = ScriptedClock()
     monkeypatch.setattr(bench, "perf_counter", clock)
 
@@ -59,7 +56,6 @@ def scripted(monkeypatch, key, walls, **fields):
         rounds=len(next(iter(walls.values()))),
         arms={name: fake_arm(seconds) for name, seconds in walls.items()},
         work=lambda returned: returned,
-        **{"breaches": None, **fields},
     )
     assert list(walls) == list(bench.GATES[key].arms)
     monkeypatch.setitem(bench.GATES, key, gate)
@@ -72,20 +68,17 @@ def walls_at(key, ratio, rounds=3):
     return {reference: [1.0] * rounds, **{name: [1.0 / ratio] * rounds for name in others}}
 
 
-def test_the_table_is_the_three_gates_ci_runs():
+def test_the_table_is_the_two_gates_ci_runs():
     assert list(bench.GATES) == list(GATE_FLAGS)
     floors = {key: (gate.gated, gate.floor) for key, gate in bench.GATES.items()}
     assert floors == {
         "obs_overhead": ("disabled", 1.0 - bench.OBS_OVERHEAD_TOLERANCE),
         "bus_overhead": ("on", 1.0 - bench.BUS_OVERHEAD_TOLERANCE),
-        "fidelity": ("auto", bench.FIDELITY_MIN_SPEEDUP),
     }
-    assert (bench.OBS_OVERHEAD_TOLERANCE, bench.BUS_OVERHEAD_TOLERANCE,
-            bench.FIDELITY_MIN_SPEEDUP) == (0.02, 0.02, 5.0)
+    assert (bench.OBS_OVERHEAD_TOLERANCE, bench.BUS_OVERHEAD_TOLERANCE) == (0.02, 0.02)
     assert {key: (gate.rounds, gate.point) for key, gate in bench.GATES.items()} == {
         "obs_overhead": (3, {"rate_gbps": 10.5, "time_scale": 0.25}),
         "bus_overhead": (3, {"cells": 6, "time_scale": 0.05, "workers": 1}),
-        "fidelity": (1, {"rate_gbps": 6.0, "time_scale": 0.25, "duration_us": 120_000.0}),
     }
 
 
@@ -98,18 +91,17 @@ class TestGateOnScriptedArms:
         assert result["ratios"][gate.gated] == pytest.approx(floor)
         ok, message = bench.check_gate(gate, result)
         assert ok and message.endswith(": ok")
-        assert main(["bench", GATE_FLAGS[key][0]]) == 0
+        assert main(["bench", GATE_FLAGS[key]]) == 0
 
     def test_fails_when_the_gated_arm_is_5_percent_slower_every_round(
         self, key, monkeypatch, capsys
     ):
-        flag, word = GATE_FLAGS[key]
         gate = scripted(monkeypatch, key, walls_at(key, bench.GATES[key].floor * 0.95))
         ok, message = bench.check_gate(gate, bench.run_gate(gate))
-        assert not ok and message.endswith(word)
-        assert main(["bench", flag]) == 3
+        assert not ok and message.endswith("REGRESSION")
+        assert main(["bench", GATE_FLAGS[key]]) == 3
         captured = capsys.readouterr()
-        assert word in captured.err
+        assert "REGRESSION" in captured.err
         assert f"{gate.gated}/{next(iter(gate.arms))} ratio" in captured.out
 
     def test_takes_the_best_round_and_pairs_arms_within_it(self, key, monkeypatch):
@@ -129,33 +121,10 @@ class TestGateOnScriptedArms:
         assert bench.check_gate(gate, result)[0]
 
 
-def test_fidelity_fails_on_a_figure_breach_even_at_100x(monkeypatch, capsys):
-    breach = {"payloadpark_goodput_to_nf_gbps": {"packet": 0.28, "fluid": 0.5, "bound": 0.02}}
-    seen = []
-
-    def breaches(returned):
-        seen.append(returned)
-        return breach
-
-    gate = scripted(monkeypatch, "fidelity", walls_at("fidelity", 100.0, rounds=2),
-                    breaches=breaches)
-    result = bench.run_gate(gate)
-    assert seen == [{"packet": 100, "auto": 100}]  # the first round's returns, once
-    assert result["ratios"]["auto"] == pytest.approx(100.0)
-    ok, message = bench.check_gate(gate, result)
-    assert not ok and "BREACHED" in message and "payloadpark_goodput_to_nf_gbps" in message
-    assert "BREACH payloadpark_goodput_to_nf_gbps: packet 0.28 vs fluid 0.5" in (
-        bench.format_gate(gate, result)
-    )
-    assert main(["bench", "--fidelity-check"]) == 3
-    assert "BREACHED" in capsys.readouterr().err
-
-
 #: Each gate's operating point shrunk to a fraction of a second per arm.
 SMALL_POINTS = {
     "obs_overhead": {"rate_gbps": 10.5, "time_scale": 0.02},
     "bus_overhead": {"cells": 2, "time_scale": 0.05, "workers": 1},
-    "fidelity": {"rate_gbps": 6.0, "time_scale": 0.25, "duration_us": 12_000.0},
 }
 
 
@@ -164,12 +133,12 @@ def test_the_real_gate_runs_end_to_end(key, monkeypatch, capsys):
     gate = replace(bench.GATES[key], rounds=1, point=SMALL_POINTS[key])
     monkeypatch.setitem(bench.GATES, key, gate)
     # Timing at this scale is noise, so either verdict is fine; a crash is not.
-    assert main(["bench", GATE_FLAGS[key][0], "--json"]) in (0, 3)
+    assert main(["bench", GATE_FLAGS[key], "--json"]) in (0, 3)
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == [key]
     result = payload[key]
     assert set(result) == {
-        "point", "rounds", "unit", "arms", "ratios", "gated", "floor", "breaches",
+        "point", "rounds", "unit", "arms", "ratios", "gated", "floor",
     }
     assert result["point"] == SMALL_POINTS[key] and result["rounds"] == 1
     assert list(result["arms"]) == list(gate.arms)
@@ -178,9 +147,6 @@ def test_the_real_gate_runs_end_to_end(key, monkeypatch, capsys):
     assert all(ratio > 0 for ratio in result["ratios"].values())
     if key == "bus_overhead":
         assert {arm["work"] for arm in result["arms"].values()} == {2}
-    if key == "fidelity":
-        # Equal work in both tiers: the rate ratio is the wall-time speedup.
-        assert result["arms"]["packet"]["work"] == result["arms"]["auto"]["work"]
 
 
 def canned(gate):
@@ -190,7 +156,7 @@ def canned(gate):
         "point": dict(gate.point), "rounds": gate.rounds, "unit": gate.unit,
         "arms": {name: dict(arm) for name in gate.arms},
         "ratios": {name: gate.floor for name in others},
-        "gated": gate.gated, "floor": gate.floor, "breaches": {},
+        "gated": gate.gated, "floor": gate.floor,
     }
 
 
@@ -215,7 +181,7 @@ class TestBenchCli:
             "obs_overhead": canned(bench.GATES["obs_overhead"])
         }
 
-    def test_no_flag_runs_all_three_in_table_order(self, stubbed_run_gate, capsys):
+    def test_no_flag_runs_both_in_table_order(self, stubbed_run_gate, capsys):
         assert main(["bench"]) == 0
         assert stubbed_run_gate == list(bench.GATES.values())
         out = capsys.readouterr().out

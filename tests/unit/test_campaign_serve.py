@@ -174,6 +174,17 @@ class TestStoreFollower:
         follower.poll_once()
         assert monitor.status()["cells_done"] == 2
 
+    @pytest.mark.parametrize("poll_interval_s, message", [
+        (float("inf"), "poll_interval_s must be finite, got inf"),
+        (float("nan"), "poll_interval_s must be finite, got nan"),
+        (0.0, "poll_interval_s must be positive"),
+        (-1.0, "poll_interval_s must be positive"),
+    ], ids=["inf", "nan", "zero", "negative"])
+    def test_poll_interval_is_checked_when_built(self, tmp_path, poll_interval_s, message):
+        with pytest.raises(ValueError, match=message):
+            StoreFollower(CampaignMonitor(total=1), tmp_path / "c.jsonl",
+                          poll_interval_s=poll_interval_s)
+
     def test_torn_tail_line_waits_for_completion(self, tmp_path):
         store_path = tmp_path / "c.jsonl"
         monitor = CampaignMonitor(total=1)

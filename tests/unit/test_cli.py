@@ -435,9 +435,9 @@ class TestCampaignCli:
     BAD_SERVE_VALUES = {
         "--port=99999": "--port must be in 0..65535, got 99999",
         "--port=-1": "--port must be in 0..65535, got -1",
-        "--poll-interval=0": "--poll-interval must be positive, got 0.0",
-        "--poll-interval=-1": "--poll-interval must be positive, got -1.0",
-        "--max-seconds=-1": "--max-seconds must be >= 0, got -1.0",
+        "--poll-interval=0": "poll_interval_s must be positive",
+        "--poll-interval=-1": "poll_interval_s must be positive",
+        "--max-seconds=-1": "--max-seconds must be finite and >= 0, got -1.0",
     }
 
     @pytest.mark.parametrize("flag", BAD_SERVE_VALUES)
@@ -618,3 +618,126 @@ class TestFaultsCli:
     def test_faults_without_subcommand_shows_help(self, capsys):
         assert main(["faults"]) == 1
         assert "usage" in capsys.readouterr().out.lower()
+
+
+def _exit_code(argv):
+    """``main(argv)``'s exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exited:
+        return exited.code
+
+
+class TestNonFiniteDurations:
+    """A duration or interval flag that is ``inf`` / ``nan`` fails at its
+    declaration: exit 2, one ``error:`` line, no traceback, no file."""
+
+    CASES = {
+        "faults-horizon-inf": (
+            ["faults", "preview", "link-flap", "--horizon-us", "inf"],
+            "--horizon-us must be finite, got inf",
+        ),
+        "faults-horizon-nan": (
+            ["faults", "preview", "link-flap", "--horizon-us", "nan"],
+            "--horizon-us must be finite, got nan",
+        ),
+        "observe-interval-inf": (
+            ["observe", "metrics", "--interval-us", "inf", "--out", "{tmp}/metrics.json"],
+            "sample_interval_us must be finite, got inf",
+        ),
+        "observe-interval-nan": (
+            ["observe", "metrics", "--interval-us", "nan", "--out", "{tmp}/metrics.json"],
+            "sample_interval_us must be finite, got nan",
+        ),
+        "serve-poll-inf": (
+            ["campaign", "serve", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--port=0", "--poll-interval", "inf", "--max-seconds", "0"],
+            "poll_interval_s must be finite, got inf",
+        ),
+        "serve-poll-nan": (
+            ["campaign", "serve", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--port=0", "--poll-interval", "nan", "--max-seconds", "0"],
+            "poll_interval_s must be finite, got nan",
+        ),
+        "serve-max-seconds-inf": (
+            ["campaign", "serve", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--port=0", "--max-seconds", "inf"],
+            "--max-seconds must be finite and >= 0, got inf",
+        ),
+        "serve-max-seconds-nan": (
+            ["campaign", "serve", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--port=0", "--max-seconds", "nan"],
+            "--max-seconds must be finite and >= 0, got nan",
+        ),
+        "run-cell-timeout-nan": (
+            ["campaign", "run", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--workers=2", "--cell-timeout", "nan"],
+            "cell_timeout_s must be finite, got nan",
+        ),
+        "run-retry-backoff-nan": (
+            ["campaign", "run", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--workers=2", "--retry-backoff", "nan"],
+            "retry_backoff_s must be finite, got nan",
+        ),
+        "faults-horizon--inf": (
+            ["faults", "preview", "link-flap", "--horizon-us=-inf"],
+            "--horizon-us must be finite, got -inf",
+        ),
+        "run-cell-timeout-inf": (
+            ["campaign", "run", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--workers=2", "--cell-timeout", "inf"],
+            "cell_timeout_s must be finite, got inf",
+        ),
+        "run-retry-backoff-inf": (
+            ["campaign", "run", "{spec}", "--store", "{tmp}/results.jsonl",
+             "--workers=2", "--retry-backoff", "inf"],
+            "retry_backoff_s must be finite, got inf",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected_with_one_error_line_and_nothing_on_disk(self, case, tmp_path, capsys):
+        import threading
+
+        argv, message = self.CASES[case]
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps({
+            "name": "cli-grid", "scenario": "fw_nat_lb_10ge",
+            "grid": {"send_rate_gbps": [4.0]}, "time_scale": 0.05,
+        }))
+        before = set(threading.enumerate())
+        argv = [arg.format(tmp=tmp_path, spec=spec) for arg in argv]
+        assert _exit_code(argv) == 2
+        assert _one_error(capsys) == message
+        assert list(tmp_path.iterdir()) == [spec]
+        assert set(threading.enumerate()) == before
+
+
+class TestRemovedFidelityTier:
+    """Every input that names the deleted fluid tier is refused by name
+    before anything runs or is written."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "fig07", "--fidelity", "auto"], "--fidelity"),
+        (["bench", "--fidelity-check"], "--fidelity-check"),
+        (["validate", "fuzz", "--relations", "fluid_vs_packet", "--scenarios", "1",
+          "--corpus", "{tmp}/corpus"], "fluid_vs_packet"),
+    ], ids=["run", "bench", "fuzz"])
+    def test_a_flag_or_relation(self, argv, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        (line,) = _error_lines(capsys)
+        assert key in line
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["base", "grid", "options"])
+    def test_a_campaign_key(self, where, tmp_path, capsys):
+        campaign = {"name": "tiered", "scenario": "fw_nat_lb_10ge",
+                    "grid": {"send_rate_gbps": [4.0]}, "time_scale": 0.05}
+        campaign.setdefault(where, {})["fidelity"] = ["auto"] if where == "grid" else "auto"
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps(campaign))
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 2
+        assert "'fidelity'" in _one_error(capsys)
+        assert list(tmp_path.iterdir()) == [spec]

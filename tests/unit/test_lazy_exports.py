@@ -27,7 +27,6 @@ LAZY_PACKAGES = (
     "repro.core",
     "repro.experiments",
     "repro.faults",
-    "repro.fidelity",
     "repro.netsim",
     "repro.nf",
     "repro.obs",

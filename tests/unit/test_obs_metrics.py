@@ -51,6 +51,19 @@ class TestObserveSpec:
         with pytest.raises(ObserveSpecError):
             ObserveSpec(trace_sample_every=0)
 
+    @pytest.mark.parametrize("interval, message", [
+        (float("inf"), "sample_interval_us must be finite, got inf"),
+        (float("-inf"), "sample_interval_us must be finite, got -inf"),
+        (float("nan"), "sample_interval_us must be finite, got nan"),
+        (1e400, "sample_interval_us must be finite, got inf"),
+        (-5.0, "sample_interval_us must be positive"),
+    ], ids=["inf", "-inf", "nan", "overflowed-literal", "negative"])
+    def test_sample_interval_must_be_positive_and_finite(self, interval, message):
+        # inf once passed the ``<= 0`` check and overflowed int() when a
+        # sampler converted it to nanoseconds.
+        with pytest.raises(ObserveSpecError, match=message):
+            ObserveSpec.from_spec({"metrics": True, "sample_interval_us": interval})
+
     def test_sample_interval_ns_rounds_and_floors(self):
         assert ObserveSpec(sample_interval_us=50.0).sample_interval_ns == 50_000
         assert ObserveSpec(sample_interval_us=0.0001).sample_interval_ns == 1

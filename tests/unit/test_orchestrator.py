@@ -196,6 +196,40 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="unknown campaign parameter 'fast_pth'"):
             CampaignSpec.from_file(path)
 
+    @pytest.mark.parametrize("mode, key", [
+        ("compare", "validat"),
+        ("compare", "fidelity"),
+        ("compare", "tolerance_gbps"),  # a peak-mode knob a compare cell never reads
+        ("peak", "fidelity"),
+    ])
+    def test_option_keys_are_checked_against_the_mode(self, mode, key):
+        with pytest.raises(ValueError, match=f"unknown campaign option\\(s\\) \\['{key}'\\]") as raised:
+            small_campaign(mode=mode, options={key: True})
+        assert "'observe'" in str(raised.value) and "'validate'" in str(raised.value)
+
+    def test_every_option_the_executor_reads_is_accepted(self):
+        small_campaign(options={"validate": True, "observe": {"metrics": True}})
+        small_campaign(mode="peak", options={
+            "validate": True, "observe": True, "deployment": "baseline",
+            "rate_bounds_gbps": [1.0, 2.0], "tolerance_gbps": 1.0,
+            "require_zero_premature_evictions": False,
+        })
+
+    @pytest.mark.parametrize("observe", [
+        {"metrics": True, "sample_interval_us": float("inf")},
+        {"metrics": True, "sample_interval_us": float("nan")},
+        {"metrics": True, "sampel_interval_us": 10.0},
+        3,
+    ], ids=["inf", "nan", "typo", "int"])
+    def test_the_observe_option_is_parsed_when_the_spec_is_built(self, observe):
+        from repro.errors import ObserveSpecError
+
+        with pytest.raises(ObserveSpecError):
+            small_campaign(options={"observe": observe})
+
+    def test_the_observe_out_dir_is_not_an_observe_spec_key(self, tmp_path):
+        small_campaign(options={"observe": {"metrics": True, "out_dir": str(tmp_path)}})
+
     def test_per_run_seed_policy_is_deterministic(self):
         campaign = small_campaign(seed_policy="per-run")
         seeds = [run.params["seed"] for run in campaign.expand()]
@@ -293,7 +327,7 @@ class TestBuildScenario:
         assert SCENARIO_OVERRIDES == {
             "send_rate_gbps", "seed", "burst_size", "server_count", "explicit_drop",
             "duration_us", "warmup_us", "service_jitter", "cpu_ghz", "gen_link_gbps",
-            "faults", "fidelity",
+            "faults",
         }
 
     def test_payloadpark_overrides_are_the_config_fields(self):
@@ -632,6 +666,30 @@ class TestExecutor:
         assert record["status"] == "ok"
         assert record["metrics"]["peak_send_rate_gbps"] >= 4.0
         assert "peak_goodput_to_nf_gbps" in record["metrics"]
+
+
+@pytest.mark.parametrize("owner", [
+    lambda **knobs: CampaignExecutor(workers=2, **knobs),
+    lambda **knobs: DispatchLoop(processes=2, **knobs),
+], ids=["executor", "dispatch-loop"])
+class TestRetryKnobsAreCheckedWhereDeclared:
+    """Both classes that take the timeout / backoff knobs refuse a
+    non-finite one when built, before any worker process exists."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cell_timeout_s", float("inf"), "cell_timeout_s must be finite, got inf"),
+        ("cell_timeout_s", float("nan"), "cell_timeout_s must be finite, got nan"),
+        ("retry_backoff_s", float("inf"), "retry_backoff_s must be finite"),
+        ("retry_backoff_s", float("nan"), "retry_backoff_s must be finite"),
+        ("retry_backoff_s", float("-inf"), "retry_backoff_s must be finite"),
+    ], ids=["timeout-inf", "timeout-nan", "backoff-inf", "backoff-nan", "backoff--inf"])
+    def test_a_non_finite_value_is_refused(self, owner, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            owner(**{field: value})
+
+    def test_no_timeout_and_no_backoff_are_legal(self, owner):
+        built = owner(cell_timeout_s=None, retry_backoff_s=0.0)
+        assert (built.cell_timeout_s, built.retry_backoff_s) == (None, 0.0)
 
 
 class TestLeaseAffinity:

@@ -24,7 +24,6 @@ NESTING_CASES = [
     ("time_scale", 0.5, 0.25),
     ("faults", "link-flap", "chaos-mix"),
     ("observe", True, {"trace": True}),
-    ("fidelity", "auto", "fluid"),
     ("reference", True, False),
 ]
 
@@ -36,7 +35,7 @@ def test_every_option_has_a_nesting_case():
 
 @pytest.mark.parametrize("name, outer, inner", NESTING_CASES)
 def test_blocks_nest_inherit_and_restore(name, outer, inner):
-    other = "fidelity" if name == "seed" else "seed"
+    other = "faults" if name == "seed" else "seed"
     with pytest.raises(RuntimeError, match="boom"):
         with run_options(**{name: outer}):
             with run_options(**{name: inner}):
@@ -51,7 +50,6 @@ def test_blocks_nest_inherit_and_restore(name, outer, inner):
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"fidelity": "warp"},
         {"time_scale": 0},
         {"time_scale": -1.0},
         {"time_scale": float("inf")},
@@ -90,30 +88,26 @@ def test_a_non_finite_number_is_rejected_where_the_field_is_declared(value):
                 build()
 
 
-def test_an_undeclared_option_is_a_type_error():
+@pytest.mark.parametrize("name", ["fast_path", "fidelity"])
+def test_an_undeclared_option_is_a_type_error(name):
     with pytest.raises(TypeError):
-        with run_options(fast_path=False):
+        with run_options(**{name: "auto"}):
             pytest.fail("the block ran")
 
 
 def test_scenarios_and_runners_built_inside_pick_the_options_up():
     spec = {"metrics": True}
     with run_options(
-        seed=7, faults="link-flap", observe=spec, fidelity="auto",
-        time_scale=0.5, reference=True,
+        seed=7, faults="link-flap", observe=spec, time_scale=0.5, reference=True,
     ):
         scenario = ScenarioConfig(name="inside")
         runner = ExperimentRunner()
         explicit = ExperimentRunner(time_scale=0.1)
-    assert (scenario.seed, scenario.faults, scenario.observe, scenario.fidelity) == (
-        7, "link-flap", spec, "auto",
-    )
+    assert (scenario.seed, scenario.faults, scenario.observe) == (7, "link-flap", spec)
     assert (runner.time_scale, runner.reference) == (0.5, True)
     assert (explicit.time_scale, explicit.reference) == (0.1, True)
     outside = ScenarioConfig(name="outside")
-    assert (outside.seed, outside.faults, outside.observe, outside.fidelity) == (
-        42, None, None, "packet",
-    )
+    assert (outside.seed, outside.faults, outside.observe) == (42, None, None)
     assert (ExperimentRunner().time_scale, ExperimentRunner().reference) == (1.0, False)
 
 

@@ -19,7 +19,7 @@ from repro.validation.corpus import (
 )
 from repro.validation.fuzzer import FuzzFailure
 from repro.validation.invariants import Violation
-from repro.validation.metamorphic import RELATION_REGISTRY, FluidPacketEquivalence
+from repro.validation.metamorphic import RELATION_REGISTRY, SeedDeterminism
 
 
 def _failure(check="fast-slow-equivalence"):
@@ -67,14 +67,14 @@ class TestCorpusEntries:
 
     @pytest.mark.parametrize("key", sorted(RELATION_REGISTRY))
     def test_every_registered_relation_round_trips(self, key):
-        # A hand-kept second table of relation names once omitted the
-        # fluid relation: its failures were written with `relations: []`
-        # and replayed clean under fast_slow alone.
+        # A hand-kept second table of relation names once omitted a
+        # relation: its failures were written with `relations: []` and
+        # replayed clean under fast_slow alone.
         entry = entry_from_failure(_failure(RELATION_REGISTRY[key].name), seed=1)
         assert entry["relations"] == [RELATION_REGISTRY[key].name]
         assert entry_relation_names(entry) == [key]
 
-    def test_fluid_relation_entry_replays_the_fluid_relation(self, monkeypatch):
+    def test_a_non_default_relation_entry_replays_that_relation(self, monkeypatch):
         from repro.validation import fuzzer
 
         replayed = []
@@ -82,9 +82,9 @@ class TestCorpusEntries:
             fuzzer, "check_run",
             lambda run, relations=(): replayed.extend(relations) or [],
         )
-        entry = entry_from_failure(_failure("fluid-packet-equivalence"), seed=1)
+        entry = entry_from_failure(_failure("seed-determinism"), seed=1)
         assert replay_entry(entry) == []
-        assert [type(relation) for relation in replayed] == [FluidPacketEquivalence]
+        assert [type(relation) for relation in replayed] == [SeedDeterminism]
 
     def test_corpus_dir_gets_a_triage_readme(self, tmp_path):
         write_entry(tmp_path, _failure())

@@ -14,13 +14,11 @@ from repro.nf import server as nf_server
 from repro.packet import pool
 from repro.validation.metamorphic import (
     FastSlowEquivalence,
-    FluidPacketEquivalence,
     RateMonotonicity,
     SeedDeterminism,
     TimeScaleInvariance,
     build_relations,
     comparison_metrics,
-    fluid_figure_breaches,
 )
 
 
@@ -100,74 +98,3 @@ class TestRelationsCatchInjectedBugs:
             violations = SeedDeterminism().check(scenario)
         assert violations
         assert "hidden global state" in violations[0].message
-
-
-class TestFluidPacketEquivalence:
-    """The fluid tier's certification: auto vs packet, both regimes."""
-
-    def _steady(self, rate=6.0, duration_us=30_000.0, **overrides):
-        # Long enough (at time_scale 0.25) for the controller to jump.
-        return replace(
-            fw_nat_lb_10ge(rate), duration_us=duration_us, **overrides
-        )
-
-    def test_holds_on_a_long_steady_scenario(self):
-        violations = FluidPacketEquivalence().check(
-            self._steady(), time_scale=0.25
-        )
-        assert violations == []
-
-    def test_holds_under_fault_injected_churn(self):
-        # Fault windows fragment the steady plan; jumps between them
-        # must still land every figure inside the tolerance band.
-        violations = FluidPacketEquivalence().check(
-            self._steady(faults="link-flap"), time_scale=0.25
-        )
-        assert violations == []
-
-    def test_exact_equality_when_no_steady_segment_exists(self):
-        # Arrival-model workloads admit no segment, so auto must never
-        # leave the packet tier: the relation demands byte equality.
-        scenario = _small(
-            workload_scenario("enterprise-poisson", send_rate_gbps=4.0),
-            duration_us=1_000.0,
-        )
-        violations = FluidPacketEquivalence().check(scenario)
-        assert violations == []
-
-    def test_registry_exposes_the_relation(self):
-        (relation,) = build_relations(["fluid_vs_packet"])
-        assert isinstance(relation, FluidPacketEquivalence)
-
-    def test_catches_a_biased_extrapolation(self, monkeypatch):
-        # Injected bug: the jump injects one extra multiple of every
-        # calibration delta, inflating all extrapolated counters by
-        # roughly one window's worth per jump — the relation must flag
-        # the drifted figures.
-        from repro.fidelity import state as fidelity_state
-
-        original = fidelity_state.FluidStateMap.inject
-
-        def biased(self, before, after, k):
-            return original(self, before, after, int(k * 1.5))
-
-        monkeypatch.setattr(fidelity_state.FluidStateMap, "inject", biased)
-        violations = FluidPacketEquivalence().check(
-            self._steady(), time_scale=0.25
-        )
-        assert violations
-        assert violations[0].check == "fluid-packet-equivalence"
-        assert "tolerance band" in violations[0].message
-
-    def test_breach_helper_reports_bound_and_values(self):
-        packet = {"baseline_packets_sent": 10_000}
-        fluid = {"baseline_packets_sent": 12_000}
-        breaches = fluid_figure_breaches(packet, fluid)
-        assert "baseline_packets_sent" in breaches
-        detail = breaches["baseline_packets_sent"]
-        assert detail["packet"] == 10_000
-        assert detail["fluid"] == 12_000
-        # 5% rel + 6*sqrt(N) + 64 abs on the larger value.
-        assert detail["bound"] == pytest.approx(
-            12_000 * 0.05 + 6 * 12_000 ** 0.5 + 64
-        )
