@@ -80,11 +80,6 @@ class PayloadParkCounters:
         """Parked payloads not yet merged, dropped or evicted."""
         return self.splits - self.merges - self.explicit_drops - self.evictions
 
-    def reset(self) -> None:
-        """Zero every counter (control plane)."""
-        for name in self.as_dict():
-            setattr(self, name, 0)
-
     def merge_from(self, other: "PayloadParkCounters") -> None:
         """Accumulate another counter set into this one (for multi-binding reports)."""
         for name, value in other.as_dict().items():

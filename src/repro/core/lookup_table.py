@@ -373,9 +373,3 @@ class LookupTable:
         for array in self.block_arrays:
             array.poke(index, b"")
         return True
-
-    def clear(self) -> None:
-        """Reset the whole table (control plane; used between experiment runs)."""
-        self.metadata.clear()
-        for array in self.block_arrays:
-            array.clear()

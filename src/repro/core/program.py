@@ -15,6 +15,7 @@ Two programs are provided:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
@@ -80,10 +81,10 @@ class SwitchProgram:
     def invalidate_fast_path(self) -> None:
         """Drop the compiled port plans.
 
-        State resets call this so the next packet recompiles its port's
-        plan (a table install drops plans by itself, through the
-        pipeline version); it is also the explicit hook for external
-        controllers that mutate program state directly.
+        :meth:`PayloadParkProgram.drain_parked` calls this so the next
+        packet recompiles its port's plan (a table install drops plans
+        by itself, through the pipeline version); it is also the
+        explicit hook for code that mutates program state directly.
         """
         for plan in self._plans.values():
             plan.retire()
@@ -477,14 +478,36 @@ class PayloadParkProgram(SwitchProgram):
             return self.counters.total()
         return self.counters.for_binding(binding_name)
 
-    def reset_state(self) -> None:
-        """Clear lookup tables, taggers and counters between runs (control plane)."""
-        for table in self.lookup_tables.values():
-            table.clear()
-        for tagger in self.taggers.values():
-            tagger.reset()
-        for counters in self.counters.counters.values():
-            counters.reset()
-        self.asic.reset_counters()
+    def drain_parked(
+        self, binding: Optional[str] = None, fraction: float = 1.0, recorder=None
+    ) -> Dict[str, int]:
+        """Reclaim occupied parking slots, accounting each as an eviction.
+
+        Drains the first ``ceil(occupied * fraction)`` occupied slots of
+        every targeted binding, in index order so runs reproduce exactly.
+        Each drained payload counts one ``evictions``, as the expiry
+        policy would: the identity *outstanding == occupied* keeps
+        holding, and the packet whose payload was drained registers a
+        premature eviction when its header returns for the Merge.
+        *recorder* (repro.obs) closes each drained slot's park span.
+        Returns drained-slot counts per binding.
+        """
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"drain fraction must lie in (0, 1], got {fraction}")
+        drained: Dict[str, int] = {}
+        for name, table in self.lookup_tables.items():
+            if binding is not None and name != binding:
+                continue
+            occupied = table.occupied_indices()
+            counters = self.counters_for(name)
+            count = 0
+            for index in occupied[:math.ceil(len(occupied) * fraction)]:
+                if table.drain_slot(index):
+                    counters.evictions += 1
+                    count += 1
+                    if recorder is not None:
+                        recorder.slot_drained(name, index)
+            drained[name] = count
         self.invalidate_fast_path()
+        return drained
 

@@ -73,8 +73,3 @@ class PacketTagger:
     def peek(self) -> Tag:
         """Control-plane read of the current counter values."""
         return Tag(tbl_idx=self._tbl_idx.peek(0), clk=self._clk.peek(0))
-
-    def reset(self) -> None:
-        """Reset both counters to their initial values (control plane)."""
-        self._tbl_idx.poke(0, self.table_entries - 1)
-        self._clk.poke(0, self.clock_max - 1)

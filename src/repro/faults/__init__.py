@@ -14,7 +14,7 @@ conditions a first-class, declarative scenario dimension:
   materialized deterministically against a run horizon;
 * :mod:`~repro.faults.injector` — :class:`FaultInjectorNode`, the
   simulation node that executes a schedule against the live testbed
-  through a :class:`~repro.controlplane.manager.ControlPlaneManager`;
+  and switch program;
 * :mod:`~repro.faults.registry` — named profiles (``link-flap``,
   ``backend-churn``, ``chaos-mix``, …) swept by campaigns and the
   scenario fuzzer.

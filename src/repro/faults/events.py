@@ -17,6 +17,7 @@ adapt to any scenario duration or ``--time-scale`` setting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
@@ -101,6 +102,25 @@ class FaultEvent:
         return row
 
 
+def as_number(key: str, value: Any) -> float:
+    """*value* as a finite float, or a :class:`FaultSpecError` naming *key*."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise FaultSpecError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise FaultSpecError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def as_integer(key: str, value: Any) -> int:
+    """*value* as ``int(value)``, or a :class:`FaultSpecError` naming *key*."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FaultSpecError(f"{key} must be an integer, got {value!r}") from None
+
+
 def validate_event_record(record: Mapping[str, Any]) -> None:
     """Structurally validate one raw event record from a spec.
 
@@ -132,15 +152,11 @@ def validate_event_record(record: Mapping[str, Any]) -> None:
         raise FaultSpecError(f"fault event {kind!r} needs 'at_us' or 'at_frac'")
     if "at_us" in record and "at_frac" in record:
         raise FaultSpecError(f"fault event {kind!r}: give 'at_us' or 'at_frac', not both")
-    frac = record.get("at_frac")
-    if frac is not None and not 0.0 <= float(frac) <= 1.0:
-        raise FaultSpecError(f"at_frac must lie in [0, 1], got {frac}")
-    for duration_key in ("duration_us", "duration_frac"):
-        duration = record.get(duration_key)
-        if duration is not None and float(duration) < 0:
-            raise FaultSpecError(
-                f"{duration_key} must be non-negative, got {duration}"
-            )
+    if "at_frac" in record and not 0.0 <= as_number("at_frac", record["at_frac"]) <= 1.0:
+        raise FaultSpecError(f"at_frac must lie in [0, 1], got {record['at_frac']}")
+    for key in ("at_us", "duration_us", "duration_frac"):
+        if key in record and as_number(key, record[key]) < 0:
+            raise FaultSpecError(f"{key} must be non-negative, got {record[key]}")
     if ("duration_us" in record or "duration_frac" in record) and kind not in WINDOW_KINDS:
         raise FaultSpecError(f"fault event {kind!r} does not take a duration")
     _validate_params(kind, record)
@@ -148,10 +164,10 @@ def validate_event_record(record: Mapping[str, Any]) -> None:
 
 def _validate_params(kind: str, record: Mapping[str, Any]) -> None:
     if kind == "link_loss":
-        probability = float(record["probability"])
+        probability = as_number("probability", record["probability"])
         if not 0.0 < probability <= 1.0:
             raise FaultSpecError(f"loss probability must lie in (0, 1], got {probability}")
-    if kind == "link_jitter" and int(record["jitter_ns"]) <= 0:
+    if kind == "link_jitter" and as_integer("jitter_ns", record["jitter_ns"]) <= 0:
         raise FaultSpecError(f"jitter_ns must be positive, got {record['jitter_ns']}")
     if kind == "backend_churn":
         action = record.get("action", "flap")
@@ -173,13 +189,13 @@ def _validate_params(kind: str, record: Mapping[str, Any]) -> None:
                 raise FaultSpecError(
                     f"firewall_churn subnet {subnet!r}: {error}"
                 ) from None
-    if kind == "expiry_threshold" and int(record["value"]) < 1:
+    if kind == "expiry_threshold" and as_integer("value", record["value"]) < 1:
         raise FaultSpecError("expiry_threshold value must be at least 1")
     if kind == "park_drain":
-        fraction = float(record.get("fraction", 1.0))
+        fraction = as_number("fraction", record.get("fraction", 1.0))
         if not 0.0 < fraction <= 1.0:
             raise FaultSpecError(f"park_drain fraction must lie in (0, 1], got {fraction}")
-    if int(record.get("count", 1)) < 1:
+    if as_integer("count", record.get("count", 1)) < 1:
         raise FaultSpecError("event count must be at least 1")
     link = record.get("link")
     if link is not None and not is_link_selector(link):

@@ -5,9 +5,10 @@ runner when a scenario carries a ``faults`` spec.  At traffic start it
 materializes the schedule against the run horizon and registers one
 event-loop callback per fault event; at each callback it resolves the
 event's targets against the *live* testbed (links by selector, Maglev
-load balancers and firewalls by scanning the NF chains, the program via
-a :class:`~repro.controlplane.manager.ControlPlaneManager`) and applies
-the mutation.
+load balancers and firewalls by scanning the NF chains, the switch
+program itself) and applies the mutation.  The two PayloadPark-only
+kinds, ``expiry_threshold`` and ``park_drain``, are no-ops on the
+baseline program.
 
 Determinism contract: every random choice — which backend drains, the
 per-window loss/jitter RNG seeds — derives from the injector seed and
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.controlplane.manager import ControlPlaneManager
+from repro.core.program import PayloadParkProgram
 from repro.errors import FaultSpecError
 from repro.faults.events import FaultEvent, is_link_selector
 from repro.faults.schedule import EventSchedule
@@ -60,7 +61,7 @@ class FaultInjectorNode(Node):
         self.topology = topology
         self.schedule = schedule
         self.seed = seed
-        self.manager = ControlPlaneManager(program, topology)
+        self.program = program
         self._rng = derived_rng(seed, _INJECTOR_SALT)
         self._chaos_rule_count = 0
         self._chaos_backend_count = 0
@@ -321,13 +322,17 @@ class FaultInjectorNode(Node):
             server.invalidate_cost_cache()
 
     def _apply_expiry_threshold(self, event: FaultEvent) -> None:
-        if self.manager.set_expiry_threshold(int(event.params["value"])):
+        if isinstance(self.program, PayloadParkProgram):
+            self.program.config.expiry_threshold = int(event.params["value"])
             self.threshold_changes += 1
 
     def _apply_park_drain(self, event: FaultEvent) -> None:
-        drained = self.manager.drain_parked(
+        if not isinstance(self.program, PayloadParkProgram):
+            return
+        drained = self.program.drain_parked(
             binding=event.params.get("binding"),
             fraction=float(event.params.get("fraction", 1.0)),
+            recorder=self.obs_recorder,
         )
         for name, count in drained.items():
             self.slots_drained[name] = self.slots_drained.get(name, 0) + count

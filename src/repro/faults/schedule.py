@@ -40,6 +40,8 @@ from repro.faults.events import (
     EVENT_KINDS,
     FaultEvent,
     WINDOW_KINDS,
+    as_integer,
+    as_number,
     validate_event_record,
 )
 from repro.workloads.base import derived_rng
@@ -65,23 +67,25 @@ def _validate_generator(record: Mapping[str, Any]) -> None:
     if "period_us" not in record and "period_frac" not in record:
         raise FaultSpecError(f"fault generator {kind!r} needs 'period_us' or 'period_frac'")
     for key in ("period_us", "period_frac"):
-        if key in record and float(record[key]) <= 0:
+        if key in record and as_number(key, record[key]) <= 0:
             raise FaultSpecError(f"generator {key} must be positive, got {record[key]}")
-    jitter = float(record.get("jitter", 0.0))
+    for key in ("start_us", "start_frac"):
+        if key in record:
+            as_number(key, record[key])
+    jitter = as_number("jitter", record.get("jitter", 0.0))
     if not 0.0 <= jitter <= 1.0:
         raise FaultSpecError(f"generator jitter must lie in [0, 1], got {jitter}")
     repeat = record.get("repeat")
-    if repeat is not None and int(repeat) < 1:
+    if repeat is not None and as_integer("repeat", repeat) < 1:
         raise FaultSpecError(f"generator repeat must be at least 1, got {repeat}")
     for duration_key in ("duration_us", "duration_frac"):
-        duration = record.get(duration_key)
-        if duration is None:
+        if duration_key not in record:
             continue
         if kind not in WINDOW_KINDS:
             raise FaultSpecError(f"fault generator {kind!r} does not take a duration")
-        if float(duration) < 0:
+        if as_number(duration_key, record[duration_key]) < 0:
             raise FaultSpecError(
-                f"generator {duration_key} must be non-negative, got {duration}"
+                f"generator {duration_key} must be non-negative, got {record[duration_key]}"
             )
     # Validate the event payload the generator will emit (timing keys are
     # supplied per firing, so stub them for the structural check).

@@ -67,19 +67,6 @@ class LinkDirectionStats:
         """Frames lost to injected faults (link down + loss windows)."""
         return self.frames_dropped_down + self.frames_dropped_loss
 
-    def reset(self) -> None:
-        """Zero every counter (control plane; see ControlPlaneManager.reset)."""
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self.bytes_sent = 0
-        self.bytes_dropped = 0
-        self.busy_ns = 0
-        self.peak_queue_bytes = 0
-        self.frames_dropped_down = 0
-        self.frames_dropped_loss = 0
-        self.bytes_dropped_fault = 0
-
 
 class _LinkDirection:
     """One direction of a full-duplex link: its state, counters and the
@@ -341,12 +328,6 @@ class Link:
         for direction in (self._a_to_b, self._b_to_a):
             direction.obs_recorder = recorder
             direction.obs_profiler = profiler
-
-    def reset_stats(self) -> None:
-        """Zero both directions' counters (live state — queue occupancy,
-        serialization cursor — is untouched; see ControlPlaneManager.reset)."""
-        self._a_to_b.stats.reset()
-        self._b_to_a.stats.reset()
 
     # ------------------------------------------------------------------ #
     # Reporting

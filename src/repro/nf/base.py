@@ -88,11 +88,6 @@ class NetworkFunction:
             self.packets_dropped += 1
         return result
 
-    def reset_counters(self) -> None:
-        """Zero the per-NF counters."""
-        self.packets_seen = 0
-        self.packets_dropped = 0
-
     def enable_fast_path(self, enabled: bool = True) -> None:
         """Opt into a behaviour-preserving faster datapath (default: no-op).
 

@@ -95,13 +95,5 @@ class NfChain:
             estimates.append(cycles)
         return estimates
 
-    def reset_counters(self) -> None:
-        """Zero the chain and per-NF counters."""
-        self.packets_in = 0
-        self.packets_out = 0
-        self.packets_dropped = 0
-        for nf in self.nfs:
-            nf.reset_counters()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NfChain(name={self.name!r}, nfs={len(self.nfs)})"

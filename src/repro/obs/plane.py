@@ -132,7 +132,6 @@ class ObservabilityPlane:
         if injector is not None:
             injector.obs_recorder = recorder
             injector.obs_profiler = profiler
-            injector.manager.obs_recorder = recorder
         # The PayloadPark split/merge paths emit park-span events; the
         # baseline program has neither attribute and is skipped.
         for path in getattr(program, "_split_paths", ()):

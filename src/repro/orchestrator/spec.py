@@ -300,6 +300,12 @@ class CampaignSpec:
             if isinstance(observe, Mapping):
                 observe = {key: value for key, value in observe.items() if key != "out_dir"}
             ObserveSpec.from_spec(observe)  # raises ObserveSpecError
+        faults = [self.base["faults"]] if "faults" in self.base else self.grid.get("faults", ())
+        for value in faults:
+            if value is not None:
+                from repro.faults.schedule import EventSchedule
+
+                EventSchedule.from_spec(value)  # raises FaultSpecError
 
     @property
     def point_count(self) -> int:

@@ -5,20 +5,19 @@ observable.  Worker processes stream structured events — cell started,
 heartbeats — over a multiprocessing queue; the orchestrating process
 adds the events only it can know (cell finished, invariant violations,
 per-cell observability summaries) as records come back from the pool.
-A :class:`TelemetryBus` drains the queue on a background thread into a
-:class:`CampaignMonitor`, which maintains the live campaign state the
-``repro campaign serve`` endpoints expose: progress, an ETA derived
-from completed-cell wall times, per-dimension slice statistics and a
+A :class:`TelemetryBus` drains the queue on a background thread into
+an NDJSON sidecar file (``results/<name>.events.jsonl`` by convention),
+which is what lets a *separate* ``repro campaign serve`` process attach
+to a running campaign: the server tails the sidecar while the campaign
+appends to it, folding both into a :class:`CampaignMonitor` — the live
+campaign state its endpoints expose: progress, an ETA derived from
+completed-cell wall times, per-dimension slice statistics and a
 deduplicated violation ledger.
 
-Every event the bus sees is also appended to an NDJSON sidecar file
-(``results/<name>.events.jsonl`` by convention), which is what lets a
-*separate* ``repro campaign serve`` process attach to a running
-campaign: the server tails the sidecar while the campaign appends to
-it.  Store records reach a monitor as the events
-:func:`events_from_record` derives from them, so every delivery — the
-in-process bus, a follower tailing sidecar and store, a post-hoc read of
-the files — funnels through :meth:`CampaignMonitor.handle`, which
+Store records reach a monitor as the events :func:`events_from_record`
+derives from them, so every delivery — a follower tailing sidecar and
+store, a post-hoc read of the files — funnels through
+:meth:`CampaignMonitor.handle`, which
 applies the store's one rule (:func:`~repro.orchestrator.store.
 supersedes`: ok wins, otherwise the most recent outcome) to
 ``cell_finished`` and drops an outcome it has already folded.  Which
@@ -256,7 +255,7 @@ def events_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
 class CampaignMonitor:
     """Aggregates bus events into the state the serve endpoints expose.
 
-    Thread-safe: the bus drain thread writes while HTTP handler threads
+    Thread-safe: a store follower's thread writes while HTTP handler threads
     read.  All payload builders return plain JSON-serializable data.
     """
 
@@ -532,28 +531,27 @@ class CampaignMonitor:
 
 
 class TelemetryBus:
-    """Streams campaign events into a monitor and an NDJSON sidecar.
+    """Streams campaign events into an NDJSON sidecar.
 
     The orchestrating process owns the bus: workers put events on
     :attr:`queue` (handed to them through the pool initializer), the
     executor emits its own events via :meth:`emit`, and a daemon thread
-    drains everything in arrival order into the monitor and the events
-    file.  :meth:`stop` is a barrier — it returns only after every
-    queued event has been dispatched, so callers that stop the bus
-    after the executor returns observe complete state.
+    drains everything in arrival order into the events file, which a
+    :class:`~repro.orchestrator.serve.StoreFollower` folds into a
+    monitor.  :meth:`stop` is a barrier — it returns only after every
+    queued event has been written, so a reader that waits for it sees
+    the complete sidecar.
     """
 
     def __init__(
         self,
         events_path: Optional[Path] = None,
-        monitor: Optional[CampaignMonitor] = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
     ) -> None:
         import multiprocessing
 
         self._ctx = multiprocessing.get_context()
         self.queue = self._ctx.Queue()
-        self.monitor = monitor if monitor is not None else CampaignMonitor()
         self.events_path = Path(events_path) if events_path is not None else None
         self.heartbeat_interval_s = heartbeat_interval_s
         self._thread: Optional[threading.Thread] = None
@@ -591,19 +589,16 @@ class TelemetryBus:
             event = self.queue.get()
             if event is None:
                 break
-            self._dispatch(event)
+            self._write(event)
 
-    def _dispatch(self, event: Dict[str, Any]) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-                self._handle.flush()
-            except OSError:
-                _logger().warning("could not append to %s", self.events_path)
+    def _write(self, event: Dict[str, Any]) -> None:
+        if self._handle is None:
+            return
         try:
-            self.monitor.handle(event)
-        except Exception:  # noqa: BLE001 - a bad event must not kill the drain
-            _logger().exception("monitor rejected event %r", event.get("type"))
+            self._handle.write(json.dumps(event, sort_keys=True) + "\n")
+            self._handle.flush()
+        except OSError:
+            _logger().warning("could not append to %s", self.events_path)
 
     def stop(self) -> None:
         """Drain everything already queued, then stop the thread."""

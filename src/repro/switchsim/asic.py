@@ -86,11 +86,3 @@ class TofinoAsic:
             self.dropped_packets += 1
             self.drop_reasons[ctx.drop_reason] = self.drop_reasons.get(ctx.drop_reason, 0) + 1
         return ctx
-
-    def reset_counters(self) -> None:
-        """Zero the chip's and every pipe's packet counters (control plane)."""
-        self.processed_packets = 0
-        self.dropped_packets = 0
-        self.drop_reasons.clear()
-        for pipe in self.pipes:
-            pipe.reset_counters()

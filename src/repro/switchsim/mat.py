@@ -105,12 +105,5 @@ class MatchActionTable:
         self._hits += hits
         self._misses += misses
 
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (control plane)."""
-        if self.settle is not None:
-            self.settle()  # or tallies pending in a port plan resurface later
-        self._hits = 0
-        self._misses = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchActionTable(name={self.name!r}, entries={self.entries})"

@@ -63,13 +63,6 @@ class Pipe:
             self.deparser.deparse(ctx)
         return ctx
 
-    def reset_counters(self) -> None:
-        """Zero the pass, recirculation and per-table counters (control plane)."""
-        self.parser.parsed_packets = 0
-        self.deparser.deparsed_packets = 0
-        self.recirculated_packets = 0
-        self.pipeline.reset_counters()
-
     def recirculation_latency_ns(self, ctx: PipelinePacket) -> int:
         """Extra latency the packet accrued from recirculation passes."""
         return ctx.recirculations * self.RECIRCULATION_LATENCY_NS

@@ -98,11 +98,6 @@ class Pipeline:
         for plan in self._plans:
             plan.settle()
 
-    def reset_counters(self) -> None:
-        """Zero every table's hit/miss counters, pending tallies included."""
-        for table in self.tables():
-            table.reset_counters()
-
     def sram_bytes_used(self) -> int:
         """Total SRAM bytes allocated across all stages."""
         return sum(stage.resources.sram_bytes_used for stage in self.stages)

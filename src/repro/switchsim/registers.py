@@ -60,7 +60,6 @@ class RegisterArray:
         self.width_bits = width_bits
         self.enforce_single_access = enforce_single_access
         self._values: List[Any] = [initial] * size
-        self._initial = initial
         if stage_resources is not None:
             stage_resources.allocate_sram(self.sram_bytes, what=name)
 
@@ -124,7 +123,7 @@ class RegisterArray:
         been diffed against the guarded stage walk, so it indexes the
         storage directly instead of paying for the guard per access.
         The list is only ever mutated in place, so a reference stays
-        valid across :meth:`clear`.
+        valid for the array's lifetime.
         """
         return self._values
 
@@ -137,10 +136,6 @@ class RegisterArray:
         """Control-plane write that bypasses the access guard."""
         self._check_index(index)
         self._values[index] = value
-
-    def clear(self) -> None:
-        """Reset every entry to the initial value (control-plane only)."""
-        self._values[:] = [self._initial] * self.size
 
     def occupancy(self, is_occupied=lambda value: bool(value)) -> int:
         """Count entries considered occupied by *is_occupied* (control plane)."""

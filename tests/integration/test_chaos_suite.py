@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.controlplane.manager import ControlPlaneManager
+from repro.core.program import PayloadParkProgram
 from repro.experiments.runner import ExperimentRunner, run_observer
 from repro.experiments.scenarios import workload_scenario
 from repro.nf.firewall import Firewall
@@ -222,24 +222,22 @@ class TestInjectedBugsAreCaught:
         # the splits - merges - drops - evictions identity; both the
         # parking-slot-leak and the no-orphaned-payload accounting checks
         # must see it.
-        original = ControlPlaneManager.drain_parked
+        original = PayloadParkProgram.drain_parked
 
-        def forgetful_drain(self, binding=None, fraction=1.0):
-            if self.controller is None:
-                return {}
+        def forgetful_drain(self, binding=None, fraction=1.0, recorder=None):
             drained = {}
-            for name, table in self.program.lookup_tables.items():
+            for name, table in self.lookup_tables.items():
                 count = 0
                 for index in table.occupied_indices():
                     if table.drain_slot(index):
                         count += 1  # BUG: no eviction accounting
                 drained[name] = count
-            self.program.invalidate_fast_path()
+            self.invalidate_fast_path()
             return drained
 
-        monkeypatch.setattr(ControlPlaneManager, "drain_parked", forgetful_drain)
+        monkeypatch.setattr(PayloadParkProgram, "drain_parked", forgetful_drain)
         report = check_scenario(_chaos_scenario("park-drain"), time_scale=0.1)
-        monkeypatch.setattr(ControlPlaneManager, "drain_parked", original)
+        monkeypatch.setattr(PayloadParkProgram, "drain_parked", original)
         assert not report.ok
         checks = {violation.check for violation in report.violations}
         assert "no-orphaned-payload" in checks

@@ -20,6 +20,8 @@ from repro.orchestrator import (
     execute_run,
 )
 from repro.orchestrator.dispatcher import CHAOS_ENV
+from repro.orchestrator.serve import monitor_from_store
+from repro.orchestrator.store import events_path_for
 
 #: Simulated-time scale keeping each run cheap while still exercising traffic.
 FAST = 0.05
@@ -54,7 +56,7 @@ class TestWorkerCrashRecovery:
             json.dumps([{"match": {"send_rate_gbps": 4.0}, "crash_attempts": 1}]),
         )
         store = ResultStore(tmp_path / "grid.jsonl")
-        with TelemetryBus() as bus:
+        with TelemetryBus(events_path=events_path_for(store.path)) as bus:
             summary = CampaignExecutor(
                 workers=2, bus=bus, retry_backoff_s=0.05
             ).run_campaign(campaign, store=store)
@@ -69,11 +71,13 @@ class TestWorkerCrashRecovery:
             spec.spec_hash for spec in campaign.expand()
         }
 
-        # The crash surfaced on the bus, and the monitor folded it in.
-        assert {"worker_died", "cell_retried"} <= event_types(bus.monitor)
-        assert bus.monitor.workers_died >= 1
-        assert bus.monitor.retries_total >= 1
-        status = bus.monitor.status()
+        # The crash surfaced on the bus, and a monitor reading the
+        # sidecar and the store folds it in.
+        monitor = monitor_from_store(campaign, store)
+        assert {"worker_died", "cell_retried"} <= event_types(monitor)
+        assert monitor.workers_died >= 1
+        assert monitor.retries_total >= 1
+        status = monitor.status()
         assert status["cells_ok"] == 4
         assert status["retries_total"] >= 1
 
@@ -150,7 +154,7 @@ class TestCellTimeout:
             ),
         )
         store = ResultStore(tmp_path / "grid.jsonl")
-        with TelemetryBus() as bus:
+        with TelemetryBus(events_path=events_path_for(store.path)) as bus:
             summary = CampaignExecutor(
                 workers=2, bus=bus, cell_timeout_s=3.0, retry_backoff_s=0.05
             ).run_campaign(campaign, store=store)
@@ -159,7 +163,7 @@ class TestCellTimeout:
         assert store.record_count() == 2
         retried = [
             event
-            for event in bus.monitor.events_tail(0x10000)
+            for event in monitor_from_store(campaign, store).events_tail(0x10000)
             if event.get("type") == "cell_retried"
         ]
         assert retried and retried[0]["reason"] == "timeout"

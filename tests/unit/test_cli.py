@@ -351,6 +351,23 @@ class TestCampaignCli:
         assert len(errors) == 1 and "unknown campaign parameter 'fast_path'" in errors[0]
         assert list(tmp_path.iterdir()) == [spec]
 
+    @pytest.mark.parametrize("where", ["base", "grid"])
+    def test_campaign_run_rejects_a_bad_faults_value_before_running(
+        self, where, tmp_path, capsys
+    ):
+        campaign = {"name": "bad-faults", "scenario": "fw_nat_lb_10ge",
+                    "grid": {"send_rate_gbps": [4.0]}, "time_scale": 0.05}
+        if where == "base":
+            campaign["base"] = {"faults": "no-such-profile"}
+        else:
+            campaign["grid"]["faults"] = [None, "link-flap", "no-such-profile"]
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps(campaign))
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 2
+        assert "unknown fault profile 'no-such-profile'" in _one_error(capsys)
+        assert list(tmp_path.iterdir()) == [spec]
+
     BAD_DISPATCH_VALUES = {
         "--cell-timeout=0": "cell_timeout_s must be positive",
         "--cell-timeout=-5": "cell_timeout_s must be positive",

@@ -2,14 +2,15 @@
 
 Covers the declarative layer (event validation, schedule
 materialization, the profile registry), the link fault state
-(down/loss/jitter windows and their counters), the control-plane
-manager (expiry reconfiguration, parked-payload drains, the
-link-counter reset regression), and the injector's target resolution.
+(down/loss/jitter windows and their counters), parked-payload drains,
+and the injector's target resolution and program events (expiry
+reconfiguration and drains, no-ops on the baseline).
 """
+
+import math
 
 import pytest
 
-from repro.controlplane import ControlPlaneManager
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.errors import FaultSpecError
@@ -85,6 +86,57 @@ class TestEventValidation:
     def test_parameter_bounds(self, record, match):
         with pytest.raises(FaultSpecError, match=match):
             validate_event_record(record)
+
+    @pytest.mark.parametrize("record,match", [
+        # Used to pass the spec and raise OverflowError at injector start.
+        ({"kind": "link_down", "at_us": 100, "duration_us": math.inf}, "duration_us"),
+        # Used to raise a bare ValueError mid-run.
+        ({"kind": "link_down", "at_us": math.nan}, "at_us"),
+        ({"kind": "link_down", "at_us": 100, "duration_frac": math.nan}, "duration_frac"),
+        # Used to be refused only at materialization, after the testbed.
+        ({"kind": "link_down", "at_us": -5}, "at_us"),
+        # Used to fail with a float-conversion message naming no key.
+        ({"kind": "park_drain", "at_us": 1, "fraction": "abc"}, "fraction"),
+        ({"kind": "link_loss", "at_us": 1, "probability": "high"}, "probability"),
+        ({"kind": "link_jitter", "at_us": 1, "jitter_ns": math.inf}, "jitter_ns"),
+        ({"kind": "link_jitter", "at_us": 1, "jitter_ns": "wide"}, "jitter_ns"),
+        ({"kind": "link_down", "at_us": "soon"}, "at_us"),
+        ({"kind": "link_down", "at_us": math.inf}, "at_us"),
+        ({"kind": "link_down", "at_us": None}, "at_us"),
+        ({"kind": "link_down", "at_frac": "half"}, "at_frac"),
+        ({"kind": "link_down", "at_us": 1, "duration_us": "long"}, "duration_us"),
+        ({"kind": "link_down", "at_frac": 0.5, "duration_frac": math.inf}, "duration_frac"),
+        ({"kind": "backend_churn", "at_us": 1, "count": "many"}, "count"),
+        ({"kind": "backend_churn", "at_us": 1, "count": math.inf}, "count"),
+        ({"kind": "expiry_threshold", "at_us": 1, "value": "high"}, "value"),
+        ({"kind": "expiry_threshold", "at_us": 1, "value": math.inf}, "value"),
+    ], ids=["inf-duration", "nan-at", "nan-duration-frac", "negative-at",
+            "text-fraction", "text-probability", "inf-jitter", "text-jitter",
+            "text-at", "inf-at", "none-at", "text-at-frac", "text-duration",
+            "inf-duration-frac", "text-count", "inf-count", "text-value",
+            "inf-value"])
+    def test_timing_and_numbers_fail_at_the_declaration(self, record, match):
+        with pytest.raises(FaultSpecError, match=match):
+            EventSchedule.from_spec({"events": [record]})
+
+    @pytest.mark.parametrize("generator,match", [
+        ({"kind": "backend_churn", "period_us": math.inf}, "period_us"),
+        ({"kind": "link_down", "period_frac": 0.2, "duration_us": math.inf}, "duration_us"),
+        ({"kind": "backend_churn", "period_frac": 0.2, "start_us": math.nan}, "start_us"),
+        ({"kind": "backend_churn", "period_frac": 0.2, "repeat": "twice"}, "repeat"),
+        ({"kind": "backend_churn", "period_frac": 0.2, "repeat": math.inf}, "repeat"),
+        ({"kind": "backend_churn", "period_frac": math.nan}, "period_frac"),
+        ({"kind": "backend_churn", "period_us": "often"}, "period_us"),
+        ({"kind": "backend_churn", "period_frac": 0.2, "start_frac": math.inf}, "start_frac"),
+        ({"kind": "backend_churn", "period_frac": 0.2, "start_us": "later"}, "start_us"),
+        ({"kind": "backend_churn", "period_frac": 0.2, "jitter": "some"}, "jitter"),
+        ({"kind": "link_down", "period_frac": 0.2, "duration_frac": math.nan}, "duration_frac"),
+    ], ids=["inf-period", "inf-duration", "nan-start", "text-repeat", "inf-repeat",
+            "nan-period-frac", "text-period", "inf-start-frac", "text-start",
+            "text-jitter", "nan-duration-frac"])
+    def test_generator_numbers_fail_at_the_declaration(self, generator, match):
+        with pytest.raises(FaultSpecError, match=match):
+            EventSchedule.from_spec({"generators": [generator]})
 
 
 class TestEventSchedule:
@@ -308,29 +360,16 @@ class TestLinkFaults:
         with pytest.raises(ValueError):
             link.set_jitter(-1)
 
-    def test_reset_stats_clears_counters_not_live_state(self):
-        env = EventLoop()
-        link, a, b = _wired_link(env, buffer_bytes=600)
-        link.transmit(_frame(), a)
-        link.transmit(_frame(), a)  # overflows the 600-byte buffer
-        link.set_up(False)
-        link.transmit(_frame(), a)
-        assert link.total_drops() == 2
-        link.reset_stats()
-        assert link.total_drops() == 0
-        assert link.stats()["a_to_b_sent"] == 0
-        # Live transmit state survives: the queued frame still drains.
-        env.run_all()
-        assert b.received == 1
+
+_BINDING = NfServerBinding(
+    name="srv0", ingress_ports=(0, 1), nf_port=2, default_egress_port=0
+)
 
 
-def _pp_program():
-    binding = NfServerBinding(
-        name="srv0", ingress_ports=(0, 1), nf_port=2, default_egress_port=0
-    )
-    return PayloadParkProgram(
-        PayloadParkConfig(sram_fraction=0.1, expiry_threshold=1), bindings=[binding]
-    )
+def _pp_program(**config):
+    config.setdefault("sram_fraction", 0.1)
+    config.setdefault("expiry_threshold", 1)
+    return PayloadParkProgram(PayloadParkConfig(**config), bindings=[_BINDING])
 
 
 def _occupy_slots(program, count):
@@ -346,26 +385,30 @@ def _occupy_slots(program, count):
     return table, counters
 
 
-class TestControlPlaneManager:
-    def test_expiry_threshold_is_payloadpark_only(self):
-        manager = ControlPlaneManager(_pp_program())
-        assert manager.is_payloadpark
-        assert manager.set_expiry_threshold(5)
-        assert manager.program.config.expiry_threshold == 5
+class _DrainRecorder:
+    def __init__(self):
+        self.drained = []
 
-        binding = NfServerBinding(
-            name="srv0", ingress_ports=(0, 1), nf_port=2, default_egress_port=0
-        )
-        baseline = ControlPlaneManager(BaselineProgram([binding]))
-        assert not baseline.is_payloadpark
-        assert not baseline.set_expiry_threshold(5)
+    def slot_drained(self, binding, index):
+        self.drained.append((binding, index))
 
-    def test_drain_parked_accounts_evictions_and_clears_payload(self):
+    def fault_applied(self, kind, at_ns, duration_ns, params):
+        pass
+
+
+class TestDrainParked:
+    def test_drains_the_first_slots_in_index_order(self):
         program = _pp_program()
         table, counters = _occupy_slots(program, 4)
-        manager = ControlPlaneManager(program)
-        drained = manager.drain_parked(fraction=0.5)
-        assert drained == {"srv0": 2}
+        recorder = _DrainRecorder()
+        assert program.drain_parked(fraction=0.5, recorder=recorder) == {"srv0": 2}
+        assert recorder.drained == [("srv0", 0), ("srv0", 1)]
+        assert table.occupied_indices() == [2, 3]
+
+    def test_accounts_evictions_and_clears_payload(self):
+        program = _pp_program()
+        table, counters = _occupy_slots(program, 4)
+        program.drain_parked(fraction=0.5)
         assert counters.evictions == 2
         assert table.occupancy() == 2
         # The dataplane identity holds: outstanding == occupied.
@@ -374,40 +417,73 @@ class TestControlPlaneManager:
         assert table.peek_payload(0) == b""
         assert not table.peek_metadata(0).occupied
 
-    def test_drain_fraction_validation(self):
-        with pytest.raises(ValueError, match="fraction"):
-            ControlPlaneManager(_pp_program()).drain_parked(fraction=0.0)
+    def test_fraction_rounds_up_and_targets_one_binding(self):
+        program = _pp_program()
+        table, counters = _occupy_slots(program, 3)
+        assert program.drain_parked("srv0", fraction=0.5) == {"srv0": 2}
+        assert program.drain_parked("other", fraction=1.0) == {}
+        assert program.drain_parked(fraction=0.01) == {"srv0": 1}
+        assert counters.evictions == 3 and table.occupancy() == 0
 
-    def test_reset_clears_link_counters_regression(self):
-        # Regression: resetting a shared deployment between back-to-back
-        # runs must clear the Link drop/occupancy counters too, or the
-        # second run starts with the first run's drops on its books.
-        env = EventLoop()
-        link, a, _b = _wired_link(env, buffer_bytes=600)
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
         program = _pp_program()
         _occupy_slots(program, 2)
+        with pytest.raises(ValueError, match="fraction"):
+            program.drain_parked(fraction=fraction)
+        assert program.lookup_table("srv0").occupancy() == 2
 
-        class _Topo:
-            class _Attachment:
-                pass
 
-            def __init__(self):
-                attachment = self._Attachment()
-                attachment.gen_links = [link]
-                attachment.server_link = link
-                self.attachments = [attachment]
+class TestInjectorProgramEvents:
+    def _injector(self, program):
+        schedule = EventSchedule(events=({"kind": "link_down", "at_frac": 0.1},))
+        return FaultInjectorNode(EventLoop(), None, program, schedule)
 
-        manager = ControlPlaneManager(program, _Topo())
-        link.transmit(_frame(), a)
-        link.transmit(_frame(), a)  # buffer overflow drop
-        assert link.total_drops() == 1
-        assert link.stats()["a_to_b_sent"] == 1
-        manager.reset()
-        assert link.total_drops() == 0
-        assert link.stats()["a_to_b_sent"] == 0
-        assert link.stats()["a_to_b_bytes"] == 0
-        assert program.lookup_table("srv0").occupancy() == 0
-        assert program.counters_for("srv0").splits == 0
+    def test_expiry_threshold_event_governs_later_splits(self):
+        from repro.faults.events import FaultEvent
+
+        program = _pp_program(table_entries=1)
+        injector = self._injector(program)
+        injector.apply_event(FaultEvent("expiry_threshold", 0, {"value": 5}))
+        assert program.config.expiry_threshold == 5
+        assert injector.threshold_changes == 1
+        for _ in range(2):
+            program.process(Packet.udp(total_size=512), ingress_port=0)
+        # With the conservative threshold the wrap-around no longer evicts.
+        assert program.counters_for().evictions == 0
+        assert program.counters_for().split_disabled_table_occupied == 1
+
+    def test_park_drain_event_drains_and_counts(self):
+        from repro.faults.events import FaultEvent
+
+        program = _pp_program()
+        _occupy_slots(program, 4)
+        injector = self._injector(program)
+        injector.obs_recorder = recorder = _DrainRecorder()
+        injector.apply_event(FaultEvent("park_drain", 0, {"fraction": 0.5}))
+        injector.apply_event(FaultEvent("park_drain", 0, {"binding": "srv0"}))
+        assert injector.slots_drained == {"srv0": 4}
+        assert [index for _name, index in recorder.drained] == [0, 1, 2, 3]
+
+    def test_program_events_on_the_baseline_change_nothing(self):
+        from repro.faults.events import FaultEvent
+
+        program = BaselineProgram([_BINDING])
+        program.enable_fast_path()
+        program.process(Packet.udp(total_size=512), ingress_port=0)
+        injector = self._injector(program)
+
+        def state():
+            stats = injector.stats()
+            del stats["events_applied"]
+            return stats, program.asic.processed_packets, program.l2.lookups, len(program._plans)
+
+        before = state()
+        injector.apply_event(FaultEvent("expiry_threshold", 0, {"value": 5}))
+        injector.apply_event(FaultEvent("park_drain", 0, {"fraction": 0.5}))
+        assert injector.events_applied == 2
+        assert state() == before
+        assert injector.slots_drained == {}
 
 
 class TestInjectorUnits:

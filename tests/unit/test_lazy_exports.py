@@ -23,7 +23,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 LAZY_PACKAGES = (
     "repro",
-    "repro.controlplane",
     "repro.core",
     "repro.experiments",
     "repro.faults",

@@ -126,13 +126,6 @@ class TestPayloadBlocks:
             table.store_block(ctx, slot, array, index=0, parked_payload=payload)
         assert table.peek_payload(0) == payload
 
-    def test_clear_resets_everything(self):
-        table = _table()
-        table.probe_and_claim(_ctx(), index=1, clk=3, max_exp=1)
-        table.clear()
-        assert table.occupancy() == 0
-        assert table.peek_metadata(1) == MetadataEntry()
-
 
 class TestPacketTagger:
     def test_tags_advance_and_wrap(self):
@@ -158,13 +151,6 @@ class TestPacketTagger:
         tagger.next_tag(ctx)
         with pytest.raises(RegisterAccessError):
             tagger.next_tag(ctx)
-
-    def test_reset_restores_initial_state(self):
-        pipeline = Pipeline(stage_count=12)
-        tagger = PacketTagger("t", pipeline, table_entries=5)
-        tagger.next_tag(_ctx())
-        tagger.reset()
-        assert tagger.next_tag(_ctx()).tbl_idx == 0
 
     def test_invalid_parameters_rejected(self):
         pipeline = Pipeline(stage_count=12)

@@ -227,6 +227,25 @@ class TestCampaignSpec:
         with pytest.raises(ObserveSpecError):
             small_campaign(options={"observe": observe})
 
+    @pytest.mark.parametrize("base, grid", [
+        ({"faults": "no-such-profile"}, {}),
+        ({}, {"faults": [None, "chaos-mix", "no-such-profile"]}),
+        ({"faults": {"events": [{"kind": "link_down", "at_us": float("inf")}]}}, {}),
+        ({}, {"faults": [{"generators": [{"kind": "backend_churn", "period_us": "x"}]}]}),
+    ], ids=["base-name", "grid-name", "base-inline", "grid-inline"])
+    def test_the_faults_values_are_parsed_when_the_spec_is_built(self, base, grid):
+        from repro.errors import FaultSpecError
+
+        with pytest.raises(FaultSpecError):
+            small_campaign(base=base, grid={"send_rate_gbps": [2.0], **grid})
+
+    def test_good_faults_values_build(self):
+        inline = {"events": [{"kind": "park_drain", "at_frac": 0.5, "fraction": 0.5}]}
+        campaign = small_campaign(grid={"faults": [None, "park-drain", inline]})
+        assert [run.params["faults"] for run in campaign.expand()] == [
+            None, "park-drain", inline,
+        ]
+
     def test_the_observe_out_dir_is_not_an_observe_spec_key(self, tmp_path):
         small_campaign(options={"observe": {"metrics": True, "out_dir": str(tmp_path)}})
 

@@ -57,11 +57,6 @@ class TestCounters:
         assert counters.split_attempts == 15
         assert counters.outstanding_payloads == 2
 
-    def test_reset_zeroes_everything(self):
-        counters = PayloadParkCounters(splits=3, merges=2)
-        counters.reset()
-        assert counters.as_dict() == PayloadParkCounters().as_dict()
-
     def test_counter_bank_aggregation(self):
         bank = CounterBank()
         bank.for_binding("a").splits = 4

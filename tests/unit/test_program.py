@@ -223,14 +223,6 @@ class TestMultiBindingAndState:
         assert program.lookup_tables["a"].occupancy() == 1
         assert program.lookup_tables["b"].occupancy() == 0
 
-    def test_reset_state_clears_everything(self):
-        program = _program()
-        packet = Packet.udp(total_size=512)
-        program.process(packet, ingress_port=0)
-        program.reset_state()
-        assert program.counters_for().splits == 0
-        assert program.lookup_table().occupancy() == 0
-
     def test_lookup_table_requires_name_with_multiple_bindings(self):
         bindings = [_binding("a", base=0), _binding("b", base=4)]
         program = PayloadParkProgram(PayloadParkConfig(), bindings=bindings)

@@ -37,12 +37,6 @@ class TestMatchActionTable:
         ctx.drop("test")
         assert not table.apply(ctx)
 
-    def test_reset_counters(self):
-        table = MatchActionTable("t", action=lambda ctx: None)
-        table.apply(_ctx())
-        table.reset_counters()
-        assert table.hit_count == 0
-
 
 class TestPipeline:
     def test_stage_count_fixed(self):
@@ -115,14 +109,6 @@ class TestPortPlan:
         assert plan.version != pipeline.version
         assert self._counts([a, b, c, late]) == [(4, 0), (0, 4), (0, 4), (0, 0)]
 
-    def test_reset_counters_discards_pending_tallies(self):
-        pipeline, (a, b, c) = self._pipeline()
-        counts = [7]
-        PortPlan(pipeline, lambda packet, port: None, counts, [pipeline.walk([([a], None)])])
-        pipeline.reset_counters()
-        assert counts == [0]
-        assert self._counts([a, b, c]) == [(0, 0)] * 3
-
 
 class TestPipeRecirculation:
     def test_recirculation_limit_enforced(self):
@@ -182,5 +168,3 @@ class TestTofinoAsic:
         asic.process(Packet.udp(total_size=100), ingress_port=1)
         assert asic.dropped_packets == 1
         assert asic.drop_reasons == {"policy": 1}
-        asic.reset_counters()
-        assert asic.processed_packets == 0

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from repro.orchestrator.serve import monitor_from_store
+from repro.orchestrator.store import ResultStore, events_path_for
 from repro.orchestrator.telemetrybus import (
     CampaignMonitor,
     CellTagFilter,
@@ -271,16 +273,26 @@ class TestCampaignMonitor:
         assert monitor.events_tail(5)[-1]["type"] == "mystery"
 
 
+def _sidecar_monitor(tmp_path):
+    """The monitor ``campaign serve --no-follow`` builds from the sidecar
+    that :func:`_sidecar_bus` writes (no store records beside it)."""
+    return monitor_from_store(store=ResultStore(tmp_path / "c.jsonl"))
+
+
+def _sidecar_bus(tmp_path):
+    return TelemetryBus(events_path=events_path_for(tmp_path / "c.jsonl"))
+
+
 class TestTelemetryBus:
-    def test_events_drain_into_monitor_and_sidecar(self, tmp_path):
-        events_path = tmp_path / "c.events.jsonl"
-        with TelemetryBus(events_path=events_path) as bus:
+    def test_events_drain_into_the_sidecar(self, tmp_path):
+        events_path = events_path_for(tmp_path / "c.jsonl")
+        with _sidecar_bus(tmp_path) as bus:
             bus.emit({"type": "campaign_started", "total": 1, "workers": 1})
             bus.emit_record(
                 {"spec_hash": "a", "scenario": "s", "params": {},
                  "status": "ok", "wall_time_s": 0.5}
             )
-        assert bus.monitor.status()["cells_done"] == 1
+        assert _sidecar_monitor(tmp_path).status()["cells_done"] == 1
         lines = [json.loads(line) for line in
                  events_path.read_text().splitlines()]
         assert [line["type"] for line in lines] == [
@@ -289,20 +301,20 @@ class TestTelemetryBus:
         assert all("ts" in line for line in lines)
 
     def test_stop_is_a_drain_barrier(self, tmp_path):
-        bus = TelemetryBus(events_path=tmp_path / "e.jsonl").start()
+        bus = _sidecar_bus(tmp_path).start()
         for index in range(200):
             bus.emit({"type": "heartbeat", "spec_hash": "a", "seq": index})
         bus.stop()
-        assert bus.monitor.events_seen == 200
+        assert _sidecar_monitor(tmp_path).events_seen == 200
 
-    def test_worker_emit_routes_through_installed_sink(self):
-        bus = TelemetryBus().start()
+    def test_worker_emit_routes_through_installed_sink(self, tmp_path):
+        bus = _sidecar_bus(tmp_path).start()
         try:
             with worker_sink(bus.queue.put):
                 worker_emit({"type": "heartbeat", "spec_hash": "w"})
         finally:
             bus.stop()
-        assert bus.monitor.events_seen == 1
+        assert _sidecar_monitor(tmp_path).events_seen == 1
 
     def test_worker_emit_without_sink_is_a_noop(self):
         install_worker_sink(None)
@@ -315,8 +327,8 @@ class TestTelemetryBus:
         with worker_sink(broken):
             worker_emit({"type": "heartbeat", "spec_hash": "x"})  # must not raise
 
-    def test_heartbeat_thread_emits_until_stopped(self):
-        bus = TelemetryBus().start()
+    def test_heartbeat_thread_emits_until_stopped(self, tmp_path):
+        bus = _sidecar_bus(tmp_path).start()
         try:
             with worker_sink(bus.queue.put, heartbeat_interval_s=0.02):
                 thread = start_heartbeat("abc")
@@ -325,7 +337,7 @@ class TestTelemetryBus:
                 thread.stop()
         finally:
             bus.stop()
-        beats = [event for event in bus.monitor.events_tail(0x100)
+        beats = [event for event in _sidecar_monitor(tmp_path).events_tail(0x100)
                  if event["type"] == "heartbeat"]
         assert beats
         assert all(beat["spec_hash"] == "abc" for beat in beats)
