@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     workload_preview = workload_sub.add_parser(
         "preview",
-        help="materialize the first N packets and print summary statistics "
-             "(no simulation run)",
+        help="run the workload's traffic generator alone for N packets and "
+             "print summary statistics",
     )
     workload_preview.set_defaults(handler=_workload_preview)
     workload_preview.add_argument("name", help="workload name (see 'workload list')")
@@ -1221,30 +1221,17 @@ def _workload_preview(args) -> int:
 
     if args.packets <= 0:
         raise ValueError("--packets must be positive")
-    if args.rate is not None and args.rate <= 0:
-        raise ValueError("--rate must be positive")
+    if args.rate is not None:
+        require_positive_finite("--rate", args.rate)
     spec = _resolve_workload(args)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    trace = spec.trace(seed, args.packets, rate_gbps=args.rate)
-    summary = summarize(trace)
-    # Closed-loop workloads also expose their modeled transport state
-    # (windows, RTO floor, epoch rounds) alongside the packet summary.
-    transport = None
-    if hasattr(spec, "transport_preview"):
-        transport = spec.transport_preview(seed, args.packets)
+    summary = summarize(spec.trace(seed, args.packets, rate_gbps=args.rate))
     if args.json:
         payload = {"workload": spec.name, "seed": seed, "summary": summary.as_row()}
-        if transport is not None:
-            payload["transport"] = transport
         json.dump(payload, sys.stdout, indent=2)
         print()
     else:
         print(render_table([{"workload": spec.name, "seed": seed, **summary.as_row()}]))
-        if transport is not None:
-            print("closed-loop transport (idealized preview):")
-            width = max(len(key) for key in transport)
-            for key, value in transport.items():
-                print(f"  {key.ljust(width)}  {value}")
     return 0
 
 

@@ -31,7 +31,8 @@ class NatBinding:
 
 
 class NatPortExhausted(RuntimeError):
-    """No free external ports remain for new flows."""
+    """No free external ports remain for new flows (:meth:`Nat.binding_for`;
+    the datapath drops the packet instead)."""
 
 
 class Nat(NetworkFunction):
@@ -125,6 +126,9 @@ class Nat(NetworkFunction):
         key = (src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
         port = self._bindings.get(key)
         if port is None:
+            if len(self._reverse) > PORT_HIGH - PORT_LOW:
+                # A full table drops the new flow's packet; the run goes on.
+                return self.drop(cycles, reason="NAT ports exhausted")
             port = self._bind(key, src, l4.src_port)
         ip.src = self.external_ip
         l4.src_port = port

@@ -9,9 +9,10 @@ paper replays a PCAP to reproduce the enterprise traffic pattern.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.packet.flows import FlowGenerator
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
@@ -22,6 +23,9 @@ from repro.traffic.distributions import (
     PacketSizeDistribution,
     enterprise_datacenter_distribution,
 )
+
+if TYPE_CHECKING:
+    from repro.packet.pcap import PcapRecord
 
 #: Source subnet that the Fig. 12 firewall blacklists; workloads steer
 #: ``blacklisted_fraction`` of their packets into it.
@@ -118,34 +122,44 @@ class Workload:
         return ETHERNET_UDP_HEADER_BYTES / self.mean_frame_bytes()
 
     # ------------------------------------------------------------------ #
-    # PCAP export
+    # Captures
     # ------------------------------------------------------------------ #
+
+    def capture(self, packet_count: int, seed: int, rate_gbps: float) -> List[PcapRecord]:
+        """*packet_count* representative frames as capture records.
+
+        Frame *i* samples its size from the distribution and takes flow
+        *i*; the timestamps correspond to back-to-back transmission at
+        *rate_gbps*.  This mirrors the paper's methodology of replaying
+        a synthetic PCAP whose sizes follow the Benson distribution.
+        """
+        from repro.packet.pcap import PcapRecord
+
+        if packet_count <= 0:
+            raise WorkloadSpecError("packet_count must be positive")
+        rng = random.Random(seed)
+        records: List[PcapRecord] = []
+        timestamp = 0.0
+        for index in range(packet_count):
+            size = max(self.sizes.sample(rng), ETHERNET_UDP_HEADER_BYTES)
+            flow = self.flows.flow(index)
+            packet = Packet.udp(
+                src_ip=str(flow.src_ip),
+                dst_ip=str(flow.dst_ip),
+                src_port=flow.src_port,
+                dst_port=flow.dst_port,
+                total_size=size,
+            )
+            ts_sec = int(timestamp)
+            ts_usec = int(round((timestamp - ts_sec) * 1_000_000))
+            records.append(PcapRecord(ts_sec, ts_usec, packet.to_bytes()))
+            timestamp += size * 8 / (rate_gbps * 1e9)
+        return records
 
     def export_pcap(self, path: Union[str, Path], packet_count: int = 1000,
                     seed: int = 7, rate_gbps: float = 10.0) -> int:
-        """Write *packet_count* representative frames to a PCAP file.
+        """Write :meth:`capture`'s frames to a PCAP file at *path*."""
+        from repro.packet.pcap import write_pcap
 
-        This mirrors the paper's methodology of replaying a synthetic
-        PCAP whose sizes follow the Benson distribution; the timestamps
-        correspond to back-to-back transmission at *rate_gbps*.
-        """
-        import random
-
-        from repro.packet.pcap import PcapWriter
-
-        rng = random.Random(seed)
-        timestamp = 0.0
-        with PcapWriter(path) as writer:
-            for index in range(packet_count):
-                size = self.sizes.sample(rng)
-                flow = self.flows.flow(index)
-                packet = Packet.udp(
-                    src_ip=str(flow.src_ip),
-                    dst_ip=str(flow.dst_ip),
-                    src_port=flow.src_port,
-                    dst_port=flow.dst_port,
-                    total_size=max(size, ETHERNET_UDP_HEADER_BYTES),
-                )
-                writer.write(packet.to_bytes(), timestamp)
-                timestamp += size * 8 / (rate_gbps * 1e9)
-        return packet_count
+        records = self.capture(packet_count, seed, rate_gbps)
+        return write_pcap(path, [(record.timestamp, record.data) for record in records])

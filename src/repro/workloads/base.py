@@ -1,20 +1,24 @@
 """Common workload abstractions shared by generative models and replay.
 
-A *workload* is anything that can (a) materialize its first N packets as
-a deterministic trace for previews and determinism tests, and (b) hand
-the simulator a :class:`TrafficModel` — the bundle of schedule, arrival
-process, packet source and/or timed replay stream the traffic generator
-node consumes.  The two concrete families are
-:class:`~repro.workloads.generative.GenerativeWorkload` and
-:class:`~repro.workloads.replay.PcapReplayWorkload`.
+A *workload* hands the simulator a :class:`TrafficModel` — the bundle of
+schedule, arrival process, packet source, timed replay stream and/or
+closed-loop transport the traffic generator node consumes.  Its preview
+trace (:meth:`WorkloadSpec.trace`) is not a second model of that
+traffic: it runs the workload's own generator node and records what
+leaves it.  The concrete families are
+:class:`~repro.workloads.generative.GenerativeWorkload`,
+:class:`~repro.workloads.replay.PcapReplayWorkload` and
+:class:`~repro.workloads.transport.ClosedLoopWorkload`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import WorkloadSpecError
 from repro.traffic.workload import Workload
 
 if TYPE_CHECKING:
@@ -35,10 +39,12 @@ def derived_rng(seed: int, salt: int) -> random.Random:
 
 
 #: Salt of the arrival-gap RNG, apart from the packet-content RNG so
-#: pacing noise never perturbs generated frames.  The generator's live
-#: pacing and the workload preview trace both draw from it, which is
-#: what makes the preview equal the run.
+#: pacing noise never perturbs generated frames.
 ARRIVALS_SALT = 1
+
+#: The ideal round trip after which a closed-loop preview hands each
+#: frame back to its sender (the live run measures its RTT instead).
+PREVIEW_RTT_NS = 20_000
 
 
 @dataclass
@@ -90,8 +96,7 @@ class WorkloadSpec:
     """Base class for named workloads.
 
     Subclasses set ``name``/``description``/``kind`` and implement
-    :meth:`trace`, :meth:`traffic_model`, :meth:`workload` and
-    :meth:`nominal_rate_gbps`.
+    :meth:`traffic_model`, :meth:`workload` and :meth:`nominal_rate_gbps`.
     """
 
     name: str = ""
@@ -119,12 +124,39 @@ class WorkloadSpec:
         max_packets: int,
         rate_gbps: Optional[float] = None,
     ) -> List[TracedPacket]:
-        """Materialize the first *max_packets* packets deterministically.
+        """The first *max_packets* frames this workload's generator emits.
 
-        ``rate_gbps`` rescales the workload's mean offered rate for this
-        trace (the CLI's ``--rate`` flag); ``None`` keeps the nominal rate.
+        Runs the workload's own :class:`~repro.netsim.trafficgen_node.TrafficGenNode`
+        exactly as generator 0 of a ``workload`` scenario seeded *seed*
+        builds it, with its one TX port wired to a capture instead of
+        the switch.  ``rate_gbps`` rescales the mean offered rate (the
+        CLI's ``--rate``); ``None`` keeps the nominal rate.  A
+        closed-loop transport gets each frame back after
+        :data:`PREVIEW_RTT_NS`, so its rows equal the run's until the
+        testbed's first delivery.
         """
-        raise NotImplementedError
+        from repro.netsim.eventloop import FastEventLoop
+        from repro.netsim.trafficgen_node import TrafficGenNode
+        from repro.traffic.pktgen import PktGenConfig
+        from repro.workloads.stats import TraceCapture
+
+        if max_packets <= 0:
+            raise WorkloadSpecError("max_packets must be positive")
+        rate = rate_gbps if rate_gbps is not None else self.nominal_rate_gbps()
+        model = self.traffic_model(rate)
+        node = TrafficGenNode(
+            FastEventLoop(),
+            PktGenConfig(rate, self.workload(), self.burst_size, seed, pooled=True),
+            tx_ports=[0],
+            traffic_model=model,
+        )
+        closed_loop = model.transport_factory is not None
+        capture = TraceCapture(node, max_packets, PREVIEW_RTT_NS if closed_loop else None)
+        node.attach_link(0, capture)
+        # No horizon, however slow the rate: the capture stops the node.
+        node.start(math.inf)
+        node.env.run_all()
+        return capture.rows
 
     def summary(self, seed: int = 42, max_packets: int = 2000) -> WorkloadSummary:
         """Summary statistics of the first *max_packets* packets."""

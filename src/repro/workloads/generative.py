@@ -1,22 +1,18 @@
 """Generative workloads: arrival process × flow model × size law × schedule.
 
 A :class:`GenerativeWorkload` composes the four orthogonal ingredients
-into one named traffic model.  The same composition serves three
-consumers:
-
-* ``repro workload preview`` materializes a deterministic per-packet
-  :meth:`~GenerativeWorkload.trace` without touching the event loop;
-* the simulator receives a :class:`~repro.workloads.base.TrafficModel`
-  whose packet source and arrival sampler plug into
-  :class:`~repro.netsim.trafficgen_node.TrafficGenNode`;
-* campaigns sweep workloads by name through the scenario registry.
+into one named traffic model: a :class:`~repro.workloads.base.TrafficModel`
+whose packet source and arrival sampler plug into
+:class:`~repro.netsim.trafficgen_node.TrafficGenNode`.  The simulator,
+campaigns (by name, through the scenario registry) and ``repro workload
+preview`` (which runs that node alone) all consume that one model.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import WorkloadSpecError
 from repro.packet.packet import Packet
@@ -25,10 +21,9 @@ from repro.traffic.distributions import PacketSizeDistribution
 from repro.traffic.pktgen import blacklisted_source, build_udp_frame
 from repro.traffic.workload import Workload
 from repro.workloads.arrivals import ArrivalModel, UniformArrivals
-from repro.workloads.base import ARRIVALS_SALT, TrafficModel, WorkloadSpec, derived_rng
+from repro.workloads.base import TrafficModel, WorkloadSpec
 from repro.workloads.flowmodels import FlowModel, FlowSampler, RoundRobinFlows
 from repro.workloads.schedule import TraceSchedule
-from repro.workloads.stats import TracedPacket
 
 
 class GenerativePacketSource:
@@ -169,53 +164,6 @@ class GenerativeWorkload(WorkloadSpec):
             source_factory=source_factory,
             rescale=self.traffic_model,
         )
-
-    def trace(
-        self,
-        seed: int,
-        max_packets: int,
-        rate_gbps: Optional[float] = None,
-    ) -> List[TracedPacket]:
-        """First *max_packets* packets at per-packet pacing granularity."""
-        if max_packets <= 0:
-            raise WorkloadSpecError("max_packets must be positive")
-        schedule = self.schedule
-        if schedule is not None and rate_gbps is not None:
-            schedule = schedule.with_mean(rate_gbps)
-        flat_rate = rate_gbps if rate_gbps is not None else self.rate_gbps
-        source = self.packet_source(seed)
-        sampler = self.arrivals.sampler(derived_rng(seed, ARRIVALS_SALT))
-        trace: List[TracedPacket] = []
-        t_ns = 0.0
-        for _ in range(max_packets):
-            if schedule is not None and schedule.rate_at(int(t_ns)) <= 0:
-                active = schedule.next_active(int(t_ns))
-                if active is None:
-                    break
-                t_ns = float(active)
-            packet = source.next_packet()
-            size = packet.wire_length
-            trace.append(
-                TracedPacket(
-                    time_ns=int(t_ns),
-                    size_bytes=size,
-                    src_ip=str(packet.ip.src),
-                    dst_ip=str(packet.ip.dst),
-                    src_port=packet.l4.src_port,
-                    dst_port=packet.l4.dst_port,
-                )
-            )
-            # Integral pacing mirrors the live generator: a ramp rising
-            # from ~zero must not quote its instantaneous rate across
-            # the whole gap.
-            if schedule is not None:
-                target = schedule.gap_for_bits(t_ns, size * 8.0)
-                if target is None:
-                    break
-            else:
-                target = size * 8.0 / flat_rate
-            t_ns += sampler.next_gap_ns(target)
-        return trace
 
     def describe(self) -> dict:
         info = super().describe()

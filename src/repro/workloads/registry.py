@@ -1,9 +1,10 @@
 """The named-workload registry.
 
-Every workload here is runnable three ways with zero setup: previewed
-with ``repro workload preview <name>``, run standalone through the
-``workload`` scenario (``repro.experiments.scenarios.workload_scenario``),
-and swept by campaigns (``grid: {workload: [...]}``).
+Every workload here is runnable three ways with zero setup: run
+standalone through the ``workload`` scenario
+(``repro.experiments.scenarios.workload_scenario``), swept by campaigns
+(``grid: {workload: [...]}``), and previewed with ``repro workload
+preview <name>``, which runs that scenario's generator 0 alone.
 
 Builders, not instances, are registered: each lookup constructs a fresh
 spec so stateful pieces (replay streams, flow samplers) never leak

@@ -17,18 +17,14 @@ builds a small deterministic in-memory capture so the registered
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
 from repro.errors import WorkloadSpecError
 from repro.packet.flows import FlowGenerator
-from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
 from repro.packet.pcap import PcapRecord, read_pcap
-from repro.traffic.distributions import enterprise_datacenter_distribution
 from repro.traffic.workload import Workload
 from repro.workloads.base import TimedFrame, TrafficModel, WorkloadSpec
-from repro.workloads.stats import TracedPacket
 
 
 def synthetic_enterprise_capture(
@@ -38,28 +34,7 @@ def synthetic_enterprise_capture(
     flow_count: int = 128,
 ) -> List[PcapRecord]:
     """A deterministic in-memory capture with the enterprise size mix."""
-    if packet_count <= 0:
-        raise WorkloadSpecError("packet_count must be positive")
-    rng = random.Random(seed)
-    sizes = enterprise_datacenter_distribution()
-    generator = FlowGenerator(flow_count=flow_count)
-    records: List[PcapRecord] = []
-    timestamp = 0.0
-    for index in range(packet_count):
-        size = max(sizes.sample(rng), ETHERNET_UDP_HEADER_BYTES)
-        flow = generator.flow(index)
-        packet = Packet.udp(
-            src_ip=str(flow.src_ip),
-            dst_ip=str(flow.dst_ip),
-            src_port=flow.src_port,
-            dst_port=flow.dst_port,
-            total_size=size,
-        )
-        ts_sec = int(timestamp)
-        ts_usec = int(round((timestamp - ts_sec) * 1_000_000))
-        records.append(PcapRecord(ts_sec=ts_sec, ts_usec=ts_usec, data=packet.to_bytes()))
-        timestamp += size * 8 / (rate_gbps * 1e9)
-    return records
+    return Workload.enterprise(flow_count=flow_count).capture(packet_count, seed, rate_gbps)
 
 
 class PcapReplayWorkload(WorkloadSpec):
@@ -180,7 +155,7 @@ class PcapReplayWorkload(WorkloadSpec):
         )
 
     # ------------------------------------------------------------------ #
-    # Streams and traces
+    # Streams
     # ------------------------------------------------------------------ #
 
     def _stream(self, speedup: float) -> Iterator[TimedFrame]:
@@ -199,54 +174,6 @@ class PcapReplayWorkload(WorkloadSpec):
             stream_factory=stream_factory,
             loop_stream=True,
             rescale=self.traffic_model,
-        )
-
-    def trace(
-        self,
-        seed: int,
-        max_packets: int,
-        rate_gbps: Optional[float] = None,
-    ) -> List[TracedPacket]:
-        """The first *max_packets* replayed frames (looping if needed)."""
-        if max_packets <= 0:
-            raise WorkloadSpecError("max_packets must be positive")
-        speedup = self.speedup
-        if rate_gbps is not None:
-            speedup = rate_gbps / self.native_rate_gbps()
-        cycle_ns = int(self._offsets_ns[-1] / speedup)
-        # Looping inserts one mean inter-frame gap between cycles.
-        cycle_gap_ns = max(cycle_ns // max(len(self.records) - 1, 1), 1)
-        trace: List[TracedPacket] = []
-        epoch = 0
-        while len(trace) < max_packets:
-            for offset, record in zip(self._offsets_ns, self.records):
-                if len(trace) >= max_packets:
-                    break
-                trace.append(
-                    self._traced(epoch + int(offset / speedup), record.data)
-                )
-            epoch += cycle_ns + cycle_gap_ns
-        return trace
-
-    @staticmethod
-    def _traced(time_ns: int, data: bytes) -> TracedPacket:
-        packet = Packet.from_bytes(data)
-        if packet.ip is not None and packet.l4 is not None:
-            return TracedPacket(
-                time_ns=time_ns,
-                size_bytes=len(data),
-                src_ip=str(packet.ip.src),
-                dst_ip=str(packet.ip.dst),
-                src_port=packet.l4.src_port,
-                dst_port=packet.l4.dst_port,
-            )
-        return TracedPacket(
-            time_ns=time_ns,
-            size_bytes=len(data),
-            src_ip="0.0.0.0",
-            dst_ip="0.0.0.0",
-            src_port=0,
-            dst_port=0,
         )
 
     def describe(self) -> dict:

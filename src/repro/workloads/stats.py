@@ -1,18 +1,19 @@
-"""Trace materialization and summary statistics for workloads.
+"""Trace capture and summary statistics for workloads.
 
-``repro workload preview`` needs to characterize a workload without
-running the full simulator: every workload can materialize its first N
-packets as a list of :class:`TracedPacket` rows (timestamp, size and
-5-tuple), and :func:`summarize` condenses such a trace into the headline
-numbers — mean offered rate, burstiness, small-packet fraction — that
-predict how hard the workload will push PayloadPark's parking slots.
+``repro workload preview`` characterizes a workload by running its
+traffic generator alone: :class:`TraceCapture` sits on the generator's
+TX port and records the first N frames as :class:`TracedPacket` rows
+(timestamp, size and 5-tuple), and :func:`summarize` condenses such a
+trace into the headline numbers — mean offered rate, burstiness,
+small-packet fraction — that predict how hard the workload will push
+PayloadPark's parking slots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import WorkloadSpecError
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES
@@ -33,6 +34,16 @@ class TracedPacket:
     src_port: int
     dst_port: int
 
+    @classmethod
+    def of(cls, time_ns: int, packet) -> "TracedPacket":
+        """The row of *packet* sent at *time_ns* (zeros for a non-UDP/IP frame)."""
+        ip, l4 = packet.ip, packet.l4
+        if ip is None or l4 is None:
+            return cls(time_ns, packet.wire_length, "0.0.0.0", "0.0.0.0", 0, 0)
+        return cls(
+            time_ns, packet.wire_length, str(ip.src), str(ip.dst), l4.src_port, l4.dst_port
+        )
+
     def flow_key(self) -> tuple:
         """Hashable flow identity for distinct-flow counting."""
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port)
@@ -47,6 +58,35 @@ class TracedPacket:
             self.src_port,
             self.dst_port,
         )
+
+
+class TraceCapture:
+    """A link-shaped sink on a preview generator's TX port.
+
+    Records each frame *node* sends and stops the node at
+    *max_packets*.  With *hand_back_ns* set it returns every frame to
+    the node that much later, a closed-loop transport's ideal
+    acknowledgment.
+    """
+
+    def __init__(self, node, max_packets: int, hand_back_ns: Optional[int]) -> None:
+        self.node = node
+        self.max_packets = max_packets
+        self.hand_back_ns = hand_back_ns
+        self.rows: List[TracedPacket] = []
+
+    def transmit(self, packet, sender) -> None:
+        rows = self.rows
+        if len(rows) == self.max_packets:
+            return  # the rest of the burst that reached the limit
+        rows.append(TracedPacket.of(self.node.env.now, packet))
+        if len(rows) == self.max_packets:
+            self.node.stop()
+        elif self.hand_back_ns is not None:
+            self.node.env.schedule_in(self.hand_back_ns, self._deliver, packet)
+
+    def _deliver(self, packet) -> None:
+        self.node.handle_packet(packet, 0)
 
 
 @dataclass(frozen=True)
@@ -80,9 +120,12 @@ def summarize(trace: Sequence[TracedPacket], buckets: int = 50) -> WorkloadSumma
     """Condense *trace* into a :class:`WorkloadSummary`.
 
     Burstiness is reported two ways: the coefficient of variation of the
-    inter-arrival gaps (1.0 for Poisson, 0.0 for deterministic pacing,
-    larger for on/off bursts), and the peak-to-mean ratio of the rate
-    across *buckets* equal time bins (sensitive to ramps and incast).
+    inter-frame gaps, and the peak-to-mean ratio of the rate across
+    *buckets* equal time bins (sensitive to ramps and incast).  A
+    generator paces bursts, and the frames of one burst leave at the
+    same nanosecond, so the CV is of the frame gaps, not the burst gaps:
+    uniform pacing of *b*-frame bursts reads √(b − 1) (≈ 5.6 at the
+    default 32), and Poisson or on/off burst gaps read more.
     """
     if not trace:
         raise WorkloadSpecError("cannot summarize an empty trace")
@@ -92,13 +135,11 @@ def summarize(trace: Sequence[TracedPacket], buckets: int = 50) -> WorkloadSumma
         later.time_ns - earlier.time_ns
         for earlier, later in zip(trace, trace[1:])
     ]
-    if gaps:
-        mean_gap = sum(gaps) / len(gaps)
-        if mean_gap > 0:
-            variance = sum((gap - mean_gap) ** 2 for gap in gaps) / len(gaps)
-            cv = math.sqrt(variance) / mean_gap
-        else:
-            cv = 0.0
+    mean_gap = sum(gaps) / len(gaps) if gaps else 0.0
+    if mean_gap > 0:
+        # Squares of gap / mean_gap, not of raw gaps: at a tiny rate the
+        # gaps are ~1e300 ns and their squares would overflow.
+        cv = math.sqrt(sum((gap / mean_gap - 1.0) ** 2 for gap in gaps) / len(gaps))
     else:
         cv = 0.0
 

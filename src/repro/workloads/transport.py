@@ -45,7 +45,6 @@ instances.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
@@ -56,8 +55,7 @@ from repro.traffic.distributions import FixedSizeDistribution
 from repro.traffic.pktgen import build_udp_frame
 from repro.traffic.workload import Workload
 from repro.workloads.base import TrafficModel, WorkloadSpec, derived_rng
-from repro.workloads.flowmodels import FlowModel, FlowSampler, _RoundRobinSampler
-from repro.workloads.stats import TracedPacket
+from repro.workloads.flowmodels import FlowModel
 
 #: RNG salt for transport randomness (start jitter, think times), kept
 #: distinct from packet-content and arrival-gap sampling.
@@ -139,12 +137,6 @@ class ClosedLoopFlows(FlowModel):
             raise WorkloadSpecError("need 0 < min_rto_ns <= max_rto_ns")
         if self.think_time_ns < 0 or self.start_jitter_ns < 0:
             raise WorkloadSpecError("think/jitter times cannot be negative")
-
-    # FlowModel interface — the static preview view cycles the same
-    # 5-tuple population the live transport binds its connections to.
-
-    def sampler(self, rng: random.Random) -> FlowSampler:
-        return _RoundRobinSampler(FlowGenerator(flow_count=self.flow_count).flows())
 
     def nominal_flow_count(self) -> int:
         return self.flow_count
@@ -542,9 +534,6 @@ class ClosedLoopWorkload(WorkloadSpec):
     description: str = ""
     flows: ClosedLoopFlows = field(default_factory=ClosedLoopFlows)
     rate_gbps: float = 6.0
-    #: Assumed base round-trip for the idealized preview trace (the live
-    #: RTT is measured, not assumed).
-    preview_rtt_ns: int = 20_000
     burst_size: int = 4
     kind: str = "closed-loop"
 
@@ -553,8 +542,6 @@ class ClosedLoopWorkload(WorkloadSpec):
             raise WorkloadSpecError("a closed-loop workload needs ClosedLoopFlows")
         if self.rate_gbps <= 0:
             raise WorkloadSpecError("rate_gbps must be positive")
-        if self.preview_rtt_ns <= 0:
-            raise WorkloadSpecError("preview_rtt_ns must be positive")
 
     # ------------------------------------------------------------------ #
     # WorkloadSpec interface
@@ -581,91 +568,11 @@ class ClosedLoopWorkload(WorkloadSpec):
             rescale=self.traffic_model,
         )
 
-    def trace(
-        self,
-        seed: int,
-        max_packets: int,
-        rate_gbps: Optional[float] = None,
-    ) -> List[TracedPacket]:
-        """Idealized (lossless, fixed-RTT) closed-loop emission trace.
-
-        Previews cannot run the real network, so the trace models the
-        ACK clock against an ideal path: every window round trip takes
-        ``preview_rtt_ns``, windows grow by slow start / congestion
-        avoidance, epochs barrier exactly like the live engine.  Seeded
-        start jitter keeps distinct seeds distinguishable.
-        """
-        if max_packets <= 0:
-            raise WorkloadSpecError("max_packets must be positive")
-        model = self.flows
-        rng = derived_rng(seed, _TRANSPORT_SALT)
-        tuples = FlowGenerator(flow_count=model.flow_count).flows()
-        size = max(model.mss_bytes, _MIN_SEGMENT_BYTES)
-        # Per-flow idealized state: (start_offset_ns, cwnd, sent, acked).
-        jitter = [rng.randrange(model.start_jitter_ns + 1) for _ in tuples]
-        trace: List[TracedPacket] = []
-        epoch_start = 0
-        while len(trace) < max_packets:
-            # One synchronized epoch: every flow ships its transfer in
-            # slow-start rounds of one RTT each.
-            cwnd = [float(model.initial_cwnd_segments)] * len(tuples)
-            sent = [0] * len(tuples)
-            round_index = 0
-            while any(s < model.segments_per_transfer for s in sent):
-                round_time = epoch_start + round_index * self.preview_rtt_ns
-                for index, five_tuple in enumerate(tuples):
-                    window = min(
-                        int(cwnd[index]), model.max_cwnd_segments,
-                        model.segments_per_transfer - sent[index],
-                    )
-                    for burst_pos in range(window):
-                        when = round_time + jitter[index] + burst_pos * 500
-                        trace.append(
-                            TracedPacket(
-                                time_ns=int(when),
-                                size_bytes=size,
-                                src_ip=str(five_tuple.src_ip),
-                                dst_ip=str(five_tuple.dst_ip),
-                                src_port=five_tuple.src_port,
-                                dst_port=five_tuple.dst_port,
-                            )
-                        )
-                        if len(trace) >= max_packets:
-                            trace.sort(key=lambda p: p.as_tuple())
-                            return trace
-                    sent[index] += window
-                    if cwnd[index] < model.initial_ssthresh_segments:
-                        cwnd[index] = min(cwnd[index] * 2, float(model.max_cwnd_segments))
-                    else:
-                        cwnd[index] += 1.0
-                round_index += 1
-            epoch_start += round_index * self.preview_rtt_ns + max(
-                model.think_time_ns, self.preview_rtt_ns
-            )
-        trace.sort(key=lambda p: p.as_tuple())
-        return trace
-
-    def transport_preview(self, seed: int, max_packets: int) -> Dict[str, Any]:
-        """Modeled transport state after the preview trace (CLI rendering)."""
-        model = self.flows
-        trace = self.trace(seed, max_packets)
-        span_ns = (trace[-1].time_ns - trace[0].time_ns) if len(trace) > 1 else 0
-        rounds = max(1, span_ns // self.preview_rtt_ns)
-        return {
-            "flows": model.flow_count,
-            "segments_per_transfer": model.segments_per_transfer,
-            "mss_bytes": model.mss_bytes,
-            "initial_cwnd_segments": model.initial_cwnd_segments,
-            "min_rto_us": model.min_rto_ns / 1_000.0,
-            "sync_epochs": model.sync_epochs,
-            "modeled_rounds": int(rounds),
-            "modeled_span_us": span_ns / 1_000.0,
-        }
-
     def describe(self) -> dict:
         info = super().describe()
         info["flows"] = self.flows.label()
         info["transport"] = "closed-loop NewReno (dup-ACK fast retransmit, RTO)"
+        info["segments_per_transfer"] = f"{self.flows.segments_per_transfer}"
         info["mss_bytes"] = f"{self.flows.mss_bytes}"
         info["initial_cwnd"] = f"{self.flows.initial_cwnd_segments} segments"
         info["ssthresh"] = f"{self.flows.initial_ssthresh_segments} segments"

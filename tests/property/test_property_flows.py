@@ -103,12 +103,23 @@ def _parent_flow(generator, index):
     return generator.flows()[index % generator.flow_count]
 
 
+class _EagerPopulation(list):
+    """The oracle list, also as its own fully built ``slots``: the preview
+    runs a generator node, whose ``PacketFactory`` reads ``slots``."""
+
+    @property
+    def slots(self):
+        return self
+
+
 @pytest.mark.parametrize("name", workload_names())
 def test_workload_preview_matches_the_oracle(name, capsys, monkeypatch):
     argv = ["workload", "preview", name, "--json", "--packets", "1500"]
     assert main(argv) == 0
     lazy = capsys.readouterr().out
-    monkeypatch.setattr(FlowGenerator, "flows", eager_flows)
+    monkeypatch.setattr(
+        FlowGenerator, "flows", lambda generator: _EagerPopulation(eager_flows(generator))
+    )
     monkeypatch.setattr(FlowGenerator, "flow", _parent_flow)
     assert main(argv) == 0
     assert capsys.readouterr().out == lazy

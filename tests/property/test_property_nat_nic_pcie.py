@@ -3,10 +3,12 @@
 The NAT keeps two int tables instead of building a ``FiveTuple`` and a
 ``NatBinding`` per flow; the NIC and PCIe models look a frame's delay up
 by its size instead of dividing per frame.  Neither may change a single
-result, so each is held here to its predecessor: the NAT to a verbatim
-copy of the object-per-binding ``Nat`` (``_ObjectNat``), driven through
-the same random interleaving of packets and ``binding_for`` calls, and
-the delay tables to the closed-form formula at every wire size.
+result, so each is held here to its predecessor: the NAT to a copy of
+the object-per-binding ``Nat`` (``_ObjectNat``), driven through the same
+random interleaving of packets and ``binding_for`` calls, and the delay
+tables to the closed-form formula at every wire size.  The copy carries
+one later, deliberate change of both: a packet that would open a flow in
+a full port table is dropped, where it used to raise.
 """
 
 import sys
@@ -90,6 +92,8 @@ class _ObjectNat(NetworkFunction):
         key = (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
         binding = self._bindings.get(key)
         if binding is None:
+            if len(self._reverse) > PORT_HIGH - PORT_LOW:
+                return self.drop(cycles, reason="NAT ports exhausted")
             binding = self._bind(
                 key, FiveTuple(ip.src, ip.dst, ip.protocol, l4.src_port, l4.dst_port)
             )
@@ -183,8 +187,11 @@ class TestNatAgainstTheObjectNat:
                 [_apply(nat, step, flows)[0] for step in steps] for nat in (Nat(), _ObjectNat())
             ]
         assert results[0] == results[1]
-        exhausted = [i for i, result in enumerate(results[0]) if isinstance(result, tuple)]
-        assert exhausted == [4, 5, 7]
+        dropped = [
+            i for i, result in enumerate(results[0])
+            if isinstance(result, NfResult) and result.reason == "NAT ports exhausted"
+        ]
+        assert dropped == [4, 5, 7]
 
 
 def _closed_form_ns(nbytes, gbps):

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -523,29 +524,11 @@ class TestWorkloadCli:
         assert first["seed"] == 5
         assert first["summary"]["packets"] == 300
 
-    def test_preview_renders_closed_loop_transport_state(self, capsys):
-        assert main(["workload", "preview", "incast-collapse", "--packets", "300"]) == 0
-        output = capsys.readouterr().out
-        assert "closed-loop transport" in output
-        assert "min_rto_us" in output and "modeled_rounds" in output
-
-    def test_preview_json_carries_transport_block(self, capsys):
-        assert main(["workload", "preview", "rpc-fanout", "--packets", "200",
-                     "--seed", "3", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["transport"]["flows"] == 16
-        assert payload["transport"]["sync_epochs"] is False
-
-    def test_preview_open_loop_has_no_transport_block(self, capsys):
-        assert main(["workload", "preview", "incast-sync", "--packets", "200",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "transport" not in payload
-
     def test_describe_closed_loop_names_the_transport(self, capsys):
         assert main(["workload", "describe", "incast-collapse"]) == 0
         output = capsys.readouterr().out
         assert "NewReno" in output and "synchronized barrier" in output
+        assert "segments_per_transfer  24" in output
 
     def test_preview_rate_rescales(self, capsys):
         assert main(["workload", "preview", "enterprise-poisson", "--packets",
@@ -564,6 +547,26 @@ class TestWorkloadCli:
         capsys.readouterr()
         assert main(["workload", "preview", "enterprise-poisson", "--packets", "0"]) == 2
         assert "--packets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, rate", [
+        ("enterprise-poisson", "inf"),
+        ("enterprise-poisson", "nan"),
+        ("pcap-replay", "inf"),
+        ("incast-collapse", "nan"),
+    ])
+    def test_preview_rejects_a_non_finite_rate_by_its_flag(self, capsys, name, rate):
+        assert main(["workload", "preview", name, "--rate", rate]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "--rate must be finite" in captured.err
+
+    def test_preview_at_a_tiny_rate_summarizes_without_overflow(self, capsys):
+        assert main(["workload", "preview", "enterprise-poisson", "--rate", "1e-300",
+                     "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["packets"] == 2000
+        assert math.isfinite(summary["burstiness_cv"]) and summary["burstiness_cv"] > 0
 
     def test_preview_custom_pcap(self, tmp_path, capsys):
         from repro.packet.pcap import write_pcap

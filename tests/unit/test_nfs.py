@@ -7,9 +7,11 @@ from repro.nf.chain import NfChain
 from repro.nf.firewall import Firewall, FirewallRule
 from repro.nf.loadbalancer import Backend, MaglevLoadBalancer, next_prime
 from repro.nf.macswap import MacSwapper
-from repro.nf.nat import Nat
+import repro.nf.nat as nat_module
+from repro.nf.nat import Nat, NatPortExhausted
 from repro.nf.synthetic import SyntheticNf
-from repro.packet.ipv4 import IPv4Address
+from repro.packet.flows import FiveTuple
+from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 from repro.packet.packet import Packet
 
 
@@ -109,6 +111,21 @@ class TestNat:
         nat = Nat(external_ip="203.0.113.1")
         stray = _packet(dst_ip="203.0.113.1", dst_port=30000)
         assert not nat(stray).forwarded
+
+    def test_full_port_table_drops_new_flows_and_keeps_old_ones(self, monkeypatch):
+        monkeypatch.setattr(nat_module, "PORT_HIGH", nat_module.PORT_LOW + 1)
+        nat = Nat()
+        assert nat(_packet(src_port=1000)).forwarded
+        assert nat(_packet(src_port=1001)).forwarded
+        result = nat(_packet(src_port=1002))
+        assert not result.forwarded and result.reason == "NAT ports exhausted"
+        assert nat(_packet(src_port=1000)).forwarded
+        assert (nat.active_bindings, nat.packets_dropped) == (2, 1)
+        with pytest.raises(NatPortExhausted):
+            nat.binding_for(
+                FiveTuple(IPv4Address.from_string("10.1.0.1"),
+                          IPv4Address.from_string("10.2.0.1"), PROTO_UDP, 1003, 80)
+            )
 
 
 class TestMaglev:

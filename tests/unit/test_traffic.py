@@ -162,6 +162,18 @@ class TestWorkload:
             workload.mean_frame_bytes(), rel=0.15
         )
 
+    def test_pcap_export_writes_the_capture(self, tmp_path):
+        from repro.packet.pcap import read_pcap
+
+        workload = Workload.enterprise(flow_count=128)
+        path = tmp_path / "capture.pcap"
+        assert workload.export_pcap(path, 512, seed=20, rate_gbps=8.0) == 512
+        assert read_pcap(path) == workload.capture(512, seed=20, rate_gbps=8.0)
+
+    def test_capture_rejects_an_empty_count(self):
+        with pytest.raises(WorkloadSpecError):
+            Workload.enterprise().capture(0, seed=1, rate_gbps=8.0)
+
 
 class TestPacketFactory:
     def _factory(self, **workload_kwargs):

@@ -282,13 +282,6 @@ class TestWorkloadSpecSurface:
         assert "NewReno" in info["transport"]
         assert info["epochs"] == "synchronized barrier"
 
-    def test_transport_preview_shape(self):
-        spec = ClosedLoopWorkload(name="t", flows=_model(flow_count=4))
-        preview = spec.transport_preview(seed=7, max_packets=64)
-        assert preview["flows"] == 4
-        assert preview["modeled_rounds"] >= 1
-        assert preview["min_rto_us"] == pytest.approx(200.0)
-
     def test_with_flows_sweeps_the_flow_model(self):
         spec = ClosedLoopWorkload(name="t", flows=_model())
         swept = spec.with_flows(flow_count=64, min_rto_ns=500_000)
