@@ -15,8 +15,8 @@ one submodule — loads nothing the caller does not use.
 
 Quickstart
 ----------
->>> from repro import quickstart
->>> report = quickstart()                      # doctest: +SKIP
+>>> from repro.experiments.quickstart import run_quickstart
+>>> report = run_quickstart()                  # doctest: +SKIP
 >>> report.goodput_gain_percent                # doctest: +SKIP
 """
 
@@ -34,16 +34,4 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         "repro.experiments.runner": ("ExperimentRunner", "ExperimentResult", "ScenarioConfig"),
     },
 )
-__all__ = [*_EXPORTS, "quickstart", "__version__"]
-
-
-def quickstart():
-    """Run a small PayloadPark-vs-baseline comparison and return the report.
-
-    This is the programmatic equivalent of ``examples/quickstart.py``: a
-    FW → NAT chain behind a 10 GbE link fed with the enterprise packet-size
-    mix, simulated for a few milliseconds under both deployments.
-    """
-    from repro.experiments.quickstart import run_quickstart
-
-    return run_quickstart()
+__all__ = [*_EXPORTS, "__version__"]

@@ -132,18 +132,9 @@ class PayloadParkConfig:
     # Derived quantities
     # ------------------------------------------------------------------ #
 
-    @property
-    def payload_blocks(self) -> int:
-        """Number of payload blocks needed to hold ``parked_bytes``."""
-        return -(-self.parked_bytes // self.payload_block_bytes)
-
     def first_pass_capacity_bytes(self, payload_stage_count: int) -> int:
         """Bytes that fit in one pipeline pass given *payload_stage_count* stages."""
         return payload_stage_count * self.payload_block_bytes
-
-    def requires_recirculation(self, payload_stage_count: int) -> bool:
-        """True when ``parked_bytes`` cannot be stored in a single pass."""
-        return self.parked_bytes > self.first_pass_capacity_bytes(payload_stage_count)
 
     @classmethod
     def with_recirculation(cls, **kwargs) -> "PayloadParkConfig":

@@ -67,15 +67,6 @@ class PayloadParkCounters:
         }
 
     @property
-    def split_attempts(self) -> int:
-        """Packets that reached the Split stage on an enabled port."""
-        return (
-            self.splits
-            + self.split_disabled_small_payload
-            + self.split_disabled_table_occupied
-        )
-
-    @property
     def outstanding_payloads(self) -> int:
         """Parked payloads not yet merged, dropped or evicted."""
         return self.splits - self.merges - self.explicit_drops - self.evictions

@@ -93,10 +93,6 @@ class PayloadParkHeader:
     # Wire format
     # ------------------------------------------------------------------ #
 
-    def byte_length(self) -> int:
-        """Bytes this header occupies on the wire."""
-        return PP_HEADER_LEN
-
     def to_bytes(self) -> bytes:
         """Serialize: flags/align byte then the 48-bit tag."""
         flags = ((self.enb & 0x1) << 7) | ((self.op & 0x1) << 6)

@@ -35,9 +35,3 @@ class L2ForwardingTable:
             self.hits += 1
             return port
         return default
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, mac: MacAddress) -> bool:
-        return mac.value in self._entries

@@ -344,12 +344,6 @@ class LookupTable:
             parts.append(value if isinstance(value, bytes) else b"")
         return b"".join(parts)
 
-    def sram_bytes(self) -> int:
-        """Total SRAM footprint of this lookup table."""
-        total = self.metadata.sram_bytes
-        total += sum(array.sram_bytes for array in self.block_arrays)
-        return total
-
     def occupied_indices(self) -> List[int]:
         """Indices of currently occupied slots (control-plane scan)."""
         return [

@@ -8,7 +8,7 @@ creating import cycles.
 from __future__ import annotations
 
 import math
-from typing import Type
+from typing import Optional, Type
 
 
 class FaultSpecError(ValueError):
@@ -37,9 +37,8 @@ class ObserveSpecError(ValueError):
 class WorkloadSpecError(ValueError):
     """An invalid workload/traffic specification.
 
-    Raised by every workload validator — size distributions (including
-    :meth:`~repro.traffic.distributions.EmpiricalDistribution.from_cdf`),
-    arrival models, flow models, schedules, generative/replay workload
+    Raised by every workload validator — size distributions, arrival
+    models, flow models, schedules, generative/replay workload
     specs and the workload registry — so callers can catch one domain
     error type instead of mixed ``ValueError``/``AssertionError``.
     Subclasses :class:`ValueError`, so pre-existing ``except ValueError``
@@ -57,7 +56,28 @@ def require_positive_finite(
     paces a generator at the 1 ns floor forever or overflows the
     conversion, and ``nan`` passes every comparison.
     """
-    if not math.isfinite(value):
-        raise error(f"{field} must be finite, got {value}")
+    _require_finite(field, value, error)
     if value <= 0:
         raise error(f"{field} must be positive")
+
+
+def require_non_negative_finite(field: str, value: float) -> None:
+    """Raise ``ValueError``, naming *field*, unless *value* is a finite number >= 0."""
+    _require_finite(field, value, ValueError)
+    if value < 0:
+        raise ValueError(f"{field} must be non-negative, got {value}")
+
+
+def require_integer(field: str, value: int, minimum: Optional[int] = None) -> None:
+    """Raise ``ValueError``, naming *field*, unless *value* is an int (not a bool) >= *minimum*."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{field} must be at least {minimum}, got {value}")
+
+
+def _require_finite(field: str, value: float, error: Type[ValueError]) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{field} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{field} must be finite, got {value}")

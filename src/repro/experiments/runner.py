@@ -25,18 +25,25 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from functools import partial
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgram
-from repro.errors import require_positive_finite
+from repro.errors import (
+    require_integer,
+    require_non_negative_finite,
+    require_positive_finite,
+)
 from repro.experiments.chains import ChainFactory, fw_nat
 from repro.netsim.eventloop import EventLoop, FastEventLoop
 from repro.netsim.nic import NicSpec, NIC_10GE
 from repro.netsim.topology import Topology
 from repro.nf.framework import OPENNETVM, NfFramework
 from repro.nf.server import NfServerConfig, NfServerModel
+from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES
+from repro.telemetry.goodput import gbps
 from repro.telemetry.latency import LatencyRecorder
 from repro.telemetry.report import ComparisonReport, DeploymentReport, fold_reports
 from repro.traffic.pktgen import PktGenConfig
@@ -206,12 +213,18 @@ def default_binding() -> NfServerBinding:
     return multi_server_bindings(1)[0]
 
 
-def _override(**kwargs):
+def _override(domain: Optional[Callable[[str, object], None]] = None, **kwargs):
     """A :class:`ScenarioConfig` field a campaign may set by its name.
 
     The marked fields are ``repro.orchestrator.spec.SCENARIO_OVERRIDES``.
+    *domain* raises ``ValueError``, naming the field, for a value outside
+    it; ``ScenarioConfig`` and ``CampaignSpec`` both check it through
+    :func:`check_override`.
     """
-    return field(metadata={"override": True}, **kwargs)
+    return field(metadata={"override": True, "domain": domain}, **kwargs)
+
+
+_positive_integer = partial(require_integer, minimum=1)
 
 
 @dataclass
@@ -225,15 +238,17 @@ class ScenarioConfig:
     workload: Workload = field(default_factory=Workload.enterprise)
     send_rate_gbps: float = _override(default=8.0)
     payloadpark: PayloadParkConfig = field(default_factory=PayloadParkConfig)
-    duration_us: float = _override(default=6_000.0)
-    warmup_us: float = _override(default=1_500.0)
-    server_count: int = _override(default=1)
+    duration_us: float = _override(require_positive_finite, default=6_000.0)
+    warmup_us: float = _override(require_non_negative_finite, default=1_500.0)
+    server_count: int = _override(_positive_integer, default=1)
     explicit_drop: bool = _override(default=False)
-    service_jitter: float = _override(default=0.3)
-    cpu_ghz: float = _override(default=2.3)
-    gen_link_gbps: float = _override(default=100.0)
-    seed: int = _override(default_factory=lambda: current_options().seed_or(DEFAULT_SEED))
-    burst_size: int = _override(default=32)
+    service_jitter: float = _override(require_non_negative_finite, default=0.3)
+    cpu_ghz: float = _override(require_positive_finite, default=2.3)
+    gen_link_gbps: float = _override(require_positive_finite, default=100.0)
+    seed: int = _override(
+        require_integer, default_factory=lambda: current_options().seed_or(DEFAULT_SEED)
+    )
+    burst_size: int = _override(_positive_integer, default=32)
     #: Optional dynamic traffic bundle (schedule, arrival model, packet
     #: source, replay stream) built by the workload subsystem; None keeps
     #: the legacy constant-rate PacketFactory path.
@@ -255,6 +270,8 @@ class ScenarioConfig:
     observe: Optional[object] = field(default_factory=lambda: current_options().observe)
 
     def __post_init__(self) -> None:
+        for name, domain in _OVERRIDE_DOMAINS.items():
+            domain(name, getattr(self, name))
         # A non-finite rate is PktGenConfig's error (require_positive_finite).
         if math.isfinite(self.send_rate_gbps) and self.send_rate_gbps > self.gen_link_gbps:
             raise ValueError(
@@ -274,6 +291,21 @@ class ScenarioConfig:
         if traffic_model is not None and traffic_model.rescale is not None:
             traffic_model = traffic_model.rescale(rate_gbps)
         return replace(self, send_rate_gbps=rate_gbps, traffic_model=traffic_model)
+
+
+#: Override name -> its declared domain check.
+_OVERRIDE_DOMAINS = {
+    spec.name: spec.metadata["domain"]
+    for spec in fields(ScenarioConfig)
+    if spec.metadata.get("domain") is not None
+}
+
+
+def check_override(name: str, value: object) -> None:
+    """Raise ``ValueError`` if *value* is outside override *name*'s declared domain."""
+    domain = _OVERRIDE_DOMAINS.get(name)
+    if domain is not None:
+        domain(name, value)
 
 
 @dataclass
@@ -636,19 +668,20 @@ class ExperimentRunner:
         )
 
         # Goodput from the switch's perspective: useful header bytes examined
-        # by the NF server per second (§6.1 measures the data the NFs see).
+        # by the NF server per second (§6.1 measures the data the NFs see),
+        # the Ethernet/IPv4/UDP headers of every packet it processed.
         processed = server_delta.get("processed_packets", 0)
-        useful_bytes_to_nf = processed * 42.0
-        goodput_to_nf = useful_bytes_to_nf * 8.0 / window_ns
-        delivered_goodput = gen_delta.get("useful_bytes_received", 0) * 8.0 / window_ns
-        offered = gen_delta.get("bytes_sent", 0) * 8.0 / window_ns
+        goodput_to_nf = gbps(processed * float(ETHERNET_UDP_HEADER_BYTES), window_ns)
+        delivered_goodput = gbps(gen_delta.get("useful_bytes_received", 0), window_ns)
+        offered = gbps(gen_delta.get("bytes_sent", 0), window_ns)
         # Throughput counts every delivered useful byte, duplicates
         # included; it equals goodput exactly until a closed-loop
         # transport retransmits.
-        throughput = (
+        throughput = gbps(
             gen_delta.get("useful_bytes_received", 0)
-            + gen_delta.get("duplicate_bytes_received", 0)
-        ) * 8.0 / window_ns
+            + gen_delta.get("duplicate_bytes_received", 0),
+            window_ns,
+        )
         pcie_bytes = server_delta.get("pcie_rx_bytes", 0) + server_delta.get("pcie_tx_bytes", 0)
 
         report = DeploymentReport(
@@ -665,7 +698,7 @@ class ExperimentRunner:
             p99_latency_us=latency.percentile_us(99),
             max_latency_us=latency.max_us(),
             jitter_us=latency.jitter_us(),
-            pcie_gbps=pcie_bytes * 8.0 / window_ns,
+            pcie_gbps=gbps(pcie_bytes, window_ns),
             nf_packets_processed=int(server_delta.get("processed_packets", 0)),
             premature_evictions=int(pp_delta.get("premature_evictions", 0)),
             evictions=int(pp_delta.get("evictions", 0)),

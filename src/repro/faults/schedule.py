@@ -164,15 +164,6 @@ class EventSchedule:
             f"faults spec must be a profile name, mapping or EventSchedule; got {spec!r}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form, round-trippable through :meth:`from_spec`."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "events": [dict(event) for event in self.events],
-            "generators": [dict(gen) for gen in self.generators],
-        }
-
     # ------------------------------------------------------------------ #
     # Materialization
     # ------------------------------------------------------------------ #

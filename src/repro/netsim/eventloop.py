@@ -136,11 +136,6 @@ class EventLoop:
         """Number of events still queued."""
         return len(self._queue)
 
-    @property
-    def now_seconds(self) -> float:
-        """Current simulation time in seconds."""
-        return self.now / 1e9
-
 
 class FastEventLoop(EventLoop):
     """Calendar-bucket scheduler: heap of distinct times, FIFO buckets.

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.compat import SLOTTED
+from repro.errors import require_positive_finite
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.node import Node
 from repro.packet.packet import Packet
@@ -167,12 +168,6 @@ class _LinkDirection:
             if pkt_id is not None:
                 recorder.packet_dropped(pkt_id, self.env.now, self.name, reason)
 
-    def utilization(self, window_ns: int) -> float:
-        """Fraction of *window_ns* the link spent transmitting."""
-        if window_ns <= 0:
-            return 0.0
-        return min(self.stats.busy_ns / window_ns, 1.0)
-
 
 class Link:
     """A full-duplex link between two node ports."""
@@ -189,8 +184,7 @@ class Link:
         buffer_bytes: int = 512 * 1024,
         name: Optional[str] = None,
     ) -> None:
-        if bandwidth_gbps <= 0:
-            raise ValueError("bandwidth_gbps must be positive")
+        require_positive_finite("bandwidth_gbps", bandwidth_gbps)
         self.env = env
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
         self.node_a, self.port_a = node_a, port_a
@@ -362,16 +356,3 @@ class Link:
     def fault_drops(self) -> int:
         """Frames lost to injected faults (down/loss) in both directions."""
         return self._a_to_b.stats.fault_drops + self._b_to_a.stats.fault_drops
-
-    def stats(self) -> Dict[str, float]:
-        """Combined counters for both directions."""
-        return {
-            "a_to_b_sent": self._a_to_b.stats.frames_sent,
-            "a_to_b_dropped": self._a_to_b.stats.frames_dropped,
-            "a_to_b_bytes": self._a_to_b.stats.bytes_sent,
-            "a_to_b_fault_drops": self._a_to_b.stats.fault_drops,
-            "b_to_a_sent": self._b_to_a.stats.frames_sent,
-            "b_to_a_dropped": self._b_to_a.stats.frames_dropped,
-            "b_to_a_bytes": self._b_to_a.stats.bytes_sent,
-            "b_to_a_fault_drops": self._b_to_a.stats.fault_drops,
-        }

@@ -74,10 +74,3 @@ class Node:
     def handle_packet(self, packet: Packet, port: int) -> None:
         """Receive a frame that arrived on local *port*; must be overridden."""
         raise NotImplementedError
-
-    def stats(self) -> Dict[str, float]:
-        """Return a snapshot of this node's counters (used for warm-up deltas)."""
-        return {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -79,9 +79,3 @@ class PcieBus:
     def total_bytes(self) -> int:
         """Total bytes moved in both directions."""
         return self.rx_bytes + self.tx_bytes
-
-    def bandwidth_gbps_over(self, window_ns: int) -> float:
-        """Average PCIe bandwidth (both directions) over *window_ns*."""
-        if window_ns <= 0:
-            return 0.0
-        return self.total_bytes * 8 / window_ns

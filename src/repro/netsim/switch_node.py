@@ -38,10 +38,7 @@ class SwitchNode(Node):
         self.packets_in = 0
         self.packets_out = 0
         self.packets_dropped = 0
-        self.useful_bytes_to_nf = 0
-        self.packets_to_nf = 0
         self.drop_reasons: Dict[str, int] = {}
-        self._nf_ports = {binding.nf_port for binding in program.bindings}
         #: egress port -> that port's sender (``Node.port_sender``),
         #: built on the port's first frame.  An unwired port still gets
         #: one: it raises at send time, after the forwarding latency.
@@ -75,11 +72,6 @@ class SwitchNode(Node):
             self._record_drop(packet, "no-egress-decision")
             return
         egress = ctx.egress_port
-        if egress in self._nf_ports:
-            # Goodput "from the RMT switch's perspective": useful header
-            # bytes handed to the NF server (§6.1).
-            self.useful_bytes_to_nf += packet.useful_bytes
-            self.packets_to_nf += 1
         latency = self.base_latency_ns
         if ctx.recirculations:
             # Programs only add latency for recirculated passes, so the
@@ -107,6 +99,4 @@ class SwitchNode(Node):
             "packets_in": self.packets_in,
             "packets_out": self.packets_out,
             "packets_dropped": self.packets_dropped,
-            "packets_to_nf": self.packets_to_nf,
-            "useful_bytes_to_nf": self.useful_bytes_to_nf,
         }

@@ -106,6 +106,3 @@ class NetworkFunction:
     def drop(self, cycles: int, reason: str = "") -> NfResult:
         """Helper: build a DROP result with *cycles* total cost."""
         return NfResult(verdict=NfVerdict.DROP, cycles=cycles, reason=reason)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -94,6 +94,3 @@ class NfChain:
                 cycles += getattr(nf, attribute, 0)
             estimates.append(cycles)
         return estimates
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NfChain(name={self.name!r}, nfs={len(self.nfs)})"

@@ -52,12 +52,6 @@ class NfFramework:
     isolated_nfs: bool = True
     supports_explicit_drop: bool = False
 
-    def chain_overhead_cycles(self, chain_length: int) -> int:
-        """Framework cycles added to each packet for a chain of *chain_length* NFs."""
-        if chain_length <= 0:
-            raise ValueError("chain_length must be positive")
-        return self.rx_cycles + self.tx_cycles + chain_length * self.per_nf_overhead_cycles
-
     def with_explicit_drop(self) -> "NfFramework":
         """The ~50-line modification of §6.2.4: enable Explicit Drop support."""
         return replace(self, supports_explicit_drop=True, name=f"{self.name}+ExplicitDrop")

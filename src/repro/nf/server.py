@@ -99,10 +99,6 @@ class NfServerModel:
         """Service time of the slowest pipeline stage (sets max pps)."""
         return max(self.stage_service_times_ns())
 
-    def max_throughput_pps(self) -> float:
-        """Compute-bound packet rate of the server."""
-        return 1e9 / self.bottleneck_service_ns()
-
     def pipeline_latency_ns(self) -> float:
         """Zero-queueing latency through the whole framework pipeline."""
         stage_time = sum(self.stage_service_times_ns())
@@ -126,9 +122,3 @@ class NfServerModel:
     def wants_explicit_drop(self) -> bool:
         """True when dropped packets should produce Explicit Drop notifications."""
         return self.config.explicit_drop and self.config.framework.supports_explicit_drop
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NfServerModel(name={self.name!r}, chain={self.chain.name!r}, "
-            f"framework={self.config.framework.name!r})"
-        )

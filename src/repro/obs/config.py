@@ -14,7 +14,7 @@ gates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional
 
 from repro.errors import ObserveSpecError, require_positive_finite
@@ -130,7 +130,3 @@ class ObserveSpec:
         raise ObserveSpecError(
             f"observe spec must be None, a bool, a mapping or an ObserveSpec; got {spec!r}"
         )
-
-    def as_dict(self) -> dict:
-        """Plain-data form, round-trippable through :meth:`from_spec`."""
-        return asdict(self)

@@ -99,22 +99,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s observations into this histogram (same bounds)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "bounds": list(self.bounds),

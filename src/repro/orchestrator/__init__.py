@@ -42,7 +42,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "RunSpec",
             "build_scenario",
             "derived_seed",
-            "register_scenario",
         ),
         "repro.orchestrator.store": ("ResultStore", "default_store_path", "events_path_for"),
         "repro.orchestrator.telemetrybus": (

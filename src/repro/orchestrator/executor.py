@@ -300,11 +300,6 @@ class CampaignSummary:
     wall_time_s: float = 0.0
     records: List[Dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def completed(self) -> int:
-        """Runs that finished successfully in this invocation."""
-        return self.executed - self.failed
-
     def as_row(self) -> Dict[str, Any]:
         """Flat dict for table rendering."""
         return {

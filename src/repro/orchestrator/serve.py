@@ -317,10 +317,6 @@ class CampaignServer:
             self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        """Block serving requests (the CLI foreground path)."""
-        self.httpd.serve_forever(poll_interval=0.1)
-
     def stop(self) -> None:
         self.httpd.shutdown()
         if self._thread is not None:

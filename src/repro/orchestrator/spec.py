@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core.config import PayloadParkConfig
 from repro.errors import require_positive_finite
 from repro.experiments import scenarios
-from repro.experiments.runner import ScenarioConfig
+from repro.experiments.runner import ScenarioConfig, check_override
 from repro.nf.framework import NETBRICKS, OPENNETVM
 from repro.traffic.workload import Workload
 
@@ -79,21 +79,6 @@ FRAMEWORKS = {"opennetvm": OPENNETVM, "netbricks": NETBRICKS}
 
 #: Every parameter :func:`apply_overrides` accepts.
 OVERRIDE_PARAMS = SCENARIO_OVERRIDES | PAYLOADPARK_OVERRIDES | {"framework", "packet_size"}
-
-
-def register_scenario(name: str, builder: Callable[..., ScenarioConfig]) -> None:
-    """Add *builder* to the registry so campaigns can reference it by *name*.
-
-    For parallel execution on platforms whose multiprocessing start
-    method is ``spawn`` (macOS, Windows), the registration must happen
-    at import time of a module the workers also import — workers rebuild
-    the registry from module state.  Registrations done at runtime only
-    reach ``workers=1`` (serial) execution there; ``fork`` platforms
-    (Linux) inherit them either way.
-    """
-    if name in SCENARIO_REGISTRY:
-        raise ValueError(f"scenario {name!r} is already registered")
-    SCENARIO_REGISTRY[name] = builder
 
 
 def _jsonable(value: Any) -> Any:
@@ -276,6 +261,13 @@ class CampaignSpec:
                 raise ValueError(f"grid axis {key!r} must be a non-empty list")
             if key in self.base:
                 raise ValueError(f"parameter {key!r} appears in both base and grid")
+        # A value outside its override's declared domain fails here too,
+        # before any cell runs.
+        for key, value in self.base.items():
+            check_override(key, value)
+        for key, values in self.grid.items():
+            for value in values:
+                check_override(key, value)
         # Checked here, not in the workers: a misspelt axis would
         # otherwise run every cell just to record the same error.
         builder_params = inspect.signature(SCENARIO_REGISTRY[self.scenario]).parameters
@@ -345,21 +337,6 @@ class CampaignSpec:
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form, round-trippable through :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "base": _jsonable(dict(self.base)),
-            "grid": _jsonable(dict(self.grid)),
-            "options": _jsonable(dict(self.options)),
-            "time_scale": self.time_scale,
-            "seed_policy": self.seed_policy,
-            "description": self.description,
-            "validate": self.validate,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":

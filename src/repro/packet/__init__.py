@@ -17,8 +17,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.packet.udp": ("UdpHeader",),
         "repro.packet.tcp": ("TcpHeader",),
         "repro.packet.packet": ("Packet", "ETHERNET_UDP_HEADER_BYTES"),
-        "repro.packet.checksum": ("internet_checksum", "verify_internet_checksum"),
-        "repro.packet.crc": ("crc16", "crc32"),
+        "repro.packet.checksum": ("internet_checksum",),
+        "repro.packet.crc": ("crc16",),
         "repro.packet.pcap": ("PcapReader", "PcapWriter", "read_pcap", "write_pcap"),
         "repro.packet.flows": ("FiveTuple", "FlowGenerator"),
     },

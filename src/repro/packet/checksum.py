@@ -36,29 +36,3 @@ def internet_checksum(data: bytes, initial: int = 0) -> int:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 
-
-def ones_complement_sum(data: bytes, initial: int = 0) -> int:
-    """Return the folded one's-complement sum of *data* without inverting.
-
-    This is the building block for incremental checksums: callers can sum
-    a pseudo-header and a payload separately and invert only at the end.
-    """
-    total = initial
-    length = len(data)
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total & 0xFFFF
-
-
-def verify_internet_checksum(data: bytes) -> bool:
-    """Return ``True`` if *data* (including its checksum field) verifies.
-
-    A block whose stored checksum is correct sums to ``0xFFFF`` before the
-    final inversion, i.e. :func:`internet_checksum` over the whole block
-    (checksum field included) returns zero.
-    """
-    return internet_checksum(data) == 0

@@ -3,8 +3,8 @@
 The PayloadPark header carries a 48-bit tag composed of a table index, a
 generation (clock) number and a CRC.  The CRC lets the Merge stage reject
 corrupted or forged tags before touching the lookup table.  Tofino exposes
-hardware CRC units; here we provide table-driven CRC-16/CCITT and CRC-32
-(IEEE 802.3) implementations with the same observable behaviour.
+hardware CRC units; here we provide a table-driven CRC-16/CCITT
+implementation with the same observable behaviour.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List
 
 _CRC16_POLY = 0x1021  # CRC-16/CCITT-FALSE
-_CRC32_POLY = 0xEDB88320  # reflected IEEE 802.3 polynomial
 
 
 def _build_crc16_table() -> List[int]:
@@ -28,21 +27,7 @@ def _build_crc16_table() -> List[int]:
     return table
 
 
-def _build_crc32_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _CRC32_POLY
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
 _CRC16_TABLE = _build_crc16_table()
-_CRC32_TABLE = _build_crc32_table()
 
 
 def crc16(data: bytes, initial: int = 0xFFFF) -> int:
@@ -59,11 +44,3 @@ def crc16(data: bytes, initial: int = 0xFFFF) -> int:
     for byte in data:
         crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
     return crc
-
-
-def crc32(data: bytes, initial: int = 0xFFFFFFFF) -> int:
-    """Compute CRC-32 (IEEE 802.3, reflected) of *data*."""
-    crc = initial & 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF

@@ -56,19 +56,6 @@ class MacAddress:
         raw = self.to_bytes()
         return ":".join(f"{b:02x}" for b in raw)
 
-    @property
-    def is_broadcast(self) -> bool:
-        """True for ff:ff:ff:ff:ff:ff."""
-        return self.value == 0xFFFFFFFFFFFF
-
-    @property
-    def is_multicast(self) -> bool:
-        """True when the least-significant bit of the first octet is set."""
-        return bool((self.value >> 40) & 0x01)
-
-
-BROADCAST_MAC = MacAddress(0xFFFFFFFFFFFF)
-
 
 @dataclass(**SLOTTED)
 class EthernetHeader:

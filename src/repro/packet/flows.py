@@ -106,16 +106,6 @@ class FiveTuple:
     src_port: int
     dst_port: int
 
-    def reversed(self) -> "FiveTuple":
-        """Return the 5-tuple of the reverse direction of the flow."""
-        return FiveTuple(
-            src_ip=self.dst_ip,
-            dst_ip=self.src_ip,
-            protocol=self.protocol,
-            src_port=self.dst_port,
-            dst_port=self.src_port,
-        )
-
     def key(self) -> FlowKey:
         """The flow as five plain ints (see :data:`FlowKey`)."""
         return (

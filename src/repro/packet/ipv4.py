@@ -142,14 +142,6 @@ class IPv4Header:
             checksum=checksum,
         )
 
-    def decrement_ttl(self) -> bool:
-        """Decrement the TTL; return False when the packet must be dropped."""
-        if self.ttl <= 1:
-            self.ttl = 0
-            return False
-        self.ttl -= 1
-        return True
-
     def copy(self) -> "IPv4Header":
         """Return an independent copy of this header."""
         return IPv4Header(

@@ -377,13 +377,6 @@ class Packet:
             packet_id=self.packet_id,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        proto = type(self._l4).__name__ if self._l4 is not None else "raw"
-        return (
-            f"Packet(id={self.packet_id}, {proto}, wire={self.wire_length}B, "
-            f"payload={len(self._payload)}B, pp={'yes' if self._pp else 'no'})"
-        )
-
 
 def _pad_payload(payload: bytes, target_len: int) -> bytes:
     """Pad or truncate *payload* to exactly *target_len* bytes."""
@@ -408,11 +401,6 @@ def _set_pp(self: Packet, pp: Optional[Any]) -> None:
     self._pp = pp
 
 
-def _set_ip(self: Packet, ip: Optional[IPv4Header]) -> None:
-    self._ip = ip
-    self._measure()
-
-
 def _set_l4(self: Packet, l4: Optional[Union[UdpHeader, TcpHeader]]) -> None:
     self._l4 = l4
     self._measure()
@@ -424,5 +412,5 @@ def _set_l4(self: Packet, l4: Optional[Union[UdpHeader, TcpHeader]]) -> None:
 # only the writes — two or three per parked packet — pay for a setter.
 Packet.payload = property(Packet._payload.__get__, _set_payload)
 Packet.pp = property(Packet._pp.__get__, _set_pp)
-Packet.ip = property(Packet._ip.__get__, _set_ip)
+Packet.ip = property(Packet._ip.__get__)  # read-only: nothing re-seats a parsed IPv4 header
 Packet.l4 = property(Packet._l4.__get__, _set_l4)

@@ -88,16 +88,6 @@ class TcpHeader:
             urgent=urgent,
         )
 
-    @property
-    def is_syn(self) -> bool:
-        """True when the SYN flag is set."""
-        return bool(self.flags & FLAG_SYN)
-
-    @property
-    def is_fin(self) -> bool:
-        """True when the FIN flag is set."""
-        return bool(self.flags & FLAG_FIN)
-
     def copy(self) -> "TcpHeader":
         """Return an independent copy of this header."""
         return TcpHeader(

@@ -62,17 +62,6 @@ class TofinoAsic:
             )
         return self.pipes[port // self.config.ports_per_pipe]
 
-    def ports_of_pipe(self, pipe_index: int) -> List[int]:
-        """Front-panel port numbers served by pipe *pipe_index*."""
-        if not 0 <= pipe_index < self.config.pipe_count:
-            raise ValueError(f"pipe {pipe_index} out of range")
-        first = pipe_index * self.config.ports_per_pipe
-        return list(range(first, first + self.config.ports_per_pipe))
-
-    def same_pipe(self, port_a: int, port_b: int) -> bool:
-        """True when both ports share a pipe (and hence stateful memory)."""
-        return self.pipe_for_port(port_a) is self.pipe_for_port(port_b)
-
     # ------------------------------------------------------------------ #
     # Packet processing
     # ------------------------------------------------------------------ #

@@ -104,6 +104,3 @@ class MatchActionTable:
         """Account *hits* and *misses* decided without running :meth:`apply`."""
         self._hits += hits
         self._misses += misses
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MatchActionTable(name={self.name!r}, entries={self.entries})"

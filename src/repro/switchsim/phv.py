@@ -50,11 +50,6 @@ class PhvLayout:
         """Total declared bits."""
         return sum(self.fields.values())
 
-    @property
-    def percent_used(self) -> float:
-        """Utilization percentage, as reported in Table 1."""
-        return 100.0 * self.used_bits / self.capacity_bits
-
 
 class PhvOverflow(RuntimeError):
     """Raised when a program declares more PHV bits than the chip provides."""

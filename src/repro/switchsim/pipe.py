@@ -74,6 +74,3 @@ class Pipe:
             phv_bits_used=self.phv.used_bits,
             phv_bits_budget=self.phv.capacity_bits,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Pipe(index={self.index}, stages={self.pipeline.stage_count})"

@@ -102,13 +102,6 @@ class Pipeline:
         """Total SRAM bytes allocated across all stages."""
         return sum(stage.resources.sram_bytes_used for stage in self.stages)
 
-    def sram_bytes_capacity(self) -> int:
-        """Total SRAM byte capacity across all stages."""
-        return sum(stage.resources.budget.sram_bytes for stage in self.stages)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Pipeline(stages={self.stage_count})"
-
 
 class PortPlan:
     """One kernel standing in for the stage walk on an ingress port.

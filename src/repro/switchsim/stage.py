@@ -69,9 +69,3 @@ class Stage:
             if ctx.dropped:
                 return
             table.apply(ctx)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Stage(index={self.index}, tables={len(self.tables)}, "
-            f"registers={len(self.register_arrays)})"
-        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import List
 
 
 class LatencyRecorder:
@@ -63,14 +63,3 @@ class LatencyRecorder:
         view = LatencyRecorder()
         view._samples_ns = self._samples_ns[sample_index:]
         return view
-
-    def summary(self) -> Dict[str, float]:
-        """Mean / p50 / p99 / max / jitter in microseconds."""
-        return {
-            "mean_us": self.mean_us(),
-            "p50_us": self.percentile_us(50),
-            "p99_us": self.percentile_us(99),
-            "max_us": self.max_us(),
-            "jitter_us": self.jitter_us(),
-            "samples": float(self.count),
-        }

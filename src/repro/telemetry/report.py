@@ -95,11 +95,6 @@ class DeploymentReport:
         """True while the drop rate stays under the paper's 0.1 % threshold."""
         return self.drop_rate < HEALTHY_DROP_RATE
 
-    @property
-    def functionally_equivalent(self) -> bool:
-        """Zero premature evictions — the prerequisite of §6.2.6."""
-        return self.premature_evictions == 0
-
     def as_row(self) -> Dict[str, float]:
         """Flat dict printed as one row of a result table."""
         return {

@@ -59,9 +59,6 @@ class FixedSizeDistribution(PacketSizeDistribution):
     def mean(self) -> float:
         return float(self.size)
 
-    def cdf_points(self) -> List[Tuple[int, float]]:
-        return [(self.size - 1, 0.0), (self.size, 1.0)]
-
 
 class EmpiricalDistribution(PacketSizeDistribution):
     """A discrete mixture described by ``(size, probability)`` pairs."""
@@ -89,47 +86,6 @@ class EmpiricalDistribution(PacketSizeDistribution):
             self._sizes.append(size)
             self._cumulative.append(running)
         self._cumulative[-1] = 1.0
-
-    @classmethod
-    def from_cdf(cls, points: Sequence[Tuple[int, float]]) -> "EmpiricalDistribution":
-        """Build from ``(size, cumulative_probability)`` pairs, validated.
-
-        The pairs must be non-empty, with strictly increasing sizes,
-        strictly increasing cumulative values each inside ``(0, 1]``, and
-        a final value of 1.0.  Anything else would silently mis-sample
-        through :func:`bisect.bisect_left`, so it raises ``ValueError``
-        instead.
-        """
-        if not points:
-            raise WorkloadSpecError("a CDF needs at least one point")
-        previous_size = None
-        previous_cumulative = 0.0
-        for size, cumulative in points:
-            if not isinstance(cumulative, (int, float)) or not math.isfinite(cumulative):
-                raise WorkloadSpecError(f"CDF value {cumulative!r} is not a finite number")
-            if previous_size is not None and size <= previous_size:
-                raise WorkloadSpecError(
-                    f"CDF sizes must be strictly increasing (got {size} after {previous_size})"
-                )
-            if not 0.0 < cumulative <= 1.0:
-                raise WorkloadSpecError(f"CDF value {cumulative} outside (0, 1]")
-            if cumulative <= previous_cumulative:
-                raise WorkloadSpecError(
-                    "CDF values must be strictly increasing "
-                    f"(got {cumulative} after {previous_cumulative})"
-                )
-            if not MIN_FRAME_BYTES <= size <= MAX_FRAME_BYTES:
-                raise WorkloadSpecError(f"size {size} outside [{MIN_FRAME_BYTES}, {MAX_FRAME_BYTES}]")
-            previous_size = size
-            previous_cumulative = cumulative
-        if abs(points[-1][1] - 1.0) > 1e-9:
-            raise WorkloadSpecError(f"CDF must end at 1.0, got {points[-1][1]}")
-        weights: List[Tuple[int, float]] = []
-        previous_cumulative = 0.0
-        for size, cumulative in points:
-            weights.append((size, cumulative - previous_cumulative))
-            previous_cumulative = cumulative
-        return cls(weights)
 
     def sample(self, rng: random.Random) -> int:
         position = rng.random()
@@ -190,35 +146,6 @@ class ParetoSizeDistribution(PacketSizeDistribution):
 
     def sample(self, rng: random.Random) -> int:
         size = int(rng.paretovariate(self.shape) * self.scale)
-        return min(max(size, MIN_FRAME_BYTES), MAX_FRAME_BYTES)
-
-    def mean(self) -> float:
-        if self._mean is None:
-            self._mean = _clamped_numeric_mean(self._cdf)
-        return self._mean
-
-    def cdf_points(self) -> List[Tuple[int, float]]:
-        return _analytic_cdf_points(self._cdf)
-
-
-class LognormalSizeDistribution(PacketSizeDistribution):
-    """Lognormal frame sizes, clamped to the legal frame range."""
-
-    def __init__(self, mu: float = 6.0, sigma: float = 0.8) -> None:
-        if sigma <= 0:
-            raise WorkloadSpecError("sigma must be positive")
-        self.mu = mu
-        self.sigma = sigma
-        self._mean: float = None  # type: ignore[assignment]
-
-    def _cdf(self, size: float) -> float:
-        if size <= 0:
-            return 0.0
-        z = (math.log(size) - self.mu) / (self.sigma * math.sqrt(2.0))
-        return 0.5 * (1.0 + math.erf(z))
-
-    def sample(self, rng: random.Random) -> int:
-        size = int(rng.lognormvariate(self.mu, self.sigma))
         return min(max(size, MIN_FRAME_BYTES), MAX_FRAME_BYTES)
 
     def mean(self) -> float:

@@ -113,10 +113,6 @@ class Workload:
         """Expected frame size in bytes."""
         return self.sizes.mean()
 
-    def packets_per_second(self, rate_gbps: float) -> float:
-        """Offered packet rate at *rate_gbps* of L2 bytes."""
-        return rate_gbps * 1e9 / 8.0 / self.mean_frame_bytes()
-
     def useful_fraction(self) -> float:
         """Fraction of offered bytes that are useful (headers), i.e. ideal goodput ratio."""
         return ETHERNET_UDP_HEADER_BYTES / self.mean_frame_bytes()

@@ -14,9 +14,10 @@ grid points and fuzzer scenarios all funnel through the same
   :class:`~repro.validation.invariants.RunObservation`, and applies the
   configured invariants immediately.
 
-:func:`check_scenario` is the one-call entry point used by the CLI and
-the fuzzer: run a scenario under observation and return a structured
-:class:`ValidationReport`.
+:func:`check_scenario` runs one scenario object under observation and
+returns a structured :class:`ValidationReport`; tests use it.  The CLI
+and the fuzzer check run descriptors through
+:func:`repro.validation.fuzzer.check_run`.
 """
 
 from __future__ import annotations

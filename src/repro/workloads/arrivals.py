@@ -44,10 +44,6 @@ class ArrivalModel:
         """Bind this model to *rng* and return a fresh sampler."""
         raise NotImplementedError
 
-    def label(self) -> str:
-        """Short name used in ``repro workload describe`` output."""
-        return type(self).__name__
-
 
 # ---------------------------------------------------------------------- #
 # Uniform (deterministic) pacing

@@ -158,12 +158,6 @@ class WorkloadSpec:
         node.env.run_all()
         return capture.rows
 
-    def summary(self, seed: int = 42, max_packets: int = 2000) -> WorkloadSummary:
-        """Summary statistics of the first *max_packets* packets."""
-        from repro.workloads.stats import summarize
-
-        return summarize(self.trace(seed, max_packets))
-
     def describe(self) -> Dict[str, str]:
         """Key → human-readable value pairs for ``repro workload describe``."""
         return {

@@ -38,10 +38,6 @@ class FlowModel:
         """Population size reported by ``describe`` (approximate for churn)."""
         raise NotImplementedError
 
-    def label(self) -> str:
-        """Short name used in ``repro workload describe`` output."""
-        return type(self).__name__
-
 
 # ---------------------------------------------------------------------- #
 # Round-robin over a fixed population (the legacy behavior)

@@ -209,10 +209,6 @@ class TraceSchedule:
             cursor += piece
         return total
 
-    def peak_gbps(self) -> float:
-        """Highest instantaneous rate anywhere in the profile."""
-        return max(max(phase.start_gbps, phase.end_gbps) for phase in self.phases)
-
     def scaled(self, factor: float) -> "TraceSchedule":
         """A copy with every rate multiplied by *factor* (shape preserved)."""
         if factor <= 0:
@@ -249,12 +245,6 @@ class TraceSchedule:
         if self.repeat:
             lines.append("(repeats)")
         return lines
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TraceSchedule({len(self.phases)} phases, "
-            f"mean={self.mean_gbps():.2f} Gbps, repeat={self.repeat})"
-        )
 
     # ------------------------------------------------------------------ #
     # Constructors

@@ -48,17 +48,6 @@ class TracedPacket:
         """Hashable flow identity for distinct-flow counting."""
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port)
 
-    def as_tuple(self) -> tuple:
-        """Canonical comparable form (used by determinism tests)."""
-        return (
-            self.time_ns,
-            self.size_bytes,
-            self.src_ip,
-            self.dst_ip,
-            self.src_port,
-            self.dst_port,
-        )
-
 
 class TraceCapture:
     """A link-shaped sink on a preview generator's TX port.

@@ -45,7 +45,7 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import WorkloadSpecError
@@ -581,7 +581,3 @@ class ClosedLoopWorkload(WorkloadSpec):
             "synchronized barrier" if self.flows.sync_epochs else "independent"
         )
         return info
-
-    def with_flows(self, **changes) -> "ClosedLoopWorkload":
-        """A copy with the flow model's fields replaced (sweep helper)."""
-        return replace(self, flows=replace(self.flows, **changes))

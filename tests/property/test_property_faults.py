@@ -130,14 +130,6 @@ class TestScheduleProperties:
             event.at_ns for event in first
         )
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_roundtrip_through_plain_data(self, seed):
-        schedule = EventSchedule.from_spec(_random_schedule_spec(random.Random(seed)))
-        clone = EventSchedule.from_spec(schedule.to_dict())
-        assert clone.materialize(seed, 1_000_000) == schedule.materialize(
-            seed, 1_000_000
-        )
-
     def test_every_registered_profile_survives_tiny_horizons(self):
         # A horizon smaller than every event time must yield an empty
         # materialization, never a crash or a negative-time event.

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.header import PayloadParkHeader
-from repro.packet.checksum import internet_checksum, verify_internet_checksum
-from repro.packet.crc import crc16, crc32
+from repro.packet.checksum import internet_checksum
+from repro.packet.crc import crc16
 from repro.packet.ethernet import ETHERTYPE_ARP, EthernetHeader, MacAddress
 from repro.packet.flows import FiveTuple
 from repro.packet.ipv4 import PROTO_ICMP, PROTO_UDP, IPv4Address, IPv4Header
@@ -30,7 +30,7 @@ class TestChecksumProperties:
         if len(data) % 2:
             data += b"\x00"
         checksum = internet_checksum(data)
-        assert verify_internet_checksum(data + checksum.to_bytes(2, "big"))
+        assert internet_checksum(data + checksum.to_bytes(2, "big")) == 0
 
     @given(st.binary(min_size=0, max_size=256))
     def test_checksum_in_16_bit_range(self, data):
@@ -42,10 +42,6 @@ class TestChecksumProperties:
         mutated = bytearray(data)
         mutated[index] ^= 0xA5
         assert crc16(bytes(mutated)) != crc16(data)
-
-    @given(st.binary(min_size=0, max_size=128))
-    def test_crc32_deterministic(self, data):
-        assert crc32(data) == crc32(data)
 
 
 class TestHeaderRoundTrips:

@@ -228,6 +228,15 @@ class TestCli:
         assert main(["validate", "fuzz", "--scenarios", "0", "--no-corpus"]) == 2
         assert _one_error(capsys) == "max_scenarios must be at least 1"
 
+    def test_validate_run_prints_each_violation_and_exits_4(self, capsys):
+        # A scenario that cannot be built is one execution violation.
+        argv = ["validate", "run", "-p", "cpu_ghz=0", "--time-scale", "0.01", "--relations", ""]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert "result: FAIL (1 violation(s))" in captured.out
+        (line,) = [line for line in captured.err.splitlines() if "VIOLATION" in line]
+        assert "[execution]" in line and "cpu_ghz must be positive" in line
+
     def test_run_json_emits_parseable_payload(self, capsys):
         assert main(["run", "table1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

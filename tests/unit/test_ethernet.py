@@ -3,7 +3,6 @@
 import pytest
 
 from repro.packet.ethernet import (
-    BROADCAST_MAC,
     ETHERTYPE_IPV4,
     EthernetHeader,
     MacAddress,
@@ -29,12 +28,6 @@ class TestMacAddress:
     def test_rejects_out_of_range_value(self):
         with pytest.raises(ValueError):
             MacAddress(1 << 48)
-
-    def test_broadcast_and_multicast_flags(self):
-        assert BROADCAST_MAC.is_broadcast
-        assert BROADCAST_MAC.is_multicast
-        assert MacAddress.from_string("01:00:5e:00:00:01").is_multicast
-        assert not MacAddress.from_string("02:00:00:00:00:01").is_multicast
 
 
 class TestEthernetHeader:

@@ -204,11 +204,6 @@ class TestEventSchedule:
                 {"kind": "backend_churn", "period_frac": 0.2, "wat": 1},
             ))
 
-    def test_roundtrip_to_dict(self):
-        schedule = get_fault_profile("chaos-mix")
-        clone = EventSchedule.from_spec(schedule.to_dict())
-        assert clone == schedule
-
     def test_zero_resolved_period_raises_instead_of_looping(self):
         # A sub-nanosecond period_us (or a period_frac of a tiny horizon)
         # truncates to 0 ns, which would never advance the firing cursor.

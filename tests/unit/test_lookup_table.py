@@ -47,11 +47,6 @@ class TestLayout:
         with pytest.raises(ValueError):
             _table(entries=70_000)
 
-    def test_sram_bytes_accounts_metadata_and_blocks(self):
-        table = _table(entries=16, parked=160)
-        # 16 entries * (4 metadata bytes + 160 payload bytes)
-        assert table.sram_bytes() == 16 * 4 + 16 * 160
-
 
 class TestProbeAndClaim:
     def test_claim_free_slot(self):

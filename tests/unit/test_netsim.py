@@ -62,7 +62,7 @@ class TestEventLoop:
             env.schedule_in(delay, lambda d=delay: hits.append(d))
         env.run_all()
         assert hits == [5, 15, 25]
-        assert env.now_seconds == pytest.approx(25e-9)
+        assert env.now == 25
 
 
 class TestLink:
@@ -162,8 +162,3 @@ class TestPcie:
     def test_transfer_delay_scales_with_size(self):
         bus = PcieBus()
         assert bus.rx_transfer(10_000) > bus.rx_transfer(100)
-
-    def test_bandwidth_over_window(self):
-        bus = PcieBus(PcieSpec(per_packet_overhead_bytes=0))
-        bus.rx_transfer(125)  # 1000 bits
-        assert bus.bandwidth_gbps_over(1_000) == pytest.approx(1.0)

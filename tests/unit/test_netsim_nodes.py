@@ -52,14 +52,6 @@ class TestSwitchNode:
         assert len(server.received) == 1
         assert switch.packets_out == 1
 
-    def test_counts_useful_bytes_toward_nf(self):
-        program = PayloadParkProgram(PayloadParkConfig(), bindings=[_binding()])
-        env, switch, gen, server = self._wired_switch(program)
-        switch.handle_packet(Packet.udp(total_size=500), port=0)
-        env.run_until(10_000_000)
-        assert switch.packets_to_nf == 1
-        assert switch.useful_bytes_to_nf == 42
-
     def test_counts_dataplane_drops(self):
         program = PayloadParkProgram(PayloadParkConfig(), bindings=[_binding()])
         env, switch, gen, server = self._wired_switch(program)

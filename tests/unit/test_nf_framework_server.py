@@ -13,13 +13,6 @@ from repro.packet.packet import Packet
 
 
 class TestFramework:
-    def test_chain_overhead_grows_with_length(self):
-        assert OPENNETVM.chain_overhead_cycles(3) > OPENNETVM.chain_overhead_cycles(1)
-
-    def test_chain_overhead_rejects_empty_chain(self):
-        with pytest.raises(ValueError):
-            OPENNETVM.chain_overhead_cycles(0)
-
     def test_netbricks_is_cheaper_per_hop(self):
         assert NETBRICKS.per_nf_overhead_cycles < OPENNETVM.per_nf_overhead_cycles
         assert not NETBRICKS.isolated_nfs and OPENNETVM.isolated_nfs
@@ -48,13 +41,13 @@ class TestNfServerModel:
     def test_heavier_nf_lowers_throughput(self):
         light = NfServerModel(NfChain([SyntheticNf.light()]), NfServerConfig())
         heavy = NfServerModel(NfChain([SyntheticNf.heavy()]), NfServerConfig())
-        assert heavy.max_throughput_pps() < light.max_throughput_pps()
+        assert heavy.bottleneck_service_ns() > light.bottleneck_service_ns()
 
     def test_more_instances_raise_throughput(self):
         chain = NfChain([SyntheticNf.heavy()])
         one = NfServerModel(chain, NfServerConfig(nf_instances=1))
         two = NfServerModel(chain, NfServerConfig(nf_instances=2))
-        assert two.max_throughput_pps() > one.max_throughput_pps()
+        assert two.bottleneck_service_ns() < one.bottleneck_service_ns()
 
     def test_pipeline_latency_exceeds_sum_of_stages(self):
         model = self._model()

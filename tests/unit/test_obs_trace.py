@@ -56,6 +56,13 @@ class TestFlightRecorder:
         close(recorder)
         assert recorder.park_spans()[0]["outcome"] == outcome
 
+    def test_premature_eviction_is_recorded_as_an_event(self):
+        recorder = _recorder()
+        recorder.premature_eviction("b", 3, pkt_id="gen0#1")
+        (record,) = recorder.records
+        assert (record["ev"], record["binding"], record["slot"], record["pkt"]) == (
+            "premature_eviction", "b", 3, "gen0#1")
+
     def test_unsampled_park_opens_no_span(self):
         recorder = _recorder()
         recorder.payload_parked("b", 1, clk=0, pkt_id=None)

@@ -260,19 +260,24 @@ class TestCampaignSpec:
 
     def test_roundtrip_through_dict_and_files(self, tmp_path):
         campaign = small_campaign(base={"seed": 7}, description="roundtrip")
-        restored = CampaignSpec.from_dict(campaign.to_dict())
+        plain = {
+            "name": campaign.name, "scenario": campaign.scenario, "base": {"seed": 7},
+            "grid": dict(campaign.grid), "time_scale": campaign.time_scale,
+            "description": "roundtrip",
+        }
+        restored = CampaignSpec.from_dict(plain)
         assert [r.spec_hash for r in restored.expand()] == [
             r.spec_hash for r in campaign.expand()
         ]
 
         json_path = tmp_path / "campaign.json"
-        json_path.write_text(json.dumps(campaign.to_dict()))
+        json_path.write_text(json.dumps(plain))
         from_json = CampaignSpec.from_file(json_path)
         assert from_json.expand()[0].spec_hash == campaign.expand()[0].spec_hash
 
         yaml = pytest.importorskip("yaml")
         yaml_path = tmp_path / "campaign.yaml"
-        yaml_path.write_text(yaml.safe_dump(campaign.to_dict()))
+        yaml_path.write_text(yaml.safe_dump(plain))
         from_yaml = CampaignSpec.from_file(yaml_path)
         assert from_yaml.expand()[0].spec_hash == campaign.expand()[0].spec_hash
 
@@ -359,6 +364,63 @@ class TestBuildScenario:
     def test_missing_required_builder_arg_raises(self):
         with pytest.raises(ValueError, match="could not be built"):
             build_scenario(RunSpec("fixed_size_40ge", params={"packet_size": 384}))
+
+
+#: (override, value) pairs outside the override's declared domain.  Each
+#: once reached the engine: a NaN or zero rate failed inside a cell
+#: (``int(nan)``, a division by zero), and an infinite link rate, CPU
+#: clock or a negative jitter ran "ok" with a meaningless result.
+OUT_OF_DOMAIN = [
+    ("gen_link_gbps", float("nan")),
+    ("gen_link_gbps", float("inf")),
+    ("gen_link_gbps", 0.0),
+    ("gen_link_gbps", -1.0),
+    ("cpu_ghz", float("nan")),
+    ("cpu_ghz", 0.0),
+    ("cpu_ghz", float("inf")),
+    ("duration_us", float("nan")),
+    ("duration_us", float("inf")),
+    ("warmup_us", float("nan")),
+    ("service_jitter", float("nan")),
+    ("service_jitter", -1.0),
+]
+
+
+class TestOverrideDomains:
+    """A numeric override outside its declared domain fails where it is
+    declared: in the campaign spec and in the scenario, never in a cell."""
+
+    @pytest.mark.parametrize("key,value", OUT_OF_DOMAIN)
+    def test_campaign_spec_rejects(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            small_campaign(grid={key: [value]})
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            small_campaign(grid={}, base={key: value})
+
+    @pytest.mark.parametrize("key,value", OUT_OF_DOMAIN)
+    def test_scenario_rejects(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            build_scenario(RunSpec("fw_nat_lb_10ge", params={key: value}))
+
+    def test_campaign_run_exits_2_before_any_cell(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "nan.yaml"
+        spec.write_text("name: nan-link\nscenario: fw_nat_lb_10ge\n"
+                        "grid:\n  gen_link_gbps: [.nan]\n")
+        store = tmp_path / "nan.jsonl"
+        assert main(["campaign", "run", str(spec), "--serial", "--no-bus",
+                     "--store", str(store)]) == 2
+        assert not store.exists()
+
+    def test_link_rejects_non_finite_bandwidth(self):
+        from repro.netsim.eventloop import EventLoop
+        from repro.netsim.link import Link
+        from repro.netsim.node import Node
+
+        env = EventLoop()
+        with pytest.raises(ValueError, match="bandwidth_gbps must be finite"):
+            Link(env, Node(env, "a"), 0, Node(env, "b"), 0, bandwidth_gbps=float("nan"))
 
 
 class TestResultStore:

@@ -26,6 +26,14 @@ class TestConstruction:
         assert packet.l4.HEADER_LEN == 20
         assert packet.payload_length == 10
 
+    def test_tcp_copy_is_equal_until_its_payload_moves(self):
+        packet = Packet.tcp(payload=b"x" * 10)
+        clone = packet.copy()
+        assert clone == packet and clone.l4 is not packet.l4
+        clone.payload = b"y" * 4
+        assert clone != packet
+        assert clone.wire_length == packet.wire_length - 6
+
     def test_packet_ids_are_unique(self):
         first, second = Packet.udp(total_size=64), Packet.udp(total_size=64)
         assert first.packet_id != second.packet_id

@@ -10,7 +10,6 @@ from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
 class TestPayloadParkHeader:
     def test_wire_length_is_seven_bytes(self):
         header = PayloadParkHeader(enb=1, tbl_idx=10, clk=20).seal()
-        assert header.byte_length() == 7
         assert len(header.to_bytes()) == 7
 
     def test_round_trip(self):
@@ -49,12 +48,11 @@ class TestPayloadParkHeader:
 
 
 class TestCounters:
-    def test_split_attempts_and_outstanding(self):
+    def test_outstanding_payloads(self):
         counters = PayloadParkCounters(
             splits=10, merges=6, evictions=1, explicit_drops=1,
             split_disabled_small_payload=3, split_disabled_table_occupied=2,
         )
-        assert counters.split_attempts == 15
         assert counters.outstanding_payloads == 2
 
     def test_counter_bank_aggregation(self):
@@ -68,19 +66,10 @@ class TestCounters:
 
 
 class TestConfig:
-    def test_payload_blocks_rounds_up(self):
-        config = PayloadParkConfig(parked_bytes=170, payload_block_bytes=16)
-        assert config.payload_blocks == 11
-
     def test_recirculation_constructor(self):
         config = PayloadParkConfig.with_recirculation()
         assert config.parked_bytes == 384
         assert config.enable_recirculation
-        assert config.requires_recirculation(payload_stage_count=10)
-
-    def test_default_does_not_require_recirculation(self):
-        config = PayloadParkConfig()
-        assert not config.requires_recirculation(payload_stage_count=10)
 
     def test_derived_table_entries_scale_with_fraction_and_share(self):
         config = PayloadParkConfig(sram_fraction=0.5, payload_block_bytes=16)

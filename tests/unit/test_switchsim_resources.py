@@ -127,11 +127,10 @@ class TestRegisterArray:
 
 
 class TestPhvLayout:
-    def test_declare_and_percent(self):
+    def test_declare(self):
         phv = PhvLayout(capacity_bits=100)
         phv.declare("ethernet", 40)
         assert phv.used_bits == 40
-        assert phv.percent_used == pytest.approx(40.0)
 
     def test_redeclare_same_width_is_noop(self):
         phv = PhvLayout(capacity_bits=100)

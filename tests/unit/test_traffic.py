@@ -8,7 +8,6 @@ from repro.errors import WorkloadSpecError
 from repro.traffic.distributions import (
     EmpiricalDistribution,
     FixedSizeDistribution,
-    LognormalSizeDistribution,
     MAX_FRAME_BYTES,
     MIN_FRAME_BYTES,
     ParetoSizeDistribution,
@@ -65,32 +64,6 @@ class TestDistributions:
         with pytest.raises(WorkloadSpecError):
             EmpiricalDistribution([(100, 0.5), (100, 0.5)])  # duplicate size
 
-    def test_from_cdf_builds_equivalent_distribution(self):
-        distribution = EmpiricalDistribution.from_cdf([(100, 0.2), (1000, 1.0)])
-        assert distribution.cdf_points() == [(100, pytest.approx(0.2)), (1000, 1.0)]
-        assert distribution.mean() == pytest.approx(0.2 * 100 + 0.8 * 1000)
-        rng = random.Random(5)
-        samples = [distribution.sample(rng) for _ in range(2000)]
-        assert sum(1 for s in samples if s == 100) / 2000 == pytest.approx(0.2, abs=0.03)
-
-    def test_from_cdf_validates_inputs(self):
-        with pytest.raises(WorkloadSpecError):
-            EmpiricalDistribution.from_cdf([])
-        with pytest.raises(WorkloadSpecError):  # not sorted by size
-            EmpiricalDistribution.from_cdf([(1000, 0.5), (100, 1.0)])
-        with pytest.raises(WorkloadSpecError):  # CDF not increasing
-            EmpiricalDistribution.from_cdf([(100, 0.8), (1000, 0.5)])
-        with pytest.raises(WorkloadSpecError):  # value outside (0, 1]
-            EmpiricalDistribution.from_cdf([(100, 0.0), (1000, 1.0)])
-        with pytest.raises(WorkloadSpecError):
-            EmpiricalDistribution.from_cdf([(100, 0.5), (1000, 1.5)])
-        with pytest.raises(WorkloadSpecError):  # does not end at 1.0
-            EmpiricalDistribution.from_cdf([(100, 0.2), (1000, 0.9)])
-        with pytest.raises(WorkloadSpecError):  # duplicate size
-            EmpiricalDistribution.from_cdf([(100, 0.2), (100, 1.0)])
-        with pytest.raises(WorkloadSpecError):  # non-finite CDF value
-            EmpiricalDistribution.from_cdf([(100, float("nan"))])
-
     def test_enterprise_distribution_matches_paper_statistics(self):
         distribution = enterprise_datacenter_distribution()
         assert distribution.mean() == pytest.approx(882, abs=25)
@@ -98,21 +71,15 @@ class TestDistributions:
 
 
 class TestAnalyticDistributions:
-    @pytest.mark.parametrize(
-        "distribution",
-        [ParetoSizeDistribution(), LognormalSizeDistribution()],
-    )
-    def test_samples_stay_in_frame_range(self, distribution):
+    def test_samples_stay_in_frame_range(self):
+        distribution = ParetoSizeDistribution()
         rng = random.Random(4)
         samples = [distribution.sample(rng) for _ in range(2000)]
         assert min(samples) >= MIN_FRAME_BYTES
         assert max(samples) <= MAX_FRAME_BYTES
 
-    @pytest.mark.parametrize(
-        "distribution",
-        [ParetoSizeDistribution(), LognormalSizeDistribution()],
-    )
-    def test_numeric_mean_matches_sampling(self, distribution):
+    def test_numeric_mean_matches_sampling(self):
+        distribution = ParetoSizeDistribution()
         rng = random.Random(4)
         sampled = sum(distribution.sample(rng) for _ in range(20_000)) / 20_000
         assert distribution.mean() == pytest.approx(sampled, rel=0.05)
@@ -125,26 +92,19 @@ class TestAnalyticDistributions:
         assert small > 0.4
 
     def test_cdf_points_monotone(self):
-        for distribution in (ParetoSizeDistribution(), LognormalSizeDistribution()):
-            points = distribution.cdf_points()
-            values = [value for _size, value in points]
-            assert values == sorted(values)
-            assert points[-1] == (MAX_FRAME_BYTES, 1.0)
+        points = ParetoSizeDistribution().cdf_points()
+        values = [value for _size, value in points]
+        assert values == sorted(values)
+        assert points[-1] == (MAX_FRAME_BYTES, 1.0)
 
     def test_validation(self):
         with pytest.raises(WorkloadSpecError):
             ParetoSizeDistribution(shape=0)
         with pytest.raises(WorkloadSpecError):
             ParetoSizeDistribution(scale=-1)
-        with pytest.raises(WorkloadSpecError):
-            LognormalSizeDistribution(sigma=0)
 
 
 class TestWorkload:
-    def test_fixed_size_workload_pps(self):
-        workload = Workload.fixed_size(500)
-        assert workload.packets_per_second(4.0) == pytest.approx(1e6, rel=1e-3)
-
     def test_useful_fraction(self):
         workload = Workload.fixed_size(420)
         assert workload.useful_fraction() == pytest.approx(0.1)

@@ -282,9 +282,3 @@ class TestWorkloadSpecSurface:
         assert "NewReno" in info["transport"]
         assert info["epochs"] == "synchronized barrier"
 
-    def test_with_flows_sweeps_the_flow_model(self):
-        spec = ClosedLoopWorkload(name="t", flows=_model())
-        swept = spec.with_flows(flow_count=64, min_rto_ns=500_000)
-        assert swept.flows.flow_count == 64
-        assert swept.flows.min_rto_ns == 500_000
-        assert spec.flows.flow_count == 1  # original untouched

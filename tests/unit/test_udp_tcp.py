@@ -43,10 +43,6 @@ class TestTcpHeader:
     def test_wire_length(self):
         assert len(TcpHeader(src_port=1, dst_port=2).to_bytes()) == 20
 
-    def test_flag_helpers(self):
-        assert TcpHeader(src_port=1, dst_port=2, flags=FLAG_SYN).is_syn
-        assert not TcpHeader(src_port=1, dst_port=2, flags=FLAG_SYN).is_fin
-
     def test_rejects_out_of_range_sequence(self):
         with pytest.raises(ValueError):
             TcpHeader(src_port=1, dst_port=2, seq=1 << 32)

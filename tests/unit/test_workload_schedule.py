@@ -81,7 +81,7 @@ class TestTraceSchedule:
         scaled = schedule.with_mean(4.0)
         assert scaled.mean_gbps() == pytest.approx(4.0)
         assert scaled.rate_at(0) == pytest.approx(1.0)
-        assert scaled.peak_gbps() == pytest.approx(5.0)
+        assert scaled.rate_at(1_000) == pytest.approx(5.0)
         with pytest.raises(WorkloadSpecError):
             schedule.scaled(0)
 

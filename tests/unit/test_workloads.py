@@ -178,8 +178,8 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_REGISTRY))
     def test_trace_deterministic_for_seed(self, name):
         spec = get_workload(name)
-        first = [p.as_tuple() for p in spec.trace(7, 64)]
-        second = [p.as_tuple() for p in get_workload(name).trace(7, 64)]
+        first = spec.trace(7, 64)
+        second = get_workload(name).trace(7, 64)
         assert first == second
         assert len(first) == 64
 
@@ -188,13 +188,13 @@ class TestRegistry:
     )
     def test_different_seeds_differ(self, name):
         spec = get_workload(name)
-        first = [p.as_tuple() for p in spec.trace(7, 64)]
-        second = [p.as_tuple() for p in spec.trace(8, 64)]
+        first = spec.trace(7, 64)
+        second = spec.trace(8, 64)
         assert first != second
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_REGISTRY))
     def test_summary_statistics_sane(self, name):
-        summary = get_workload(name).summary(seed=11, max_packets=400)
+        summary = summarize(get_workload(name).trace(11, 400))
         assert summary.packets == 400
         assert summary.mean_rate_gbps > 0
         assert 64 <= summary.mean_frame_bytes <= 1514
@@ -202,9 +202,9 @@ class TestRegistry:
         assert summary.distinct_flows >= 1
 
     def test_workload_statistics_match_design(self):
-        assert get_workload("flood-churn").summary(max_packets=300).small_packet_fraction == 1.0
-        incast = get_workload("incast-sync").summary(max_packets=2000)
-        poisson = get_workload("enterprise-poisson").summary(max_packets=2000)
+        assert summarize(get_workload("flood-churn").trace(42, 300)).small_packet_fraction == 1.0
+        incast = summarize(get_workload("incast-sync").trace(42, 2000))
+        poisson = summarize(get_workload("enterprise-poisson").trace(42, 2000))
         assert incast.burstiness_cv > poisson.burstiness_cv > 0.5
 
 
@@ -303,7 +303,7 @@ class TestSummarize:
             summarize([])
 
     def test_row_shape(self):
-        summary = get_workload("enterprise-poisson").summary(max_packets=100)
+        summary = summarize(get_workload("enterprise-poisson").trace(42, 100))
         row = summary.as_row()
         assert set(row) == {
             "packets",
