@@ -46,6 +46,18 @@ class WorkloadSpecError(ValueError):
     """
 
 
+class LinkSpecError(ValueError):
+    """An invalid link parameter: a non-positive or non-finite rate, a
+    negative or non-integer propagation delay, or an egress buffer that
+    holds no byte.
+
+    Raised by :class:`repro.netsim.link.Link` at construction, so a bad
+    topology fails before its first event instead of mid-run.
+    Subclasses :class:`ValueError`, so pre-existing ``except
+    ValueError`` handlers keep working.
+    """
+
+
 def require_positive_finite(
     field: str, value: float, error: Type[ValueError] = ValueError
 ) -> None:
@@ -68,12 +80,17 @@ def require_non_negative_finite(field: str, value: float) -> None:
         raise ValueError(f"{field} must be non-negative, got {value}")
 
 
-def require_integer(field: str, value: int, minimum: Optional[int] = None) -> None:
-    """Raise ``ValueError``, naming *field*, unless *value* is an int (not a bool) >= *minimum*."""
+def require_integer(
+    field: str,
+    value: int,
+    minimum: Optional[int] = None,
+    error: Type[ValueError] = ValueError,
+) -> None:
+    """Raise *error*, naming *field*, unless *value* is an int (not a bool) >= *minimum*."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+        raise error(f"{field} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{field} must be at least {minimum}, got {value}")
+        raise error(f"{field} must be at least {minimum}, got {value}")
 
 
 def _require_finite(field: str, value: float, error: Type[ValueError]) -> None:

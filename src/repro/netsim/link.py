@@ -8,34 +8,54 @@ link saturates (§6.2.1), and it is the buffer whose occupancy produces
 the latency cliff visible in Fig. 7 and Fig. 16.
 
 The transmit path is deliberately lean: links move every frame of every
-simulated hop, so nothing is allocated per frame beyond the two events
-themselves, and a frame crossing a link is four Python frames —
-the sending node's per-port sender (:meth:`Node.port_sender`),
-:meth:`Link.transmit`, and the direction's serialization-end and
-arrival callbacks.  ``Link.transmit`` is the one transmit body: it
-picks the sender's direction and does that direction's work itself.
-The per-direction object keeps the state (queue, serialization cursor,
-counters, fault windows) and binds its two callbacks once at wiring
-time; they are scheduled with the byte count and the packet as the
-event argument.  The byte count is the frame's stored ``wire_length``,
-read once.  Serialization time is looked up per wire size (the link
-rate is fixed after construction), and arrival calls the receiving
-node's ``handle_packet`` directly.
+simulated hop, so a frame crossing a link is normally one event — its
+arrival — and three Python frames: the sending node's per-port sender
+(:meth:`Node.port_sender`), :meth:`Link.transmit` and the direction's
+arrival callback.  ``Link.transmit`` is the one transmit body: it picks
+the sender's direction and does that direction's work itself.  The
+per-direction object keeps the state (queue, serialization cursor,
+counters, fault windows) and binds its callbacks once at wiring time;
+they are scheduled with the byte count or the packet as the event
+argument.  The byte count is the frame's stored ``wire_length``, read
+once.  Serialization time is looked up per wire size (the link rate is
+fixed after construction), and arrival calls the receiving node's
+``handle_packet`` directly.
+
+Serialization end is drained lazily.  Its only effect is to take the
+frame's bytes out of ``queued_bytes``, and only :meth:`Link.transmit`
+reads ``queued_bytes``, so instead of an event the frame's
+``(tx_done, wire_bytes)`` joins the direction's in-flight FIFO, and
+every later transmit on the direction first subtracts the entries with
+``tx_done <= now``.  That is exact when the elided event would have
+been the *first* event of its nanosecond: it would then have run before
+anything else at ``tx_done`` — before any transmit an event there
+triggers — and the drain at ``now == tx_done`` counts it, as the event
+would have.  The first-in-bucket condition holds whenever the calendar
+has nothing pending at ``tx_done`` when the frame is sent (events
+scheduled later at that nanosecond queue behind it), so
+``Link.transmit`` asks the loop's :attr:`~FastEventLoop.pending_times`
+and elides only then.  A frame whose ``tx_done`` already has an event
+or is the current instant (a 0 ns serialization, which would queue
+behind the running event), or any frame on a loop that cannot tell (the
+reference :class:`EventLoop`), gets its serialization-end event as
+before.  Arrivals never precede their
+frame's ``tx_done`` (the propagation delay is checked non-negative at
+construction).
 
 ``Link.transmit`` and every ``handle_packet`` are looked up per frame,
 never captured bound: the perf ledger's tracer and
 ``tests/integration/test_hop_seams.py`` wrap them at class level after
 the testbed is wired.
 """
-
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.compat import SLOTTED
-from repro.errors import require_positive_finite
+from repro.errors import LinkSpecError, require_integer, require_positive_finite
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.node import Node
 from repro.packet.packet import Packet
@@ -71,7 +91,7 @@ class LinkDirectionStats:
 
 class _LinkDirection:
     """One direction of a full-duplex link: its state, counters and the
-    two per-frame event callbacks.  :meth:`Link.transmit` drives it."""
+    per-frame event callbacks.  :meth:`Link.transmit` drives it."""
 
     __slots__ = (
         "env",
@@ -81,6 +101,7 @@ class _LinkDirection:
         "buffer_bytes",
         "next_free_ns",
         "queued_bytes",
+        "in_flight",
         "stats",
         "_node",
         "_port",
@@ -113,7 +134,13 @@ class _LinkDirection:
         self.propagation_delay_ns = propagation_delay_ns
         self.buffer_bytes = buffer_bytes
         self.next_free_ns = 0
+        #: Bytes in the egress buffer as of the last transmit's drain:
+        #: frames in ``in_flight`` are still counted here until a
+        #: transmit at or after their ``tx_done`` subtracts them.
         self.queued_bytes = 0
+        #: ``(tx_done, wire_bytes)`` of frames whose serialization end
+        #: is drained lazily, in ``tx_done`` order.
+        self.in_flight: deque = deque()
         self.stats = LinkDirectionStats()
         #: Receiving endpoint: arriving frames go to ``node.handle_packet``
         #: on *port*, looked up per frame so a wrapped or overridden
@@ -122,7 +149,7 @@ class _LinkDirection:
         self._port = port
         #: wire bytes -> serialization ns, filled on first use of a size.
         self._serialization: Dict[int, int] = {}
-        # The two per-frame event callbacks, bound once.
+        # The per-frame event callbacks, bound once.
         self._on_finish = self._finish
         self._on_arrive = self._arrive
         # Fault-injection state (see repro.faults): a downed direction
@@ -184,8 +211,13 @@ class Link:
         buffer_bytes: int = 512 * 1024,
         name: Optional[str] = None,
     ) -> None:
-        require_positive_finite("bandwidth_gbps", bandwidth_gbps)
+        require_positive_finite("bandwidth_gbps", bandwidth_gbps, LinkSpecError)
+        require_integer("propagation_delay_ns", propagation_delay_ns, 0, LinkSpecError)
+        require_integer("buffer_bytes", buffer_bytes, 1, LinkSpecError)
         self.env = env
+        #: The loop's timestamp -> pending-events map (``None`` on the
+        #: reference loop, which keeps every serialization-end event).
+        self._pending_times = env.pending_times
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
         self.node_a, self.port_a = node_a, port_a
         self.node_b, self.port_b = node_b, port_b
@@ -200,8 +232,9 @@ class Link:
         """Send *packet* from *sender* toward the other end of the link.
 
         Queues the frame on *sender*'s direction and schedules its
-        serialization end and its arrival; a downed direction, an active
-        loss window or a full egress buffer drops it instead.
+        arrival (and its serialization end, unless that is drained
+        lazily — see the module docstring); a downed direction, an
+        active loss window or a full egress buffer drops it instead.
         """
         if sender is self.node_a:
             direction = self._a_to_b
@@ -224,6 +257,11 @@ class Link:
             stats.bytes_dropped_fault += wire_bytes
             direction._record_drop(packet, "link-loss")
             return
+        env = self.env
+        now = env.now
+        in_flight = direction.in_flight
+        while in_flight and in_flight[0][0] <= now:
+            direction.queued_bytes -= in_flight.popleft()[1]
         queued = direction.queued_bytes + wire_bytes
         if queued > direction.buffer_bytes:
             stats.frames_dropped += 1
@@ -233,8 +271,6 @@ class Link:
         profiler = direction.obs_profiler
         if profiler is not None:
             profiler.enter("link_transmit")
-        env = self.env
-        now = env.now
         next_free = direction.next_free_ns
         start = now if now > next_free else next_free
         serialization = direction._serialization.get(wire_bytes)
@@ -259,9 +295,14 @@ class Link:
             arrival = direction.last_arrival_ns
         direction.last_arrival_ns = arrival
 
-        # Serialization end first: on a tie it must run before the arrival.
+        # Serialization end first: on a tie it must run before the
+        # arrival.  Elided when it would be first at its nanosecond.
         schedule_at = env.schedule_at
-        schedule_at(tx_done, direction._on_finish, wire_bytes)
+        pending = self._pending_times
+        if pending is None or tx_done <= now or tx_done in pending:
+            schedule_at(tx_done, direction._on_finish, wire_bytes)
+        else:
+            in_flight.append((tx_done, wire_bytes))
         schedule_at(arrival, direction._on_arrive, packet)
         if profiler is not None:
             profiler.exit()

@@ -81,7 +81,7 @@ class ClosedLoopFlows(FlowModel):
     segments_per_transfer:
         Segments each flow sends per request/response epoch.
     mss_bytes:
-        Wire bytes per segment (clamped to the 64-byte frame minimum).
+        Wire bytes per segment (at least the 64-byte frame minimum).
     initial_cwnd_segments / initial_ssthresh_segments:
         Slow-start entry state of every fresh transfer.
     max_cwnd_segments:
@@ -162,6 +162,7 @@ class _Connection:
         "sacked", "outstanding", "retx_seqs", "dup_acks", "in_recovery",
         "recovery_point", "srtt_ns", "rttvar_ns", "rto_ns", "timer_gen",
         "timer_armed", "transfer_end", "epoch_done", "distinct_sent",
+        "five_tuple",
     )
 
     def __init__(self, flow_id: int, model: ClosedLoopFlows) -> None:
@@ -184,9 +185,8 @@ class _Connection:
         self.transfer_end = 0        # current transfer sends seqs < this
         self.epoch_done = True
         self.distinct_sent = 0
-
-    def flight(self) -> int:
-        return len(self.outstanding)
+        #: This flow's five-tuple, resolved on its first segment.
+        self.five_tuple = None
 
 
 # ---------------------------------------------------------------------- #
@@ -218,6 +218,8 @@ class ClosedLoopTransport:
         # Connection *i* sends flow *i* of the population (built on its
         # first segment, like every other reader's).
         self._tuples = FlowGenerator(flow_count=model.flow_count).flows()
+        #: Wire bytes of every segment (the model checks the minimum frame).
+        self._segment_len = model.mss_bytes
         self.flows: List[_Connection] = [
             _Connection(index, model) for index in range(model.flow_count)
         ]
@@ -321,7 +323,8 @@ class ClosedLoopTransport:
         if not self._active():
             return
         window = min(int(conn.cwnd), self.model.max_cwnd_segments)
-        while conn.flight() < window and conn.next_seq < conn.transfer_end:
+        outstanding = conn.outstanding
+        while len(outstanding) < window and conn.next_seq < conn.transfer_end:
             seq = conn.next_seq
             conn.next_seq += 1
             conn.distinct_sent += 1
@@ -331,19 +334,18 @@ class ClosedLoopTransport:
     def _retransmit(self, conn: _Connection, seq: int) -> None:
         conn.retx_seqs.add(seq)
         self.retx_segments += 1
-        self.retx_bytes += self._segment_bytes()
+        self.retx_bytes += self._segment_len
         self._put_on_wire(conn, seq, retransmission=True)
 
-    def _segment_bytes(self) -> int:
-        return max(self.model.mss_bytes, _MIN_SEGMENT_BYTES)
-
     def _put_on_wire(self, conn: _Connection, seq: int, retransmission: bool) -> None:
-        five_tuple = self._tuples[conn.flow_id]
+        five_tuple = conn.five_tuple
+        if five_tuple is None:
+            five_tuple = conn.five_tuple = self._tuples[conn.flow_id]
         if self._pool is not None:
-            packet = self._pool.frame(self._segment_bytes(), five_tuple)
+            packet = self._pool.frame(self._segment_len, five_tuple)
         else:
             packet = build_udp_frame(
-                self._segment_bytes(),
+                self._segment_len,
                 five_tuple,
                 src_mac=self.config.src_mac,
                 dst_mac=self.config.dst_mac,
@@ -432,7 +434,7 @@ class ClosedLoopTransport:
             and conn.cum in conn.outstanding
             and self._active()
         ):
-            conn.ssthresh = max(conn.flight() / 2.0, 2.0)
+            conn.ssthresh = max(len(conn.outstanding) / 2.0, 2.0)
             conn.cwnd = conn.ssthresh + self.model.dupack_threshold
             conn.in_recovery = True
             conn.recovery_point = conn.next_seq
@@ -462,13 +464,15 @@ class ClosedLoopTransport:
         deadline = min(conn.outstanding.values()) + int(conn.rto_ns)
         conn.timer_armed = True
         conn.timer_gen += 1
-        generation = conn.timer_gen
         now = self.node.env.now
         self.node.env.schedule_at(
-            max(deadline, now + 1), lambda: self._on_timer(conn, generation)
+            max(deadline, now + 1), self._on_timer, (conn, conn.timer_gen)
         )
 
-    def _on_timer(self, conn: _Connection, generation: int) -> None:
+    def _on_timer(self, timer) -> None:
+        """RTO timer *timer* = ``(conn, generation)`` fired; a re-armed
+        connection's older generations are stale and do nothing."""
+        conn, generation = timer
         if generation != conn.timer_gen:
             return
         conn.timer_armed = False
@@ -482,7 +486,7 @@ class ClosedLoopTransport:
 
     def _timeout(self, conn: _Connection) -> None:
         seq = min(conn.outstanding)
-        conn.ssthresh = max(conn.flight() / 2.0, 2.0)
+        conn.ssthresh = max(len(conn.outstanding) / 2.0, 2.0)
         conn.cwnd = 1.0
         conn.dup_acks = 0
         conn.in_recovery = False

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.netsim.eventloop import EventLoop
+from repro.errors import LinkSpecError
+from repro.netsim.eventloop import EventLoop, FastEventLoop
 from repro.netsim.link import Link
 from repro.netsim.nic import NIC_10GE, NIC_40GE, NicPort
 from repro.netsim.node import Node
@@ -129,6 +130,77 @@ class TestLink:
         env = EventLoop()
         with pytest.raises(ValueError):
             Link(env, _Sink(env, "a"), 0, _Sink(env, "b"), 0, bandwidth_gbps=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("propagation_delay_ns", -1),
+            ("propagation_delay_ns", 2.5),
+            ("buffer_bytes", 0),
+            ("buffer_bytes", -1_500),
+            ("bandwidth_gbps", float("nan")),
+        ],
+    )
+    def test_rejects_bad_parameters_at_construction(self, field, value):
+        # A negative delay used to fail mid-run inside schedule_at, and a
+        # zero buffer silently dropped every frame.
+        env = FastEventLoop()
+        with pytest.raises(LinkSpecError, match=field):
+            Link(env, _Sink(env, "a"), 0, _Sink(env, "b"), 0, **{field: value})
+
+
+def _lazy_pair(loop_cls, buffer_bytes=1_500):
+    """An 8 Gb/s link (a 1,000-byte frame serializes in 1,000 ns), no delay."""
+    env = loop_cls()
+    a, b = _Sink(env, "a"), _Sink(env, "b")
+    link = Link(env, a, 0, b, 0, bandwidth_gbps=8.0, propagation_delay_ns=0,
+                buffer_bytes=buffer_bytes)
+    return env, a, b, link
+
+
+class TestLazySerializationEnd:
+    """A frame's serialization end is an event only when another event
+    already shares its nanosecond (see ``repro.netsim.link``)."""
+
+    def _send_at(self, env, link, sender, when):
+        env.schedule_at(when, lambda: link.transmit(Packet.udp(total_size=1000), sender))
+
+    @pytest.mark.parametrize("loop_cls", [EventLoop, FastEventLoop])
+    def test_a_transmit_at_an_elided_tx_done_sees_that_frame_drained(self, loop_cls):
+        env, a, b, link = _lazy_pair(loop_cls)
+        link.transmit(Packet.udp(total_size=1000), a)  # tx_done = 1,000
+        self._send_at(env, link, a, 1_000)  # scheduled after: its finish goes first
+        if loop_cls is FastEventLoop:
+            assert env.pending_events == 2  # the send and the arrival, no finish
+            assert list(link._a_to_b.in_flight) == [(1_000, 1_000)]
+        env.run_until(10_000)
+        stats = link.direction_stats(a)
+        assert (stats.frames_sent, stats.frames_dropped) == (2, 0)
+        assert stats.peak_queue_bytes == 1_000
+        assert [t for t, _p, _k in b.received] == [1_000, 2_000]
+
+    @pytest.mark.parametrize("loop_cls", [EventLoop, FastEventLoop])
+    def test_a_tx_done_with_a_pending_event_schedules_the_finish(self, loop_cls):
+        env, a, b, link = _lazy_pair(loop_cls)
+        self._send_at(env, link, a, 1_000)  # scheduled first: runs before the finish
+        link.transmit(Packet.udp(total_size=1000), a)  # tx_done = 1,000
+        assert env.pending_events == 3  # the send, the finish and the arrival
+        assert not link._a_to_b.in_flight
+        env.run_until(10_000)
+        stats = link.direction_stats(a)
+        # The second frame met a buffer still holding the first one.
+        assert (stats.frames_sent, stats.frames_dropped) == (1, 1)
+        assert [t for t, _p, _k in b.received] == [1_000]
+
+    def test_the_heap_loop_elides_nothing(self):
+        env, a, b, link = _lazy_pair(EventLoop, buffer_bytes=10_000)
+        assert env.pending_times is None
+        for _ in range(3):
+            link.transmit(Packet.udp(total_size=1000), a)
+        assert not link._a_to_b.in_flight
+        env.run_until(10_000)
+        assert env.events_executed == 6  # a finish and an arrival per frame
+        assert len(b.received) == 3
 
 
 class TestNic:
