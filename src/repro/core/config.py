@@ -10,14 +10,25 @@ traffic ports to the NF server they feed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.errors import PayloadParkConfigError, require_integer, require_positive_finite
 
 #: Bytes of payload the prototype parks per packet without recirculation.
 DEFAULT_PARKED_BYTES = 160
 
 #: Bytes parked when one recirculation pass is used (§6.2.5).
 RECIRCULATION_PARKED_BYTES = 384
+
+#: The largest MAX_CLK: the header's generation clock is a 16-bit field
+#: and counts ``0 .. clock_max - 1``.
+CLOCK_MAX_LIMIT = 1 << 16
+
+#: The largest explicit table capacity: the header's table index is a
+#: 16-bit field (``LookupTable`` refuses more, derived sizes included).
+TABLE_ENTRIES_LIMIT = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,28 @@ class NfServerBinding:
             raise ValueError(f"binding {self.name!r}: NF port cannot also be an ingress port")
         if self.memory_weight <= 0:
             raise ValueError(f"binding {self.name!r}: memory_weight must be positive")
+
+
+def _integer(minimum: int, maximum: Optional[int] = None) -> Callable[[str, object], None]:
+    return partial(
+        require_integer, minimum=minimum, maximum=maximum, error=PayloadParkConfigError
+    )
+
+
+def _optional_entries(name: str, value: object) -> None:
+    if value is not None:
+        require_integer(name, value, 1, PayloadParkConfigError, TABLE_ENTRIES_LIMIT)
+
+
+def _fraction(name: str, value: object) -> None:
+    require_positive_finite(name, value, PayloadParkConfigError)
+    if value > 1.0:
+        raise PayloadParkConfigError(f"{name} must be at most 1, got {value}")
+
+
+def _domain(check: Callable[[str, object], None], **kwargs):
+    """A field whose values *check* holds to its domain (see :data:`DOMAINS`)."""
+    return field(metadata={"domain": check}, **kwargs)
 
 
 @dataclass
@@ -100,33 +133,24 @@ class PayloadParkConfig:
         fallback-mode tests).
     """
 
-    parked_bytes: int = DEFAULT_PARKED_BYTES
-    min_split_payload: int = DEFAULT_PARKED_BYTES
-    expiry_threshold: int = 1
-    sram_fraction: float = 0.26
-    table_entries: Optional[int] = None
-    payload_block_bytes: int = 16
+    parked_bytes: int = _domain(_integer(1), default=DEFAULT_PARKED_BYTES)
+    min_split_payload: int = _domain(_integer(0), default=DEFAULT_PARKED_BYTES)
+    expiry_threshold: int = _domain(_integer(1), default=1)
+    sram_fraction: float = _domain(_fraction, default=0.26)
+    table_entries: Optional[int] = _domain(_optional_entries, default=None)
+    payload_block_bytes: int = _domain(_integer(1), default=16)
     enable_recirculation: bool = False
     enable_explicit_drops: bool = False
-    clock_max: int = 65_536
+    clock_max: int = _domain(_integer(2, CLOCK_MAX_LIMIT), default=CLOCK_MAX_LIMIT)
     split_enabled: bool = True
     bindings: List[NfServerBinding] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.parked_bytes <= 0:
-            raise ValueError("parked_bytes must be positive")
-        if self.payload_block_bytes <= 0:
-            raise ValueError("payload_block_bytes must be positive")
-        if self.expiry_threshold < 1:
-            raise ValueError("expiry_threshold must be at least 1")
-        if not 0.0 < self.sram_fraction <= 1.0:
-            raise ValueError("sram_fraction must be in (0, 1]")
-        if self.table_entries is not None and self.table_entries <= 0:
-            raise ValueError("table_entries must be positive when given")
-        if self.clock_max < 2:
-            raise ValueError("clock_max must be at least 2")
-        if self.min_split_payload < 0:
-            raise ValueError("min_split_payload cannot be negative")
+        # Every value a run reads per packet is held to its domain here,
+        # once: the split kernel builds its header without re-checking
+        # the 16-bit tag fields (``repro.core.split``).
+        for name, check in DOMAINS.items():
+            check(name, getattr(self, name))
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -167,3 +191,13 @@ class PayloadParkConfig:
             reserved_per_stage = self.sram_fraction * stage_sram_bytes
             entries = int(reserved_per_stage // self.payload_block_bytes * memory_weight_share)
         return max(entries, 1)
+
+
+#: Field -> its domain check, raising :class:`PayloadParkConfigError`.
+#: The config runs every one at construction; a campaign spec runs the
+#: ones it overrides (``repro.experiments.runner.check_override``).
+DOMAINS: Dict[str, Callable[[str, object], None]] = {
+    spec.name: spec.metadata["domain"]
+    for spec in fields(PayloadParkConfig)
+    if "domain" in spec.metadata
+}

@@ -30,10 +30,17 @@ OP_EXPLICIT_DROP = 1
 
 PP_HEADER_LEN = 7  # 1 byte of flags/align + 6 bytes of tag
 
-#: (tbl_idx << 16 | clk) -> CRC-16, shared across headers; the tag space
-#: is bounded by table entries × clock generations, the limit is a
-#: safety net for pathological configurations.
-_TAG_CRC_MEMO = {}
+#: Width of the tag's clock field.  A tag's CRC memo key is its first 32
+#: bits as one int, ``tbl_idx << TAG_CLK_BITS | clk`` — the bytes the
+#: CRC covers.
+TAG_CLK_BITS = 16
+
+#: Tag key -> CRC-16, shared across headers.  The split and merge
+#: kernels read it directly and fall back to :meth:`PayloadParkHeader.
+#: compute_crc` on a miss, which fills it.  The tag space is bounded by
+#: table entries × clock generations; the limit is a safety net for
+#: pathological configurations.
+TAG_CRCS = {}
 _TAG_CRC_MEMO_LIMIT = 1 << 20
 
 
@@ -71,13 +78,13 @@ class PayloadParkHeader:
         — so the CRC is computed lazily once per distinct tag and then
         served from the memo.
         """
-        key = (self.tbl_idx << 16) | self.clk
-        crc = _TAG_CRC_MEMO.get(key)
+        key = (self.tbl_idx << TAG_CLK_BITS) | self.clk
+        crc = TAG_CRCS.get(key)
         if crc is None:
             crc = crc16(struct.pack("!HH", self.tbl_idx, self.clk))
-            if len(_TAG_CRC_MEMO) >= _TAG_CRC_MEMO_LIMIT:
-                _TAG_CRC_MEMO.clear()
-            _TAG_CRC_MEMO[key] = crc
+            if len(TAG_CRCS) >= _TAG_CRC_MEMO_LIMIT:
+                TAG_CRCS.clear()
+            TAG_CRCS[key] = crc
         return crc
 
     def seal(self) -> "PayloadParkHeader":

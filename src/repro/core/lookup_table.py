@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.config import TABLE_ENTRIES_LIMIT
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.registers import RegisterArray
@@ -113,7 +114,7 @@ class LookupTable:
     ) -> None:
         if entries <= 0:
             raise ValueError("lookup table needs a positive number of entries")
-        if entries > 0xFFFF:
+        if entries > TABLE_ENTRIES_LIMIT:
             raise ValueError(
                 f"lookup table capacity {entries} exceeds the 16-bit table index"
             )

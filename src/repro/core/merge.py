@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
-from repro.core.header import OP_EXPLICIT_DROP
+from repro.core.header import OP_EXPLICIT_DROP, TAG_CLK_BITS, TAG_CRCS
 from repro.core.l2fwd import L2ForwardingTable
 from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.switchsim.asic import TofinoAsic
@@ -271,6 +271,9 @@ class MergePath:
         usable header, ENB=0, dropped by the validate table (after which
         no table is reached), or merged.  *forward_table* is the
         binding's from-NF forwarding, *l2* the MAC table it consults.
+        The tag is checked against its memoized CRC
+        (:data:`~repro.core.header.TAG_CRCS`), and through
+        ``compute_crc`` when the memo does not hold it.
         """
         counters, name = self.counters, self.binding.name
         default_egress = self.binding.default_egress_port
@@ -280,6 +283,7 @@ class MergePath:
         block_cells = [cells for cells, _start, _end in self.lookup.block_cells()]
         recirculates = self.lookup.uses_second_pass
         parser, deparser = pipe.parser, pipe.deparser
+        tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
         passthrough, enb_zero, dropped, merged = 0, 1, 2, 3
         counts = [0, 0, 0, 0]
 
@@ -297,7 +301,10 @@ class MergePath:
             else:
                 tbl_idx = header.tbl_idx
                 recorder = self.obs_recorder
-                if not header.tag_is_valid():
+                crc = tag_crcs.get((tbl_idx << clk_bits) | header.clk)
+                if crc is None:
+                    crc = header.compute_crc()
+                if header.crc != crc:
                     counters.tag_validation_failures += 1
                     reason = "payloadpark-tag-corrupt"
                 elif not 0 <= tbl_idx < entries:

@@ -58,6 +58,18 @@ class LinkSpecError(ValueError):
     """
 
 
+class PayloadParkConfigError(ValueError):
+    """An invalid :class:`repro.core.config.PayloadParkConfig` field: a
+    non-integer or out-of-range size, count or clock, or a non-finite
+    SRAM fraction.
+
+    Raised by the config at construction, and so by a campaign spec or
+    scenario that overrides the field, before any cell runs.  Subclasses
+    :class:`ValueError`, so pre-existing ``except ValueError`` handlers
+    keep working.
+    """
+
+
 def require_positive_finite(
     field: str, value: float, error: Type[ValueError] = ValueError
 ) -> None:
@@ -85,12 +97,16 @@ def require_integer(
     value: int,
     minimum: Optional[int] = None,
     error: Type[ValueError] = ValueError,
+    maximum: Optional[int] = None,
 ) -> None:
-    """Raise *error*, naming *field*, unless *value* is an int (not a bool) >= *minimum*."""
+    """Raise *error*, naming *field*, unless *value* is an int (not a bool)
+    in *minimum* .. *maximum*."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{field} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise error(f"{field} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise error(f"{field} must be at most {maximum}, got {value}")
 
 
 def _require_finite(field: str, value: float, error: Type[ValueError]) -> None:

@@ -29,6 +29,7 @@ from functools import partial
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Tuple
 
+from repro.core.config import DOMAINS as PAYLOADPARK_DOMAINS
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgram
 from repro.errors import (
@@ -302,8 +303,9 @@ _OVERRIDE_DOMAINS = {
 
 
 def check_override(name: str, value: object) -> None:
-    """Raise ``ValueError`` if *value* is outside override *name*'s declared domain."""
-    domain = _OVERRIDE_DOMAINS.get(name)
+    """Raise ``ValueError`` if *value* is outside override *name*'s declared
+    domain: a ``ScenarioConfig`` field's, or a ``PayloadParkConfig`` one's."""
+    domain = _OVERRIDE_DOMAINS.get(name) or PAYLOADPARK_DOMAINS.get(name)
     if domain is not None:
         domain(name, value)
 

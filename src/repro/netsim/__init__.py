@@ -17,8 +17,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "repro.netsim.eventloop": ("EventLoop",),
         "repro.netsim.link": ("Link",),
-        "repro.netsim.nic": ("NicSpec", "NicPort", "NIC_10GE", "NIC_40GE"),
-        "repro.netsim.pcie": ("PcieBus", "PcieSpec"),
+        "repro.netsim.nic": ("NicSpec", "NIC_10GE", "NIC_40GE"),
+        "repro.netsim.pcie": ("PcieSpec",),
         "repro.netsim.switch_node": ("SwitchNode",),
         "repro.netsim.server_node": ("NfServerNode",),
         "repro.netsim.trafficgen_node": ("TrafficGenNode",),

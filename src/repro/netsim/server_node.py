@@ -6,6 +6,22 @@ buffering) → PCIe DMA into host memory → the NF framework pipeline
 sum of its stages, per :class:`~repro.nf.server.NfServerModel`) → PCIe
 back to the NIC → NIC transmit path → the wire toward the switch.
 
+The NIC and the PCIe bus are arithmetic on a frame's wire size, which
+the node does itself.  Each direction of the NIC is a byte-rate limiter
+— a free-at cursor advanced by ``round(bytes * 8 / gbps)`` — and each
+PCIe transfer costs the DMA latency plus ``round((bytes + overhead) *
+8 / gbps)`` and moves ``bytes + overhead``.  Apart from the cursors,
+all of it is a function of the size alone, because the specs are frozen
+and a server never swaps them.  So the node keeps one cost row per size
+and direction, filled on that size's first frame:
+
+* receive: NIC busy ns; NIC done → host-ready ns (the NIC's fixed poll
+  cost plus the PCIe delay); PCIe bytes;
+* transmit: PCIe delay; NIC busy ns; PCIe bytes.
+
+A looked-up value is the computed one.  The two PCIe byte counters that
+:meth:`NfServerNode.stats` reports still move per frame.
+
 Packets the NF chain drops either vanish (leaving their parked payload
 to the switch's evictor) or, when Explicit Drops are enabled, are turned
 into a truncated notification carrying the PayloadPark header with the
@@ -15,15 +31,22 @@ Explicit-Drop opcode (§6.2.4).
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.header import OP_EXPLICIT_DROP
 from repro.netsim.eventloop import EventLoop
-from repro.netsim.nic import NicPort, NicSpec, NIC_10GE
+from repro.netsim.nic import NicSpec, NIC_10GE
 from repro.netsim.node import Node
-from repro.netsim.pcie import PcieBus
+from repro.netsim.pcie import PcieSpec
 from repro.nf.server import NfServerModel
 from repro.packet.packet import Packet
+
+#: A direction's cost row: three ints (see the module docstring).
+CostRow = Tuple[int, int, int]
+
+
+def _wire_ns(nbytes: int, gbps: float) -> int:
+    return int(round(nbytes * 8 / gbps))
 
 
 class NfServerNode(Node):
@@ -41,8 +64,14 @@ class NfServerNode(Node):
     ) -> None:
         super().__init__(env, name)
         self.model = model
-        self.nic = NicPort(nic_spec)
-        self.pcie = PcieBus()
+        self.nic_spec = nic_spec
+        #: Every server's PCIe attachment; read when a size's row is filled.
+        self.pcie_spec = PcieSpec()
+        #: wire bytes -> receive / transmit cost row, filled on first use.
+        self._rx_rows: Dict[int, CostRow] = {}
+        self._tx_rows: Dict[int, CostRow] = {}
+        self._rx_free_at_ns = 0
+        self._tx_free_at_ns = 0
         self.switch_port = switch_port
         self._rng = random.Random(seed)
         self._worker_free_at_ns = 0
@@ -69,6 +98,8 @@ class NfServerNode(Node):
         self.explicit_drop_notifications = 0
         self.overflow_drops = 0
         self.busy_ns = 0
+        self.pcie_rx_bytes = 0  # device -> host (received frames)
+        self.pcie_tx_bytes = 0  # host -> device (transmitted frames)
         # Observability hooks (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
         self.obs_profiler = None
@@ -103,7 +134,6 @@ class NfServerNode(Node):
             profiler.enter("nf_processing")
         try:
             if self._in_server >= self._buffer_capacity:
-                self.nic.note_rx_drop()
                 self.overflow_drops += 1
                 recorder = self.obs_recorder
                 if recorder is not None:
@@ -116,9 +146,16 @@ class NfServerNode(Node):
             self._in_server += 1
             self.accepted_packets += 1
             wire_bytes = packet.wire_length
-            nic_done = self.nic.rx_ready_at(self.env.now, wire_bytes)
-            pcie_delay = self.pcie.rx_transfer(wire_bytes)
-            ready = nic_done + pcie_delay
+            row = self._rx_rows.get(wire_bytes)
+            if row is None:
+                row = self._rx_row(wire_bytes)
+            nic_busy, to_host, pcie_bytes = row
+            now = self.env.now
+            free_at = self._rx_free_at_ns
+            nic_done = (now if now > free_at else free_at) + nic_busy
+            self._rx_free_at_ns = nic_done
+            self.pcie_rx_bytes += pcie_bytes
+            ready = nic_done + to_host
             bottleneck_ns = (
                 self._bottleneck_ns
                 if self._bottleneck_ns is not None
@@ -129,10 +166,14 @@ class NfServerNode(Node):
             if jitter <= 0:
                 service = int(bottleneck_ns)
             else:
-                factor = max(0.1, self._rng.gauss(1.0, jitter))
-                service = max(1, int(bottleneck_ns * factor))
-            start = max(ready, self._worker_free_at_ns)
-            finish = start + service
+                factor = self._rng.gauss(1.0, jitter)
+                if factor < 0.1:
+                    factor = 0.1
+                service = int(bottleneck_ns * factor)
+                if service < 1:
+                    service = 1
+            free_at = self._worker_free_at_ns
+            finish = (ready if ready > free_at else free_at) + service
             self._worker_free_at_ns = finish
             self.busy_ns += service
             # The remaining (non-bottleneck) pipeline stages add latency
@@ -143,7 +184,8 @@ class NfServerNode(Node):
                 else self.model.pipeline_latency_ns()
             )
             completion = finish + int(pipeline_latency_ns - service)
-            completion = max(completion, finish)
+            if completion < finish:
+                completion = finish
             self.env.schedule_at(completion, self._on_complete, packet)
         finally:
             if profiler is not None:
@@ -177,32 +219,56 @@ class NfServerNode(Node):
                         recorder.packet_dropped(
                             pkt_id, self.env.now, self.name, "nf-chain-drop"
                         )
-                if (
-                    self.model.wants_explicit_drop
-                    and packet.pp is not None
-                    and packet.pp.enb == 1
-                ):
-                    self._send_explicit_drop(packet)
-                return
-            self._transmit(packet)
+                pp = packet.pp
+                if not (self.model.wants_explicit_drop and pp is not None and pp.enb == 1):
+                    return
+                # An Explicit-Drop notification: truncated to its headers,
+                # it goes back like a forwarded frame (and counts as one).
+                if packet.payload_length:
+                    packet.park_leading_payload(packet.payload_length)
+                pp.op = OP_EXPLICIT_DROP
+                self.explicit_drop_notifications += 1
+            wire_bytes = packet.wire_length
+            row = self._tx_rows.get(wire_bytes)
+            if row is None:
+                row = self._tx_row(wire_bytes)
+            pcie_delay, nic_busy, pcie_bytes = row
+            self.pcie_tx_bytes += pcie_bytes
+            start = self.env.now + pcie_delay
+            free_at = self._tx_free_at_ns
+            tx_done = (start if start > free_at else free_at) + nic_busy
+            self._tx_free_at_ns = tx_done
+            self.forwarded_packets += 1
+            self.env.schedule_at(tx_done, self._on_tx_done, packet)
         finally:
             if profiler is not None:
                 profiler.exit()
 
-    def _transmit(self, packet: Packet) -> None:
-        wire_bytes = packet.wire_length
-        pcie_delay = self.pcie.tx_transfer(wire_bytes)
-        tx_done = self.nic.tx_ready_at(self.env.now + pcie_delay, wire_bytes)
-        self.forwarded_packets += 1
-        self.env.schedule_at(tx_done, self._on_tx_done, packet)
+    # ------------------------------------------------------------------ #
+    # Cost rows
+    # ------------------------------------------------------------------ #
 
-    def _send_explicit_drop(self, packet: Packet) -> None:
-        """Truncate the packet and return it with the Explicit-Drop opcode."""
-        if packet.payload_length:
-            packet.park_leading_payload(packet.payload_length)
-        packet.pp.op = OP_EXPLICIT_DROP
-        self.explicit_drop_notifications += 1
-        self._transmit(packet)
+    def _rx_row(self, wire_bytes: int) -> CostRow:
+        """Fill and return the receive row for frames of *wire_bytes*."""
+        nic, pcie = self.nic_spec, self.pcie_spec
+        pcie_bytes = wire_bytes + pcie.per_packet_overhead_bytes
+        row = self._rx_rows[wire_bytes] = (
+            _wire_ns(wire_bytes, nic.effective_rx_gbps),
+            nic.rx_processing_ns + pcie.dma_latency_ns + _wire_ns(pcie_bytes, pcie.bandwidth_gbps),
+            pcie_bytes,
+        )
+        return row
+
+    def _tx_row(self, wire_bytes: int) -> CostRow:
+        """Fill and return the transmit row for frames of *wire_bytes*."""
+        nic, pcie = self.nic_spec, self.pcie_spec
+        pcie_bytes = wire_bytes + pcie.per_packet_overhead_bytes
+        row = self._tx_rows[wire_bytes] = (
+            pcie.dma_latency_ns + _wire_ns(pcie_bytes, pcie.bandwidth_gbps),
+            _wire_ns(wire_bytes, nic.effective_tx_gbps),
+            pcie_bytes,
+        )
+        return row
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -222,7 +288,7 @@ class NfServerNode(Node):
             "chain_dropped_packets": self.chain_dropped_packets,
             "explicit_drop_notifications": self.explicit_drop_notifications,
             "overflow_drops": self.overflow_drops,
-            "pcie_rx_bytes": self.pcie.rx_bytes,
-            "pcie_tx_bytes": self.pcie.tx_bytes,
+            "pcie_rx_bytes": self.pcie_rx_bytes,
+            "pcie_tx_bytes": self.pcie_tx_bytes,
             "busy_ns": self.busy_ns,
         }

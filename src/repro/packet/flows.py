@@ -39,6 +39,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: Three FNV-1a steps with nothing to XOR in the last two: one multiply.
 _FNV_PRIME_CUBED = _FNV_PRIME ** 3 & _MASK64
 
+#: The trusted constructor's two steps (:meth:`FlowGenerator._make_flow`).
+_new = object.__new__
+_set = object.__setattr__
+
 _pack_prefix = struct.Struct("<3I").pack
 _pack_ports = struct.Struct("<2I").pack
 
@@ -254,14 +258,23 @@ class FlowGenerator:
         return self.flows().wrap(index)
 
     def _make_flow(self, index: int) -> FiveTuple:
-        src_ip = IPv4Address((self._src_base + (index % _SRC_HOSTS) + 1) & 0xFFFFFFFF)
-        dst_ip = IPv4Address((self._dst_base + (index % _DST_HOSTS) + 1) & 0xFFFFFFFF)
-        src_port = self.base_src_port + (index % _SRC_PORTS)
-        dst_port = self.base_dst_port + (index % _DST_PORTS)
-        return FiveTuple(
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            protocol=self.protocol,
-            src_port=src_port,
-            dst_port=dst_port,
-        )
+        """Flow *index*, built from trusted values.
+
+        The frozen dataclasses are filled field by field, in declaration
+        order, without their ``__init__`` / ``__post_init__``: the
+        addresses are masked to 32 bits and the ports were range-checked
+        at construction, so the skipped checks cannot fail, and the
+        result equals (and hashes as) the validated
+        ``FiveTuple(IPv4Address(..), ..)``.
+        """
+        src_ip = _new(IPv4Address)
+        _set(src_ip, "value", (self._src_base + (index % _SRC_HOSTS) + 1) & 0xFFFFFFFF)
+        dst_ip = _new(IPv4Address)
+        _set(dst_ip, "value", (self._dst_base + (index % _DST_HOSTS) + 1) & 0xFFFFFFFF)
+        flow = _new(FiveTuple)
+        _set(flow, "src_ip", src_ip)
+        _set(flow, "dst_ip", dst_ip)
+        _set(flow, "protocol", self.protocol)
+        _set(flow, "src_port", self.base_src_port + (index % _SRC_PORTS))
+        _set(flow, "dst_port", self.base_dst_port + (index % _DST_PORTS))
+        return flow

@@ -1,14 +1,16 @@
-"""The NAT and the NIC / PCIe delay tables against the code they replaced.
+"""The NAT and the NF server's NIC / PCIe cost rows against the code they
+replaced.
 
 The NAT keeps two int tables instead of building a ``FiveTuple`` and a
-``NatBinding`` per flow; the NIC and PCIe models look a frame's delay up
-by its size instead of dividing per frame.  Neither may change a single
-result, so each is held here to its predecessor: the NAT to a copy of
-the object-per-binding ``Nat`` (``_ObjectNat``), driven through the same
-random interleaving of packets and ``binding_for`` calls, and the delay
-tables to the closed-form formula at every wire size.  The copy carries
-one later, deliberate change of both: a packet that would open a flow in
-a full port table is dropped, where it used to raise.
+``NatBinding`` per flow; the NF server looks a frame's NIC and PCIe
+costs up in one row per wire size instead of dividing per frame.
+Neither may change a single result, so each is held here to its
+predecessor: the NAT to a copy of the object-per-binding ``Nat``
+(``_ObjectNat``), driven through the same random interleaving of packets
+and ``binding_for`` calls, and the cost rows to the closed-form formula
+at every wire size.  The copy carries one later, deliberate change of
+both: a packet that would open a flow in a full port table is dropped,
+where it used to raise.
 """
 
 import sys
@@ -19,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.nf.nat as nat_module
-from repro.netsim.nic import NIC_10GE, NIC_40GE, NicPort, NicSpec
-from repro.netsim.pcie import PcieBus, PcieSpec
-from repro.nf.base import NetworkFunction, NfResult
+from repro.netsim.nic import NIC_10GE, NIC_40GE, NicSpec
+from repro.netsim.pcie import PcieSpec
+from repro.netsim.server_node import NfServerNode
+from repro.nf.base import NetworkFunction, NfResult, NfVerdict
 from repro.nf.nat import Nat, NatBinding, NatPortExhausted
+from repro.nf.server import NfServerConfig
 from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 from repro.packet.packet import Packet
@@ -198,39 +202,87 @@ def _closed_form_ns(nbytes, gbps):
     return int(round(nbytes * 8 / gbps))
 
 
+class _Clock:
+    """An event loop stand-in: a settable clock that keeps what is scheduled."""
+
+    def __init__(self):
+        self.now = 0
+        self.scheduled = []
+
+    def schedule_at(self, when, callback, arg):
+        self.scheduled.append(when)
+
+
+class _FreeChain:
+    """An NF chain that takes no time and forwards every frame, so a
+    frame's completion is its host-ready time: the sweep below offers
+    each frame after the previous one is ready, so nothing else queues."""
+
+    config = NfServerConfig(service_jitter=0.0)
+    chain = ()
+    wants_explicit_drop = False
+    forward = NfResult(NfVerdict.FORWARD, 0)
+
+    def bottleneck_service_ns(self):
+        return 0.0
+
+    def pipeline_latency_ns(self):
+        return 0.0
+
+    def buffer_capacity_packets(self):
+        return 1 << 30
+
+    def process_packet(self, packet):
+        return self.forward
+
+
+class _Frame:
+    __slots__ = ("wire_length",)
+
+    def __init__(self, wire_length):
+        self.wire_length = wire_length
+
+
+LOPSIDED = NicSpec("lopsided", 25.0, effective_rx_gbps=21.3, effective_tx_gbps=17.9)
+SLOW_PCIE = PcieSpec(bandwidth_gbps=7.9, per_packet_overhead_bytes=24, dma_latency_ns=0)
+
+
 class TestDelayTablesAgainstTheFormula:
+    """Every size twice (a row fill, then a read), once queued behind the
+    previous frame in both directions and once on an idle server: the
+    host-ready and NIC-tx end times, the cursors and the PCIe byte
+    counters equal the closed form."""
+
     SIZES = range(60, 9217)
 
-    def test_nic_delays_and_counters(self):
-        lopsided = NicSpec("lopsided", 25.0, effective_rx_gbps=21.3, effective_tx_gbps=17.9)
-        for spec in (NIC_10GE, NIC_40GE, lopsided):
-            nic = NicPort(spec)
-            rx_free = tx_free = packets = nbytes = 0
-            # Every size twice (a table fill, then a read), once queued
-            # behind the previous frame and once on an idle port.
-            for repeat, size in enumerate(s for s in self.SIZES for _ in range(2)):
-                now = rx_free - 5 if repeat % 2 else rx_free + 1_000
-                rx_free = max(now, rx_free) + _closed_form_ns(size, spec.effective_rx_gbps)
-                assert nic.rx_ready_at(now, size) == rx_free + spec.rx_processing_ns
-                tx_free = max(now, tx_free) + _closed_form_ns(size, spec.effective_tx_gbps)
-                assert nic.tx_ready_at(now, size) == tx_free
-                packets += 1
-                nbytes += size
-                assert (nic.rx_free_at_ns, nic.tx_free_at_ns) == (rx_free, tx_free)
-                assert (nic.rx_packets, nic.tx_packets) == (packets, packets)
-                assert (nic.rx_bytes, nic.tx_bytes) == (nbytes, nbytes)
+    def _sweep(self, nic, pcie):
+        server = NfServerNode(_Clock(), _FreeChain(), nic_spec=nic, cache_cost_model=True)
+        server.pcie_spec = pcie  # read when a size's row is first filled
+        scheduled = server.env.scheduled
+        now = rx_free = tx_free = rx_bytes = tx_bytes = 0
+        for repeat, size in enumerate(s for s in self.SIZES for _ in range(2)):
+            # Queued: both NIC directions are still busy with the last frame.
+            now = now + 1 if repeat % 2 else max(rx_free, tx_free) + 1_000
+            server.env.now = now
+            moved = size + pcie.per_packet_overhead_bytes
+            pcie_ns = pcie.dma_latency_ns + _closed_form_ns(moved, pcie.bandwidth_gbps)
+            assert (now < rx_free and now + pcie_ns < tx_free) == bool(repeat % 2)
+            rx_free = max(now, rx_free) + _closed_form_ns(size, nic.effective_rx_gbps)
+            tx_free = max(now + pcie_ns, tx_free) + _closed_form_ns(size, nic.effective_tx_gbps)
+            frame = _Frame(size)
+            server.handle_packet(frame, 0)
+            server._complete(frame)
+            assert scheduled[-2:] == [rx_free + nic.rx_processing_ns + pcie_ns, tx_free]
+            assert (server._rx_free_at_ns, server._tx_free_at_ns) == (rx_free, tx_free)
+            rx_bytes += moved
+            tx_bytes += moved
+            stats = server.stats()
+            assert (stats["pcie_rx_bytes"], stats["pcie_tx_bytes"]) == (rx_bytes, tx_bytes)
 
-    def test_pcie_delays_and_counters(self):
-        for spec in (PcieSpec(), PcieSpec(bandwidth_gbps=7.9, per_packet_overhead_bytes=24,
-                                          dma_latency_ns=0)):
-            bus = PcieBus(spec)
-            transfers = nbytes = 0
-            for size in (s for s in self.SIZES for _ in range(2)):
-                moved = size + spec.per_packet_overhead_bytes
-                delay = spec.dma_latency_ns + _closed_form_ns(moved, spec.bandwidth_gbps)
-                assert bus.rx_transfer(size) == delay
-                assert bus.tx_transfer(size) == delay
-                transfers += 1
-                nbytes += moved
-                assert (bus.rx_transfers, bus.tx_transfers) == (transfers, transfers)
-                assert (bus.rx_bytes, bus.tx_bytes) == (nbytes, nbytes)
+    def test_nic_rows(self):
+        for nic in (NIC_10GE, NIC_40GE, LOPSIDED):
+            self._sweep(nic, PcieSpec())
+
+    def test_pcie_rows(self):
+        for pcie in (PcieSpec(), SLOW_PCIE):
+            self._sweep(NIC_10GE, pcie)

@@ -1,13 +1,17 @@
-"""Unit tests for the discrete-event substrate: event loop, links, NIC, PCIe."""
+"""Unit tests for the discrete-event substrate: event loop, links, and the
+NF server's NIC and PCIe cost rows."""
 
 import pytest
 
 from repro.errors import LinkSpecError
 from repro.netsim.eventloop import EventLoop, FastEventLoop
 from repro.netsim.link import Link
-from repro.netsim.nic import NIC_10GE, NIC_40GE, NicPort
+from repro.netsim.nic import NIC_10GE, NIC_40GE
 from repro.netsim.node import Node
-from repro.netsim.pcie import PcieBus, PcieSpec
+from repro.netsim.pcie import PcieSpec
+from repro.netsim.server_node import NfServerNode
+from repro.nf.base import NfResult, NfVerdict
+from repro.nf.server import NfServerConfig
 from repro.packet.packet import Packet
 
 
@@ -203,34 +207,92 @@ class TestLazySerializationEnd:
         assert len(b.received) == 3
 
 
+class _Clock:
+    """An event loop stand-in: a settable clock that keeps what is scheduled."""
+
+    def __init__(self):
+        self.now = 0
+        self.scheduled = []
+
+    def schedule_at(self, when, callback, arg):
+        self.scheduled.append(when)
+
+
+class _FreeChain:
+    """An NF chain that takes no time and forwards every frame, so a
+    frame's completion is its host-ready time (nothing else is queued)."""
+
+    config = NfServerConfig(service_jitter=0.0)
+    chain = ()
+    wants_explicit_drop = False
+    forward = NfResult(NfVerdict.FORWARD, 0)
+
+    def bottleneck_service_ns(self):
+        return 0.0
+
+    def pipeline_latency_ns(self):
+        return 0.0
+
+    def buffer_capacity_packets(self):
+        return 1 << 30
+
+    def process_packet(self, packet):
+        return self.forward
+
+
+class _Frame:
+    __slots__ = ("wire_length",)
+
+    def __init__(self, wire_length):
+        self.wire_length = wire_length
+
+
+def _server(nic=NIC_10GE, pcie=PcieSpec()):
+    server = NfServerNode(_Clock(), _FreeChain(), nic_spec=nic, cache_cost_model=True)
+    server.pcie_spec = pcie  # read when a size's row is first filled
+    return server
+
+
+def _hop(server, now, wire_bytes):
+    """(host-ready ns, NIC-tx end ns) of a frame received and sent back at *now*."""
+    server.env.now = now
+    frame = _Frame(wire_bytes)
+    server.handle_packet(frame, 0)
+    server._complete(frame)
+    return tuple(server.env.scheduled[-2:])
+
+
 class TestNic:
     def test_rx_rate_limits_spacing(self):
-        nic = NicPort(NIC_10GE)
-        first = nic.rx_ready_at(0, 1250)  # 1 µs at 10 Gbps (9.7 effective)
-        second = nic.rx_ready_at(0, 1250)
-        assert second > first
-        assert nic.rx_packets == 2
+        server = _server()
+        first, _ = _hop(server, 0, 1250)  # 1 µs at 10 Gbps (9.7 effective)
+        second, _ = _hop(server, 0, 1250)
+        assert second - first == round(1250 * 8 / 9.7)
+        assert server.accepted_packets == 2
 
     def test_40ge_effective_rate_below_line_rate(self):
         assert NIC_40GE.effective_rx_gbps < NIC_40GE.speed_gbps
 
     def test_tx_accounting(self):
-        nic = NicPort(NIC_10GE)
-        nic.tx_ready_at(0, 500)
-        assert nic.tx_bytes == 500
-        nic.note_rx_drop()
-        assert nic.rx_dropped == 1
+        server = _server()
+        _, first = _hop(server, 0, 500)
+        _, second = _hop(server, 0, 500)
+        assert second - first == round(500 * 8 / 9.7)
+        assert server.forwarded_packets == 2
 
 
 class TestPcie:
     def test_transfer_accounting_includes_overhead(self):
-        bus = PcieBus(PcieSpec(per_packet_overhead_bytes=8))
-        bus.rx_transfer(100)
-        bus.tx_transfer(50)
-        assert bus.rx_bytes == 108
-        assert bus.tx_bytes == 58
-        assert bus.total_bytes == 166
+        server = _server(pcie=PcieSpec(per_packet_overhead_bytes=8))
+        _hop(server, 0, 100)
+        _hop(server, 0, 50)
+        stats = server.stats()
+        assert (stats["pcie_rx_bytes"], stats["pcie_tx_bytes"]) == (108 + 58, 108 + 58)
 
     def test_transfer_delay_scales_with_size(self):
-        bus = PcieBus()
-        assert bus.rx_transfer(10_000) > bus.rx_transfer(100)
+        def pcie_rx_ns(size):
+            ready, _ = _hop(_server(), 0, size)
+            nic_ns = round(size * 8 / NIC_10GE.effective_rx_gbps) + NIC_10GE.rx_processing_ns
+            return ready - nic_ns
+
+        assert pcie_rx_ns(10_000) > pcie_rx_ns(100) > PcieSpec().dma_latency_ns

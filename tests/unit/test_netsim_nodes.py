@@ -134,8 +134,8 @@ class TestNfServerNode:
         env, server, sink = self._server()
         server.handle_packet(Packet.udp(total_size=300), port=0)
         env.run_until(1_000_000)
-        assert server.pcie.rx_bytes > 300
-        assert server.pcie.tx_bytes > 300
+        assert server.pcie_rx_bytes > 300
+        assert server.pcie_tx_bytes > 300
 
     def test_chain_drop_without_explicit_drop_vanishes(self):
         chain = NfChain([Firewall(rules=[FirewallRule.blacklist("10.1.0.0/16")])])

@@ -369,8 +369,19 @@ class TestBuildScenario:
 #: (override, value) pairs outside the override's declared domain.  Each
 #: once reached the engine: a NaN or zero rate failed inside a cell
 #: (``int(nan)``, a division by zero), and an infinite link rate, CPU
-#: clock or a negative jitter ran "ok" with a meaningless result.
+#: clock or a negative jitter ran "ok" with a meaningless result.  So
+#: did the PayloadPark fields: a fractional clock or block width was a
+#: TypeError mid-run, a 70,000 clock failed at the 65,537th split, and a
+#: fractional or NaN threshold ran and reported numbers.
 OUT_OF_DOMAIN = [
+    ("clock_max", 2.5),
+    ("clock_max", 70_000),
+    ("payload_block_bytes", 16.5),
+    ("expiry_threshold", 1.5),
+    ("expiry_threshold", float("nan")),
+    ("min_split_payload", float("nan")),
+    ("table_entries", 70_000),
+    ("sram_fraction", float("inf")),
     ("gen_link_gbps", float("nan")),
     ("gen_link_gbps", float("inf")),
     ("gen_link_gbps", 0.0),
@@ -402,16 +413,21 @@ class TestOverrideDomains:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             build_scenario(RunSpec("fw_nat_lb_10ge", params={key: value}))
 
-    def test_campaign_run_exits_2_before_any_cell(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "axis",
+        ["gen_link_gbps: [.nan]", "clock_max: [2.5]", "clock_max: [70000]"],
+        ids=["nan-link", "fractional-clock", "wide-clock"],
+    )
+    def test_campaign_run_exits_2_before_any_cell(self, tmp_path, capsys, axis):
         from repro.cli import main
 
-        spec = tmp_path / "nan.yaml"
-        spec.write_text("name: nan-link\nscenario: fw_nat_lb_10ge\n"
-                        "grid:\n  gen_link_gbps: [.nan]\n")
-        store = tmp_path / "nan.jsonl"
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(f"name: bad-axis\nscenario: fw_nat_lb_10ge\ngrid:\n  {axis}\n")
+        store = tmp_path / "bad.jsonl"
         assert main(["campaign", "run", str(spec), "--serial", "--no-bus",
                      "--store", str(store)]) == 2
         assert not store.exists()
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_link_rejects_non_finite_bandwidth(self):
         from repro.netsim.eventloop import EventLoop

@@ -1,10 +1,13 @@
 """Unit tests for the PayloadPark header, counters and configuration."""
 
+import math
+
 import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import CounterBank, PayloadParkCounters
 from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
+from repro.errors import PayloadParkConfigError
 
 
 class TestPayloadParkHeader:
@@ -91,6 +94,25 @@ class TestConfig:
             PayloadParkConfig(parked_bytes=0)
         with pytest.raises(ValueError):
             PayloadParkConfig(table_entries=-1)
+
+    #: Field values that once ran: failing mid-run (a TypeError, or the
+    #: 65,537th split's out-of-range clock), or silently, reporting numbers.
+    @pytest.mark.parametrize("field,value", [
+        ("clock_max", 70_000),
+        ("clock_max", 2.5),
+        ("payload_block_bytes", 16.5),
+        ("expiry_threshold", 1.5),
+        ("expiry_threshold", math.nan),
+        ("min_split_payload", math.nan),
+        ("parked_bytes", 160.0),
+        ("table_entries", 0x10000),
+        ("table_entries", 12.0),
+        ("sram_fraction", math.nan),
+        ("sram_fraction", "0.26"),
+    ])
+    def test_out_of_domain_fields_fail_at_declaration(self, field, value):
+        with pytest.raises(PayloadParkConfigError, match=f"^{field} must be"):
+            PayloadParkConfig(**{field: value})
 
 
 class TestBinding:
