@@ -36,12 +36,30 @@ PP_HEADER_LEN = 7  # 1 byte of flags/align + 6 bytes of tag
 TAG_CLK_BITS = 16
 
 #: Tag key -> CRC-16, shared across headers.  The split and merge
-#: kernels read it directly and fall back to :meth:`PayloadParkHeader.
-#: compute_crc` on a miss, which fills it.  The tag space is bounded by
-#: table entries × clock generations; the limit is a safety net for
-#: pathological configurations.
+#: kernels read it directly and call :func:`tag_crc` on a miss, which
+#: fills it.  The tag space is bounded by table entries × clock
+#: generations; the limit is a safety net for pathological
+#: configurations.
 TAG_CRCS = {}
 _TAG_CRC_MEMO_LIMIT = 1 << 20
+
+
+def tag_crc(tbl_idx: int, clk: int) -> int:
+    """CRC-16 over a tag's table index and clock (memoized in :data:`TAG_CRCS`).
+
+    Split seals and Merge validates one tag per packet, but the
+    (tbl_idx, clk) space is tiny — table entries × generation clocks —
+    so the CRC is computed once per distinct tag and then served from
+    the memo.  A field outside 16 bits fails ``struct.pack``.
+    """
+    key = (tbl_idx << TAG_CLK_BITS) | clk
+    crc = TAG_CRCS.get(key)
+    if crc is None:
+        crc = crc16(struct.pack("!HH", tbl_idx, clk))
+        if len(TAG_CRCS) >= _TAG_CRC_MEMO_LIMIT:
+            TAG_CRCS.clear()
+        TAG_CRCS[key] = crc
+    return crc
 
 
 @dataclass(**SLOTTED)
@@ -71,21 +89,8 @@ class PayloadParkHeader:
     # ------------------------------------------------------------------ #
 
     def compute_crc(self) -> int:
-        """CRC-16 over the table index and clock (memoized).
-
-        Split seals and Merge validates one tag per packet, but the
-        (tbl_idx, clk) space is tiny — table entries × generation clocks
-        — so the CRC is computed lazily once per distinct tag and then
-        served from the memo.
-        """
-        key = (self.tbl_idx << TAG_CLK_BITS) | self.clk
-        crc = TAG_CRCS.get(key)
-        if crc is None:
-            crc = crc16(struct.pack("!HH", self.tbl_idx, self.clk))
-            if len(TAG_CRCS) >= _TAG_CRC_MEMO_LIMIT:
-                TAG_CRCS.clear()
-            TAG_CRCS[key] = crc
-        return crc
+        """CRC-16 over the table index and clock (see :func:`tag_crc`)."""
+        return tag_crc(self.tbl_idx, self.clk)
 
     def seal(self) -> "PayloadParkHeader":
         """Fill in the CRC field from the current tag values."""

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
-from repro.core.header import OP_EXPLICIT_DROP, TAG_CLK_BITS, TAG_CRCS
+from repro.core.header import OP_EXPLICIT_DROP, TAG_CLK_BITS, TAG_CRCS, tag_crc
 from repro.core.l2fwd import L2ForwardingTable
 from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.switchsim.asic import TofinoAsic
@@ -272,8 +272,8 @@ class MergePath:
         no table is reached), or merged.  *forward_table* is the
         binding's from-NF forwarding, *l2* the MAC table it consults.
         The tag is checked against its memoized CRC
-        (:data:`~repro.core.header.TAG_CRCS`), and through
-        ``compute_crc`` when the memo does not hold it.
+        (:data:`~repro.core.header.TAG_CRCS`), computed by
+        :func:`~repro.core.header.tag_crc` when the memo does not hold it.
         """
         counters, name = self.counters, self.binding.name
         default_egress = self.binding.default_egress_port
@@ -303,7 +303,7 @@ class MergePath:
                 recorder = self.obs_recorder
                 crc = tag_crcs.get((tbl_idx << clk_bits) | header.clk)
                 if crc is None:
-                    crc = header.compute_crc()
+                    crc = tag_crc(tbl_idx, header.clk)
                 if header.crc != crc:
                     counters.tag_validation_failures += 1
                     reason = "payloadpark-tag-corrupt"

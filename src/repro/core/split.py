@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
-from repro.core.header import OP_MERGE, TAG_CLK_BITS, TAG_CRCS, PayloadParkHeader
+from repro.core.header import OP_MERGE, TAG_CLK_BITS, TAG_CRCS, PayloadParkHeader, tag_crc
 from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.core.tagger import PacketTagger
 from repro.switchsim.asic import TofinoAsic
@@ -252,12 +252,13 @@ class SplitPath:
         parked — each hitting a fixed set of tables, *forward_table*
         (the binding's to-NF forwarding) among them on every pass.
 
-        A parked packet's header is built field by field when its tag's
-        CRC is memoized (:data:`~repro.core.header.TAG_CRCS`), and by
-        the validating constructor and ``seal`` otherwise.  Both give
-        the same header: the tag fields are in range by declaration —
-        ``tbl_idx < table_entries <= 0xFFFF`` is checked at install,
-        ``clk < clock_max <= 2**16`` by ``PayloadParkConfig``.
+        A parked packet's header is built field by field, its CRC read
+        from the tag memo (:data:`~repro.core.header.TAG_CRCS`) or
+        computed by :func:`~repro.core.header.tag_crc` on a miss.  That
+        gives the validating constructor's header: the tag fields are
+        in range by declaration — ``tbl_idx < table_entries <= 0xFFFF``
+        is checked at install, ``clk < clock_max <= 2**16`` by
+        ``PayloadParkConfig``.
         """
         config, counters, name = self.config, self.counters, self.binding.name
         nf_port = self.binding.nf_port
@@ -304,17 +305,13 @@ class SplitPath:
                     )
                     crc = tag_crcs.get((tbl_idx << clk_bits) | clk)
                     if crc is None:
-                        header = PayloadParkHeader(
-                            enb=1, op=OP_MERGE, tbl_idx=tbl_idx, clk=clk
-                        ).seal()
-                    else:
-                        header = new_header(PayloadParkHeader)
-                        header.enb = 1
-                        header.op = OP_MERGE
-                        header.tbl_idx = tbl_idx
-                        header.clk = clk
-                        header.crc = crc
-                    packet.pp = header
+                        crc = tag_crc(tbl_idx, clk)
+                    header = packet.pp = new_header(PayloadParkHeader)
+                    header.enb = 1
+                    header.op = OP_MERGE
+                    header.tbl_idx = tbl_idx
+                    header.clk = clk
+                    header.crc = crc
                     counters.splits += 1
                     if recorder is not None:
                         recorder.payload_parked(

@@ -38,12 +38,12 @@ from repro.experiments.runner import ExperimentRunner, RunObserver, run_observer
 SEED = 91
 
 #: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
-#: Measured 69.224, 69.642, 61.563, 91.782 — equal on CPython 3.11.7
+#: Measured 69.226, 69.650, 61.564, 91.783 — equal on CPython 3.11.7
 #: and 3.9.18 — with the NF server doing its own NIC / PCIe arithmetic
 #: from one cost row per wire size, generated flows built without their
-#: dataclass constructors, and split / merge reading a memoized tag CRC
-#: without the header's helper frames (81.707, 80.770, 74.954, 105.239
-#: before).
+#: dataclass constructors, split building its header field by field,
+#: and split / merge taking a tag's CRC from the memo (81.707, 80.770,
+#: 74.954, 105.239 before).
 BUDGETS = {
     "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 71.3),
     "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 71.7),

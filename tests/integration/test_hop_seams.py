@@ -8,7 +8,7 @@ wrapper installed later and the layer would drop out of the trace.  This
 installs the wrappers *after* the testbed is wired and checks every
 frame still goes through each of them — on a two-server run, and on a
 single-server Explicit-Drop run, whose notifications leave the server
-through ``_send_explicit_drop`` → NIC-tx → the port's sender →
+through ``_complete``'s transmit block → NIC-tx → the port's sender →
 ``Link.transmit``.
 """
 

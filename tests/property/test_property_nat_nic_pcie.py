@@ -23,10 +23,8 @@ from hypothesis import strategies as st
 import repro.nf.nat as nat_module
 from repro.netsim.nic import NIC_10GE, NIC_40GE, NicSpec
 from repro.netsim.pcie import PcieSpec
-from repro.netsim.server_node import NfServerNode
-from repro.nf.base import NetworkFunction, NfResult, NfVerdict
+from repro.nf.base import NetworkFunction, NfResult
 from repro.nf.nat import Nat, NatBinding, NatPortExhausted
-from repro.nf.server import NfServerConfig
 from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
 from repro.packet.packet import Packet
@@ -202,87 +200,47 @@ def _closed_form_ns(nbytes, gbps):
     return int(round(nbytes * 8 / gbps))
 
 
-class _Clock:
-    """An event loop stand-in: a settable clock that keeps what is scheduled."""
-
-    def __init__(self):
-        self.now = 0
-        self.scheduled = []
-
-    def schedule_at(self, when, callback, arg):
-        self.scheduled.append(when)
-
-
-class _FreeChain:
-    """An NF chain that takes no time and forwards every frame, so a
-    frame's completion is its host-ready time: the sweep below offers
-    each frame after the previous one is ready, so nothing else queues."""
-
-    config = NfServerConfig(service_jitter=0.0)
-    chain = ()
-    wants_explicit_drop = False
-    forward = NfResult(NfVerdict.FORWARD, 0)
-
-    def bottleneck_service_ns(self):
-        return 0.0
-
-    def pipeline_latency_ns(self):
-        return 0.0
-
-    def buffer_capacity_packets(self):
-        return 1 << 30
-
-    def process_packet(self, packet):
-        return self.forward
-
-
-class _Frame:
-    __slots__ = ("wire_length",)
-
-    def __init__(self, wire_length):
-        self.wire_length = wire_length
-
-
 LOPSIDED = NicSpec("lopsided", 25.0, effective_rx_gbps=21.3, effective_tx_gbps=17.9)
 SLOW_PCIE = PcieSpec(bandwidth_gbps=7.9, per_packet_overhead_bytes=24, dma_latency_ns=0)
 
 
 class TestDelayTablesAgainstTheFormula:
     """Every size twice (a row fill, then a read), once queued behind the
-    previous frame in both directions and once on an idle server: the
-    host-ready and NIC-tx end times, the cursors and the PCIe byte
-    counters equal the closed form."""
+    previous frame and once on an idle server: the host-ready and NIC-tx
+    end times, the cursors and the PCIe byte counters equal the closed
+    form.  The chain drops the queued frame of every third size, so the
+    receive and transmit counters part ways."""
 
     SIZES = range(60, 9217)
 
-    def _sweep(self, nic, pcie):
-        server = NfServerNode(_Clock(), _FreeChain(), nic_spec=nic, cache_cost_model=True)
-        server.pcie_spec = pcie  # read when a size's row is first filled
-        scheduled = server.env.scheduled
+    def _sweep(self, rig, nic, pcie):
+        server = rig.server
         now = rx_free = tx_free = rx_bytes = tx_bytes = 0
         for repeat, size in enumerate(s for s in self.SIZES for _ in range(2)):
+            queued = bool(repeat % 2)
+            forwarded = not (queued and size % 3 == 0)
             # Queued: both NIC directions are still busy with the last frame.
-            now = now + 1 if repeat % 2 else max(rx_free, tx_free) + 1_000
-            server.env.now = now
+            now = now + 1 if queued else max(rx_free, tx_free) + 1_000
             moved = size + pcie.per_packet_overhead_bytes
             pcie_ns = pcie.dma_latency_ns + _closed_form_ns(moved, pcie.bandwidth_gbps)
-            assert (now < rx_free and now + pcie_ns < tx_free) == bool(repeat % 2)
+            assert (now < rx_free and now + pcie_ns < tx_free) == queued
             rx_free = max(now, rx_free) + _closed_form_ns(size, nic.effective_rx_gbps)
-            tx_free = max(now + pcie_ns, tx_free) + _closed_form_ns(size, nic.effective_tx_gbps)
-            frame = _Frame(size)
-            server.handle_packet(frame, 0)
-            server._complete(frame)
-            assert scheduled[-2:] == [rx_free + nic.rx_processing_ns + pcie_ns, tx_free]
-            assert (server._rx_free_at_ns, server._tx_free_at_ns) == (rx_free, tx_free)
             rx_bytes += moved
-            tx_bytes += moved
+            expected = [rx_free + nic.rx_processing_ns + pcie_ns]
+            if forwarded:
+                tx_free = max(now + pcie_ns, tx_free) + _closed_form_ns(size, nic.effective_tx_gbps)
+                tx_bytes += moved
+                expected.append(tx_free)
+            assert rig.hop(now, size, forwarded) == expected
+            assert (server._rx_free_at_ns, server._tx_free_at_ns) == (rx_free, tx_free)
             stats = server.stats()
             assert (stats["pcie_rx_bytes"], stats["pcie_tx_bytes"]) == (rx_bytes, tx_bytes)
+        assert rx_bytes > tx_bytes
 
-    def test_nic_rows(self):
+    def test_nic_rows(self, server_rig):
         for nic in (NIC_10GE, NIC_40GE, LOPSIDED):
-            self._sweep(nic, PcieSpec())
+            self._sweep(server_rig(nic, PcieSpec()), nic, PcieSpec())
 
-    def test_pcie_rows(self):
+    def test_pcie_rows(self, server_rig):
         for pcie in (PcieSpec(), SLOW_PCIE):
-            self._sweep(NIC_10GE, pcie)
+            self._sweep(server_rig(NIC_10GE, pcie), NIC_10GE, pcie)

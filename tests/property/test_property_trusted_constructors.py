@@ -1,14 +1,14 @@
 """Trusted constructors against the validating ones they stand in for.
 
 Two per-packet objects are built without their dataclass ``__init__`` /
-``__post_init__``: a generated flow (``FlowGenerator._make_flow``) and,
-when its tag's CRC is memoized, a parked packet's PayloadPark header
-(the split kernel).  Each skips a range check that declaration already
-makes, so each must equal — under ``==`` and ``hash`` for the frozen
-flow — what the validating constructor builds from the same values.
-The header is checked on memo hits and misses alike, and merge, which
-checks tags the same way, must accept it either way and refuse it with
-one CRC bit flipped.
+``__post_init__``: a generated flow (``FlowGenerator._make_flow``) and a
+parked packet's PayloadPark header (the split kernel, which reads the
+tag's CRC from the memo or computes it with ``tag_crc``).  Each skips a
+range check that declaration already makes, so each must equal — under
+``==`` and ``hash`` for the frozen flow — what the validating
+constructor builds from the same values.  The header is checked on memo
+hits and misses alike, and merge, which checks tags the same way, must
+accept it either way and refuse it with one CRC bit flipped.
 """
 
 from hypothesis import example, given, settings

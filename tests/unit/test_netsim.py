@@ -9,9 +9,6 @@ from repro.netsim.link import Link
 from repro.netsim.nic import NIC_10GE, NIC_40GE
 from repro.netsim.node import Node
 from repro.netsim.pcie import PcieSpec
-from repro.netsim.server_node import NfServerNode
-from repro.nf.base import NfResult, NfVerdict
-from repro.nf.server import NfServerConfig
 from repro.packet.packet import Packet
 
 
@@ -207,91 +204,36 @@ class TestLazySerializationEnd:
         assert len(b.received) == 3
 
 
-class _Clock:
-    """An event loop stand-in: a settable clock that keeps what is scheduled."""
-
-    def __init__(self):
-        self.now = 0
-        self.scheduled = []
-
-    def schedule_at(self, when, callback, arg):
-        self.scheduled.append(when)
-
-
-class _FreeChain:
-    """An NF chain that takes no time and forwards every frame, so a
-    frame's completion is its host-ready time (nothing else is queued)."""
-
-    config = NfServerConfig(service_jitter=0.0)
-    chain = ()
-    wants_explicit_drop = False
-    forward = NfResult(NfVerdict.FORWARD, 0)
-
-    def bottleneck_service_ns(self):
-        return 0.0
-
-    def pipeline_latency_ns(self):
-        return 0.0
-
-    def buffer_capacity_packets(self):
-        return 1 << 30
-
-    def process_packet(self, packet):
-        return self.forward
-
-
-class _Frame:
-    __slots__ = ("wire_length",)
-
-    def __init__(self, wire_length):
-        self.wire_length = wire_length
-
-
-def _server(nic=NIC_10GE, pcie=PcieSpec()):
-    server = NfServerNode(_Clock(), _FreeChain(), nic_spec=nic, cache_cost_model=True)
-    server.pcie_spec = pcie  # read when a size's row is first filled
-    return server
-
-
-def _hop(server, now, wire_bytes):
-    """(host-ready ns, NIC-tx end ns) of a frame received and sent back at *now*."""
-    server.env.now = now
-    frame = _Frame(wire_bytes)
-    server.handle_packet(frame, 0)
-    server._complete(frame)
-    return tuple(server.env.scheduled[-2:])
-
-
 class TestNic:
-    def test_rx_rate_limits_spacing(self):
-        server = _server()
-        first, _ = _hop(server, 0, 1250)  # 1 µs at 10 Gbps (9.7 effective)
-        second, _ = _hop(server, 0, 1250)
+    def test_rx_rate_limits_spacing(self, server_rig):
+        rig = server_rig()
+        first, _ = rig.hop(0, 1250)  # 1 µs at 10 Gbps (9.7 effective)
+        second, _ = rig.hop(0, 1250)
         assert second - first == round(1250 * 8 / 9.7)
-        assert server.accepted_packets == 2
+        assert rig.server.accepted_packets == 2
 
     def test_40ge_effective_rate_below_line_rate(self):
         assert NIC_40GE.effective_rx_gbps < NIC_40GE.speed_gbps
 
-    def test_tx_accounting(self):
-        server = _server()
-        _, first = _hop(server, 0, 500)
-        _, second = _hop(server, 0, 500)
+    def test_tx_accounting(self, server_rig):
+        rig = server_rig()
+        _, first = rig.hop(0, 500)
+        _, second = rig.hop(0, 500)
         assert second - first == round(500 * 8 / 9.7)
-        assert server.forwarded_packets == 2
+        assert rig.server.forwarded_packets == 2
 
 
 class TestPcie:
-    def test_transfer_accounting_includes_overhead(self):
-        server = _server(pcie=PcieSpec(per_packet_overhead_bytes=8))
-        _hop(server, 0, 100)
-        _hop(server, 0, 50)
-        stats = server.stats()
-        assert (stats["pcie_rx_bytes"], stats["pcie_tx_bytes"]) == (108 + 58, 108 + 58)
+    def test_transfer_accounting_includes_overhead(self, server_rig):
+        rig = server_rig(pcie=PcieSpec(per_packet_overhead_bytes=8))
+        rig.hop(0, 100)
+        assert len(rig.hop(0, 50, forwarded=False)) == 1  # received, never sent back
+        stats = rig.server.stats()
+        assert (stats["pcie_rx_bytes"], stats["pcie_tx_bytes"]) == (108 + 58, 108)
 
-    def test_transfer_delay_scales_with_size(self):
+    def test_transfer_delay_scales_with_size(self, server_rig):
         def pcie_rx_ns(size):
-            ready, _ = _hop(_server(), 0, size)
+            ready, _ = server_rig().hop(0, size)
             nic_ns = round(size * 8 / NIC_10GE.effective_rx_gbps) + NIC_10GE.rx_processing_ns
             return ready - nic_ns
 

@@ -1,12 +1,14 @@
 """Unit tests for the PayloadPark header, counters and configuration."""
 
 import math
+import struct
 
 import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import CounterBank, PayloadParkCounters
-from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
+from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader, tag_crc
+from repro.packet.crc import crc16
 from repro.errors import PayloadParkConfigError
 
 
@@ -25,6 +27,14 @@ class TestPayloadParkHeader:
         assert header.tag_is_valid()
         header.tbl_idx = 8
         assert not header.tag_is_valid()
+
+    def test_tag_crc_covers_index_and_clock(self):
+        assert tag_crc(7, 9) == crc16(struct.pack("!HH", 7, 9))
+        assert PayloadParkHeader(enb=1, tbl_idx=7, clk=9).seal().crc == tag_crc(7, 9)
+        with pytest.raises(struct.error):
+            tag_crc(1 << 16, 0)
+        with pytest.raises(struct.error):
+            tag_crc(0, -1)
 
     def test_disabled_header_is_all_zero(self):
         header = PayloadParkHeader.disabled()
