@@ -274,6 +274,8 @@ class MergePath:
         The tag is checked against its memoized CRC
         (:data:`~repro.core.header.TAG_CRCS`), computed by
         :func:`~repro.core.header.tag_crc` when the memo does not hold it.
+        The returned :class:`PipelinePacket` is built in place, every
+        field stored in declaration order, as split's is.
         """
         counters, name = self.counters, self.binding.name
         default_egress = self.binding.default_egress_port
@@ -284,11 +286,11 @@ class MergePath:
         recirculates = self.lookup.uses_second_pass
         parser, deparser = pipe.parser, pipe.deparser
         tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
+        new = object.__new__
         passthrough, enb_zero, dropped, merged = 0, 1, 2, 3
         counts = [0, 0, 0, 0]
 
         def merge(packet, ingress_port: int) -> PipelinePacket:
-            ctx = PipelinePacket(packet, ingress_port)
             header = packet.pp
             passes = 1
             reason = None
@@ -334,7 +336,6 @@ class MergePath:
                             blocks.append(cells[tbl_idx])
                             cells[tbl_idx] = b""
                         if recirculates:
-                            ctx.recirculations = 1
                             pipe.recirculated_packets += 1
                             passes = 2
                         packet.restore_leading_payload(b"".join(blocks))
@@ -342,14 +343,25 @@ class MergePath:
             parser.parsed_packets += passes
             deparser.deparsed_packets += passes
             asic.processed_packets += 1
+            ctx = new(PipelinePacket)
+            ctx.packet = packet
+            ctx.ingress_port = ingress_port
+            ctx.meta = {}
             if reason is None:
                 ctx.egress_port = l2.lookup(packet.eth.dst, default_egress)
+                ctx.dropped = False
+                ctx.drop_reason = ""
             else:
+                ctx.egress_port = None
                 ctx.dropped = True
                 ctx.drop_reason = reason
                 asic.dropped_packets += 1
                 asic.drop_reasons[reason] = asic.drop_reasons.get(reason, 0) + 1
                 counts[dropped] += 1
+            ctx.recirculations = passes - 1
+            ctx.recirculate_requested = False
+            ctx.register_reads = None
+            ctx.register_writes = None
             return ctx
 
         forwarded = [forward_table]

@@ -281,8 +281,11 @@ class BaselineProgram(SwitchProgram):
         to_nf, from_nf = self._forwarding[binding.name]
         asic, l2, parser, deparser = self.asic, self.l2, pipe.parser, pipe.deparser
         nf_port, default_egress = binding.nf_port, binding.default_egress_port
+        new = object.__new__
         counts = [0]
 
+        # Both kernels build their PipelinePacket in place, every field
+        # stored in declaration order (see repro.core.split).
         if ingress_port == nf_port:
             table = from_nf
 
@@ -291,9 +294,18 @@ class BaselineProgram(SwitchProgram):
                 parser.parsed_packets += 1
                 deparser.deparsed_packets += 1
                 asic.processed_packets += 1
-                return PipelinePacket(
-                    packet, ingress_port, egress_port=l2.lookup(packet.eth.dst, default_egress)
-                )
+                ctx = new(PipelinePacket)
+                ctx.packet = packet
+                ctx.ingress_port = ingress_port
+                ctx.meta = {}
+                ctx.egress_port = l2.lookup(packet.eth.dst, default_egress)
+                ctx.dropped = False
+                ctx.drop_reason = ""
+                ctx.recirculations = 0
+                ctx.recirculate_requested = False
+                ctx.register_reads = None
+                ctx.register_writes = None
+                return ctx
 
         else:
             table = to_nf
@@ -303,7 +315,18 @@ class BaselineProgram(SwitchProgram):
                 parser.parsed_packets += 1
                 deparser.deparsed_packets += 1
                 asic.processed_packets += 1
-                return PipelinePacket(packet, ingress_port, egress_port=nf_port)
+                ctx = new(PipelinePacket)
+                ctx.packet = packet
+                ctx.ingress_port = ingress_port
+                ctx.meta = {}
+                ctx.egress_port = nf_port
+                ctx.dropped = False
+                ctx.drop_reason = ""
+                ctx.recirculations = 0
+                ctx.recirculate_requested = False
+                ctx.register_reads = None
+                ctx.register_writes = None
+                return ctx
 
         return PortPlan(pipe.pipeline, forward, counts, [pipe.pipeline.walk([([table], None)])])
 

@@ -252,12 +252,18 @@ class SplitPath:
         parked — each hitting a fixed set of tables, *forward_table*
         (the binding's to-NF forwarding) among them on every pass.
 
-        A parked packet's header is built field by field, its CRC read
-        from the tag memo (:data:`~repro.core.header.TAG_CRCS`) or
-        computed by :func:`~repro.core.header.tag_crc` on a miss.  That
-        gives the validating constructor's header: the tag fields are
-        in range by declaration — ``tbl_idx < table_entries <= 0xFFFF``
-        is checked at install, ``clk < clock_max <= 2**16`` by
+        The kernel's records are built in place — ``object.__new__``,
+        then every field stored in declaration order — rather than by
+        their dataclass constructors: the packet's one header (all zero
+        unless parked, a parked tag's CRC read from the memo
+        :data:`~repro.core.header.TAG_CRCS` or computed by
+        :func:`~repro.core.header.tag_crc` on a miss), the
+        :class:`~repro.core.lookup_table.MetadataEntry` written back
+        (frozen, so through ``object.__setattr__`` as its ``__init__``
+        does) and the returned :class:`PipelinePacket`.  That gives the
+        validating constructors' records: the tag fields are in range
+        by declaration — ``tbl_idx < table_entries <= 0xFFFF`` is
+        checked at install, ``clk < clock_max <= 2**16`` by
         ``PayloadParkConfig``.
         """
         config, counters, name = self.config, self.counters, self.binding.name
@@ -268,33 +274,35 @@ class SplitPath:
         block_cells = self.lookup.block_cells()
         recirculates = self.lookup.uses_second_pass
         parser, deparser = pipe.parser, pipe.deparser
-        disabled = PayloadParkHeader.disabled
-        new_header = object.__new__
+        new, set_frozen = object.__new__, object.__setattr__
         tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
         not_tagged, occupied, parked = 0, 1, 2
         counts = [0, 0, 0]
 
         def split(packet, ingress_port: int) -> PipelinePacket:
-            ctx = PipelinePacket(packet, ingress_port, egress_port=nf_port)
             passes = 1
+            # The header's tag fields: all zero (ENB=0) unless parked.
+            enb = tag_idx = tag_clk = crc = 0
             if not config.split_enabled:
-                packet.pp = disabled()
                 counts[not_tagged] += 1
             elif len(packet.payload) < config.min_split_payload:
                 counters.split_disabled_small_payload += 1
-                packet.pp = disabled()
                 counts[not_tagged] += 1
             else:
                 tbl_idx = idx_cell[0] = (idx_cell[0] + 1) % table_entries
                 clk = clk_cell[0] = (clk_cell[0] + 1) % clock_max
                 entry = metadata[tbl_idx]
+                slot = new(MetadataEntry)
                 if entry.exp > 1:
-                    metadata[tbl_idx] = MetadataEntry(clk=entry.clk, exp=entry.exp - 1)
+                    set_frozen(slot, "clk", entry.clk)
+                    set_frozen(slot, "exp", entry.exp - 1)
+                    metadata[tbl_idx] = slot
                     counters.split_disabled_table_occupied += 1
-                    packet.pp = disabled()
                     counts[occupied] += 1
                 else:
-                    metadata[tbl_idx] = MetadataEntry(clk=clk, exp=config.expiry_threshold)
+                    set_frozen(slot, "clk", clk)
+                    set_frozen(slot, "exp", config.expiry_threshold)
+                    metadata[tbl_idx] = slot
                     recorder = self.obs_recorder
                     if entry.exp == 1:
                         counters.evictions += 1
@@ -306,12 +314,7 @@ class SplitPath:
                     crc = tag_crcs.get((tbl_idx << clk_bits) | clk)
                     if crc is None:
                         crc = tag_crc(tbl_idx, clk)
-                    header = packet.pp = new_header(PayloadParkHeader)
-                    header.enb = 1
-                    header.op = OP_MERGE
-                    header.tbl_idx = tbl_idx
-                    header.clk = clk
-                    header.crc = crc
+                    enb, tag_idx, tag_clk = 1, tbl_idx, clk
                     counters.splits += 1
                     if recorder is not None:
                         recorder.payload_parked(
@@ -320,13 +323,29 @@ class SplitPath:
                     for cells, start, end in block_cells:
                         cells[tbl_idx] = payload[start:end]
                     if recirculates:
-                        ctx.recirculations = 1
                         pipe.recirculated_packets += 1
                         passes = 2
                     counts[parked] += 1
+            header = packet.pp = new(PayloadParkHeader)
+            header.enb = enb
+            header.op = OP_MERGE
+            header.tbl_idx = tag_idx
+            header.clk = tag_clk
+            header.crc = crc
             parser.parsed_packets += passes
             deparser.deparsed_packets += passes
             asic.processed_packets += 1
+            ctx = new(PipelinePacket)
+            ctx.packet = packet
+            ctx.ingress_port = ingress_port
+            ctx.meta = {}
+            ctx.egress_port = nf_port
+            ctx.dropped = False
+            ctx.drop_reason = ""
+            ctx.recirculations = passes - 1
+            ctx.recirculate_requested = False
+            ctx.register_reads = None
+            ctx.register_writes = None
             return ctx
 
         probed = [self.probe_table, forward_table]

@@ -33,6 +33,14 @@ Two interchangeable implementations are provided:
   same-time events, which the calendar executes with one list append
   and one cursor advance instead of a heap push and pop each.
 
+The calendar keeps no per-event bookkeeping.  An event alone at its
+nanosecond costs a dict lookup, a dict insert and a heap push to
+schedule, and a heap pop and a ``dict.pop`` to run; no counter moves
+either way.
+:attr:`FastEventLoop.pending_events` is counted from the buckets and the
+drain cursor when asked — the validation drain is its one reader on
+the run path.
+
 Both loops execute identical event sequences for identical scheduling
 calls (the property suite in ``tests/property`` asserts this).  The
 experiment runner uses the calendar loop; the heap loop runs only under
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -52,6 +61,12 @@ Callback = Callable[..., None]
 #: Default *arg* of an event scheduled without one: dispatch calls
 #: ``callback()``.  Any other value, ``None`` included, is passed through.
 _NO_ARG: Any = object()
+
+
+def _check_horizon(horizon_ns: int) -> None:
+    """Refuse a non-finite ``run_until`` horizon."""
+    if not -math.inf < horizon_ns < math.inf:
+        raise ValueError(f"horizon must be finite, got {horizon_ns}")
 
 
 class EventLoop:
@@ -77,15 +92,16 @@ class EventLoop:
     def schedule_at(self, when_ns: int, callback: Callback, arg: Any = _NO_ARG) -> None:
         """Schedule ``callback(arg)`` — ``callback()`` when *arg* is left
         out — to run at absolute time *when_ns*."""
-        if when_ns < self.now:
+        if not when_ns >= self.now:  # written so that NaN fails too
             raise ValueError(
-                f"cannot schedule an event in the past ({when_ns} < now={self.now})"
+                f"cannot schedule an event in the past or at NaN "
+                f"({when_ns}, now={self.now})"
             )
         heapq.heappush(self._queue, (when_ns, next(self._sequence), callback, arg))
 
     def schedule_in(self, delay_ns: int, callback: Callback, arg: Any = _NO_ARG) -> None:
         """Schedule *callback* to run *delay_ns* nanoseconds from now."""
-        if delay_ns < 0:
+        if not delay_ns >= 0:  # written so that NaN fails too
             raise ValueError(f"delay must be non-negative, got {delay_ns}")
         self.schedule_at(self.now + delay_ns, callback, arg)
 
@@ -104,7 +120,10 @@ class EventLoop:
         loops to the same executed-event and monitor-fire counts at the
         boundary.  ``now`` never moves backwards: a horizon earlier than
         the current time executes nothing and leaves ``now`` unchanged.
+        A non-finite horizon is a :class:`ValueError`: NaN would compare
+        false against every event time and run the whole calendar.
         """
+        _check_horizon(horizon_ns)
         monitor = self.monitor
         while self._queue:
             when_ns, _seq, callback, arg = self._queue[0]
@@ -170,13 +189,18 @@ class FastEventLoop(EventLoop):
     including events scheduled *for the current timestamp while it is
     being drained*, which land at the tail of the active bucket and run
     after every already-queued tie.
+
+    A singleton event — the common case — is scheduled with one dict
+    lookup, one insert and one heap push, and run with one heap pop and
+    one ``dict.pop``; nothing else is written per event.  No pending
+    count is kept: :attr:`pending_events` adds up the buckets when
+    asked.
     """
 
     __slots__ = (
         "_buckets",
         "_pending_view",
         "_times",
-        "_pending",
         "_active_time",
         "_active_bucket",
         "_active_index",
@@ -192,10 +216,10 @@ class FastEventLoop(EventLoop):
         self._pending_view = MappingProxyType(self._buckets)
         #: heap of distinct timestamps present in ``_buckets``.
         self._times: List[int] = []
-        self._pending = 0
-        # Drain cursor (a slot index into the active bucket), kept as
-        # instance state so ``run_all(max_events)`` can stop mid-bucket
-        # and a later run resumes exactly where it left off.
+        # Drain cursor (a slot index into the active bucket) of a bucket
+        # left half drained between runs — by ``run_all(max_events)``
+        # or a raising callback — so the next run resumes exactly where
+        # it left off.
         self._active_time = -1
         self._active_bucket: Optional[list] = None
         self._active_index = 0
@@ -206,9 +230,10 @@ class FastEventLoop(EventLoop):
 
     def schedule_at(self, when_ns: int, callback: Callback, arg: Any = _NO_ARG) -> None:
         """Schedule the event at *when_ns* (same semantics as the reference)."""
-        if when_ns < self.now:
+        if not when_ns >= self.now:  # written so that NaN fails too
             raise ValueError(
-                f"cannot schedule an event in the past ({when_ns} < now={self.now})"
+                f"cannot schedule an event in the past or at NaN "
+                f"({when_ns}, now={self.now})"
             )
         bucket = self._buckets.get(when_ns)
         if bucket is None:
@@ -217,7 +242,6 @@ class FastEventLoop(EventLoop):
         else:
             bucket.append(callback)
             bucket.append(arg)
-        self._pending += 1
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -231,36 +255,43 @@ class FastEventLoop(EventLoop):
         events scheduled exactly at ``horizon_ns`` execute, ``monitor``
         fires once per executed callback, and ``now`` is left clamped to
         the horizon afterwards.
+
+        The drain cursor lives in locals: it is stored on the loop only
+        when a callback raises, so the next run resumes the interrupted
+        bucket after the raising event (the reference loop has popped
+        that event too).
         """
+        _check_horizon(horizon_ns)
+        if self._active_bucket is not None and self._active_time > horizon_ns:
+            return  # ``now`` is the stopped bucket's time, past the horizon
         times = self._times
         buckets = self._buckets
         pop = heapq.heappop
         monitor = self.monitor
         no_arg = _NO_ARG
-        # ``consumed`` counts events taken off the calendar, ``executed``
-        # events whose callback completed; they differ only when a
-        # callback raises, and keeping both mirrors the reference loop
-        # (the heap entry is popped even if the callback then raises).
-        consumed = 0
+        # A bucket ``run_all(max_events)`` or a raising callback left
+        # half drained is resumed first.
+        active = self._active_bucket
+        when_ns = self._active_time
+        index = self._active_index
+        self._active_bucket = None
         executed = 0
         try:
             while True:
-                if self._active_bucket is None:
+                if active is None:
                     if not times or times[0] > horizon_ns:
                         break
                     when_ns = pop(times)
-                    bucket = buckets[when_ns]
+                    bucket = buckets.pop(when_ns)
                     if len(bucket) == 2:
-                        # Singleton bucket: skip the drain-cursor
-                        # bookkeeping.  The bucket is removed first, so a
-                        # callback scheduling at ``now`` creates a fresh
-                        # bucket that the heap serves next — the same
-                        # order the reference loop produces.
-                        del buckets[when_ns]
+                        # Singleton bucket: no drain cursor.  It is off
+                        # the map before it runs, so a callback
+                        # scheduling at ``now`` creates a fresh bucket
+                        # that the heap serves next — the same order the
+                        # reference loop produces.
                         self.now = when_ns
                         if monitor is not None:
                             monitor(when_ns)
-                        consumed += 1
                         callback, arg = bucket
                         if arg is no_arg:
                             callback()
@@ -268,36 +299,35 @@ class FastEventLoop(EventLoop):
                             callback(arg)
                         executed += 1
                         continue
-                    self._active_time = when_ns
-                    self._active_bucket = bucket
-                    self._active_index = 0
-                elif self._active_time > horizon_ns:
-                    break
-                self.now = self._active_time
-                bucket = self._active_bucket
-                index = self._active_index
+                    # Back on the map while it drains, so same-time
+                    # events join its tail and ``pending_times`` sees it.
+                    buckets[when_ns] = active = bucket
+                    index = 0
+                self.now = when_ns
                 # Callbacks may append same-time events to this bucket;
                 # re-reading the length each iteration runs them in FIFO
                 # order, matching the reference loop's sequence numbers.
-                while index < len(bucket):
-                    callback = bucket[index]
-                    arg = bucket[index + 1]
+                while index < len(active):
+                    callback = active[index]
+                    arg = active[index + 1]
                     index += 2
-                    self._active_index = index
                     if monitor is not None:
-                        monitor(self._active_time)
-                    consumed += 1
+                        monitor(when_ns)
                     if arg is no_arg:
                         callback()
                     else:
                         callback(arg)
                     executed += 1
-                del buckets[self._active_time]
-                self._active_bucket = None
-                self._active_time = -1
+                del buckets[when_ns]
+                active = None
+        except BaseException:
+            if active is not None:
+                self._active_time = when_ns
+                self._active_bucket = active
+                self._active_index = index
+            raise
         finally:
             self.events_executed += executed
-            self._pending -= consumed
         if self.now < horizon_ns:
             self.now = horizon_ns
 
@@ -308,7 +338,6 @@ class FastEventLoop(EventLoop):
         pop = heapq.heappop
         monitor = self.monitor
         remaining = float("inf") if max_events is None else max_events
-        consumed = 0
         executed = 0
         try:
             while remaining > 0:
@@ -329,7 +358,6 @@ class FastEventLoop(EventLoop):
                     self._active_index = index
                     if monitor is not None:
                         monitor(self._active_time)
-                    consumed += 1
                     if arg is _NO_ARG:
                         callback()
                     else:
@@ -342,12 +370,17 @@ class FastEventLoop(EventLoop):
                     self._active_time = -1
         finally:
             self.events_executed += executed
-            self._pending -= consumed
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued."""
-        return self._pending
+        """Number of events still queued, counted from the buckets and
+        the drain cursor when asked (no per-event counter is kept).
+        Exact between runs; a callback asking during :meth:`run_until`
+        also counts the already-run events of its own nanosecond."""
+        pending = sum(map(len, self._buckets.values())) // 2
+        if self._active_bucket is not None:
+            pending -= self._active_index // 2
+        return pending
 
     @property
     def pending_times(self) -> Mapping[int, Any]:

@@ -63,25 +63,34 @@ from repro.packet.packet import Packet
 
 @dataclass(**SLOTTED)
 class LinkDirectionStats:
-    """Counters for one direction of a link.
+    """Counters for one direction of a link, each kept because a
+    reader under ``src/`` reads it:
 
-    ``frames_dropped`` counts egress-buffer overflows (the organic drop
-    mechanism); the two fault counters attribute frames lost to injected
-    conditions — a downed link or an active random-loss window — so the
-    validation subsystem's drop-aware packet-conservation invariant can
-    account every loss to its mechanism.
+    * ``frames_sent`` / ``frames_delivered`` — the validation
+      subsystem's link-conservation invariant checks them equal after
+      the drain.
+    * ``frames_dropped`` — egress-buffer overflows (the organic drop
+      mechanism), read through :meth:`Link.buffer_drops` by that
+      invariant, the runner's drop breakdown and the observability
+      plane.
+    * ``frames_dropped_down`` / ``frames_dropped_loss`` — frames lost to
+      injected faults (a downed link, an active random-loss window),
+      summed by :attr:`fault_drops` so the drop-aware
+      packet-conservation invariant accounts every loss to its
+      mechanism.
+    * ``peak_queue_bytes`` — the runner's ``peak_queue_bytes`` report
+      field.
+
+    Add a counter together with its reader: these are written on the
+    per-frame path of every hop.
     """
 
     frames_sent: int = 0
     frames_delivered: int = 0
     frames_dropped: int = 0
-    bytes_sent: int = 0
-    bytes_dropped: int = 0
-    busy_ns: int = 0
     peak_queue_bytes: int = 0
     frames_dropped_down: int = 0
     frames_dropped_loss: int = 0
-    bytes_dropped_fault: int = 0
 
     @property
     def fault_drops(self) -> int:
@@ -246,7 +255,6 @@ class Link:
         wire_bytes = packet.wire_length
         if not direction.up:
             stats.frames_dropped_down += 1
-            stats.bytes_dropped_fault += wire_bytes
             direction._record_drop(packet, "link-down")
             return
         if (
@@ -254,7 +262,6 @@ class Link:
             and direction._loss_rng.random() < direction.loss_probability
         ):
             stats.frames_dropped_loss += 1
-            stats.bytes_dropped_fault += wire_bytes
             direction._record_drop(packet, "link-loss")
             return
         env = self.env
@@ -265,7 +272,6 @@ class Link:
         queued = direction.queued_bytes + wire_bytes
         if queued > direction.buffer_bytes:
             stats.frames_dropped += 1
-            stats.bytes_dropped += wire_bytes
             direction._record_drop(packet, "link-buffer-overflow")
             return
         profiler = direction.obs_profiler
@@ -282,8 +288,6 @@ class Link:
         direction.next_free_ns = tx_done
         direction.queued_bytes = queued
         stats.frames_sent += 1
-        stats.bytes_sent += wire_bytes
-        stats.busy_ns += serialization
         if queued > stats.peak_queue_bytes:
             stats.peak_queue_bytes = queued
 

@@ -45,6 +45,15 @@ class PipelinePacket:
         Allocated lazily by the access guard (``None`` until the first
         guarded access), since port plans never reach the guard and a
         context is created per packet.
+
+    The fused port-plan kernels (``repro.core.split``,
+    ``repro.core.merge`` and the baseline's two forward closures in
+    ``repro.core.program``) do not call this constructor: they build the
+    record in place, ``object.__new__`` then every field stored in
+    declaration order.  A field added here must be stored there too;
+    ``tests/property/test_property_port_plans.py`` compares every fused
+    outcome's fields with a constructor-built record and fails until
+    it is.
     """
 
     packet: Packet

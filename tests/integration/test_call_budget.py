@@ -38,17 +38,17 @@ from repro.experiments.runner import ExperimentRunner, RunObserver, run_observer
 SEED = 91
 
 #: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
-#: Measured 69.226, 69.650, 61.564, 91.783 — equal on CPython 3.11.7
-#: and 3.9.18 — with the NF server doing its own NIC / PCIe arithmetic
-#: from one cost row per wire size, generated flows built without their
-#: dataclass constructors, split building its header field by field,
-#: and split / merge taking a tag's CRC from the memo (81.707, 80.770,
-#: 74.954, 105.239 before).
+#: Measured 65.597, 66.183, 58.263, 87.426 — equal on CPython 3.11.7
+#: and 3.9.18 — with the fused split, merge and baseline kernels building
+#: their PipelinePacket, MetadataEntry and header records in place
+#: instead of through the dataclass constructors (69.226, 69.650,
+#: 61.564, 91.783 before; 81.707, 80.770, 74.954, 105.239 before the NF
+#: server did its own NIC / PCIe arithmetic).
 BUDGETS = {
-    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 71.3),
-    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 71.7),
-    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 63.4),
-    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 94.5),
+    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 67.6),
+    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 68.2),
+    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 60.0),
+    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 90.0),
 }
 
 #: workload -> ceiling on engine events per packet (measured × 1.03).

@@ -10,13 +10,16 @@ points mid-stream, counter by counter and slot by slot.
 """
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
-from repro.core.header import OP_EXPLICIT_DROP, PayloadParkHeader
+from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
+from repro.core.lookup_table import MetadataEntry
 from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.packet.packet import Packet
+from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
 
 BINDINGS = [
@@ -296,3 +299,129 @@ def test_baseline_keeps_one_plan_per_port_whatever_the_macs():
         program.process(Packet.udp(dst_mac=mac), nf_port)
     assert len(program.asic.pipe_for_port(nf_port).pipeline._plans) == 1
     assert program.l2.lookups == 1000
+
+
+# ---------------------------------------------------------------------- #
+# The fused kernels' in-place records
+# ---------------------------------------------------------------------- #
+
+
+def _stored_fields(record, cls):
+    """Every dataclass field of *record* as stored on it, never a class
+    default: a slotted record raises on a slot the kernel left unset,
+    and a dict-backed one (3.9) must hold every field, in declaration
+    order (the order the constructor stores them in)."""
+    names = [f.name for f in fields(cls)]
+    assert type(record) is cls
+    if hasattr(record, "__dict__"):
+        assert list(vars(record)) == names
+    return {name: getattr(record, name) for name in names}
+
+
+def _fused(program, packet, port):
+    """Process on *port*'s fused kernel (not the stage-walk plan)."""
+    ctx = program.process(packet, port)
+    assert program._plans[port].counts, "the port must run a fused kernel"
+    return ctx
+
+
+def _assert_built_like(ctx, packet, port, **decision):
+    expected = PipelinePacket(packet, port, **decision)
+    assert _stored_fields(ctx, PipelinePacket) == _stored_fields(expected, PipelinePacket)
+
+
+def _assert_entry_written(lookup, index, clk, exp):
+    entry = lookup.peek_metadata(index)
+    expected = MetadataEntry(clk, exp)
+    assert entry == expected and hash(entry) == hash(expected)
+    assert _stored_fields(entry, MetadataEntry) == _stored_fields(expected, MetadataEntry)
+
+
+def _changed_slot(lookup, before):
+    changed = [i for i in range(lookup.entries) if lookup.peek_metadata(i) != before[i]]
+    assert len(changed) == 1
+    return changed[0]
+
+
+@pytest.mark.parametrize("parked_bytes", [160, 384])
+def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
+    """Split's context, metadata entries and header, and merge's context,
+    for every outcome, field for field against their constructors."""
+    program, _recorder = _program(parked_bytes, plans=True)
+    binding = BINDINGS[0]
+    port, nf_port, egress = binding.ingress_ports[0], binding.nf_port, binding.default_egress_port
+    lookup = program.lookup_tables[binding.name]
+    expiry = program.config.expiry_threshold
+    passes = 1 if parked_bytes <= 160 else 2
+    seen = set()
+
+    def split(size):
+        packet = Packet.udp(total_size=size)
+        before = [lookup.peek_metadata(i) for i in range(lookup.entries)]
+        ctx = _fused(program, packet, port)
+        return packet, ctx, before
+
+    def merge(packet, outcome, reason=None):
+        ctx = _fused(program, packet, nf_port)
+        if reason is None:
+            _assert_built_like(
+                ctx, packet, nf_port, egress_port=egress,
+                recirculations=passes - 1 if outcome == "merged" else 0,
+            )
+        else:
+            _assert_built_like(ctx, packet, nf_port, dropped=True, drop_reason=reason)
+        seen.add(outcome)
+
+    # Split: not tagged (payload too small), parked (recirculating when
+    # the parked bytes exceed one pass), then slot occupied on the wrap.
+    small, ctx, _ = split(64)
+    _assert_built_like(ctx, small, port, egress_port=nf_port)
+    assert small.pp == PayloadParkHeader.disabled()
+    seen.add("split: small")
+    parked = []
+    while True:
+        packet, ctx, before = split(512)
+        index = _changed_slot(lookup, before)
+        if packet.pp.enb == 0:
+            break
+        _assert_built_like(ctx, packet, port, egress_port=nf_port, recirculations=passes - 1)
+        _assert_entry_written(lookup, index, packet.pp.clk, expiry)
+        assert packet.pp == PayloadParkHeader(1, OP_MERGE, index, packet.pp.clk).seal()
+        parked.append(packet)
+    seen.add("split: parked")
+    _assert_built_like(ctx, packet, port, egress_port=nf_port)
+    _assert_entry_written(lookup, index, before[index].clk, before[index].exp - 1)
+    assert packet.pp == PayloadParkHeader.disabled()
+    seen.add("split: occupied")
+    program.config.split_enabled = False
+    off, ctx, _ = split(512)
+    _assert_built_like(ctx, off, port, egress_port=nf_port)
+    assert off.pp == PayloadParkHeader.disabled()
+    seen.add("split: off")
+
+    # Merge: every outcome, each drop reason included.
+    merge(Packet.udp(total_size=400), "passthrough")
+    merge(small, "enb 0")
+    twin = parked[0].copy()
+    merge(parked[0], "merged")
+    merge(twin, "premature eviction", "payloadpark-premature-eviction")
+    parked[1].pp.op = OP_EXPLICIT_DROP
+    merge(parked[1], "explicit drop", "payloadpark-explicit-drop")
+    parked[2].pp.crc ^= 0x1
+    merge(parked[2], "corrupt", "payloadpark-tag-corrupt")
+    parked[3].pp.tbl_idx = 60_000
+    parked[3].pp.seal()
+    merge(parked[3], "out of range", "payloadpark-tag-out-of-range")
+    assert len(seen) == 11
+
+
+def test_fused_baseline_records_equal_constructor_built_ones():
+    program = BaselineProgram([BINDINGS[0]])
+    program.enable_fast_path()
+    binding = BINDINGS[0]
+    port, nf_port = binding.ingress_ports[0], binding.nf_port
+    packet = Packet.udp(total_size=512)
+    ctx = _fused(program, packet, port)
+    _assert_built_like(ctx, packet, port, egress_port=nf_port)
+    ctx = _fused(program, packet, nf_port)
+    _assert_built_like(ctx, packet, nf_port, egress_port=binding.default_egress_port)

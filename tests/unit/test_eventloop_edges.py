@@ -7,6 +7,8 @@ tie-breaking, scheduling boundaries — that the basic suite in
 reference heap loop and the fast calendar loop, which must agree.
 """
 
+import math
+
 import pytest
 
 from repro.netsim.eventloop import EventLoop, FastEventLoop
@@ -211,3 +213,38 @@ class TestOrderingAndAccounting:
         env.run_until(10)
         assert order == [None, "a", "b", "d", "e"]
         assert env.events_executed == 5
+
+
+class TestNonFiniteTimes:
+    """NaN compares false against everything, so a check written as
+    ``when < now`` lets it through; these pin the rejections."""
+
+    def test_nan_event_time_is_rejected_and_the_order_kept(self, env):
+        order = []
+        env.schedule_at(10, order.append, "a")
+        with pytest.raises(ValueError, match="past or at NaN"):
+            env.schedule_at(math.nan, order.append, "bad")
+        env.schedule_at(5, order.append, "b")
+        env.run_until(100)
+        assert order == ["b", "a"]
+
+    def test_nan_delay_is_rejected(self, env):
+        with pytest.raises(ValueError, match="non-negative"):
+            env.schedule_in(math.nan, lambda: None)
+        assert env.pending_events == 0
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_is_rejected_before_any_event_runs(self, env, horizon):
+        ticks = []
+
+        def tick():
+            ticks.append(env.now)
+            if len(ticks) < 10_000:  # bounded, so a loop that accepts NaN still ends
+                env.schedule_in(100, tick)
+
+        env.schedule_at(0, tick)
+        with pytest.raises(ValueError, match="finite"):
+            env.run_until(horizon)
+        assert (ticks, env.now, env.pending_events) == ([], 0, 1)
+        env.run_until(500)
+        assert ticks == [0, 100, 200, 300, 400, 500]
