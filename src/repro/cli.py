@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: CPU count; 1 = serial)",
     )
     campaign_run.add_argument(
-        "--serial", action="store_true", help="force serial in-process execution"
-    )
-    campaign_run.add_argument(
         "--no-resume", action="store_true",
         help="re-execute grid points that already have records",
     )
@@ -841,7 +838,6 @@ def _campaign_run(args) -> int:
     from repro.orchestrator import CampaignExecutor, TelemetryBus, events_path_for
 
     campaign, store = _load_campaign(args)
-    workers = 1 if args.serial else args.workers
 
     def progress(record):
         status = record["status"]
@@ -854,7 +850,7 @@ def _campaign_run(args) -> int:
     # Built before the bus starts: a bad --workers / --cell-timeout /
     # --max-attempts / --retry-backoff is rejected with nothing on disk.
     executor = CampaignExecutor(
-        workers=workers,
+        workers=args.workers,
         progress=None if args.json else progress,
         log_level="debug" if args.verbose else args.log_level,
         heartbeat_interval_s=args.heartbeat,

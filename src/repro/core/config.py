@@ -96,6 +96,12 @@ def _domain(check: Callable[[str, object], None], **kwargs):
 class PayloadParkConfig:
     """Tunable parameters of a PayloadPark deployment.
 
+    Split is always on; a run that only adds the header sets
+    ``min_split_payload`` above its largest payload.  Explicit Drop has
+    no switch-side setting: merge always honours an OP=1 notification,
+    and whether any arrive is the NF server's
+    :attr:`~repro.nf.server.NfServerConfig.explicit_drop`.
+
     Attributes
     ----------
     parked_bytes:
@@ -104,7 +110,9 @@ class PayloadParkConfig:
     min_split_payload:
         Payloads smaller than this are not split (the prototype uses the
         parked size, 160 bytes, to avoid wasting a whole table slot on a
-        partial payload).
+        partial payload).  Set above the largest payload, it makes a
+        header-only run: every packet gets an ENB=0 header and nothing
+        is parked.
     expiry_threshold:
         MAX_EXP — how many times the table index must revisit an occupied
         slot before its payload is evicted (1 = aggressive, 10 =
@@ -122,15 +130,8 @@ class PayloadParkConfig:
     enable_recirculation:
         Allow a second pipeline pass to park bytes beyond the first
         pass's capacity.
-    enable_explicit_drops:
-        Accept OP=1 packets from a (lightly modified) NF framework that
-        explicitly releases parked payloads of dropped packets.
     clock_max:
         MAX_CLK — generation counter wrap-around value.
-    split_enabled:
-        Master switch; with ``False`` the program behaves exactly like
-        the baseline except for header overhead accounting (useful for
-        fallback-mode tests).
     """
 
     parked_bytes: int = _domain(_integer(1), default=DEFAULT_PARKED_BYTES)
@@ -140,9 +141,7 @@ class PayloadParkConfig:
     table_entries: Optional[int] = _domain(_optional_entries, default=None)
     payload_block_bytes: int = _domain(_integer(1), default=16)
     enable_recirculation: bool = False
-    enable_explicit_drops: bool = False
     clock_max: int = _domain(_integer(2, CLOCK_MAX_LIMIT), default=CLOCK_MAX_LIMIT)
-    split_enabled: bool = True
     bindings: List[NfServerBinding] = field(default_factory=list)
 
     def __post_init__(self) -> None:

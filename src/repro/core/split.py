@@ -147,7 +147,6 @@ class SplitPath:
         return (
             ctx.ingress_port in self._ingress_ports
             and ctx.recirculations == 0
-            and self.config.split_enabled
             and len(ctx.packet.payload) >= self.config.min_split_payload
         )
 
@@ -187,9 +186,6 @@ class SplitPath:
     def _action_probe(self, ctx: PipelinePacket) -> None:
         """Stage-2 action: probe the metadata table and add the header."""
         packet = ctx.packet
-        if not self.config.split_enabled:
-            packet.pp = PayloadParkHeader.disabled()
-            return
         if META_TAG_TBL_IDX not in ctx.meta:
             # The tagger did not run: the payload is too small to park.
             self.counters.split_disabled_small_payload += 1
@@ -248,9 +244,9 @@ class SplitPath:
         it reads and writes the same registers as the tables above, in
         the same order, and leaves the same header, counters and
         recorder calls behind.  A packet takes one of three outcomes —
-        not tagged (Split off or payload too small), slot occupied, or
-        parked — each hitting a fixed set of tables, *forward_table*
-        (the binding's to-NF forwarding) among them on every pass.
+        not tagged (payload too small), slot occupied, or parked — each
+        hitting a fixed set of tables, *forward_table* (the binding's
+        to-NF forwarding) among them on every pass.
 
         The kernel's records are built in place — ``object.__new__``,
         then every field stored in declaration order — rather than by
@@ -283,9 +279,7 @@ class SplitPath:
             passes = 1
             # The header's tag fields: all zero (ENB=0) unless parked.
             enb = tag_idx = tag_clk = crc = 0
-            if not config.split_enabled:
-                counts[not_tagged] += 1
-            elif len(packet.payload) < config.min_split_payload:
+            if len(packet.payload) < config.min_split_payload:
                 counters.split_disabled_small_payload += 1
                 counts[not_tagged] += 1
             else:

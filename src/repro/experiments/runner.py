@@ -503,13 +503,9 @@ class ExperimentRunner:
 
     @staticmethod
     def _build_server_model(scenario: ScenarioConfig) -> NfServerModel:
-        framework = scenario.framework
-        if scenario.explicit_drop:
-            framework = framework.with_explicit_drop()
         config = NfServerConfig(
             cpu_ghz=scenario.cpu_ghz,
-            framework=framework,
-            rx_ring_entries=scenario.nic.rx_ring_entries,
+            framework=scenario.framework,
             explicit_drop=scenario.explicit_drop,
             service_jitter=scenario.service_jitter,
         )

@@ -22,10 +22,14 @@ and direction, filled on that size's first frame:
 A looked-up value is the computed one.  The two PCIe byte counters that
 :meth:`NfServerNode.stats` reports still move per frame.
 
+The server buffers at most its NIC's RX ring
+(:attr:`~repro.netsim.nic.NicSpec.rx_ring_entries`) plus one framework
+ring per NF; a frame arriving to a full server is an overflow drop.
+
 Packets the NF chain drops either vanish (leaving their parked payload
-to the switch's evictor) or, when Explicit Drops are enabled, are turned
-into a truncated notification carrying the PayloadPark header with the
-Explicit-Drop opcode (§6.2.4).
+to the switch's evictor) or, when the server config's ``explicit_drop``
+is set, are turned into a truncated notification carrying the
+PayloadPark header with the Explicit-Drop opcode (§6.2.4).
 """
 
 from __future__ import annotations
@@ -86,9 +90,8 @@ class NfServerNode(Node):
         else:
             self._bottleneck_ns = None
             self._pipeline_latency_ns = None
-        self._buffer_capacity = min(
-            model.buffer_capacity_packets(),
-            nic_spec.rx_ring_entries + model.config.framework.ring_entries * len(model.chain),
+        self._buffer_capacity = (
+            nic_spec.rx_ring_entries + model.config.framework.ring_entries * len(model.chain)
         )
         # Counters.
         self.accepted_packets = 0
@@ -220,7 +223,7 @@ class NfServerNode(Node):
                             pkt_id, self.env.now, self.name, "nf-chain-drop"
                         )
                 pp = packet.pp
-                if not (self.model.wants_explicit_drop and pp is not None and pp.enb == 1):
+                if not (self.model.config.explicit_drop and pp is not None and pp.enb == 1):
                     return
                 # An Explicit-Drop notification: truncated to its headers,
                 # it goes back like a forwarded frame (and counts as one).

@@ -11,7 +11,8 @@ Beyond the legacy constant-rate path, a node can carry a
 pacing (including silent zero-rate phases), an arrival model perturbs
 the gaps (Poisson/MMPP/incast), a custom packet source replaces the
 :class:`~repro.traffic.pktgen.PacketFactory`, and a timed replay stream
-plays captured frames verbatim onto the event loop.
+plays captured frames verbatim onto the event loop, restarting whenever
+it runs dry until the run ends.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class TrafficGenNode(Node):
             else None
         )
         self._stream_factory = model.stream_factory
-        self._loop_stream = model.loop_stream
         self._stream_iter: Optional[Iterator[TimedFrame]] = None
         self._stream_epoch_ns = 0
         self.transport = (
@@ -211,15 +211,13 @@ class TrafficGenNode(Node):
     # ------------------------------------------------------------------ #
 
     def _pump_stream(self) -> None:
-        """Schedule the next replayed frame (one outstanding at a time)."""
+        """Schedule the next replayed frame (one outstanding at a time),
+        restarting the stream when it runs dry."""
         if not self._running:
             return
         try:
             offset_ns, data = next(self._stream_iter)
         except StopIteration:
-            if not self._loop_stream:
-                self._running = False
-                return
             fresh = self._stream_factory(self.config.seed)
             try:
                 offset_ns, data = next(fresh)

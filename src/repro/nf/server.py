@@ -3,13 +3,14 @@
 The paper's NF server is a many-core Xeon running OpenNetVM or NetBricks
 with a DPDK NIC.  For the simulation, what matters is (a) the per-packet
 service time of the slowest stage of the framework pipeline (which sets
-the compute-bound packets-per-second ceiling of §6.2.2/§6.3.3), (b) the
-end-to-end processing latency through the chain, and (c) how many
-packets can be buffered inside the server before its NIC starts
-dropping.  :class:`NfServerModel` derives those three quantities from an
+the compute-bound packets-per-second ceiling of §6.2.2/§6.3.3) and (b)
+the end-to-end processing latency through the chain.
+:class:`NfServerModel` derives both from an
 :class:`~repro.nf.chain.NfChain` and an
 :class:`~repro.nf.framework.NfFramework` profile; the discrete-event
-host in :mod:`repro.netsim.server_node` consumes them.
+host in :mod:`repro.netsim.server_node` consumes them.  How many packets
+the server buffers is the host's own figure: its NIC's RX ring plus one
+framework ring per NF.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from repro.packet.packet import Packet
 class NfServerConfig:
     """Static parameters of one NF server.
 
+    The NIC, and with it the RX ring depth, is the server node's
+    :class:`~repro.netsim.nic.NicSpec`, not a field here.
+
     Attributes
     ----------
     cpu_ghz:
@@ -34,15 +38,15 @@ class NfServerConfig:
         v2 in the paper's NF server).
     framework:
         NF framework profile (OpenNetVM / NetBricks).
-    rx_ring_entries:
-        NIC receive descriptor ring depth.
     per_hop_latency_ns:
         Fixed pipeline latency added per framework hop (polling and
         batching delay between rings); containers cost more than
         function calls.
     explicit_drop:
-        When True (and the framework supports it) the server sends
-        Explicit Drop notifications for packets its chain drops.
+        The framework runs the Explicit Drop modification of §6.2.4:
+        the server sends a notification back to the switch for each
+        parked packet its chain drops.  The one declaration of the
+        setting; a scenario's ``explicit_drop`` feeds it.
     service_jitter:
         Coefficient of variation applied to per-packet service times by
         the discrete-event host (models cache misses, batching and
@@ -56,7 +60,6 @@ class NfServerConfig:
 
     cpu_ghz: float = 2.3
     framework: NfFramework = field(default_factory=lambda: OPENNETVM)
-    rx_ring_entries: int = 1024
     per_hop_latency_ns: int = 2_000
     explicit_drop: bool = False
     service_jitter: float = 0.3
@@ -71,8 +74,6 @@ class NfServerModel:
         self.chain = chain
         self.config = config or NfServerConfig()
         self.name = name
-        if self.config.explicit_drop and not self.config.framework.supports_explicit_drop:
-            self.config.framework = self.config.framework.with_explicit_drop()
 
     # ------------------------------------------------------------------ #
     # Cost model
@@ -105,11 +106,6 @@ class NfServerModel:
         hops = len(self.chain) + 1  # NIC→NF rings plus NF→TX ring
         return stage_time + hops * self.config.per_hop_latency_ns
 
-    def buffer_capacity_packets(self) -> int:
-        """Packets that can queue inside the server before the NIC drops."""
-        framework = self.config.framework
-        return self.config.rx_ring_entries + framework.ring_entries * len(self.chain)
-
     # ------------------------------------------------------------------ #
     # Datapath
     # ------------------------------------------------------------------ #
@@ -117,8 +113,3 @@ class NfServerModel:
     def process_packet(self, packet: Packet) -> NfResult:
         """Run the packet through the NF chain (header rewrites, drops)."""
         return self.chain.process(packet)
-
-    @property
-    def wants_explicit_drop(self) -> bool:
-        """True when dropped packets should produce Explicit Drop notifications."""
-        return self.config.explicit_drop and self.config.framework.supports_explicit_drop

@@ -219,14 +219,16 @@ class CampaignSpec:
         Parameter name → list of values; runs are the cartesian product.
     options:
         Per-run knobs, the keys :data:`MODE_OPTIONS` lists for the mode:
-        ``validate`` and ``observe`` (an observe spec, plus an optional
-        ``out_dir``), and in peak mode ``deployment``,
-        ``rate_bounds_gbps``, ``tolerance_gbps`` and
-        ``require_zero_premature_evictions``.
+        ``validate`` (when true, every grid point runs with the
+        invariant engine of :mod:`repro.validation` attached; a
+        violation is recorded on the run's record and fails the point)
+        and ``observe`` (an observe spec, plus an optional ``out_dir``),
+        and in peak mode ``deployment``, ``rate_bounds_gbps``,
+        ``tolerance_gbps`` and ``require_zero_premature_evictions``.
     validate:
-        When true, every grid point runs with the invariant engine
-        attached (:mod:`repro.validation`): violations are recorded on
-        the run's result record and the point is reported as failed.
+        Python callers' shorthand for ``options["validate"] = True``,
+        merged in by :meth:`expand`.  A campaign file has no such key:
+        it spells ``validate`` under ``options:``.
     seed_policy:
         ``"fixed"`` leaves seeds to ``base``/scenario defaults;
         ``"per-run"`` derives a deterministic seed from each grid point.
@@ -343,7 +345,7 @@ class CampaignSpec:
         """Build a campaign from a parsed YAML/JSON mapping."""
         known = {
             "name", "scenario", "mode", "base", "grid", "options",
-            "time_scale", "seed_policy", "description", "validate",
+            "time_scale", "seed_policy", "description",
         }
         unknown = set(data) - known
         if unknown:
@@ -361,7 +363,6 @@ class CampaignSpec:
             time_scale=float(data.get("time_scale", 1.0)),
             seed_policy=data.get("seed_policy", "fixed"),
             description=data.get("description", ""),
-            validate=bool(data.get("validate", False)),
         )
 
     @classmethod

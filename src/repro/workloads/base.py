@@ -51,6 +51,10 @@ PREVIEW_RTT_NS = 20_000
 class TrafficModel:
     """Everything a traffic generator needs beyond the legacy constant path.
 
+    A replay stream always loops: when it runs dry before the run ends,
+    the generator restarts it from the same seed (an empty stream stops
+    the generator instead).
+
     Attributes
     ----------
     schedule:
@@ -65,8 +69,6 @@ class TrafficModel:
     stream_factory:
         Builds a timed replay stream from a seed.  When set, the
         generator plays the stream verbatim instead of pacing bursts.
-    loop_stream:
-        Restart the replay stream when it runs dry (until the run ends).
     transport_factory:
         Builds a closed-loop transport engine
         (:class:`~repro.workloads.transport.ClosedLoopTransport`) from
@@ -87,7 +89,6 @@ class TrafficModel:
     arrivals: Optional[ArrivalModel] = None
     source_factory: Optional[Callable[[Any], Any]] = None
     stream_factory: Optional[StreamFactory] = None
-    loop_stream: bool = True
     transport_factory: Optional[Callable[[Any, Any], Any]] = None
     rescale: Optional[Callable[[float], "TrafficModel"]] = None
 

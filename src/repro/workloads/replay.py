@@ -172,7 +172,6 @@ class PcapReplayWorkload(WorkloadSpec):
 
         return TrafficModel(
             stream_factory=stream_factory,
-            loop_stream=True,
             rescale=self.traffic_model,
         )
 

@@ -26,16 +26,12 @@ class _FreeChain:
 
     config = NfServerConfig(service_jitter=0.0)
     chain = ()
-    wants_explicit_drop = False
 
     def bottleneck_service_ns(self):
         return 0.0
 
     def pipeline_latency_ns(self):
         return 0.0
-
-    def buffer_capacity_packets(self):
-        return 1 << 30
 
     def process_packet(self, packet):
         return packet.result

@@ -58,7 +58,7 @@ class TestChaosCampaignAcceptance:
                 "workload": ["enterprise-poisson", "bursty-mmpp"],
             },
             time_scale=TIME_SCALE,
-            validate=True,
+            options={"validate": True},
         )
         summary = CampaignExecutor(workers=1).run_campaign(campaign)
         failures = [

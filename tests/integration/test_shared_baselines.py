@@ -34,13 +34,11 @@ REQUIRED_ARGS = {
 KNOBS = (
     {
         "expiry_threshold": 1, "sram_fraction": 0.1, "parked_bytes": 160,
-        "enable_recirculation": False, "enable_explicit_drops": False,
-        "split_enabled": True,
+        "enable_recirculation": False, "min_split_payload": 160,
     },
     {
         "expiry_threshold": 10, "sram_fraction": 0.6, "parked_bytes": 384,
-        "enable_recirculation": True, "enable_explicit_drops": True,
-        "split_enabled": False,
+        "enable_recirculation": True, "min_split_payload": 100_000,
     },
 )
 

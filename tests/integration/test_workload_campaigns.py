@@ -84,7 +84,7 @@ class TestWorkloadCampaigns:
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(spec))
         store = tmp_path / "results.jsonl"
-        assert main(["campaign", "run", str(path), "--store", str(store), "--serial"]) == 0
+        assert main(["campaign", "run", str(path), "--store", str(store), "--workers", "1"]) == 0
         capsys.readouterr()
         assert main(["campaign", "report", str(path), "--store", str(store),
                      "--columns", "goodput_gain_percent", "--json"]) == 0

@@ -393,11 +393,6 @@ def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
     _assert_entry_written(lookup, index, before[index].clk, before[index].exp - 1)
     assert packet.pp == PayloadParkHeader.disabled()
     seen.add("split: occupied")
-    program.config.split_enabled = False
-    off, ctx, _ = split(512)
-    _assert_built_like(ctx, off, port, egress_port=nf_port)
-    assert off.pp == PayloadParkHeader.disabled()
-    seen.add("split: off")
 
     # Merge: every outcome, each drop reason included.
     merge(Packet.udp(total_size=400), "passthrough")
@@ -412,7 +407,7 @@ def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
     parked[3].pp.tbl_idx = 60_000
     parked[3].pp.seal()
     merge(parked[3], "out of range", "payloadpark-tag-out-of-range")
-    assert len(seen) == 11
+    assert len(seen) == 10
 
 
 def test_fused_baseline_records_equal_constructor_built_ones():

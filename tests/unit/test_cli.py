@@ -271,14 +271,14 @@ class TestCampaignCli:
         spec = self._write_spec(tmp_path)
         store = tmp_path / "results.jsonl"
 
-        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 0
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "2 executed" in out and "0 skipped" in out
         assert store.exists()
         assert len(store.read_text().strip().splitlines()) == 2
 
         # Resume: everything is already done.
-        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 0
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 0
         assert "0 executed" in capsys.readouterr().out and \
             len(store.read_text().strip().splitlines()) == 2
 
@@ -300,10 +300,10 @@ class TestCampaignCli:
         sharded = tmp_path / "sharded.jsonl"
 
         assert main(["campaign", "run", str(spec), "--store", str(single),
-                     "--serial", "--no-bus"]) == 0
+                     "--workers", "1", "--no-bus"]) == 0
         capsys.readouterr()
         assert main(["campaign", "run", str(spec), "--store", str(sharded),
-                     "--shards", "3", "--serial", "--no-bus"]) == 0
+                     "--shards", "3", "--workers", "1", "--no-bus"]) == 0
         capsys.readouterr()
         assert not sharded.exists()  # records live in the shard files
         assert sorted(tmp_path.glob("sharded.shard-*.jsonl"))
@@ -345,20 +345,34 @@ class TestCampaignCli:
         assert "pending:   0" in status
         assert "exhausted: 1" in status
 
-    def test_campaign_run_rejects_an_unknown_axis_before_running(self, tmp_path, capsys):
+    # A deleted setting's name is refused like any unknown axis.
+    @pytest.mark.parametrize("axis", ["fast_path", "split_enabled", "enable_explicit_drops"])
+    def test_campaign_run_rejects_an_unknown_axis_before_running(self, axis, tmp_path, capsys):
         spec = tmp_path / "campaign.json"
         spec.write_text(json.dumps({
             "name": "stale-axis",
             "scenario": "fw_nat_lb_10ge",
-            "grid": {"send_rate_gbps": [4.0], "fast_path": [True, False]},
+            "grid": {"send_rate_gbps": [4.0], axis: [True, False]},
             "time_scale": 0.05,
         }))
         store = tmp_path / "results.jsonl"
-        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 2
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "unknown campaign parameter 'fast_path'" in errors[0]
+        assert len(errors) == 1 and f"unknown campaign parameter {axis!r}" in errors[0]
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_campaign_run_rejects_a_top_level_validate_key(self, tmp_path, capsys):
+        # ``validate`` is spelt once, under ``options:``.
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps({
+            "name": "top-level-validate", "scenario": "fw_nat_lb_10ge", "validate": True,
+            "grid": {"send_rate_gbps": [4.0]}, "time_scale": 0.05,
+        }))
+        store = tmp_path / "results.jsonl"
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 2
+        assert "unknown campaign keys: ['validate']" in _one_error(capsys)
         assert list(tmp_path.iterdir()) == [spec]
 
     @pytest.mark.parametrize("where", ["base", "grid"])
@@ -374,7 +388,7 @@ class TestCampaignCli:
         spec = tmp_path / "campaign.json"
         spec.write_text(json.dumps(campaign))
         store = tmp_path / "results.jsonl"
-        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 2
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 2
         assert "unknown fault profile 'no-such-profile'" in _one_error(capsys)
         assert list(tmp_path.iterdir()) == [spec]
 
@@ -385,7 +399,7 @@ class TestCampaignCli:
         "--max-attempts=-1": "max_attempts must be >= 0",
     }
 
-    @pytest.mark.parametrize("dispatch", ["--serial", "--workers=2"])
+    @pytest.mark.parametrize("dispatch", ["--workers=1", "--workers=2"])
     @pytest.mark.parametrize("flag", BAD_DISPATCH_VALUES)
     def test_campaign_run_rejects_bad_dispatch_values_with_nothing_on_disk(
         self, flag, dispatch, tmp_path, capsys
@@ -412,7 +426,7 @@ class TestCampaignCli:
         spec = self._write_spec(tmp_path)
         store = tmp_path / "results.jsonl"
         assert main(["campaign", "run", str(spec), "--store", str(store),
-                     "--serial", f"--time-scale={value}"]) == 2
+                     "--workers", "1", f"--time-scale={value}"]) == 2
         assert _one_error(capsys) == self.BAD_TIME_SCALES[value]
         assert list(tmp_path.iterdir()) == [spec]
 
@@ -432,7 +446,7 @@ class TestCampaignCli:
         spec = self._write_spec(tmp_path)
         store = tmp_path / "results.jsonl"
         assert main(["campaign", "run", str(spec), "--store", str(store),
-                     "--serial", f"--heartbeat={value}"]) == 2
+                     "--workers", "1", f"--heartbeat={value}"]) == 2
         assert _one_error(capsys) == self.BAD_HEARTBEATS[value]
         assert list(tmp_path.iterdir()) == [spec]
 
@@ -446,7 +460,7 @@ class TestCampaignCli:
         }))
         store = tmp_path / "results.jsonl"
         assert main(["campaign", "run", str(spec), "--store", str(store),
-                     "--serial", "--no-bus"]) == 0
+                     "--workers", "1", "--no-bus"]) == 0
         assert "2 executed, 1 baselines simulated, 0 failed, 0 skipped" in (
             capsys.readouterr().out
         )
@@ -767,6 +781,6 @@ class TestRemovedFidelityTier:
         spec = tmp_path / "campaign.json"
         spec.write_text(json.dumps(campaign))
         store = tmp_path / "results.jsonl"
-        assert main(["campaign", "run", str(spec), "--store", str(store), "--serial"]) == 2
+        assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 2
         assert "'fidelity'" in _one_error(capsys)
         assert list(tmp_path.iterdir()) == [spec]

@@ -43,7 +43,7 @@ class TestCampaignRunBus:
         store = tmp_path / "cli-bus.jsonl"
         assert main([
             "campaign", "run", str(campaign_spec),
-            "--store", str(store), "--serial",
+            "--store", str(store), "--workers", "1",
         ]) == 0
         events = events_path_for(store)
         assert events.exists()
@@ -56,7 +56,7 @@ class TestCampaignRunBus:
         store = tmp_path / "cli-nobus.jsonl"
         assert main([
             "campaign", "run", str(campaign_spec),
-            "--store", str(store), "--serial", "--no-bus",
+            "--store", str(store), "--workers", "1", "--no-bus",
         ]) == 0
         assert not events_path_for(store).exists()
 

@@ -1,5 +1,7 @@
 """Unit tests for the switch, NF-server and traffic-generator nodes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
@@ -14,6 +16,7 @@ from repro.netsim.topology import Topology
 from repro.netsim.trafficgen_node import TrafficGenNode
 from repro.nf.chain import NfChain
 from repro.nf.firewall import Firewall, FirewallRule
+from repro.nf.framework import NfFramework
 from repro.nf.macswap import MacSwapper
 from repro.nf.server import NfServerConfig, NfServerModel
 from repro.packet.packet import Packet
@@ -180,6 +183,16 @@ class TestNfServerNode:
         for _ in range(5):
             server.handle_packet(Packet.udp(total_size=300), port=0)
         assert server.overflow_drops == 3
+
+    def test_buffer_holds_the_nic_rx_ring_plus_one_framework_ring_per_nf(self):
+        nic = replace(NIC_10GE, rx_ring_entries=4)
+        config = NfServerConfig(framework=NfFramework("tiny", ring_entries=3), service_jitter=0.0)
+        model = NfServerModel(NfChain([MacSwapper(), MacSwapper()]), config)
+        server = NfServerNode(EventLoop(), model, nic_spec=nic)
+        for _ in range(12):
+            server.handle_packet(Packet.udp(total_size=300), port=0)
+        assert server.queue_occupancy == 4 + 3 * 2
+        assert server.overflow_drops == 12 - (4 + 3 * 2)
 
     def test_queue_occupancy_drains(self):
         env, server, sink = self._server()

@@ -85,7 +85,7 @@ class TestRunSpec:
         knobs = RunSpec(
             "fw_nat_lb_10ge",
             params={**base, "expiry_threshold": 10, "sram_fraction": 0.1,
-                    "enable_recirculation": True, "split_enabled": False},
+                    "enable_recirculation": True, "min_split_payload": 100_000},
         )
         assert knobs.spec_hash != run.spec_hash
         assert knobs.baseline_hash == run.baseline_hash
@@ -357,8 +357,7 @@ class TestBuildScenario:
     def test_payloadpark_overrides_are_the_config_fields(self):
         assert PAYLOADPARK_OVERRIDES == {
             "sram_fraction", "expiry_threshold", "parked_bytes", "min_split_payload",
-            "table_entries", "payload_block_bytes", "enable_recirculation",
-            "enable_explicit_drops", "clock_max", "split_enabled",
+            "table_entries", "payload_block_bytes", "enable_recirculation", "clock_max",
         }
 
     def test_missing_required_builder_arg_raises(self):
@@ -424,7 +423,7 @@ class TestOverrideDomains:
         spec = tmp_path / "bad.yaml"
         spec.write_text(f"name: bad-axis\nscenario: fw_nat_lb_10ge\ngrid:\n  {axis}\n")
         store = tmp_path / "bad.jsonl"
-        assert main(["campaign", "run", str(spec), "--serial", "--no-bus",
+        assert main(["campaign", "run", str(spec), "--workers", "1", "--no-bus",
                      "--store", str(store)]) == 2
         assert not store.exists()
         assert capsys.readouterr().err.count("error:") == 1

@@ -95,12 +95,14 @@ class TestSplitMergeRoundTrip:
         assert packet.wire_length == 128
         assert program.counters_for().merge_enb_zero == 1
 
-    def test_split_disabled_when_master_switch_off(self):
-        program = _program(split_enabled=False)
-        packet = Packet.udp(total_size=512)
+    def test_min_split_payload_above_every_payload_is_a_header_only_run(self):
+        program = _program(min_split_payload=100_000)
+        packet = Packet.udp(total_size=1500)
         program.process(packet, ingress_port=0)
         assert packet.pp is not None and packet.pp.enb == 0
+        assert packet.wire_length == 1500 + 7
         assert program.counters_for().splits == 0
+        assert program.lookup_table().occupancy() == 0
 
     def test_header_survives_nf_header_rewrites(self):
         program = _program()
@@ -169,7 +171,8 @@ class TestSplitMergeRoundTrip:
         assert program.lookup_table().occupancy() == 0
 
     def test_explicit_drop_reclaims_slot_without_forwarding(self):
-        program = _program(enable_explicit_drops=True)
+        # Merge honours OP=1 with no switch-side setting.
+        program = _program()
         packet = Packet.udp(total_size=512)
         program.process(packet, ingress_port=0)
         assert program.lookup_table().occupancy() == 1

@@ -173,11 +173,9 @@ class TestStreamReplay:
         env.run_until(1_000_000)
         assert all(p.meta["tx_ns"] < 10_000 for _t, p in sink.received)
 
-    def test_non_looping_stream_plays_once(self):
-        spec = PcapReplayWorkload.synthetic(packet_count=16, seed=2, rate_gbps=8.0)
-        model = spec.traffic_model(8.0)
-        model.loop_stream = False
-        env, pktgen, sink = _wired_pktgen(model)
+    def test_an_empty_stream_stops_the_generator(self):
+        # A stream that is dry on its first restart cannot loop.
+        env, pktgen, sink = _wired_pktgen(TrafficModel(stream_factory=lambda seed: iter(())))
         pktgen.start(10_000_000)
         env.run_until(11_000_000)
-        assert pktgen.packets_sent == 16
+        assert pktgen.packets_sent == 0 and not pktgen._running

@@ -272,7 +272,7 @@ def entry_points() -> List[EntryPoint]:
     for spec in sorted((REPO / "examples" / "campaigns").glob("*.yaml")):
         store = f"serial/{spec.stem}.jsonl"
         table += [
-            cli("campaign", "run", str(spec), "--serial", "--time-scale", TIME_SCALE, "--store", store),
+            cli("campaign", "run", str(spec), "--workers", "1", "--time-scale", TIME_SCALE, "--store", store),
             cli("campaign", "status", str(spec), "--time-scale", TIME_SCALE, "--store", store),
             cli("campaign", "report", str(spec), "--time-scale", TIME_SCALE, "--store", store),
             # The default store, results/<campaign>.jsonl, as `obs runs` reads it.
