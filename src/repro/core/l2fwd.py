@@ -20,8 +20,6 @@ class L2ForwardingTable:
 
     def __init__(self) -> None:
         self._entries: Dict[int, int] = {}
-        self.lookups = 0
-        self.hits = 0
 
     def add_entry(self, mac: MacAddress, port: int) -> None:
         """Install (or overwrite) a MAC → port entry."""
@@ -29,9 +27,4 @@ class L2ForwardingTable:
 
     def lookup(self, mac: MacAddress, default: Optional[int] = None) -> Optional[int]:
         """Return the egress port for *mac*, or *default* on a miss."""
-        self.lookups += 1
-        port = self._entries.get(mac.value)
-        if port is not None:
-            self.hits += 1
-            return port
-        return default
+        return self._entries.get(mac.value, default)

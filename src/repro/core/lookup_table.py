@@ -121,8 +121,6 @@ class LookupTable:
         self.name = name
         self.entries = entries
         self.parked_bytes = parked_bytes
-        self.block_bytes = block_bytes
-        self._pipeline = pipeline
 
         self.metadata = pipeline.stage(METADATA_STAGE).add_register_array(
             name=f"{name}.meta_tbl",

@@ -22,17 +22,14 @@ into the one kernel the NF port runs by default.
 
 from __future__ import annotations
 
-from typing import List, Optional
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
 from repro.core.header import OP_EXPLICIT_DROP, TAG_CLK_BITS, TAG_CRCS, tag_crc
 from repro.core.l2fwd import L2ForwardingTable
 from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
-from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.pipe import Pipe
 from repro.switchsim.pipeline import Pipeline, PortPlan
 
 #: Metadata keys used to pass information between Merge stages.
@@ -65,11 +62,6 @@ class MergePath:
         self._nf_ports = frozenset((binding.nf_port,))
         #: Flight-recorder hook (repro.obs); None keeps the path lean.
         self.obs_recorder = None
-        #: The installed tables by role, for :meth:`compile_plan`.
-        self.enb_zero_table: Optional[MatchActionTable] = None
-        self.validate_table: Optional[MatchActionTable] = None
-        self.recirculate_table: Optional[MatchActionTable] = None
-        self.load_tables: List[List[MatchActionTable]] = [[], []]
 
     # ------------------------------------------------------------------ #
     # Table installation
@@ -77,7 +69,7 @@ class MergePath:
 
     def install(self) -> None:
         """Create the Merge MATs and place them into their stages."""
-        self.enb_zero_table = self.pipeline.stage(ENB_ZERO_STAGE).add_table(
+        self.pipeline.stage(ENB_ZERO_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.merge_enb_zero",
                 match=self._match_enb_zero,
@@ -87,7 +79,7 @@ class MergePath:
                 ingress_ports=self._nf_ports,
             )
         )
-        self.validate_table = self.pipeline.stage(VALIDATE_STAGE).add_table(
+        self.pipeline.stage(VALIDATE_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.merge_validate",
                 match=self._match_enb_one,
@@ -100,7 +92,7 @@ class MergePath:
         self._install_loads(0)
         if self.lookup.uses_second_pass:
             last_stage = self.pipeline.stage_count - 1
-            self.recirculate_table = self.pipeline.stage(last_stage).add_table(
+            self.pipeline.stage(last_stage).add_table(
                 MatchActionTable(
                     name=f"{self.binding.name}.merge_recirculate",
                     match=self._match_recirculation_request,
@@ -114,7 +106,7 @@ class MergePath:
 
     def _install_loads(self, pass_number: int) -> None:
         for slot, array in self.lookup.blocks_for_pass(pass_number):
-            table = self.pipeline.stage(slot.stage_index).add_table(
+            self.pipeline.stage(slot.stage_index).add_table(
                 MatchActionTable(
                     name=f"{self.binding.name}.merge_load[{slot.block_index}]",
                     match=self._match_load_pass(pass_number),
@@ -124,7 +116,6 @@ class MergePath:
                     ingress_ports=self._nf_ports,
                 )
             )
-            self.load_tables[pass_number].append(table)
 
     # ------------------------------------------------------------------ #
     # Match predicates
@@ -256,21 +247,16 @@ class MergePath:
     # Port plan
     # ------------------------------------------------------------------ #
 
-    def compile_plan(
-        self,
-        pipe: Pipe,
-        asic: TofinoAsic,
-        forward_table: MatchActionTable,
-        l2: L2ForwardingTable,
-    ) -> PortPlan:
+    def compile_plan(self, l2: L2ForwardingTable) -> PortPlan:
         """Fuse the Merge tables into the kernel for this binding's NF port.
 
         The kernel takes the packet through Algorithm 2 in one function,
         on the same registers as the tables above and with the same
-        header, counters, drop reasons and recorder calls.  Outcomes: no
-        usable header, ENB=0, dropped by the validate table (after which
-        no table is reached), or merged.  *forward_table* is the
-        binding's from-NF forwarding, *l2* the MAC table it consults.
+        header, counters, drop reasons and recorder calls.  A packet has
+        no usable header, has ENB=0, is dropped by the validate table,
+        or is merged — in two passes when the parked bytes needed the
+        recirculation.  Every packet not dropped is forwarded by
+        destination MAC from *l2*, the binding's default egress on a miss.
         The tag is checked against its memoized CRC
         (:data:`~repro.core.header.TAG_CRCS`), computed by
         :func:`~repro.core.header.tag_crc` when the memo does not hold it.
@@ -283,24 +269,19 @@ class MergePath:
         metadata = self.lookup.metadata.storage
         free = MetadataEntry()
         block_cells = [cells for cells, _start, _end in self.lookup.block_cells()]
-        recirculates = self.lookup.uses_second_pass
-        parser, deparser = pipe.parser, pipe.deparser
+        second_pass = 1 if self.lookup.uses_second_pass else 0
         tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
         new = object.__new__
-        passthrough, enb_zero, dropped, merged = 0, 1, 2, 3
-        counts = [0, 0, 0, 0]
 
         def merge(packet, ingress_port: int) -> PipelinePacket:
             header = packet.pp
-            passes = 1
+            enb = None if header is None else header.enb
+            recirculations = 0
             reason = None
-            if header is None or header.enb not in (0, 1):
-                counts[passthrough] += 1
-            elif header.enb == 0:
+            if enb == 0:
                 packet.pp = None
                 counters.merge_enb_zero += 1
-                counts[enb_zero] += 1
-            else:
+            elif enb == 1:
                 tbl_idx = header.tbl_idx
                 recorder = self.obs_recorder
                 crc = tag_crcs.get((tbl_idx << clk_bits) | header.clk)
@@ -335,14 +316,8 @@ class MergePath:
                         for cells in block_cells:
                             blocks.append(cells[tbl_idx])
                             cells[tbl_idx] = b""
-                        if recirculates:
-                            pipe.recirculated_packets += 1
-                            passes = 2
+                        recirculations = second_pass
                         packet.restore_leading_payload(b"".join(blocks))
-                        counts[merged] += 1
-            parser.parsed_packets += passes
-            deparser.deparsed_packets += passes
-            asic.processed_packets += 1
             ctx = new(PipelinePacket)
             ctx.packet = packet
             ctx.ingress_port = ingress_port
@@ -355,27 +330,10 @@ class MergePath:
                 ctx.egress_port = None
                 ctx.dropped = True
                 ctx.drop_reason = reason
-                asic.dropped_packets += 1
-                asic.drop_reasons[reason] = asic.drop_reasons.get(reason, 0) + 1
-                counts[dropped] += 1
-            ctx.recirculations = passes - 1
+            ctx.recirculations = recirculations
             ctx.recirculate_requested = False
             ctx.register_reads = None
             ctx.register_writes = None
             return ctx
 
-        forwarded = [forward_table]
-        merged_passes = [
-            ([self.validate_table, *self.load_tables[0], self.recirculate_table, forward_table], None)
-        ]
-        if recirculates:
-            merged_passes.append(([*self.load_tables[1], forward_table], None))
-        outcomes = [
-            [(forwarded, None)],
-            [([self.enb_zero_table, forward_table], None)],
-            [([self.validate_table], self.validate_table)],
-            merged_passes,
-        ]
-        return PortPlan(
-            self.pipeline, merge, counts, [self.pipeline.walk(passes) for passes in outcomes]
-        )
+        return PortPlan(self.pipeline, merge)

@@ -16,7 +16,7 @@ Two programs are provided:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import CounterBank, PayloadParkCounters
@@ -54,8 +54,6 @@ class SwitchProgram:
         self._plans: Dict[int, PortPlan] = {}
         #: ingress port (traffic or NF) -> the binding that owns it.
         self._binding_of_port: Dict[int, NfServerBinding] = {}
-        #: binding name -> its (to-NF, from-NF) forwarding tables.
-        self._forwarding: Dict[str, Tuple[MatchActionTable, MatchActionTable]] = {}
         #: What this program's kernels reproduce: the tables it installed
         #: (see :meth:`_install_owned`) and the parser / deparser hooks it
         #: set — None, "no hook", among them.
@@ -71,23 +69,23 @@ class SwitchProgram:
         """Switch the program to its default engine.
 
         The fast path is behaviour-preserving: port plans reproduce the
-        reference stage walk's packet outcomes and counters exactly —
-        the golden-figure suite runs every experiment in both modes and
-        diffs the tables.
+        reference stage walk's packet outcomes, register state and
+        PayloadPark counters exactly — the golden-figure suite runs
+        every experiment in both modes and diffs the tables.
         """
         self.fast_path = enabled
         self.invalidate_fast_path()
 
     def invalidate_fast_path(self) -> None:
-        """Drop the compiled port plans.
+        """Drop the compiled port plans; the next packet on each port
+        compiles its plan afresh.
 
-        :meth:`PayloadParkProgram.drain_parked` calls this so the next
-        packet recompiles its port's plan (a table install drops plans
-        by itself, through the pipeline version); it is also the
-        explicit hook for code that mutates program state directly.
+        No control-plane write of this package needs it: a table install
+        retires plans by itself (through the pipeline version), and the
+        kernels read the MAC table, the configuration and the register
+        storage live.  It is the hook for code that changes what a plan
+        was compiled from in some other way.
         """
-        for plan in self._plans.values():
-            plan.retire()
         self._plans.clear()
 
     # ------------------------------------------------------------------ #
@@ -151,7 +149,7 @@ class SwitchProgram:
         def forward_from_nf(ctx: PipelinePacket) -> None:
             ctx.forward_to(self.l2.lookup(ctx.packet.eth.dst, binding.default_egress_port))
 
-        to_nf = pipe.pipeline.stage(last_stage).add_table(
+        pipe.pipeline.stage(last_stage).add_table(
             MatchActionTable(
                 name=f"{binding.name}.l2_fwd_to_nf",
                 match=match_from_traffic,
@@ -161,7 +159,7 @@ class SwitchProgram:
                 ingress_ports=ingress_ports,
             )
         )
-        from_nf = pipe.pipeline.stage(last_stage).add_table(
+        pipe.pipeline.stage(last_stage).add_table(
             MatchActionTable(
                 name=f"{binding.name}.l2_fwd_from_nf",
                 match=match_from_nf,
@@ -172,7 +170,6 @@ class SwitchProgram:
                 ingress_ports=frozenset((binding.nf_port,)),
             )
         )
-        self._forwarding[binding.name] = (to_nf, from_nf)
 
     def _install_owned(self, install: Callable[[], None]) -> None:
         """Run *install* and claim the tables it adds to the ASIC."""
@@ -210,7 +207,7 @@ class SwitchProgram:
         offer for every port is the stage walk itself.
         """
         pipeline = self.asic.pipe_for_port(ingress_port).pipeline
-        return PortPlan(pipeline, self.asic.process, [], [])
+        return PortPlan(pipeline, self.asic.process)
 
     def _fusable(self, ingress_port: int) -> bool:
         """Whether a kernel written from this program's tables alone is
@@ -272,28 +269,20 @@ class BaselineProgram(SwitchProgram):
     def _compile_plan(self, ingress_port: int) -> PortPlan:
         """One kernel per ingress port: to the NF server from a traffic
         port, by destination MAC (read live) from an NF port.  Either
-        way the packet takes one pass and hits one forwarding table.
+        way the packet takes one pass.
         """
         if not self._fusable(ingress_port):
             return super()._compile_plan(ingress_port)
         binding = self._binding_of_port[ingress_port]
-        pipe = self.asic.pipe_for_port(ingress_port)
-        to_nf, from_nf = self._forwarding[binding.name]
-        asic, l2, parser, deparser = self.asic, self.l2, pipe.parser, pipe.deparser
+        l2 = self.l2
         nf_port, default_egress = binding.nf_port, binding.default_egress_port
         new = object.__new__
-        counts = [0]
 
         # Both kernels build their PipelinePacket in place, every field
         # stored in declaration order (see repro.core.split).
         if ingress_port == nf_port:
-            table = from_nf
 
             def forward(packet, ingress_port: int) -> PipelinePacket:
-                counts[0] += 1
-                parser.parsed_packets += 1
-                deparser.deparsed_packets += 1
-                asic.processed_packets += 1
                 ctx = new(PipelinePacket)
                 ctx.packet = packet
                 ctx.ingress_port = ingress_port
@@ -308,13 +297,8 @@ class BaselineProgram(SwitchProgram):
                 return ctx
 
         else:
-            table = to_nf
 
             def forward(packet, ingress_port: int) -> PipelinePacket:
-                counts[0] += 1
-                parser.parsed_packets += 1
-                deparser.deparsed_packets += 1
-                asic.processed_packets += 1
                 ctx = new(PipelinePacket)
                 ctx.packet = packet
                 ctx.ingress_port = ingress_port
@@ -328,7 +312,7 @@ class BaselineProgram(SwitchProgram):
                 ctx.register_writes = None
                 return ctx
 
-        return PortPlan(pipe.pipeline, forward, counts, [pipe.pipeline.walk([([table], None)])])
+        return PortPlan(self.asic.pipe_for_port(ingress_port).pipeline, forward)
 
     @staticmethod
     def _declare_phv(pipe: Pipe) -> None:
@@ -478,10 +462,9 @@ class PayloadParkProgram(SwitchProgram):
             path.lookup.uses_second_pass and pipe.recirculation_limit < 1
         ):
             return super()._compile_plan(ingress_port)
-        to_nf, from_nf = self._forwarding[path.binding.name]
         if split is not None:
-            return split.compile_plan(pipe, self.asic, to_nf)
-        return merge.compile_plan(pipe, self.asic, from_nf, self.l2)
+            return split.compile_plan()
+        return merge.compile_plan(self.l2)
 
     # ------------------------------------------------------------------ #
     # Control-plane introspection
@@ -513,7 +496,9 @@ class PayloadParkProgram(SwitchProgram):
         holding, and the packet whose payload was drained registers a
         premature eviction when its header returns for the Merge.
         *recorder* (repro.obs) closes each drained slot's park span.
-        Returns drained-slot counts per binding.
+        Returns drained-slot counts per binding.  The port plans index
+        the register storage in place, so they see the drained slots as
+        they stand.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"drain fraction must lie in (0, 1], got {fraction}")
@@ -531,6 +516,5 @@ class PayloadParkProgram(SwitchProgram):
                     if recorder is not None:
                         recorder.slot_drained(name, index)
             drained[name] = count
-        self.invalidate_fast_path()
         return drained
 

@@ -24,17 +24,15 @@ into the one kernel a traffic port runs by default.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.counters import PayloadParkCounters
 from repro.core.header import OP_MERGE, TAG_CLK_BITS, TAG_CRCS, PayloadParkHeader, tag_crc
 from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.core.tagger import PacketTagger
-from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.pipe import Pipe
 from repro.switchsim.pipeline import Pipeline, PortPlan
 
 #: Metadata keys used to pass information between Split stages, mirroring
@@ -70,11 +68,6 @@ class SplitPath:
         self._ingress_ports = frozenset(binding.ingress_ports)
         #: Flight-recorder hook (repro.obs); None keeps the path lean.
         self.obs_recorder = None
-        #: The installed tables by role, for :meth:`compile_plan`.
-        self.tagger_table: Optional[MatchActionTable] = None
-        self.probe_table: Optional[MatchActionTable] = None
-        self.recirculate_table: Optional[MatchActionTable] = None
-        self.store_tables: List[List[MatchActionTable]] = [[], []]
 
     # ------------------------------------------------------------------ #
     # Table installation
@@ -82,7 +75,7 @@ class SplitPath:
 
     def install(self) -> None:
         """Create the Split MATs and place them into their stages."""
-        self.tagger_table = self.pipeline.stage(TAGGER_STAGE).add_table(
+        self.pipeline.stage(TAGGER_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.split_tagger",
                 match=self._match_split_candidate,
@@ -92,7 +85,7 @@ class SplitPath:
                 ingress_ports=self._ingress_ports,
             )
         )
-        self.probe_table = self.pipeline.stage(PROBE_STAGE).add_table(
+        self.pipeline.stage(PROBE_STAGE).add_table(
             MatchActionTable(
                 name=f"{self.binding.name}.split_probe",
                 match=self._match_split_ingress,
@@ -105,7 +98,7 @@ class SplitPath:
         self._install_stores(0)
         if self.lookup.uses_second_pass:
             last_stage = self.pipeline.stage_count - 1
-            self.recirculate_table = self.pipeline.stage(last_stage).add_table(
+            self.pipeline.stage(last_stage).add_table(
                 MatchActionTable(
                     name=f"{self.binding.name}.split_recirculate",
                     match=self._match_recirculation_request,
@@ -119,7 +112,7 @@ class SplitPath:
 
     def _install_stores(self, pass_number: int) -> None:
         for slot, array in self.lookup.blocks_for_pass(pass_number):
-            table = self.pipeline.stage(slot.stage_index).add_table(
+            self.pipeline.stage(slot.stage_index).add_table(
                 MatchActionTable(
                     name=f"{self.binding.name}.split_store[{slot.block_index}]",
                     match=self._match_store_pass(pass_number),
@@ -129,7 +122,6 @@ class SplitPath:
                     ingress_ports=self._ingress_ports,
                 )
             )
-            self.store_tables[pass_number].append(table)
 
     # ------------------------------------------------------------------ #
     # Match predicates
@@ -234,19 +226,17 @@ class SplitPath:
     # Port plan
     # ------------------------------------------------------------------ #
 
-    def compile_plan(
-        self, pipe: Pipe, asic: TofinoAsic, forward_table: MatchActionTable
-    ) -> PortPlan:
+    def compile_plan(self) -> PortPlan:
         """Fuse the Split tables into the kernel for one of this binding's
         traffic ports.
 
         The kernel takes the packet through Algorithm 1 in one function:
         it reads and writes the same registers as the tables above, in
         the same order, and leaves the same header, counters and
-        recorder calls behind.  A packet takes one of three outcomes —
-        not tagged (payload too small), slot occupied, or parked — each
-        hitting a fixed set of tables, *forward_table* (the binding's
-        to-NF forwarding) among them on every pass.
+        recorder calls behind.  A packet is not tagged (payload too
+        small), finds its slot occupied, or is parked — in two passes
+        when the parked bytes need the recirculation — and leaves for
+        the binding's NF port.
 
         The kernel's records are built in place — ``object.__new__``,
         then every field stored in declaration order — rather than by
@@ -268,20 +258,15 @@ class SplitPath:
         table_entries, clock_max = self.tagger.table_entries, self.tagger.clock_max
         metadata = self.lookup.metadata.storage
         block_cells = self.lookup.block_cells()
-        recirculates = self.lookup.uses_second_pass
-        parser, deparser = pipe.parser, pipe.deparser
+        second_pass = 1 if self.lookup.uses_second_pass else 0
         new, set_frozen = object.__new__, object.__setattr__
         tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
-        not_tagged, occupied, parked = 0, 1, 2
-        counts = [0, 0, 0]
 
         def split(packet, ingress_port: int) -> PipelinePacket:
-            passes = 1
             # The header's tag fields: all zero (ENB=0) unless parked.
             enb = tag_idx = tag_clk = crc = 0
             if len(packet.payload) < config.min_split_payload:
                 counters.split_disabled_small_payload += 1
-                counts[not_tagged] += 1
             else:
                 tbl_idx = idx_cell[0] = (idx_cell[0] + 1) % table_entries
                 clk = clk_cell[0] = (clk_cell[0] + 1) % clock_max
@@ -292,7 +277,6 @@ class SplitPath:
                     set_frozen(slot, "exp", entry.exp - 1)
                     metadata[tbl_idx] = slot
                     counters.split_disabled_table_occupied += 1
-                    counts[occupied] += 1
                 else:
                     set_frozen(slot, "clk", clk)
                     set_frozen(slot, "exp", config.expiry_threshold)
@@ -316,19 +300,12 @@ class SplitPath:
                         )
                     for cells, start, end in block_cells:
                         cells[tbl_idx] = payload[start:end]
-                    if recirculates:
-                        pipe.recirculated_packets += 1
-                        passes = 2
-                    counts[parked] += 1
             header = packet.pp = new(PayloadParkHeader)
             header.enb = enb
             header.op = OP_MERGE
             header.tbl_idx = tag_idx
             header.clk = tag_clk
             header.crc = crc
-            parser.parsed_packets += passes
-            deparser.deparsed_packets += passes
-            asic.processed_packets += 1
             ctx = new(PipelinePacket)
             ctx.packet = packet
             ctx.ingress_port = ingress_port
@@ -336,23 +313,10 @@ class SplitPath:
             ctx.egress_port = nf_port
             ctx.dropped = False
             ctx.drop_reason = ""
-            ctx.recirculations = passes - 1
+            ctx.recirculations = second_pass if enb else 0
             ctx.recirculate_requested = False
             ctx.register_reads = None
             ctx.register_writes = None
             return ctx
 
-        probed = [self.probe_table, forward_table]
-        parked_passes = [
-            ([*probed, self.tagger_table, *self.store_tables[0], self.recirculate_table], None)
-        ]
-        if recirculates:
-            parked_passes.append(([*self.store_tables[1], forward_table], None))
-        outcomes = [
-            [(probed, None)],
-            [([*probed, self.tagger_table], None)],
-            parked_passes,
-        ]
-        return PortPlan(
-            self.pipeline, split, counts, [self.pipeline.walk(passes) for passes in outcomes]
-        )
+        return PortPlan(self.pipeline, split)

@@ -36,15 +36,19 @@ def run(
     wire image matched, and the PayloadPark counters (premature
     evictions must be zero for the comparison to be meaningful).
     ``seed`` defaults to the CLI's ``--seed`` override when one is
-    active, else the historical 11.
+    active, else the historical 11.  Both programs run on the port
+    plans unless the reference engine is asked for.
     """
+    options = current_options()
     if seed is None:
-        seed = current_options().seed_or(11)
+        seed = options.seed_or(11)
     binding = default_binding()
     payloadpark = PayloadParkProgram(
         PayloadParkConfig(sram_fraction=0.26, expiry_threshold=1), bindings=[binding]
     )
     baseline = BaselineProgram([binding])
+    for program in (payloadpark, baseline):
+        program.enable_fast_path(not options.reference)
     chain_pp = NfChain([MacSwapper()])
     chain_base = NfChain([MacSwapper()])
 

@@ -459,10 +459,10 @@ class ExperimentRunner:
 
         One NF server per binding (default: ``scenario.server_count``
         servers in the :func:`multi_server_bindings` layout), generator
-        *i* seeded ``scenario.seed + i``.  This is the only place the
-        engine is chosen: the reference engine gets the heapq event loop,
-        parsed packet construction, per-stage table walks and live
-        cost-model queries; the default one their fast counterparts.
+        *i* seeded ``scenario.seed + i``.  This is the only place a
+        testbed's engine is chosen: the reference engine gets the heapq
+        event loop, parsed packet construction, per-stage table walks and
+        live cost-model queries; the default one their fast counterparts.
         """
         default_engine = not self.reference
         if bindings is None:

@@ -228,8 +228,7 @@ class Link:
         #: reference loop, which keeps every serialization-end event).
         self._pending_times = env.pending_times
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
-        self.node_a, self.port_a = node_a, port_a
-        self.node_b, self.port_b = node_b, port_b
+        self.node_a, self.node_b = node_a, node_b
         self.bandwidth_gbps = bandwidth_gbps
         shape = (bandwidth_gbps, propagation_delay_ns, buffer_bytes)
         self._a_to_b = _LinkDirection(env, f"{self.name}[a->b]", *shape, node_b, port_b)

@@ -76,7 +76,6 @@ class NfServerNode(Node):
         self._tx_rows: Dict[int, CostRow] = {}
         self._rx_free_at_ns = 0
         self._tx_free_at_ns = 0
-        self.switch_port = switch_port
         self._rng = random.Random(seed)
         self._worker_free_at_ns = 0
         self._in_server = 0

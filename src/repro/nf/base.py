@@ -73,7 +73,6 @@ class NetworkFunction:
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or type(self).__name__
-        self.packets_seen = 0
         self.packets_dropped = 0
 
     def process(self, packet: Packet) -> NfResult:
@@ -82,7 +81,6 @@ class NetworkFunction:
 
     def __call__(self, packet: Packet) -> NfResult:
         """Bookkeeping wrapper around :meth:`process`."""
-        self.packets_seen += 1
         result = self.process(packet)
         if not result.forwarded:
             self.packets_dropped += 1

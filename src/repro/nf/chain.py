@@ -44,14 +44,13 @@ class NfChain:
 
         Returns a combined :class:`NfResult` whose ``cycles`` is the sum
         of the cycles spent in each NF the packet visited.  Each NF's
-        ``packets_seen`` / ``packets_dropped`` are kept here exactly as
-        :meth:`NetworkFunction.__call__` keeps them for a direct caller,
+        ``packets_dropped`` is kept here exactly as
+        :meth:`NetworkFunction.__call__` keeps it for a direct caller,
         without that wrapper's frame per NF per packet.
         """
         self.packets_in += 1
         total_cycles = 0
         for nf in self.nfs:
-            nf.packets_seen += 1
             result = nf.process(packet)
             total_cycles += result.cycles
             if not result.forwarded:

@@ -84,19 +84,26 @@ class PcapReader:
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         self._file = open(self._path, "rb")
-        header = self._file.read(_GLOBAL_HEADER.size)
-        if len(header) < _GLOBAL_HEADER.size:
-            raise ValueError(f"{self._path} is not a pcap file (truncated header)")
-        magic_le = struct.unpack("<I", header[:4])[0]
-        if magic_le == PCAP_MAGIC:
-            self._endian = "<"
-        elif magic_le == PCAP_MAGIC_SWAPPED:
-            self._endian = ">"
-        else:
-            raise ValueError(f"{self._path} is not a pcap file (bad magic {magic_le:#x})")
-        fields = struct.unpack(self._endian + "IHHiIII", header)
-        self.snaplen = fields[5]
-        self.linktype = fields[6]
+        try:
+            header = self._file.read(_GLOBAL_HEADER.size)
+            if len(header) < _GLOBAL_HEADER.size:
+                raise ValueError(f"{self._path} is not a pcap file (truncated header)")
+            magic_le = struct.unpack("<I", header[:4])[0]
+            if magic_le == PCAP_MAGIC:
+                self._endian = "<"
+            elif magic_le == PCAP_MAGIC_SWAPPED:
+                self._endian = ">"
+            else:
+                raise ValueError(f"{self._path} is not a pcap file (bad magic {magic_le:#x})")
+            linktype = struct.unpack(self._endian + "IHHiIII", header)[6]
+            if linktype != LINKTYPE_ETHERNET:  # every reader parses the frames as Ethernet
+                raise ValueError(
+                    f"{self._path} captures link type {linktype}, "
+                    f"not Ethernet ({LINKTYPE_ETHERNET})"
+                )
+        except ValueError:
+            self._file.close()
+            raise
 
     def __iter__(self) -> Iterator[PcapRecord]:
         record_struct = struct.Struct(self._endian + "IIII")

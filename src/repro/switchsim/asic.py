@@ -8,7 +8,7 @@ private compute and stateful-memory resources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.packet.packet import Packet
 from repro.switchsim.context import PipelinePacket
@@ -46,9 +46,6 @@ class TofinoAsic:
             )
             for i in range(self.config.pipe_count)
         ]
-        self.processed_packets = 0
-        self.dropped_packets = 0
-        self.drop_reasons: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Port topology
@@ -68,10 +65,4 @@ class TofinoAsic:
 
     def process(self, packet: Packet, ingress_port: int) -> PipelinePacket:
         """Run *packet* through the pipe owning *ingress_port*."""
-        pipe = self.pipe_for_port(ingress_port)
-        ctx = pipe.process(packet, ingress_port)
-        self.processed_packets += 1
-        if ctx.dropped:
-            self.dropped_packets += 1
-            self.drop_reasons[ctx.drop_reason] = self.drop_reasons.get(ctx.drop_reason, 0) + 1
-        return ctx
+        return self.pipe_for_port(ingress_port).process(packet, ingress_port)

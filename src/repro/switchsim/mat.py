@@ -23,6 +23,9 @@ ActionFn = Callable[[PipelinePacket], None]
 class MatchActionTable:
     """One match-action table.
 
+    It keeps no hit or miss tallies: what a table did shows in the
+    packet it ran on and in the program state its action wrote.
+
     Parameters
     ----------
     name:
@@ -46,8 +49,7 @@ class MatchActionTable:
         can possibly match.  The contract is ``match(ctx) is True
         implies ctx.ingress_port in ingress_ports``, so a port plan (see
         :class:`~repro.switchsim.pipeline.PortPlan`) for any other port
-        may account the table as a miss without evaluating it.  ``None``
-        declares nothing.
+        may leave the table out.  ``None`` declares nothing.
     """
 
     def __init__(
@@ -69,25 +71,6 @@ class MatchActionTable:
         self.entries = entries
         self.vliw_slots = vliw_slots
         self.ingress_ports = ingress_ports
-        #: Installed by the owning pipeline: folds hits and misses that
-        #: port plans tallied in bulk into the counters before a read.
-        self.settle: Optional[Callable[[], None]] = None
-        self._hits = 0
-        self._misses = 0
-
-    @property
-    def hit_count(self) -> int:
-        """Packets whose action ran, whichever engine processed them."""
-        if self.settle is not None:
-            self.settle()
-        return self._hits
-
-    @property
-    def miss_count(self) -> int:
-        """Packets that reached the table without matching."""
-        if self.settle is not None:
-            self.settle()
-        return self._misses
 
     def apply(self, ctx: PipelinePacket) -> bool:
         """Run the table on *ctx*; return True if the action executed."""
@@ -95,12 +78,5 @@ class MatchActionTable:
             return False
         if self.match is None or self.match(ctx):
             self.action(ctx)
-            self._hits += 1
             return True
-        self._misses += 1
         return False
-
-    def count(self, hits: int, misses: int) -> None:
-        """Account *hits* and *misses* decided without running :meth:`apply`."""
-        self._hits += hits
-        self._misses += misses

@@ -26,12 +26,10 @@ class Parser:
 
     def __init__(self, hook: Optional[ParseHook] = None) -> None:
         self.hook = hook
-        self.parsed_packets = 0
 
     def parse(self, packet: Packet, ingress_port: int) -> PipelinePacket:
         """Create a :class:`PipelinePacket` for *packet* and apply the hook."""
         ctx = PipelinePacket(packet=packet, ingress_port=ingress_port)
-        self.parsed_packets += 1
         if self.hook is not None:
             self.hook(ctx)
         return ctx
@@ -39,7 +37,6 @@ class Parser:
     def reparse(self, ctx: PipelinePacket) -> PipelinePacket:
         """Re-run the parse hook for a recirculated packet."""
         ctx.reset_pass_state()
-        self.parsed_packets += 1
         if self.hook is not None:
             self.hook(ctx)
         return ctx
@@ -50,11 +47,9 @@ class Deparser:
 
     def __init__(self, hook: Optional[DeparseHook] = None) -> None:
         self.hook = hook
-        self.deparsed_packets = 0
 
     def deparse(self, ctx: PipelinePacket) -> PipelinePacket:
         """Apply the program's deparse hook (header reassembly)."""
-        self.deparsed_packets += 1
         if self.hook is not None:
             self.hook(ctx)
         return ctx

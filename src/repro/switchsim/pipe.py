@@ -40,7 +40,6 @@ class Pipe:
         self.deparser = Deparser()
         self.phv = PhvLayout(capacity_bits=self.budget.phv_bits)
         self.recirculation_limit = recirculation_limit
-        self.recirculated_packets = 0
 
     def process(self, packet: Packet, ingress_port: int) -> PipelinePacket:
         """Run *packet* through the pipe, honouring recirculation requests.
@@ -57,7 +56,6 @@ class Pipe:
                 ctx.recirculate_requested = False
                 break
             ctx.recirculations += 1
-            self.recirculated_packets += 1
             self.parser.reparse(ctx)
             self.pipeline.process(ctx)
             self.deparser.deparse(ctx)

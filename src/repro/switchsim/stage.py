@@ -25,7 +25,7 @@ class Stage:
         self.resources = StageResources(budget=budget or ResourceBudget())
         self.tables: List[MatchActionTable] = []
         self.register_arrays: List[RegisterArray] = []
-        #: Callback installed by the owning pipeline, called with every
+        #: Callback installed by the owning pipeline, called after every
         #: table added, so port plans keyed on the pipeline version
         #: notice late table additions.
         self.on_change: Optional[Any] = None
@@ -40,7 +40,7 @@ class Stage:
             self.resources.allocate_sram(table.entries * ENTRY_BYTES, what=table.name)
         self.tables.append(table)
         if self.on_change is not None:
-            self.on_change(table)
+            self.on_change()
         return table
 
     def add_register_array(

@@ -271,6 +271,8 @@ class RetransmitAccounting(Invariant):
 
     * every frame on the wire is a first transmission or a counted
       retransmission (``packets_sent == distinct + retransmitted``);
+    * the node and the transport count the same retransmissions, and
+      the same retransmitted wire bytes;
     * every delivery is a counted unique or a counted duplicate
       (``packets_received == unique + duplicate``);
     * goodput bytes equal the unique deliveries' useful bytes — the
@@ -310,6 +312,8 @@ class RetransmitAccounting(Invariant):
                  transport.distinct_segments_sent + transport.retx_segments),
                 ("node vs transport retransmit count",
                  gen.retransmitted_packets, transport.retx_segments),
+                ("node vs transport retransmit bytes",
+                 gen.retransmitted_bytes, transport.retx_bytes),
                 ("deliveries split into unique+duplicate",
                  gen.packets_received,
                  transport.unique_delivered_segments + transport.duplicate_segments),

@@ -161,8 +161,7 @@ class _Connection:
         "flow_id", "cwnd", "ssthresh", "next_seq", "cum",
         "sacked", "outstanding", "retx_seqs", "dup_acks", "in_recovery",
         "recovery_point", "srtt_ns", "rttvar_ns", "rto_ns", "timer_gen",
-        "timer_armed", "transfer_end", "epoch_done", "distinct_sent",
-        "five_tuple",
+        "timer_armed", "transfer_end", "epoch_done", "five_tuple",
     )
 
     def __init__(self, flow_id: int, model: ClosedLoopFlows) -> None:
@@ -184,7 +183,6 @@ class _Connection:
         self.timer_armed = False
         self.transfer_end = 0        # current transfer sends seqs < this
         self.epoch_done = True
-        self.distinct_sent = 0
         #: This flow's five-tuple, resolved on its first segment.
         self.five_tuple = None
 
@@ -226,8 +224,9 @@ class ClosedLoopTransport:
         self._stop_at_ns: Optional[int] = None
         self._stopped = False
         self._remaining_in_epoch = 0
-        # Engine counters (the validation engine's retransmitted-bytes
-        # accounting cross-checks these against the node's view).
+        # Engine counters (the retransmit-accounting invariant checks
+        # these against the node's sends, retransmissions — count and
+        # wire bytes — and deliveries).
         self.segments_sent = 0           # every transmit, fresh + retx
         self.distinct_segments_sent = 0  # first transmissions only
         self.retx_segments = 0
@@ -238,7 +237,6 @@ class ClosedLoopTransport:
         self.fast_retransmits = 0
         self.timeouts = 0
         self.epochs_completed = 0
-        self.rtt_samples = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -327,7 +325,6 @@ class ClosedLoopTransport:
         while len(outstanding) < window and conn.next_seq < conn.transfer_end:
             seq = conn.next_seq
             conn.next_seq += 1
-            conn.distinct_sent += 1
             self.distinct_segments_sent += 1
             self._put_on_wire(conn, seq, retransmission=False)
 
@@ -442,7 +439,6 @@ class ClosedLoopTransport:
             self._retransmit(conn, conn.cum)
 
     def _sample_rtt(self, conn: _Connection, sample_ns: float) -> None:
-        self.rtt_samples += 1
         if conn.srtt_ns is None:
             conn.srtt_ns = float(sample_ns)
             conn.rttvar_ns = sample_ns / 2.0

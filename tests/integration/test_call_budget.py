@@ -45,8 +45,8 @@ SEED = 91
 #: 61.564, 91.783 before; 81.707, 80.770, 74.954, 105.239 before the NF
 #: server did its own NIC / PCIe arithmetic).
 BUDGETS = {
-    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 67.6),
-    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 68.2),
+    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 67.5),
+    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 67.8),
     "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 60.0),
     "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 90.0),
 }

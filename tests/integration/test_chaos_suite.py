@@ -232,7 +232,6 @@ class TestInjectedBugsAreCaught:
                     if table.drain_slot(index):
                         count += 1  # BUG: no eviction accounting
                 drained[name] = count
-            self.invalidate_fast_path()
             return drained
 
         monkeypatch.setattr(PayloadParkProgram, "drain_parked", forgetful_drain)

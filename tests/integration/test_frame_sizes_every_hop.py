@@ -52,17 +52,21 @@ class _SizeChecker(RunObserver):
 
         return checked
 
+    def _count_recirculations(self, process):
+        def counted(packet, port):
+            ctx = process(packet, port)
+            self.recirculated_packets += ctx.recirculations
+            return ctx
+
+        return counted
+
     def on_run_start(self, scenario, deployment, topology, program):
         nodes = [topology.switch]
         for attachment in topology.attachments:
             nodes += [attachment.pktgen, attachment.server]
         for node in nodes:
             node.handle_packet = self._wrap(node.handle_packet)
-
-    def on_run_end(self, scenario, deployment, topology, program, reports):
-        self.recirculated_packets += sum(
-            pipe.recirculated_packets for pipe in program.asic.pipes
-        )
+        program.process = self._count_recirculations(program.process)
 
 
 SCENARIOS = {

@@ -471,7 +471,7 @@ class TestInjectorProgramEvents:
         def state():
             stats = injector.stats()
             del stats["events_applied"]
-            return stats, program.asic.processed_packets, program.l2.lookups, len(program._plans)
+            return stats, dict(program._plans)
 
         before = state()
         injector.apply_event(FaultEvent("expiry_threshold", 0, {"value": 5}))

@@ -1,11 +1,19 @@
-"""Field census: every configuration field has a reader.
+"""Field census: every configuration field and every stored attribute
+has a reader.
 
-The test walks ``src/`` with ``ast``.  Each field of the configuration
+The tests walk ``src/`` with ``ast``.  Each field of the configuration
 dataclasses named in :data:`CLASSES` must be loaded as an attribute
 (``something.<field>``) at least once outside that class's own
 ``__post_init__``, which checks a value but does not use it.  A field
 nothing reads is a setting callers can change without any run behaving
 differently: delete it rather than declare it.
+
+Likewise every attribute stored on an object (``something.<name> = …``
+or ``… += …``) must be loaded somewhere under ``src/``; a string that
+spells the name (``getattr(obj, "name")``, an ``attrgetter`` path, a
+``__slots__`` entry) counts as a load.  State nothing reads is work
+every packet pays for with no run behaving differently.  Only names the
+standard library reads are exempt (:data:`STDLIB_READS`).
 
 The census matches names, not types, so a load of an equally named
 attribute of another object counts too.  It errs towards passing.
@@ -34,6 +42,11 @@ CLASSES = {
     "repro/orchestrator/spec.py": ("RunSpec", "CampaignSpec"),
 }
 
+#: Stored attributes no code under ``src/`` reads, because the standard
+#: library does: ``socketserver`` reads ``daemon_threads``, ``logging``
+#: reads ``propagate``, and a ``%(cell)s`` format field reads ``cell``.
+STDLIB_READS = frozenset({"daemon_threads", "propagate", "cell"})
+
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -55,10 +68,14 @@ def declared_fields(module: ast.Module, class_name: str) -> List[str]:
 
 class _Loads(ast.NodeVisitor):
     """Attribute loads, keyed by the class whose ``__post_init__`` holds
-    them (``None`` for every other load)."""
+    them (``None`` for every other load); attribute stores, each with
+    its first ``file:line``; and the names strings spell."""
 
     def __init__(self) -> None:
         self.loads: Dict[object, Set[str]] = {}
+        self.stores: Dict[str, str] = {}
+        self.spelled: Set[str] = set()
+        self.path = "<string>"
         self._classes: List[str] = []
         self._post_init_of = None
 
@@ -77,15 +94,39 @@ class _Loads(ast.NodeVisitor):
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
             self.loads.setdefault(self._post_init_of, set()).add(node.attr)
+        elif isinstance(node.ctx, ast.Store):
+            self.stores.setdefault(node.attr, f"{self.path}:{node.lineno}")
         self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                self.spelled.update(parts)
 
 
 @lru_cache(maxsize=None)
-def attribute_loads() -> Dict[object, Set[str]]:
+def walk_src() -> _Loads:
     visitor = _Loads()
     for path in sorted(SRC.rglob("*.py")):
+        visitor.path = str(path.relative_to(SRC))
         visitor.visit(_parse(path))
-    return visitor.loads
+    return visitor
+
+
+def attribute_loads() -> Dict[object, Set[str]]:
+    return walk_src().loads
+
+
+def unread_stores(visitor: _Loads) -> Dict[str, str]:
+    """Stored attribute names no load or string names, with where each
+    is first stored."""
+    read = set(visitor.spelled).union(*visitor.loads.values())
+    return {
+        name: where
+        for name, where in sorted(visitor.stores.items())
+        if name not in read and name not in STDLIB_READS
+    }
 
 
 def unread_fields(class_name: str, fields: List[str]) -> List[str]:
@@ -121,3 +162,24 @@ def test_a_load_inside_its_own_post_init_does_not_count():
     visitor.visit(module)
     assert visitor.loads == {"Cfg": {"checked"}, None: {"used"}}
     assert declared_fields(module, "Cfg") == ["used", "checked"]
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_stores(walk_src()) == {}
+
+
+def test_a_store_needs_a_load_or_a_spelling():
+    module = ast.parse(
+        "class Node:\n"
+        "    __slots__ = ('slotted',)\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.tally = self.slotted = self.named = 0\n"
+        "        self.propagate = False\n"
+        "    def step(self):\n"
+        "        self.tally += 1\n"
+        "        self.late = f'{self.kept}.tally'\n"
+        "        return getattr(self, 'named')\n"
+    )
+    visitor = _Loads()
+    visitor.visit(module)
+    assert unread_stores(visitor) == {"late": "<string>:8", "tally": "<string>:4"}

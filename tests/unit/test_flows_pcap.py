@@ -103,9 +103,13 @@ class TestPcap:
         with pytest.raises(ValueError):
             PcapReader(path)
 
-    def test_reader_exposes_linktype(self, tmp_path):
+    def test_reader_rejects_a_non_ethernet_linktype(self, tmp_path):
         path = tmp_path / "meta.pcap"
         write_pcap(path, [(0.0, b"\x00" * 60)])
         with PcapReader(path) as reader:
-            assert reader.linktype == 1
-            assert reader.snaplen >= 60
+            assert len(list(reader)) == 1
+        header = bytearray(path.read_bytes())
+        header[20:24] = (101).to_bytes(4, "little")  # LINKTYPE_RAW: bare IP
+        path.write_bytes(bytes(header))
+        with pytest.raises(ValueError, match="link type 101"):
+            PcapReader(path)

@@ -201,7 +201,7 @@ class TestNfChain:
         chain = NfChain([firewall, nat])
         result = chain.process(_packet(src_ip="10.1.0.5"))
         assert not result.forwarded
-        assert nat.packets_seen == 0
+        assert (firewall.packets_dropped, nat.active_bindings) == (1, 0)  # NAT never saw it
         assert chain.packets_dropped == 1
 
     def test_requires_at_least_one_nf(self):

@@ -167,7 +167,6 @@ class TestSplitMergeRoundTrip:
         ctx = program.process(packet, ingress_port=2)
         assert ctx.dropped and ctx.drop_reason == "payloadpark-tag-out-of-range"
         assert program.counters_for().tag_validation_failures == 1
-        assert program.asic.drop_reasons == {"payloadpark-tag-out-of-range": 1}
         assert program.lookup_table().occupancy() == 0
 
     def test_explicit_drop_reclaims_slot_without_forwarding(self):

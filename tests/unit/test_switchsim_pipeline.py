@@ -20,7 +20,6 @@ class TestMatchActionTable:
         table = MatchActionTable("t", action=lambda ctx: hits.append(ctx.ingress_port))
         assert table.apply(_ctx(3))
         assert hits == [3]
-        assert table.hit_count == 1
 
     def test_match_predicate_gates_action(self):
         table = MatchActionTable(
@@ -29,7 +28,6 @@ class TestMatchActionTable:
         ctx = _ctx(0)
         assert not table.apply(ctx)
         assert ctx.egress_port is None
-        assert table.miss_count == 1
 
     def test_dropped_packet_skips_table(self):
         table = MatchActionTable("t", action=lambda ctx: ctx.forward_to(1))
@@ -73,40 +71,12 @@ class TestPipeline:
 
 
 class TestPortPlan:
-    def _pipeline(self):
+    def test_table_install_outdates_the_plan(self):
         pipeline = Pipeline(stage_count=2)
-        tables = [
-            pipeline.stage(stage).add_table(
-                MatchActionTable(name, match=lambda ctx: False, action=lambda ctx: None)
-            )
-            for stage, name in ((0, "a"), (0, "b"), (1, "c"))
-        ]
-        return pipeline, tables
-
-    def _counts(self, tables):
-        return [(table.hit_count, table.miss_count) for table in tables]
-
-    def test_tallies_settle_into_the_walk_the_outcome_describes(self):
-        pipeline, (a, b, c) = self._pipeline()
-        counts = [0, 0]
-        two_passes = [([a, c], None), ([c], None)]
-        dropped_at_b = [([b], b)]  # b hits and drops: c is never reached
-        deltas = [pipeline.walk(two_passes), pipeline.walk(dropped_at_b)]
-        PortPlan(pipeline, lambda packet, port: None, counts, deltas)
-        counts[0] += 3
-        counts[1] += 2
-        assert self._counts([a, b, c]) == [(3, 5), (2, 6), (6, 0)]
-        assert counts == [0, 0]
-        assert self._counts([a, b, c]) == [(3, 5), (2, 6), (6, 0)]  # settled once
-
-    def test_table_install_settles_then_outdates_the_plan(self):
-        pipeline, (a, b, c) = self._pipeline()
-        counts = [4]
-        deltas = [pipeline.walk([([a], None)])]
-        plan = PortPlan(pipeline, lambda packet, port: None, counts, deltas)
-        late = pipeline.stage(1).add_table(MatchActionTable("late", action=lambda ctx: None))
+        plan = PortPlan(pipeline, lambda packet, port: None)
+        assert plan.version == pipeline.version
+        pipeline.stage(1).add_table(MatchActionTable("late", action=lambda ctx: None))
         assert plan.version != pipeline.version
-        assert self._counts([a, b, c, late]) == [(4, 0), (0, 4), (0, 4), (0, 0)]
 
 
 class TestPipeRecirculation:
@@ -152,12 +122,11 @@ class TestTofinoAsic:
         with pytest.raises(ValueError):
             asic.pipe_for_port(64)
 
-    def test_process_counts_drops(self):
+    def test_process_reports_drops(self):
         config = AsicConfig(pipe_count=1, ports_per_pipe=4, stages_per_pipe=2)
         asic = TofinoAsic(config)
         asic.pipes[0].pipeline.stage(0).add_table(
             MatchActionTable("drop-all", action=lambda ctx: ctx.drop("policy"))
         )
-        asic.process(Packet.udp(total_size=100), ingress_port=1)
-        assert asic.dropped_packets == 1
-        assert asic.drop_reasons == {"policy": 1}
+        ctx = asic.process(Packet.udp(total_size=100), ingress_port=1)
+        assert (ctx.dropped, ctx.drop_reason) == (True, "policy")

@@ -127,7 +127,6 @@ class TestSlowStart:
         h = _Harness(_model())
         h.run()
         conn = h.transport.flows[0]
-        assert h.transport.rtt_samples > 10
         assert conn.srtt_ns == pytest.approx(RTT_NS, rel=0.05)
         # RTO sits on the configured floor (the RTT is microseconds).
         assert conn.rto_ns == pytest.approx(200_000)
@@ -177,7 +176,6 @@ class TestFastRetransmit:
         t = h.transport
         assert t.timeouts == 1
         assert t.unique_delivered_segments == 1
-        assert t.rtt_samples == 0
         assert t.flows[0].srtt_ns is None
 
 

@@ -190,6 +190,20 @@ class TestRetransmitAccounting:
         assert any("retransmit count" in v.message or "first+retx" in v.message
                    for v in violations)
 
+    def test_detects_uncounted_retransmitted_bytes(self):
+        observer = ValidationObserver(keep_observations=True)
+        with run_observer(observer):
+            ExperimentRunner(time_scale=0.1).compare(workload_scenario("incast-collapse"))
+        assert observer.violations == []
+        obs = _payloadpark_obs(observer)
+        gen = obs.topology.attachments[0].pktgen
+        assert gen.retransmitted_bytes > 0  # the collapse retransmits
+        gen.transport.retx_bytes -= 1
+        violations = RetransmitAccounting().check(obs)
+        assert [v.details["identity"] for v in violations] == [
+            "node vs transport retransmit bytes"
+        ]
+
     def test_detects_phantom_unique_deliveries(self, closed_loop_runs):
         obs = _payloadpark_obs(closed_loop_runs)
         transport = obs.topology.attachments[0].pktgen.transport

@@ -10,8 +10,11 @@ process, from a temporary directory: every registered figure, every
 example campaign (serially and with two forked workers), every example
 script, ``campaign serve`` with each endpoint fetched once, each
 perf-ledger pass, and one invocation of every leaf command of the CLI
-parser.  A campaign worker is a forked process that leaves through
-``os._exit``, so the census wraps the worker's main function
+parser.  The ``campaign serve`` row runs every payload it fetches
+through the ``repro.campaign/v1`` validators, and each example
+campaign's store is read back through ``ResultStore.record_count``, as
+CI's smoke jobs do.  A campaign worker is a forked process that leaves
+through ``os._exit``, so the census wraps the worker's main function
 (:data:`WORKER_MAINS`) to write what the worker entered before it
 returns.
 
@@ -239,8 +242,8 @@ def totals(functions: Mapping[str, Function], entered: Set[str]) -> Dict[str, Di
 class EntryPoint:
     """One row of the table."""
 
-    kind: str               # "cli", "script" or "serve"
-    args: Tuple[str, ...]   # CLI argv, or the script path then its argv
+    kind: str               # "cli", "script", "serve" or "store"
+    args: Tuple[str, ...]   # CLI argv, the script path then its argv, or a campaign file
     statuses: Tuple[int, ...] = (0,)  # the exit statuses that are not a failure
 
     @property
@@ -277,6 +280,7 @@ def entry_points() -> List[EntryPoint]:
             cli("campaign", "report", str(spec), "--time-scale", TIME_SCALE, "--store", store),
             # The default store, results/<campaign>.jsonl, as `obs runs` reads it.
             cli("campaign", "run", str(spec), "--workers", "2", "--time-scale", TIME_SCALE, "--json"),
+            EntryPoint("store", (str(spec),)),
         ]
     smoke = REPO / "examples" / "campaigns" / "serve_smoke.yaml"
     table.append(EntryPoint("serve", ("campaign", "serve", str(smoke), "--time-scale", TIME_SCALE)))
@@ -366,24 +370,60 @@ def _run_entry(entry: EntryPoint, cli_main: Callable[[List[str]], int]) -> int:
             sys.argv, sys.path[:] = saved
         return 0
     if entry.kind == "serve":
-        port = _free_port()
-        argv = [*entry.args, "--port", str(port), "--max-seconds", "10"]
-        status: List[int] = []
-        server = threading.Thread(target=lambda: status.append(cli_main(argv)))
-        server.start()
-        base = f"http://127.0.0.1:{port}"
-        for endpoint in ("/", "/status", "/cells", "/violations", "/events?n=20", "/metrics", "/nope"):
-            for _ in range(50):
-                try:
-                    urllib.request.urlopen(base + endpoint, timeout=5).read()
-                    break
-                except urllib.error.HTTPError:
-                    break
-                except OSError:
-                    time.sleep(0.1)
-        server.join()
-        return status[0] if status else 1
+        return _serve_and_validate(entry, cli_main)
+    if entry.kind == "store":
+        return _check_store(entry.args[0])
     raise ValueError(f"unknown entry kind {entry.kind!r}")
+
+
+def _serve_and_validate(entry: EntryPoint, cli_main: Callable[[List[str]], int]) -> int:
+    """Serve a campaign, fetch every endpoint once and validate each
+    JSON payload against its ``repro.campaign/v1`` schema, as CI does."""
+    from repro.obs.schema import (
+        validate_campaign_cells,
+        validate_campaign_event,
+        validate_campaign_status,
+        validate_campaign_violations,
+    )
+
+    validators = {
+        "/status": validate_campaign_status,
+        "/cells": validate_campaign_cells,
+        "/violations": validate_campaign_violations,
+    }
+    port = _free_port()
+    argv = [*entry.args, "--port", str(port), "--max-seconds", "10"]
+    status: List[int] = []
+    server = threading.Thread(target=lambda: status.append(cli_main(argv)))
+    server.start()
+    base = f"http://127.0.0.1:{port}"
+    payloads: Dict[str, bytes] = {}
+    for endpoint in ("/", "/status", "/cells", "/violations", "/events?n=20", "/metrics", "/nope"):
+        for _ in range(50):
+            try:
+                payloads[endpoint] = urllib.request.urlopen(base + endpoint, timeout=5).read()
+                break
+            except urllib.error.HTTPError:
+                break
+            except OSError:
+                time.sleep(0.1)
+    server.join()
+    for endpoint, validate in validators.items():
+        validate(json.loads(payloads[endpoint]))
+    for line in payloads["/events?n=20"].splitlines():
+        validate_campaign_event(json.loads(line))
+    return status[0] if status else 1
+
+
+def _check_store(spec: str) -> int:
+    """Read back the store a campaign run left at its default path: one
+    record per cell, counted by ``ResultStore.record_count`` as CI does."""
+    from repro.orchestrator import CampaignSpec, ResultStore, default_store_path
+
+    campaign = CampaignSpec.from_file(spec)
+    store = ResultStore(default_store_path(campaign.name))
+    cells = len(campaign.expand())
+    return 0 if store.record_count() == len(store.latest_by_hash()) == cells else 1
 
 
 def run_census(
