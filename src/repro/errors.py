@@ -70,6 +70,20 @@ class PayloadParkConfigError(ValueError):
     """
 
 
+class EmptyWindowError(ValueError):
+    """A deployment's traffic generator sent no packet in the measurement
+    window.
+
+    Every rate, latency and gain of such a run is 0 by construction, not
+    a measurement, so the experiment runner raises this after the run
+    instead of reporting it.  The message names the scenario and the
+    time scale: a longer ``--time-scale`` (or a higher send rate) gives
+    the generator time to send.  Subclasses :class:`ValueError`, so the
+    CLI prints one ``error:`` line and a campaign cell becomes an error
+    record.
+    """
+
+
 def require_positive_finite(
     field: str, value: float, error: Type[ValueError] = ValueError
 ) -> None:

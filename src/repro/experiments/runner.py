@@ -33,6 +33,7 @@ from repro.core.config import DOMAINS as PAYLOADPARK_DOMAINS
 from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.program import BaselineProgram, PayloadParkProgram, SwitchProgram
 from repro.errors import (
+    EmptyWindowError,
     require_integer,
     require_non_negative_finite,
     require_positive_finite,
@@ -594,6 +595,14 @@ class ExperimentRunner:
                     warm_latency_counts[name],
                 )
             )
+        for report in reports:
+            if not report.packets_sent:
+                raise EmptyWindowError(
+                    f"scenario {scenario.name!r} ({deployment.value}): the traffic "
+                    f"generator sent 0 packets in the {window_ns / 1_000:g} µs "
+                    f"measurement window at time scale {self.time_scale:g}; "
+                    f"use a larger time scale"
+                )
         if observer is not None:
             observer.on_run_end(scenario, deployment, topology, program, reports)
         if plane is not None:

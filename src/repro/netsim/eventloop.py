@@ -17,8 +17,8 @@ calendar has no event pending at a frame's future ``tx_done``, that
 event would be the first of its nanosecond, ahead of every event
 scheduled there later, so :class:`~repro.netsim.link.Link` drains it
 lazily on the next transmit instead of scheduling it.
-:attr:`FastEventLoop.pending_times` answers the question; the reference
-loop answers ``None`` and keeps every such event.  On the perf ledger's
+The calendar's map (:func:`calendar_of`) answers the question; on the
+reference loop the link keeps every such event.  On the perf ledger's
 ``fig07_sat`` workload that removes a third of all events.
 
 Two interchangeable implementations are provided:
@@ -26,20 +26,24 @@ Two interchangeable implementations are provided:
 * :class:`EventLoop` — the reference implementation: one ``heapq``
   push/pop per event, exactly as the seed simulator behaved.  This is
   the loop the golden-figure regression suite treats as ground truth.
-* :class:`FastEventLoop` — the fast path: a timer-wheel-style calendar
-  that buckets every event scheduled for the same nanosecond into one
-  FIFO list, so the heap only orders *distinct timestamps*.  Paced
-  traffic generators and burst transmissions produce long runs of
-  same-time events, which the calendar executes with one list append
-  and one cursor advance instead of a heap push and pop each.
+* :class:`FastEventLoop` — the fast path: a calendar that keeps every
+  event scheduled for the same nanosecond in one FIFO list of
+  ``(callback, arg)`` pairs, keyed by the nanosecond in a map, so the
+  heap only orders *distinct timestamps*.  Most events share their
+  nanosecond with another (on the perf ledger's ``multi8_macswap``
+  nine in ten scheduling calls land in a nanosecond that already holds
+  an event), and those cost one list append instead of a heap push and
+  pop each.
 
-The calendar keeps no per-event bookkeeping.  An event alone at its
-nanosecond costs a dict lookup, a dict insert and a heap push to
-schedule, and a heap pop and a ``dict.pop`` to run; no counter moves
-either way.
-:attr:`FastEventLoop.pending_events` is counted from the buckets and the
-drain cursor when asked — the validation drain is its one reader on
-the run path.
+The calendar keeps no per-event bookkeeping.  To run a nanosecond it
+pops that nanosecond's list off the map and drains it with one ``for``;
+an event scheduled for the current nanosecond meanwhile starts a fresh
+bucket that the heap serves next.  :attr:`FastEventLoop.pending_events`
+is counted from the map when asked — the validation drain is its one
+reader on the run path — and, like :attr:`FastEventLoop.pending_times`,
+does not see the draining bucket mid-drain.  The per-frame hop sites
+skip ``schedule_at`` altogether and insert into the map and heap that
+:func:`calendar_of` hands them.
 
 Both loops execute identical event sequences for identical scheduling
 calls (the property suite in ``tests/property`` asserts this).  The
@@ -181,48 +185,40 @@ class EventLoop:
 class FastEventLoop(EventLoop):
     """Calendar-bucket scheduler: heap of distinct times, FIFO buckets.
 
-    Events scheduled for the same nanosecond share one flat list,
-    ``[callback, arg, callback, arg, ...]``; the heap orders only the
-    distinct timestamps.  Appending to a bucket is O(1), allocates
-    nothing per event and preserves scheduling order, which reproduces
-    the reference loop's ``(time, sequence)`` tie-breaking exactly —
-    including events scheduled *for the current timestamp while it is
-    being drained*, which land at the tail of the active bucket and run
-    after every already-queued tie.
+    Events scheduled for the same nanosecond share one list of
+    ``(callback, arg)`` pairs, kept in a map keyed by the nanosecond;
+    the heap orders only the distinct timestamps.  Appending to a bucket
+    is O(1) and preserves scheduling order, which reproduces the
+    reference loop's ``(time, sequence)`` tie-breaking.
 
-    A singleton event — the common case — is scheduled with one dict
-    lookup, one insert and one heap push, and run with one heap pop and
-    one ``dict.pop``; nothing else is written per event.  No pending
-    count is kept: :attr:`pending_events` adds up the buckets when
-    asked.
+    :meth:`run_until` pops the earliest bucket *off* the map and drains
+    it with one ``for`` over its pairs — no drain cursor and nothing
+    written per event.  A callback that schedules for the current
+    nanosecond finds no bucket there, so it starts a fresh one and
+    pushes the time again; the heap serves that bucket right after the
+    one draining, which is where the reference loop's larger sequence
+    numbers put those events.  If a callback raises, or
+    ``run_all(max_events)`` stops mid-bucket, the undrained tail goes
+    back on the map *ahead* of any such same-time successors, so the
+    next run resumes exactly where this one stopped.
+
+    Mid-drain, the draining bucket is off the map: :attr:`pending_times`
+    lacks the current nanosecond unless a callback scheduled into it
+    again, and :attr:`pending_events` does not count the draining
+    bucket's tail.  Both are exact between runs.
     """
 
-    __slots__ = (
-        "_buckets",
-        "_pending_view",
-        "_times",
-        "_active_time",
-        "_active_bucket",
-        "_active_index",
-    )
+    __slots__ = ("_buckets", "_pending_view", "_times")
 
     def __init__(self) -> None:
         self.now = 0
         self.events_executed = 0
         self.monitor = None
-        #: timestamp -> FIFO list of that timestamp's events, two slots
-        #: (callback, arg) per event.
-        self._buckets: Dict[int, list] = {}
+        #: timestamp -> FIFO list of that timestamp's ``(callback, arg)``.
+        self._buckets: Dict[int, List[Tuple[Callback, Any]]] = {}
         self._pending_view = MappingProxyType(self._buckets)
         #: heap of distinct timestamps present in ``_buckets``.
         self._times: List[int] = []
-        # Drain cursor (a slot index into the active bucket) of a bucket
-        # left half drained between runs — by ``run_all(max_events)``
-        # or a raising callback — so the next run resumes exactly where
-        # it left off.
-        self._active_time = -1
-        self._active_bucket: Optional[list] = None
-        self._active_index = 0
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -237,11 +233,22 @@ class FastEventLoop(EventLoop):
             )
         bucket = self._buckets.get(when_ns)
         if bucket is None:
-            self._buckets[when_ns] = [callback, arg]
+            self._buckets[when_ns] = [(callback, arg)]
             heapq.heappush(self._times, when_ns)
         else:
-            bucket.append(callback)
-            bucket.append(arg)
+            bucket.append((callback, arg))
+
+    def _requeue(self, when_ns: int, tail: list) -> None:
+        """Put a stopped bucket's undrained *tail* back at *when_ns*,
+        ahead of any events scheduled there while it drained."""
+        if not tail:
+            return
+        successors = self._buckets.get(when_ns)
+        if successors is None:
+            self._buckets[when_ns] = tail
+            heapq.heappush(self._times, when_ns)
+        else:
+            successors[:0] = tail
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -254,78 +261,37 @@ class FastEventLoop(EventLoop):
         Same inclusive-horizon contract as :meth:`EventLoop.run_until`:
         events scheduled exactly at ``horizon_ns`` execute, ``monitor``
         fires once per executed callback, and ``now`` is left clamped to
-        the horizon afterwards.
-
-        The drain cursor lives in locals: it is stored on the loop only
-        when a callback raises, so the next run resumes the interrupted
-        bucket after the raising event (the reference loop has popped
-        that event too).
+        the horizon afterwards.  A raising callback is consumed but not
+        counted, as on the reference loop; the rest of its bucket is
+        requeued.
         """
         _check_horizon(horizon_ns)
-        if self._active_bucket is not None and self._active_time > horizon_ns:
-            return  # ``now`` is the stopped bucket's time, past the horizon
         times = self._times
         buckets = self._buckets
         pop = heapq.heappop
         monitor = self.monitor
         no_arg = _NO_ARG
-        # A bucket ``run_all(max_events)`` or a raising callback left
-        # half drained is resumed first.
-        active = self._active_bucket
-        when_ns = self._active_time
-        index = self._active_index
-        self._active_bucket = None
         executed = 0
         try:
-            while True:
-                if active is None:
-                    if not times or times[0] > horizon_ns:
-                        break
-                    when_ns = pop(times)
-                    bucket = buckets.pop(when_ns)
-                    if len(bucket) == 2:
-                        # Singleton bucket: no drain cursor.  It is off
-                        # the map before it runs, so a callback
-                        # scheduling at ``now`` creates a fresh bucket
-                        # that the heap serves next — the same order the
-                        # reference loop produces.
-                        self.now = when_ns
+            while times and times[0] <= horizon_ns:
+                when_ns = pop(times)
+                bucket = buckets.pop(when_ns)
+                self.now = when_ns
+                events = iter(bucket)
+                try:
+                    for callback, arg in events:
                         if monitor is not None:
                             monitor(when_ns)
-                        callback, arg = bucket
                         if arg is no_arg:
                             callback()
                         else:
                             callback(arg)
-                        executed += 1
-                        continue
-                    # Back on the map while it drains, so same-time
-                    # events join its tail and ``pending_times`` sees it.
-                    buckets[when_ns] = active = bucket
-                    index = 0
-                self.now = when_ns
-                # Callbacks may append same-time events to this bucket;
-                # re-reading the length each iteration runs them in FIFO
-                # order, matching the reference loop's sequence numbers.
-                while index < len(active):
-                    callback = active[index]
-                    arg = active[index + 1]
-                    index += 2
-                    if monitor is not None:
-                        monitor(when_ns)
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-                    executed += 1
-                del buckets[when_ns]
-                active = None
-        except BaseException:
-            if active is not None:
-                self._active_time = when_ns
-                self._active_bucket = active
-                self._active_index = index
-            raise
+                except BaseException:
+                    tail = list(events)
+                    executed += len(bucket) - len(tail) - 1
+                    self._requeue(when_ns, tail)
+                    raise
+                executed += len(bucket)
         finally:
             self.events_executed += executed
         if self.now < horizon_ns:
@@ -335,58 +301,60 @@ class FastEventLoop(EventLoop):
         """Drain the calendar completely (or up to *max_events* events)."""
         times = self._times
         buckets = self._buckets
-        pop = heapq.heappop
         monitor = self.monitor
-        remaining = float("inf") if max_events is None else max_events
+        remaining = math.inf if max_events is None else max_events
         executed = 0
         try:
-            while remaining > 0:
-                if self._active_bucket is None:
-                    if not times:
-                        break
-                    when_ns = pop(times)
-                    self._active_time = when_ns
-                    self._active_bucket = buckets[when_ns]
-                    self._active_index = 0
-                self.now = self._active_time
-                bucket = self._active_bucket
-                index = self._active_index
-                while index < len(bucket) and remaining > 0:
-                    callback = bucket[index]
-                    arg = bucket[index + 1]
-                    index += 2
-                    self._active_index = index
-                    if monitor is not None:
-                        monitor(self._active_time)
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
-                    executed += 1
-                    remaining -= 1
-                if self._active_index >= len(bucket):
-                    del buckets[self._active_time]
-                    self._active_bucket = None
-                    self._active_time = -1
+            while times and remaining > 0:
+                when_ns = heapq.heappop(times)
+                events = iter(buckets.pop(when_ns))
+                self.now = when_ns
+                try:
+                    for callback, arg in events:
+                        if monitor is not None:
+                            monitor(when_ns)
+                        if arg is _NO_ARG:
+                            callback()
+                        else:
+                            callback(arg)
+                        executed += 1
+                        remaining -= 1
+                        if remaining <= 0:
+                            break
+                finally:
+                    self._requeue(when_ns, list(events))
         finally:
             self.events_executed += executed
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued, counted from the buckets and
-        the drain cursor when asked (no per-event counter is kept).
-        Exact between runs; a callback asking during :meth:`run_until`
-        also counts the already-run events of its own nanosecond."""
-        pending = sum(map(len, self._buckets.values())) // 2
-        if self._active_bucket is not None:
-            pending -= self._active_index // 2
-        return pending
+        """Number of events still queued, counted from the buckets when
+        asked (no per-event counter is kept).  Exact between runs; a
+        callback asking during a drain does not see the rest of its own
+        nanosecond's bucket."""
+        return sum(map(len, self._buckets.values()))
 
     @property
     def pending_times(self) -> Mapping[int, Any]:
         """Live read-only view of the calendar: timestamp -> that
         timestamp's bucket, for every timestamp with a pending event
-        (the bucket being drained included).  ``when in pending_times``
-        is one C-level lookup, and the view stays valid for the loop's
-        lifetime, so callers may capture it once."""
+        (during a drain, the draining bucket is off the map).  ``when
+        in pending_times`` is one C-level lookup, and the view stays
+        valid for the loop's lifetime, so callers may capture it once."""
         return self._pending_view
+
+
+def calendar_of(env: EventLoop) -> Tuple[Optional[Dict[int, list]], Optional[List[int]]]:
+    """The ``(map, heap)`` of *env*'s calendar, or ``(None, None)`` when
+    *env* is not a :class:`FastEventLoop`.
+
+    The per-frame hop sites (link arrival, switch egress, NF completion
+    and NIC-tx) insert their ``(callback, arg)`` pair straight into the
+    calendar — ``map.get(when)``, then an append or a new bucket plus a
+    heap push — instead of calling :meth:`FastEventLoop.schedule_at`.
+    Their times are never in the past by construction.  On any other
+    loop they call ``schedule_at``.
+    """
+    if isinstance(env, FastEventLoop):
+        return env._buckets, env._times
+    return None, None

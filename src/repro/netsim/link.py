@@ -12,14 +12,29 @@ simulated hop, so a frame crossing a link is normally one event — its
 arrival — and three Python frames: the sending node's per-port sender
 (:meth:`Node.port_sender`), :meth:`Link.transmit` and the direction's
 arrival callback.  ``Link.transmit`` is the one transmit body: it picks
-the sender's direction and does that direction's work itself.  The
-per-direction object keeps the state (queue, serialization cursor,
-counters, fault windows) and binds its callbacks once at wiring time;
-they are scheduled with the byte count or the packet as the event
-argument.  The byte count is the frame's stored ``wire_length``, read
-once.  Serialization time is looked up per wire size (the link rate is
+the sender's direction and does that direction's work itself, and it
+puts the arrival straight into the calendar's map and heap
+(:func:`~repro.netsim.eventloop.calendar_of`) rather than calling
+``schedule_at``.  The per-direction object keeps the state (queue,
+serialization cursor, counters, fault windows) and binds its callbacks
+once at wiring time; they are scheduled with the byte count or the
+packet as the event argument.  The byte count is the frame's stored
+``wire_length``, read once.  Serialization time is one subscript of a
+per-size table that fills a size on its first lookup (the link rate is
 fixed after construction), and arrival calls the receiving node's
 ``handle_packet`` directly.
+
+Faults and hooks stay off that path behind one per-direction flag,
+``impaired``.  While it is clear, ``transmit`` runs no down, loss,
+jitter, arrival-clamp or profiler branch.  Every fault or hook setter
+(:meth:`Link.set_up`, :meth:`~Link.set_loss`, :meth:`~Link.set_jitter`,
+:meth:`~Link.set_observability`) sets it, and on the reference loop it
+is set for good.  Only ``transmit`` clears it, on a frame that finds the
+direction up, no loss or jitter window open, no hook installed and its
+un-jittered arrival no earlier than the last jittered one — so after a
+jitter window closes, arrivals stay clamped until they pass the last
+jittered arrival.  The flag only adds drops and jitter to the frame's
+arithmetic, which is the same code either way.
 
 Serialization end is drained lazily.  Its only effect is to take the
 frame's bytes out of ``queued_bytes``, and only :meth:`Link.transmit`
@@ -33,8 +48,8 @@ triggers — and the drain at ``now == tx_done`` counts it, as the event
 would have.  The first-in-bucket condition holds whenever the calendar
 has nothing pending at ``tx_done`` when the frame is sent (events
 scheduled later at that nanosecond queue behind it), so
-``Link.transmit`` asks the loop's :attr:`~FastEventLoop.pending_times`
-and elides only then.  A frame whose ``tx_done`` already has an event
+``Link.transmit`` looks ``tx_done`` up in the calendar's map and elides
+only then.  A frame whose ``tx_done`` already has an event
 or is the current instant (a 0 ns serialization, which would queue
 behind the running event), or any frame on a loop that cannot tell (the
 reference :class:`EventLoop`), gets its serialization-end event as
@@ -52,11 +67,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from heapq import heappush
+from typing import Optional, Tuple
 
 from repro.compat import SLOTTED
 from repro.errors import LinkSpecError, require_integer, require_positive_finite
-from repro.netsim.eventloop import EventLoop
+from repro.netsim.eventloop import EventLoop, calendar_of
 from repro.netsim.node import Node
 from repro.packet.packet import Packet
 
@@ -98,6 +114,21 @@ class LinkDirectionStats:
         return self.frames_dropped_down + self.frames_dropped_loss
 
 
+class _SerializationTable(dict):
+    """Wire bytes -> serialization ns at one link rate, filled on a
+    size's first lookup (the rate is fixed after construction)."""
+
+    __slots__ = ("bandwidth_gbps",)
+
+    def __init__(self, bandwidth_gbps: float) -> None:
+        super().__init__()
+        self.bandwidth_gbps = bandwidth_gbps
+
+    def __missing__(self, nbytes: int) -> int:
+        ns = self[nbytes] = int(round(nbytes * 8 / self.bandwidth_gbps))
+        return ns
+
+
 class _LinkDirection:
     """One direction of a full-duplex link: its state, counters and the
     per-frame event callbacks.  :meth:`Link.transmit` drives it."""
@@ -105,7 +136,6 @@ class _LinkDirection:
     __slots__ = (
         "env",
         "name",
-        "bandwidth_gbps",
         "propagation_delay_ns",
         "buffer_bytes",
         "next_free_ns",
@@ -114,9 +144,10 @@ class _LinkDirection:
         "stats",
         "_node",
         "_port",
-        "_serialization",
+        "serialization",
         "_on_finish",
         "_on_arrive",
+        "impaired",
         "up",
         "loss_probability",
         "jitter_ns",
@@ -139,7 +170,6 @@ class _LinkDirection:
     ) -> None:
         self.env = env
         self.name = name
-        self.bandwidth_gbps = bandwidth_gbps
         self.propagation_delay_ns = propagation_delay_ns
         self.buffer_bytes = buffer_bytes
         self.next_free_ns = 0
@@ -157,35 +187,36 @@ class _LinkDirection:
         self._node = node
         self._port = port
         #: wire bytes -> serialization ns, filled on first use of a size.
-        self._serialization: Dict[int, int] = {}
+        self.serialization = _SerializationTable(bandwidth_gbps)
         # The per-frame event callbacks, bound once.
         self._on_finish = self._finish
         self._on_arrive = self._arrive
+        #: True while ``transmit`` must run its fault, loss, jitter,
+        #: clamp and profiler branches (see the module docstring).  Set
+        #: by every fault or hook setter and, on a loop without a
+        #: calendar, for good; only ``transmit`` clears it.
+        self.impaired = calendar_of(env)[0] is None
         # Fault-injection state (see repro.faults): a downed direction
         # drops every offered frame; an active loss window drops each
         # frame with ``loss_probability``; an active jitter window adds a
-        # uniform extra in [0, jitter_ns) to the propagation delay.  All
-        # default to the fault-free fast case, so the per-frame checks in
-        # ``transmit`` cost two predictable branches.
+        # uniform extra in [0, jitter_ns) to the propagation delay.
         self.up = True
         self.loss_probability = 0.0
         self.jitter_ns = 0
         self._loss_rng = None
         self._jitter_rng = None
-        #: Latest arrival time scheduled on this direction.  A wire is
-        #: FIFO: jitter delays frames but can never reorder them, so
-        #: jittered arrivals are clamped to be monotone.  Without jitter
-        #: arrivals are already strictly increasing (serialization is
-        #: serialized through ``next_free_ns``), making the clamp a no-op.
+        #: Latest arrival time scheduled on this direction while
+        #: impaired.  A wire is FIFO: jitter delays frames but can never
+        #: reorder them, so jittered arrivals are clamped to be monotone.
+        #: Without jitter arrivals never decrease (serialization is
+        #: serialized through ``next_free_ns``), so the clamp is a no-op
+        #: once an un-jittered arrival has caught up with this, and an
+        #: unimpaired transmit need not write it.
         self.last_arrival_ns = 0
-        # Observability hooks (repro.obs): None keeps the per-frame cost
-        # at one predictable branch each.
+        # Observability hooks (repro.obs), installed through
+        # ``Link.set_observability``.
         self.obs_recorder = None
         self.obs_profiler = None
-
-    def serialization_ns(self, nbytes: int) -> int:
-        """Time to clock *nbytes* onto the wire at the link rate."""
-        return int(round(nbytes * 8 / self.bandwidth_gbps))
 
     def _finish(self, wire_bytes: int) -> None:
         """Serialization ended: the frame's bytes leave the egress buffer."""
@@ -224,9 +255,10 @@ class Link:
         require_integer("propagation_delay_ns", propagation_delay_ns, 0, LinkSpecError)
         require_integer("buffer_bytes", buffer_bytes, 1, LinkSpecError)
         self.env = env
-        #: The loop's timestamp -> pending-events map (``None`` on the
-        #: reference loop, which keeps every serialization-end event).
-        self._pending_times = env.pending_times
+        #: The calendar's map and heap the arrival is inserted into
+        #: (``None`` on the reference loop, which is scheduled through
+        #: and keeps every serialization-end event).
+        self._buckets, self._times = calendar_of(env)
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
         self.node_a, self.node_b = node_a, node_b
         self.bandwidth_gbps = bandwidth_gbps
@@ -251,20 +283,21 @@ class Link:
         else:
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
         stats = direction.stats
+        impaired = direction.impaired
+        if impaired:
+            if not direction.up:
+                stats.frames_dropped_down += 1
+                direction._record_drop(packet, "link-down")
+                return
+            if (
+                direction.loss_probability > 0.0
+                and direction._loss_rng.random() < direction.loss_probability
+            ):
+                stats.frames_dropped_loss += 1
+                direction._record_drop(packet, "link-loss")
+                return
         wire_bytes = packet.wire_length
-        if not direction.up:
-            stats.frames_dropped_down += 1
-            direction._record_drop(packet, "link-down")
-            return
-        if (
-            direction.loss_probability > 0.0
-            and direction._loss_rng.random() < direction.loss_probability
-        ):
-            stats.frames_dropped_loss += 1
-            direction._record_drop(packet, "link-loss")
-            return
-        env = self.env
-        now = env.now
+        now = self.env.now
         in_flight = direction.in_flight
         while in_flight and in_flight[0][0] <= now:
             direction.queued_bytes -= in_flight.popleft()[1]
@@ -273,41 +306,53 @@ class Link:
             stats.frames_dropped += 1
             direction._record_drop(packet, "link-buffer-overflow")
             return
-        profiler = direction.obs_profiler
-        if profiler is not None:
-            profiler.enter("link_transmit")
+        if impaired:
+            profiler = direction.obs_profiler
+            if profiler is not None:
+                profiler.enter("link_transmit")
         next_free = direction.next_free_ns
-        start = now if now > next_free else next_free
-        serialization = direction._serialization.get(wire_bytes)
-        if serialization is None:
-            serialization = direction._serialization[wire_bytes] = (
-                direction.serialization_ns(wire_bytes)
-            )
-        tx_done = start + serialization
+        tx_done = (now if now > next_free else next_free) + direction.serialization[wire_bytes]
         direction.next_free_ns = tx_done
         direction.queued_bytes = queued
         stats.frames_sent += 1
         if queued > stats.peak_queue_bytes:
             stats.peak_queue_bytes = queued
-
-        propagation = direction.propagation_delay_ns
-        if direction.jitter_ns:
-            propagation += int(direction._jitter_rng.random() * direction.jitter_ns)
-        arrival = tx_done + propagation
-        if arrival < direction.last_arrival_ns:
-            arrival = direction.last_arrival_ns
-        direction.last_arrival_ns = arrival
+        arrival = tx_done + direction.propagation_delay_ns
+        buckets = self._buckets
+        if impaired:
+            jitter = direction.jitter_ns
+            if jitter:
+                arrival += int(direction._jitter_rng.random() * jitter)
+            if arrival < direction.last_arrival_ns:
+                arrival = direction.last_arrival_ns
+            elif not (
+                jitter
+                or direction.loss_probability > 0.0
+                or profiler is not None
+                or direction.obs_recorder is not None
+                or buckets is None
+            ):
+                # Up, no window open, no hook, and the clamp has caught
+                # up: later frames need none of these branches.
+                direction.impaired = False
+            direction.last_arrival_ns = arrival
 
         # Serialization end first: on a tie it must run before the
         # arrival.  Elided when it would be first at its nanosecond.
-        schedule_at = env.schedule_at
-        pending = self._pending_times
-        if pending is None or tx_done <= now or tx_done in pending:
-            schedule_at(tx_done, direction._on_finish, wire_bytes)
+        if buckets is None or tx_done <= now or tx_done in buckets:
+            self.env.schedule_at(tx_done, direction._on_finish, wire_bytes)
         else:
             in_flight.append((tx_done, wire_bytes))
-        schedule_at(arrival, direction._on_arrive, packet)
-        if profiler is not None:
+        if buckets is None:
+            self.env.schedule_at(arrival, direction._on_arrive, packet)
+        else:
+            bucket = buckets.get(arrival)
+            if bucket is None:
+                buckets[arrival] = [(direction._on_arrive, packet)]
+                heappush(self._times, arrival)
+            else:
+                bucket.append((direction._on_arrive, packet))
+        if impaired and profiler is not None:
             profiler.exit()
 
     # ------------------------------------------------------------------ #
@@ -322,8 +367,9 @@ class Link:
         propagating still arrive (the outage severs new transmissions,
         not photons already in flight).
         """
-        self._a_to_b.up = up
-        self._b_to_a.up = up
+        for direction in (self._a_to_b, self._b_to_a):
+            direction.up = up
+            direction.impaired = True
 
     @property
     def is_up(self) -> bool:
@@ -341,6 +387,7 @@ class Link:
             raise ValueError(f"loss probability must lie in [0, 1], got {probability}")
         for salt, direction in enumerate((self._a_to_b, self._b_to_a)):
             direction.loss_probability = probability
+            direction.impaired = True
             if probability > 0.0:
                 direction._loss_rng = random.Random((seed * 2 + salt) & 0xFFFFFFFFFFFFFFFF)
             else:
@@ -356,6 +403,7 @@ class Link:
             raise ValueError(f"jitter_ns must be non-negative, got {jitter_ns}")
         for salt, direction in enumerate((self._a_to_b, self._b_to_a)):
             direction.jitter_ns = jitter_ns
+            direction.impaired = True
             if jitter_ns > 0:
                 direction._jitter_rng = random.Random((seed * 2 + salt + 1) & 0xFFFFFFFFFFFFFFFF)
             else:
@@ -366,6 +414,7 @@ class Link:
         for direction in (self._a_to_b, self._b_to_a):
             direction.obs_recorder = recorder
             direction.obs_profiler = profiler
+            direction.impaired = True
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -35,10 +35,11 @@ PayloadPark header with the Explicit-Drop opcode (§6.2.4).
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Dict, Optional, Tuple
 
 from repro.core.header import OP_EXPLICIT_DROP
-from repro.netsim.eventloop import EventLoop
+from repro.netsim.eventloop import EventLoop, calendar_of
 from repro.netsim.nic import NicSpec, NIC_10GE
 from repro.netsim.node import Node
 from repro.netsim.pcie import PcieSpec
@@ -110,6 +111,9 @@ class NfServerNode(Node):
         # ``Node.port_sender``) — the frame goes straight onto the link.
         self._on_complete = self._complete
         self._on_tx_done = self.port_sender(switch_port)
+        #: The calendar both events go straight into (``None`` on the
+        #: reference loop: ``schedule_at``).
+        self._buckets, self._times = calendar_of(env)
 
     def invalidate_cost_cache(self) -> None:
         """Recompute the memoized cost model after an NF chain mutation.
@@ -188,7 +192,16 @@ class NfServerNode(Node):
             completion = finish + int(pipeline_latency_ns - service)
             if completion < finish:
                 completion = finish
-            self.env.schedule_at(completion, self._on_complete, packet)
+            buckets = self._buckets
+            if buckets is None:
+                self.env.schedule_at(completion, self._on_complete, packet)
+            else:
+                bucket = buckets.get(completion)
+                if bucket is None:
+                    buckets[completion] = [(self._on_complete, packet)]
+                    heappush(self._times, completion)
+                else:
+                    bucket.append((self._on_complete, packet))
         finally:
             if profiler is not None:
                 profiler.exit()
@@ -241,7 +254,16 @@ class NfServerNode(Node):
             tx_done = (start if start > free_at else free_at) + nic_busy
             self._tx_free_at_ns = tx_done
             self.forwarded_packets += 1
-            self.env.schedule_at(tx_done, self._on_tx_done, packet)
+            buckets = self._buckets
+            if buckets is None:
+                self.env.schedule_at(tx_done, self._on_tx_done, packet)
+            else:
+                bucket = buckets.get(tx_done)
+                if bucket is None:
+                    buckets[tx_done] = [(self._on_tx_done, packet)]
+                    heappush(self._times, tx_done)
+                else:
+                    bucket.append((self._on_tx_done, packet))
         finally:
             if profiler is not None:
                 profiler.exit()

@@ -9,10 +9,11 @@ Egress contention and buffering are modeled by the outgoing link.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict
 
 from repro.core.program import SwitchProgram
-from repro.netsim.eventloop import EventLoop
+from repro.netsim.eventloop import EventLoop, calendar_of
 from repro.netsim.node import Node
 from repro.packet.packet import Packet
 
@@ -43,6 +44,9 @@ class SwitchNode(Node):
         #: built on the port's first frame.  An unwired port still gets
         #: one: it raises at send time, after the forwarding latency.
         self._egress: Dict[int, Callable[[Packet], None]] = {}
+        #: The calendar the egress event goes straight into (``None`` on
+        #: the reference loop: ``schedule_at``).
+        self._buckets, self._times = calendar_of(env)
         # Observability hooks (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
         self.obs_profiler = None
@@ -82,8 +86,17 @@ class SwitchNode(Node):
         send = self._egress.get(egress)
         if send is None:
             send = self._egress[egress] = self.port_sender(egress)
-        env = self.env
-        env.schedule_at(env.now + latency, send, packet)
+        when = self.env.now + latency
+        buckets = self._buckets
+        if buckets is None:
+            self.env.schedule_at(when, send, packet)
+        else:
+            bucket = buckets.get(when)
+            if bucket is None:
+                buckets[when] = [(send, packet)]
+                heappush(self._times, when)
+            else:
+                bucket.append((send, packet))
 
     def _record_drop(self, packet: Packet, reason: str) -> None:
         """Flight-recorder drop hook (off the hot path's common case)."""

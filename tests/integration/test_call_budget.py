@@ -26,6 +26,10 @@ It is simulated-time only, so it is exact on any interpreter, and its
 ceiling (*measured × 1.03*) fails a change that
 brings back a per-hop event — a link frame's serialization end is not
 one unless another event shares its nanosecond (``repro.netsim.link``).
+
+Run as a script, it also prints interpreted bytecodes per packet (see
+:func:`bytecodes_per_packet`), a third clock-free figure that is not
+gated.
 """
 
 import gc
@@ -38,17 +42,17 @@ from repro.experiments.runner import ExperimentRunner, RunObserver, run_observer
 SEED = 91
 
 #: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
-#: Measured 65.597, 66.183, 58.263, 87.426 — equal on CPython 3.11.7
-#: and 3.9.18 — with the fused split, merge and baseline kernels building
-#: their PipelinePacket, MetadataEntry and header records in place
-#: instead of through the dataclass constructors (69.226, 69.650,
-#: 61.564, 91.783 before; 81.707, 80.770, 74.954, 105.239 before the NF
+#: Measured 55.230, 55.188, 48.436, 74.370 — equal on CPython 3.11.7
+#: and 3.9.18 — with the hop sites inserting into the calendar instead
+#: of calling ``schedule_at`` (65.597, 66.183, 58.263, 87.426 before;
+#: 69.226, 69.650, 61.564, 91.783 before the fused kernels built their
+#: records in place; 81.707, 80.770, 74.954, 105.239 before the NF
 #: server did its own NIC / PCIe arithmetic).
 BUDGETS = {
-    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 67.5),
-    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 67.8),
-    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 60.0),
-    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 90.0),
+    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 56.9),
+    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 56.8),
+    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 49.9),
+    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 76.6),
 }
 
 #: workload -> ceiling on engine events per packet (measured × 1.03).
@@ -120,6 +124,40 @@ def python_calls_per_packet(name, runs=1):
     return figures
 
 
+def bytecodes_per_packet(name):
+    """Interpreted bytecodes per window packet of one compare, after one
+    discarded compare: ``opcode`` events under ``sys.settrace``.
+
+    A third clock-free figure, for sizing a change before timing it.
+    Unlike calls it differs between interpreter versions (3.11
+    specializes and fuses instructions that 3.9 does not), so it is
+    printed by the script, never gated.  Tracing every opcode is slow:
+    this takes about a minute per workload.
+    """
+    _compare(name)
+    opcodes = 0
+
+    def count(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return count
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return count
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        packets = _compare(name)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return opcodes / packets
+
+
 def pytest_generate_tests(metafunc):
     if "workload" in metafunc.fixturenames:
         metafunc.parametrize("workload", list(BUDGETS))
@@ -143,11 +181,14 @@ def test_python_calls_per_packet_stay_under_the_ceiling(workload):
 
 
 if __name__ == "__main__":
-    print(f"{'':16s} {'calls/pkt':>21s}  {'events/pkt':>21s}")
+    print(f"{'':16s} {'calls/pkt':>21s}  {'events/pkt':>21s}  {'bytecodes/pkt':>13s}")
     for workload in BUDGETS:
         (calls,) = python_calls_per_packet(workload)
         events = events_per_packet(workload)
+        bytecodes = bytecodes_per_packet(workload)
         print(
             f"{workload:16s} {calls:8.3f}  x1.03 = {calls * 1.03:5.1f}"
             f"  {events:8.3f}  x1.03 = {events * 1.03:5.2f}"
+            f"  {bytecodes:13.1f}",
+            flush=True,
         )

@@ -45,6 +45,12 @@ KNOBS = (
 #: Fields a shared run sets differently from a cell run alone.
 UNSHARED = ("wall_time_s", "baseline_simulated")
 
+#: (campaign, workload, rate) of the cells whose measurement window is
+#: empty at :data:`FAST`: rate-ramp starts from zero and at 4 Gb/s sends
+#: nothing in its first 90 µs.  Each is an ``EmptyWindowError`` record,
+#: shared or alone.
+EMPTY_AT_FAST = {("workload-sweep", "rate-ramp", 4.0)}
+
 
 def _compare_campaigns():
     pytest.importorskip("yaml")
@@ -87,11 +93,20 @@ def test_the_baseline_reads_no_payloadpark_knob(name):
 def test_shared_campaigns_record_what_each_cell_records_alone(workers, compare_campaigns):
     for campaign, alone in compare_campaigns:
         summary = CampaignExecutor(workers=workers).run_campaign(campaign)
-        assert summary.failed == 0, campaign.name
+        failed = [record for record in summary.records if record["status"] != "ok"]
+        assert summary.failed == len(failed)
+        assert {
+            (campaign.name, r["params"].get("workload"), r["params"].get("send_rate_gbps"))
+            for r in failed
+        } == {cell for cell in EMPTY_AT_FAST if cell[0] == campaign.name}
+        assert all(r["error"].startswith("EmptyWindowError: ") for r in failed)
         assert _by_hash(summary.records) == alone, campaign.name
         baselines = {run.baseline_hash for run in campaign.expand()}
         if workers == 1:
-            assert summary.baselines_simulated == len(baselines), campaign.name
+            # A baseline that raised is not shared: each of its cells
+            # simulates (and fails) it.
+            shared = {r["baseline_hash"] for r in summary.records if r["status"] == "ok"}
+            assert summary.baselines_simulated == len(shared) + len(failed), campaign.name
         else:
             assert len(baselines) <= summary.baselines_simulated <= summary.executed
         assert {r["baseline_hash"] for r in summary.records} == baselines

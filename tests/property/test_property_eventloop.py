@@ -217,7 +217,8 @@ def test_driver_programs_reach_the_corner_cases(monkeypatch):
     def counting_run_all(self, max_events=None):
         nonlocal mid_bucket_stops
         run_all(self, max_events)
-        mid_bucket_stops += self._active_bucket is not None
+        # Stopped with events still due at the current nanosecond.
+        mid_bucket_stops += self.now in self.pending_times
 
     monkeypatch.setattr(FastEventLoop, "run_all", counting_run_all)
     kinds = set()
@@ -274,3 +275,144 @@ def test_raising_arg_callback_is_popped_but_not_counted(loop_cls, drain):
     run()
     assert ran == ["a", None]
     assert (env.events_executed, env.pending_events) == (2, 0)
+
+
+class _Boom(RuntimeError):
+    """Raised by a ``raise`` event; :meth:`_Lockstep.step` catches it."""
+
+
+class _Lockstep:
+    """One loop driven by a step program, with callbacks that act on
+    the loop only through its public scheduling API.
+
+    An event is ``(tag, action, fanout)``.  Every event logs
+    ``(now, tag)``; ``spawn`` then schedules *fanout* events for the
+    current nanosecond (from inside its draining bucket), ``raise``
+    does the same and then raises, and ``future`` schedules *fanout*
+    events a little later.
+    """
+
+    def __init__(self, loop_cls):
+        self.env = loop_cls()
+        self.trace = []
+
+    def event(self, spec):
+        tag, action, fanout = spec
+        env = self.env
+        self.trace.append((env.now, tag))
+        for child in range(fanout):
+            when = env.now + (10 * (child + 1) if action == "future" else 0)
+            if action == "spawn" and child == 0 and len(tag) < 12:
+                spec = (f"{tag}.{child}", "spawn", 2)  # a drain that spawns again
+            else:
+                spec = (f"{tag}.{child}", "log", 0)
+            env.schedule_at(when, self.event, spec)
+        if action == "raise":
+            raise _Boom(tag)
+
+    def step(self, program_step):
+        """Apply one step; return what both loops must agree on after it."""
+        env = self.env
+        op, value = program_step[:2]
+        raised = None
+        try:
+            if op == "schedule":
+                env.schedule_at(env.now + value, self.event, program_step[2])
+            elif op == "run_until":
+                env.run_until(env.now + value)
+            else:
+                env.run_all(max_events=value)
+        except _Boom as error:
+            raised = str(error)
+        return (raised, len(self.trace), env.now, env.events_executed, env.pending_events)
+
+
+ACTIONS = ("log", "log", "spawn", "raise", "future")
+
+
+def _drain_program(seed, steps=120):
+    """A step program mixing every way a nanosecond's drain can stop.
+
+    Times sit on a 10 ns grid a few slots ahead, so most nanoseconds
+    hold a tie; horizons land on the same grid (inside a tie, or
+    behind ``now``), and ``run_all`` budgets are small.
+    """
+    rng = random.Random(seed)
+    program = []
+    for index in range(steps):
+        draw = rng.random()
+        if draw < 0.6:
+            action = rng.choice(ACTIONS)
+            fanout = rng.randrange(0, 4) if action != "log" else 0
+            program.append(("schedule", rng.randrange(0, 60, 10), (f"e{index}", action, fanout)))
+        elif draw < 0.8:
+            program.append(("run_until", rng.randrange(-10, 50, 10)))
+        else:
+            program.append(("run_all", rng.randrange(1, 6)))
+    program.append(("run_until", 10_000))
+    return program
+
+
+def _lockstep(seed):
+    """Run one drain program on both loops in lockstep, comparing what
+    each step leaves behind, then drain whatever raises left over."""
+    program = _drain_program(seed)
+    reference, fast = _Lockstep(EventLoop), _Lockstep(FastEventLoop)
+    for index, step in enumerate(program):
+        expected, observed = reference.step(step), fast.step(step)
+        assert observed == expected, (seed, index, step)
+        assert fast.trace == reference.trace, (seed, index, step)
+    while reference.env.pending_events:  # raises left events behind
+        expected, observed = reference.step(("run_until", 10_000)), fast.step(("run_until", 10_000))
+        assert observed == expected
+    assert fast.trace == reference.trace
+    assert fast.env.pending_events == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_drain_stops_and_resumes_like_the_reference_loop(seed):
+    """Same-time scheduling from a draining bucket, a raise mid-bucket
+    after same-time successors were scheduled, ``run_all(max_events)``
+    stopping mid-bucket and horizons inside a tie: after every step the
+    two loops agree on the trace, ``now``, ``events_executed`` and
+    ``pending_events``."""
+    _lockstep(seed)
+
+
+def test_drain_programs_reach_the_corner_cases(monkeypatch):
+    """The drain programs hit each case above, judged through the fast
+    loop's public view after every step."""
+    seen = {
+        "same-time from a drain": 0,
+        "raise with same-time successors": 0,
+        "run_all stopped mid-bucket": 0,
+        "horizon inside a tie": 0,
+    }
+    event = _Lockstep.event
+    step = _Lockstep.step
+
+    def watching_event(self, spec):
+        if spec[1] in ("spawn", "raise") and spec[2] and isinstance(self.env, FastEventLoop):
+            seen["same-time from a drain"] += 1
+        return event(self, spec)
+
+    def watching_step(self, program_step):
+        env = self.env
+        fast = isinstance(env, FastEventLoop)
+        if fast and program_step[0] == "run_until":
+            horizon = env.now + program_step[1]
+            tie = env.pending_times.get(horizon, ())
+            seen["horizon inside a tie"] += len(tie) > 1
+        observed = step(self, program_step)
+        if fast and env.now in env.pending_times:
+            if observed[0] is not None:
+                seen["raise with same-time successors"] += 1
+            elif program_step[0] == "run_all":
+                seen["run_all stopped mid-bucket"] += 1
+        return observed
+
+    monkeypatch.setattr(_Lockstep, "event", watching_event)
+    monkeypatch.setattr(_Lockstep, "step", watching_step)
+    for seed in range(40):
+        _lockstep(seed)
+    assert min(seen.values()) > 20, seen

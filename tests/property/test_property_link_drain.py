@@ -82,7 +82,7 @@ def _run(loop_cls, script, bandwidth_gbps, propagation_delay_ns, buffer_bytes):
         sender = b if reverse else a
         # The first frame's tx_done, worked out the way Link.transmit does it.
         direction = link._b_to_a if reverse else link._a_to_b
-        tx_done = max(env.now, direction.next_free_ns) + direction.serialization_ns(size)
+        tx_done = max(env.now, direction.next_free_ns) + direction.serialization[size]
         if before != "none":
             env.schedule_at(tx_done, bystander, (before, sender, other_size, f"{index}<"))
         for frame in range(burst):

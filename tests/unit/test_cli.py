@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import WorkloadSpecError
+from repro.errors import EmptyWindowError, WorkloadSpecError
 from repro.experiments import figures
 from repro.experiments.figures import FIGURES, Sweep
 from repro.experiments.runner import ExperimentRunner
@@ -108,6 +108,22 @@ class TestFigureRegistry:
         errors = _error_lines(capsys)
         assert len(errors) == 1
         assert errors[0].endswith("error: warmup must be shorter than the total duration")
+
+    def test_an_empty_measurement_window_is_one_error_line(self, capsys):
+        # fig08's first 40 GbE point sends its first burst after the
+        # 4.5 µs window of time scale 0.001: a table of zeros is no result.
+        assert main(["run", "fig08", "--time-scale", "0.001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "scenario 'firewall-1024B-40ge' (baseline)" in line
+        assert "sent 0 packets" in line and "time scale 0.001" in line
+
+    def test_the_runner_refuses_an_empty_window(self):
+        with pytest.raises(EmptyWindowError, match=r"'nat-1492B-40ge'.*time scale 0\.05"):
+            ExperimentRunner(time_scale=0.05).compare(
+                fixed_size_40ge("nat", 1492, send_rate_gbps=0.5)
+            )
 
     def test_negative_rate_is_a_typed_error(self):
         with pytest.raises(WorkloadSpecError, match="rate_gbps must be positive"):

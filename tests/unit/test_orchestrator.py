@@ -610,6 +610,20 @@ class TestExecutor:
         assert record["status"] == "error"
         assert "warmup" in record["error"]
 
+    def test_an_empty_measurement_window_is_an_error_record(self):
+        # A 32-packet burst at 0.5 Gb/s leaves every ~770 µs; the 225 µs
+        # window at time scale 0.05 sees none of them.
+        record = execute_run(
+            RunSpec(
+                "fixed_size_40ge",
+                params={"chain_name": "nat", "packet_size": 1492, "send_rate_gbps": 0.5},
+                time_scale=0.05,
+            )
+        )
+        assert record["status"] == "error"
+        assert record["error"].startswith("EmptyWindowError: scenario 'nat-1492B-40ge'")
+        assert "time scale 0.05" in record["error"]
+
     def test_parallel_campaign_persists_and_resumes(self, tmp_path):
         """Acceptance: an 8-point grid over 2 workers, one record per run,
         and a second invocation skips every completed point."""
