@@ -30,7 +30,7 @@ from repro.core.l2fwd import L2ForwardingTable
 from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.pipeline import Pipeline, PortPlan
+from repro.switchsim.pipeline import Decision, Pipeline, PortPlan
 
 #: Metadata keys used to pass information between Merge stages.
 META_IS_PP_ENB = "merge.is_pp_enb"
@@ -247,7 +247,7 @@ class MergePath:
     # Port plan
     # ------------------------------------------------------------------ #
 
-    def compile_plan(self, l2: L2ForwardingTable) -> PortPlan:
+    def compile_plan(self, l2: L2ForwardingTable, recirculation_ns: int) -> PortPlan:
         """Fuse the Merge tables into the kernel for this binding's NF port.
 
         The kernel takes the packet through Algorithm 2 in one function,
@@ -255,13 +255,13 @@ class MergePath:
         header, counters, drop reasons and recorder calls.  A packet has
         no usable header, has ENB=0, is dropped by the validate table,
         or is merged — in two passes when the parked bytes needed the
-        recirculation.  Every packet not dropped is forwarded by
-        destination MAC from *l2*, the binding's default egress on a miss.
-        The tag is checked against its memoized CRC
-        (:data:`~repro.core.header.TAG_CRCS`), computed by
+        recirculation, owing *recirculation_ns* for the second.  Every
+        packet not dropped is forwarded by destination MAC from *l2*, the
+        binding's default egress on a miss.  The kernel returns that
+        egress decision (a dropped packet's is ``(None, 0, reason)``),
+        never a :class:`PipelinePacket`.  The tag is checked against its
+        memoized CRC (:data:`~repro.core.header.TAG_CRCS`), computed by
         :func:`~repro.core.header.tag_crc` when the memo does not hold it.
-        The returned :class:`PipelinePacket` is built in place, every
-        field stored in declaration order, as split's is.
         """
         counters, name = self.counters, self.binding.name
         default_egress = self.binding.default_egress_port
@@ -269,15 +269,17 @@ class MergePath:
         metadata = self.lookup.metadata.storage
         free = MetadataEntry()
         block_cells = [cells for cells, _start, _end in self.lookup.block_cells()]
-        second_pass = 1 if self.lookup.uses_second_pass else 0
+        merged_owes = recirculation_ns if self.lookup.uses_second_pass else 0
+        corrupt = (None, 0, "payloadpark-tag-corrupt")
+        out_of_range = (None, 0, "payloadpark-tag-out-of-range")
+        evicted = (None, 0, "payloadpark-premature-eviction")
+        explicit_drop = (None, 0, "payloadpark-explicit-drop")
         tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
-        new = object.__new__
 
-        def merge(packet, ingress_port: int) -> PipelinePacket:
+        def merge(packet, ingress_port: int) -> Decision:
             header = packet.pp
             enb = None if header is None else header.enb
-            recirculations = 0
-            reason = None
+            owed = 0
             if enb == 0:
                 packet.pp = None
                 counters.merge_enb_zero += 1
@@ -289,51 +291,34 @@ class MergePath:
                     crc = tag_crc(tbl_idx, header.clk)
                 if header.crc != crc:
                     counters.tag_validation_failures += 1
-                    reason = "payloadpark-tag-corrupt"
-                elif not 0 <= tbl_idx < entries:
+                    return corrupt
+                if not 0 <= tbl_idx < entries:
                     counters.tag_validation_failures += 1
-                    reason = "payloadpark-tag-out-of-range"
-                elif (entry := metadata[tbl_idx]).exp <= 0 or entry.clk != header.clk:
+                    return out_of_range
+                entry = metadata[tbl_idx]
+                if entry.exp <= 0 or entry.clk != header.clk:
                     counters.premature_evictions += 1
                     if recorder is not None:
                         recorder.premature_eviction(
                             name, tbl_idx, packet.meta.get("obs_pkt")
                         )
-                    reason = "payloadpark-premature-eviction"
-                else:
-                    metadata[tbl_idx] = free
-                    packet.pp = None
-                    if header.op == OP_EXPLICIT_DROP:
-                        counters.explicit_drops += 1
-                        if recorder is not None:
-                            recorder.slot_released(name, tbl_idx, "explicit-drop")
-                        reason = "payloadpark-explicit-drop"
-                    else:
-                        counters.merges += 1
-                        if recorder is not None:
-                            recorder.slot_merged(name, tbl_idx)
-                        blocks = []
-                        for cells in block_cells:
-                            blocks.append(cells[tbl_idx])
-                            cells[tbl_idx] = b""
-                        recirculations = second_pass
-                        packet.restore_leading_payload(b"".join(blocks))
-            ctx = new(PipelinePacket)
-            ctx.packet = packet
-            ctx.ingress_port = ingress_port
-            ctx.meta = {}
-            if reason is None:
-                ctx.egress_port = l2.lookup(packet.eth.dst, default_egress)
-                ctx.dropped = False
-                ctx.drop_reason = ""
-            else:
-                ctx.egress_port = None
-                ctx.dropped = True
-                ctx.drop_reason = reason
-            ctx.recirculations = recirculations
-            ctx.recirculate_requested = False
-            ctx.register_reads = None
-            ctx.register_writes = None
-            return ctx
+                    return evicted
+                metadata[tbl_idx] = free
+                packet.pp = None
+                if header.op == OP_EXPLICIT_DROP:
+                    counters.explicit_drops += 1
+                    if recorder is not None:
+                        recorder.slot_released(name, tbl_idx, "explicit-drop")
+                    return explicit_drop
+                counters.merges += 1
+                if recorder is not None:
+                    recorder.slot_merged(name, tbl_idx)
+                blocks = []
+                for cells in block_cells:
+                    blocks.append(cells[tbl_idx])
+                    cells[tbl_idx] = b""
+                owed = merged_owes
+                packet.restore_leading_payload(b"".join(blocks))
+            return l2.lookup(packet.eth.dst, default_egress), owed, None
 
-        return PortPlan(self.pipeline, merge)
+        return merge

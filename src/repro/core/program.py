@@ -31,7 +31,7 @@ from repro.switchsim.asic import TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.pipe import Pipe
-from repro.switchsim.pipeline import PortPlan
+from repro.switchsim.pipeline import Decision, PortPlan
 from repro.switchsim.resources import ResourceReport
 
 
@@ -49,9 +49,12 @@ class SwitchProgram:
         self.bindings = list(bindings)
         self.l2 = L2ForwardingTable()
         self.fast_path = False
-        #: ingress_port -> compiled plan; only populated with the fast
-        #: path enabled.
+        #: ingress_port -> the plan that port runs: a fused kernel with
+        #: the fast path on (see :meth:`_compile_plan`), else the stage
+        #: walk.  Emptied whenever a table is added to any of the pipes.
         self._plans: Dict[int, PortPlan] = {}
+        for pipe in self.asic.pipes:
+            pipe.pipeline.on_table_added.append(self._plans.clear)
         #: ingress port (traffic or NF) -> the binding that owns it.
         self._binding_of_port: Dict[int, NfServerBinding] = {}
         #: What this program's kernels reproduce: the tables it installed
@@ -81,10 +84,10 @@ class SwitchProgram:
         compiles its plan afresh.
 
         No control-plane write of this package needs it: a table install
-        retires plans by itself (through the pipeline version), and the
-        kernels read the MAC table, the configuration and the register
-        storage live.  It is the hook for code that changes what a plan
-        was compiled from in some other way.
+        drops the plans by itself (:attr:`Pipeline.on_table_added`), and
+        the kernels read the MAC table, the configuration and the
+        register storage live.  It is the hook for code that changes what
+        a plan was compiled from in some other way.
         """
         self._plans.clear()
 
@@ -184,20 +187,27 @@ class SwitchProgram:
     # Packet processing
     # ------------------------------------------------------------------ #
 
-    def process(self, packet: Packet, ingress_port: int) -> PipelinePacket:
-        """Run *packet* through the pipe owning *ingress_port*.
+    def process(self, packet: Packet, ingress_port: int) -> Decision:
+        """Run *packet* through the pipe owning *ingress_port* and return
+        the switch's egress decision (a :data:`Decision`).
 
-        With the fast path off this is the reference stage walk.  With
-        it on, the ingress port's plan runs instead (see
-        :meth:`_compile_plan`); a plan is dropped by a pipeline version
-        bump (a table install) and by :meth:`invalidate_fast_path`.
+        The ingress port's plan does the work: the stage walk with the
+        fast path off, a fused kernel (see :meth:`_compile_plan`) with it
+        on.  A plan is compiled on the port's first packet and dropped by
+        a table install and by :meth:`invalidate_fast_path`.
         """
-        if not self.fast_path:
-            return self.asic.process(packet, ingress_port)
         plan = self._plans.get(ingress_port)
-        if plan is None or plan.version != plan.pipeline.version:
-            plan = self._plans[ingress_port] = self._compile_plan(ingress_port)
-        return plan.run(packet, ingress_port)
+        if plan is None:
+            plan = self._plans[ingress_port] = (
+                self._compile_plan(ingress_port) if self.fast_path else self._walk
+            )
+        return plan(packet, ingress_port)
+
+    def _walk(self, packet: Packet, ingress_port: int) -> Decision:
+        """The reference stage walk, as a plan: the ASIC runs the pipe's
+        tables and the decision is read off the finished record."""
+        ctx = self.asic.process(packet, ingress_port)
+        return self.asic.pipe_for_port(ingress_port).decision(ctx)
 
     def _compile_plan(self, ingress_port: int) -> PortPlan:
         """The plan for packets arriving on *ingress_port*.
@@ -206,8 +216,7 @@ class SwitchProgram:
         a port that is :meth:`_fusable`; the plan every program can
         offer for every port is the stage walk itself.
         """
-        pipeline = self.asic.pipe_for_port(ingress_port).pipeline
-        return PortPlan(pipeline, self.asic.process)
+        return self._walk
 
     def _fusable(self, ingress_port: int) -> bool:
         """Whether a kernel written from this program's tables alone is
@@ -228,11 +237,6 @@ class SwitchProgram:
                 for table in pipe.pipeline.tables()
             )
         )
-
-    def extra_latency_ns(self, ctx: PipelinePacket) -> int:
-        """Program-specific latency beyond the base pipeline latency."""
-        pipe = self.asic.pipe_for_port(ctx.ingress_port)
-        return pipe.recirculation_latency_ns(ctx)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -269,50 +273,25 @@ class BaselineProgram(SwitchProgram):
     def _compile_plan(self, ingress_port: int) -> PortPlan:
         """One kernel per ingress port: to the NF server from a traffic
         port, by destination MAC (read live) from an NF port.  Either
-        way the packet takes one pass.
+        way the packet takes one pass and owes no recirculation.
         """
         if not self._fusable(ingress_port):
             return super()._compile_plan(ingress_port)
         binding = self._binding_of_port[ingress_port]
         l2 = self.l2
         nf_port, default_egress = binding.nf_port, binding.default_egress_port
-        new = object.__new__
-
-        # Both kernels build their PipelinePacket in place, every field
-        # stored in declaration order (see repro.core.split).
         if ingress_port == nf_port:
 
-            def forward(packet, ingress_port: int) -> PipelinePacket:
-                ctx = new(PipelinePacket)
-                ctx.packet = packet
-                ctx.ingress_port = ingress_port
-                ctx.meta = {}
-                ctx.egress_port = l2.lookup(packet.eth.dst, default_egress)
-                ctx.dropped = False
-                ctx.drop_reason = ""
-                ctx.recirculations = 0
-                ctx.recirculate_requested = False
-                ctx.register_reads = None
-                ctx.register_writes = None
-                return ctx
+            def forward(packet, ingress_port: int) -> Decision:
+                return l2.lookup(packet.eth.dst, default_egress), 0, None
 
         else:
+            to_nf = (nf_port, 0, None)
 
-            def forward(packet, ingress_port: int) -> PipelinePacket:
-                ctx = new(PipelinePacket)
-                ctx.packet = packet
-                ctx.ingress_port = ingress_port
-                ctx.meta = {}
-                ctx.egress_port = nf_port
-                ctx.dropped = False
-                ctx.drop_reason = ""
-                ctx.recirculations = 0
-                ctx.recirculate_requested = False
-                ctx.register_reads = None
-                ctx.register_writes = None
-                return ctx
+            def forward(packet, ingress_port: int) -> Decision:
+                return to_nf
 
-        return PortPlan(self.asic.pipe_for_port(ingress_port).pipeline, forward)
+        return forward
 
     @staticmethod
     def _declare_phv(pipe: Pipe) -> None:
@@ -463,8 +442,8 @@ class PayloadParkProgram(SwitchProgram):
         ):
             return super()._compile_plan(ingress_port)
         if split is not None:
-            return split.compile_plan()
-        return merge.compile_plan(self.l2)
+            return split.compile_plan(pipe.RECIRCULATION_LATENCY_NS)
+        return merge.compile_plan(self.l2, pipe.RECIRCULATION_LATENCY_NS)
 
     # ------------------------------------------------------------------ #
     # Control-plane introspection

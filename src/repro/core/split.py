@@ -33,7 +33,7 @@ from repro.core.lookup_table import METADATA_STAGE, LookupTable, MetadataEntry
 from repro.core.tagger import PacketTagger
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
-from repro.switchsim.pipeline import Pipeline, PortPlan
+from repro.switchsim.pipeline import Decision, Pipeline, PortPlan
 
 #: Metadata keys used to pass information between Split stages, mirroring
 #: the paper's user-defined ``meta`` struct.
@@ -226,7 +226,7 @@ class SplitPath:
     # Port plan
     # ------------------------------------------------------------------ #
 
-    def compile_plan(self) -> PortPlan:
+    def compile_plan(self, recirculation_ns: int) -> PortPlan:
         """Fuse the Split tables into the kernel for one of this binding's
         traffic ports.
 
@@ -235,22 +235,23 @@ class SplitPath:
         the same order, and leaves the same header, counters and
         recorder calls behind.  A packet is not tagged (payload too
         small), finds its slot occupied, or is parked — in two passes
-        when the parked bytes need the recirculation — and leaves for
-        the binding's NF port.
+        when the parked bytes need the recirculation, owing
+        *recirculation_ns* for the second — and leaves for the binding's
+        NF port: the kernel returns that egress decision, never a
+        :class:`PipelinePacket`.
 
         The kernel's records are built in place — ``object.__new__``,
         then every field stored in declaration order — rather than by
         their dataclass constructors: the packet's one header (all zero
         unless parked, a parked tag's CRC read from the memo
         :data:`~repro.core.header.TAG_CRCS` or computed by
-        :func:`~repro.core.header.tag_crc` on a miss), the
+        :func:`~repro.core.header.tag_crc` on a miss) and the
         :class:`~repro.core.lookup_table.MetadataEntry` written back
         (frozen, so through ``object.__setattr__`` as its ``__init__``
-        does) and the returned :class:`PipelinePacket`.  That gives the
-        validating constructors' records: the tag fields are in range
-        by declaration — ``tbl_idx < table_entries <= 0xFFFF`` is
-        checked at install, ``clk < clock_max <= 2**16`` by
-        ``PayloadParkConfig``.
+        does).  That gives the validating constructors' records: the tag
+        fields are in range by declaration — ``tbl_idx < table_entries
+        <= 0xFFFF`` is checked at install, ``clk < clock_max <= 2**16``
+        by ``PayloadParkConfig``.
         """
         config, counters, name = self.config, self.counters, self.binding.name
         nf_port = self.binding.nf_port
@@ -258,11 +259,14 @@ class SplitPath:
         table_entries, clock_max = self.tagger.table_entries, self.tagger.clock_max
         metadata = self.lookup.metadata.storage
         block_cells = self.lookup.block_cells()
-        second_pass = 1 if self.lookup.uses_second_pass else 0
+        to_nf = (nf_port, 0, None)
+        parked_to_nf = (
+            (nf_port, recirculation_ns, None) if self.lookup.uses_second_pass else to_nf
+        )
         new, set_frozen = object.__new__, object.__setattr__
         tag_crcs, clk_bits = TAG_CRCS, TAG_CLK_BITS
 
-        def split(packet, ingress_port: int) -> PipelinePacket:
+        def split(packet, ingress_port: int) -> Decision:
             # The header's tag fields: all zero (ENB=0) unless parked.
             enb = tag_idx = tag_clk = crc = 0
             if len(packet.payload) < config.min_split_payload:
@@ -306,17 +310,6 @@ class SplitPath:
             header.tbl_idx = tag_idx
             header.clk = tag_clk
             header.crc = crc
-            ctx = new(PipelinePacket)
-            ctx.packet = packet
-            ctx.ingress_port = ingress_port
-            ctx.meta = {}
-            ctx.egress_port = nf_port
-            ctx.dropped = False
-            ctx.drop_reason = ""
-            ctx.recirculations = second_pass if enb else 0
-            ctx.recirculate_requested = False
-            ctx.register_reads = None
-            ctx.register_writes = None
-            return ctx
+            return parked_to_nf if enb else to_nf
 
-        return PortPlan(self.pipeline, split)
+        return split

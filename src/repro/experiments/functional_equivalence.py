@@ -67,16 +67,17 @@ def run(
         twin = packet.copy()
         ingress = binding.ingress_ports[index % len(binding.ingress_ports)]
 
-        # PayloadPark deployment: split, NF, merge.
-        ctx = payloadpark.process(packet, ingress)
-        assert not ctx.dropped, "split path must not drop healthy traffic"
+        # PayloadPark deployment: split, NF, merge.  A decision's last
+        # element is its drop reason, None when the packet leaves.
+        assert payloadpark.process(packet, ingress)[2] is None, (
+            "split path must not drop healthy traffic"
+        )
         chain_pp.process(packet)
-        ctx = payloadpark.process(packet, binding.nf_port)
-        pp_out = packet.to_bytes() if not ctx.dropped else b""
+        dropped = payloadpark.process(packet, binding.nf_port)[2] is not None
+        pp_out = b"" if dropped else packet.to_bytes()
 
         # Baseline deployment: forward, NF, forward.
-        ctx_b = baseline.process(twin, ingress)
-        assert not ctx_b.dropped
+        assert baseline.process(twin, ingress)[2] is None
         chain_base.process(twin)
         baseline.process(twin, binding.nf_port)
         base_out = twin.to_bytes()

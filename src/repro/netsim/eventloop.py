@@ -40,10 +40,9 @@ pops that nanosecond's list off the map and drains it with one ``for``;
 an event scheduled for the current nanosecond meanwhile starts a fresh
 bucket that the heap serves next.  :attr:`FastEventLoop.pending_events`
 is counted from the map when asked — the validation drain is its one
-reader on the run path — and, like :attr:`FastEventLoop.pending_times`,
-does not see the draining bucket mid-drain.  The per-frame hop sites
-skip ``schedule_at`` altogether and insert into the map and heap that
-:func:`calendar_of` hands them.
+reader on the run path — and does not see the draining bucket
+mid-drain.  The per-frame hop sites skip ``schedule_at`` altogether and
+insert into the map and heap that :func:`calendar_of` hands them.
 
 Both loops execute identical event sequences for identical scheduling
 calls (the property suite in ``tests/property`` asserts this).  The
@@ -57,8 +56,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Callback = Callable[..., None]
 
@@ -170,17 +168,6 @@ class EventLoop:
         """Number of events still queued."""
         return len(self._queue)
 
-    @property
-    def pending_times(self) -> Optional[Mapping[int, Any]]:
-        """Read-only view keyed by every timestamp with a pending event,
-        or ``None`` when the loop cannot tell cheaply (this one).
-
-        :class:`~repro.netsim.link.Link` elides a serialization-end
-        event only when this answers that nothing is pending at its
-        time, so the reference loop runs every such event.
-        """
-        return None
-
 
 class FastEventLoop(EventLoop):
     """Calendar-bucket scheduler: heap of distinct times, FIFO buckets.
@@ -202,13 +189,13 @@ class FastEventLoop(EventLoop):
     back on the map *ahead* of any such same-time successors, so the
     next run resumes exactly where this one stopped.
 
-    Mid-drain, the draining bucket is off the map: :attr:`pending_times`
-    lacks the current nanosecond unless a callback scheduled into it
-    again, and :attr:`pending_events` does not count the draining
-    bucket's tail.  Both are exact between runs.
+    Mid-drain, the draining bucket is off the map: the map lacks the
+    current nanosecond unless a callback scheduled into it again, and
+    :attr:`pending_events` does not count the draining bucket's tail.
+    Both are exact between runs.
     """
 
-    __slots__ = ("_buckets", "_pending_view", "_times")
+    __slots__ = ("_buckets", "_times")
 
     def __init__(self) -> None:
         self.now = 0
@@ -216,7 +203,6 @@ class FastEventLoop(EventLoop):
         self.monitor = None
         #: timestamp -> FIFO list of that timestamp's ``(callback, arg)``.
         self._buckets: Dict[int, List[Tuple[Callback, Any]]] = {}
-        self._pending_view = MappingProxyType(self._buckets)
         #: heap of distinct timestamps present in ``_buckets``.
         self._times: List[int] = []
 
@@ -333,15 +319,6 @@ class FastEventLoop(EventLoop):
         callback asking during a drain does not see the rest of its own
         nanosecond's bucket."""
         return sum(map(len, self._buckets.values()))
-
-    @property
-    def pending_times(self) -> Mapping[int, Any]:
-        """Live read-only view of the calendar: timestamp -> that
-        timestamp's bucket, for every timestamp with a pending event
-        (during a drain, the draining bucket is off the map).  ``when
-        in pending_times`` is one C-level lookup, and the view stays
-        valid for the loop's lifetime, so callers may capture it once."""
-        return self._pending_view
 
 
 def calendar_of(env: EventLoop) -> Tuple[Optional[Dict[int, list]], Optional[List[int]]]:

@@ -261,7 +261,6 @@ class Link:
         self._buckets, self._times = calendar_of(env)
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
         self.node_a, self.node_b = node_a, node_b
-        self.bandwidth_gbps = bandwidth_gbps
         shape = (bandwidth_gbps, propagation_delay_ns, buffer_bytes)
         self._a_to_b = _LinkDirection(env, f"{self.name}[a->b]", *shape, node_b, port_b)
         self._b_to_a = _LinkDirection(env, f"{self.name}[b->a]", *shape, node_a, port_a)

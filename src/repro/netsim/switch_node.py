@@ -1,9 +1,10 @@
 """The switch as a simulation node.
 
 Wraps a :class:`~repro.core.program.SwitchProgram` (PayloadPark or
-baseline): every frame delivered by a link is run through the program's
-pipe, and the resulting egress decision is applied after the switch's
-forwarding latency (plus any recirculation penalty the program reports).
+baseline): every frame delivered by a link is run through the program,
+and the egress decision it returns — an egress port and the
+recirculation latency the packet owes, or a drop reason — is applied
+after the switch's forwarding latency plus that owed latency.
 Egress contention and buffering are modeled by the outgoing link.
 """
 
@@ -36,8 +37,6 @@ class SwitchNode(Node):
             raise ValueError(f"base_latency_ns must be non-negative, got {base_latency_ns}")
         self.program = program
         self.base_latency_ns = base_latency_ns
-        self.packets_in = 0
-        self.packets_out = 0
         self.packets_dropped = 0
         self.drop_reasons: Dict[str, int] = {}
         #: egress port -> that port's sender (``Node.port_sender``),
@@ -53,40 +52,24 @@ class SwitchNode(Node):
 
     def handle_packet(self, packet: Packet, port: int) -> None:
         """Run the frame through the dataplane program and forward it."""
-        self.packets_in += 1
         profiler = self.obs_profiler
         if profiler is None:
-            ctx = self.program.process(packet, port)
+            egress, owed_ns, reason = self.program.process(packet, port)
         else:
             profiler.enter("pipeline_walk")
             try:
-                ctx = self.program.process(packet, port)
+                egress, owed_ns, reason = self.program.process(packet, port)
             finally:
                 profiler.exit()
-        if ctx.dropped:
+        if reason is not None:
             self.packets_dropped += 1
-            self.drop_reasons[ctx.drop_reason] = self.drop_reasons.get(ctx.drop_reason, 0) + 1
-            self._record_drop(packet, ctx.drop_reason)
+            self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+            self._record_drop(packet, reason)
             return
-        if ctx.egress_port is None:
-            self.packets_dropped += 1
-            self.drop_reasons["no-egress-decision"] = (
-                self.drop_reasons.get("no-egress-decision", 0) + 1
-            )
-            self._record_drop(packet, "no-egress-decision")
-            return
-        egress = ctx.egress_port
-        latency = self.base_latency_ns
-        if ctx.recirculations:
-            # Programs only add latency for recirculated passes, so the
-            # (per-packet) lookup is skipped for the common single-pass
-            # case.
-            latency += self.program.extra_latency_ns(ctx)
-        self.packets_out += 1
         send = self._egress.get(egress)
         if send is None:
             send = self._egress[egress] = self.port_sender(egress)
-        when = self.env.now + latency
+        when = self.env.now + self.base_latency_ns + owed_ns
         buckets = self._buckets
         if buckets is None:
             self.env.schedule_at(when, send, packet)
@@ -105,11 +88,3 @@ class SwitchNode(Node):
             pkt_id = packet.meta.get("obs_pkt")
             if pkt_id is not None:
                 recorder.packet_dropped(pkt_id, self.env.now, self.name, reason)
-
-    def stats(self) -> Dict[str, float]:
-        """Counter snapshot for warm-up-window deltas."""
-        return {
-            "packets_in": self.packets_in,
-            "packets_out": self.packets_out,
-            "packets_dropped": self.packets_dropped,
-        }

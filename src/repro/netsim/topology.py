@@ -166,8 +166,9 @@ class Topology:
         self.env.run_until(horizon_ns)
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Counter snapshot of every node and link (used for warm-up deltas)."""
-        snap: Dict[str, Dict[str, float]] = {"switch": self.switch.stats()}
+        """Counter snapshot of every generator, server and link (used for
+        warm-up deltas)."""
+        snap: Dict[str, Dict[str, float]] = {}
         for attachment in self.attachments:
             name = attachment.binding.name
             snap[f"pktgen.{name}"] = attachment.pktgen.stats()

@@ -17,7 +17,7 @@ it runs dry until the run ends.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.netsim.eventloop import EventLoop
 from repro.netsim.node import Node
@@ -114,29 +114,42 @@ class TrafficGenNode(Node):
             return self.config.rate_gbps
         return self.schedule.rate_at(self.env.now - self._start_ns)
 
-    def _transmit(self, packet: Packet) -> int:
-        """Stamp, count and send one frame out the next TX port.
+    def _send(self, packets: Sequence[Packet]) -> int:
+        """Stamp, count and send *packets* out the TX ports in turn.
 
-        Returns the frame's wire length as it left the generator.
+        The generator's one transmit path: a burst, a closed-loop
+        transport segment and a replayed frame all leave through it.
+        Returns the frames' wire bytes.
         """
-        packet.meta["tx_ns"] = self.env.now
-        port = self.tx_ports[self._port_cursor]
-        self._port_cursor = (self._port_cursor + 1) % len(self.tx_ports)
-        wire_bytes = packet.wire_length
-        self.packets_sent += 1
-        self.bytes_sent += wire_bytes
+        now = self.env.now
+        links, tx_ports = self.links, self.tx_ports
+        cursor, port_count = self._port_cursor, len(tx_ports)
         recorder = self.obs_recorder
-        if recorder is not None:
-            # Deterministic 1-in-N sampling decided at generation time:
-            # the per-generator index depends only on emission order, so
-            # the fast and reference paths follow identical packets.
-            self._obs_pkt_index += 1
-            if self._obs_pkt_index % recorder.sample_every == 0:
-                pkt_id = f"{self.name}#{self._obs_pkt_index}"
-                packet.meta["obs_pkt"] = pkt_id
-                recorder.packet_generated(pkt_id, self.env.now, port, wire_bytes)
-        self.send_out(port, packet)
-        return wire_bytes
+        sent_bytes = 0
+        for packet in packets:
+            packet.meta["tx_ns"] = now
+            port = tx_ports[cursor]
+            cursor = (cursor + 1) % port_count
+            wire_bytes = packet.wire_length
+            sent_bytes += wire_bytes
+            if recorder is not None:
+                # Deterministic 1-in-N sampling decided at generation
+                # time: the per-generator index depends only on emission
+                # order, so the fast and reference paths follow
+                # identical packets.
+                self._obs_pkt_index += 1
+                if self._obs_pkt_index % recorder.sample_every == 0:
+                    pkt_id = f"{self.name}#{self._obs_pkt_index}"
+                    packet.meta["obs_pkt"] = pkt_id
+                    recorder.packet_generated(pkt_id, now, port, wire_bytes)
+            link = links.get(port)
+            if link is None:
+                raise ValueError(f"{self.name}: no link attached to port {port}")
+            link.transmit(packet, self)
+        self._port_cursor = cursor
+        self.packets_sent += len(packets)
+        self.bytes_sent += sent_bytes
+        return sent_bytes
 
     def transmit_segment(self, packet: Packet, retransmission: bool) -> None:
         """Put one closed-loop transport segment on the wire.
@@ -150,7 +163,7 @@ class TrafficGenNode(Node):
         if retransmission:
             self.retransmitted_packets += 1
             self.retransmitted_bytes += packet.wire_length
-        self._transmit(packet)
+        self._send((packet,))
 
     def _emit_burst(self) -> None:
         profiler = self.obs_profiler
@@ -166,9 +179,10 @@ class TrafficGenNode(Node):
             if rate_gbps <= 0:
                 self._sleep_until_active()
                 return
-            burst_bytes = 0
-            for _ in range(self.config.burst_size):
-                burst_bytes += self._transmit(self.source.next_packet())
+            source = self.source
+            burst_bytes = self._send(
+                [source.next_packet() for _ in range(self.config.burst_size)]
+            )
             # Pace the next burst so the long-run offered rate matches the
             # schedule (or the config's constant rate); the arrival model
             # perturbs individual gaps around that target.  Scheduled rates
@@ -237,7 +251,7 @@ class TrafficGenNode(Node):
             return
         # Rebuild the packet from bytes so loop iterations never share
         # mutable state (the switch attaches/detaches headers in place).
-        self._transmit(Packet.from_bytes(data))
+        self._send((Packet.from_bytes(data),))
         self._pump_stream()
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from repro.packet.packet import Packet
@@ -19,18 +18,19 @@ class NfVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class NfResult:
-    """Outcome of one NF processing one packet.
+    """Outcome of one NF processing one packet: its verdict.
 
     Immutable, so NFs and chains hand the same instance to every packet
-    with the same outcome instead of allocating one per packet.
+    with the same outcome instead of allocating one per packet
+    (:data:`FORWARDED` for every forward).  A packet's CPU cost is not
+    part of it: the server model takes its service times, and with them
+    the compute-bound analysis of §6.3.3, from
+    :meth:`~repro.nf.chain.NfChain.stage_cycle_estimates`.
 
     Attributes
     ----------
     verdict:
         Forward or drop.
-    cycles:
-        CPU cycles the NF spent on this packet (drives the compute-bound
-        analysis of §6.3.3).
     reason:
         Optional human-readable reason for a drop.
     forwarded:
@@ -41,7 +41,6 @@ class NfResult:
     """
 
     verdict: NfVerdict
-    cycles: int
     reason: str = ""
     forwarded: bool = field(init=False, repr=False, compare=False)
 
@@ -49,14 +48,8 @@ class NfResult:
         object.__setattr__(self, "forwarded", self.verdict is NfVerdict.FORWARD)
 
 
-@lru_cache(maxsize=4096)
-def forward_result(cycles: int) -> NfResult:
-    """The FORWARD result with *cycles* total cost, one instance per total.
-
-    An NF has a handful of distinct totals and a chain one per path
-    through it, so the per-packet results are looked up, not allocated.
-    """
-    return NfResult(verdict=NfVerdict.FORWARD, cycles=cycles)
+#: The one FORWARD result every NF and chain returns.
+FORWARDED = NfResult(NfVerdict.FORWARD)
 
 
 class NetworkFunction:
@@ -64,8 +57,10 @@ class NetworkFunction:
 
     Subclasses implement :meth:`process`, which may rewrite the packet's
     headers in place (shallow NFs never touch the payload) and must
-    return an :class:`NfResult` with the verdict and the CPU cycles
-    consumed.  ``name`` is used in experiment reports.
+    return an :class:`NfResult` with the verdict.  Their cost attributes
+    (``base_cycles`` and the subclass's ``*_cycles``) feed
+    :meth:`~repro.nf.chain.NfChain.stage_cycle_estimates`.  ``name`` is
+    used in experiment reports.
     """
 
     #: Default per-packet cost charged on top of subclass-specific work.
@@ -97,10 +92,6 @@ class NetworkFunction:
         keep the default no-op — their work cannot be skipped.
         """
 
-    def forward(self, cycles: int) -> NfResult:
-        """Helper: the FORWARD result with *cycles* total cost."""
-        return forward_result(cycles)
-
-    def drop(self, cycles: int, reason: str = "") -> NfResult:
-        """Helper: build a DROP result with *cycles* total cost."""
-        return NfResult(verdict=NfVerdict.DROP, cycles=cycles, reason=reason)
+    def drop(self, reason: str = "") -> NfResult:
+        """Helper: build a DROP result."""
+        return NfResult(verdict=NfVerdict.DROP, reason=reason)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.nf.base import NetworkFunction, NfResult, NfVerdict, forward_result
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.packet.packet import Packet
 
 
@@ -25,8 +25,6 @@ class NfChain:
         if not self.nfs:
             raise ValueError("an NF chain needs at least one NF")
         self.name = name or " -> ".join(nf.name for nf in self.nfs)
-        self.packets_in = 0
-        self.packets_out = 0
         self.packets_dropped = 0
 
     def __len__(self) -> int:
@@ -42,25 +40,18 @@ class NfChain:
     def process(self, packet: Packet) -> NfResult:
         """Run *packet* through every NF until one drops it.
 
-        Returns a combined :class:`NfResult` whose ``cycles`` is the sum
-        of the cycles spent in each NF the packet visited.  Each NF's
-        ``packets_dropped`` is kept here exactly as
+        Returns :data:`~repro.nf.base.FORWARDED`, or the dropping NF's
+        result.  Each NF's ``packets_dropped`` is kept here exactly as
         :meth:`NetworkFunction.__call__` keeps it for a direct caller,
         without that wrapper's frame per NF per packet.
         """
-        self.packets_in += 1
-        total_cycles = 0
         for nf in self.nfs:
             result = nf.process(packet)
-            total_cycles += result.cycles
             if not result.forwarded:
                 nf.packets_dropped += 1
                 self.packets_dropped += 1
-                return NfResult(
-                    verdict=NfVerdict.DROP, cycles=total_cycles, reason=result.reason
-                )
-        self.packets_out += 1
-        return forward_result(total_cycles)
+                return result
+        return FORWARDED
 
     # ------------------------------------------------------------------ #
     # Cost model helpers

@@ -4,10 +4,11 @@ The paper's firewall "linearly probes through a list of blacklisted IP
 addresses" — the three-NF chain uses 20 rules, the two-NF chain a single
 rule — so its per-packet cost grows with the rule count, which is what
 makes the FW → NAT chain more compute-hungry than a lone NAT (§6.2.2).
+The chain's stage estimate charges ``cycles_per_rule`` for every rule.
 
 That linear probe (:meth:`Firewall._probe`) is the reference.  The
 default engine answers the same question — which is the *first* rule
-that matches, and hence the verdict and the modelled cycle cost —
+that matches, and hence the verdict and its reason —
 through a classifier compiled from the rule list: rules grouped by
 prefix length, one dict probe per distinct mask, lowest matching rule
 index wins.  It costs the same for a flow it has never seen as for one
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.nf.base import NetworkFunction, NfResult
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
 
@@ -77,7 +78,9 @@ class Firewall(NetworkFunction):
         Blacklist entries, probed in order; the first match drops the
         packet.
     cycles_per_rule:
-        CPU cycles charged per probed rule (linear search).
+        CPU cycles per rule of the linear search, in the chain's stage
+        cost estimate (every rule is counted: the estimate is for a
+        packet no rule drops).
     """
 
     def __init__(
@@ -102,8 +105,8 @@ class Firewall(NetworkFunction):
     def remove_rule(self, index: int) -> FirewallRule:
         """Remove and return the ACL entry at *index* (control plane).
 
-        Like :meth:`add_rule`, drops the classifier: both the verdicts
-        and their cycle costs (probe counts) depend on the rule list.
+        Like :meth:`add_rule`, drops the classifier: the verdicts depend
+        on the rule list.
         """
         rule = self.rules.pop(index)
         self._invalidate()
@@ -117,8 +120,7 @@ class Firewall(NetworkFunction):
 
         The ACL is stateless and rules only test the source prefix and
         optional destination port, so the first matching rule — and with
-        it the verdict and the probed rule count that sets the cycle
-        cost — is a pure function of that pair.  The classifier finds it
+        it the verdict — is a pure function of that pair.  The classifier finds it
         with one dict probe per distinct prefix length instead of one
         comparison per rule; it is compiled lazily, on the first packet
         after ``add_rule`` / ``remove_rule``.
@@ -166,23 +168,17 @@ class Firewall(NetworkFunction):
             tables.setdefault(mask, {}).setdefault(
                 rule.network.value & mask, []
             ).append((index, rule.dst_port))
-        base, per_rule = self.base_cycles, self.cycles_per_rule
         results = [
-            self.drop(base + (index + 1) * per_rule, f"blacklisted by rule {index}")
-            for index in range(len(self.rules))
+            self.drop(f"blacklisted by rule {index}") for index in range(len(self.rules))
         ]
-        results.append(self.forward(base + len(self.rules) * per_rule))
+        results.append(FORWARDED)
         return list(tables.items()), results
 
     def _probe(self, packet: Packet) -> NfResult:
-        probed = 0
-        for rule in self.rules:
-            probed += 1
+        for index, rule in enumerate(self.rules):
             if rule.matches(packet):
-                cycles = self.base_cycles + probed * self.cycles_per_rule
-                return self.drop(cycles, reason=f"blacklisted by rule {probed - 1}")
-        cycles = self.base_cycles + probed * self.cycles_per_rule
-        return self.forward(cycles)
+                return self.drop(f"blacklisted by rule {index}")
+        return FORWARDED
 
     @classmethod
     def with_rule_count(cls, rule_count: int, blacklist_subnet: str = "192.168.0.0/16",

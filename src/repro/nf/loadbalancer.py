@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.nf.base import NetworkFunction, NfResult, forward_result
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.packet.flows import (
     FiveTuple,
     FlowKey,
@@ -92,7 +92,6 @@ class MaglevLoadBalancer(NetworkFunction):
         self.hash_cycles = hash_cycles
         self.rewrite_cycles = rewrite_cycles
         self.lookup_table: List[int] = self._populate()
-        self.assignments: Dict[str, int] = {backend.name: 0 for backend in self.backends}
         #: Fast-path memo: flow (as plain ints, read straight off the
         #: headers) -> backend.  Maglev is deterministic per flow (that
         #: is its whole point), so the FNV walk over the 5-tuple can be
@@ -132,8 +131,6 @@ class MaglevLoadBalancer(NetworkFunction):
             raise ValueError("the load balancer needs at least one backend")
         self.backends = list(backends)
         self.lookup_table = self._populate()
-        for backend in self.backends:
-            self.assignments.setdefault(backend.name, 0)
         if self._backend_cache is not None:
             self._backend_cache.clear()
 
@@ -225,17 +222,15 @@ class MaglevLoadBalancer(NetworkFunction):
 
     def process(self, packet: Packet) -> NfResult:
         """Rewrite the destination address to the chosen backend."""
-        cycles = self.base_cycles + self.hash_cycles
         ip = packet.ip
         l4 = packet.l4
         if ip is None or l4 is None:
-            return forward_result(cycles)
+            return FORWARDED
         backend = self._backend_for(
             (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
         )
         ip.dst = backend.ip
-        self.assignments[backend.name] += 1
-        return forward_result(cycles + self.rewrite_cycles)
+        return FORWARDED
 
     # ------------------------------------------------------------------ #
     # Introspection

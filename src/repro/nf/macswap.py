@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.nf.base import NetworkFunction, NfResult
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.packet.packet import Packet
 
 
@@ -25,4 +25,4 @@ class MacSwapper(NetworkFunction):
     def process(self, packet: Packet) -> NfResult:
         """Swap the MAC addresses and forward."""
         packet.eth.swap_addresses()
-        return self.forward(self.base_cycles + self.swap_cycles)
+        return FORWARDED

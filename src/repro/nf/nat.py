@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.nf.base import NetworkFunction, NfResult, forward_result
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import IPv4Address
 from repro.packet.packet import Packet
@@ -109,27 +109,26 @@ class Nat(NetworkFunction):
 
     def process(self, packet: Packet) -> NfResult:
         """Translate the packet's source address and port."""
-        cycles = self.base_cycles + self.lookup_cycles
         ip = packet.ip
         l4 = packet.l4
         if ip is None or l4 is None:
             # Non-IP or headerless traffic passes through untranslated.
-            return forward_result(cycles)
+            return FORWARDED
         if ip.dst.value == self.external_ip.value:
             # Reverse direction: translate the destination back.
             internal = self._reverse.get(l4.dst_port)
             if internal is None:
-                return self.drop(cycles, reason="no NAT binding for reverse flow")
+                return self.drop("no NAT binding for reverse flow")
             ip.dst, l4.dst_port = internal
-            return forward_result(cycles + self.rewrite_cycles)
+            return FORWARDED
         src = ip.src
         key = (src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
         port = self._bindings.get(key)
         if port is None:
             if len(self._reverse) > PORT_HIGH - PORT_LOW:
                 # A full table drops the new flow's packet; the run goes on.
-                return self.drop(cycles, reason="NAT ports exhausted")
+                return self.drop("NAT ports exhausted")
             port = self._bind(key, src, l4.src_port)
         ip.src = self.external_ip
         l4.src_port = port
-        return forward_result(cycles + self.rewrite_cycles)
+        return FORWARDED

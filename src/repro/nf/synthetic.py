@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.nf.base import NetworkFunction, NfResult
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.packet.packet import Packet
 
 #: Average per-packet CPU cycles of the three synthetic NFs (§6.3.3).
@@ -29,9 +29,10 @@ class SyntheticNf(NetworkFunction):
         self.cycles_per_packet = cycles_per_packet
 
     def process(self, packet: Packet) -> NfResult:
-        """Swap MACs, then charge the configured cycle budget."""
+        """Swap MACs and forward; the cycle budget is the chain's
+        estimate for this stage (``cycles_per_packet``)."""
         packet.eth.swap_addresses()
-        return self.forward(self.cycles_per_packet)
+        return FORWARDED
 
     @classmethod
     def light(cls) -> "SyntheticNf":

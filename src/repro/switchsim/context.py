@@ -43,17 +43,19 @@ class PipelinePacket:
         Per-pass access counts keyed by register-array name, used to
         enforce the one-stateful-access-per-array-per-pass restriction.
         Allocated lazily by the access guard (``None`` until the first
-        guarded access), since port plans never reach the guard and a
-        context is created per packet.
+        guarded access), since a context is created per walked packet
+        and most walks never reach the guard.
 
-    The fused port-plan kernels (``repro.core.split``,
-    ``repro.core.merge`` and the baseline's two forward closures in
-    ``repro.core.program``) do not call this constructor: they build the
-    record in place, ``object.__new__`` then every field stored in
-    declaration order.  A field added here must be stored there too;
-    ``tests/property/test_property_port_plans.py`` compares every fused
-    outcome's fields with a constructor-built record and fails until
-    it is.
+    The record exists on the stage walk only: the pipe's parser builds
+    it, the tables read and write it, and
+    :meth:`~repro.switchsim.pipe.Pipe.decision` reads the switch's
+    egress decision (egress port and owed recirculation latency, or a
+    drop reason) off the finished one.  The fused port-plan kernels
+    (``repro.core.split``, ``repro.core.merge`` and the baseline's two
+    forward closures in ``repro.core.program``) build none: they return
+    that decision directly, and
+    ``tests/property/test_property_port_plans.py`` holds every kernel's
+    decision to the one derived from the walk's record.
     """
 
     packet: Packet

@@ -48,7 +48,7 @@ class MatchActionTable:
         Optional port gate: the set of ingress ports on which this table
         can possibly match.  The contract is ``match(ctx) is True
         implies ctx.ingress_port in ingress_ports``, so a port plan (see
-        :class:`~repro.switchsim.pipeline.PortPlan`) for any other port
+        :data:`~repro.switchsim.pipeline.PortPlan`) for any other port
         may leave the table out.  ``None`` declares nothing.
     """
 

@@ -15,7 +15,7 @@ from repro.packet.packet import Packet
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.parser import Deparser, Parser
 from repro.switchsim.phv import PhvLayout
-from repro.switchsim.pipeline import Pipeline
+from repro.switchsim.pipeline import Decision, Pipeline
 from repro.switchsim.resources import ResourceBudget, ResourceReport
 
 
@@ -44,9 +44,8 @@ class Pipe:
     def process(self, packet: Packet, ingress_port: int) -> PipelinePacket:
         """Run *packet* through the pipe, honouring recirculation requests.
 
-        Returns the finished :class:`PipelinePacket`; the caller reads the
-        egress decision, the drop flag and ``recirculations`` (to charge
-        the recirculation latency/bandwidth penalty).
+        Returns the finished :class:`PipelinePacket`;
+        :meth:`decision` reads the switch's egress decision off it.
         """
         ctx = self.parser.parse(packet, ingress_port)
         self.pipeline.process(ctx)
@@ -61,9 +60,18 @@ class Pipe:
             self.deparser.deparse(ctx)
         return ctx
 
-    def recirculation_latency_ns(self, ctx: PipelinePacket) -> int:
-        """Extra latency the packet accrued from recirculation passes."""
-        return ctx.recirculations * self.RECIRCULATION_LATENCY_NS
+    def decision(self, ctx: PipelinePacket) -> Decision:
+        """The egress decision a finished walk's record describes.
+
+        A dropped packet, or one no table routed (``no-egress-decision``),
+        is ``(None, 0, reason)``; any other leaves by its egress port
+        owing :data:`RECIRCULATION_LATENCY_NS` per recirculation pass.
+        """
+        if ctx.dropped:
+            return None, 0, ctx.drop_reason
+        if ctx.egress_port is None:
+            return None, 0, "no-egress-decision"
+        return ctx.egress_port, ctx.recirculations * self.RECIRCULATION_LATENCY_NS, None
 
     def resource_report(self) -> ResourceReport:
         """Summarize this pipe's resource utilization (Table 1 shape)."""

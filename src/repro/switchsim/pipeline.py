@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.packet.packet import Packet
 from repro.switchsim.context import PipelinePacket
@@ -28,14 +28,16 @@ class Pipeline:
         self.stage_count = stage_count
         self.budget = budget or ResourceBudget()
         self.stages: List[Stage] = [Stage(i, budget=self.budget) for i in range(stage_count)]
-        #: Bumped whenever a stage gains a table; port plans compare it
-        #: so a control-plane table install retires the stale ones.
-        self.version = 0
+        #: Called with no argument whenever a stage gains a table: a
+        #: program drops its port plans there, so a control-plane table
+        #: install retires the stale ones before the next packet.
+        self.on_table_added: List[Callable[[], None]] = []
         for stage in self.stages:
             stage.on_change = self._table_added
 
     def _table_added(self) -> None:
-        self.version += 1
+        for callback in self.on_table_added:
+            callback()
 
     def stage(self, index: int) -> Stage:
         """Return stage *index* (0-based)."""
@@ -62,21 +64,19 @@ class Pipeline:
         return sum(stage.resources.sram_bytes_used for stage in self.stages)
 
 
-class PortPlan:
-    """One kernel standing in for the stage walk on an ingress port.
+#: A switch pass's egress decision, ``(egress_port, owed_ns, drop_reason)``:
+#: the port the packet leaves by and the recirculation latency it owes on
+#: top of the switch's forwarding latency, with ``drop_reason`` None; or
+#: ``(None, 0, reason)`` for a dropped packet.  It is all the switch node
+#: reads of a pass.
+Decision = Tuple[Optional[int], int, Optional[str]]
 
-    A program that knows what its tables do to a packet from one port
-    fuses them into a single function, ``run(packet, ingress_port)``,
-    which does the work of every pass and returns the finished
-    :class:`PipelinePacket`: the same packet outcome, and the same
-    register and counter writes, as the stage walk.  A plan is valid for
-    the pipeline version it was compiled against; the owner checks
-    :attr:`version` before each use.
-    """
-
-    __slots__ = ("pipeline", "version", "run")
-
-    def __init__(self, pipeline: Pipeline, run: Callable[[Packet, int], PipelinePacket]) -> None:
-        self.pipeline = pipeline
-        self.version = pipeline.version
-        self.run = run
+#: One kernel standing in for the stage walk on an ingress port:
+#: ``plan(packet, ingress_port)`` does the work of every pass and returns
+#: the :data:`Decision`.  A program that knows what its tables do to a
+#: packet from one port fuses them into such a function; it leaves the
+#: same packet, register state and counters behind as the stage walk, and
+#: decides what :meth:`~repro.switchsim.pipe.Pipe.decision` derives from
+#: the walk's :class:`PipelinePacket`.  A plan is valid until a table is
+#: added to its pipeline (:attr:`Pipeline.on_table_added`).
+PortPlan = Callable[[Packet, int], Decision]

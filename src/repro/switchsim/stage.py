@@ -26,8 +26,8 @@ class Stage:
         self.tables: List[MatchActionTable] = []
         self.register_arrays: List[RegisterArray] = []
         #: Callback installed by the owning pipeline, called after every
-        #: table added, so port plans keyed on the pipeline version
-        #: notice late table additions.
+        #: table added, so the port plans compiled against the pipeline
+        #: are dropped on a late table addition.
         self.on_change: Optional[Any] = None
 
     def add_table(self, table: MatchActionTable) -> MatchActionTable:

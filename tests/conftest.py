@@ -43,7 +43,7 @@ class _Frame:
 
     def __init__(self, wire_length, forwarded):
         self.wire_length = wire_length
-        self.result = NfResult(NfVerdict.FORWARD if forwarded else NfVerdict.DROP, 0)
+        self.result = NfResult(NfVerdict.FORWARD if forwarded else NfVerdict.DROP)
 
 
 class ServerRig:

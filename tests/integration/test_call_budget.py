@@ -29,11 +29,18 @@ one unless another event shares its nanosecond (``repro.netsim.link``).
 
 Run as a script, it also prints interpreted bytecodes per packet (see
 :func:`bytecodes_per_packet`), a third clock-free figure that is not
-gated.
+gated.  ``--by-function [WORKLOAD ...]`` adds, for the named workloads
+(all four when none is named), the functions that ran the most of
+those bytecodes, per packet — the breakdown to size a change by::
+
+    PYTHONPATH=src python tests/integration/test_call_budget.py --by-function multi8_macswap
 """
 
+import argparse
 import gc
+import os
 import sys
+from collections import defaultdict
 from dataclasses import replace
 
 from repro.experiments import scenarios
@@ -42,17 +49,19 @@ from repro.experiments.runner import ExperimentRunner, RunObserver, run_observer
 SEED = 91
 
 #: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
-#: Measured 55.230, 55.188, 48.436, 74.370 — equal on CPython 3.11.7
-#: and 3.9.18 — with the hop sites inserting into the calendar instead
-#: of calling ``schedule_at`` (65.597, 66.183, 58.263, 87.426 before;
-#: 69.226, 69.650, 61.564, 91.783 before the fused kernels built their
-#: records in place; 81.707, 80.770, 74.954, 105.239 before the NF
-#: server did its own NIC / PCIe arithmetic).
+#: Measured 52.599, 50.995, 45.771, 72.477 with a switch pass returning
+#: its egress decision, NF verdicts without cycles and one generator
+#: send loop per burst (55.230, 55.188, 48.436, 74.370 before — equal on
+#: CPython 3.11.7 and 3.9.18 — with the hop sites inserting into the
+#: calendar; 65.597, 66.183, 58.263, 87.426 before that; 69.226, 69.650,
+#: 61.564, 91.783 before the fused kernels built their records in place;
+#: 81.707, 80.770, 74.954, 105.239 before the NF server did its own
+#: NIC / PCIe arithmetic).
 BUDGETS = {
-    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 56.9),
-    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 56.8),
-    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 49.9),
-    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 76.6),
+    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 54.2),
+    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 52.5),
+    "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 47.1),
+    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 74.7),
 }
 
 #: workload -> ceiling on engine events per packet (measured × 1.03).
@@ -128,19 +137,19 @@ def bytecodes_per_packet(name):
     """Interpreted bytecodes per window packet of one compare, after one
     discarded compare: ``opcode`` events under ``sys.settrace``.
 
-    A third clock-free figure, for sizing a change before timing it.
-    Unlike calls it differs between interpreter versions (3.11
-    specializes and fuses instructions that 3.9 does not), so it is
-    printed by the script, never gated.  Tracing every opcode is slow:
-    this takes about a minute per workload.
+    Returns the total and, per function (see :func:`_function_label`),
+    its share of it.  A third clock-free figure, for sizing a change
+    before timing it.  Unlike calls it differs between interpreter
+    versions (3.11 specializes and fuses instructions that 3.9 does
+    not), so it is printed by the script, never gated.  Tracing every
+    opcode is slow: this takes about a minute per workload.
     """
     _compare(name)
-    opcodes = 0
+    opcodes = defaultdict(int)  # code object -> opcodes it ran
 
     def count(frame, event, arg):
-        nonlocal opcodes
         if event == "opcode":
-            opcodes += 1
+            opcodes[frame.f_code] += 1
         return count
 
     def trace(frame, event, arg):
@@ -155,7 +164,19 @@ def bytecodes_per_packet(name):
     finally:
         sys.settrace(None)
         gc.enable()
-    return opcodes / packets
+    by_function = defaultdict(float)
+    for code, ran in opcodes.items():
+        by_function[_function_label(code)] += ran / packets
+    return sum(opcodes.values()) / packets, dict(by_function)
+
+
+def _function_label(code):
+    """``path:qualified name`` of a code object, the path from the
+    package root (``repro/netsim/link.py``) for the project's own code."""
+    path = code.co_filename
+    marker = os.sep + "src" + os.sep
+    path = path.rsplit(marker, 1)[1] if marker in path else os.path.basename(path)
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
 def pytest_generate_tests(metafunc):
@@ -180,15 +201,40 @@ def test_python_calls_per_packet_stay_under_the_ceiling(workload):
     )
 
 
-if __name__ == "__main__":
+#: Functions the ``--by-function`` breakdown lists per workload.
+TOP_FUNCTIONS = 20
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--by-function",
+        nargs="*",
+        choices=list(BUDGETS),
+        metavar="WORKLOAD",
+        help="also list the functions that ran the most bytecodes per packet "
+        "on these workloads (all when none is named)",
+    )
+    args = parser.parse_args(argv)
+    breakdown = [] if args.by_function is None else args.by_function or list(BUDGETS)
     print(f"{'':16s} {'calls/pkt':>21s}  {'events/pkt':>21s}  {'bytecodes/pkt':>13s}")
+    functions = {}
     for workload in BUDGETS:
         (calls,) = python_calls_per_packet(workload)
         events = events_per_packet(workload)
-        bytecodes = bytecodes_per_packet(workload)
+        bytecodes, functions[workload] = bytecodes_per_packet(workload)
         print(
             f"{workload:16s} {calls:8.3f}  x1.03 = {calls * 1.03:5.1f}"
             f"  {events:8.3f}  x1.03 = {events * 1.03:5.2f}"
             f"  {bytecodes:13.1f}",
             flush=True,
         )
+    for workload in breakdown:
+        print(f"\n{workload}: top {TOP_FUNCTIONS} functions by bytecodes per packet")
+        ranked = sorted(functions[workload].items(), key=lambda item: (-item[1], item[0]))
+        for label, per_packet in ranked[:TOP_FUNCTIONS]:
+            print(f"  {per_packet:9.1f}  {label}")
+
+
+if __name__ == "__main__":
+    main()

@@ -183,8 +183,6 @@ class TestInjectedBugsAreCaught:
                 raise ValueError("the load balancer needs at least one backend")
             self.backends = list(backends)
             self.lookup_table = self._populate()
-            for backend in self.backends:
-                self.assignments.setdefault(backend.name, 0)
             # BUG: self._backend_cache is left holding pre-churn mappings.
 
         monkeypatch.setattr(MaglevLoadBalancer, "set_backends", buggy_set_backends)

@@ -29,6 +29,7 @@ from repro.experiments.scenarios import (
     multi_server_384b,
 )
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES
+from repro.switchsim.pipe import Pipe
 
 
 class _SizeChecker(RunObserver):
@@ -54,9 +55,10 @@ class _SizeChecker(RunObserver):
 
     def _count_recirculations(self, process):
         def counted(packet, port):
-            ctx = process(packet, port)
-            self.recirculated_packets += ctx.recirculations
-            return ctx
+            decision = process(packet, port)
+            _egress, owed_ns, _reason = decision
+            self.recirculated_packets += owed_ns // Pipe.RECIRCULATION_LATENCY_NS
+            return decision
 
         return counted
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.experiments.scenarios import workload_scenario
+from repro.netsim.link import Link
 from repro.netsim.trafficgen_node import TrafficGenNode
 from repro.workloads import get_workload, summarize, workload_names
 from repro.workloads.stats import TracedPacket
@@ -31,21 +32,21 @@ def _live_rows(monkeypatch, name, seed, rate_gbps, until_delivery=False):
     run, or those before its first delivery with *until_delivery*."""
     scenario = replace(workload_scenario(name, send_rate_gbps=rate_gbps), seed=seed)
     rows = []
-    transmit, handle = TrafficGenNode._transmit, TrafficGenNode.handle_packet
+    transmit, handle = Link.transmit, TrafficGenNode.handle_packet
 
-    def recording_transmit(node, packet):
-        if node.config.seed == seed:
-            rows.append(TracedPacket.of(node.env.now, packet))
+    def recording_transmit(link, packet, sender):
+        if isinstance(sender, TrafficGenNode) and sender.config.seed == seed:
+            rows.append(TracedPacket.of(sender.env.now, packet))
             if len(rows) == FRAMES:
                 raise _Enough
-        return transmit(node, packet)
+        return transmit(link, packet, sender)
 
     def first_delivery(node, packet, port):
         if node.config.seed == seed:
             raise _Enough
         handle(node, packet, port)
 
-    monkeypatch.setattr(TrafficGenNode, "_transmit", recording_transmit)
+    monkeypatch.setattr(Link, "transmit", recording_transmit)
     if until_delivery:
         monkeypatch.setattr(TrafficGenNode, "handle_packet", first_delivery)
     with pytest.raises(_Enough):

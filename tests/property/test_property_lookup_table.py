@@ -103,8 +103,8 @@ class TestProgramInvariants:
             # Return packets to the switch in FIFO order every few arrivals.
             if len(in_flight) >= 3:
                 returning = in_flight.pop(0)
-                ctx = program.process(returning, ingress_port=2)
-                if not ctx.dropped:
+                _egress, _owed, reason = program.process(returning, ingress_port=2)
+                if reason is None:
                     assert returning.to_bytes() == originals[returning.packet_id]
         counters = program.counters_for()
         outstanding = program.lookup_table().occupancy()
@@ -125,8 +125,8 @@ class TestProgramInvariants:
         for packet in packets:
             program.process(packet, ingress_port=0)
         for packet in packets:
-            ctx = program.process(packet, ingress_port=2)
-            if not ctx.dropped:
+            _egress, _owed, reason = program.process(packet, ingress_port=2)
+            if reason is None:
                 assert packet.to_bytes() == originals[packet.packet_id]
         counters = program.counters_for()
         assert counters.premature_evictions > 0

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import repro.nf.nat as nat_module
 from repro.netsim.nic import NIC_10GE, NIC_40GE, NicSpec
 from repro.netsim.pcie import PcieSpec
-from repro.nf.base import NetworkFunction, NfResult
+from repro.nf.base import FORWARDED, NetworkFunction, NfResult
 from repro.nf.nat import Nat, NatBinding, NatPortExhausted
 from repro.packet.flows import FiveTuple, FlowKey
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
@@ -79,29 +79,28 @@ class _ObjectNat(NetworkFunction):
         return len(self._bindings)
 
     def process(self, packet: Packet) -> NfResult:
-        cycles = self.base_cycles + self.lookup_cycles
         ip = packet.ip
         l4 = packet.l4
         if ip is None or l4 is None:
-            return self.forward(cycles)
+            return FORWARDED
         if ip.dst.value == self.external_ip.value:
             binding = self._reverse.get(l4.dst_port)
             if binding is None:
-                return self.drop(cycles, reason="no NAT binding for reverse flow")
+                return self.drop("no NAT binding for reverse flow")
             ip.dst = binding.internal.src_ip
             l4.dst_port = binding.internal.src_port
-            return self.forward(cycles + self.rewrite_cycles)
+            return FORWARDED
         key = (ip.src.value, ip.dst.value, ip.protocol, l4.src_port, l4.dst_port)
         binding = self._bindings.get(key)
         if binding is None:
             if len(self._reverse) > PORT_HIGH - PORT_LOW:
-                return self.drop(cycles, reason="NAT ports exhausted")
+                return self.drop("NAT ports exhausted")
             binding = self._bind(
                 key, FiveTuple(ip.src, ip.dst, ip.protocol, l4.src_port, l4.dst_port)
             )
         ip.src = binding.external_ip
         l4.src_port = binding.external_port
-        return self.forward(cycles + self.rewrite_cycles)
+        return FORWARDED
 
 
 address_strategy = st.builds(IPv4Address, st.integers(min_value=1, max_value=0xFFFFFFFE))

@@ -7,6 +7,13 @@ programs — one on plans, one walking its tables (PayloadPark's with the
 register guard on) — are fed the same random interleaving of everything
 an ingress port can see, and compared packet by packet and, at several
 points mid-stream, PayloadPark counter by counter and slot by slot.
+
+A plan returns the switch's egress decision, ``(egress_port, owed_ns,
+drop_reason)``; the walk leaves a :class:`PipelinePacket`.  Each plan's
+decision is held to the one :func:`_walk_decision` derives from that
+record here, independently of ``Pipe.decision``: every drop reason, a
+second (recirculated) pass of split and merge, and table installs
+mid-stream, each of which must drop the plans at once.
 """
 
 import random
@@ -19,8 +26,8 @@ from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
 from repro.core.lookup_table import MetadataEntry
 from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.packet.packet import Packet
-from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
+from repro.switchsim.pipe import Pipe
 
 BINDINGS = [
     NfServerBinding(name="srv0", ingress_ports=(0, 1), nf_port=2, default_egress_port=0),
@@ -33,6 +40,13 @@ OTHER_PIPE_BINDING = NfServerBinding(
 UNBOUND_PORT = 7
 STEPS = 1500
 CHECKPOINT_EVERY = 125
+#: Every reason the Merge kernel drops for.
+MERGE_DROP_REASONS = {
+    "payloadpark-tag-corrupt",
+    "payloadpark-tag-out-of-range",
+    "payloadpark-premature-eviction",
+    "payloadpark-explicit-drop",
+}
 
 
 class _Recorder:
@@ -62,16 +76,22 @@ def _program(parked_bytes, plans):
     return program, recorder
 
 
-def _outcome(ctx, packet):
-    return (
-        ctx.egress_port,
-        ctx.dropped,
-        ctx.drop_reason,
-        ctx.recirculations,
-        ctx.recirculate_requested,
-        packet.pp,
-        packet.to_bytes(),
-    )
+def _walk_decision(program, packet, port):
+    """Walk *packet* through *program*'s tables and derive the switch's
+    decision from the finished record, as the switch reads it: a drop
+    and its reason, else the egress port and the latency its
+    recirculation passes owe."""
+    ctx = program.asic.process(packet, port)
+    assert not ctx.recirculate_requested  # the pipe settles every request
+    if ctx.dropped:
+        return None, 0, ctx.drop_reason
+    if ctx.egress_port is None:
+        return None, 0, "no-egress-decision"
+    return ctx.egress_port, ctx.recirculations * Pipe.RECIRCULATION_LATENCY_NS, None
+
+
+def _outcome(decision, packet):
+    return decision, packet.pp, packet.to_bytes()
 
 
 def _state(program, recorder):
@@ -92,7 +112,7 @@ def _state(program, recorder):
 
 def _runs_kernel(program, port):
     """Whether *port*'s plan is a fused kernel, not the stage walk."""
-    return program._plans[port].run != program.asic.process
+    return program._plans[port] != program._walk
 
 
 def _noop_table(name, ingress_ports):
@@ -115,12 +135,11 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
     outcomes = []
 
     def compare(packet, twin, port):
-        fast_ctx = fast.process(packet, port)
-        slow_ctx = slow.process(twin, port)
-        outcome = _outcome(fast_ctx, packet)
-        assert outcome == _outcome(slow_ctx, twin)
-        outcomes.append(outcome)
-        return fast_ctx
+        decision = fast.process(packet, port)
+        outcome = _outcome(decision, packet)
+        assert outcome == _outcome(_walk_decision(slow, twin, port), twin)
+        outcomes.append((port, decision))
+        return decision
 
     def send(packet, port):
         twin = packet.copy()
@@ -152,11 +171,11 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
         action = rng.random()
         if action < 0.45:
             size = rng.choice([64, 128, 230, 300, 512, 800, 1400])
-            ctx, packet, twin = send(
+            decision, packet, twin = send(
                 Packet.udp(total_size=size, dst_mac="02:00:00:00:00:%02x" % rng.randrange(4)),
                 rng.choice(binding.ingress_ports),
             )
-            if not ctx.dropped:
+            if decision[2] is None:
                 at_nf[binding.name].append((packet, twin))
         elif action < 0.80:
             from_nf(binding)
@@ -187,6 +206,7 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
             for program in (fast, slow):
                 pipeline = program.asic.pipes[0].pipeline
                 pipeline.stage(1).add_table(_noop_table("tap", frozenset((UNBOUND_PORT,))))
+            assert fast._plans == {}  # dropped at the install, recompiled fused
             send(Packet.udp(total_size=512), 0)
             assert _runs_kernel(fast, 0)
         if step == 3 * STEPS // 4:
@@ -194,6 +214,7 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
             for program in (fast, slow):
                 pipeline = program.asic.pipes[0].pipeline
                 pipeline.stage(3).add_table(_noop_table("anywhere", None))
+            assert fast._plans == {}
             send(Packet.udp(total_size=512), 0)
             assert not _runs_kernel(fast, 0)
         if step % CHECKPOINT_EVERY == 0:
@@ -206,10 +227,12 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
     assert bank.splits and bank.merges and bank.evictions and bank.premature_evictions
     assert bank.explicit_drops and bank.merge_enb_zero and bank.split_disabled_table_occupied
     assert bank.split_disabled_small_payload and bank.tag_validation_failures
-    reasons = {outcome[2] for outcome in outcomes}
-    assert {"payloadpark-tag-corrupt", "payloadpark-tag-out-of-range"} <= reasons
-    if parked_bytes > 160:
-        assert any(outcome[3] for outcome in outcomes)
+    reasons = {reason for _port, (_egress, _owed, reason) in outcomes}
+    assert MERGE_DROP_REASONS <= reasons
+    # A second pass owes its latency on both sides, or on neither.
+    nf_ports = {binding.nf_port for binding in BINDINGS}
+    recirculated = {port in nf_ports for port, (_egress, owed, _reason) in outcomes if owed}
+    assert recirculated == ({True, False} if parked_bytes > 160 else set())
 
 
 @pytest.mark.parametrize("seed", [91, 92, 93])
@@ -226,10 +249,11 @@ def test_baseline_plans_match_the_stage_walk(seed):
         mac = "02:00:00:00:00:%02x" % rng.randrange(6)
         packet = Packet.udp(total_size=rng.choice([64, 512, 1400]), dst_mac=mac)
         twin = packet.copy()
-        ctx = fast.process(packet, port)
-        assert _outcome(ctx, packet) == _outcome(slow.process(twin, port), twin)
-        if ctx.dropped:
-            reasons.add(ctx.drop_reason)
+        decision = fast.process(packet, port)
+        assert _outcome(decision, packet) == _outcome(_walk_decision(slow, twin, port), twin)
+        egress, _owed, reason = decision
+        if reason is not None:
+            reasons.add(reason)
         elif port in nf_ports:
             from_nf.append(mac in installed)
 
@@ -257,6 +281,7 @@ def test_baseline_plans_match_the_stage_walk(seed):
             for program in (fast, slow):
                 pipeline = program.asic.pipes[0].pipeline
                 pipeline.stage(1).add_table(drop_mac_3("tap", frozenset((UNBOUND_PORT,))))
+            assert fast._plans == {}
             send(0)
             assert _runs_kernel(fast, 0)
         if step == 6 * STEPS // 7:
@@ -265,12 +290,14 @@ def test_baseline_plans_match_the_stage_walk(seed):
             for program in (fast, slow):
                 pipeline = program.asic.pipes[0].pipeline
                 pipeline.stage(3).add_table(drop_mac_3("anywhere", None))
+            assert fast._plans == {}
             send(0)
             send(16)
             assert not _runs_kernel(fast, 0) and _runs_kernel(fast, 16)
 
     assert True in from_nf and False in from_nf  # MAC hits and default egresses
-    assert reasons == {"tap", "anywhere"}
+    # The unbound port's walk routes nothing, and says so.
+    assert reasons == {"tap", "anywhere", "no-egress-decision"}
 
 
 def test_baseline_keeps_one_plan_per_port_whatever_the_macs():
@@ -286,7 +313,7 @@ def test_baseline_keeps_one_plan_per_port_whatever_the_macs():
 
 
 # ---------------------------------------------------------------------- #
-# The fused kernels' in-place records
+# The fused kernels' decisions and in-place records
 # ---------------------------------------------------------------------- #
 
 
@@ -304,14 +331,9 @@ def _stored_fields(record, cls):
 
 def _fused(program, packet, port):
     """Process on *port*'s fused kernel (not the stage-walk plan)."""
-    ctx = program.process(packet, port)
+    decision = program.process(packet, port)
     assert _runs_kernel(program, port), "the port must run a fused kernel"
-    return ctx
-
-
-def _assert_built_like(ctx, packet, port, **decision):
-    expected = PipelinePacket(packet, port, **decision)
-    assert _stored_fields(ctx, PipelinePacket) == _stored_fields(expected, PipelinePacket)
+    return decision
 
 
 def _assert_entry_written(lookup, index, clk, exp):
@@ -329,51 +351,49 @@ def _changed_slot(lookup, before):
 
 @pytest.mark.parametrize("parked_bytes", [160, 384])
 def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
-    """Split's context, metadata entries and header, and merge's context,
-    for every outcome, field for field against their constructors."""
+    """Split's decision, metadata entries and header, and merge's
+    decision, for every outcome; the records field for field against
+    their constructors."""
     program, _recorder = _program(parked_bytes, plans=True)
     binding = BINDINGS[0]
     port, nf_port, egress = binding.ingress_ports[0], binding.nf_port, binding.default_egress_port
     lookup = program.lookup_tables[binding.name]
     expiry = program.config.expiry_threshold
-    passes = 1 if parked_bytes <= 160 else 2
+    owed = 0 if parked_bytes <= 160 else Pipe.RECIRCULATION_LATENCY_NS
     seen = set()
 
     def split(size):
         packet = Packet.udp(total_size=size)
         before = [lookup.peek_metadata(i) for i in range(lookup.entries)]
-        ctx = _fused(program, packet, port)
-        return packet, ctx, before
+        decision = _fused(program, packet, port)
+        return packet, decision, before
 
     def merge(packet, outcome, reason=None):
-        ctx = _fused(program, packet, nf_port)
+        decision = _fused(program, packet, nf_port)
         if reason is None:
-            _assert_built_like(
-                ctx, packet, nf_port, egress_port=egress,
-                recirculations=passes - 1 if outcome == "merged" else 0,
-            )
+            assert decision == (egress, owed if outcome == "merged" else 0, None)
         else:
-            _assert_built_like(ctx, packet, nf_port, dropped=True, drop_reason=reason)
+            assert decision == (None, 0, reason)
         seen.add(outcome)
 
     # Split: not tagged (payload too small), parked (recirculating when
     # the parked bytes exceed one pass), then slot occupied on the wrap.
-    small, ctx, _ = split(64)
-    _assert_built_like(ctx, small, port, egress_port=nf_port)
+    small, decision, _ = split(64)
+    assert decision == (nf_port, 0, None)
     assert small.pp == PayloadParkHeader.disabled()
     seen.add("split: small")
     parked = []
     while True:
-        packet, ctx, before = split(512)
+        packet, decision, before = split(512)
         index = _changed_slot(lookup, before)
         if packet.pp.enb == 0:
             break
-        _assert_built_like(ctx, packet, port, egress_port=nf_port, recirculations=passes - 1)
+        assert decision == (nf_port, owed, None)
         _assert_entry_written(lookup, index, packet.pp.clk, expiry)
         assert packet.pp == PayloadParkHeader(1, OP_MERGE, index, packet.pp.clk).seal()
         parked.append(packet)
     seen.add("split: parked")
-    _assert_built_like(ctx, packet, port, egress_port=nf_port)
+    assert decision == (nf_port, 0, None)
     _assert_entry_written(lookup, index, before[index].clk, before[index].exp - 1)
     assert packet.pp == PayloadParkHeader.disabled()
     seen.add("split: occupied")
@@ -394,13 +414,11 @@ def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
     assert len(seen) == 10
 
 
-def test_fused_baseline_records_equal_constructor_built_ones():
+def test_fused_baseline_decisions():
     program = BaselineProgram([BINDINGS[0]])
     program.enable_fast_path()
     binding = BINDINGS[0]
     port, nf_port = binding.ingress_ports[0], binding.nf_port
     packet = Packet.udp(total_size=512)
-    ctx = _fused(program, packet, port)
-    _assert_built_like(ctx, packet, port, egress_port=nf_port)
-    ctx = _fused(program, packet, nf_port)
-    _assert_built_like(ctx, packet, nf_port, egress_port=binding.default_egress_port)
+    assert _fused(program, packet, port) == (nf_port, 0, None)
+    assert _fused(program, packet, nf_port) == (binding.default_egress_port, 0, None)

@@ -118,8 +118,8 @@ class TestTrustedConstructors:
             if corrupt:
                 packet.pp.crc ^= 1
             failures = counters.tag_validation_failures
-            ctx = program.process(packet, BINDING.nf_port)
-            assert ctx.dropped == corrupt
+            _egress, _owed, reason = program.process(packet, BINDING.nf_port)
+            assert (reason is not None) == corrupt
             assert counters.tag_validation_failures == failures + corrupt
             if not corrupt:
                 assert packet.to_bytes() == original

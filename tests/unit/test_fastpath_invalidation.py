@@ -34,7 +34,8 @@ class TestDecisionCacheInvalidation:
 
     def _egress_from_nf(self, program):
         binding = program.bindings[0]
-        return program.process(Packet.udp(dst_mac=self.MAC), binding.nf_port).egress_port
+        egress, _owed, _reason = program.process(Packet.udp(dst_mac=self.MAC), binding.nf_port)
+        return egress
 
     def test_l2_entry_install_changes_the_next_decision(self):
         program = _baseline_program()
@@ -53,7 +54,7 @@ class TestDecisionCacheInvalidation:
         binding = program.bindings[0]
         port = binding.ingress_ports[0]
         pipe = program.asic.pipe_for_port(port)
-        assert program.process(Packet.udp(), port).egress_port == binding.nf_port
+        assert program.process(Packet.udp(), port) == (binding.nf_port, 0, None)
 
         # A control-plane table the program knows nothing about.
         acl = pipe.pipeline.stage(0).add_table(
@@ -64,40 +65,40 @@ class TestDecisionCacheInvalidation:
                 match_bits=8,
             )
         )
-        ctx = program.process(Packet.udp(), port)
-        assert (ctx.dropped, ctx.drop_reason) == (True, "acl")
+        # The install itself drops the compiled plans.
+        assert program._plans == {}
+        assert program.process(Packet.udp(), port) == (None, 0, "acl")
         # The binding's other traffic port is judged by the table too.
         other = program.process(Packet.udp(), binding.ingress_ports[1])
-        assert (other.dropped, other.egress_port) == (False, binding.nf_port)
+        assert other == (binding.nf_port, 0, None)
 
     def test_invalidate_keeps_decisions(self):
         program = _baseline_program()
         binding = program.bindings[0]
         port = binding.ingress_ports[0]
         for _ in range(3):
-            assert program.process(Packet.udp(), port).egress_port == binding.nf_port
+            assert program.process(Packet.udp(), port) == (binding.nf_port, 0, None)
             program.invalidate_fast_path()
             assert program._plans == {}
 
 
 class TestFirewallVerdictCacheInvalidation:
-    """Rule churn must show in the very next verdict and its cycle cost."""
+    """Rule churn must show in the very next verdict and its reason."""
 
     def _packet(self, src="172.16.5.9"):
         return Packet.udp(src_ip=src, dst_port=80)
 
     def _outcome(self, firewall):
         result = firewall.process(self._packet())
-        return result.forwarded, result.cycles
+        return result.forwarded, result.reason
 
     def test_add_rule_evicts_cached_verdicts(self):
         firewall = Firewall(rules=[FirewallRule.blacklist("192.168.0.0/16")])
         firewall.enable_fast_path()
-        per_rule, base = firewall.cycles_per_rule, firewall.base_cycles
-        assert self._outcome(firewall) == (True, base + per_rule)
+        assert self._outcome(firewall) == (True, "")
 
         firewall.add_rule(FirewallRule.blacklist("172.16.0.0/12"))
-        assert self._outcome(firewall) == (False, base + 2 * per_rule)
+        assert self._outcome(firewall) == (False, "blacklisted by rule 1")
 
     def test_remove_rule_evicts_cached_verdicts(self):
         firewall = Firewall(
@@ -107,22 +108,25 @@ class TestFirewallVerdictCacheInvalidation:
             ]
         )
         firewall.enable_fast_path()
-        per_rule, base = firewall.cycles_per_rule, firewall.base_cycles
-        assert self._outcome(firewall) == (False, base + per_rule)
+        assert self._outcome(firewall) == (False, "blacklisted by rule 0")
 
         removed = firewall.remove_rule(0)
         assert removed.prefix_len == 12
-        assert self._outcome(firewall) == (True, base + per_rule)
+        assert self._outcome(firewall) == (True, "")
 
-    def test_rule_updates_change_cycle_costs_too(self):
-        # The pre-built result includes the probe count; rule changes must
-        # refresh it or the cost model drifts.
-        firewall = Firewall(rules=[FirewallRule.blacklist("192.168.0.0/16")])
+    def test_rule_updates_change_drop_reasons_too(self):
+        # The pre-built results name the matching rule's index; a rule
+        # change must refresh them or the reported rule drifts.
+        firewall = Firewall(
+            rules=[
+                FirewallRule.blacklist("10.99.0.0/16"),
+                FirewallRule.blacklist("172.16.0.0/12"),
+            ]
+        )
         firewall.enable_fast_path()
-        one_rule = firewall.process(self._packet()).cycles
-        firewall.add_rule(FirewallRule.blacklist("10.99.0.0/16"))
-        two_rules = firewall.process(self._packet()).cycles
-        assert two_rules == one_rule + firewall.cycles_per_rule
+        assert self._outcome(firewall) == (False, "blacklisted by rule 1")
+        firewall.remove_rule(0)
+        assert self._outcome(firewall) == (False, "blacklisted by rule 0")
 
     def test_cached_verdicts_match_slow_path(self):
         rules = [FirewallRule.blacklist(f"172.30.{i}.0/24") for i in range(5)]
@@ -133,7 +137,7 @@ class TestFirewallVerdictCacheInvalidation:
         for index in range(64):
             packet = Packet.udp(src_ip=f"192.168.{index % 3}.{index}", dst_port=index)
             a, b = fast.process(packet), slow.process(packet)
-            assert (a.forwarded, a.cycles) == (b.forwarded, b.cycles)
+            assert (a.verdict, a.reason) == (b.verdict, b.reason)
 
 
 class TestMaglevBackendChurnInvalidation:

@@ -4,7 +4,7 @@ NF server's NIC and PCIe cost rows."""
 import pytest
 
 from repro.errors import LinkSpecError
-from repro.netsim.eventloop import EventLoop, FastEventLoop
+from repro.netsim.eventloop import EventLoop, FastEventLoop, calendar_of
 from repro.netsim.link import Link
 from repro.netsim.nic import NIC_10GE, NIC_40GE
 from repro.netsim.node import Node
@@ -82,7 +82,7 @@ class TestLink:
     def test_delivery_includes_serialization_and_propagation(self):
         env, a, b, link = self._pair()
         packet = Packet.udp(total_size=1000)
-        a.send_out(0, packet)
+        link.transmit(packet, a)
         env.run_until(10_000)
         assert len(b.received) == 1
         arrival, _port, _pkt = b.received[0]
@@ -91,7 +91,7 @@ class TestLink:
     def test_back_to_back_frames_queue_behind_each_other(self):
         env, a, b, link = self._pair()
         for _ in range(3):
-            a.send_out(0, Packet.udp(total_size=1000))
+            link.transmit(Packet.udp(total_size=1000), a)
         env.run_until(100_000)
         arrivals = [t for t, _p, _k in b.received]
         assert arrivals == sorted(arrivals)
@@ -100,15 +100,15 @@ class TestLink:
     def test_buffer_overflow_drops(self):
         env, a, b, link = self._pair(buffer_bytes=1_500)
         for _ in range(5):
-            a.send_out(0, Packet.udp(total_size=1000))
+            link.transmit(Packet.udp(total_size=1000), a)
         env.run_until(1_000_000)
         assert len(b.received) == 1
         assert link.total_drops() == 4
 
     def test_full_duplex_directions_are_independent(self):
         env, a, b, link = self._pair()
-        a.send_out(0, Packet.udp(total_size=500))
-        b.send_out(0, Packet.udp(total_size=500))
+        link.transmit(Packet.udp(total_size=500), a)
+        link.transmit(Packet.udp(total_size=500), b)
         env.run_until(1_000_000)
         assert len(a.received) == 1 and len(b.received) == 1
         assert link.direction_stats(a).frames_sent == 1
@@ -195,7 +195,7 @@ class TestLazySerializationEnd:
 
     def test_the_heap_loop_elides_nothing(self):
         env, a, b, link = _lazy_pair(EventLoop, buffer_bytes=10_000)
-        assert env.pending_times is None
+        assert calendar_of(env) == (None, None)
         for _ in range(3):
             link.transmit(Packet.udp(total_size=1000), a)
         assert not link._a_to_b.in_flight

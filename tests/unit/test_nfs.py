@@ -59,7 +59,7 @@ class TestFirewall:
     def test_cost_grows_with_rule_count(self):
         small = Firewall.with_rule_count(1)
         large = Firewall.with_rule_count(20)
-        assert large(_packet()).cycles > small(_packet()).cycles
+        assert NfChain([large]).stage_cycle_estimates() > NfChain([small]).stage_cycle_estimates()
 
     def test_with_rule_count_builds_requested_rules(self):
         firewall = Firewall.with_rule_count(20)
@@ -177,9 +177,9 @@ class TestMacSwapAndSynthetic:
         assert packet.eth.src == dst and packet.eth.dst == src
 
     def test_synthetic_cycle_budgets(self):
-        assert SyntheticNf.light()(_packet()).cycles == 50
-        assert SyntheticNf.medium()(_packet()).cycles == 300
-        assert SyntheticNf.heavy()(_packet()).cycles == 570
+        nfs = [SyntheticNf.light(), SyntheticNf.medium(), SyntheticNf.heavy()]
+        assert all(nf(_packet()).forwarded for nf in nfs)
+        assert NfChain(nfs).stage_cycle_estimates() == [50, 300, 570]
 
     def test_synthetic_rejects_nonpositive_cycles(self):
         with pytest.raises(ValueError):
@@ -187,13 +187,14 @@ class TestMacSwapAndSynthetic:
 
 
 class TestNfChain:
-    def test_chain_processes_in_order_and_sums_cycles(self):
-        chain = NfChain([Firewall.with_rule_count(1), Nat()])
+    def test_chain_forwards_through_every_nf(self):
+        nat = Nat()
+        chain = NfChain([Firewall.with_rule_count(1), nat])
         packet = _packet()
         result = chain.process(packet)
-        assert result.forwarded
-        assert result.cycles > 0
-        assert chain.packets_out == 1
+        assert result.forwarded and result.reason == ""
+        assert packet.ip.src == nat.external_ip  # the last NF ran
+        assert chain.packets_dropped == 0
 
     def test_drop_stops_chain(self):
         firewall = Firewall(rules=[FirewallRule.blacklist("10.1.0.0/16")])

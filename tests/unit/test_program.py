@@ -6,6 +6,7 @@ from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.header import OP_EXPLICIT_DROP, PayloadParkHeader
 from repro.core.program import BaselineProgram, PayloadParkProgram
 from repro.packet.packet import ETHERNET_UDP_HEADER_BYTES, Packet
+from repro.switchsim.pipe import Pipe
 
 
 def _binding(name="srv0", base=0):
@@ -26,20 +27,17 @@ class TestBaselineProgram:
     def test_forwards_traffic_to_nf_port(self):
         program = BaselineProgram([_binding()])
         packet = Packet.udp(total_size=500)
-        ctx = program.process(packet, ingress_port=0)
-        assert ctx.egress_port == 2
+        assert program.process(packet, ingress_port=0) == (2, 0, None)
         assert packet.wire_length == 500  # untouched
 
     def test_forwards_nf_traffic_to_default_egress(self):
         program = BaselineProgram([_binding()])
-        ctx = program.process(Packet.udp(total_size=500), ingress_port=2)
-        assert ctx.egress_port == 0
+        assert program.process(Packet.udp(total_size=500), ingress_port=2) == (0, 0, None)
 
     def test_l2_entry_overrides_default_egress(self):
         program = BaselineProgram([_binding()])
         program.add_l2_entry("02:00:00:00:00:02", 1)
-        ctx = program.process(Packet.udp(total_size=500), ingress_port=2)
-        assert ctx.egress_port == 1
+        assert program.process(Packet.udp(total_size=500), ingress_port=2) == (1, 0, None)
 
     def test_requires_at_least_one_binding(self):
         with pytest.raises(ValueError):
@@ -69,13 +67,11 @@ class TestSplitMergeRoundTrip:
         packet = Packet.udp(total_size=512)
         original = packet.to_bytes()
 
-        split_ctx = program.process(packet, ingress_port=0)
-        assert split_ctx.egress_port == 2
+        assert program.process(packet, ingress_port=0) == (2, 0, None)
         assert packet.pp is not None and packet.pp.enb == 1
         assert packet.wire_length == 512 - 160 + 7
 
-        merge_ctx = program.process(packet, ingress_port=2)
-        assert merge_ctx.egress_port == 0
+        assert program.process(packet, ingress_port=2) == (0, 0, None)
         assert packet.pp is None
         assert packet.to_bytes() == original
         counters = program.counters_for()
@@ -139,12 +135,11 @@ class TestSplitMergeRoundTrip:
         program.process(second, ingress_port=0)
         assert program.counters_for().evictions == 1
         # The first packet now returns: its payload is gone.
-        ctx = program.process(first, ingress_port=2)
-        assert ctx.dropped
+        decision = program.process(first, ingress_port=2)
+        assert decision == (None, 0, "payloadpark-premature-eviction")
         assert program.counters_for().premature_evictions == 1
         # The second packet still merges fine.
-        ctx = program.process(second, ingress_port=2)
-        assert not ctx.dropped
+        assert program.process(second, ingress_port=2) == (0, 0, None)
         assert program.counters_for().merges == 1
 
     def test_corrupted_tag_is_dropped(self):
@@ -152,8 +147,8 @@ class TestSplitMergeRoundTrip:
         packet = Packet.udp(total_size=512)
         program.process(packet, ingress_port=0)
         packet.pp.clk ^= 0x1  # corrupt the tag without fixing the CRC
-        ctx = program.process(packet, ingress_port=2)
-        assert ctx.dropped
+        decision = program.process(packet, ingress_port=2)
+        assert decision == (None, 0, "payloadpark-tag-corrupt")
         assert program.counters_for().tag_validation_failures == 1
 
     @pytest.mark.parametrize("fast_path", [False, True])
@@ -164,8 +159,8 @@ class TestSplitMergeRoundTrip:
         program.enable_fast_path(fast_path)
         packet = Packet.udp(total_size=512)
         packet.pp = PayloadParkHeader(enb=1, tbl_idx=60_000, clk=3).seal()
-        ctx = program.process(packet, ingress_port=2)
-        assert ctx.dropped and ctx.drop_reason == "payloadpark-tag-out-of-range"
+        decision = program.process(packet, ingress_port=2)
+        assert decision == (None, 0, "payloadpark-tag-out-of-range")
         assert program.counters_for().tag_validation_failures == 1
         assert program.lookup_table().occupancy() == 0
 
@@ -178,8 +173,8 @@ class TestSplitMergeRoundTrip:
         # The NF framework decides to drop: truncate and set the opcode.
         packet.park_leading_payload(packet.payload_length)
         packet.pp.op = OP_EXPLICIT_DROP
-        ctx = program.process(packet, ingress_port=2)
-        assert ctx.dropped
+        decision = program.process(packet, ingress_port=2)
+        assert decision == (None, 0, "payloadpark-explicit-drop")
         assert program.counters_for().explicit_drops == 1
         assert program.lookup_table().occupancy() == 0
 
@@ -191,20 +186,26 @@ class TestRecirculation:
         packet = Packet.udp(total_size=1024)
         original = packet.to_bytes()
 
-        split_ctx = program.process(packet, ingress_port=0)
-        assert split_ctx.recirculations == 1
+        program.process(packet, ingress_port=0)
         assert packet.wire_length == 1024 - 384 + 7
 
-        merge_ctx = program.process(packet, ingress_port=2)
-        assert merge_ctx.recirculations == 1
+        program.process(packet, ingress_port=2)
         assert packet.to_bytes() == original
 
-    def test_recirculation_latency_reported(self):
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_recirculation_latency_reported(self, fast_path):
+        # One recirculation pass each way, owed on top of the switch's
+        # forwarding latency; a packet too small to park owes nothing.
         config = PayloadParkConfig.with_recirculation()
         program = PayloadParkProgram(config, bindings=[_binding()])
+        program.enable_fast_path(fast_path)
+        owed = Pipe.RECIRCULATION_LATENCY_NS
         packet = Packet.udp(total_size=1024)
-        ctx = program.process(packet, ingress_port=0)
-        assert program.extra_latency_ns(ctx) > 0
+        assert program.process(packet, ingress_port=0) == (2, owed, None)
+        assert program.process(packet, ingress_port=2) == (0, owed, None)
+        small = Packet.udp(total_size=128)
+        assert program.process(small, ingress_port=0) == (2, 0, None)
+        assert program.process(small, ingress_port=2) == (0, 0, None)
 
 
 class TestMultiBindingAndState:

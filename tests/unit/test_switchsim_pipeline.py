@@ -7,7 +7,7 @@ from repro.switchsim.asic import AsicConfig, TofinoAsic
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.pipe import Pipe
-from repro.switchsim.pipeline import Pipeline, PortPlan
+from repro.switchsim.pipeline import Pipeline
 
 
 def _ctx(port=0):
@@ -71,12 +71,12 @@ class TestPipeline:
 
 
 class TestPortPlan:
-    def test_table_install_outdates_the_plan(self):
+    def test_table_install_calls_the_plan_owners(self):
         pipeline = Pipeline(stage_count=2)
-        plan = PortPlan(pipeline, lambda packet, port: None)
-        assert plan.version == pipeline.version
+        plans = {0: lambda packet, port: None}
+        pipeline.on_table_added.append(plans.clear)
         pipeline.stage(1).add_table(MatchActionTable("late", action=lambda ctx: None))
-        assert plan.version != pipeline.version
+        assert plans == {}
 
 
 class TestPipeRecirculation:
@@ -88,11 +88,15 @@ class TestPipeRecirculation:
         ctx = pipe.process(Packet.udp(total_size=100), ingress_port=0)
         assert ctx.recirculations == 1
 
-    def test_recirculation_latency_reported(self):
+    def test_decision_reads_the_finished_record(self):
         pipe = Pipe(index=0, stage_count=2, recirculation_limit=2)
         ctx = _ctx()
+        assert pipe.decision(ctx) == (None, 0, "no-egress-decision")
+        ctx.forward_to(5)
         ctx.recirculations = 2
-        assert pipe.recirculation_latency_ns(ctx) == 2 * Pipe.RECIRCULATION_LATENCY_NS
+        assert pipe.decision(ctx) == (5, 2 * Pipe.RECIRCULATION_LATENCY_NS, None)
+        ctx.drop("policy")
+        assert pipe.decision(ctx) == (None, 0, "policy")
 
     def test_parser_hook_runs_on_each_pass(self):
         pipe = Pipe(index=0, stage_count=1, recirculation_limit=1)

@@ -33,6 +33,16 @@ def _model(**overrides):
     return ClosedLoopFlows(**defaults)
 
 
+class _Wire:
+    """Stands in for the generator's link: every frame goes to ``send``."""
+
+    def __init__(self, send):
+        self.send = send
+
+    def transmit(self, packet, sender):
+        self.send(packet)
+
+
 class _Harness:
     """A generator node attached to a deterministic scriptable network."""
 
@@ -48,9 +58,10 @@ class _Harness:
         self.transport = self.node.transport
         self.wire = []
         self.delay_ns = lambda packet: RTT_NS  # ideal fixed-RTT loop
-        self.node.send_out = self._send_out
+        self.wire_link = _Wire(self._send)
+        self.node.links[0] = self.wire_link
 
-    def _send_out(self, port, packet):
+    def _send(self, packet):
         self.wire.append(packet)
         delay = self.delay_ns(packet)
         if delay is None:
@@ -213,12 +224,12 @@ class TestDuplicateDeliveries:
         # each sequence number must land in the duplicate counters.
         h = _Harness(_model())
 
-        def duplicate_delivery(port, packet):
+        def duplicate_delivery(packet):
             h.wire.append(packet)
             h.env.schedule_in(RTT_NS, lambda: h.node.handle_packet(packet, 0))
             h.env.schedule_in(RTT_NS + 5_000, lambda: h.node.handle_packet(packet, 0))
 
-        h.node.send_out = duplicate_delivery
+        h.wire_link.send = duplicate_delivery
         h.run(duration_ns=200_000, drain_ns=300_000)
         t = h.transport
         assert t.duplicate_segments > 0
