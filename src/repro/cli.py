@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument(
         "--heartbeat", type=float, default=5.0, metavar="SECONDS",
-        help="seconds between per-cell worker heartbeats on the bus (default 5)",
+        help="seconds between the dispatcher's heartbeats for each running "
+             "cell on the bus; serial runs emit none (default 5)",
     )
     campaign_run.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
@@ -859,12 +860,10 @@ def _campaign_run(args) -> int:
         retry_backoff_s=args.retry_backoff,
     )
     if not args.no_bus:
-        # Bus on by default: workers stream telemetry into the events
-        # sidecar so a separate `repro campaign serve` can attach live.
+        # Bus on by default: campaign events go to the events sidecar so
+        # a separate `repro campaign serve` can attach live.
         events_path = events_path_for(store.path)
-        executor.bus = TelemetryBus(
-            events_path=events_path, heartbeat_interval_s=args.heartbeat
-        ).start()
+        executor.bus = TelemetryBus(events_path=events_path).start()
         logger.info("telemetry bus -> %s", events_path)
     try:
         summary = executor.run_campaign(

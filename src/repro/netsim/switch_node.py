@@ -38,7 +38,6 @@ class SwitchNode(Node):
         self.program = program
         self.base_latency_ns = base_latency_ns
         self.packets_dropped = 0
-        self.drop_reasons: Dict[str, int] = {}
         #: egress port -> that port's sender (``Node.port_sender``),
         #: built on the port's first frame.  An unwired port still gets
         #: one: it raises at send time, after the forwarding latency.
@@ -63,7 +62,6 @@ class SwitchNode(Node):
                 profiler.exit()
         if reason is not None:
             self.packets_dropped += 1
-            self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
             self._record_drop(packet, reason)
             return
         send = self._egress.get(egress)

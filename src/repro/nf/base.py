@@ -68,18 +68,10 @@ class NetworkFunction:
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or type(self).__name__
-        self.packets_dropped = 0
 
     def process(self, packet: Packet) -> NfResult:
         """Process one packet; must be overridden."""
         raise NotImplementedError
-
-    def __call__(self, packet: Packet) -> NfResult:
-        """Bookkeeping wrapper around :meth:`process`."""
-        result = self.process(packet)
-        if not result.forwarded:
-            self.packets_dropped += 1
-        return result
 
     def enable_fast_path(self, enabled: bool = True) -> None:
         """Opt into a behaviour-preserving faster datapath (default: no-op).

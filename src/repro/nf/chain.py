@@ -25,7 +25,6 @@ class NfChain:
         if not self.nfs:
             raise ValueError("an NF chain needs at least one NF")
         self.name = name or " -> ".join(nf.name for nf in self.nfs)
-        self.packets_dropped = 0
 
     def __len__(self) -> int:
         return len(self.nfs)
@@ -41,15 +40,11 @@ class NfChain:
         """Run *packet* through every NF until one drops it.
 
         Returns :data:`~repro.nf.base.FORWARDED`, or the dropping NF's
-        result.  Each NF's ``packets_dropped`` is kept here exactly as
-        :meth:`NetworkFunction.__call__` keeps it for a direct caller,
-        without that wrapper's frame per NF per packet.
+        result.
         """
         for nf in self.nfs:
             result = nf.process(packet)
             if not result.forwarded:
-                nf.packets_dropped += 1
-                self.packets_dropped += 1
                 return result
         return FORWARDED
 

@@ -16,8 +16,9 @@ The subsystem has seven layers:
   resume / ``status`` / ``report`` / ``repro obs runs``;
 - :mod:`repro.orchestrator.aggregate` — that index laid over a
   campaign's grid as table rows;
-- :mod:`repro.orchestrator.telemetrybus` — structured worker events over
-  a multiprocessing queue into live campaign state, under the same rule;
+- :mod:`repro.orchestrator.telemetrybus` — the orchestrating process's
+  campaign events, appended to an NDJSON sidecar and folded into live
+  campaign state under the same rule;
 - :mod:`repro.orchestrator.serve` — ``repro campaign serve`` HTTP
   endpoints (status/cells/violations/events/metrics), live or post-hoc;
   not re-exported here, so only that command imports :mod:`http.server`.

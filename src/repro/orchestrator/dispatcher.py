@@ -20,6 +20,10 @@ it with an explicit dispatch loop:
   lease: the dispatcher SIGKILLs it if needed, re-queues the cell with
   exponential backoff, spawns a replacement worker, and emits
   ``worker_died`` / ``cell_retried`` events on the telemetry bus;
+- workers only run cells: the dispatcher itself emits a lease's
+  ``cell_started`` (with the worker's pid) and, while its health scan
+  sees the leasing process alive, a ``heartbeat`` every
+  ``heartbeat_interval_s``;
 - retries are bounded: once a cell's attempts (including failed
   attempts recorded in the store by previous resumes) reach the budget,
   the dispatcher synthesizes a terminal ``status: "exhausted"`` record
@@ -52,6 +56,11 @@ from typing import (
 
 from repro.errors import require_positive_finite
 from repro.orchestrator.spec import RunSpec
+from repro.orchestrator.telemetrybus import (
+    DEFAULT_HEARTBEAT_INTERVAL_S,
+    cell_started_event,
+    configure_worker_logging,
+)
 
 logger = logging.getLogger("repro.orchestrator.dispatcher")
 
@@ -126,21 +135,17 @@ def apply_chaos(spec: RunSpec, attempt: int) -> None:
             time.sleep(float(rule.get("hang_s", 3600.0)))
 
 
-def _dispatch_worker_main(
-    worker_id: int,
-    conn,
-    bus_queue,
-    log_level: Optional[str],
-    heartbeat_interval_s: float,
-) -> None:
-    """Worker loop: receive leases over the pipe, send back records."""
-    from repro.orchestrator.executor import (
-        BaselineTable,
-        _campaign_worker_init,
-        execute_run,
-    )
+def _dispatch_worker_main(worker_id: int, conn, log_level: Optional[str]) -> None:
+    """Worker loop: receive leases over the pipe, send back records.
 
-    _campaign_worker_init(bus_queue, log_level, heartbeat_interval_s)
+    The CLI's ``--log-level`` follows the campaign into the worker, so
+    its records are not stuck at whatever config ``fork`` copied, and
+    each is tagged with the running cell's hash.
+    """
+    from repro.orchestrator.executor import BaselineTable, execute_run
+
+    if log_level is not None:
+        configure_worker_logging(log_level)
     baselines: BaselineTable = {}  # lives as long as this worker
     while True:
         try:
@@ -191,6 +196,8 @@ class _Worker:
         child_conn.close()
         self.lease: Optional[_PendingCell] = None
         self.deadline: Optional[float] = None
+        #: Monotonic time of the lease's last cell_started or heartbeat.
+        self.beat_at = 0.0
         #: Baselines this process holds, or is simulating for its lease.
         self.baselines: Set[str] = set()
 
@@ -236,12 +243,17 @@ class DispatchLoop:
     ----------
     processes:
         Worker process count.
-    bus_queue:
-        The telemetry bus's queue (or ``None``) — handed to workers so
-        cell-started events and heartbeats stream out as before.
     emit:
-        Orchestrator-side event sink (``TelemetryBus.emit`` or ``None``)
-        for the dispatcher's own ``cell_retried``/``worker_died`` events.
+        Event sink (``TelemetryBus.emit`` or ``None``), called from the
+        thread that runs the loop, for every campaign event the
+        dispatcher knows: ``cell_started`` per lease, ``heartbeat``,
+        ``cell_retried`` and ``worker_died``.
+    log_level:
+        Log level for the worker processes (``None`` leaves theirs as
+        ``fork`` copied it).
+    heartbeat_interval_s:
+        Seconds a live lease goes without an event before the health
+        scan emits a ``heartbeat`` for it.
     cell_timeout_s:
         Per-cell wall-clock deadline.  ``None`` disables timeouts (a
         worker crash is still recovered either way).
@@ -255,10 +267,9 @@ class DispatchLoop:
     def __init__(
         self,
         processes: int,
-        bus_queue=None,
         emit: Optional[Callable[[Dict[str, Any]], None]] = None,
         log_level: Optional[str] = None,
-        heartbeat_interval_s: float = 5.0,
+        heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         cell_timeout_s: Optional[float] = None,
         max_attempts: Optional[int] = 3,
         retry_backoff_s: float = 0.5,
@@ -269,14 +280,16 @@ class DispatchLoop:
             require_positive_finite("cell_timeout_s", cell_timeout_s)
         if not 0 <= retry_backoff_s < math.inf:
             raise ValueError(f"retry_backoff_s must be finite and >= 0, got {retry_backoff_s}")
+        require_positive_finite("heartbeat_interval_s", heartbeat_interval_s)
         import multiprocessing
 
         self.processes = processes
         self.cell_timeout_s = cell_timeout_s
         self.max_attempts = max_attempts
         self.retry_backoff_s = retry_backoff_s
+        self.heartbeat_interval_s = heartbeat_interval_s
         self._ctx = multiprocessing.get_context()
-        self._spawn_args = (bus_queue, log_level, heartbeat_interval_s)
+        self._spawn_args = (log_level,)
         self._emit = emit
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
@@ -376,6 +389,8 @@ class DispatchLoop:
                 self._event(self._worker_died_event(worker, "crashed", None))
                 self._remove(worker)
                 return
+            worker.beat_at = now
+            self._event(cell_started_event(cell.spec, worker.process.pid))
 
     def _choose(self, worker: _Worker, leasable: List[_PendingCell]) -> _PendingCell:
         """The cell *worker* runs next: one whose baseline it already holds,
@@ -419,6 +434,15 @@ class DispatchLoop:
                 records.extend(self._reap(worker, ready, reason="crashed"))
             elif worker.deadline is not None and now >= worker.deadline:
                 records.extend(self._reap(worker, ready, reason="timeout"))
+            elif now - worker.beat_at >= self.heartbeat_interval_s:
+                worker.beat_at = now
+                self._event(
+                    {
+                        "type": "heartbeat",
+                        "spec_hash": worker.lease.spec.spec_hash,
+                        "pid": worker.process.pid,
+                    }
+                )
         return records
 
     def _reap(

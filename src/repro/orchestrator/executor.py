@@ -46,13 +46,11 @@ from repro.errors import require_positive_finite
 from repro.experiments.runner import DeploymentKind, ExperimentRunner
 from repro.orchestrator.spec import CampaignSpec, RunSpec, build_scenario, dedupe_specs
 from repro.orchestrator.store import ResultStore
-from repro.orchestrator import telemetrybus
 from repro.orchestrator.telemetrybus import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
     TelemetryBus,
     cell_context,
-    start_heartbeat,
-    worker_emit,
+    cell_started_event,
 )
 from repro.telemetry.report import ComparisonReport, DeploymentReport
 
@@ -65,25 +63,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default base of the exponential in-run retry backoff, in seconds.
 DEFAULT_RETRY_BACKOFF_S = 0.5
-
-
-def _campaign_worker_init(
-    bus_queue: Optional[Any],
-    log_level: Optional[str],
-    heartbeat_interval_s: float,
-) -> None:
-    """Pool initializer: arm telemetry and logging in a fresh worker.
-
-    Runs once per worker process.  The bus queue arrives through
-    initargs (a ``multiprocessing.Queue`` is inheritable but not
-    imap-picklable), and the CLI's ``--log-level`` follows the campaign
-    into the pool so worker records are not silently stuck at the
-    default config — tagged with the running cell's hash.
-    """
-    if log_level is not None:
-        telemetrybus.configure_worker_logging(log_level)
-    if bus_queue is not None:
-        telemetrybus.install_worker_sink(bus_queue.put, heartbeat_interval_s)
 
 
 def flatten_report(report: DeploymentReport, prefix: str = "") -> Dict[str, Any]:
@@ -171,16 +150,6 @@ def execute_run(
     observer = None
     obs_sink = None
     obs_out_dir: Optional[Path] = None
-    worker_emit(
-        {
-            "type": "cell_started",
-            "spec_hash": run.spec_hash,
-            "scenario": run.scenario,
-            "params": dict(run.params),
-            "pid": os.getpid(),
-        }
-    )
-    heartbeat = start_heartbeat(run.spec_hash)
     try:
         with cell_context(run.spec_hash):
             scenario = build_scenario(run)
@@ -255,9 +224,6 @@ def execute_run(
         record["status"] = "error"
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["traceback"] = traceback.format_exc()
-    finally:
-        if heartbeat is not None:
-            heartbeat.stop()
     record["wall_time_s"] = time.perf_counter() - started
     return record
 
@@ -325,15 +291,21 @@ class CampaignExecutor:
         Optional callback receiving each finished record.
     bus:
         Optional :class:`~repro.orchestrator.telemetrybus.TelemetryBus`.
-        When set, workers stream cell-started events and heartbeats over
-        its queue, and the executor emits finished/violation/obs events
-        per record — live campaign state with zero per-event cost when
-        absent (the default, and the path the bench overhead gate pins).
+        When set, this process emits every campaign event on it: the
+        campaign's start and finish, each cell's start (from the
+        dispatcher's lease, or serially before the cell runs), the
+        dispatcher's heartbeats and recoveries, and the finished /
+        violation / obs events per record.  Workers emit nothing.
+        Absent (the default, and the path the bench overhead gate
+        pins), no event is written.
     log_level:
         CLI log level propagated into worker processes (workers
         otherwise inherit whatever logging config ``fork`` copied).
     heartbeat_interval_s:
-        Seconds between per-cell worker heartbeats when a bus is set.
+        Seconds a cell leased to a live dispatcher worker goes without
+        an event before the dispatcher emits a ``heartbeat`` for it.  A
+        serial campaign emits no heartbeats: the process that would
+        report liveness is the one running the cell.
     cell_timeout_s:
         Per-cell wall-clock deadline under the parallel dispatcher; a
         cell past it loses its worker (SIGKILL) and is retried.  ``None``
@@ -512,25 +484,20 @@ class CampaignExecutor:
         if not pending:
             return
         if self.workers <= 1 or len(pending) == 1:
-            # Serial path: same telemetry contract as the dispatcher,
-            # armed in-process (and restored afterwards — the caller's
-            # process outlives the campaign).  No second process exists
-            # to recover a crash or enforce a timeout here; failures are
+            # Serial path: no second process exists to recover a crash,
+            # enforce a timeout or report liveness here; failures are
             # captured as error records and budgeted at the next resume.
             baselines: BaselineTable = {}
-            with telemetrybus.worker_sink(
-                self.bus.queue.put if self.bus is not None else None,
-                self.heartbeat_interval_s,
-            ):
-                for spec in pending:
-                    yield execute_run(spec, baselines)
+            for spec in pending:
+                if self.bus is not None:
+                    self.bus.emit(cell_started_event(spec, os.getpid()))
+                yield execute_run(spec, baselines)
             return
         # Imported lazily: the dispatcher's workers import this module.
         from repro.orchestrator.dispatcher import DispatchLoop
 
         loop = DispatchLoop(
             processes=min(self.workers, len(pending)),
-            bus_queue=self.bus.queue if self.bus is not None else None,
             emit=self.bus.emit if self.bus is not None else None,
             log_level=self.log_level,
             heartbeat_interval_s=self.heartbeat_interval_s,

@@ -1,18 +1,20 @@
-"""Campaign telemetry bus: structured events from workers to live state.
+"""Campaign telemetry bus: structured events into live campaign state.
 
-PR 6 made a single run observable; this module makes the *campaign*
-observable.  Worker processes stream structured events — cell started,
-heartbeats — over a multiprocessing queue; the orchestrating process
-adds the events only it can know (cell finished, invariant violations,
-per-cell observability summaries) as records come back from the pool.
-A :class:`TelemetryBus` drains the queue on a background thread into
-an NDJSON sidecar file (``results/<name>.events.jsonl`` by convention),
-which is what lets a *separate* ``repro campaign serve`` process attach
-to a running campaign: the server tails the sidecar while the campaign
-appends to it, folding both into a :class:`CampaignMonitor` — the live
-campaign state its endpoints expose: progress, an ETA derived from
-completed-cell wall times, per-dimension slice statistics and a
-deduplicated violation ledger.
+:mod:`repro.obs` makes a single run observable; this module makes the
+*campaign* observable. Every event comes from the orchestrating
+process, which already knows each one: it emits ``cell_started`` when
+it leases a cell (or, serially, before it runs one), a ``heartbeat``
+while the dispatcher sees a leasing worker alive, ``cell_retried`` /
+``worker_died`` when it recovers a lease, and the finished, violation
+and observability events each record implies as it comes back. Worker
+processes only run cells. A :class:`TelemetryBus` writes each event as
+one line of an NDJSON sidecar file (``results/<name>.events.jsonl`` by
+convention), which is what lets a *separate* ``repro campaign serve``
+process attach to a running campaign: the server tails the sidecar
+while the campaign appends to it, folding both into a
+:class:`CampaignMonitor` — the live campaign state its endpoints
+expose: progress, an ETA derived from completed-cell wall times,
+per-dimension slice statistics and a deduplicated violation ledger.
 
 Store records reach a monitor as the events :func:`events_from_record`
 derives from them, so every delivery — a follower tailing sidecar and
@@ -32,13 +34,12 @@ which is what the ``repro bench --bus-check`` overhead gate pins.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.orchestrator.store import (
     LIVE_STATUSES,
@@ -49,6 +50,8 @@ from repro.orchestrator.store import (
 
 if TYPE_CHECKING:
     import logging
+
+    from repro.orchestrator.spec import RunSpec
 
 
 def _logger() -> logging.Logger:
@@ -71,57 +74,17 @@ EVENT_TYPES = (
     "campaign_finished",
 )
 
-#: Default seconds between worker heartbeats while a cell runs.
+#: Default seconds between the dispatcher's heartbeats for a running cell.
 DEFAULT_HEARTBEAT_INTERVAL_S = 5.0
 
 
 # ---------------------------------------------------------------------- #
-# Worker side: emit into the queue, tag logs with the cell hash
+# Worker side: tag logs with the cell hash
 # ---------------------------------------------------------------------- #
-
-#: Callable delivering one event dict to the orchestrator (None = no bus).
-_WORKER_SINK: Optional[Callable[[Dict[str, Any]], None]] = None
-_WORKER_HEARTBEAT_S: float = DEFAULT_HEARTBEAT_INTERVAL_S
 
 #: The cell currently executing in this process ("-" outside a cell);
 #: worker log records are tagged with it (see :class:`CellTagFilter`).
 _CURRENT_CELL: str = "-"
-
-
-def install_worker_sink(
-    sink: Optional[Callable[[Dict[str, Any]], None]],
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-) -> None:
-    """Install the event delivery callable for this (worker) process."""
-    global _WORKER_SINK, _WORKER_HEARTBEAT_S
-    _WORKER_SINK = sink
-    _WORKER_HEARTBEAT_S = max(float(heartbeat_interval_s), 0.01)
-
-
-@contextmanager
-def worker_sink(
-    sink: Optional[Callable[[Dict[str, Any]], None]],
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-) -> Iterator[None]:
-    """Scoped :func:`install_worker_sink` — the serial executor's path."""
-    previous = (_WORKER_SINK, _WORKER_HEARTBEAT_S)
-    install_worker_sink(sink, heartbeat_interval_s)
-    try:
-        yield
-    finally:
-        install_worker_sink(previous[0], previous[1])
-
-
-def worker_emit(event: Dict[str, Any]) -> None:
-    """Deliver one event to the bus, if any; never raises into the run."""
-    sink = _WORKER_SINK
-    if sink is None:
-        return
-    event.setdefault("ts", time.time())
-    try:
-        sink(event)
-    except Exception:  # noqa: BLE001 - telemetry must never kill a cell
-        _logger().debug("telemetry emit failed", exc_info=True)
 
 
 def current_cell_hash() -> str:
@@ -131,7 +94,7 @@ def current_cell_hash() -> str:
 
 @contextmanager
 def cell_context(spec_hash: str) -> Iterator[None]:
-    """Mark *spec_hash* as the running cell (log tagging, heartbeats)."""
+    """Mark *spec_hash* as the running cell (log tagging)."""
     global _CURRENT_CELL
     previous = _CURRENT_CELL
     _CURRENT_CELL = spec_hash
@@ -163,37 +126,24 @@ def configure_worker_logging(level_name: str) -> None:
     configure_logging(level_name, " [cell %(cell)s]", CellTagFilter())
 
 
-class _HeartbeatThread(threading.Thread):
-    """Emits periodic heartbeats for one cell until stopped."""
-
-    def __init__(self, spec_hash: str, interval_s: float) -> None:
-        super().__init__(daemon=True, name=f"heartbeat-{spec_hash[:8]}")
-        self.spec_hash = spec_hash
-        self.interval_s = interval_s
-        self._stopped = threading.Event()
-
-    def run(self) -> None:
-        while not self._stopped.wait(self.interval_s):
-            worker_emit(
-                {"type": "heartbeat", "spec_hash": self.spec_hash, "pid": os.getpid()}
-            )
-
-    def stop(self) -> None:
-        self._stopped.set()
-
-
-def start_heartbeat(spec_hash: str) -> Optional[_HeartbeatThread]:
-    """Start a heartbeat thread for *spec_hash* (None when no bus)."""
-    if _WORKER_SINK is None:
-        return None
-    thread = _HeartbeatThread(spec_hash, _WORKER_HEARTBEAT_S)
-    thread.start()
-    return thread
-
-
 # ---------------------------------------------------------------------- #
-# Record -> events (shared by the live path and post-hoc store replay)
+# Events the orchestrator derives (shared by the live path and replay)
 # ---------------------------------------------------------------------- #
+
+
+def cell_started_event(run: RunSpec, pid: int) -> Dict[str, Any]:
+    """The ``cell_started`` event for *run*, executing in process *pid*.
+
+    The dispatcher emits it when it leases the cell to a worker, the
+    serial executor just before it runs the cell itself.
+    """
+    return {
+        "type": "cell_started",
+        "spec_hash": run.spec_hash,
+        "scenario": run.scenario,
+        "params": dict(run.params),
+        "pid": pid,
+    }
 
 
 def events_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
@@ -526,72 +476,35 @@ class CampaignMonitor:
 
 
 # ---------------------------------------------------------------------- #
-# The bus: queue + drain thread + NDJSON sidecar
+# The bus: an NDJSON sidecar writer
 # ---------------------------------------------------------------------- #
 
 
 class TelemetryBus:
-    """Streams campaign events into an NDJSON sidecar.
+    """Appends campaign events to an NDJSON sidecar.
 
-    The orchestrating process owns the bus: workers put events on
-    :attr:`queue` (handed to them through the pool initializer), the
-    executor emits its own events via :meth:`emit`, and a daemon thread
-    drains everything in arrival order into the events file, which a
-    :class:`~repro.orchestrator.serve.StoreFollower` folds into a
-    monitor.  :meth:`stop` is a barrier — it returns only after every
-    queued event has been written, so a reader that waits for it sees
-    the complete sidecar.
+    The orchestrating process owns the bus and is its only writer: the
+    executor and its dispatch loop call :meth:`emit` from the thread
+    that runs the campaign, and each call writes and flushes one line,
+    so a :class:`~repro.orchestrator.serve.StoreFollower` tailing the
+    file sees every event as soon as it is emitted.  Without an
+    ``events_path`` the bus writes nothing.
     """
 
-    def __init__(
-        self,
-        events_path: Optional[Path] = None,
-        heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-    ) -> None:
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context()
-        self.queue = self._ctx.Queue()
+    def __init__(self, events_path: Optional[Path] = None) -> None:
         self.events_path = Path(events_path) if events_path is not None else None
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self._thread: Optional[threading.Thread] = None
         self._handle = None
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def start(self) -> "TelemetryBus":
-        """Open the sidecar and start draining (idempotent)."""
-        if self.running:
-            return self
+        """Open the sidecar for appending (idempotent)."""
         if self.events_path is not None and self._handle is None:
             self.events_path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.events_path.open("a", encoding="utf-8")
-        self._thread = threading.Thread(
-            target=self._drain, daemon=True, name="telemetry-bus"
-        )
-        self._thread.start()
         return self
 
     def emit(self, event: Dict[str, Any]) -> None:
-        """Enqueue one orchestrator-side event (stamped with wall time)."""
+        """Write one event (stamped with wall time) to the sidecar."""
         event.setdefault("ts", time.time())
-        self.queue.put(event)
-
-    def emit_record(self, record: Mapping[str, Any]) -> None:
-        """Emit the finished/violation/obs events one record implies."""
-        for event in events_from_record(record):
-            self.emit(event)
-
-    def _drain(self) -> None:
-        while True:
-            event = self.queue.get()
-            if event is None:
-                break
-            self._write(event)
-
-    def _write(self, event: Dict[str, Any]) -> None:
         if self._handle is None:
             return
         try:
@@ -600,13 +513,13 @@ class TelemetryBus:
         except OSError:
             _logger().warning("could not append to %s", self.events_path)
 
+    def emit_record(self, record: Mapping[str, Any]) -> None:
+        """Emit the finished/violation/obs events one record implies."""
+        for event in events_from_record(record):
+            self.emit(event)
+
     def stop(self) -> None:
-        """Drain everything already queued, then stop the thread."""
-        if not self.running:
-            return
-        self.queue.put(None)
-        self._thread.join()
-        self._thread = None
+        """Close the sidecar."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None

@@ -149,7 +149,7 @@ def _apply(nat, step, flows):
         if kind == "binding_for":
             return nat.binding_for(flows[value % len(flows)]), None
         packet = _packet(step, flows, nat.external_ip)
-        return nat(packet), packet.to_bytes()
+        return nat.process(packet), packet.to_bytes()
     except NatPortExhausted as error:
         return ("exhausted", str(error)), None
 
@@ -172,7 +172,6 @@ class TestNatAgainstTheObjectNat:
             for step in steps:
                 assert _apply(ints, step, flows) == _apply(objects, step, flows), step
                 assert ints.active_bindings == objects.active_bindings
-                assert ints.packets_dropped == objects.packets_dropped
 
     def test_a_small_span_is_exhausted_at_the_same_flow(self):
         flows = [

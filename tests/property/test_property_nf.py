@@ -185,7 +185,7 @@ class TestFirewallProperties:
         expected_drop = IPv4Address.from_string(address).in_subnet(
             IPv4Address.from_string("192.168.0.0"), prefix_len
         )
-        assert firewall(packet).forwarded != expected_drop
+        assert firewall.process(packet).forwarded != expected_drop
 
     @settings(max_examples=200, deadline=None)
     @given(

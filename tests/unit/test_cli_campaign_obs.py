@@ -6,7 +6,7 @@ import logging
 import pytest
 
 from repro.cli import main
-from repro.orchestrator.executor import _campaign_worker_init
+from repro.orchestrator.dispatcher import _dispatch_worker_main
 from repro.orchestrator.store import ResultStore, events_path_for
 
 CAMPAIGN_YAML = """\
@@ -126,21 +126,28 @@ class TestObsCLI:
         assert "no campaign stores" in capsys.readouterr().out
 
 
+class _ClosedPipe:
+    """A dispatcher pipe whose first message is the shutdown sentinel."""
+
+    def recv(self):
+        return None
+
+
 class TestWorkerLogLevelPropagation:
-    def test_initializer_applies_cli_log_level(self):
+    def test_worker_applies_cli_log_level(self):
         root = logging.getLogger("repro")
         previous_level = root.level
         previous_handlers = root.handlers[:]
         try:
-            _campaign_worker_init(None, "debug", 5.0)
+            _dispatch_worker_main(0, _ClosedPipe(), "debug")
             assert root.level == logging.DEBUG
             assert len(root.handlers) == 1
         finally:
             root.handlers[:] = previous_handlers
             root.setLevel(previous_level)
 
-    def test_initializer_without_level_leaves_logging_alone(self):
+    def test_worker_without_level_leaves_logging_alone(self):
         root = logging.getLogger("repro")
         previous_handlers = root.handlers[:]
-        _campaign_worker_init(None, None, 5.0)
+        _dispatch_worker_main(0, _ClosedPipe(), None)
         assert root.handlers == previous_handlers

@@ -11,12 +11,17 @@ differently: delete it rather than declare it.
 Likewise every attribute stored on an object (``something.<name> = …``
 or ``… += …``) must be loaded somewhere under ``src/``; a string that
 spells the name (``getattr(obj, "name")``, an ``attrgetter`` path, a
-``__slots__`` entry) counts as a load.  State nothing reads is work
-every packet pays for with no run behaving differently.  Only names the
-standard library reads are exempt (:data:`STDLIB_READS`).
+``__slots__`` entry) counts as a load.  A load that only feeds the
+attribute's own update does not: in ``self.x[k] = self.x.get(k, 0) + 1``
+or ``self.x[k] += 1`` no ``self.x`` is a read (a plain ``self.x[k] = v``
+still reads ``self.x``).  State nothing reads is work every packet
+pays for with no run behaving differently.  Only names the standard
+library reads are exempt (:data:`STDLIB_READS`).
 
 The census matches names, not types, so a load of an equally named
-attribute of another object counts too.  It errs towards passing.
+attribute of another object counts too: a tally only tests read passes
+when another class's attribute of that name has a reader.  It errs
+towards passing.
 """
 
 import ast
@@ -66,10 +71,20 @@ def declared_fields(module: ast.Module, class_name: str) -> List[str]:
     raise LookupError(f"class {class_name} not found")
 
 
+def _updated(target: ast.expr):
+    """The attribute an assignment to *target* updates: ``self.x`` for
+    ``self.x`` and for ``self.x[k]`` (``None`` for anything else)."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return target if isinstance(target, ast.Attribute) else None
+
+
 class _Loads(ast.NodeVisitor):
     """Attribute loads, keyed by the class whose ``__post_init__`` holds
     them (``None`` for every other load); attribute stores, each with
-    its first ``file:line``; and the names strings spell."""
+    its first ``file:line``; and the names strings spell.  In an
+    assignment whose value loads the attribute it updates (or an
+    augmented one), a load of that attribute is neither."""
 
     def __init__(self) -> None:
         self.loads: Dict[object, Set[str]] = {}
@@ -78,6 +93,7 @@ class _Loads(ast.NodeVisitor):
         self.path = "<string>"
         self._classes: List[str] = []
         self._post_init_of = None
+        self._updating: Set[str] = set()
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._classes.append(node.name)
@@ -91,8 +107,36 @@ class _Loads(ast.NodeVisitor):
         self.generic_visit(node)
         self._post_init_of = outer
 
+    def _visit_update(self, node: ast.AST, updated: Set[str]) -> None:
+        outer = self._updating
+        self._updating = updated
+        self.generic_visit(node)
+        self._updating = outer
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        updated = {
+            ast.unparse(attribute)
+            for attribute in map(_updated, node.targets)
+            if attribute is not None
+        }
+        # Only an update its own value feeds on: ``self.x[k] = v`` alone
+        # still reads the container ``self.x``.
+        if not any(
+            isinstance(load, ast.Attribute) and ast.unparse(load) in updated
+            for load in ast.walk(node.value)
+        ):
+            updated = set()
+        self._visit_update(node, updated)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        attribute = _updated(node.target)
+        self._visit_update(node, set() if attribute is None else {ast.unparse(attribute)})
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
+            if self._updating and ast.unparse(node) in self._updating:
+                self.generic_visit(node)
+                return
             self.loads.setdefault(self._post_init_of, set()).add(node.attr)
         elif isinstance(node.ctx, ast.Store):
             self.stores.setdefault(node.attr, f"{self.path}:{node.lineno}")
@@ -183,3 +227,27 @@ def test_a_store_needs_a_load_or_a_spelling():
     visitor = _Loads()
     visitor.visit(module)
     assert unread_stores(visitor) == {"late": "<string>:8", "tally": "<string>:4"}
+
+
+def test_a_load_feeding_its_own_update_is_not_a_read():
+    # SwitchNode.drop_reasons as it was: filled on every drop, read by
+    # nothing but its own update.
+    module = ast.parse(
+        "class SwitchNode:\n"
+        "    def __init__(self):\n"
+        "        self.drop_reasons: Dict[str, int] = {}\n"
+        "        self.seen: Dict[str, int] = {}\n"
+        "        self.hits, self.named, self.total = {}, {}, 0\n"
+        "    def drop(self, reason, other):\n"
+        "        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1\n"
+        "        self.seen[reason] = self.seen.get(reason, 0) + 1\n"
+        "        self.hits[reason] += 1\n"
+        "        self.named[reason] = reason\n"
+        "        self.total = self.total + other.total\n"
+        "        return self.seen\n"
+    )
+    visitor = _Loads()
+    visitor.visit(module)
+    assert unread_stores(visitor) == {
+        "drop_reasons": "<string>:3", "hits": "<string>:5",
+    }

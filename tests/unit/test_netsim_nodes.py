@@ -79,12 +79,14 @@ class TestSwitchNode:
     def test_counts_dataplane_drops(self):
         program = PayloadParkProgram(PayloadParkConfig(), bindings=[_binding()])
         env, switch, gen, server = self._wired_switch(program)
+        reasons = []
+        switch._record_drop = lambda packet, reason: reasons.append(reason)
         packet = Packet.udp(total_size=500)
         switch.handle_packet(packet, port=0)
         packet.pp.clk ^= 1  # corrupt the tag
         switch.handle_packet(packet, port=2)
         assert switch.packets_dropped == 1
-        assert "payloadpark-tag-corrupt" in switch.drop_reasons
+        assert reasons == ["payloadpark-tag-corrupt"]
 
     @pytest.mark.parametrize("loop_cls", [EventLoop, FastEventLoop])
     def test_egress_to_an_unwired_port_raises_at_send_time(self, loop_cls):

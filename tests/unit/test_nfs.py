@@ -24,14 +24,14 @@ def _packet(src_ip="10.1.0.1", dst_ip="10.2.0.1", src_port=1000, dst_port=80, si
 class TestFirewall:
     def test_allows_unlisted_traffic(self):
         firewall = Firewall(rules=[FirewallRule.blacklist("192.168.0.0/16")])
-        result = firewall(_packet(src_ip="10.1.0.1"))
+        result = firewall.process(_packet(src_ip="10.1.0.1"))
         assert result.forwarded
 
     def test_drops_blacklisted_source(self):
         firewall = Firewall(rules=[FirewallRule.blacklist("192.168.0.0/16")])
-        result = firewall(_packet(src_ip="192.168.5.5"))
+        result = firewall.process(_packet(src_ip="192.168.5.5"))
         assert result.verdict is NfVerdict.DROP
-        assert firewall.packets_dropped == 1
+        assert result.reason == "blacklisted by rule 0"
 
     @pytest.mark.parametrize("cidr", ["10.0.0.0/40", "10.0.0.0/-3", "10.0.0.0/33"])
     def test_bad_prefix_length_fails_when_the_rule_is_built(self, cidr):
@@ -53,8 +53,8 @@ class TestFirewall:
             network=IPv4Address.from_string("10.1.0.0"), prefix_len=16, dst_port=443
         )
         firewall = Firewall(rules=[rule])
-        assert firewall(_packet(dst_port=80)).forwarded
-        assert not firewall(_packet(dst_port=443)).forwarded
+        assert firewall.process(_packet(dst_port=80)).forwarded
+        assert not firewall.process(_packet(dst_port=443)).forwarded
 
     def test_cost_grows_with_rule_count(self):
         small = Firewall.with_rule_count(1)
@@ -70,7 +70,7 @@ class TestNat:
     def test_rewrites_source_address_and_port(self):
         nat = Nat(external_ip="203.0.113.1")
         packet = _packet(src_ip="10.1.0.1", src_port=5555)
-        result = nat(packet)
+        result = nat.process(packet)
         assert result.forwarded
         assert str(packet.ip.src) == "203.0.113.1"
         assert packet.l4.src_port != 5555
@@ -79,8 +79,8 @@ class TestNat:
         nat = Nat()
         first = _packet(src_ip="10.1.0.9", src_port=1234)
         second = _packet(src_ip="10.1.0.9", src_port=1234)
-        nat(first)
-        nat(second)
+        nat.process(first)
+        nat.process(second)
         assert first.l4.src_port == second.l4.src_port
         assert nat.active_bindings == 1
 
@@ -88,21 +88,21 @@ class TestNat:
         nat = Nat()
         first = _packet(src_port=1000)
         second = _packet(src_port=1001)
-        nat(first)
-        nat(second)
+        nat.process(first)
+        nat.process(second)
         assert first.l4.src_port != second.l4.src_port
 
     def test_reverse_translation(self):
         nat = Nat(external_ip="203.0.113.1")
         outbound = _packet(src_ip="10.1.0.7", src_port=4242)
-        nat(outbound)
+        nat.process(outbound)
         reply = _packet(
             src_ip=str(outbound.ip.dst),
             dst_ip="203.0.113.1",
             src_port=outbound.l4.dst_port,
             dst_port=outbound.l4.src_port,
         )
-        result = nat(reply)
+        result = nat.process(reply)
         assert result.forwarded
         assert str(reply.ip.dst) == "10.1.0.7"
         assert reply.l4.dst_port == 4242
@@ -110,17 +110,17 @@ class TestNat:
     def test_reverse_without_binding_dropped(self):
         nat = Nat(external_ip="203.0.113.1")
         stray = _packet(dst_ip="203.0.113.1", dst_port=30000)
-        assert not nat(stray).forwarded
+        assert not nat.process(stray).forwarded
 
     def test_full_port_table_drops_new_flows_and_keeps_old_ones(self, monkeypatch):
         monkeypatch.setattr(nat_module, "PORT_HIGH", nat_module.PORT_LOW + 1)
         nat = Nat()
-        assert nat(_packet(src_port=1000)).forwarded
-        assert nat(_packet(src_port=1001)).forwarded
-        result = nat(_packet(src_port=1002))
+        assert nat.process(_packet(src_port=1000)).forwarded
+        assert nat.process(_packet(src_port=1001)).forwarded
+        result = nat.process(_packet(src_port=1002))
         assert not result.forwarded and result.reason == "NAT ports exhausted"
-        assert nat(_packet(src_port=1000)).forwarded
-        assert (nat.active_bindings, nat.packets_dropped) == (2, 1)
+        assert nat.process(_packet(src_port=1000)).forwarded
+        assert nat.active_bindings == 2
         with pytest.raises(NatPortExhausted):
             nat.binding_for(
                 FiveTuple(IPv4Address.from_string("10.1.0.1"),
@@ -152,7 +152,7 @@ class TestMaglev:
     def test_rewrites_destination_to_backend(self):
         lb = MaglevLoadBalancer.with_backend_count(3)
         packet = _packet()
-        lb(packet)
+        lb.process(packet)
         assert str(packet.ip.dst).startswith("10.100.0.")
 
     def test_most_flows_stable_when_backend_removed(self):
@@ -173,12 +173,12 @@ class TestMacSwapAndSynthetic:
     def test_macswap_swaps(self):
         packet = _packet()
         src, dst = packet.eth.src, packet.eth.dst
-        MacSwapper()(packet)
+        MacSwapper().process(packet)
         assert packet.eth.src == dst and packet.eth.dst == src
 
     def test_synthetic_cycle_budgets(self):
         nfs = [SyntheticNf.light(), SyntheticNf.medium(), SyntheticNf.heavy()]
-        assert all(nf(_packet()).forwarded for nf in nfs)
+        assert all(nf.process(_packet()).forwarded for nf in nfs)
         assert NfChain(nfs).stage_cycle_estimates() == [50, 300, 570]
 
     def test_synthetic_rejects_nonpositive_cycles(self):
@@ -194,16 +194,17 @@ class TestNfChain:
         result = chain.process(packet)
         assert result.forwarded and result.reason == ""
         assert packet.ip.src == nat.external_ip  # the last NF ran
-        assert chain.packets_dropped == 0
 
     def test_drop_stops_chain(self):
         firewall = Firewall(rules=[FirewallRule.blacklist("10.1.0.0/16")])
         nat = Nat()
         chain = NfChain([firewall, nat])
-        result = chain.process(_packet(src_ip="10.1.0.5"))
-        assert not result.forwarded
-        assert (firewall.packets_dropped, nat.active_bindings) == (1, 0)  # NAT never saw it
-        assert chain.packets_dropped == 1
+        packet = _packet(src_ip="10.1.0.5")
+        result = chain.process(packet)
+        # The firewall's own result, and the NAT never saw the packet.
+        assert result == firewall.process(_packet(src_ip="10.1.0.5"))
+        assert (result.verdict, nat.active_bindings) == (NfVerdict.DROP, 0)
+        assert packet.ip.src == IPv4Address.from_string("10.1.0.5")
 
     def test_requires_at_least_one_nf(self):
         with pytest.raises(ValueError):
