@@ -1,22 +1,19 @@
-"""``repro bench``: two overhead gates, one implementation.
+"""``repro bench``: overhead gates, one implementation.
 
 Each entry of :data:`GATES` names a few *arms* — the same work under
 different settings — and the floor one arm's rate must hold against the
-first: the disabled observability plane against none (``--obs-check``)
-and a bus-enabled campaign against a bus-off one (``--bus-check``).  The
-arms run back to back inside one process, so machine speed cancels out of the
-ratio.  Nothing here writes a file or reports a throughput of its own:
-packets per second, per-layer costs and the commit-to-commit comparison
-are rows of the perf ledger (``benchmarks/perf/run.py``).
+first: the disabled observability plane against none (``--obs-check``).
+The arms run back to back inside one process, so machine speed cancels
+out of the ratio.  Nothing here writes a file or reports a throughput of
+its own: packets per second, per-layer costs and the commit-to-commit
+comparison are rows of the perf ledger (``benchmarks/perf/run.py``).
 """
 
 from __future__ import annotations
 
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, ContextManager, Dict
 
@@ -28,10 +25,6 @@ from repro.obs.config import ObserveSpec
 #: throughput: observe absent vs observe present-but-disabled pins the
 #: hot-path guard cost, not machine speed.
 OBS_OVERHEAD_TOLERANCE = 0.02
-
-#: A bus-enabled campaign must cost less than this fraction of campaign
-#: throughput over the identical bus-off campaign.
-BUS_OVERHEAD_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -66,32 +59,6 @@ def _fig07_arm(rate_gbps: float, time_scale: float, **fields):
     yield lambda: runner.compare(scenario)
 
 
-@contextmanager
-def _campaign_arm(cells: int, time_scale: float, workers: int, bus_enabled: bool):
-    """One ephemeral ``fw_nat_lb_10ge`` rate sweep, bus on or off."""
-    from repro.orchestrator.executor import CampaignExecutor
-    from repro.orchestrator.spec import CampaignSpec
-    from repro.orchestrator.telemetrybus import TelemetryBus
-
-    campaign = CampaignSpec(
-        name="bus-bench",
-        scenario="fw_nat_lb_10ge",
-        grid={"send_rate_gbps": [2.0 + i for i in range(cells)]},
-        time_scale=time_scale,
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bus-bench-") as tmp:
-        bus = None
-        if bus_enabled:
-            bus = TelemetryBus(events_path=Path(tmp) / "bus-bench.events.jsonl").start()
-        try:
-            yield lambda: CampaignExecutor(workers=workers, bus=bus).run_campaign(
-                campaign, store=None, resume=False
-            )
-        finally:
-            if bus is not None:
-                bus.stop()
-
-
 def _packets_sent(result: ExperimentResult) -> int:
     comparison = result.comparison
     return comparison.baseline.packets_sent + comparison.payloadpark.packets_sent
@@ -118,19 +85,6 @@ GATES: Dict[str, Gate] = {
         unit="packets",
         gated="disabled",
         floor=1.0 - OBS_OVERHEAD_TOLERANCE,
-    ),
-    "bus_overhead": Gate(
-        title="telemetry-bus overhead (fw_nat_lb_10ge campaign)",
-        point={"cells": 6, "time_scale": 0.05, "workers": 1},
-        rounds=3,
-        arms={
-            "off": partial(_campaign_arm, bus_enabled=False),
-            "on": partial(_campaign_arm, bus_enabled=True),
-        },
-        work=lambda summary: summary.executed,
-        unit="cells",
-        gated="on",
-        floor=1.0 - BUS_OVERHEAD_TOLERANCE,
     ),
 }
 

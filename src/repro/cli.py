@@ -160,14 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the run summary as JSON"
     )
     campaign_run.add_argument(
-        "--no-bus", action="store_true",
-        help="disable the telemetry bus (no live events sidecar; "
-             "'repro campaign serve' can then only attach post-hoc)",
-    )
-    campaign_run.add_argument(
         "--heartbeat", type=float, default=5.0, metavar="SECONDS",
-        help="seconds between the dispatcher's heartbeats for each running "
-             "cell on the bus; serial runs emit none (default 5)",
+        help="seconds between the dispatcher's heartbeat lines in the store "
+             "for each running cell; serial runs write none (default 5)",
     )
     campaign_run.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
@@ -208,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_serve.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECONDS",
-        help="store/events tail poll interval while following a live "
+        help="store tail poll interval while following a live "
              "campaign (default 0.5)",
     )
     campaign_serve.add_argument(
         "--no-follow", action="store_true",
         help="serve a frozen post-hoc snapshot instead of tailing the "
-             "store and events sidecar",
+             "store",
     )
     campaign_serve.add_argument(
         "--max-seconds", type=float, default=None,
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="run the overhead gates (both, or the ones named); "
+        help="run the overhead gates (all, or the ones named); "
              "exit 3 when one fails",
     )
     bench_parser.set_defaults(handler=_bench)
@@ -412,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-check", action="store_true",
         help="fail when the disabled observability plane costs more than "
              "repro.bench.OBS_OVERHEAD_TOLERANCE of throughput",
-    )
-    bench_parser.add_argument(
-        "--bus-check", action="store_true",
-        help="fail when a bus-enabled campaign costs more than "
-             "repro.bench.BUS_OVERHEAD_TOLERANCE of campaign throughput",
     )
 
     obs_parser = subparsers.add_parser(
@@ -607,13 +597,10 @@ def _export_observations(observations, out_dir: Path) -> List[Path]:
 
 
 def _bench(args) -> int:
-    """Run the gates named, or both when none is; exit 3 if one fails."""
+    """Run the gates named, or all when none is; exit 3 if one fails."""
     from repro import bench
 
-    named = {
-        "obs_overhead": args.obs_check,
-        "bus_overhead": args.bus_check,
-    }
+    named = {"obs_overhead": args.obs_check}
     payload = {}
     reports = []
     exit_code = 0
@@ -836,7 +823,7 @@ def _load_campaign(args):
 
 
 def _campaign_run(args) -> int:
-    from repro.orchestrator import CampaignExecutor, TelemetryBus, events_path_for
+    from repro.orchestrator import CampaignExecutor
 
     campaign, store = _load_campaign(args)
 
@@ -848,7 +835,7 @@ def _campaign_run(args) -> int:
             line += f" — {record.get('error', 'unknown error')}"
         logger.info("%s", line)
 
-    # Built before the bus starts: a bad --workers / --cell-timeout /
+    # Built before the campaign starts: a bad --workers / --cell-timeout /
     # --max-attempts / --retry-backoff is rejected with nothing on disk.
     executor = CampaignExecutor(
         workers=args.workers,
@@ -859,19 +846,7 @@ def _campaign_run(args) -> int:
         max_attempts=args.max_attempts,
         retry_backoff_s=args.retry_backoff,
     )
-    if not args.no_bus:
-        # Bus on by default: campaign events go to the events sidecar so
-        # a separate `repro campaign serve` can attach live.
-        events_path = events_path_for(store.path)
-        executor.bus = TelemetryBus(events_path=events_path).start()
-        logger.info("telemetry bus -> %s", events_path)
-    try:
-        summary = executor.run_campaign(
-            campaign, store=store, resume=not args.no_resume
-        )
-    finally:
-        if executor.bus is not None:
-            executor.bus.stop()
+    summary = executor.run_campaign(campaign, store=store, resume=not args.no_resume)
     if args.json:
         json.dump(summary.as_row(), sys.stdout, indent=2)
         print()

@@ -329,7 +329,6 @@ class PayloadParkProgram(SwitchProgram):
         self.config = config
         self.counters = CounterBank()
         self.lookup_tables: Dict[str, LookupTable] = {}
-        self.taggers: Dict[str, PacketTagger] = {}
         self._merge_paths: List[MergePath] = []
         self._split_paths: List[SplitPath] = []
         #: ingress port -> the path serving it: Split for a traffic port,
@@ -388,7 +387,6 @@ class PayloadParkProgram(SwitchProgram):
             merge.install()
             self._install_forwarding(pipe, binding)
             self.lookup_tables[binding.name] = lookup
-            self.taggers[binding.name] = tagger
             self._split_paths.append(split)
             self._merge_paths.append(merge)
             self._merge_of_port[binding.nf_port] = merge

@@ -299,7 +299,7 @@ def validate_campaign_violations(data: Any) -> Dict[str, Any]:
 
 
 def validate_campaign_event(data: Any) -> Dict[str, Any]:
-    """Validate one bus event line (the `/events` NDJSON records)."""
+    """Validate one campaign event (a store event line, an `/events` NDJSON record)."""
     _require_keys(data, ("type", "ts"), "campaign event")
     _require(
         isinstance(data["type"], str) and data["type"],

@@ -9,16 +9,17 @@ The subsystem has seven layers:
 - :mod:`repro.orchestrator.dispatcher` — the fault-tolerant work queue
   behind the executor: cell leases, per-cell timeouts, bounded retry
   with backoff, worker-crash recovery;
-- :mod:`repro.orchestrator.store` — append-only JSONL records keyed by
-  spec hash (optionally sharded by hash), and the campaign's whole read
-  side: the cell-status vocabulary, the one rule for which record
-  speaks for a cell, the one tail reader, the incremental index behind
-  resume / ``status`` / ``report`` / ``repro obs runs``;
+- :mod:`repro.orchestrator.store` — the campaign's one log: append-only
+  JSONL records and event lines keyed by spec hash (optionally sharded
+  by hash), and the campaign's whole read side: the cell-status
+  vocabulary, the one rule for which record speaks for a cell, the one
+  tail reader, the incremental index behind resume / ``status`` /
+  ``report`` / ``repro obs runs``;
 - :mod:`repro.orchestrator.aggregate` — that index laid over a
   campaign's grid as table rows;
 - :mod:`repro.orchestrator.telemetrybus` — the orchestrating process's
-  campaign events, appended to an NDJSON sidecar and folded into live
-  campaign state under the same rule;
+  campaign events, appended to the store and folded into live campaign
+  state under the same rule;
 - :mod:`repro.orchestrator.serve` — ``repro campaign serve`` HTTP
   endpoints (status/cells/violations/events/metrics), live or post-hoc;
   not re-exported here, so only that command imports :mod:`http.server`.
@@ -44,11 +45,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "build_scenario",
             "derived_seed",
         ),
-        "repro.orchestrator.store": ("ResultStore", "default_store_path", "events_path_for"),
-        "repro.orchestrator.telemetrybus": (
-            "CampaignMonitor",
-            "TelemetryBus",
-            "events_from_record",
-        ),
+        "repro.orchestrator.store": ("ResultStore", "default_store_path"),
+        "repro.orchestrator.telemetrybus": ("CampaignMonitor", "events_from_record"),
     },
 )

@@ -19,11 +19,12 @@ it with an explicit dispatch loop:
 - a worker that dies (crash, OOM kill) or blows its deadline loses the
   lease: the dispatcher SIGKILLs it if needed, re-queues the cell with
   exponential backoff, spawns a replacement worker, and emits
-  ``worker_died`` / ``cell_retried`` events on the telemetry bus;
+  ``worker_died`` / ``cell_retried`` events;
 - workers only run cells: the dispatcher itself emits a lease's
   ``cell_started`` (with the worker's pid) and, while its health scan
   sees the leasing process alive, a ``heartbeat`` every
-  ``heartbeat_interval_s``;
+  ``heartbeat_interval_s``.  The executor hands it the result store's
+  append as its sink, so every event becomes a line of the store;
 - retries are bounded: once a cell's attempts (including failed
   attempts recorded in the store by previous resumes) reach the budget,
   the dispatcher synthesizes a terminal ``status: "exhausted"`` record
@@ -244,10 +245,11 @@ class DispatchLoop:
     processes:
         Worker process count.
     emit:
-        Event sink (``TelemetryBus.emit`` or ``None``), called from the
-        thread that runs the loop, for every campaign event the
+        Event sink (the executor's store append, or ``None``), called
+        from the thread that runs the loop, for every campaign event the
         dispatcher knows: ``cell_started`` per lease, ``heartbeat``,
-        ``cell_retried`` and ``worker_died``.
+        ``cell_retried`` and ``worker_died``.  A sink that raises is
+        logged and never stops dispatch.
     log_level:
         Log level for the worker processes (``None`` leaves theirs as
         ``fork`` copied it).

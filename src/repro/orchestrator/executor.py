@@ -7,7 +7,10 @@ processes via :class:`~repro.orchestrator.dispatcher.DispatchLoop` —
 per-cell leases with optional timeouts, bounded retry with exponential
 backoff, and crash recovery, so one wedged or OOM-killed worker can
 delay a campaign but never stall it — and streams completed records
-back into the result store as they arrive.  ``workers=1`` (or a single
+back into the result store as they arrive, stamped with the time each
+was appended.  The store is the campaign's one log: the executor and its
+dispatch loop append the campaign's events to it too (see
+:mod:`repro.orchestrator.telemetrybus`).  ``workers=1`` (or a single
 pending run) falls back to plain in-process execution — the debugging
 path.  The figure experiments do not come through here: they loop over
 :meth:`~repro.experiments.runner.ExperimentRunner.compare` themselves,
@@ -48,7 +51,6 @@ from repro.orchestrator.spec import CampaignSpec, RunSpec, build_scenario, dedup
 from repro.orchestrator.store import ResultStore
 from repro.orchestrator.telemetrybus import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
-    TelemetryBus,
     cell_context,
     cell_started_event,
 )
@@ -289,22 +291,13 @@ class CampaignExecutor:
         debugging path); ``None`` uses the machine's CPU count.
     progress:
         Optional callback receiving each finished record.
-    bus:
-        Optional :class:`~repro.orchestrator.telemetrybus.TelemetryBus`.
-        When set, this process emits every campaign event on it: the
-        campaign's start and finish, each cell's start (from the
-        dispatcher's lease, or serially before the cell runs), the
-        dispatcher's heartbeats and recoveries, and the finished /
-        violation / obs events per record.  Workers emit nothing.
-        Absent (the default, and the path the bench overhead gate
-        pins), no event is written.
     log_level:
         CLI log level propagated into worker processes (workers
         otherwise inherit whatever logging config ``fork`` copied).
     heartbeat_interval_s:
         Seconds a cell leased to a live dispatcher worker goes without
-        an event before the dispatcher emits a ``heartbeat`` for it.  A
-        serial campaign emits no heartbeats: the process that would
+        an event before the dispatcher appends a ``heartbeat`` for it.
+        A serial campaign writes no heartbeats: the process that would
         report liveness is the one running the cell.
     cell_timeout_s:
         Per-cell wall-clock deadline under the parallel dispatcher; a
@@ -325,7 +318,6 @@ class CampaignExecutor:
         self,
         workers: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        bus: Optional[TelemetryBus] = None,
         log_level: Optional[str] = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         cell_timeout_s: Optional[float] = None,
@@ -349,7 +341,6 @@ class CampaignExecutor:
         require_positive_finite("heartbeat_interval_s", heartbeat_interval_s)
         self.workers = workers
         self.progress = progress
-        self.bus = bus
         self.log_level = log_level
         self.heartbeat_interval_s = heartbeat_interval_s
         self.cell_timeout_s = cell_timeout_s
@@ -419,8 +410,14 @@ class CampaignExecutor:
             skipped=len(specs) - len(pending) - len(newly_exhausted),
         )
 
-        if self.bus is not None:
-            self.bus.emit(
+        def log(line: Dict[str, Any]) -> None:
+            """Append a record or an event to the store, stamped now."""
+            line["ts"] = time.time()
+            store.append(line)
+
+        emit = log if store is not None else None
+        if emit is not None:
+            emit(
                 {
                     "type": "campaign_started",
                     "total": len(specs),
@@ -439,7 +436,7 @@ class CampaignExecutor:
                     attempts[spec.spec_hash],
                     "recorded failures from previous runs",
                 )
-            for record in self._execute(pending, attempts):
+            for record in self._execute(pending, attempts, emit):
                 yield record
 
         try:
@@ -452,20 +449,15 @@ class CampaignExecutor:
                     summary.exhausted += 1
                 if record.get("baseline_simulated"):
                     summary.baselines_simulated += 1
-                if store is not None:
-                    store.append(record)
-                if self.bus is not None:
-                    # Finished/violation/obs events come from the record on
-                    # the orchestrator side — the worker's copy of the bus
-                    # cannot know the final status before it returns it.
-                    self.bus.emit_record(record)
+                if emit is not None:
+                    emit(record)
                 if self.progress is not None:
                     self.progress(record)
                 summary.records.append(record)
         finally:
             summary.wall_time_s = time.perf_counter() - started
-            if self.bus is not None:
-                self.bus.emit(
+            if emit is not None:
+                emit(
                     {
                         "type": "campaign_finished",
                         "executed": summary.executed,
@@ -480,6 +472,7 @@ class CampaignExecutor:
         self,
         pending: Sequence[RunSpec],
         base_attempts: Optional[Mapping[str, int]] = None,
+        emit: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Iterable[Dict[str, Any]]:
         if not pending:
             return
@@ -489,8 +482,8 @@ class CampaignExecutor:
             # captured as error records and budgeted at the next resume.
             baselines: BaselineTable = {}
             for spec in pending:
-                if self.bus is not None:
-                    self.bus.emit(cell_started_event(spec, os.getpid()))
+                if emit is not None:
+                    emit(cell_started_event(spec, os.getpid()))
                 yield execute_run(spec, baselines)
             return
         # Imported lazily: the dispatcher's workers import this module.
@@ -498,7 +491,7 @@ class CampaignExecutor:
 
         loop = DispatchLoop(
             processes=min(self.workers, len(pending)),
-            emit=self.bus.emit if self.bus is not None else None,
+            emit=emit,
             log_level=self.log_level,
             heartbeat_interval_s=self.heartbeat_interval_s,
             cell_timeout_s=self.cell_timeout_s,

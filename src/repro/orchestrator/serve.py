@@ -12,18 +12,18 @@ telemetrybus.CampaignMonitor` and exposes:
 ``/violations``
     The deduplicated invariant-violation ledger.
 ``/events?n=N``
-    NDJSON tail of the most recent bus events.
+    NDJSON tail of the most recent campaign events.
 ``/metrics``
     Prometheus text exposition (``text/plain; version=0.0.4``).
 
 There is one way state reaches the monitor: a :class:`StoreFollower`
-reads the complete lines each store file and the telemetry-events
-sidecar gained since its previous poll (the store's own tail reader,
-:func:`~repro.orchestrator.store.read_appended`) and hands them to
-:meth:`CampaignMonitor.handle`, which decides what they change.  *Live*,
-the follower is a thread polling while another process appends.
-*Post-hoc* (:func:`monitor_from_store`, ``serve --no-follow``) is the
-same follower polled once — so the two agree by construction, and with
+reads the complete lines each store file gained since its previous
+poll (the store's own tail reader, :func:`~repro.orchestrator.store.
+read_appended`) and hands them to :meth:`CampaignMonitor.handle`,
+which decides what they change.  *Live*, the follower is a thread
+polling while another process appends.  *Post-hoc*
+(:func:`monitor_from_store`, ``serve --no-follow``) is the same
+follower polled once — so the two agree by construction, and with
 ``campaign status`` / ``report``, whose index applies the same rule.
 """
 
@@ -43,12 +43,7 @@ from repro.obs.schema import (
     validate_campaign_status,
     validate_campaign_violations,
 )
-from repro.orchestrator.store import (
-    CELL_STATES,
-    ResultStore,
-    events_path_for,
-    read_appended,
-)
+from repro.orchestrator.store import CELL_STATES, ResultStore, is_event, read_appended
 from repro.orchestrator.telemetrybus import CampaignMonitor, events_from_record
 
 logger = logging.getLogger("repro.orchestrator.serve")
@@ -82,14 +77,14 @@ def monitor_from_store(
 
 
 class StoreFollower(threading.Thread):
-    """Tails a store (all shards) and its events sidecar into a monitor.
+    """Tails a store (all shards) into a monitor.
 
     Byte offsets ensure every complete line is read exactly once; a torn
     trailing line (no newline yet) is left for the next poll.  The set
     of store files is re-resolved on every poll, so shard files that
     appear after the follower starts are picked up live.  Nothing is
-    filtered here: a store record becomes the events it implies, and
-    the monitor drops what it has already folded or what the rule says
+    filtered here: an event line goes to the monitor as it is, a record
+    as the events it implies, and the monitor drops what the rule says
     must not replace a cell's outcome.
     """
 
@@ -97,37 +92,25 @@ class StoreFollower(threading.Thread):
         self,
         monitor: CampaignMonitor,
         store_path: Path,
-        events_path: Optional[Path] = None,
         poll_interval_s: float = 0.5,
     ) -> None:
         super().__init__(daemon=True, name="store-follower")
         self.monitor = monitor
         self._store = ResultStore(store_path)
-        self.events_path = (
-            Path(events_path) if events_path is not None
-            else events_path_for(store_path)
-        )
         require_positive_finite("poll_interval_s", poll_interval_s)
         self.poll_interval_s = poll_interval_s
         self._offsets: Dict[Path, int] = {}
         self._stopped = threading.Event()
 
     def poll_once(self) -> int:
-        """Hand the monitor every line appended since the last poll; returns how many.
-
-        Store files come first — records are durable and written before
-        their events are emitted — so cells appear in store order and
-        the sidecar adds what only it knows: workers, pids, heartbeats,
-        retries, cells still running.
-        """
+        """Hand the monitor every line appended since the last poll; returns how many."""
         seen = 0
-        for path in (*self._store.reader_paths(), self.events_path):
+        for path in self._store.reader_paths():
             lines, self._offsets[path] = read_appended(
                 path, self._offsets.get(path, 0)
             )
-            sidecar = path == self.events_path  # its lines are events already
             for line in lines:
-                for event in [line] if sidecar else events_from_record(line):
+                for event in [line] if is_event(line) else events_from_record(line):
                     self.monitor.handle(event)
             seen += len(lines)
         return seen

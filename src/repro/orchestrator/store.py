@@ -1,9 +1,13 @@
-"""Sharded append-only JSONL result store: a campaign's durable side.
+"""Sharded append-only JSONL result store: a campaign's one log.
 
 Every completed run becomes one JSON line: the run's spec hash, its
-parameters, the seed actually used and the flattened metrics.  Every
-reader of a campaign asks the same question — *which record speaks for
-a cell* — and this module is the one place that answers it:
+parameters, the seed actually used, the flattened metrics and the time
+it was appended.  The orchestrating process also appends the few facts
+no record holds — a campaign's start and finish, each cell's start
+(with its worker's pid), heartbeats, retries and worker deaths — as
+lines with a ``type`` key (:func:`is_event`): an event, never a record.
+Every reader of a campaign asks the same question — *which record
+speaks for a cell* — and this module is the one place that answers it:
 
 - the **cell-status vocabulary** (:data:`TERMINAL_STATUSES`,
   :data:`ATTEMPT_STATUSES`, :data:`LIVE_STATUSES`, :data:`CELL_STATES`),
@@ -15,7 +19,7 @@ a cell* — and this module is the one place that answers it:
   ``cell_finished`` events — nothing else decides;
 - the **tail reader**, :func:`read_appended`: the complete JSON lines
   appended to one file since a byte offset, shared by the store's index
-  and by the serve follower (store files *and* events sidecar);
+  and by the serve follower;
 - the **index**: :meth:`ResultStore.latest_by_hash` (that record, per
   hash) and :meth:`ResultStore.cell_states` (``ok`` / ``failing`` with
   its failed-attempt count / ``exhausted`` / ``pending``), which resume,
@@ -24,17 +28,18 @@ a cell* — and this module is the one place that answers it:
 
 Two layouts share one class:
 
-- **single-shard** (the default, and the historical layout): all records
+- **single-shard** (the default, and the historical layout): all lines
   in one file, ``results/<name>.jsonl``;
-- **sharded** (``shards=N``): records split across
+- **sharded** (``shards=N``): lines split across
   ``results/<name>.shard-NN.jsonl`` by spec hash, so a 10k-cell campaign
   never funnels every append and every poll through one file.
 
 A store always *reads* both layouts — a campaign started single-shard
 resumes cleanly after being promoted to shards, because the legacy file
-is folded in before the shard files.  Records for one spec hash always
+is folded in before the shard files.  Lines for one spec hash always
 land in the same file, so per-hash append order (what "most recent"
-means in the rule) is preserved under sharding.
+means in the rule, and the order of a cell's events) is preserved under
+sharding.
 
 Reads are incremental: the store keeps a byte-offset cursor per file and
 an in-memory index (authoritative record and failed-attempt count per
@@ -74,6 +79,15 @@ CELL_STATES = (*LIVE_STATUSES, "pending")
 def status_of(record: Mapping[str, Any]) -> str:
     """A record's status; one written without the field finished ``ok``."""
     return record.get("status", "ok")
+
+
+def is_event(line: Mapping[str, Any]) -> bool:
+    """Whether a store line is an event: it has a ``type``; records never do.
+
+    A record written without ``status`` finished ``ok`` (:func:`status_of`),
+    so an event read as a record would mark its cell complete.
+    """
+    return "type" in line
 
 
 def supersedes(current: Optional[str], new: str) -> bool:
@@ -186,7 +200,7 @@ class ResultStore:
         )
 
     def reader_paths(self) -> List[Path]:
-        """Every file holding records, legacy layout first (it is oldest).
+        """Every file of the store, legacy layout first (it is oldest).
 
         Recomputed on each call so shard files that appear while a
         follower polls are picked up without restarting it.
@@ -215,7 +229,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one run record to its shard."""
+        """Durably append one line — a run record or an event — to its shard."""
         path = self._write_path_for(record)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a+b") as handle:
@@ -234,7 +248,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
 
     def load(self) -> List[Dict[str, Any]]:
-        """All well-formed records; malformed lines are skipped."""
+        """All well-formed records; malformed lines and events are skipped."""
         return list(self.iter_records())
 
     def iter_records(self) -> Iterator[Dict[str, Any]]:
@@ -247,7 +261,7 @@ class ResultStore:
             with path.open("r", encoding="utf-8") as handle:
                 for line_no, line in enumerate(handle, start=1):
                     record = _parse_line(path, line_no, line)
-                    if record is not None:
+                    if record is not None and not is_event(record):
                         yield record
 
     # ------------------------------------------------------------------ #
@@ -279,6 +293,8 @@ class ResultStore:
         self._attempts: Dict[str, int] = {}
 
     def _fold(self, record: Dict[str, Any]) -> None:
+        if is_event(record):
+            return
         self._count += 1
         spec_hash = record.get("spec_hash")
         if not spec_hash:
@@ -354,18 +370,12 @@ def default_store_path(campaign_name: str, root: Optional[Path] = None) -> Path:
     return root / f"{campaign_name}.jsonl"
 
 
-def events_path_for(store_path) -> Path:
-    """The telemetry-events sidecar next to a store: ``<name>.events.jsonl``."""
-    store_path = Path(store_path)
-    return store_path.with_name(f"{store_path.stem}.events.jsonl")
-
-
 def campaign_runs(root) -> List[Dict[str, Any]]:
     """One summary row per campaign store under *root* (``repro obs runs``).
 
-    Events sidecars are skipped and shard files collapse into their base
-    store path, so a sharded campaign is one row — whether or not the
-    legacy single file also exists on disk.
+    Old ``<name>.events.jsonl`` sidecars are skipped and shard files
+    collapse into their base store path, so a sharded campaign is one
+    row — whether or not the legacy single file also exists on disk.
     """
     root = Path(root)
     if not root.is_dir():

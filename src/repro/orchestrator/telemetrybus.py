@@ -1,44 +1,35 @@
-"""Campaign telemetry bus: structured events into live campaign state.
+"""Campaign events: the store's event lines folded into live campaign state.
 
 :mod:`repro.obs` makes a single run observable; this module makes the
-*campaign* observable. Every event comes from the orchestrating
-process, which already knows each one: it emits ``cell_started`` when
-it leases a cell (or, serially, before it runs one), a ``heartbeat``
-while the dispatcher sees a leasing worker alive, ``cell_retried`` /
-``worker_died`` when it recovers a lease, and the finished, violation
-and observability events each record implies as it comes back. Worker
-processes only run cells. A :class:`TelemetryBus` writes each event as
-one line of an NDJSON sidecar file (``results/<name>.events.jsonl`` by
-convention), which is what lets a *separate* ``repro campaign serve``
-process attach to a running campaign: the server tails the sidecar
-while the campaign appends to it, folding both into a
+*campaign* observable.  The orchestrating process appends every event
+to the campaign's result store, the one log it already owns: it writes
+``cell_started`` when it leases a cell (or, serially, before it runs
+one), a ``heartbeat`` while the dispatcher sees a leasing worker alive,
+``cell_retried`` / ``worker_died`` when it recovers a lease, and the
+campaign's start and finish — each a line with a ``type`` key, which
+the store's own readers skip (:func:`~repro.orchestrator.store.
+is_event`).  Worker processes only run cells.  A separate ``repro
+campaign serve`` process attaches by tailing the store while the
+campaign appends to it, folding every line into a
 :class:`CampaignMonitor` — the live campaign state its endpoints
 expose: progress, an ETA derived from completed-cell wall times,
 per-dimension slice statistics and a deduplicated violation ledger.
 
-Store records reach a monitor as the events :func:`events_from_record`
-derives from them, so every delivery — a follower tailing sidecar and
-store, a post-hoc read of the files — funnels through
-:meth:`CampaignMonitor.handle`, which
-applies the store's one rule (:func:`~repro.orchestrator.store.
-supersedes`: ok wins, otherwise the most recent outcome) to
-``cell_finished`` and drops an outcome it has already folded.  Which
-path delivered an event, in what order and how often cannot change the
-state they converge to.
-
-Everything defaults off: a :class:`~repro.orchestrator.executor.
-CampaignExecutor` without a bus runs the exact pre-telemetry path,
-which is what the ``repro bench --bus-check`` overhead gate pins.
+A record reaches a monitor as the events :func:`events_from_record`
+derives from it (stamped with the record's ``ts``), so every delivery —
+a follower tailing the store live, a post-hoc read of the files —
+funnels through :meth:`CampaignMonitor.handle`, which applies the
+store's one rule (:func:`~repro.orchestrator.store.supersedes`: ok
+wins, otherwise the most recent outcome) to ``cell_finished``.  Live
+and post-hoc read the same lines, so they converge to the same state.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.orchestrator.store import (
@@ -52,27 +43,6 @@ if TYPE_CHECKING:
     import logging
 
     from repro.orchestrator.spec import RunSpec
-
-
-def _logger() -> logging.Logger:
-    """This module's logger; :mod:`logging` loads when something is logged."""
-    import logging
-
-    return logging.getLogger("repro.orchestrator.telemetrybus")
-
-#: Event types the bus understands (anything else is carried verbatim —
-#: the monitor keeps unknown events in the ring so /events never lies).
-EVENT_TYPES = (
-    "campaign_started",
-    "cell_started",
-    "heartbeat",
-    "cell_retried",
-    "worker_died",
-    "cell_finished",
-    "violation",
-    "obs_summary",
-    "campaign_finished",
-)
 
 #: Default seconds between the dispatcher's heartbeats for a running cell.
 DEFAULT_HEARTBEAT_INTERVAL_S = 5.0
@@ -147,12 +117,12 @@ def cell_started_event(run: RunSpec, pid: int) -> Dict[str, Any]:
 
 
 def events_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """The bus events one finished result record implies.
+    """The events one finished result record implies, at the record's ``ts``.
 
-    The live executor emits exactly these as each record returns from
-    the pool, and post-hoc store replay synthesizes the same — which is
-    why a monitor rebuilt from the store alone agrees with the live one
-    on every cell, count and violation.
+    A follower hands these to its monitor for each record it reads from
+    the store, live or post hoc — which is why a monitor rebuilt from
+    the store agrees with the live one on every cell, count and
+    violation.
     """
     spec_hash = record.get("spec_hash")
     base = {
@@ -194,6 +164,9 @@ def events_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
                 ],
             }
         )
+    if record.get("ts") is not None:
+        for event in events:
+            event["ts"] = record["ts"]
     return events
 
 
@@ -203,7 +176,7 @@ def events_from_record(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
 
 class CampaignMonitor:
-    """Aggregates bus events into the state the serve endpoints expose.
+    """Aggregates campaign events into the state the serve endpoints expose.
 
     Thread-safe: a store follower's thread writes while HTTP handler threads
     read.  All payload builders return plain JSON-serializable data.
@@ -223,7 +196,6 @@ class CampaignMonitor:
         self.mode = mode
         self.total = total
         self.workers: Optional[int] = None
-        self.skipped = 0
         self.started_ts: Optional[float] = None
         self.finished = False
         self.cells: Dict[str, Dict[str, Any]] = {}
@@ -259,8 +231,8 @@ class CampaignMonitor:
         with self._lock:
             self.events_seen += 1
             stored = dict(event)
-            # Live events are stamped at emit; replayed store records are
-            # not — stamp the ring copy so /events lines always validate.
+            # Records appended before they carried ``ts`` derive unstamped
+            # events — stamp the ring copy so /events lines always validate.
             stored.setdefault("ts", time.time())
             self.events.append(stored)
             if etype == "campaign_started":
@@ -271,7 +243,6 @@ class CampaignMonitor:
                     self.total = int(event["total"])
                 if event.get("workers"):
                     self.workers = int(event["workers"])
-                self.skipped = int(event.get("skipped", self.skipped) or 0)
                 if self.started_ts is None:
                     self.started_ts = event.get("ts")
                 self.finished = False
@@ -297,15 +268,10 @@ class CampaignMonitor:
                 self.workers_died += 1
             elif etype == "cell_finished":
                 cell = self._cell(event)
-                outcome = (status_of(event), event.get("wall_time_s"))
-                if (
-                    not supersedes(cell["status"], outcome[0])
-                    or outcome == (cell["status"], cell["wall_time_s"])
-                ):
-                    # Ok wins; and the sidecar and the store each deliver
-                    # every outcome, so the second copy is not news.
-                    return
-                cell["status"], cell["wall_time_s"] = outcome
+                status = status_of(event)
+                if not supersedes(cell["status"], status):
+                    return  # ok wins
+                cell["status"], cell["wall_time_s"] = status, event.get("wall_time_s")
                 if event.get("scenario"):
                     cell["scenario"] = event["scenario"]
                 if event.get("params"):
@@ -473,59 +439,3 @@ class CampaignMonitor:
         if limit >= 0:
             tail = tail[-limit:] if limit else []
         return tail
-
-
-# ---------------------------------------------------------------------- #
-# The bus: an NDJSON sidecar writer
-# ---------------------------------------------------------------------- #
-
-
-class TelemetryBus:
-    """Appends campaign events to an NDJSON sidecar.
-
-    The orchestrating process owns the bus and is its only writer: the
-    executor and its dispatch loop call :meth:`emit` from the thread
-    that runs the campaign, and each call writes and flushes one line,
-    so a :class:`~repro.orchestrator.serve.StoreFollower` tailing the
-    file sees every event as soon as it is emitted.  Without an
-    ``events_path`` the bus writes nothing.
-    """
-
-    def __init__(self, events_path: Optional[Path] = None) -> None:
-        self.events_path = Path(events_path) if events_path is not None else None
-        self._handle = None
-
-    def start(self) -> "TelemetryBus":
-        """Open the sidecar for appending (idempotent)."""
-        if self.events_path is not None and self._handle is None:
-            self.events_path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.events_path.open("a", encoding="utf-8")
-        return self
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        """Write one event (stamped with wall time) to the sidecar."""
-        event.setdefault("ts", time.time())
-        if self._handle is None:
-            return
-        try:
-            self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-            self._handle.flush()
-        except OSError:
-            _logger().warning("could not append to %s", self.events_path)
-
-    def emit_record(self, record: Mapping[str, Any]) -> None:
-        """Emit the finished/violation/obs events one record implies."""
-        for event in events_from_record(record):
-            self.emit(event)
-
-    def stop(self) -> None:
-        """Close the sidecar."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TelemetryBus":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()

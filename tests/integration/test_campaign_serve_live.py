@@ -1,6 +1,6 @@
 """Live and post-hoc proof of the campaign observability layer.
 
-The acceptance scenario for the telemetry bus + serve stack: during a
+The acceptance scenario for the campaign events + serve stack: during a
 running 12-cell campaign the `/status` endpoint must show monotonically
 increasing completed counts and a finite ETA, an invariant-violating
 `validate: true` cell must appear in `/violations` *before* the
@@ -26,21 +26,11 @@ from repro.orchestrator import (
     CampaignMonitor,
     CampaignSpec,
     ResultStore,
-    TelemetryBus,
-    events_path_for,
 )
 from repro.orchestrator.serve import CampaignServer, StoreFollower, monitor_from_store
+from repro.orchestrator.store import is_event
 
 FAST = 0.05
-
-#: Status keys that legitimately differ between a live monitor and a
-#: post-hoc replay (wall-clock and transport bookkeeping, not state).
-VOLATILE_STATUS_KEYS = ("elapsed_s", "events_seen", "workers")
-
-#: Per-cell keys only the live path can know.
-VOLATILE_CELL_KEYS = ("started_ts", "heartbeat_ts", "finished_ts", "pid",
-                      "obs_summaries")
-
 
 def twelve_cell_campaign(**kwargs):
     defaults = dict(
@@ -55,19 +45,6 @@ def twelve_cell_campaign(**kwargs):
     )
     defaults.update(kwargs)
     return CampaignSpec(**defaults)
-
-
-def stable_status(status):
-    return {k: v for k, v in status.items() if k not in VOLATILE_STATUS_KEYS}
-
-
-def stable_cells(payload):
-    cells = []
-    for cell in sorted(payload["cells"], key=lambda c: c["spec_hash"]):
-        cells.append(
-            {k: v for k, v in cell.items() if k not in VOLATILE_CELL_KEYS}
-        )
-    return cells
 
 
 def _get_json(url):
@@ -110,19 +87,15 @@ class TestLiveCampaignServe:
     def test_live_endpoints_then_posthoc_parity(self, tmp_path, violating_observer):
         campaign = twelve_cell_campaign()
         store = ResultStore(tmp_path / "serve-live.jsonl")
-        events_path = events_path_for(store.path)
 
         # The exact live-attach pipeline the CLI wires up: the campaign
-        # process appends to the events sidecar through its bus, and the
+        # process appends records and events to its store, and the
         # serving side follows the files into its *own* monitor.
-        bus = TelemetryBus(events_path=events_path).start()
         serve_monitor = CampaignMonitor(
             total=campaign.point_count, campaign=campaign.name,
             scenario=campaign.scenario, mode=campaign.mode,
         )
-        follower = StoreFollower(
-            serve_monitor, store.path, events_path, poll_interval_s=0.02
-        )
+        follower = StoreFollower(serve_monitor, store.path, poll_interval_s=0.02)
         follower.start()
         server = CampaignServer(serve_monitor).start()
 
@@ -143,16 +116,13 @@ class TestLiveCampaignServe:
         sampler = threading.Thread(target=sample, daemon=True)
         sampler.start()
         try:
-            summary = CampaignExecutor(workers=2, bus=bus).run_campaign(
-                campaign, store=store
-            )
+            summary = CampaignExecutor(workers=2).run_campaign(campaign, store=store)
             # One last sampler pass sees the post-campaign state, then
             # drain the pipeline deterministically.
             time.sleep(0.1)
         finally:
             sampling.clear()
             sampler.join(timeout=5)
-            bus.stop()
             follower.stop()
 
         assert summary.executed == 12
@@ -198,51 +168,40 @@ class TestLiveCampaignServe:
         assert live_status["cells_violation"] == 2
         assert live_status["violations_total"] >= 2
 
+        # Live and post-hoc read the same store lines, so no field may
+        # differ: not the pids, heartbeats and timestamps, not the count
+        # of events seen.
         posthoc = monitor_from_store(campaign, store)
-        posthoc_status = validate_campaign_status(posthoc.status())
-        assert stable_status(live_status) == stable_status(posthoc_status)
-        assert stable_cells(
-            validate_campaign_cells(serve_monitor.cells_payload())
-        ) == stable_cells(validate_campaign_cells(posthoc.cells_payload()))
-        live_violations = validate_campaign_violations(
+        assert validate_campaign_status(posthoc.status()) == live_status
+        assert validate_campaign_cells(
+            serve_monitor.cells_payload()
+        ) == validate_campaign_cells(posthoc.cells_payload())
+        assert validate_campaign_violations(
             serve_monitor.violations_payload()
-        )
-        posthoc_violations = validate_campaign_violations(
-            posthoc.violations_payload()
-        )
-
-        def keys(payload):
-            return sorted(
-                (v["spec_hash"], v["check"], v["deployment"], v["message"])
-                for v in payload["violations"]
-            )
-
-        assert keys(live_violations) == keys(posthoc_violations)
+        ) == validate_campaign_violations(posthoc.violations_payload())
 
         # The post-hoc server answers over HTTP too.
         with CampaignServer(posthoc) as posthoc_server:
-            served = _get_json(posthoc_server.url + "/status")
-            assert stable_status(served) == stable_status(live_status)
+            assert _get_json(posthoc_server.url + "/status") == live_status
         server.stop()
 
-    def test_events_sidecar_lines_validate(self, tmp_path):
+    def test_store_event_lines_validate(self, tmp_path):
         campaign = twelve_cell_campaign(
-            name="sidecar",
+            name="events",
             grid={"send_rate_gbps": [2.0, 4.0], "expiry_threshold": [1]},
             options={},
         )
-        store = ResultStore(tmp_path / "sidecar.jsonl")
-        with TelemetryBus(events_path=events_path_for(store.path)) as bus:
-            CampaignExecutor(workers=1, bus=bus).run_campaign(
-                campaign, store=store
-            )
-        lines = events_path_for(store.path).read_text().splitlines()
-        events = [validate_campaign_event(json.loads(line)) for line in lines]
+        store = ResultStore(tmp_path / "events.jsonl")
+        CampaignExecutor(workers=1).run_campaign(campaign, store=store)
+        lines = [json.loads(line) for line in store.path.read_text().splitlines()]
+        events = [validate_campaign_event(line) for line in lines if is_event(line)]
         types = [event["type"] for event in events]
-        assert types[0] == "campaign_started"
-        assert types[-1] == "campaign_finished"
-        assert types.count("cell_started") == 2
-        assert types.count("cell_finished") == 2
+        assert types == [
+            "campaign_started", "cell_started", "cell_started", "campaign_finished",
+        ]
+        # Records carry the time they were appended, as events do.
+        assert all(isinstance(line["ts"], float) for line in lines)
+        assert store.record_count() == 2
         # Serial path still reports worker-side context.
         started = next(e for e in events if e["type"] == "cell_started")
         assert started["pid"] > 0
@@ -255,11 +214,9 @@ class TestLiveCampaignServe:
         )
         store = ResultStore(tmp_path / "resume.jsonl")
         CampaignExecutor(workers=1).run_campaign(campaign, store=store)
-        with TelemetryBus(events_path=events_path_for(store.path)) as bus:
-            summary = CampaignExecutor(workers=1, bus=bus).run_campaign(
-                campaign, store=store
-            )
+        summary = CampaignExecutor(workers=1).run_campaign(campaign, store=store)
         assert summary.skipped == 2
-        # The bus saw only skip bookkeeping; the store still rebuilds all.
+        # The resume appended only its start and finish; the store still
+        # rebuilds all.
         posthoc = monitor_from_store(campaign, store)
         assert posthoc.status()["cells_done"] == 2

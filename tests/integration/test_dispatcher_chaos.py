@@ -16,12 +16,10 @@ from repro.orchestrator import (
     CampaignSpec,
     DispatchLoop,
     ResultStore,
-    TelemetryBus,
     execute_run,
 )
 from repro.orchestrator.dispatcher import CHAOS_ENV
 from repro.orchestrator.serve import monitor_from_store
-from repro.orchestrator.store import events_path_for
 
 #: Simulated-time scale keeping each run cheap while still exercising traffic.
 FAST = 0.05
@@ -56,10 +54,9 @@ class TestWorkerCrashRecovery:
             json.dumps([{"match": {"send_rate_gbps": 4.0}, "crash_attempts": 1}]),
         )
         store = ResultStore(tmp_path / "grid.jsonl")
-        with TelemetryBus(events_path=events_path_for(store.path)) as bus:
-            summary = CampaignExecutor(
-                workers=2, bus=bus, retry_backoff_s=0.05
-            ).run_campaign(campaign, store=store)
+        summary = CampaignExecutor(workers=2, retry_backoff_s=0.05).run_campaign(
+            campaign, store=store
+        )
         assert summary.executed == 4
         assert summary.failed == 0
         assert summary.exhausted == 0
@@ -71,8 +68,8 @@ class TestWorkerCrashRecovery:
             spec.spec_hash for spec in campaign.expand()
         }
 
-        # The crash surfaced on the bus, and a monitor reading the
-        # sidecar and the store folds it in.
+        # The crash surfaced as event lines in the store, and a monitor
+        # reading the store folds them in.
         monitor = monitor_from_store(campaign, store)
         assert {"worker_died", "cell_retried"} <= event_types(monitor)
         assert monitor.workers_died >= 1
@@ -82,13 +79,15 @@ class TestWorkerCrashRecovery:
         assert status["retries_total"] >= 1
 
         # The retried cell's record matches the clean run byte-for-byte
-        # once the only nondeterministic field (wall time) is dropped.
+        # once the nondeterministic fields (wall time, and the append
+        # time the store stamps) are dropped.
         clean_by_hash = {r["spec_hash"]: r for r in clean.records}
         for record in records:
             expected = dict(clean_by_hash[record["spec_hash"]])
             actual = dict(record)
             expected.pop("wall_time_s")
             actual.pop("wall_time_s")
+            actual.pop("ts")
             assert actual == expected
 
     def test_killing_the_worker_that_holds_a_baseline_loses_nothing(self, monkeypatch):
@@ -154,10 +153,9 @@ class TestCellTimeout:
             ),
         )
         store = ResultStore(tmp_path / "grid.jsonl")
-        with TelemetryBus(events_path=events_path_for(store.path)) as bus:
-            summary = CampaignExecutor(
-                workers=2, bus=bus, cell_timeout_s=3.0, retry_backoff_s=0.05
-            ).run_campaign(campaign, store=store)
+        summary = CampaignExecutor(
+            workers=2, cell_timeout_s=3.0, retry_backoff_s=0.05
+        ).run_campaign(campaign, store=store)
         assert summary.executed == 2
         assert summary.failed == 0
         assert store.record_count() == 2

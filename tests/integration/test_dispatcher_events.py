@@ -4,18 +4,20 @@ The dispatcher emits a lease's ``cell_started`` with the leased
 worker's pid and, while its health scan sees that worker alive, a
 ``heartbeat`` every ``heartbeat_interval_s``; the serial executor emits
 ``cell_started`` with its own pid and no heartbeat.  Workers emit
-nothing.  Chaos is injected through ``REPRO_CAMPAIGN_CHAOS`` (see
+nothing.  A campaign with a store appends every event to it.  Chaos is
+injected through ``REPRO_CAMPAIGN_CHAOS`` (see
 :mod:`repro.orchestrator.dispatcher`).
 """
 
 import json
+import logging
 import os
 
 import pytest
 
-from repro.orchestrator import CampaignExecutor, CampaignSpec, DispatchLoop, TelemetryBus
+from repro.orchestrator import CampaignExecutor, CampaignSpec, DispatchLoop, ResultStore
 from repro.orchestrator.dispatcher import CHAOS_ENV
-from repro.orchestrator.store import events_path_for
+from repro.orchestrator.store import is_event
 
 #: Simulated-time scale keeping each run cheap while still exercising traffic.
 FAST = 0.05
@@ -119,14 +121,38 @@ def test_a_hung_lease_beats_until_it_is_reaped(monkeypatch):
 
 def test_a_serial_run_starts_cells_in_its_own_process_and_never_beats(tmp_path):
     specs = grid_specs(rates=(2.0, 4.0))
-    events_path = events_path_for(tmp_path / "serial.jsonl")
-    with TelemetryBus(events_path=events_path) as bus:
-        CampaignExecutor(workers=1, bus=bus, heartbeat_interval_s=0.01).run_specs(specs)
-    events = [json.loads(line) for line in events_path.read_text().splitlines()]
+    store = tmp_path / "serial.jsonl"
+    CampaignExecutor(workers=1, heartbeat_interval_s=0.01).run_specs(
+        specs, store=ResultStore(store)
+    )
+    events = [
+        line for line in map(json.loads, store.read_text().splitlines()) if is_event(line)
+    ]
     started = [event for event in events if event["type"] == "cell_started"]
     assert [event["spec_hash"] for event in started] == [spec.spec_hash for spec in specs]
     assert {event["pid"] for event in started} == {os.getpid()}
     assert not any(event["type"] == "heartbeat" for event in events)
+
+
+def test_a_sink_that_raises_never_stops_dispatch(caplog):
+    """An event the store cannot take is logged; the cells still run."""
+    specs = grid_specs(rates=(2.0, 4.0))
+    tried = []
+
+    def unwritable(event):
+        tried.append(event["type"])
+        raise OSError("No space left on device")
+
+    with caplog.at_level(logging.DEBUG, logger="repro.orchestrator.dispatcher"):
+        records = list(DispatchLoop(processes=2, emit=unwritable).run(specs))
+    assert sorted(record["spec_hash"] for record in records) == sorted(
+        spec.spec_hash for spec in specs
+    )
+    assert {record["status"] for record in records} == {"ok"}
+    assert tried.count("cell_started") == 2
+    failures = [r for r in caplog.records if r.message == "dispatcher event emit failed"]
+    assert len(failures) == len(tried)
+    assert all(r.exc_info[0] is OSError for r in failures)
 
 
 @pytest.mark.parametrize("interval", [0, -1, float("inf"), float("nan")])

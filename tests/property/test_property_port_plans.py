@@ -105,7 +105,9 @@ def _state(program, recorder):
     return {
         "bank": {name: c.as_dict() for name, c in program.counters.counters.items()},
         "slots": slots,
-        "taggers": {name: tagger.peek() for name, tagger in program.taggers.items()},
+        "taggers": {
+            split.binding.name: split.tagger.peek() for split in program._split_paths
+        },
         "recorder": list(recorder.calls),
     }
 

@@ -96,7 +96,8 @@ class TestTrustedConstructors:
             bindings=[BINDING],
         )
         program.enable_fast_path()
-        idx_cell, clk_cell = program.taggers[BINDING.name].cells()
+        (split,) = program._split_paths
+        idx_cell, clk_cell = split.tagger.cells()
         clk_cell[0] = start_clk % clock_max
         counters = program.counters.for_binding(BINDING.name)
         for split_hit, merge_hit, corrupt in steps:

@@ -1,4 +1,4 @@
-"""The two ``repro bench`` gates: one run / check / format, two table rows."""
+"""The ``repro bench`` gates: one run / check / format, one table row each."""
 
 import itertools
 import json
@@ -14,10 +14,7 @@ from repro.cli import main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: ``--json`` payload key -> CLI flag.
-GATE_FLAGS = {
-    "obs_overhead": "--obs-check",
-    "bus_overhead": "--bus-check",
-}
+GATE_FLAGS = {"obs_overhead": "--obs-check"}
 
 
 class ScriptedClock:
@@ -68,17 +65,13 @@ def walls_at(key, ratio, rounds=3):
     return {reference: [1.0] * rounds, **{name: [1.0 / ratio] * rounds for name in others}}
 
 
-def test_the_table_is_the_two_gates_ci_runs():
+def test_the_table_is_the_gate_ci_runs():
     assert list(bench.GATES) == list(GATE_FLAGS)
     floors = {key: (gate.gated, gate.floor) for key, gate in bench.GATES.items()}
-    assert floors == {
-        "obs_overhead": ("disabled", 1.0 - bench.OBS_OVERHEAD_TOLERANCE),
-        "bus_overhead": ("on", 1.0 - bench.BUS_OVERHEAD_TOLERANCE),
-    }
-    assert (bench.OBS_OVERHEAD_TOLERANCE, bench.BUS_OVERHEAD_TOLERANCE) == (0.02, 0.02)
+    assert floors == {"obs_overhead": ("disabled", 1.0 - bench.OBS_OVERHEAD_TOLERANCE)}
+    assert bench.OBS_OVERHEAD_TOLERANCE == 0.02
     assert {key: (gate.rounds, gate.point) for key, gate in bench.GATES.items()} == {
         "obs_overhead": (3, {"rate_gbps": 10.5, "time_scale": 0.25}),
-        "bus_overhead": (3, {"cells": 6, "time_scale": 0.05, "workers": 1}),
     }
 
 
@@ -122,10 +115,7 @@ class TestGateOnScriptedArms:
 
 
 #: Each gate's operating point shrunk to a fraction of a second per arm.
-SMALL_POINTS = {
-    "obs_overhead": {"rate_gbps": 10.5, "time_scale": 0.02},
-    "bus_overhead": {"cells": 2, "time_scale": 0.05, "workers": 1},
-}
+SMALL_POINTS = {"obs_overhead": {"rate_gbps": 10.5, "time_scale": 0.02}}
 
 
 @pytest.mark.parametrize("key", GATE_FLAGS)
@@ -145,8 +135,6 @@ def test_the_real_gate_runs_end_to_end(key, monkeypatch, capsys):
     for arm in result["arms"].values():
         assert arm["work"] > 0 and arm["wall_s"] > 0 and arm["rate"] > 0
     assert all(ratio > 0 for ratio in result["ratios"].values())
-    if key == "bus_overhead":
-        assert {arm["work"] for arm in result["arms"].values()} == {2}
 
 
 def canned(gate):
@@ -181,7 +169,7 @@ class TestBenchCli:
             "obs_overhead": canned(bench.GATES["obs_overhead"])
         }
 
-    def test_no_flag_runs_both_in_table_order(self, stubbed_run_gate, capsys):
+    def test_no_flag_runs_every_gate_in_table_order(self, stubbed_run_gate, capsys):
         assert main(["bench"]) == 0
         assert stubbed_run_gate == list(bench.GATES.values())
         out = capsys.readouterr().out
@@ -204,7 +192,7 @@ class TestBenchCli:
 
     @pytest.mark.parametrize("argv", [
         ["--scenario", "fig07"], ["--rate", "6"], ["--time-scale", "0.1"],
-        ["--repeat", "3"], ["--quick"], ["--no-artifact"], ["trend"],
+        ["--repeat", "3"], ["--quick"], ["--no-artifact"], ["trend"], ["--bus-check"],
     ])
     def test_the_retired_spellings_are_usage_errors(self, argv, stubbed_run_gate, capsys):
         with pytest.raises(SystemExit) as raised:

@@ -21,7 +21,7 @@ from repro.orchestrator.serve import (
 )
 from repro.cli import main
 from repro.orchestrator.spec import CampaignSpec
-from repro.orchestrator.store import TERMINAL_STATUSES, ResultStore, events_path_for
+from repro.orchestrator.store import TERMINAL_STATUSES, ResultStore
 from repro.orchestrator.telemetrybus import CampaignMonitor, events_from_record
 
 
@@ -154,6 +154,30 @@ class TestMonitorFromStore:
         assert status["cells_error"] == 0  # superseded by the retry
         assert status["violations_total"] == 1
 
+    def test_a_killed_campaigns_running_cell_reads_from_its_store(self, tmp_path):
+        # The event lines carry what no record holds: workers, pids,
+        # beats, and the cell the campaign was inside when it died.
+        store = ResultStore(tmp_path / "c.jsonl")
+        store.append({"type": "campaign_started", "total": 2, "workers": 2, "ts": 1.0})
+        for spec_hash, pid, ts in (("a", 7, 2.0), ("b", 8, 2.5)):
+            store.append({"type": "cell_started", "spec_hash": spec_hash,
+                          "scenario": "s", "params": {}, "pid": pid, "ts": ts})
+        store.append({"type": "heartbeat", "spec_hash": "a", "pid": 7, "ts": 3.0})
+        store.append({**_record("b"), "ts": 4.0})
+        status = validate_campaign_status(monitor_from_store(store=store).status())
+        assert (status["cells_running"], status["cells_ok"]) == (1, 1)
+        assert (status["state"], status["workers"]) == ("running", 2)
+        cells = {
+            cell["spec_hash"]: cell
+            for cell in monitor_from_store(store=store).cells_payload()["cells"]
+        }
+        assert {key: cells["a"].get(key) for key in (
+            "status", "pid", "started_ts", "heartbeat_ts", "finished_ts")} == {
+            "status": "running", "pid": 7, "started_ts": 2.0,
+            "heartbeat_ts": 3.0, "finished_ts": None}
+        assert (cells["b"]["status"], cells["b"]["pid"], cells["b"]["finished_ts"]) == (
+            "ok", 8, 4.0)
+
     def test_empty_store_serves_clean_state(self, tmp_path):
         monitor = monitor_from_store(store=ResultStore(tmp_path / "x.jsonl"))
         status = validate_campaign_status(monitor.status())
@@ -196,27 +220,26 @@ class TestStoreFollower:
             handle.write(json.dumps(_record("a")) + "\n")
         assert follower.poll_once() == 1
 
-    def test_events_sidecar_takes_precedence_over_store(self, tmp_path):
+    def test_event_lines_reach_the_monitor_as_they_are(self, tmp_path):
         store = ResultStore(tmp_path / "c.jsonl")
-        events_path = events_path_for(store.path)
         monitor = CampaignMonitor(total=1)
-        follower = StoreFollower(monitor, store.path, events_path)
+        follower = StoreFollower(monitor, store.path)
+        store.append({"type": "cell_started", "spec_hash": "a", "scenario": "s",
+                      "params": {}, "pid": 7, "ts": 1.0})
+        assert follower.poll_once() == 1
+        assert monitor.status()["cells_running"] == 1
         violation = {"check": "c", "message": "m", "scenario": "s",
                      "deployment": "payloadpark"}
-        with events_path.open("w") as handle:
-            for event in (
-                {"type": "cell_finished", "spec_hash": "a", "scenario": "s",
-                 "params": {}, "status": "violation", "wall_time_s": 1.0,
-                 "ts": 1.0},
-                {"type": "violation", "spec_hash": "a", "ts": 1.0, **violation},
-            ):
-                handle.write(json.dumps(event) + "\n")
-        store.append(_record("a", status="violation", violations=[violation]))
-        follower.poll_once()
-        # The store record must not double-count the sidecar's events.
+        store.append({**_record("a", status="violation", violations=[violation]),
+                      "ts": 2.0})
+        assert follower.poll_once() == 1
         status = monitor.status()
-        assert status["cells_done"] == 1
-        assert status["violations_total"] == 1
+        assert (status["cells_done"], status["violations_total"]) == (1, 1)
+        (cell,) = monitor.cells_payload()["cells"]
+        assert (cell["pid"], cell["started_ts"], cell["finished_ts"]) == (7, 1.0, 2.0)
+        assert [event["type"] for event in monitor.events_tail()] == [
+            "cell_started", "cell_finished", "violation",
+        ]
 
     @pytest.mark.parametrize(
         "attempts, winner",
@@ -229,7 +252,7 @@ class TestStoreFollower:
     def test_follower_and_post_hoc_monitor_apply_the_same_rule(
         self, tmp_path, attempts, winner
     ):
-        """One spec hash, several store records, no events sidecar (`--no-bus`)."""
+        """One spec hash, several store records, no event lines."""
         store = ResultStore(tmp_path / "c.jsonl")
         live = CampaignMonitor(total=1)
         follower = StoreFollower(live, store.path)
@@ -316,14 +339,16 @@ class TestReadSideParity:
     """Every reader of a campaign names the same winner per cell.
 
     The store's index (`latest_by_hash`, `campaign status`, `campaign
-    report`, `obs runs`) and every way events reach a monitor — the
-    in-process bus, a follower over store and sidecar in either arrival
-    order, the post-hoc read — must agree, whatever the delivery.
+    report`, `obs runs`) and every way events reach a monitor — handed
+    to it directly, a follower over a store of records alone or of
+    records among event lines (in one file or across shards), the
+    post-hoc read — must agree, whatever the delivery.
     """
 
     @pytest.mark.parametrize(
         "delivery",
-        ["store only", "bus only", "sidecar then store", "store then sidecar"],
+        ["store only", "events only", "store with event lines",
+         "sharded store with event lines"],
     )
     @pytest.mark.parametrize("sequence", SEQUENCES, ids="-".join)
     def test_same_winner_and_counts_everywhere(
@@ -345,39 +370,32 @@ class TestReadSideParity:
             if record["status"] != "ok":
                 record["error"] = f"attempt {attempt} failed"
         winner = records[SEQUENCES[sequence]]
-        store = ResultStore(tmp_path / "parity.jsonl")
-        events_path = events_path_for(store.path)
-        events = [
-            {**event, "ts": 10.0}
-            for record in records for event in events_from_record(record)
-        ]
-
-        def to_store():
-            for record in records:
-                store.append(record)
-
-        def to_sidecar():
-            with events_path.open("a") as handle:
-                for event in events:
-                    handle.write(json.dumps(event) + "\n")
-
+        store = ResultStore(
+            tmp_path / "parity.jsonl", shards=3 if delivery.startswith("sharded") else 1
+        )
         monitor = CampaignMonitor(total=1)
         follower = StoreFollower(monitor, store.path)
 
-        def to_bus():  # what TelemetryBus._dispatch does in the campaign's process
-            for event in events:
-                monitor.handle(event)
-
-        for step in {
-            "store only": [to_store],
-            "bus only": [to_bus],
-            "sidecar then store": [to_sidecar, to_store],
-            "store then sidecar": [to_store, to_sidecar],
-        }[delivery]:
-            step()
-            follower.poll_once()
-        if delivery == "bus only":
-            to_store()  # for the store's own readers; the monitor never polls it
+        if delivery == "events only":
+            for record in records:
+                for event in events_from_record(record):
+                    monitor.handle(event)
+        for attempt, record in enumerate(records):
+            if delivery.endswith("store with event lines"):
+                # A line without `status` reads `ok`: none of these may
+                # count as an outcome anywhere.
+                for event in (
+                    {"type": "cell_started", "pid": 100 + attempt},
+                    {"type": "heartbeat", "pid": 100 + attempt},
+                    {"type": "cell_retried", "attempt": attempt + 1,
+                     "reason": "crashed"},
+                ):
+                    store.append({**event, "spec_hash": cell.spec_hash,
+                                  "scenario": record["scenario"],
+                                  "params": record["params"], "ts": 10.0})
+            store.append(record)
+            if delivery != "events only":  # the monitor never polls the store
+                follower.poll_once()
 
         expected = {status: int(status == winner["status"]) for status in TERMINAL_STATUSES}
         for reader in (monitor, monitor_from_store(campaign, ResultStore(store.path))):
@@ -389,6 +407,12 @@ class TestReadSideParity:
             assert shown.get("error") == winner.get("error")
 
         assert ResultStore(store.path).latest_by_hash() == {cell.spec_hash: winner}
+        if delivery.startswith("sharded"):
+            # The cell's events went where its records went: one shard
+            # holds its whole story, in append order.
+            (shard,) = store.reader_paths()
+            assert shard != store.path
+            assert len(shard.read_text().splitlines()) == 4 * len(records)
 
         store_args = [str(spec), "--store", str(store.path)]
         assert main(["campaign", "status", *store_args]) == 0

@@ -18,6 +18,7 @@ from repro.experiments import figures
 from repro.experiments.figures import FIGURES, Sweep
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import fixed_size_40ge
+from repro.orchestrator.store import ResultStore
 from repro.telemetry.report import COMPARISON_COLUMNS, render_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -290,13 +291,12 @@ class TestCampaignCli:
         assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "2 executed" in out and "0 skipped" in out
-        assert store.exists()
-        assert len(store.read_text().strip().splitlines()) == 2
+        assert ResultStore(store).record_count() == 2
 
-        # Resume: everything is already done.
+        # Resume: everything is already done; only event lines are added.
         assert main(["campaign", "run", str(spec), "--store", str(store), "--workers", "1"]) == 0
         assert "0 executed" in capsys.readouterr().out and \
-            len(store.read_text().strip().splitlines()) == 2
+            ResultStore(store).record_count() == 2
 
         assert main(["campaign", "status", str(spec), "--store", str(store)]) == 0
         status = capsys.readouterr().out
@@ -316,10 +316,10 @@ class TestCampaignCli:
         sharded = tmp_path / "sharded.jsonl"
 
         assert main(["campaign", "run", str(spec), "--store", str(single),
-                     "--workers", "1", "--no-bus"]) == 0
+                     "--workers", "1"]) == 0
         capsys.readouterr()
         assert main(["campaign", "run", str(spec), "--store", str(sharded),
-                     "--shards", "3", "--workers", "1", "--no-bus"]) == 0
+                     "--shards", "3", "--workers", "1"]) == 0
         capsys.readouterr()
         assert not sharded.exists()  # records live in the shard files
         assert sorted(tmp_path.glob("sharded.shard-*.jsonl"))
@@ -425,7 +425,7 @@ class TestCampaignCli:
         assert main(["campaign", "run", str(spec), "--store", str(store),
                      dispatch, flag]) == 2
         assert _one_error(capsys) == self.BAD_DISPATCH_VALUES[flag]
-        assert list(tmp_path.iterdir()) == [spec]  # no store, no events sidecar
+        assert list(tmp_path.iterdir()) == [spec]  # no store
 
     BAD_TIME_SCALES = {
         "-1": "time_scale must be positive",
@@ -438,7 +438,7 @@ class TestCampaignCli:
     def test_campaign_run_rejects_a_bad_time_scale_with_nothing_on_disk(
         self, value, tmp_path, capsys
     ):
-        # The bus is on by default: its events sidecar must not be opened.
+        # Not even the store's campaign_started line is written.
         spec = self._write_spec(tmp_path)
         store = tmp_path / "results.jsonl"
         assert main(["campaign", "run", str(spec), "--store", str(store),
@@ -458,7 +458,7 @@ class TestCampaignCli:
         self, value, tmp_path, capsys
     ):
         # `-1` and `0` used to become 10 ms and `nan` ran on; each wrote a
-        # store and its events sidecar and exited 0.
+        # store and exited 0.
         spec = self._write_spec(tmp_path)
         store = tmp_path / "results.jsonl"
         assert main(["campaign", "run", str(spec), "--store", str(store),
@@ -476,7 +476,7 @@ class TestCampaignCli:
         }))
         store = tmp_path / "results.jsonl"
         assert main(["campaign", "run", str(spec), "--store", str(store),
-                     "--workers", "1", "--no-bus"]) == 0
+                     "--workers", "1"]) == 0
         assert "2 executed, 1 baselines simulated, 0 failed, 0 skipped" in (
             capsys.readouterr().out
         )

@@ -7,10 +7,10 @@ import pytest
 
 from repro.cli import main
 from repro.orchestrator.dispatcher import _dispatch_worker_main
-from repro.orchestrator.store import ResultStore, events_path_for
+from repro.orchestrator.store import ResultStore
 
 CAMPAIGN_YAML = """\
-name: cli-bus
+name: cli-campaign
 scenario: fw_nat_lb_10ge
 time_scale: 0.05
 grid:
@@ -38,32 +38,42 @@ def campaign_spec(tmp_path):
     return spec
 
 
-class TestCampaignRunBus:
-    def test_run_writes_events_sidecar_by_default(self, tmp_path, campaign_spec, capsys):
-        store = tmp_path / "cli-bus.jsonl"
+class TestCampaignRunEvents:
+    def test_run_writes_its_events_into_the_store(self, tmp_path, campaign_spec, capsys):
+        store = tmp_path / "cli-campaign.jsonl"
         assert main([
             "campaign", "run", str(campaign_spec),
             "--store", str(store), "--workers", "1",
         ]) == 0
-        events = events_path_for(store)
-        assert events.exists()
-        types = [json.loads(line)["type"]
-                 for line in events.read_text().splitlines()]
-        assert "campaign_started" in types
-        assert "campaign_finished" in types
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "campaign.yaml", "cli-campaign.jsonl",
+        ]
+        types = [json.loads(line).get("type")
+                 for line in store.read_text().splitlines()]
+        assert types[0] == "campaign_started"
+        assert types[-1] == "campaign_finished"
+        assert types.count(None) == 2  # one record per cell
 
-    def test_no_bus_suppresses_sidecar(self, tmp_path, campaign_spec):
-        store = tmp_path / "cli-nobus.jsonl"
-        assert main([
-            "campaign", "run", str(campaign_spec),
-            "--store", str(store), "--workers", "1", "--no-bus",
-        ]) == 0
-        assert not events_path_for(store).exists()
+    def test_a_resume_appends_only_its_start_and_finish(self, tmp_path, campaign_spec, capsys):
+        store = tmp_path / "cli-campaign.jsonl"
+        argv = ["campaign", "run", str(campaign_spec), "--store", str(store),
+                "--workers", "1"]
+        assert main(argv) == 0
+        first = store.read_text().splitlines()
+        assert main(argv) == 0
+        assert "0 executed" in capsys.readouterr().out
+        lines = store.read_text().splitlines()
+        assert lines[:len(first)] == first
+        started, finished = map(json.loads, lines[len(first):])
+        assert (started["type"], started["skipped"], started["pending"]) == (
+            "campaign_started", 2, 0)
+        assert (finished["type"], finished["executed"]) == ("campaign_finished", 0)
+        assert ResultStore(store).record_count() == 2
 
 
 class TestCampaignServeCLI:
     def test_posthoc_snapshot_serves_and_exits(self, tmp_path, campaign_spec, capsys):
-        store_path = tmp_path / "cli-bus.jsonl"
+        store_path = tmp_path / "cli-campaign.jsonl"
         store = ResultStore(store_path)
         store.append({
             "spec_hash": "aa", "scenario": "fw_nat_lb_10ge",
@@ -76,11 +86,11 @@ class TestCampaignServeCLI:
             "--no-follow", "--max-seconds", "0.05",
         ]) == 0
         out = capsys.readouterr().out
-        assert "serving campaign 'cli-bus'" in out
+        assert "serving campaign 'cli-campaign'" in out
         assert "/metrics" in out
 
     def test_follow_mode_starts_and_stops(self, tmp_path, campaign_spec, capsys):
-        store_path = tmp_path / "cli-bus.jsonl"
+        store_path = tmp_path / "cli-campaign.jsonl"
         assert main([
             "campaign", "serve", str(campaign_spec),
             "--store", str(store_path), "--port", "0",

@@ -11,10 +11,10 @@ differently: delete it rather than declare it.
 Likewise every attribute stored on an object (``something.<name> = …``
 or ``… += …``) must be loaded somewhere under ``src/``; a string that
 spells the name (``getattr(obj, "name")``, an ``attrgetter`` path, a
-``__slots__`` entry) counts as a load.  A load that only feeds the
-attribute's own update does not: in ``self.x[k] = self.x.get(k, 0) + 1``
-or ``self.x[k] += 1`` no ``self.x`` is a read (a plain ``self.x[k] = v``
-still reads ``self.x``).  State nothing reads is work every packet
+``__slots__`` entry) counts as a load.  A store into an item, or a load
+that only feeds the attribute's own update, does not: in
+``self.x[k] = v``, ``self.x[k] = self.x.get(k, 0) + 1`` or
+``self.x[k] += 1`` no ``self.x`` is a read.  State nothing reads is work every packet
 pays for with no run behaving differently.  Only names the standard
 library reads are exempt (:data:`STDLIB_READS`).
 
@@ -83,8 +83,8 @@ class _Loads(ast.NodeVisitor):
     """Attribute loads, keyed by the class whose ``__post_init__`` holds
     them (``None`` for every other load); attribute stores, each with
     its first ``file:line``; and the names strings spell.  In an
-    assignment whose value loads the attribute it updates (or an
-    augmented one), a load of that attribute is neither."""
+    assignment (plain or augmented), a load of the attribute it updates
+    is neither."""
 
     def __init__(self) -> None:
         self.loads: Dict[object, Set[str]] = {}
@@ -114,19 +114,11 @@ class _Loads(ast.NodeVisitor):
         self._updating = outer
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        updated = {
+        self._visit_update(node, {
             ast.unparse(attribute)
             for attribute in map(_updated, node.targets)
             if attribute is not None
-        }
-        # Only an update its own value feeds on: ``self.x[k] = v`` alone
-        # still reads the container ``self.x``.
-        if not any(
-            isinstance(load, ast.Attribute) and ast.unparse(load) in updated
-            for load in ast.walk(node.value)
-        ):
-            updated = set()
-        self._visit_update(node, updated)
+        })
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         attribute = _updated(node.target)
@@ -237,12 +229,11 @@ def test_a_load_feeding_its_own_update_is_not_a_read():
         "    def __init__(self):\n"
         "        self.drop_reasons: Dict[str, int] = {}\n"
         "        self.seen: Dict[str, int] = {}\n"
-        "        self.hits, self.named, self.total = {}, {}, 0\n"
+        "        self.hits, self.total = {}, 0\n"
         "    def drop(self, reason, other):\n"
         "        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1\n"
         "        self.seen[reason] = self.seen.get(reason, 0) + 1\n"
         "        self.hits[reason] += 1\n"
-        "        self.named[reason] = reason\n"
         "        self.total = self.total + other.total\n"
         "        return self.seen\n"
     )
@@ -251,3 +242,23 @@ def test_a_load_feeding_its_own_update_is_not_a_read():
     assert unread_stores(visitor) == {
         "drop_reasons": "<string>:3", "hits": "<string>:5",
     }
+
+
+def test_a_plain_item_store_is_not_a_read():
+    # PayloadParkProgram.taggers as it was: filled once per binding at
+    # install, read by nothing under src/.
+    module = ast.parse(
+        "class Program:\n"
+        "    def __init__(self):\n"
+        "        self.taggers: Dict[str, int] = {}\n"
+        "        self.tables: Dict[str, int] = {}\n"
+        "        self.paths = [[]]\n"
+        "    def install(self, name, tagger, table):\n"
+        "        self.taggers[name] = tagger\n"
+        "        self.tables[name] = table\n"
+        "        self.paths[0][0] = table\n"
+        "        return self.tables\n"
+    )
+    visitor = _Loads()
+    visitor.visit(module)
+    assert unread_stores(visitor) == {"paths": "<string>:5", "taggers": "<string>:3"}

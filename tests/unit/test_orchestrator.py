@@ -423,7 +423,7 @@ class TestOverrideDomains:
         spec = tmp_path / "bad.yaml"
         spec.write_text(f"name: bad-axis\nscenario: fw_nat_lb_10ge\ngrid:\n  {axis}\n")
         store = tmp_path / "bad.jsonl"
-        assert main(["campaign", "run", str(spec), "--workers", "1", "--no-bus",
+        assert main(["campaign", "run", str(spec), "--workers", "1",
                      "--store", str(store)]) == 2
         assert not store.exists()
         assert capsys.readouterr().err.count("error:") == 1
@@ -518,6 +518,18 @@ class TestResultStore:
             ("failing", 2), ("ok", 0), ("exhausted", 0), ("pending", 0),
         ]
 
+    def test_event_lines_are_never_records(self, tmp_path):
+        # A line without ``status`` reads ``ok``: were an event a record,
+        # a cell that only started would count as complete on resume.
+        store = ResultStore(tmp_path / "runs.jsonl")
+        store.append({"type": "cell_started", "spec_hash": "aa", "pid": 7, "ts": 1.0})
+        store.append({"type": "heartbeat", "spec_hash": "aa", "pid": 7, "ts": 2.0})
+        assert store.cell_states(["aa"]) == [("pending", 0)]
+        assert store.completed_hashes() == set()
+        assert store.latest_by_hash() == {}
+        assert store.record_count() == 0
+        assert store.load() == []
+
     def test_record_count_extends_from_cursor(self, tmp_path):
         """Regression: __len__ must not rescan the file on every poll."""
         path = tmp_path / "runs.jsonl"
@@ -574,6 +586,34 @@ class TestShardedStore:
         # Per-hash append order survived: latest-wins still works.
         assert store.latest_by_hash()["ab34"]["n"] == 99
         assert store.cell_states(["ab34"]) == [("ok", 3)]
+
+    def test_a_cells_event_lines_share_its_records_shard(self, tmp_path):
+        store = ResultStore(tmp_path / "grid.jsonl", shards=4)
+        store.append({"type": "campaign_started", "total": 8})  # no hash: shard 0
+        hashes = [f"{value:016x}" for value in range(8)]
+        for spec_hash in hashes:
+            store.append({"type": "cell_started", "spec_hash": spec_hash, "pid": 7})
+            store.append({"type": "heartbeat", "spec_hash": spec_hash, "pid": 7})
+            store.append({"spec_hash": spec_hash, "status": "ok"})
+        for index in range(4):
+            stories = {}
+            for line in store.shard_path(index).read_text().splitlines():
+                line = json.loads(line)
+                if "spec_hash" in line:
+                    stories.setdefault(line["spec_hash"], []).append(
+                        line.get("type", "record")
+                    )
+            # Each cell's story is whole, and in order, in its record's shard.
+            assert {int(spec_hash, 16) % 4 for spec_hash in stories} == {index}
+            assert all(
+                story == ["cell_started", "heartbeat", "record"]
+                for story in stories.values()
+            )
+        assert json.loads(store.shard_path(0).read_text().splitlines()[0]) == {
+            "type": "campaign_started", "total": 8,
+        }
+        assert store.record_count() == 8
+        assert store.completed_hashes() == set(hashes)
 
     def test_legacy_single_file_resumes_into_shards(self, tmp_path):
         base = tmp_path / "grid.jsonl"
@@ -660,6 +700,55 @@ class TestExecutor:
         summary = CampaignExecutor(workers=1).run_campaign(campaign, store=store)
         assert summary.executed == 1
         assert store.completed_hashes() == {spec_hash}
+
+    def test_resume_reruns_a_cell_that_only_started(self, tmp_path):
+        """A run killed inside a cell leaves its start and beats, no record."""
+        campaign = small_campaign(grid={"send_rate_gbps": [4.0, 8.0]})
+        done, cut = campaign.expand()
+        store = ResultStore(tmp_path / "grid.jsonl")
+        store.append({"type": "campaign_started", "total": 2, "workers": 1})
+        for spec in (done, cut):
+            store.append({"type": "cell_started", "spec_hash": spec.spec_hash, "pid": 7})
+        store.append({"type": "heartbeat", "spec_hash": cut.spec_hash, "pid": 7})
+        store.append({"spec_hash": done.spec_hash, "status": "ok"})
+        summary = CampaignExecutor(workers=1).run_campaign(campaign, store=store)
+        assert (summary.executed, summary.skipped) == (1, 1)
+        assert [record["spec_hash"] for record in summary.records] == [cut.spec_hash]
+        assert store.completed_hashes() == {done.spec_hash, cut.spec_hash}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_line_is_on_disk_before_its_record_is_reported(self, tmp_path, workers):
+        campaign = small_campaign(grid={"send_rate_gbps": [2.0, 4.0]})
+        store = ResultStore(tmp_path / "grid.jsonl")
+        reported = []
+
+        def progress(record):
+            lines = [json.loads(line) for line in store.path.read_text().splitlines()]
+            assert lines[0]["type"] == "campaign_started"
+            # The record is the last line, stamped, after its cell's start.
+            assert (lines[-1]["spec_hash"], lines[-1]["ts"]) == (
+                record["spec_hash"], record["ts"])
+            story = [line.get("type", "record") for line in lines
+                     if line.get("spec_hash") == record["spec_hash"]]
+            assert (story[0], story[-1]) == ("cell_started", "record")
+            reported.append(record["spec_hash"])
+
+        CampaignExecutor(workers=workers, progress=progress).run_campaign(
+            campaign, store=store
+        )
+        assert sorted(reported) == sorted(spec.spec_hash for spec in campaign.expand())
+        last = json.loads(store.path.read_text().splitlines()[-1])
+        assert last["type"] == "campaign_finished"
+
+    def test_a_campaign_without_a_store_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        summary = CampaignExecutor(workers=1).run_campaign(
+            small_campaign(grid={"send_rate_gbps": [4.0]})
+        )
+        assert summary.executed == 1
+        assert list(tmp_path.iterdir()) == []
+        # Only an appended record is stamped with its append time.
+        assert "ts" not in summary.records[0]
 
     def test_resume_exhausts_cells_past_the_retry_budget(self, tmp_path):
         """Regression: resume must not re-run a deterministically failing

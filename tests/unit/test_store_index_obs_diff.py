@@ -27,6 +27,8 @@ class TestCampaignRuns:
         store.append({"spec_hash": "a", "status": "ok"})
         store.append({"spec_hash": "b", "status": "violation",
                       "violations": [{"check": "c", "message": "m"}]})
+        store.append({"type": "cell_started", "spec_hash": "c", "pid": 7})
+        # The sidecar older versions wrote beside the store.
         (tmp_path / "grid.events.jsonl").write_text("{}\n")
         rows = campaign_runs(tmp_path)
         assert len(rows) == 1

@@ -1,16 +1,12 @@
-"""Unit tests for the campaign telemetry bus and monitor."""
+"""Unit tests for campaign events and the campaign monitor."""
 
-import json
 import logging
 
 import pytest
 
-from repro.orchestrator.serve import monitor_from_store
-from repro.orchestrator.store import ResultStore, events_path_for
 from repro.orchestrator.telemetrybus import (
     CampaignMonitor,
     CellTagFilter,
-    TelemetryBus,
     cell_context,
     configure_worker_logging,
     current_cell_hash,
@@ -45,6 +41,7 @@ class TestEventsFromRecord:
         assert [event["type"] for event in events] == ["cell_finished"]
         assert events[0]["spec_hash"] == "abc"
         assert events[0]["wall_time_s"] == 1.5
+        assert "ts" not in events[0]  # appended before records carried one
 
     def test_violations_and_observability_become_events(self):
         events = events_from_record(
@@ -60,11 +57,15 @@ class TestEventsFromRecord:
                      "scenario": "s", "deployment": "payloadpark"},
                 ],
                 "observability": [{"deployment": "baseline"}],
+                "ts": 5.0,
             }
         )
         assert [event["type"] for event in events] == [
             "cell_finished", "violation", "obs_summary",
         ]
+        # Each carries the record's append time (/cells finished_ts,
+        # /violations ts).
+        assert {event["ts"] for event in events} == {5.0}
         assert events[0]["error"].startswith("1 invariant")
         assert events[1]["check"] == "packet-conservation"
         assert events[2]["summaries"] == 1
@@ -181,7 +182,7 @@ class TestCampaignMonitor:
     def test_monitor_from_store_ignores_running_cells_for_finished(self, tmp_path):
         # monitor_from_store used to flip `finished` whenever the number
         # of *known* cells reached the total, counting still-running
-        # cells replayed from the events sidecar.
+        # cells replayed from their cell_started events.
         from repro.orchestrator.serve import monitor_from_store
         from repro.orchestrator.store import ResultStore
 
@@ -266,72 +267,6 @@ class TestCampaignMonitor:
         monitor.handle({"type": "mystery", "payload": 1})
         assert monitor.cells == {}
         assert monitor.events_tail(5)[-1]["type"] == "mystery"
-
-
-def _sidecar_monitor(tmp_path):
-    """The monitor ``campaign serve --no-follow`` builds from the sidecar
-    that :func:`_sidecar_bus` writes (no store records beside it)."""
-    return monitor_from_store(store=ResultStore(tmp_path / "c.jsonl"))
-
-
-def _sidecar_bus(tmp_path):
-    return TelemetryBus(events_path=events_path_for(tmp_path / "c.jsonl"))
-
-
-class TestTelemetryBus:
-    def test_events_drain_into_the_sidecar(self, tmp_path):
-        events_path = events_path_for(tmp_path / "c.jsonl")
-        with _sidecar_bus(tmp_path) as bus:
-            bus.emit({"type": "campaign_started", "total": 1, "workers": 1})
-            bus.emit_record(
-                {"spec_hash": "a", "scenario": "s", "params": {},
-                 "status": "ok", "wall_time_s": 0.5}
-            )
-        assert _sidecar_monitor(tmp_path).status()["cells_done"] == 1
-        lines = [json.loads(line) for line in
-                 events_path.read_text().splitlines()]
-        assert [line["type"] for line in lines] == [
-            "campaign_started", "cell_finished",
-        ]
-        assert all("ts" in line for line in lines)
-
-    def test_each_emit_is_on_disk_before_stop(self, tmp_path):
-        bus = _sidecar_bus(tmp_path).start()
-        try:
-            for index in range(200):
-                bus.emit({"type": "heartbeat", "spec_hash": "a", "seq": index})
-            assert _sidecar_monitor(tmp_path).events_seen == 200
-        finally:
-            bus.stop()
-
-    def test_unwritable_sidecar_warns_and_never_raises(self, tmp_path, caplog):
-        class Full:
-            def write(self, text):
-                raise OSError("no space left on device")
-
-            def close(self):
-                pass
-
-        bus = _sidecar_bus(tmp_path).start()
-        bus.stop()
-        bus._handle = Full()
-        # Attached to the module's logger itself: an earlier test may have
-        # stopped the ``repro`` tree from propagating to the root.
-        name = "repro.orchestrator.telemetrybus"
-        logging.getLogger(name).addHandler(caplog.handler)
-        try:
-            with caplog.at_level(logging.WARNING, name):
-                bus.emit({"type": "heartbeat", "spec_hash": "a"})
-        finally:
-            logging.getLogger(name).removeHandler(caplog.handler)
-        assert "could not append" in caplog.text
-
-    def test_a_bus_without_a_path_writes_nothing(self, tmp_path):
-        with TelemetryBus() as bus:
-            event = {"type": "heartbeat", "spec_hash": "a"}
-            bus.emit(event)
-        assert "ts" in event
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestWorkerLogging:
