@@ -7,18 +7,25 @@ PayloadPark layers a lookup-table abstraction over the raw register API:
   threshold counting down toward eviction, and
 * the **payload table** is a two-dimensional array whose columns (payload
   blocks) are MAT-local register arrays striped across the pipeline's
-  stages; row *i* of every column together holds the parked payload of
-  the packet tagged with table index *i*.
+  stages; on the switch, row *i* of every column together holds the
+  parked payload of the packet tagged with table index *i*.
 
-All dataplane accesses go through the owning packet's context so the
-single-stateful-access-per-array-per-pass restriction is enforced by the
-switch substrate, exactly as on the hardware.
+Here a block is layout and SRAM, not storage: its array fixes which stage
+holds which byte range, takes that stage's SRAM and draws its stage's
+one stateful access per pass, but the bytes parked at index *i* are one
+stored value, ``payloads[i]``.  Nothing reads one block's bytes on
+their own, so Split stores the whole payload once and Merge takes it
+back once.
+
+The stage walk's register accesses go through the owning packet's
+context so the single-stateful-access-per-array-per-pass restriction is
+enforced by the switch substrate, exactly as on the hardware.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.config import TABLE_ENTRIES_LIMIT
 from repro.switchsim.context import PipelinePacket
@@ -69,17 +76,23 @@ class ReleaseResult:
 
 @dataclass(frozen=True)
 class PayloadBlockSlot:
-    """Placement of one payload block: which stage holds which byte range."""
+    """Placement of one payload block: its stage and pass.  Block *i*
+    covers the *length* payload bytes that follow blocks ``0..i-1``."""
 
     block_index: int
     stage_index: int
     pass_number: int
-    offset: int
     length: int
 
 
 class LookupTable:
     """Metadata table plus striped payload table for one NF-server binding.
+
+    :attr:`block_slots` and :attr:`block_arrays` are the payload table's
+    layout: each block's stage, pass and byte range, and the register
+    array that takes its SRAM and its stateful access.  They hold no
+    bytes.  :attr:`payloads` does: one entry per table index, the whole
+    payload parked there (``b""`` when none is).
 
     Parameters
     ----------
@@ -120,7 +133,6 @@ class LookupTable:
             )
         self.name = name
         self.entries = entries
-        self.parked_bytes = parked_bytes
 
         self.metadata = pipeline.stage(METADATA_STAGE).add_register_array(
             name=f"{name}.meta_tbl",
@@ -132,15 +144,15 @@ class LookupTable:
         self.block_slots: List[PayloadBlockSlot] = self._plan_blocks(
             pipeline, parked_bytes, block_bytes, allow_second_pass
         )
-        self.block_arrays: List[RegisterArray] = []
-        for slot in self.block_slots:
-            array = pipeline.stage(slot.stage_index).add_register_array(
+        self.block_arrays: List[RegisterArray] = [
+            pipeline.stage(slot.stage_index).add_register_array(
                 name=f"{name}.pload_tbl[{slot.block_index}]",
                 size=entries,
                 width_bits=slot.length * 8,
-                initial=b"",
             )
-            self.block_arrays.append(array)
+            for slot in self.block_slots
+        ]
+        self.payloads: List[bytes] = [b""] * entries
 
     # ------------------------------------------------------------------ #
     # Layout planning
@@ -164,7 +176,6 @@ class LookupTable:
         """
         slots: List[PayloadBlockSlot] = []
         remaining = parked_bytes
-        offset = 0
         block_index = 0
 
         first_pass_stages = list(range(FIRST_PAYLOAD_STAGE, pipeline.stage_count))
@@ -177,12 +188,10 @@ class LookupTable:
                     block_index=block_index,
                     stage_index=stage_index,
                     pass_number=0,
-                    offset=offset,
                     length=length,
                 )
             )
             block_index += 1
-            offset += length
             remaining -= length
 
         if remaining > 0:
@@ -204,12 +213,10 @@ class LookupTable:
                         block_index=block_index,
                         stage_index=stage_index,
                         pass_number=1,
-                        offset=offset,
                         length=length,
                     )
                 )
                 block_index += 1
-                offset += length
                 remaining -= length
                 stage_cursor += 1
         return slots
@@ -225,17 +232,6 @@ class LookupTable:
             (slot, array)
             for slot, array in zip(self.block_slots, self.block_arrays)
             if slot.pass_number == pass_number
-        ]
-
-    def block_cells(self) -> List[Tuple[List[bytes], int, int]]:
-        """``(storage, start, end)`` per payload block, in payload order.
-
-        For port plans: a block holds ``parked[start:end]`` of the
-        payload parked at *tbl_idx*, in ``storage[tbl_idx]``.
-        """
-        return [
-            (array.storage, slot.offset, slot.offset + slot.length)
-            for slot, array in zip(self.block_slots, self.block_arrays)
         ]
 
     # ------------------------------------------------------------------ #
@@ -297,29 +293,6 @@ class LookupTable:
         return ReleaseResult(valid=outcome["valid"], previous=outcome["previous"])
 
     # ------------------------------------------------------------------ #
-    # Payload-table dataplane operations
-    # ------------------------------------------------------------------ #
-
-    def store_block(
-        self,
-        ctx: PipelinePacket,
-        slot: PayloadBlockSlot,
-        array: RegisterArray,
-        index: int,
-        parked_payload: bytes,
-    ) -> None:
-        """Write the slice of *parked_payload* belonging to *slot*."""
-        data = parked_payload[slot.offset : slot.offset + slot.length]
-        array.write(ctx, index, data)
-
-    def load_and_clear_block(
-        self, ctx: PipelinePacket, array: RegisterArray, index: int
-    ) -> bytes:
-        """Read one payload block and clear it with a single stateful access."""
-        value = array.exchange(ctx, index, b"")
-        return value if isinstance(value, bytes) else b""
-
-    # ------------------------------------------------------------------ #
     # Control-plane introspection
     # ------------------------------------------------------------------ #
 
@@ -336,12 +309,8 @@ class LookupTable:
         return self.metadata.peek(index)
 
     def peek_payload(self, index: int) -> bytes:
-        """Control-plane reconstruction of the payload parked at *index*."""
-        parts = []
-        for slot, array in zip(self.block_slots, self.block_arrays):
-            value = array.peek(index)
-            parts.append(value if isinstance(value, bytes) else b"")
-        return b"".join(parts)
+        """Control-plane read of the payload parked at *index*."""
+        return self.payloads[index]
 
     def occupied_indices(self) -> List[int]:
         """Indices of currently occupied slots (control-plane scan)."""
@@ -363,6 +332,5 @@ class LookupTable:
         if not self.metadata.peek(index).occupied:
             return False
         self.metadata.poke(index, MetadataEntry())
-        for array in self.block_arrays:
-            array.poke(index, b"")
+        self.payloads[index] = b""
         return True

@@ -11,10 +11,12 @@ Merge runs on packets arriving from the NF server:
   evicted, so the packet is dropped and counted.  Explicit Drop requests
   (OP=1) reclaim the slot and then drop the packet — they are a
   memory-release notification, not user traffic.
-* **Stages 3..N**: each payload block is read back (and cleared) from
-  its register array; when the parked size spans two passes the packet
-  recirculates to collect the second pass's blocks.  The deparser
-  prepends the collected bytes to the packet's payload.
+* **Stages 3..N**: the payload blocks are read back and cleared; when
+  the parked size spans two passes the packet recirculates to collect
+  the second pass's blocks.  Each block's table makes its array's
+  stateful access; the first takes the whole payload out of the lookup
+  table's payload row and leaves the row empty.  The deparser prepends
+  it to the packet's payload.
 
 The tables are the reference.  :meth:`MergePath.compile_plan` fuses them
 into the one kernel the NF port runs by default.
@@ -35,7 +37,7 @@ from repro.switchsim.pipeline import Decision, Pipeline, PortPlan
 #: Metadata keys used to pass information between Merge stages.
 META_IS_PP_ENB = "merge.is_pp_enb"
 META_MERGE_TBL_IDX = "merge.tbl_idx"
-META_MERGE_BLOCKS = "merge.blocks"
+META_MERGE_PAYLOAD = "merge.payload"
 
 #: Algorithm 2's Stage 1 and Stage 2, as 0-indexed pipeline stages; the
 #: validation runs in the stage that holds the metadata array it checks.
@@ -110,7 +112,7 @@ class MergePath:
                 MatchActionTable(
                     name=f"{self.binding.name}.merge_load[{slot.block_index}]",
                     match=self._match_load_pass(pass_number),
-                    action=self._make_load_action(slot, array),
+                    action=self._make_load_action(array, takes=slot.block_index == 0),
                     match_bits=17,
                     vliw_slots=1,
                     ingress_ports=self._nf_ports,
@@ -210,17 +212,20 @@ class MergePath:
 
         ctx.meta[META_IS_PP_ENB] = 1
         ctx.meta[META_MERGE_TBL_IDX] = header.tbl_idx
-        ctx.meta[META_MERGE_BLOCKS] = {}
         ctx.packet.pp = None
         self.counters.merges += 1
         if recorder is not None:
             recorder.slot_merged(self.binding.name, header.tbl_idx)
 
-    def _make_load_action(self, slot, array):
+    def _make_load_action(self, array, takes: bool):
+        payloads = self.lookup.payloads
+
         def action(ctx: PipelinePacket) -> None:
             index = ctx.meta[META_MERGE_TBL_IDX]
-            block = self.lookup.load_and_clear_block(ctx, array, index)
-            ctx.meta[META_MERGE_BLOCKS][slot.block_index] = block
+            array.read(ctx, index)  # the block's stateful access this pass
+            if takes:
+                ctx.meta[META_MERGE_PAYLOAD] = payloads[index]
+                payloads[index] = b""
 
         return action
 
@@ -229,7 +234,7 @@ class MergePath:
     # ------------------------------------------------------------------ #
 
     def deparse(self, ctx: PipelinePacket) -> None:
-        """Prepend the collected payload blocks once the last pass is done.
+        """Prepend the payload taken from the row once the last pass is done.
 
         Called from the program's deparser hook after every pass of a
         packet from this binding's NF port.  The restore is skipped while
@@ -239,9 +244,7 @@ class MergePath:
             return
         if ctx.recirculate_requested:
             return
-        blocks = ctx.meta.get(META_MERGE_BLOCKS, {})
-        payload = b"".join(blocks[i] for i in sorted(blocks))
-        ctx.packet.restore_leading_payload(payload)
+        ctx.packet.restore_leading_payload(ctx.meta[META_MERGE_PAYLOAD])
 
     # ------------------------------------------------------------------ #
     # Port plan
@@ -251,10 +254,12 @@ class MergePath:
         """Fuse the Merge tables into the kernel for this binding's NF port.
 
         The kernel takes the packet through Algorithm 2 in one function,
-        on the same registers as the tables above and with the same
-        header, counters, drop reasons and recorder calls.  A packet has
-        no usable header, has ENB=0, is dropped by the validate table,
-        or is merged — in two passes when the parked bytes needed the
+        on the same registers and payload row as the tables above and
+        with the same header, counters, drop reasons and recorder calls.
+        A merged payload is one read and one clear of the row; the block
+        tables' accesses move no bytes, so the kernel, which is not
+        guarded, skips them.  A packet has no usable header, has ENB=0,
+        is dropped by the validate table, or is merged — in two passes when the parked bytes needed the
         recirculation, owing *recirculation_ns* for the second.  Every
         packet not dropped is forwarded by destination MAC from *l2*, the
         binding's default egress on a miss.  The kernel returns that
@@ -268,7 +273,7 @@ class MergePath:
         entries = self.lookup.entries
         metadata = self.lookup.metadata.storage
         free = MetadataEntry()
-        block_cells = [cells for cells, _start, _end in self.lookup.block_cells()]
+        payloads = self.lookup.payloads
         merged_owes = recirculation_ns if self.lookup.uses_second_pass else 0
         corrupt = (None, 0, "payloadpark-tag-corrupt")
         out_of_range = (None, 0, "payloadpark-tag-out-of-range")
@@ -313,12 +318,10 @@ class MergePath:
                 counters.merges += 1
                 if recorder is not None:
                     recorder.slot_merged(name, tbl_idx)
-                blocks = []
-                for cells in block_cells:
-                    blocks.append(cells[tbl_idx])
-                    cells[tbl_idx] = b""
+                payload = payloads[tbl_idx]
+                payloads[tbl_idx] = b""
                 owed = merged_owes
-                packet.restore_leading_payload(b"".join(blocks))
+                packet.restore_leading_payload(payload)
             return l2.lookup(packet.eth.dst, default_egress), owed, None
 
         return merge

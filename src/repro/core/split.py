@@ -14,7 +14,9 @@ Split runs on packets arriving at a PayloadPark-enabled ingress port:
 * **Stages 3..N**: the parked payload is striped block-by-block into the
   MAT-local payload register arrays.  When the configured parked size
   exceeds one pass's capacity, the packet is recirculated and the
-  remaining blocks are written during the second pass.
+  remaining blocks are written during the second pass.  Each block's
+  table makes its array's stateful access; the bytes go to the lookup
+  table's payload row once, at the first block.
 * A final forwarding table steers the (now header-mostly) packet to the
   binding's NF-server port.
 
@@ -116,7 +118,7 @@ class SplitPath:
                 MatchActionTable(
                     name=f"{self.binding.name}.split_store[{slot.block_index}]",
                     match=self._match_store_pass(pass_number),
-                    action=self._make_store_action(slot, array),
+                    action=self._make_store_action(array, parks=slot.block_index == 0),
                     match_bits=17,
                     vliw_slots=1,
                     ingress_ports=self._ingress_ports,
@@ -211,14 +213,17 @@ class SplitPath:
                 self.binding.name, tbl_idx, clk, packet.meta.get("obs_pkt")
             )
 
-    def _make_store_action(self, slot, array):
+    def _make_store_action(self, array, parks: bool):
+        payloads = self.lookup.payloads
+
         def action(ctx: PipelinePacket) -> None:
             parked_payload: Optional[bytes] = ctx.meta.get(META_PARKED_PAYLOAD)
             if parked_payload is None:
                 return
-            self.lookup.store_block(
-                ctx, slot, array, ctx.packet.pp.tbl_idx, parked_payload
-            )
+            index = ctx.packet.pp.tbl_idx
+            array.read(ctx, index)  # the block's stateful access this pass
+            if parks:
+                payloads[index] = parked_payload
 
         return action
 
@@ -232,8 +237,10 @@ class SplitPath:
 
         The kernel takes the packet through Algorithm 1 in one function:
         it reads and writes the same registers as the tables above, in
-        the same order, and leaves the same header, counters and
-        recorder calls behind.  A packet is not tagged (payload too
+        the same order, and leaves the same header, counters, payload
+        row and recorder calls behind.  A parked payload is one store
+        into the lookup table's payload row; the block tables' accesses
+        move no bytes, so the kernel, which is not guarded, skips them.  A packet is not tagged (payload too
         small), finds its slot occupied, or is parked — in two passes
         when the parked bytes need the recirculation, owing
         *recirculation_ns* for the second — and leaves for the binding's
@@ -258,7 +265,7 @@ class SplitPath:
         idx_cell, clk_cell = self.tagger.cells()
         table_entries, clock_max = self.tagger.table_entries, self.tagger.clock_max
         metadata = self.lookup.metadata.storage
-        block_cells = self.lookup.block_cells()
+        payloads = self.lookup.payloads
         to_nf = (nf_port, 0, None)
         parked_to_nf = (
             (nf_port, recirculation_ns, None) if self.lookup.uses_second_pass else to_nf
@@ -302,8 +309,7 @@ class SplitPath:
                         recorder.payload_parked(
                             name, tbl_idx, clk, packet.meta.get("obs_pkt")
                         )
-                    for cells, start, end in block_cells:
-                        cells[tbl_idx] = payload[start:end]
+                    payloads[tbl_idx] = payload
             header = packet.pp = new(PayloadParkHeader)
             header.enb = enb
             header.op = OP_MERGE

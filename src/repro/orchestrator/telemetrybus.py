@@ -243,8 +243,8 @@ class CampaignMonitor:
                     self.total = int(event["total"])
                 if event.get("workers"):
                     self.workers = int(event["workers"])
-                if self.started_ts is None:
-                    self.started_ts = event.get("ts")
+                # Each run, a resume included, starts its own elapsed clock.
+                self.started_ts = event.get("ts")
                 self.finished = False
             elif etype == "cell_started":
                 cell = self._cell(event)

@@ -1,8 +1,8 @@
 """Register arrays: the stateful SRAM exposed to P4 programs.
 
 RMT switches view stateful memory as fixed-width bit-vector register
-arrays, accessed through a read/write API from match-action table
-actions.  Hardware guarantees line rate by allowing only a single
+arrays, accessed from match-action table actions: here a read, or a
+read-modify-write through the stateful ALU.  Hardware guarantees line rate by allowing only a single
 stateful ALU operation per register array per packet pass; the simulator
 enforces the same rule through the access guard in
 :class:`~repro.switchsim.context.PipelinePacket`, so a P4-impossible
@@ -78,12 +78,6 @@ class RegisterArray:
         self._note_access(ctx, is_write=False)
         return self._values[index]
 
-    def write(self, ctx: PipelinePacket, index: int, value: Any) -> None:
-        """Write entry *index* on behalf of the packet in *ctx*."""
-        self._check_index(index)
-        self._note_access(ctx, is_write=True)
-        self._values[index] = value
-
     def read_modify_write(self, ctx: PipelinePacket, index: int, func) -> Any:
         """Atomically apply ``func(old) -> new`` to entry *index*.
 
@@ -96,20 +90,6 @@ class RegisterArray:
         new_value = func(self._values[index])
         self._values[index] = new_value
         return new_value
-
-    def exchange(self, ctx: PipelinePacket, index: int, new_value: Any) -> Any:
-        """Atomically replace entry *index* with *new_value*; return the old value.
-
-        Stateful ALUs can emit the pre-update value while writing a new
-        one in the same operation; the Merge stages use this to read a
-        payload block and clear it with a single access (Alg. 2,
-        lines 21–23).
-        """
-        self._check_index(index)
-        self._note_access(ctx, is_write=True)
-        old_value = self._values[index]
-        self._values[index] = new_value
-        return old_value
 
     # ------------------------------------------------------------------ #
     # Control-plane access (unrestricted)

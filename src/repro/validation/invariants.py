@@ -495,12 +495,12 @@ class NoOrphanedPayload(Invariant):
     drain:
 
     * **vanished payload** — a metadata slot still *occupied* whose
-      payload blocks are all empty: the owner's bytes disappeared while
-      the slot claims to hold them (a drain that cleared registers but
-      forgot the metadata, or vice versa).  The reverse state — stale
-      bytes under a *free* slot — is legitimate dataplane residue: an
-      Explicit Drop reclaims the metadata slot without spending stateful
-      accesses on registers the next claim overwrites anyway.
+      payload row is empty: the owner's bytes disappeared while the slot
+      claims to hold them (a drain that cleared the row but forgot the
+      metadata, or vice versa).  The reverse state — stale bytes under a
+      *free* slot — is legitimate dataplane residue: an Explicit Drop
+      reclaims the metadata slot without spending stateful accesses on
+      payload blocks the next claim overwrites anyway.
     * **unaccounted drain** — a fault-injection ``park_drain`` freed
       slots without recording them as evictions, silently shrinking the
       ``splits - merges - explicit_drops - evictions`` identity (the
@@ -523,12 +523,12 @@ class NoOrphanedPayload(Invariant):
             for index in range(table.entries):
                 if not table.peek_metadata(index).occupied:
                     continue
-                if not any(array.peek(index) for array in table.block_arrays):
+                if not table.peek_payload(index):
                     violations.append(
                         self._violation(
                             obs,
                             f"binding {name!r} slot {index}: metadata says occupied "
-                            "but every payload block is empty (payload vanished "
+                            "but its payload row is empty (payload vanished "
                             "under its owner)",
                             binding=name,
                             slot=index,

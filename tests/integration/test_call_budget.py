@@ -28,12 +28,17 @@ brings back a per-hop event — a link frame's serialization end is not
 one unless another event shares its nanosecond (``repro.netsim.link``).
 
 Run as a script, it also prints interpreted bytecodes per packet (see
-:func:`bytecodes_per_packet`), a third clock-free figure that is not
-gated.  ``--by-function [WORKLOAD ...]`` adds, for the named workloads
-(all four when none is named), the functions that ran the most of
-those bytecodes, per packet — the breakdown to size a change by::
+:func:`bytecodes_per_packet`), a third clock-free figure.  Counting it
+takes minutes, so no test gates it; ``--check-bytecodes`` holds each
+workload to the running interpreter's ceiling in
+:data:`BYTECODE_BUDGETS` and exits 1 when one is exceeded (CI's
+bench-smoke job runs it on 3.9 and 3.11).  ``--by-function [WORKLOAD
+...]`` adds, for the named workloads (all four when none is named), the
+functions that ran the most of those bytecodes, per packet — the
+breakdown to size a change by::
 
     PYTHONPATH=src python tests/integration/test_call_budget.py --by-function multi8_macswap
+    PYTHONPATH=src python tests/integration/test_call_budget.py --check-bytecodes
 """
 
 import argparse
@@ -49,19 +54,42 @@ from repro.experiments.runner import ExperimentRunner, RunObserver, run_observer
 SEED = 91
 
 #: workload -> (scenario builder, time scale, ceiling = measured × 1.03).
-#: Measured 52.599, 50.995, 45.771, 72.477 with a switch pass returning
-#: its egress decision, NF verdicts without cycles and one generator
-#: send loop per burst (55.230, 55.188, 48.436, 74.370 before — equal on
-#: CPython 3.11.7 and 3.9.18 — with the hop sites inserting into the
-#: calendar; 65.597, 66.183, 58.263, 87.426 before that; 69.226, 69.650,
-#: 61.564, 91.783 before the fused kernels built their records in place;
-#: 81.707, 80.770, 74.954, 105.239 before the NF server did its own
-#: NIC / PCIe arithmetic).
+#: Measured 52.571, 50.854, 45.750, 72.458 with a parked payload stored
+#: as one value (the per-packet calls are unchanged; the block helpers
+#: that port-plan compilation called are gone); 52.599, 50.995, 45.771,
+#: 72.477 with a switch pass returning its egress decision, NF verdicts
+#: without cycles and one generator send loop per burst; 55.230, 55.188,
+#: 48.436, 74.370 before that — equal on CPython 3.11.7 and 3.9.18 —
+#: with the hop sites inserting into the calendar; 65.597, 66.183,
+#: 58.263, 87.426 before that; 69.226, 69.650, 61.564, 91.783 before the
+#: fused kernels built their records in place; 81.707, 80.770, 74.954,
+#: 105.239 before the NF server did its own NIC / PCIe arithmetic.
 BUDGETS = {
-    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 54.2),
-    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 52.5),
+    "fig07_sat": (lambda: scenarios.fw_nat_lb_10ge(10.5), 0.1, 54.1),
+    "multi8_macswap": (lambda: scenarios.multi_server_384b(8, 9.0), 0.01, 52.4),
     "evict_pressure": (lambda: scenarios.memory_sweep_scenario(0.05, 30.0), 0.02, 47.1),
-    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 74.7),
+    "incast_closed": (lambda: scenarios.workload_scenario("incast-collapse"), 0.2, 74.6),
+}
+
+#: (major, minor) interpreter -> workload -> ceiling on bytecodes per
+#: packet (measured × 1.03), for ``--check-bytecodes``.  Measured on
+#: 3.11.7: 3787.8, 2904.3, 3188.0, 4713.6; on 3.9.18: 3799.2, 2939.0,
+#: 3206.4, 4725.7 — with a parked payload stored and taken as one value
+#: (3928.3, 3105.4, 3328.1, 4967.7 on 3.11.7 and 3934.5, 3133.1, 3343.2,
+#: 4971.0 on 3.9.18 with ten 16-byte blocks sliced and joined).
+BYTECODE_BUDGETS = {
+    (3, 9): {
+        "fig07_sat": 3913.2,
+        "multi8_macswap": 3027.2,
+        "evict_pressure": 3302.6,
+        "incast_closed": 4867.5,
+    },
+    (3, 11): {
+        "fig07_sat": 3901.4,
+        "multi8_macswap": 2991.5,
+        "evict_pressure": 3283.6,
+        "incast_closed": 4855.0,
+    },
 }
 
 #: workload -> ceiling on engine events per packet (measured × 1.03).
@@ -141,8 +169,9 @@ def bytecodes_per_packet(name):
     its share of it.  A third clock-free figure, for sizing a change
     before timing it.  Unlike calls it differs between interpreter
     versions (3.11 specializes and fuses instructions that 3.9 does
-    not), so it is printed by the script, never gated.  Tracing every
-    opcode is slow: this takes about a minute per workload.
+    not), so its ceilings are kept per interpreter
+    (:data:`BYTECODE_BUDGETS`).  Tracing every opcode is slow: this
+    takes about a minute per workload.
     """
     _compare(name)
     opcodes = defaultdict(int)  # code object -> opcodes it ran
@@ -215,10 +244,22 @@ def main(argv=None):
         help="also list the functions that ran the most bytecodes per packet "
         "on these workloads (all when none is named)",
     )
+    parser.add_argument(
+        "--check-bytecodes",
+        action="store_true",
+        help="exit 1 when a workload's bytecodes per packet exceed this "
+        "interpreter's ceiling",
+    )
     args = parser.parse_args(argv)
+    ceilings = None
+    if args.check_bytecodes:
+        version = sys.version_info[:2]
+        ceilings = BYTECODE_BUDGETS.get(version)
+        if ceilings is None:
+            parser.error("no bytecode ceilings for Python %d.%d" % version)
     breakdown = [] if args.by_function is None else args.by_function or list(BUDGETS)
-    print(f"{'':16s} {'calls/pkt':>21s}  {'events/pkt':>21s}  {'bytecodes/pkt':>13s}")
-    functions = {}
+    print(f"{'':16s} {'calls/pkt':>21s}  {'events/pkt':>21s}  {'bytecodes/pkt':>24s}")
+    functions, over = {}, []
     for workload in BUDGETS:
         (calls,) = python_calls_per_packet(workload)
         events = events_per_packet(workload)
@@ -226,15 +267,23 @@ def main(argv=None):
         print(
             f"{workload:16s} {calls:8.3f}  x1.03 = {calls * 1.03:5.1f}"
             f"  {events:8.3f}  x1.03 = {events * 1.03:5.2f}"
-            f"  {bytecodes:13.1f}",
+            f"  {bytecodes:8.1f}  x1.03 = {bytecodes * 1.03:6.1f}",
             flush=True,
         )
+        if ceilings is not None and bytecodes > ceilings[workload]:
+            over.append(
+                f"{workload}: {bytecodes:.1f} bytecodes per packet, "
+                f"ceiling {ceilings[workload]:.1f}"
+            )
     for workload in breakdown:
         print(f"\n{workload}: top {TOP_FUNCTIONS} functions by bytecodes per packet")
         ranked = sorted(functions[workload].items(), key=lambda item: (-item[1], item[0]))
         for label, per_packet in ranked[:TOP_FUNCTIONS]:
             print(f"  {per_packet:9.1f}  {label}")
+    for line in over:
+        print(line, file=sys.stderr)
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

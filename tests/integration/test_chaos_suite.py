@@ -241,7 +241,7 @@ class TestInjectedBugsAreCaught:
         assert "parking-slot-leak" in checks
 
     def test_payload_vanishing_under_owner_is_caught(self):
-        # A drain that clears the payload registers but forgets to free
+        # A drain that clears the payload row but forgets to free
         # the metadata slot leaves an occupied slot with no bytes.  Plant
         # exactly that end state in a real finished observation (a
         # transient mid-run orphan is reclaimed by its returning owner,
@@ -259,8 +259,7 @@ class TestInjectedBugsAreCaught:
         ][0]
         table = observation.program.lookup_table("srv0")
         table.metadata.poke(0, MetadataEntry(clk=1, exp=1))
-        for array in table.block_arrays:
-            array.poke(0, b"")
+        table.payloads[0] = b""
         violations = NoOrphanedPayload().check(observation)
         assert violations and "payload vanished" in violations[0].message
 

@@ -60,22 +60,41 @@ class TestLookupTableInvariants:
             assert 0 <= table.occupancy() <= entries
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=2, max_value=64), st.integers(min_value=160, max_value=384))
-    def test_stored_payload_round_trips_exactly(self, entries, parked_bytes):
-        table = LookupTable(
-            "t",
-            Pipeline(stage_count=12),
-            entries=entries,
-            parked_bytes=parked_bytes,
-            allow_second_pass=True,
+    @given(
+        st.integers(min_value=2, max_value=64),
+        st.integers(min_value=160, max_value=384),
+        st.integers(min_value=0, max_value=500),
+        st.booleans(),
+    )
+    def test_stored_payload_round_trips_exactly(self, entries, parked_bytes, payload_len, plans):
+        """Split parks the payload's first ``parked_bytes`` (all of a
+        shorter one) in the row, in one pass or two; Merge restores
+        them and empties the row — on the stage walk and on the kernels."""
+        program = PayloadParkProgram(
+            PayloadParkConfig(
+                parked_bytes=parked_bytes,
+                min_split_payload=0,
+                enable_recirculation=parked_bytes > 160,
+                table_entries=entries,
+            ),
+            bindings=[_binding()],
         )
-        rng = random.Random(entries * parked_bytes)
-        payload = bytes(rng.randrange(256) for _ in range(parked_bytes))
-        index = entries - 1
-        ctx = _ctx()
-        for slot, array in zip(table.block_slots, table.block_arrays):
-            table.store_block(ctx, slot, array, index, payload)
-        assert table.peek_payload(index) == payload
+        if plans:
+            program.enable_fast_path()
+        table = program.lookup_table()
+        assert table.uses_second_pass == (parked_bytes > 160)
+        rng = random.Random(entries * parked_bytes + payload_len)
+        payload = bytes(rng.randrange(256) for _ in range(payload_len))
+        packet = Packet.udp(payload=payload)
+        original = packet.to_bytes()
+        program.process(packet, ingress_port=0)
+        index = packet.pp.tbl_idx
+        assert packet.pp.enb == 1
+        assert table.peek_payload(index) == payload[:parked_bytes]
+        assert bytes(packet.payload) == payload[parked_bytes:]
+        _egress, _owed, reason = program.process(packet, ingress_port=2)
+        assert reason is None and packet.to_bytes() == original
+        assert table.peek_payload(index) == b""
 
 
 class TestProgramInvariants:

@@ -5,8 +5,9 @@ A port plan (``SplitPath.compile_plan`` / ``MergePath.compile_plan`` /
 observable tells it from the reference stage walk.  Two identical
 programs — one on plans, one walking its tables (PayloadPark's with the
 register guard on) — are fed the same random interleaving of everything
-an ingress port can see, and compared packet by packet and, at several
-points mid-stream, PayloadPark counter by counter and slot by slot.
+an ingress port can see, and compared packet by packet — each lookup
+table slot's metadata and parked payload after every packet — and, at
+several points mid-stream, PayloadPark counter by counter.
 
 A plan returns the switch's egress decision, ``(egress_port, owed_ns,
 drop_reason)``; the walk leaves a :class:`PipelinePacket`.  Each plan's
@@ -62,6 +63,7 @@ class _Recorder:
 def _program(parked_bytes, plans):
     config = PayloadParkConfig(
         parked_bytes=parked_bytes,
+        min_split_payload=64,  # parks payloads shorter than parked_bytes too
         enable_recirculation=parked_bytes > 160,
         table_entries=12,  # 6 slots per binding: wraps, evicts, refuses
         expiry_threshold=2,
@@ -94,17 +96,21 @@ def _outcome(decision, packet):
     return decision, packet.pp, packet.to_bytes()
 
 
-def _state(program, recorder):
-    slots = {
+def _slots(program):
+    """Every lookup table slot's metadata and parked payload, by binding."""
+    return {
         name: [
             (table.peek_metadata(index), table.peek_payload(index))
             for index in range(table.entries)
         ]
         for name, table in program.lookup_tables.items()
     }
+
+
+def _state(program, recorder):
     return {
         "bank": {name: c.as_dict() for name, c in program.counters.counters.items()},
-        "slots": slots,
+        "slots": _slots(program),
         "taggers": {
             split.binding.name: split.tagger.peek() for split in program._split_paths
         },
@@ -135,12 +141,23 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
     slow, slow_recorder = _program(parked_bytes, plans=False)
     at_nf = {binding.name: [] for binding in BINDINGS}  # (fast copy, slow copy)
     outcomes = []
+    binding_of = {port: b.name for b in BINDINGS for port in b.ingress_ports}
+    slots = _slots(fast)
+    parks = {"short": 0, "full": 0, "over an expired slot": 0}
 
     def compare(packet, twin, port):
+        nonlocal slots
         decision = fast.process(packet, port)
         outcome = _outcome(decision, packet)
         assert outcome == _outcome(_walk_decision(slow, twin, port), twin)
+        before, slots = slots, _slots(fast)
+        assert slots == _slots(slow)
         outcomes.append((port, decision))
+        if port in binding_of and packet.pp.enb == 1:
+            name, index = binding_of[port], packet.pp.tbl_idx
+            parked = len(slots[name][index][1])
+            parks["short" if parked < parked_bytes else "full"] += 1
+            parks["over an expired slot"] += before[name][index][0].occupied
         return decision
 
     def send(packet, port):
@@ -200,9 +217,16 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
             # A control-plane drain leaves the compiled plans in place:
             # they index the register storage the drain empties.
             plans = dict(fast._plans)
+            occupied = {n: t.occupied_indices() for n, t in fast.lookup_tables.items()}
             drained = [program.drain_parked(fraction=0.5) for program in (fast, slow)]
             assert drained[0] == drained[1] and any(drained[0].values())
             assert fast._plans == plans
+            slots = _slots(fast)
+            assert slots == _slots(slow)
+            for name, indices in occupied.items():
+                freed = [i for i in indices if not slots[name][i][0].occupied]
+                assert len(freed) == drained[0][name]
+                assert all(slots[name][i][1] == b"" for i in freed)
         if step == STEPS // 2:
             # A late table that cannot match on any bound port: plans stay fused.
             for program in (fast, slow):
@@ -229,6 +253,7 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
     assert bank.splits and bank.merges and bank.evictions and bank.premature_evictions
     assert bank.explicit_drops and bank.merge_enb_zero and bank.split_disabled_table_occupied
     assert bank.split_disabled_small_payload and bank.tag_validation_failures
+    assert all(parks.values()), parks
     reasons = {reason for _port, (_egress, _owed, reason) in outcomes}
     assert MERGE_DROP_REASONS <= reasons
     # A second pass owes its latency on both sides, or on neither.
@@ -385,9 +410,11 @@ def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
     assert small.pp == PayloadParkHeader.disabled()
     seen.add("split: small")
     parked = []
+    row = bytes(Packet.udp(total_size=512).payload)[:parked_bytes]
     while True:
         packet, decision, before = split(512)
         index = _changed_slot(lookup, before)
+        assert lookup.peek_payload(index) == row  # parked, or the occupant's
         if packet.pp.enb == 0:
             break
         assert decision == (nf_port, owed, None)
@@ -404,10 +431,13 @@ def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
     merge(Packet.udp(total_size=400), "passthrough")
     merge(small, "enb 0")
     twin = parked[0].copy()
+    merged_at, dropped_at = parked[0].pp.tbl_idx, parked[1].pp.tbl_idx
     merge(parked[0], "merged")
+    assert lookup.peek_payload(merged_at) == b""
     merge(twin, "premature eviction", "payloadpark-premature-eviction")
     parked[1].pp.op = OP_EXPLICIT_DROP
     merge(parked[1], "explicit drop", "payloadpark-explicit-drop")
+    assert lookup.peek_payload(dropped_at) == row  # residue the next claim overwrites
     parked[2].pp.crc ^= 0x1
     merge(parked[2], "corrupt", "payloadpark-tag-corrupt")
     parked[3].pp.tbl_idx = 60_000

@@ -375,7 +375,7 @@ def _occupy_slots(program, count):
     counters = program.counters_for("srv0")
     for index in range(count):
         table.metadata.poke(index, MetadataEntry(clk=1, exp=1))
-        table.block_arrays[0].poke(index, b"payload")
+        table.payloads[index] = b"payload"
         counters.splits += 1
     return table, counters
 
@@ -403,14 +403,17 @@ class TestDrainParked:
     def test_accounts_evictions_and_clears_payload(self):
         program = _pp_program()
         table, counters = _occupy_slots(program, 4)
+        assert table.peek_payload(0) == b"payload"
         program.drain_parked(fraction=0.5)
         assert counters.evictions == 2
         assert table.occupancy() == 2
         # The dataplane identity holds: outstanding == occupied.
         assert counters.outstanding_payloads == table.occupancy()
-        # Drained slots were fully reclaimed: metadata free AND blocks empty.
+        # Drained slots were fully reclaimed: metadata free AND row empty;
+        # the undrained ones keep their bytes.
         assert table.peek_payload(0) == b""
         assert not table.peek_metadata(0).occupied
+        assert table.peek_payload(2) == b"payload"
 
     def test_fraction_rounds_up_and_targets_one_binding(self):
         program = _pp_program()

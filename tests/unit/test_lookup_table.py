@@ -103,23 +103,37 @@ class TestPayloadBlocks:
     def test_store_and_load_round_trip(self):
         table = _table()
         payload = bytes(range(160))
-        ctx = _ctx()
-        for slot, array in zip(table.block_slots, table.block_arrays):
-            table.store_block(ctx, slot, array, index=2, parked_payload=payload)
+        table.probe_and_claim(_ctx(), index=2, clk=7, max_exp=1)
+        table.payloads[2] = payload
         assert table.peek_payload(2) == payload
-        collected = b"".join(
-            table.load_and_clear_block(_ctx(), array, 2) for array in table.block_arrays
-        )
-        assert collected == payload
-        assert table.peek_payload(2) == b""
+        assert table.validate_and_release(_ctx(), index=2, clk=7).valid
+        # Merge takes the row; a release alone leaves the bytes as residue.
+        assert table.peek_payload(2) == payload
+        assert [table.peek_payload(i) for i in (0, 1, 3)] == [b""] * 3
 
     def test_short_payload_stores_exact_bytes(self):
         table = _table(parked=160)
         payload = b"x" * 100
-        ctx = _ctx()
-        for slot, array in zip(table.block_slots, table.block_arrays):
-            table.store_block(ctx, slot, array, index=0, parked_payload=payload)
+        table.payloads[0] = payload
         assert table.peek_payload(0) == payload
+
+    def test_blocks_are_layout_and_sram_not_storage(self):
+        pipeline = Pipeline(stage_count=12)
+        table = _table(entries=8, parked=384, allow_second_pass=True, pipeline=pipeline)
+        assert [array.sram_bytes for array in table.block_arrays] == [
+            8 * slot.length for slot in table.block_slots
+        ]
+        table.payloads[5] = bytes(384)
+        assert all(array.peek(5) == 0 for array in table.block_arrays)
+
+    def test_drain_slot_frees_metadata_and_row(self):
+        table = _table()
+        table.probe_and_claim(_ctx(), index=4, clk=3, max_exp=2)
+        table.payloads[4] = b"parked"
+        assert table.drain_slot(4)
+        assert not table.peek_metadata(4).occupied
+        assert table.peek_payload(4) == b""
+        assert not table.drain_slot(4)  # a free slot is left alone
 
 
 class TestPacketTagger:

@@ -70,8 +70,7 @@ class TestResourceReport:
 class TestRegisterArray:
     def test_read_write_via_context(self):
         array = RegisterArray("reg", size=4, width_bits=16)
-        ctx = _ctx()
-        array.write(ctx, 2, 99)
+        array.read_modify_write(_ctx(), 2, lambda value: 99)
         assert array.peek(2) == 99
         assert array.read(_ctx(), 2) == 99
 
@@ -80,7 +79,7 @@ class TestRegisterArray:
         ctx = _ctx()
         array.read(ctx, 0)
         with pytest.raises(RegisterAccessError):
-            array.write(ctx, 1, 5)
+            array.read_modify_write(ctx, 1, lambda value: 5)
 
     def test_access_guard_resets_between_passes(self):
         array = RegisterArray("reg", size=4, width_bits=16)
@@ -93,13 +92,6 @@ class TestRegisterArray:
         array = RegisterArray("counter", size=1, width_bits=16, initial=7)
         assert array.read_modify_write(_ctx(), 0, lambda v: v + 1) == 8
         assert array.peek(0) == 8
-
-    def test_exchange_returns_old_value(self):
-        array = RegisterArray("blocks", size=2, width_bits=128, initial=b"")
-        ctx = _ctx()
-        array.poke(0, b"hello")
-        assert array.exchange(ctx, 0, b"") == b"hello"
-        assert array.peek(0) == b""
 
     def test_out_of_range_index_rejected(self):
         array = RegisterArray("reg", size=2, width_bits=8)

@@ -1,6 +1,7 @@
 """Unit tests for campaign events and the campaign monitor."""
 
 import logging
+import time
 
 import pytest
 
@@ -214,6 +215,41 @@ class TestCampaignMonitor:
         status = complete.status()
         assert status["state"] == "finished"
         assert status["eta_s"] == 0.0
+
+    @staticmethod
+    def _resumed(first_run_finished):
+        """A monitor fed a campaign started a day ago, then resumed 5 s
+        ago with one cell running; the first run finished, or crashed."""
+        now = time.time()
+        monitor = CampaignMonitor(total=2)
+        monitor.handle({"type": "campaign_started", "campaign": "c", "total": 2,
+                        "ts": now - 86400.0})
+        if first_run_finished:
+            monitor.handle({"type": "campaign_finished", "executed": 0,
+                            "ts": now - 86390.0})
+            assert monitor.status()["elapsed_s"] is None
+        else:
+            monitor.handle({"type": "cell_started", "spec_hash": "a", "scenario": "s",
+                            "params": {}, "pid": 1, "ts": now - 86399.0})
+        monitor.handle({"type": "campaign_started", "campaign": "c", "total": 2,
+                        "ts": now - 5.0})
+        monitor.handle({"type": "cell_started", "spec_hash": "a", "scenario": "s",
+                        "params": {}, "pid": 2, "ts": now - 4.0})
+        return monitor
+
+    def test_a_resumed_campaigns_elapsed_counts_from_the_resume(self):
+        monitor = self._resumed(first_run_finished=True)
+        status = monitor.status()
+        assert status["state"] == "running"
+        assert status["elapsed_s"] == pytest.approx(5.0, abs=1.0)
+        monitor.handle(_finished("a"))
+        monitor.handle({"type": "campaign_finished", "executed": 1})
+        assert monitor.status()["elapsed_s"] is None  # finished: no clock
+
+    def test_a_crash_resumed_campaigns_elapsed_counts_from_the_resume(self):
+        status = self._resumed(first_run_finished=False).status()
+        assert status["state"] == "running"
+        assert status["elapsed_s"] == pytest.approx(5.0, abs=1.0)
 
     def test_running_cells_tracked_through_started_events(self):
         monitor = CampaignMonitor(total=2)
