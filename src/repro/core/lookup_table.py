@@ -30,7 +30,7 @@ from typing import List, Tuple
 from repro.core.config import TABLE_ENTRIES_LIMIT
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.pipeline import Pipeline
-from repro.switchsim.registers import RegisterArray
+from repro.switchsim.registers import SramBlock
 
 #: Where the table sits in the pipeline (0-indexed).  The metadata array
 #: is in the paper's Stage 2, the one Algorithm 1 probes and Algorithm 2
@@ -89,10 +89,10 @@ class LookupTable:
     """Metadata table plus striped payload table for one NF-server binding.
 
     :attr:`block_slots` and :attr:`block_arrays` are the payload table's
-    layout: each block's stage, pass and byte range, and the register
-    array that takes its SRAM and its stateful access.  They hold no
-    bytes.  :attr:`payloads` does: one entry per table index, the whole
-    payload parked there (``b""`` when none is).
+    layout: each block's stage, pass and byte range, and the
+    :class:`SramBlock` that takes its SRAM and its stateful access.
+    They hold no bytes.  :attr:`payloads` does: one entry per table
+    index, the whole payload parked there (``b""`` when none is).
 
     Parameters
     ----------
@@ -144,11 +144,12 @@ class LookupTable:
         self.block_slots: List[PayloadBlockSlot] = self._plan_blocks(
             pipeline, parked_bytes, block_bytes, allow_second_pass
         )
-        self.block_arrays: List[RegisterArray] = [
-            pipeline.stage(slot.stage_index).add_register_array(
+        self.block_arrays: List[SramBlock] = [
+            SramBlock(
                 name=f"{name}.pload_tbl[{slot.block_index}]",
                 size=entries,
                 width_bits=slot.length * 8,
+                stage_resources=pipeline.stage(slot.stage_index).resources,
             )
             for slot in self.block_slots
         ]
@@ -226,7 +227,7 @@ class LookupTable:
         """True when some payload blocks are only reachable via recirculation."""
         return any(slot.pass_number > 0 for slot in self.block_slots)
 
-    def blocks_for_pass(self, pass_number: int) -> List[Tuple[PayloadBlockSlot, RegisterArray]]:
+    def blocks_for_pass(self, pass_number: int) -> List[Tuple[PayloadBlockSlot, SramBlock]]:
         """Return ``(slot, array)`` pairs handled during *pass_number*."""
         return [
             (slot, array)

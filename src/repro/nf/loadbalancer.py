@@ -37,6 +37,19 @@ class Backend:
         return cls(name=name, ip=IPv4Address.from_string(ip))
 
 
+#: (backend names, table size), all ``_populate`` reads -> Maglev table,
+#: a tuple so balancers over one pool share it safely.  Bound:
+#: ``_MAGLEV_TABLES_LIMIT`` tables, then emptied.
+MAGLEV_TABLES: Dict[Tuple[Tuple[str, ...], int], Tuple[int, ...]] = {}
+_MAGLEV_TABLES_LIMIT = 64
+
+#: The fast path's miss side, for every balancer in the process: (src,
+#: dst, protocol) -> :func:`flow_hash_prefix` state, a pure function of
+#: those ints (not of a pool), so exact across churn and runs.  Bound:
+#: :attr:`MaglevLoadBalancer.MEMO_ENTRIES` entries, then emptied.
+PREFIX_STATES: Dict[Tuple[int, int, int], int] = {}
+
+
 def _is_prime(value: int) -> bool:
     if value < 2:
         return False
@@ -71,9 +84,9 @@ class MaglevLoadBalancer(NetworkFunction):
         CPU cost of hashing the 5-tuple and rewriting the destination.
     """
 
-    #: Entries either fast-path memo holds before it is emptied.  A
-    #: cleared memo only recomputes what it held, so the bound moves
-    #: host time, never a backend choice.
+    #: Entries the per-flow memo and :data:`PREFIX_STATES` each hold
+    #: before they are emptied.  A cleared memo only recomputes what it
+    #: held, so the bound moves host time, never a backend choice.
     MEMO_ENTRIES = 65_536
 
     def __init__(
@@ -91,19 +104,14 @@ class MaglevLoadBalancer(NetworkFunction):
         self.table_size = next_prime(table_size)
         self.hash_cycles = hash_cycles
         self.rewrite_cycles = rewrite_cycles
-        self.lookup_table: List[int] = self._populate()
+        self.lookup_table: Sequence[int] = self._shared_table()
         #: Fast-path memo: flow (as plain ints, read straight off the
         #: headers) -> backend.  Maglev is deterministic per flow (that
         #: is its whole point), so the FNV walk over the 5-tuple can be
         #: skipped for flows already mapped.  Exact while the table is:
-        #: :meth:`set_backends` empties it.
+        #: :meth:`set_backends` empties it.  Per balancer, unlike
+        #: :data:`PREFIX_STATES`: its hits are the run's ``cache_hit_ratio``.
         self._backend_cache: Optional[Dict[FlowKey, Backend]] = None
-        #: The fast path's miss side: (src, dst, protocol) ->
-        #: :func:`flow_hash_prefix` state, so a new flow between known
-        #: hosts hashes only its ports.  The state is a pure function of
-        #: those three ints — not of the pool — so it is exact for as
-        #: long as it is kept, including across :meth:`set_backends`.
-        self._prefix_states: Dict[Tuple[int, int, int], int] = {}
         #: Cache efficiency counters (sampled by repro.obs as a hit-ratio
         #: gauge); plain int bumps, cheap enough to keep unconditional.
         self.cache_lookups = 0
@@ -130,7 +138,7 @@ class MaglevLoadBalancer(NetworkFunction):
         if not backends:
             raise ValueError("the load balancer needs at least one backend")
         self.backends = list(backends)
-        self.lookup_table = self._populate()
+        self.lookup_table = self._shared_table()
         if self._backend_cache is not None:
             self._backend_cache.clear()
 
@@ -159,6 +167,15 @@ class MaglevLoadBalancer(NetworkFunction):
             value ^= ord(char)
             value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
         return value
+
+    def _shared_table(self) -> Tuple[int, ...]:
+        """This pool's table from :data:`MAGLEV_TABLES`, populated on a miss."""
+        key = (tuple(backend.name for backend in self.backends), self.table_size)
+        if key not in MAGLEV_TABLES:
+            if len(MAGLEV_TABLES) >= _MAGLEV_TABLES_LIMIT:
+                MAGLEV_TABLES.clear()
+            MAGLEV_TABLES[key] = tuple(self._populate())
+        return MAGLEV_TABLES[key]
 
     def _populate(self) -> List[int]:
         """Build the lookup table from each backend's permutation."""
@@ -205,13 +222,12 @@ class MaglevLoadBalancer(NetworkFunction):
             self.cache_hits += 1
             return backend
         # A new flow: resume flow_hash from its hosts' prefix state.
-        prefixes = self._prefix_states
         hosts = key[:3]
-        state = prefixes.get(hosts)
+        state = PREFIX_STATES.get(hosts)
         if state is None:
-            if len(prefixes) >= self.MEMO_ENTRIES:
-                prefixes.clear()
-            state = prefixes[hosts] = flow_hash_prefix(*hosts)
+            if len(PREFIX_STATES) >= self.MEMO_ENTRIES:
+                PREFIX_STATES.clear()
+            state = PREFIX_STATES[hosts] = flow_hash_prefix(*hosts)
         backend = self.backends[
             self.lookup_table[flow_hash_ports(state, key[3], key[4]) % self.table_size]
         ]

@@ -15,6 +15,8 @@ reader sees the values an eager ``[_make_flow(i) for i in range(n)]``
 holds at the same indices.  The derivation repeats after
 :data:`FLOW_PERIOD` indices, which is therefore the largest population
 of *distinct* flows a generator can offer.
+Generators with equal parameters share one slot list (:data:`FLOW_SLOTS`),
+so a campaign worker's cells or a sweep's points build a flow once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadSpecError
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Address
@@ -141,6 +143,13 @@ _DST_PORTS = 16
 #: distinct flows than this and a larger ``flow_count`` is refused.
 FLOW_PERIOD = math.lcm(_SRC_HOSTS, _DST_HOSTS, _SRC_PORTS, _DST_PORTS)
 
+#: Generator parameters (``flow_count`` and all ``_make_flow`` reads) ->
+#: the slot list their generators share.  Bound: ``_FLOW_SLOTS_LIMIT``
+#: slots; a list that would pass it empties the memo first (populations
+#: handed out keep theirs; later ones build their flows again).
+FLOW_SLOTS: Dict[tuple, List[Optional[FiveTuple]]] = {}
+_FLOW_SLOTS_LIMIT = 1 << 18
+
 
 def check_flow_count(flow_count: int) -> None:
     """Refuse a population no generator can fill with distinct flows."""
@@ -161,7 +170,8 @@ class FlowPopulation(Sequence):
     flow read through either is built once.
 
     ``slots`` is the backing list of the whole population (``None`` where
-    nothing has been read yet).  A per-packet loop over an unsliced
+    nothing has been read yet), shared by every generator with the same
+    parameters (:data:`FLOW_SLOTS`).  A per-packet loop over an unsliced
     population may read ``slots[i]`` itself and come here only on
     ``None`` (:meth:`repro.traffic.pktgen.PacketFactory.next_packet`).
     """
@@ -214,8 +224,9 @@ class FlowGenerator:
 
     Construction validates and builds nothing; :meth:`flows` is lazy
     (see :class:`FlowPopulation`).  Readers of one generator — both
-    deployments of a compare, say — share one population, so a flow is
-    built at most once per generator.
+    deployments of a compare, say — share one population, and
+    generators with equal parameters share its slots
+    (:data:`FLOW_SLOTS`), so a flow is built at most once per process.
     """
 
     def __init__(
@@ -248,9 +259,14 @@ class FlowGenerator:
     def flows(self) -> FlowPopulation:
         """Return this generator's (one, lazy) flow population."""
         if self._flows is None:
-            self._flows = FlowPopulation(
-                self._make_flow, [None] * self.flow_count, range(self.flow_count)
-            )
+            count = self.flow_count
+            key = (count, self._src_base, self._dst_base, self.protocol,
+                   self.base_src_port, self.base_dst_port)
+            if key not in FLOW_SLOTS:
+                if sum(map(len, FLOW_SLOTS.values())) + count > _FLOW_SLOTS_LIMIT:
+                    FLOW_SLOTS.clear()
+                FLOW_SLOTS[key] = [None] * count
+            self._flows = FlowPopulation(self._make_flow, FLOW_SLOTS[key], range(count))
         return self._flows
 
     def flow(self, index: int) -> FiveTuple:

@@ -21,8 +21,10 @@ class RegisterAccessError(RuntimeError):
     """A program performed more than one access to a register array in a pass."""
 
 
-class RegisterArray:
-    """A fixed-size array of fixed-width registers living in one stage.
+class SramBlock:
+    """A register array's SRAM and access guard, without its entries
+    (a PayloadPark payload block).  :meth:`read` is a guarded access
+    that returns nothing, on any array.
 
     Parameters
     ----------
@@ -35,11 +37,6 @@ class RegisterArray:
     stage_resources:
         When given, the array allocates ``size * width_bits / 8`` bytes
         from the owning stage's SRAM budget at construction time.
-    initial:
-        Initial value for every entry (0 by default).
-    enforce_single_access:
-        Enforce the one-access-per-packet-pass restriction (on by
-        default; tests may relax it to model hypothetical hardware).
     """
 
     def __init__(
@@ -48,8 +45,6 @@ class RegisterArray:
         size: int,
         width_bits: int,
         stage_resources: Optional[StageResources] = None,
-        initial: Any = 0,
-        enforce_single_access: bool = True,
     ) -> None:
         if size <= 0:
             raise ValueError(f"register array {name!r} needs a positive size")
@@ -58,8 +53,6 @@ class RegisterArray:
         self.name = name
         self.size = size
         self.width_bits = width_bits
-        self.enforce_single_access = enforce_single_access
-        self._values: List[Any] = [initial] * size
         if stage_resources is not None:
             stage_resources.allocate_sram(self.sram_bytes, what=name)
 
@@ -68,15 +61,52 @@ class RegisterArray:
         """SRAM footprint of the whole array, rounded up to whole bytes."""
         return self.size * ((self.width_bits + 7) // 8)
 
+    def read(self, ctx: PipelinePacket, index: int) -> None:
+        """The stateful access to entry *index* of the packet in *ctx*."""
+        self._check_index(index)
+        self._note_access(ctx, is_write=False)
+
+    # ------------------------------------------------------------------ #
+    # Internals
+    # ------------------------------------------------------------------ #
+
+    def _check_index(self, index: int) -> None:
+        if not 0 <= index < self.size:
+            raise IndexError(f"register array {self.name!r}: index {index} out of range")
+
+    def _note_access(self, ctx: PipelinePacket, is_write: bool) -> None:
+        if ctx.register_reads is None:
+            ctx.register_reads = {}
+        if ctx.register_writes is None:
+            ctx.register_writes = {}
+        reads = ctx.register_reads.get(self.name, 0)
+        writes = ctx.register_writes.get(self.name, 0)
+        if reads + writes >= 1:
+            raise RegisterAccessError(
+                f"register array {self.name!r} accessed more than once for packet "
+                f"{ctx.packet.packet_id} in a single pipeline pass; RMT hardware "
+                f"permits a single stateful access per array per pass"
+            )
+        if is_write:
+            ctx.register_writes[self.name] = writes + 1
+        else:
+            ctx.register_reads[self.name] = reads + 1
+
+
+class RegisterArray(SramBlock):
+    """A fixed-size array of fixed-width registers living in one stage: an
+    :class:`SramBlock` whose entries are each *initial* until written.
+    The dataplane reads an entry through the stateful ALU
+    (:meth:`read_modify_write`), the control plane through :meth:`peek`."""
+
+    def __init__(self, name: str, size: int, width_bits: int,
+                 stage_resources: Optional[StageResources] = None, initial: Any = 0) -> None:
+        super().__init__(name, size, width_bits, stage_resources)
+        self._values: List[Any] = [initial] * size
+
     # ------------------------------------------------------------------ #
     # Dataplane access (guarded)
     # ------------------------------------------------------------------ #
-
-    def read(self, ctx: PipelinePacket, index: int) -> Any:
-        """Read entry *index* on behalf of the packet in *ctx*."""
-        self._check_index(index)
-        self._note_access(ctx, is_write=False)
-        return self._values[index]
 
     def read_modify_write(self, ctx: PipelinePacket, index: int, func) -> Any:
         """Atomically apply ``func(old) -> new`` to entry *index*.
@@ -120,29 +150,3 @@ class RegisterArray:
     def occupancy(self, is_occupied=lambda value: bool(value)) -> int:
         """Count entries considered occupied by *is_occupied* (control plane)."""
         return sum(1 for value in self._values if is_occupied(value))
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(f"register array {self.name!r}: index {index} out of range")
-
-    def _note_access(self, ctx: PipelinePacket, is_write: bool) -> None:
-        if ctx.register_reads is None:
-            ctx.register_reads = {}
-        if ctx.register_writes is None:
-            ctx.register_writes = {}
-        reads = ctx.register_reads.get(self.name, 0)
-        writes = ctx.register_writes.get(self.name, 0)
-        if self.enforce_single_access and (reads + writes) >= 1:
-            raise RegisterAccessError(
-                f"register array {self.name!r} accessed more than once for packet "
-                f"{ctx.packet.packet_id} in a single pipeline pass; RMT hardware "
-                f"permits a single stateful access per array per pass"
-            )
-        if is_write:
-            ctx.register_writes[self.name] = writes + 1
-        else:
-            ctx.register_reads[self.name] = reads + 1

@@ -49,7 +49,6 @@ class Stage:
         size: int,
         width_bits: int,
         initial: Any = 0,
-        enforce_single_access: bool = True,
     ) -> RegisterArray:
         """Create a register array backed by this stage's SRAM."""
         array = RegisterArray(
@@ -58,7 +57,6 @@ class Stage:
             width_bits=width_bits,
             stage_resources=self.resources,
             initial=initial,
-            enforce_single_access=enforce_single_access,
         )
         self.register_arrays.append(array)
         return array

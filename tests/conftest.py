@@ -6,7 +6,24 @@ from repro.netsim.nic import NIC_10GE
 from repro.netsim.pcie import PcieSpec
 from repro.netsim.server_node import NfServerNode
 from repro.nf.base import NfResult, NfVerdict
+from repro.nf.loadbalancer import MAGLEV_TABLES, PREFIX_STATES
 from repro.nf.server import NfServerConfig
+from repro.packet.flows import FLOW_SLOTS
+
+
+def _empty_memos():
+    for memo in (FLOW_SLOTS, MAGLEV_TABLES, PREFIX_STATES):
+        memo.clear()
+
+
+@pytest.fixture
+def empty_memos():
+    """Empty the process-wide derivation memos (flow slots, Maglev
+    tables, host hash prefixes) before the test; the value is the
+    function that empties them, to call again.  Emptying one only makes
+    the next reader derive its values again."""
+    _empty_memos()
+    return _empty_memos
 
 
 class _Clock:

@@ -2,10 +2,13 @@
 
 Every enterprise-mix scenario offers a 4096-flow population; building it
 up front was a third of a short campaign cell (``runner.setup_ms_per_run``
-5.1 ms of a 29 ms cell).  The checks here count constructions instead of
-reading a clock, so a regression to eager set-up fails on any machine —
-and pin the simulated results of a campaign-grid-shaped campaign, which
-laziness must not move.
+5.1 ms of a 29 ms cell).  Flows are shared per process
+(``repro.packet.flows.FLOW_SLOTS``), so each count starts from emptied
+memos (the ``empty_memos`` fixture).  The checks here count
+constructions instead of reading a clock, so a regression to eager
+set-up fails on any machine — and pin the simulated results of a
+campaign-grid-shaped campaign, which neither laziness nor the memos,
+empty or filled by another scenario, may move.
 """
 
 import hashlib
@@ -80,7 +83,7 @@ class _StopAtRunStart(RunObserver):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_set_up_builds_no_flow(name, flows_made):
+def test_set_up_builds_no_flow(name, flows_made, empty_memos):
     scenario = SCENARIOS[name]()
     runner = ExperimentRunner(time_scale=0.05)
     with run_observer(_StopAtRunStart()):
@@ -90,7 +93,7 @@ def test_set_up_builds_no_flow(name, flows_made):
     assert flows_made == []
 
 
-def test_a_short_compare_builds_only_the_flows_it_sends(flows_made, monkeypatch):
+def test_a_short_compare_builds_only_the_flows_it_sends(flows_made, monkeypatch, empty_memos):
     frames = []
     next_packet = PacketFactory.next_packet
 
@@ -111,16 +114,26 @@ def test_a_short_compare_builds_only_the_flows_it_sends(flows_made, monkeypatch)
     assert sorted(flows_made) == list(range(filled))
 
 
+#: sha256 over the campaign grid's (params, metrics), as of the parent commit.
+CAMPAIGN_GRID_SHA = "63f967aed337b1cdce63c55112f2b24de4c5ea8df8910ae331a8875d3aed6825"
+
+
 def _sha256(value) -> str:
     return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
 
 
-def test_campaign_grid_records_are_unchanged():
+def test_campaign_grid_records_are_unchanged(empty_memos):
     records = [execute_run(run) for run in _campaign_grid().expand()]
     assert [record["status"] for record in records] == ["ok"] * 24
-    assert _sha256([[r["params"], r["metrics"]] for r in records]) == (
-        "63f967aed337b1cdce63c55112f2b24de4c5ea8df8910ae331a8875d3aed6825"
-    )
+    assert _sha256([[r["params"], r["metrics"]] for r in records]) == CAMPAIGN_GRID_SHA
+
+
+def test_campaign_grid_records_are_unchanged_after_another_scenario(empty_memos):
+    # fig07_sat's compare fills the memos with more of the same 4096-flow
+    # population than a cell sends, its Maglev table and its hosts.
+    ExperimentRunner(time_scale=0.1).compare(SCENARIOS["fig07_sat"]())
+    records = [execute_run(run) for run in _campaign_grid().expand()]
+    assert _sha256([[r["params"], r["metrics"]] for r in records]) == CAMPAIGN_GRID_SHA
 
 
 #: sha256 over the expanded runs' spec hashes, as of the parent commit.

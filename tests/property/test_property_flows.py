@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.packet.flows import FlowGenerator
+from repro.packet.flows import FLOW_SLOTS, FlowGenerator
 from repro.workloads import HeavyTailFlows, workload_names
 from repro.workloads.flowmodels import _HeavyTailSampler, _RoundRobinSampler
 
@@ -38,6 +38,7 @@ class TestLazyPopulationEqualsEagerList:
     @settings(max_examples=200, deadline=None)
     @given(counts, indices)
     def test_indexing(self, flow_count, reads):
+        FLOW_SLOTS.clear()  # slots are shared per process: start from none built
         generator = FlowGenerator(flow_count=flow_count)
         lazy, oracle = generator.flows(), eager_flows(generator)
         assert len(lazy) == len(oracle)
@@ -57,6 +58,7 @@ class TestLazyPopulationEqualsEagerList:
     @settings(max_examples=200, deadline=None)
     @given(counts, slices, slices)
     def test_slices_are_views_on_the_same_slots(self, flow_count, first, second):
+        FLOW_SLOTS.clear()
         generator = FlowGenerator(flow_count=flow_count)
         lazy, oracle = generator.flows(), eager_flows(generator)
         view, expected = lazy[first], oracle[first]

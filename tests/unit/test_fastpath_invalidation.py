@@ -13,7 +13,7 @@ import pytest
 from repro.core.program import BaselineProgram
 from repro.experiments.runner import default_binding
 from repro.nf.firewall import Firewall, FirewallRule
-from repro.nf.loadbalancer import Backend, MaglevLoadBalancer
+from repro.nf.loadbalancer import PREFIX_STATES, Backend, MaglevLoadBalancer
 from repro.packet.ethernet import MacAddress
 from repro.packet.flows import FiveTuple, flow_hash
 from repro.packet.ipv4 import PROTO_UDP, IPv4Address
@@ -185,7 +185,7 @@ class TestMaglevBackendChurnInvalidation:
         # The new backend must actually receive traffic (cache was evicted).
         assert "backend-99" in set(after.values())
 
-    def test_prefix_states_are_bounded_and_survive_churn(self, monkeypatch):
+    def test_prefix_states_are_bounded_and_survive_churn(self, monkeypatch, empty_memos):
         # The hosts' hash prefixes do not depend on the pool: set_backends
         # keeps them, the per-flow memo goes, and every choice is still
         # the table's entry for the full flow_hash.
@@ -200,15 +200,15 @@ class TestMaglevBackendChurnInvalidation:
 
         flows = [self._flow(i) for i in range(8)]
         choose(flows)
-        held = dict(balancer._prefix_states)
+        held = dict(PREFIX_STATES)
         assert len(held) == 8
         balancer.add_backend(Backend.from_string("backend-99", "10.100.0.99"))
         assert not balancer._backend_cache
-        assert balancer._prefix_states == held
+        assert PREFIX_STATES == held
         choose(flows)
         # A ninth pair of hosts finds the table full: it is emptied first.
         choose([self._flow(8)])
-        assert list(balancer._prefix_states) == [self._flow(8).key()[:3]]
+        assert list(PREFIX_STATES) == [self._flow(8).key()[:3]]
 
     def test_churn_validation(self):
         balancer = MaglevLoadBalancer.with_backend_count(2)

@@ -44,7 +44,7 @@ class TestFlowGenerator:
         with pytest.raises(ValueError):
             FlowGenerator(flow_count=0)
 
-    def test_population_is_lazy_and_stable(self):
+    def test_population_is_lazy_and_stable(self, empty_memos):
         flows = FlowGenerator(flow_count=100).flows()
         assert flows.slots == [None] * 100
         first = flows[7]

@@ -7,6 +7,7 @@ from repro.core.tagger import PacketTagger
 from repro.packet.packet import Packet
 from repro.switchsim.context import PipelinePacket
 from repro.switchsim.pipeline import Pipeline
+from repro.switchsim.registers import RegisterAccessError, RegisterArray
 
 
 def _ctx():
@@ -123,8 +124,19 @@ class TestPayloadBlocks:
         assert [array.sram_bytes for array in table.block_arrays] == [
             8 * slot.length for slot in table.block_slots
         ]
-        table.payloads[5] = bytes(384)
-        assert all(array.peek(5) == 0 for array in table.block_arrays)
+        # SRAM is taken per block, but no block holds per-entry storage.
+        assert pipeline.sram_bytes_used() == (
+            table.metadata.sram_bytes + sum(a.sram_bytes for a in table.block_arrays)
+        )
+        assert not any(isinstance(a, RegisterArray) for a in table.block_arrays)
+        assert not any(hasattr(a, "_values") for a in table.block_arrays)
+        # The stage walk's access is still guarded: one per block per pass.
+        ctx = _ctx()
+        assert table.block_arrays[0].read(ctx, 5) is None
+        with pytest.raises(RegisterAccessError):
+            table.block_arrays[0].read(ctx, 5)
+        with pytest.raises(IndexError):
+            table.block_arrays[1].read(_ctx(), 8)
 
     def test_drain_slot_frees_metadata_and_row(self):
         table = _table()

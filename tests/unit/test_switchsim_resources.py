@@ -72,7 +72,8 @@ class TestRegisterArray:
         array = RegisterArray("reg", size=4, width_bits=16)
         array.read_modify_write(_ctx(), 2, lambda value: 99)
         assert array.peek(2) == 99
-        assert array.read(_ctx(), 2) == 99
+        # ``read`` is the guarded access alone: it returns no value.
+        assert array.read(_ctx(), 2) is None and array.peek(2) == 99
 
     def test_single_access_per_pass_enforced(self):
         array = RegisterArray("reg", size=4, width_bits=16)
