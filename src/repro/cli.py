@@ -23,7 +23,6 @@ Usage::
     python -m repro observe trace --format chrome   # chrome://tracing export
     python -m repro observe profile          # wall-time per engine stage
     python -m repro run chaos --trace --metrics     # figures with the plane on
-    python -m repro bench --obs-check               # observability overhead gate
     python -m repro --log-level debug run fig07     # verbose stderr diagnostics
 
 ``list`` and ``run`` read the one figure registry,
@@ -394,21 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the replay summary as JSON"
     )
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the overhead gates (all, or the ones named); "
-             "exit 3 when one fails",
-    )
-    bench_parser.set_defaults(handler=_bench)
-    bench_parser.add_argument(
-        "--json", action="store_true", help="emit the measurements as JSON"
-    )
-    bench_parser.add_argument(
-        "--obs-check", action="store_true",
-        help="fail when the disabled observability plane costs more than "
-             "repro.bench.OBS_OVERHEAD_TOLERANCE of throughput",
-    )
-
     obs_parser = subparsers.add_parser(
         "obs",
         help="cross-run observability: diff metrics exports, list campaign runs",
@@ -594,31 +578,6 @@ def _export_observations(observations, out_dir: Path) -> List[Path]:
     else:
         logger.warning("observability was armed but no runs were observed")
     return written
-
-
-def _bench(args) -> int:
-    """Run the gates named, or all when none is; exit 3 if one fails."""
-    from repro import bench
-
-    named = {"obs_overhead": args.obs_check}
-    payload = {}
-    reports = []
-    exit_code = 0
-    for key in [key for key in bench.GATES if named[key]] or bench.GATES:
-        gate = bench.GATES[key]
-        result = bench.run_gate(gate)
-        payload[key] = result
-        reports.append(bench.format_gate(gate, result))
-        ok, message = bench.check_gate(gate, result)
-        (logger.info if ok else logger.error)("%s", message)
-        if not ok:
-            exit_code = 3
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-    else:
-        print("\n".join(reports))
-    return exit_code
 
 
 # ---------------------------------------------------------------------- #

@@ -267,8 +267,9 @@ class ScenarioConfig:
     #: Plain data for the same picklability reasons as ``faults``; the
     #: runner materializes it into an
     #: :class:`~repro.obs.plane.ObservabilityPlane` per deployment run.
-    #: Everything defaults off — the uninstrumented hot path is gated at
-    #: <2% overhead by ``repro bench --obs-check``.
+    #: Everything defaults off; the flight recorder's ``obs_recorder``
+    #: guards are the only hooks the engine carries, and the phase
+    #: profiler wraps its seams from outside for the run.
     observe: Optional[object] = field(default_factory=lambda: current_options().observe)
 
     def __post_init__(self) -> None:
@@ -534,7 +535,8 @@ class ExperimentRunner:
         Imported lazily, like :meth:`_attach_faults` — the observability
         package layers on top of the runner.  Returns None when every
         feature is off, which keeps the run on the exact uninstrumented
-        hot path.
+        hot path; otherwise :meth:`_execute` detaches the plane in a
+        ``finally``, so no profiler wrapper outlives the run.
         """
         if scenario.observe is None:
             return None
@@ -562,57 +564,61 @@ class ExperimentRunner:
 
         observer = current_run_observer()
         plane = self._attach_observability(scenario, topology, program)
-        if observer is not None:
-            observer.on_run_start(scenario, deployment, topology, program)
-        topology.start_traffic(duration_ns)
-        if plane is not None:
-            plane.start(duration_ns)
-        self._advance(topology, plane, warmup_ns)
-        warm_snapshot = topology.snapshot()
-        warm_counters = self._pp_counter_snapshot(program)
-        warm_latency_counts = {
-            attachment.binding.name: attachment.pktgen.latency.count
-            for attachment in topology.attachments
-        }
-        self._advance(topology, plane, duration_ns)
-        end_snapshot = topology.snapshot()
-        end_counters = self._pp_counter_snapshot(program)
+        try:
+            if observer is not None:
+                observer.on_run_start(scenario, deployment, topology, program)
+            topology.start_traffic(duration_ns)
+            if plane is not None:
+                plane.start(duration_ns)
+            self._advance(topology, plane, warmup_ns)
+            warm_snapshot = topology.snapshot()
+            warm_counters = self._pp_counter_snapshot(program)
+            warm_latency_counts = {
+                attachment.binding.name: attachment.pktgen.latency.count
+                for attachment in topology.attachments
+            }
+            self._advance(topology, plane, duration_ns)
+            end_snapshot = topology.snapshot()
+            end_counters = self._pp_counter_snapshot(program)
 
-        window_ns = duration_ns - warmup_ns
-        reports = []
-        for attachment in topology.attachments:
-            name = attachment.binding.name
-            reports.append(
-                self._report_for_attachment(
-                    scenario,
-                    deployment,
-                    attachment,
-                    window_ns,
-                    warm_snapshot,
-                    end_snapshot,
-                    warm_counters.get(name, {}),
-                    end_counters.get(name, {}),
-                    warm_latency_counts[name],
+            window_ns = duration_ns - warmup_ns
+            reports = []
+            for attachment in topology.attachments:
+                name = attachment.binding.name
+                reports.append(
+                    self._report_for_attachment(
+                        scenario,
+                        deployment,
+                        attachment,
+                        window_ns,
+                        warm_snapshot,
+                        end_snapshot,
+                        warm_counters.get(name, {}),
+                        end_counters.get(name, {}),
+                        warm_latency_counts[name],
+                    )
                 )
-            )
-        for report in reports:
-            if not report.packets_sent:
-                raise EmptyWindowError(
-                    f"scenario {scenario.name!r} ({deployment.value}): the traffic "
-                    f"generator sent 0 packets in the {window_ns / 1_000:g} µs "
-                    f"measurement window at time scale {self.time_scale:g}; "
-                    f"use a larger time scale"
-                )
-        if observer is not None:
-            observer.on_run_end(scenario, deployment, topology, program, reports)
-        if plane is not None:
-            observation = plane.finalize(scenario, deployment.value, duration_ns)
-            from repro.obs.session import current_observation_sink
+            for report in reports:
+                if not report.packets_sent:
+                    raise EmptyWindowError(
+                        f"scenario {scenario.name!r} ({deployment.value}): the traffic "
+                        f"generator sent 0 packets in the {window_ns / 1_000:g} µs "
+                        f"measurement window at time scale {self.time_scale:g}; "
+                        f"use a larger time scale"
+                    )
+            if observer is not None:
+                observer.on_run_end(scenario, deployment, topology, program, reports)
+            if plane is not None:
+                observation = plane.finalize(scenario, deployment.value, duration_ns)
+                from repro.obs.session import current_observation_sink
 
-            sink = current_observation_sink()
-            if sink is not None:
-                sink.add(observation)
-        return reports
+                sink = current_observation_sink()
+                if sink is not None:
+                    sink.add(observation)
+            return reports
+        finally:
+            if plane is not None:
+                plane.detach()
 
     @staticmethod
     def _advance(topology, plane, horizon_ns: int) -> None:

@@ -80,8 +80,6 @@ class FaultInjectorNode(Node):
         self.threshold_changes = 0
         #: Binding name -> parking slots drained by park_drain events.
         self.slots_drained: Dict[str, int] = {}
-        #: Applied-event log: (at_ns, kind) pairs in execution order.
-        self.applied: List[Tuple[int, str]] = []
         # Overlapping-window bookkeeping.  Outage windows nest: a link
         # comes back up only when every window covering it has closed.
         # Loss/jitter windows are last-writer-wins: a window's close
@@ -94,10 +92,9 @@ class FaultInjectorNode(Node):
         self._down_epoch: Dict[int, int] = {}
         self._loss_token: Dict[int, int] = {}
         self._jitter_token: Dict[int, int] = {}
-        # Observability hooks (repro.obs): fault applications become
-        # trace annotations and profiled "fault_injection" wall time.
+        # Flight-recorder hook (repro.obs): fault applications become
+        # trace annotations.
         self.obs_recorder = None
-        self.obs_profiler = None
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -169,21 +166,12 @@ class FaultInjectorNode(Node):
 
     def apply_event(self, event: FaultEvent) -> None:
         """Apply one event now (normally invoked by the event loop)."""
-        profiler = self.obs_profiler
-        if profiler is None:
-            self._apply(event)
-            return
-        profiler.enter("fault_injection")
-        try:
-            self._apply(event)
-        finally:
-            profiler.exit()
+        self._apply(event)  # looked up per event: the profiler's seam
 
     def _apply(self, event: FaultEvent) -> None:
         handler = getattr(self, f"_apply_{event.kind}")
         handler(event)
         self.events_applied += 1
-        self.applied.append((self.env.now, event.kind))
         recorder = self.obs_recorder
         if recorder is not None:
             recorder.fault_applied(

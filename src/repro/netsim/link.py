@@ -24,9 +24,9 @@ per-size table that fills a size on its first lookup (the link rate is
 fixed after construction), and arrival calls the receiving node's
 ``handle_packet`` directly.
 
-Faults and hooks stay off that path behind one per-direction flag,
-``impaired``.  While it is clear, ``transmit`` runs no down, loss,
-jitter, arrival-clamp or profiler branch.  Every fault or hook setter
+Faults and the flight recorder stay off that path behind one
+per-direction flag, ``impaired``.  While it is clear, ``transmit`` runs
+no down, loss, jitter or arrival-clamp branch.  Every fault or hook setter
 (:meth:`Link.set_up`, :meth:`~Link.set_loss`, :meth:`~Link.set_jitter`,
 :meth:`~Link.set_observability`) sets it, and on the reference loop it
 is set for good.  Only ``transmit`` clears it, on a frame that finds the
@@ -60,7 +60,8 @@ construction).
 ``Link.transmit`` and every ``handle_packet`` are looked up per frame,
 never captured bound: the perf ledger's tracer and
 ``tests/integration/test_hop_seams.py`` wrap them at class level after
-the testbed is wired.
+the testbed is wired, and the phase profiler (:mod:`repro.obs.profiler`)
+wraps ``transmit`` on each link instance for one run.
 """
 from __future__ import annotations
 
@@ -155,7 +156,6 @@ class _LinkDirection:
         "_jitter_rng",
         "last_arrival_ns",
         "obs_recorder",
-        "obs_profiler",
     )
 
     def __init__(
@@ -191,10 +191,10 @@ class _LinkDirection:
         # The per-frame event callbacks, bound once.
         self._on_finish = self._finish
         self._on_arrive = self._arrive
-        #: True while ``transmit`` must run its fault, loss, jitter,
-        #: clamp and profiler branches (see the module docstring).  Set
-        #: by every fault or hook setter and, on a loop without a
-        #: calendar, for good; only ``transmit`` clears it.
+        #: True while ``transmit`` must run its fault, loss, jitter and
+        #: clamp branches (see the module docstring).  Set by every
+        #: fault or hook setter and, on a loop without a calendar, for
+        #: good; only ``transmit`` clears it.
         self.impaired = calendar_of(env)[0] is None
         # Fault-injection state (see repro.faults): a downed direction
         # drops every offered frame; an active loss window drops each
@@ -213,10 +213,9 @@ class _LinkDirection:
         #: once an un-jittered arrival has caught up with this, and an
         #: unimpaired transmit need not write it.
         self.last_arrival_ns = 0
-        # Observability hooks (repro.obs), installed through
+        # Flight-recorder hook (repro.obs), installed through
         # ``Link.set_observability``.
         self.obs_recorder = None
-        self.obs_profiler = None
 
     def _finish(self, wire_bytes: int) -> None:
         """Serialization ended: the frame's bytes leave the egress buffer."""
@@ -305,10 +304,6 @@ class Link:
             stats.frames_dropped += 1
             direction._record_drop(packet, "link-buffer-overflow")
             return
-        if impaired:
-            profiler = direction.obs_profiler
-            if profiler is not None:
-                profiler.enter("link_transmit")
         next_free = direction.next_free_ns
         tx_done = (now if now > next_free else next_free) + direction.serialization[wire_bytes]
         direction.next_free_ns = tx_done
@@ -327,7 +322,6 @@ class Link:
             elif not (
                 jitter
                 or direction.loss_probability > 0.0
-                or profiler is not None
                 or direction.obs_recorder is not None
                 or buckets is None
             ):
@@ -351,8 +345,6 @@ class Link:
                 heappush(self._times, arrival)
             else:
                 bucket.append((direction._on_arrive, packet))
-        if impaired and profiler is not None:
-            profiler.exit()
 
     # ------------------------------------------------------------------ #
     # Fault injection (control plane; see repro.faults)
@@ -408,11 +400,10 @@ class Link:
             else:
                 direction._jitter_rng = None
 
-    def set_observability(self, recorder=None, profiler=None) -> None:
-        """Install observability hooks on both directions (repro.obs)."""
+    def set_observability(self, recorder=None) -> None:
+        """Install (None: remove) the flight recorder on both directions."""
         for direction in (self._a_to_b, self._b_to_a):
             direction.obs_recorder = recorder
-            direction.obs_profiler = profiler
             direction.impaired = True
 
     # ------------------------------------------------------------------ #

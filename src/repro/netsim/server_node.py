@@ -103,9 +103,8 @@ class NfServerNode(Node):
         self.busy_ns = 0
         self.pcie_rx_bytes = 0  # device -> host (received frames)
         self.pcie_tx_bytes = 0  # host -> device (transmitted frames)
-        # Observability hooks (repro.obs): None keeps the hot path lean.
+        # Flight-recorder hook (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
-        self.obs_profiler = None
         # The two per-packet event callbacks, bound once: NF completion,
         # and the NIC-tx end, which is the switch port's sender (see
         # ``Node.port_sender``) — the frame goes straight onto the link.
@@ -135,76 +134,69 @@ class NfServerNode(Node):
 
     def handle_packet(self, packet: Packet, port: int) -> None:
         """A frame arrived from the switch on the server's NIC port."""
-        profiler = self.obs_profiler
-        if profiler is not None:
-            profiler.enter("nf_processing")
-        try:
-            if self._in_server >= self._buffer_capacity:
-                self.overflow_drops += 1
-                recorder = self.obs_recorder
-                if recorder is not None:
-                    pkt_id = packet.meta.get("obs_pkt")
-                    if pkt_id is not None:
-                        recorder.packet_dropped(
-                            pkt_id, self.env.now, self.name, "server-buffer-overflow"
-                        )
-                return
-            self._in_server += 1
-            self.accepted_packets += 1
-            wire_bytes = packet.wire_length
-            row = self._rx_rows.get(wire_bytes)
-            if row is None:
-                row = self._rx_row(wire_bytes)
-            nic_busy, to_host, pcie_bytes = row
-            now = self.env.now
-            free_at = self._rx_free_at_ns
-            nic_done = (now if now > free_at else free_at) + nic_busy
-            self._rx_free_at_ns = nic_done
-            self.pcie_rx_bytes += pcie_bytes
-            ready = nic_done + to_host
-            bottleneck_ns = (
-                self._bottleneck_ns
-                if self._bottleneck_ns is not None
-                else self.model.bottleneck_service_ns()
-            )
-            # Per-packet service time: the bottleneck stage's, jittered.
-            jitter = self.model.config.service_jitter
-            if jitter <= 0:
-                service = int(bottleneck_ns)
+        if self._in_server >= self._buffer_capacity:
+            self.overflow_drops += 1
+            recorder = self.obs_recorder
+            if recorder is not None:
+                pkt_id = packet.meta.get("obs_pkt")
+                if pkt_id is not None:
+                    recorder.packet_dropped(
+                        pkt_id, self.env.now, self.name, "server-buffer-overflow"
+                    )
+            return
+        self._in_server += 1
+        self.accepted_packets += 1
+        wire_bytes = packet.wire_length
+        row = self._rx_rows.get(wire_bytes)
+        if row is None:
+            row = self._rx_row(wire_bytes)
+        nic_busy, to_host, pcie_bytes = row
+        now = self.env.now
+        free_at = self._rx_free_at_ns
+        nic_done = (now if now > free_at else free_at) + nic_busy
+        self._rx_free_at_ns = nic_done
+        self.pcie_rx_bytes += pcie_bytes
+        ready = nic_done + to_host
+        bottleneck_ns = (
+            self._bottleneck_ns
+            if self._bottleneck_ns is not None
+            else self.model.bottleneck_service_ns()
+        )
+        # Per-packet service time: the bottleneck stage's, jittered.
+        jitter = self.model.config.service_jitter
+        if jitter <= 0:
+            service = int(bottleneck_ns)
+        else:
+            factor = self._rng.gauss(1.0, jitter)
+            if factor < 0.1:
+                factor = 0.1
+            service = int(bottleneck_ns * factor)
+            if service < 1:
+                service = 1
+        free_at = self._worker_free_at_ns
+        finish = (ready if ready > free_at else free_at) + service
+        self._worker_free_at_ns = finish
+        self.busy_ns += service
+        # The remaining (non-bottleneck) pipeline stages add latency
+        # but do not constrain throughput.
+        pipeline_latency_ns = (
+            self._pipeline_latency_ns
+            if self._pipeline_latency_ns is not None
+            else self.model.pipeline_latency_ns()
+        )
+        completion = finish + int(pipeline_latency_ns - service)
+        if completion < finish:
+            completion = finish
+        buckets = self._buckets
+        if buckets is None:
+            self.env.schedule_at(completion, self._on_complete, packet)
+        else:
+            bucket = buckets.get(completion)
+            if bucket is None:
+                buckets[completion] = [(self._on_complete, packet)]
+                heappush(self._times, completion)
             else:
-                factor = self._rng.gauss(1.0, jitter)
-                if factor < 0.1:
-                    factor = 0.1
-                service = int(bottleneck_ns * factor)
-                if service < 1:
-                    service = 1
-            free_at = self._worker_free_at_ns
-            finish = (ready if ready > free_at else free_at) + service
-            self._worker_free_at_ns = finish
-            self.busy_ns += service
-            # The remaining (non-bottleneck) pipeline stages add latency
-            # but do not constrain throughput.
-            pipeline_latency_ns = (
-                self._pipeline_latency_ns
-                if self._pipeline_latency_ns is not None
-                else self.model.pipeline_latency_ns()
-            )
-            completion = finish + int(pipeline_latency_ns - service)
-            if completion < finish:
-                completion = finish
-            buckets = self._buckets
-            if buckets is None:
-                self.env.schedule_at(completion, self._on_complete, packet)
-            else:
-                bucket = buckets.get(completion)
-                if bucket is None:
-                    buckets[completion] = [(self._on_complete, packet)]
-                    heappush(self._times, completion)
-                else:
-                    bucket.append((self._on_complete, packet))
-        finally:
-            if profiler is not None:
-                profiler.exit()
+                bucket.append((self._on_complete, packet))
 
     # ------------------------------------------------------------------ #
     # Completion / transmit path
@@ -212,61 +204,54 @@ class NfServerNode(Node):
 
     def _complete(self, packet: Packet) -> None:
         """The NF pipeline finished with *packet*: run the chain on it."""
-        profiler = self.obs_profiler
-        if profiler is not None:
-            profiler.enter("nf_processing")
-        try:
-            self._in_server -= 1
-            self.processed_packets += 1
-            result = self.model.process_packet(packet)
-            recorder = self.obs_recorder
+        self._in_server -= 1
+        self.processed_packets += 1
+        result = self.model.process_packet(packet)
+        recorder = self.obs_recorder
+        if recorder is not None:
+            pkt_id = packet.meta.get("obs_pkt")
+            if pkt_id is not None:
+                recorder.nf_processed(
+                    pkt_id, self.env.now, self.name, result.forwarded
+                )
+        if not result.forwarded:
+            self.chain_dropped_packets += 1
             if recorder is not None:
                 pkt_id = packet.meta.get("obs_pkt")
                 if pkt_id is not None:
-                    recorder.nf_processed(
-                        pkt_id, self.env.now, self.name, result.forwarded
+                    recorder.packet_dropped(
+                        pkt_id, self.env.now, self.name, "nf-chain-drop"
                     )
-            if not result.forwarded:
-                self.chain_dropped_packets += 1
-                if recorder is not None:
-                    pkt_id = packet.meta.get("obs_pkt")
-                    if pkt_id is not None:
-                        recorder.packet_dropped(
-                            pkt_id, self.env.now, self.name, "nf-chain-drop"
-                        )
-                pp = packet.pp
-                if not (self.model.config.explicit_drop and pp is not None and pp.enb == 1):
-                    return
-                # An Explicit-Drop notification: truncated to its headers,
-                # it goes back like a forwarded frame (and counts as one).
-                if packet.payload_length:
-                    packet.park_leading_payload(packet.payload_length)
-                pp.op = OP_EXPLICIT_DROP
-                self.explicit_drop_notifications += 1
-            wire_bytes = packet.wire_length
-            row = self._tx_rows.get(wire_bytes)
-            if row is None:
-                row = self._tx_row(wire_bytes)
-            pcie_delay, nic_busy, pcie_bytes = row
-            self.pcie_tx_bytes += pcie_bytes
-            start = self.env.now + pcie_delay
-            free_at = self._tx_free_at_ns
-            tx_done = (start if start > free_at else free_at) + nic_busy
-            self._tx_free_at_ns = tx_done
-            self.forwarded_packets += 1
-            buckets = self._buckets
-            if buckets is None:
-                self.env.schedule_at(tx_done, self._on_tx_done, packet)
+            pp = packet.pp
+            if not (self.model.config.explicit_drop and pp is not None and pp.enb == 1):
+                return
+            # An Explicit-Drop notification: truncated to its headers,
+            # it goes back like a forwarded frame (and counts as one).
+            if packet.payload_length:
+                packet.park_leading_payload(packet.payload_length)
+            pp.op = OP_EXPLICIT_DROP
+            self.explicit_drop_notifications += 1
+        wire_bytes = packet.wire_length
+        row = self._tx_rows.get(wire_bytes)
+        if row is None:
+            row = self._tx_row(wire_bytes)
+        pcie_delay, nic_busy, pcie_bytes = row
+        self.pcie_tx_bytes += pcie_bytes
+        start = self.env.now + pcie_delay
+        free_at = self._tx_free_at_ns
+        tx_done = (start if start > free_at else free_at) + nic_busy
+        self._tx_free_at_ns = tx_done
+        self.forwarded_packets += 1
+        buckets = self._buckets
+        if buckets is None:
+            self.env.schedule_at(tx_done, self._on_tx_done, packet)
+        else:
+            bucket = buckets.get(tx_done)
+            if bucket is None:
+                buckets[tx_done] = [(self._on_tx_done, packet)]
+                heappush(self._times, tx_done)
             else:
-                bucket = buckets.get(tx_done)
-                if bucket is None:
-                    buckets[tx_done] = [(self._on_tx_done, packet)]
-                    heappush(self._times, tx_done)
-                else:
-                    bucket.append((self._on_tx_done, packet))
-        finally:
-            if profiler is not None:
-                profiler.exit()
+                bucket.append((self._on_tx_done, packet))
 
     # ------------------------------------------------------------------ #
     # Cost rows

@@ -45,21 +45,12 @@ class SwitchNode(Node):
         #: The calendar the egress event goes straight into (``None`` on
         #: the reference loop: ``schedule_at``).
         self._buckets, self._times = calendar_of(env)
-        # Observability hooks (repro.obs): None keeps the hot path lean.
+        # Flight-recorder hook (repro.obs): None keeps the hot path lean.
         self.obs_recorder = None
-        self.obs_profiler = None
 
     def handle_packet(self, packet: Packet, port: int) -> None:
         """Run the frame through the dataplane program and forward it."""
-        profiler = self.obs_profiler
-        if profiler is None:
-            egress, owed_ns, reason = self.program.process(packet, port)
-        else:
-            profiler.enter("pipeline_walk")
-            try:
-                egress, owed_ns, reason = self.program.process(packet, port)
-            finally:
-                profiler.exit()
+        egress, owed_ns, reason = self.program.process(packet, port)
         if reason is not None:
             self.packets_dropped += 1
             self._record_drop(packet, reason)

@@ -78,7 +78,6 @@ class TrafficGenNode(Node):
         # Observability hooks (repro.obs): all default None so the
         # uninstrumented hot path pays one predictable branch each.
         self.obs_recorder = None
-        self.obs_profiler = None
         self.obs_latency_hist = None
         self._obs_pkt_index = 0
 
@@ -166,46 +165,39 @@ class TrafficGenNode(Node):
         self._send((packet,))
 
     def _emit_burst(self) -> None:
-        profiler = self.obs_profiler
-        if profiler is not None:
-            profiler.enter("traffic_gen")
-        try:
-            if not self._running:
-                return
-            if self._stop_at_ns is not None and self.env.now >= self._stop_at_ns:
+        if not self._running:
+            return
+        if self._stop_at_ns is not None and self.env.now >= self._stop_at_ns:
+            self._running = False
+            return
+        rate_gbps = self.current_rate_gbps()
+        if rate_gbps <= 0:
+            self._sleep_until_active()
+            return
+        source = self.source
+        burst_bytes = self._send(
+            [source.next_packet() for _ in range(self.config.burst_size)]
+        )
+        # Pace the next burst so the long-run offered rate matches the
+        # schedule (or the config's constant rate); the arrival model
+        # perturbs individual gaps around that target.  Scheduled rates
+        # pace from the rate *integral*: quoting the instantaneous rate
+        # would sleep almost forever on a ramp rising from ~zero and
+        # blindly across phase boundaries.
+        if self.schedule is not None:
+            target_gap_ns = self.schedule.gap_for_bits(
+                self.env.now - self._start_ns, burst_bytes * 8
+            )
+            if target_gap_ns is None:  # silent for the rest of the run
                 self._running = False
                 return
-            rate_gbps = self.current_rate_gbps()
-            if rate_gbps <= 0:
-                self._sleep_until_active()
-                return
-            source = self.source
-            burst_bytes = self._send(
-                [source.next_packet() for _ in range(self.config.burst_size)]
-            )
-            # Pace the next burst so the long-run offered rate matches the
-            # schedule (or the config's constant rate); the arrival model
-            # perturbs individual gaps around that target.  Scheduled rates
-            # pace from the rate *integral*: quoting the instantaneous rate
-            # would sleep almost forever on a ramp rising from ~zero and
-            # blindly across phase boundaries.
-            if self.schedule is not None:
-                target_gap_ns = self.schedule.gap_for_bits(
-                    self.env.now - self._start_ns, burst_bytes * 8
-                )
-                if target_gap_ns is None:  # silent for the rest of the run
-                    self._running = False
-                    return
-            else:
-                target_gap_ns = burst_bytes * 8 / rate_gbps
-            if self._gap_sampler is not None:
-                gap_ns = self._gap_sampler.next_gap_ns(target_gap_ns)
-            else:
-                gap_ns = target_gap_ns
-            self.env.schedule_in(max(1, int(round(gap_ns))), self._emit_burst)
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        else:
+            target_gap_ns = burst_bytes * 8 / rate_gbps
+        if self._gap_sampler is not None:
+            gap_ns = self._gap_sampler.next_gap_ns(target_gap_ns)
+        else:
+            gap_ns = target_gap_ns
+        self.env.schedule_in(max(1, int(round(gap_ns))), self._emit_burst)
 
     def _sleep_until_active(self) -> None:
         """Skip a zero-rate phase: wake at the next moment the schedule is live."""

@@ -13,10 +13,12 @@ Three instruments, all default-off, all wired through the testbed by
   trace-event JSON; fault windows appear as trace annotations.
 * :class:`~repro.obs.profiler.PhaseProfiler` — wall-time attribution
   to engine stages (pipeline walk, NF processing, traffic generation,
-  link transmit, fault injection, residual event dispatch).
+  link transmit, fault injection, residual event dispatch), by wrappers
+  it installs around the engine's seams for one run and removes after.
 
-The disabled path is budgeted at <2% overhead and gated by
-``repro bench --obs-check``.
+The engine carries one hook, the recorder's ``obs_recorder`` guards;
+their cost is bounded by the clock-free call budgets
+(``tests/integration/test_call_budget.py``) and the perf ledger.
 """
 
 from repro.lazy import lazy_exports

@@ -7,14 +7,13 @@ frozen, hashable and picklable — campaign workers rebuild the plane on
 their side of the process boundary from this spec alone.
 
 Everything defaults *off*: a scenario without a spec (or with every
-feature flag false) runs the exact pre-observability hot path, which is
-what the <2% disabled-overhead budget in ``repro bench --obs-check``
-gates.
+feature flag false) builds no plane at all, so the run installs no hook
+and no profiler wrapper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.errors import ObserveSpecError, require_positive_finite
@@ -47,7 +46,8 @@ class ObserveSpec:
         packet-lifecycle spans, JSONL / Chrome trace export).
     profile:
         Enable the :class:`~repro.obs.profiler.PhaseProfiler`
-        (wall-time attribution to engine stages).
+        (wall-time attribution to engine stages, timed by wrappers
+        around the engine's seams for the run).
     sample_interval_us:
         Simulated time between metric samples.
     series_capacity:
@@ -95,12 +95,6 @@ class ObserveSpec:
     def sample_interval_ns(self) -> int:
         """The metric sampling interval in integer nanoseconds (>= 1)."""
         return max(1, int(round(self.sample_interval_us * 1_000)))
-
-    @classmethod
-    def full(cls, **overrides: Any) -> "ObserveSpec":
-        """Every feature on — the ``repro observe run`` configuration."""
-        spec = cls(metrics=True, trace=True, profile=True)
-        return replace(spec, **overrides) if overrides else spec
 
     @classmethod
     def from_spec(cls, spec: Any) -> Optional["ObserveSpec"]:

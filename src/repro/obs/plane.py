@@ -4,13 +4,14 @@ One :class:`ObservabilityPlane` instance serves one deployment run.
 The experiment runner builds it (when ``ScenarioConfig.observe``
 enables anything), attaches it to the freshly built topology before
 traffic starts, arms the metric sampler alongside the traffic
-generators, and finalizes it into a :class:`RunObservation` after the
-reports are computed.  Attachment is purely additive: it assigns
-optional hook attributes (``obs_recorder`` / ``obs_profiler``) that
-every hot path guards with a single ``is not None`` branch, and
-registers read-only sampling callbacks — simulation behavior is
-untouched, which the integration suite pins by comparing instrumented
-and uninstrumented reports.
+generators, finalizes it into a :class:`RunObservation` after the
+reports are computed, and detaches it in a ``finally``.  Attachment is
+purely additive: it assigns the flight recorder's optional hook
+attribute (``obs_recorder``), which every hot path guards with a single
+``is not None`` branch, lets the phase profiler wrap its seams from
+outside (:mod:`repro.obs.profiler`), and registers read-only sampling
+callbacks — simulation behavior is untouched, which the integration
+suite pins by comparing instrumented and uninstrumented reports.
 """
 
 from __future__ import annotations
@@ -110,36 +111,34 @@ class ObservabilityPlane:
     # ------------------------------------------------------------------ #
 
     def attach(self, topology: Any, program: Any) -> None:
-        """Assign hook attributes and register metric series."""
+        """Install recorder hooks, wrap profiler seams, register series."""
         recorder = self.recorder
-        profiler = self.profiler
-        switch = topology.switch
-        if profiler is not None:
-            switch.obs_profiler = profiler
         if recorder is not None:
-            switch.obs_recorder = recorder
-        for attachment in topology.attachments:
-            attachment.pktgen.obs_recorder = recorder
-            attachment.pktgen.obs_profiler = profiler
-            attachment.server.obs_recorder = recorder
-            attachment.server.obs_profiler = profiler
-            for link in attachment.gen_links:
-                link.set_observability(recorder=recorder, profiler=profiler)
-            attachment.server_link.set_observability(
-                recorder=recorder, profiler=profiler
-            )
-        injector = topology.fault_injector
-        if injector is not None:
-            injector.obs_recorder = recorder
-            injector.obs_profiler = profiler
-        # The PayloadPark split/merge paths emit park-span events; the
-        # baseline program has neither attribute and is skipped.
-        for path in getattr(program, "_split_paths", ()):
-            path.obs_recorder = recorder
-        for path in getattr(program, "_merge_paths", ()):
-            path.obs_recorder = recorder
+            topology.switch.obs_recorder = recorder
+            for attachment in topology.attachments:
+                attachment.pktgen.obs_recorder = recorder
+                attachment.server.obs_recorder = recorder
+                for link in (*attachment.gen_links, attachment.server_link):
+                    link.set_observability(recorder)
+            injector = topology.fault_injector
+            if injector is not None:
+                injector.obs_recorder = recorder
+            # The PayloadPark split/merge paths emit park-span events; the
+            # baseline program has neither attribute and is skipped.
+            for path in getattr(program, "_split_paths", ()):
+                path.obs_recorder = recorder
+            for path in getattr(program, "_merge_paths", ()):
+                path.obs_recorder = recorder
         if self.registry is not None:
             self._register_series(topology, program)
+        # Last: nothing after it can raise before the runner's ``finally``.
+        if self.profiler is not None:
+            self.profiler.wrap(topology, program)
+
+    def detach(self) -> None:
+        """Restore every seam the profiler wrapped (safe to call twice)."""
+        if self.profiler is not None:
+            self.profiler.unwrap()
 
     def _register_series(self, topology: Any, program: Any) -> None:
         registry = self.registry

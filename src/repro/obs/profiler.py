@@ -1,22 +1,29 @@
 """The phase profiler: wall-time attribution to engine stages.
 
-The runner wraps every ``run_until`` call in :meth:`measure_total`, and
-each instrumented node brackets its hot section with
-``enter(stage)`` / ``exit()``.  Stages nest (a pipeline walk can fire a
-fault handler); the accounting is *exclusive* — a frame's self time is
-its elapsed time minus the time spent in frames it opened — so stage
-wall times are disjoint and sum to at most the total.  Whatever the
-named stages do not cover is the event loop's own dispatch overhead
-(heap pops, calendar bookkeeping, callback indirection), reported as
-the residual ``event_dispatch`` stage: the dispatch wall ROADMAP item 1
-targets, now measurable instead of inferred.
+The profiler attaches from outside the engine.  :data:`STAGES` maps
+each stage to the seams it times — methods the engine looks up per
+call — and :meth:`PhaseProfiler.wrap` replaces each seam, on the
+instances of one wired testbed, with a wrapper that brackets the call
+with ``enter(stage)`` / ``exit()``; :meth:`PhaseProfiler.unwrap`
+restores them (the runner calls it in a ``finally``).  Nothing in the
+engine knows a profiler exists, and no class is touched, so a profiled
+run takes the same engine path as an unobserved one.
+
+The runner wraps every ``run_until`` call in :meth:`measure_total`.
+Stages nest (a burst transmits on a link); the accounting is
+*exclusive* — a frame's self time is its elapsed time minus the time
+spent in frames it opened — so stage wall times are disjoint and sum
+to at most the total.  Whatever the named stages do not cover is the
+event loop's own dispatch overhead (heap pops, calendar bookkeeping,
+callback indirection), reported as the residual ``event_dispatch``
+stage.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 #: Report schema identifier; bump on incompatible layout changes.
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -24,17 +31,49 @@ PROFILE_SCHEMA = "repro.profile/v1"
 #: The residual stage name (total minus every named stage).
 DISPATCH_STAGE = "event_dispatch"
 
+#: Stage -> the seams it times, as ``(role, method)`` pairs: the method
+#: is wrapped on every object of the testbed that plays the role (see
+#: :func:`seam_owners`).  ``_on_complete`` is the server's completion
+#: callback, bound in ``__init__`` and read per packet; ``_apply`` is
+#: the injector's per-event work behind the ``apply_event`` the
+#: calendar already holds.
+STAGES: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "pipeline_walk": (("program", "process"),),
+    "nf_processing": (("server", "handle_packet"), ("server", "_on_complete")),
+    "traffic_gen": (("pktgen", "_emit_burst"),),
+    "link_transmit": (("link", "transmit"),),
+    "fault_injection": (("fault_injector", "_apply"),),
+}
+
+
+def seam_owners(topology: Any, program: Any) -> Dict[str, Tuple[Any, ...]]:
+    """Role -> the objects of one wired testbed that play it."""
+    attachments = topology.attachments
+    injector = topology.fault_injector
+    return {
+        "program": (program,),
+        "server": tuple(attachment.server for attachment in attachments),
+        "pktgen": tuple(attachment.pktgen for attachment in attachments),
+        "link": tuple(
+            link for a in attachments for link in (*a.gen_links, a.server_link)
+        ),
+        "fault_injector": () if injector is None else (injector,),
+    }
+
 
 class PhaseProfiler:
     """Accumulates exclusive wall time and event counts per stage."""
 
-    __slots__ = ("_self_ns", "_events", "_stack", "total_wall_ns")
+    __slots__ = ("_self_ns", "_events", "_stack", "_wrapped", "total_wall_ns")
 
     def __init__(self) -> None:
         self._self_ns: Dict[str, int] = {}
         self._events: Dict[str, int] = {}
         #: Open frames: [stage, start_ns, child_ns].
         self._stack: List[List[Any]] = []
+        #: ``(owner, method, original)`` per installed wrapper;
+        #: ``original`` is None where the method came from the class.
+        self._wrapped: List[Tuple[Any, str, Any]] = []
         self.total_wall_ns = 0
 
     def enter(self, stage: str) -> None:
@@ -49,6 +88,37 @@ class PhaseProfiler:
         self._events[stage] = self._events.get(stage, 0) + 1
         if self._stack:
             self._stack[-1][2] += elapsed
+
+    def _timed(self, stage: str, method: Callable[..., Any]) -> Callable[..., Any]:
+        enter, exit_ = self.enter, self.exit
+
+        def timed(*args: Any) -> Any:
+            enter(stage)
+            try:
+                return method(*args)
+            finally:
+                exit_()
+
+        return timed
+
+    def wrap(self, topology: Any, program: Any) -> None:
+        """Time every seam of *topology* until :meth:`unwrap`."""
+        owners = seam_owners(topology, program)
+        for stage, seams in STAGES.items():
+            for role, name in seams:
+                for owner in owners[role]:
+                    method = getattr(owner, name)
+                    self._wrapped.append((owner, name, vars(owner).get(name)))
+                    setattr(owner, name, self._timed(stage, method))
+
+    def unwrap(self) -> None:
+        """Restore every seam :meth:`wrap` replaced."""
+        while self._wrapped:
+            owner, name, original = self._wrapped.pop()
+            if original is None:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, original)
 
     @contextmanager
     def measure_total(self) -> Iterator[None]:
@@ -69,7 +139,7 @@ class PhaseProfiler:
 
         ``event_dispatch`` is the residual, so the listed stages always
         account for 100% of the measured total; ``measured_fraction``
-        says how much was directly bracketed by hooks.
+        says how much was directly bracketed by the seam wrappers.
         """
         total_ns = self.total_wall_ns
         measured_ns = min(self.measured_ns, total_ns) if total_ns else self.measured_ns

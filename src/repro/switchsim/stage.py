@@ -24,7 +24,6 @@ class Stage:
         self.index = index
         self.resources = StageResources(budget=budget or ResourceBudget())
         self.tables: List[MatchActionTable] = []
-        self.register_arrays: List[RegisterArray] = []
         #: Callback installed by the owning pipeline, called after every
         #: table added, so the port plans compiled against the pipeline
         #: are dropped on a late table addition.
@@ -51,15 +50,13 @@ class Stage:
         initial: Any = 0,
     ) -> RegisterArray:
         """Create a register array backed by this stage's SRAM."""
-        array = RegisterArray(
+        return RegisterArray(
             name=name,
             size=size,
             width_bits=width_bits,
             stage_resources=self.resources,
             initial=initial,
         )
-        self.register_arrays.append(array)
-        return array
 
     def apply(self, ctx: PipelinePacket) -> None:
         """Run every table in this stage on the packet."""

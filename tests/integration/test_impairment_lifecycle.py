@@ -1,13 +1,13 @@
 """Link impairments open and close mid-run; both engines agree throughout.
 
-``Link.transmit`` runs its down, loss, jitter, arrival-clamp and
-profiler branches only while a direction's ``impaired`` flag is set
-(``repro.netsim.link``).  Fault windows and observability hooks set it,
-the reference loop keeps it set, and only a transmit that finds nothing
-left to do clears it.  This run walks a flag through every transition on
-the default engine — link down and back up, a loss window, a jitter
-window, hooks installed and removed — and holds it to the reference
-engine, whose flag never clears.
+``Link.transmit`` runs its down, loss, jitter and arrival-clamp
+branches only while a direction's ``impaired`` flag is set
+(``repro.netsim.link``).  Fault windows and the flight recorder's hook
+set it, the reference loop keeps it set, and only a transmit that finds
+nothing left to do clears it.  This run walks a flag through every
+transition on the default engine — link down and back up, a loss
+window, a jitter window, the recorder installed and removed — and holds
+it to the reference engine, whose flag never clears.
 
 The jitter window is wide and closes while jittered arrivals are still
 ahead of the un-jittered schedule.  The frames sent right after it must
@@ -31,7 +31,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import multi_server_384b
 from repro.netsim.link import Link
 from repro.netsim.server_node import NfServerNode
-from repro.obs.profiler import PhaseProfiler
+from repro.obs.trace import FlightRecorder
 
 #: Fault windows (simulated µs from traffic start), each closing mid-run.
 FAULTS = {
@@ -45,14 +45,15 @@ FAULTS = {
     ],
 }
 
-#: Observability hooks on the server link: installed, then removed.
+#: The flight recorder's hook on the server link: installed, then removed.
 HOOKS_ON_NS, HOOKS_OFF_NS = 150_000, 350_000
 
 
 class _Lifecycle(RunObserver):
-    """Installs and removes the server link's hooks mid-run and records,
-    per run, the frames the switch's link accepted toward the server,
-    the frames the server received, and the profiler's per-stage counts.
+    """Installs and removes the server link's recorder mid-run and
+    records, per run, the frames the switch's link accepted toward the
+    server (and how many of them while the recorder was installed) and
+    the frames the server received.
     """
 
     def __init__(self, monkeypatch):
@@ -63,7 +64,7 @@ class _Lifecycle(RunObserver):
     def on_run_start(self, scenario, deployment, topology, program):
         link = topology.attachments[0].server_link
         switch = topology.switch
-        run = {"accepted": [], "received": [], "profiler": PhaseProfiler()}
+        run = {"accepted": [], "received": [], "hooked": 0}
         self.runs.append(run)
         transmit = Link.transmit
         handle_packet = NfServerNode.handle_packet
@@ -79,6 +80,7 @@ class _Lifecycle(RunObserver):
             transmit(self, packet, sender)
             if stats.frames_sent > sent:
                 run["accepted"].append(packet)
+                run["hooked"] += HOOKS_ON_NS <= env.now < HOOKS_OFF_NS
 
         def received(self, packet, port):
             run["received"].append(packet)
@@ -94,7 +96,9 @@ class _Lifecycle(RunObserver):
         self._monkeypatch.setattr(Link, "transmit", counted_transmit)
         self._monkeypatch.setattr(NfServerNode, "handle_packet", received)
         self._monkeypatch.setattr(Link, "set_jitter", closing_set_jitter)
-        env.schedule_at(HOOKS_ON_NS, lambda: link.set_observability(profiler=run["profiler"]))
+        recorder = FlightRecorder()
+        recorder.bind_clock(env)
+        env.schedule_at(HOOKS_ON_NS, lambda: link.set_observability(recorder=recorder))
         env.schedule_at(HOOKS_OFF_NS, link.set_observability)
 
 
@@ -115,12 +119,6 @@ def _run(reference, deployment, monkeypatch):
     return asdict(report), run, lifecycle.pending_at_close
 
 
-def _transmit_events(profiler):
-    """How many frames the profiler's ``link_transmit`` stage timed."""
-    (row,) = [row for row in profiler.report()["stages"] if row["name"] == "link_transmit"]
-    return row["events"]
-
-
 @pytest.mark.parametrize("deployment", list(DeploymentKind), ids=lambda kind: kind.value)
 def test_impairment_windows_open_and_close_identically_on_both_engines(
     deployment, monkeypatch
@@ -130,10 +128,11 @@ def test_impairment_windows_open_and_close_identically_on_both_engines(
     assert fast_report == ref_report
     assert fast_pending == ref_pending
 
-    # The windows dropped frames, and the hooks saw the same frames on
-    # both engines.
+    # The windows dropped frames, and the link accepted the same frames
+    # on both engines, with the recorder installed and overall.
     assert fast_report["drop_breakdown"]["link_fault_drops"] > 0
-    assert _transmit_events(fast["profiler"]) == _transmit_events(ref["profiler"]) > 0
+    assert fast["hooked"] == ref["hooked"] > 0
+    assert len(fast["accepted"]) == len(ref["accepted"])
 
     # The jitter window closed with jittered arrivals still ahead of the
     # un-jittered schedule, so the frames after it had to be clamped.

@@ -772,13 +772,30 @@ class TestNonFiniteDurations:
         assert set(threading.enumerate()) == before
 
 
+class TestRemovedBench:
+    """``repro bench`` and its overhead gate are gone: each spelling is a
+    usage error that names the command, and nothing is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"], ["bench", "--obs-check"], ["bench", "--json"],
+        ["bench", "--obs-check", "--json"],
+    ], ids=["bare", "obs-check", "json", "obs-check-json"])
+    def test_every_spelling_is_refused(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code(argv) == 2
+        (line,) = _error_lines(capsys)
+        assert "invalid choice: 'bench'" in line
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRemovedFidelityTier:
     """Every input that names the deleted fluid tier is refused by name
-    before anything runs or is written."""
+    before anything runs or is written.  ``bench``, the command that
+    carried ``--fidelity-check``, is itself gone and refused by name."""
 
     @pytest.mark.parametrize("argv, key", [
         (["run", "fig07", "--fidelity", "auto"], "--fidelity"),
-        (["bench", "--fidelity-check"], "--fidelity-check"),
+        (["bench", "--fidelity-check"], "invalid choice: 'bench'"),
         (["validate", "fuzz", "--relations", "fluid_vs_packet", "--scenarios", "1",
           "--corpus", "{tmp}/corpus"], "fluid_vs_packet"),
     ], ids=["run", "bench", "fuzz"])

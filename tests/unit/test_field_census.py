@@ -14,7 +14,9 @@ spells the name (``getattr(obj, "name")``, an ``attrgetter`` path, a
 ``__slots__`` entry) counts as a load.  A store into an item, or a load
 that only feeds the attribute's own update, does not: in
 ``self.x[k] = v``, ``self.x[k] = self.x.get(k, 0) + 1`` or
-``self.x[k] += 1`` no ``self.x`` is a read.  State nothing reads is work every packet
+``self.x[k] += 1`` no ``self.x`` is a read, and neither is a statement
+that only calls an in-place mutator on it (``self.x.append(v)``, or one
+of the other :data:`MUTATORS`).  State nothing reads is work every packet
 pays for with no run behaving differently.  Only names the standard
 library reads are exempt (:data:`STDLIB_READS`).
 
@@ -51,6 +53,12 @@ CLASSES = {
 #: library does: ``socketserver`` reads ``daemon_threads``, ``logging``
 #: reads ``propagate``, and a ``%(cell)s`` format field reads ``cell``.
 STDLIB_READS = frozenset({"daemon_threads", "propagate", "cell"})
+
+#: Container methods that only change their receiver: a statement that
+#: calls one on ``self.x`` (or ``self.x[k]``) updates ``self.x``.
+MUTATORS = frozenset(
+    {"append", "extend", "add", "appendleft", "update", "insert", "discard", "clear"}
+)
 
 
 def _parse(path: Path) -> ast.Module:
@@ -123,6 +131,19 @@ class _Loads(ast.NodeVisitor):
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         attribute = _updated(node.target)
         self._visit_update(node, set() if attribute is None else {ast.unparse(attribute)})
+
+    def visit_Expr(self, node: ast.Expr) -> None:
+        call = node.value
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in MUTATORS
+        ):
+            attribute = _updated(call.func.value)
+            if attribute is not None:
+                self._visit_update(node, {ast.unparse(attribute)})
+                return
+        self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
@@ -211,14 +232,22 @@ def test_a_store_needs_a_load_or_a_spelling():
         "    def __init__(self):\n"
         "        self.kept = self.tally = self.slotted = self.named = 0\n"
         "        self.propagate = False\n"
-        "    def step(self):\n"
+        "        self.log, self.seen, self.rows = [], set(), {}\n"
+        "    def step(self, k):\n"
         "        self.tally += 1\n"
         "        self.late = f'{self.kept}.tally'\n"
+        "        self.log.append((k, self.kept))\n"
+        "        self.rows[k].extend(self.seen)\n"
+        "        self.seen.add(len(self.rows))\n"
         "        return getattr(self, 'named')\n"
     )
     visitor = _Loads()
     visitor.visit(module)
-    assert unread_stores(visitor) == {"late": "<string>:8", "tally": "<string>:4"}
+    # FaultInjectorNode.applied as it was: one tuple appended per fault
+    # event, read by nothing.  ``rows`` and ``seen`` feed each other.
+    assert unread_stores(visitor) == {
+        "late": "<string>:9", "log": "<string>:6", "tally": "<string>:4",
+    }
 
 
 def test_a_load_feeding_its_own_update_is_not_a_read():

@@ -23,8 +23,8 @@ class TestObserveSpec:
         assert not (spec.metrics or spec.trace or spec.profile)
 
     def test_full_enables_everything(self):
-        spec = ObserveSpec.full()
-        assert spec.metrics and spec.trace and spec.profile
+        spec = ObserveSpec(metrics=True, trace=True, profile=True)
+        assert spec.enabled and spec.metrics and spec.trace and spec.profile
 
     def test_from_spec_none_and_false_mean_off(self):
         assert ObserveSpec.from_spec(None) is None
