@@ -62,8 +62,6 @@ class MergePath:
         self.lookup = lookup
         self.counters = counters
         self._nf_ports = frozenset((binding.nf_port,))
-        #: Flight-recorder hook (repro.obs); None keeps the path lean.
-        self.obs_recorder = None
 
     # ------------------------------------------------------------------ #
     # Table installation
@@ -175,7 +173,6 @@ class MergePath:
     def _action_validate(self, ctx: PipelinePacket) -> None:
         """Validate the tag, reclaim the slot and flag the payload restore."""
         header = ctx.packet.pp
-        recorder = self.obs_recorder
         if not header.tag_is_valid():
             self.counters.tag_validation_failures += 1
             ctx.drop("payloadpark-tag-corrupt")
@@ -190,11 +187,6 @@ class MergePath:
         result = self.lookup.validate_and_release(ctx, header.tbl_idx, header.clk)
         if not result.valid:
             self.counters.premature_evictions += 1
-            if recorder is not None:
-                recorder.premature_eviction(
-                    self.binding.name, header.tbl_idx,
-                    ctx.packet.meta.get("obs_pkt"),
-                )
             ctx.drop("payloadpark-premature-eviction")
             return
 
@@ -202,10 +194,6 @@ class MergePath:
             # The NF framework told us it dropped the packet: the slot is
             # reclaimed (above) and the notification itself goes no further.
             self.counters.explicit_drops += 1
-            if recorder is not None:
-                recorder.slot_released(
-                    self.binding.name, header.tbl_idx, "explicit-drop"
-                )
             ctx.packet.pp = None
             ctx.drop("payloadpark-explicit-drop")
             return
@@ -214,8 +202,6 @@ class MergePath:
         ctx.meta[META_MERGE_TBL_IDX] = header.tbl_idx
         ctx.packet.pp = None
         self.counters.merges += 1
-        if recorder is not None:
-            recorder.slot_merged(self.binding.name, header.tbl_idx)
 
     def _make_load_action(self, array, takes: bool):
         payloads = self.lookup.payloads
@@ -255,7 +241,7 @@ class MergePath:
 
         The kernel takes the packet through Algorithm 2 in one function,
         on the same registers and payload row as the tables above and
-        with the same header, counters, drop reasons and recorder calls.
+        with the same header, counters and drop reasons.
         A merged payload is one read and one clear of the row; the block
         tables' accesses move no bytes, so the kernel, which is not
         guarded, skips them.  A packet has no usable header, has ENB=0,
@@ -268,7 +254,7 @@ class MergePath:
         memoized CRC (:data:`~repro.core.header.TAG_CRCS`), computed by
         :func:`~repro.core.header.tag_crc` when the memo does not hold it.
         """
-        counters, name = self.counters, self.binding.name
+        counters = self.counters
         default_egress = self.binding.default_egress_port
         entries = self.lookup.entries
         metadata = self.lookup.metadata.storage
@@ -290,7 +276,6 @@ class MergePath:
                 counters.merge_enb_zero += 1
             elif enb == 1:
                 tbl_idx = header.tbl_idx
-                recorder = self.obs_recorder
                 crc = tag_crcs.get((tbl_idx << clk_bits) | header.clk)
                 if crc is None:
                     crc = tag_crc(tbl_idx, header.clk)
@@ -303,21 +288,13 @@ class MergePath:
                 entry = metadata[tbl_idx]
                 if entry.exp <= 0 or entry.clk != header.clk:
                     counters.premature_evictions += 1
-                    if recorder is not None:
-                        recorder.premature_eviction(
-                            name, tbl_idx, packet.meta.get("obs_pkt")
-                        )
                     return evicted
                 metadata[tbl_idx] = free
                 packet.pp = None
                 if header.op == OP_EXPLICIT_DROP:
                     counters.explicit_drops += 1
-                    if recorder is not None:
-                        recorder.slot_released(name, tbl_idx, "explicit-drop")
                     return explicit_drop
                 counters.merges += 1
-                if recorder is not None:
-                    recorder.slot_merged(name, tbl_idx)
                 payload = payloads[tbl_idx]
                 payloads[tbl_idx] = b""
                 owed = merged_owes

@@ -329,8 +329,6 @@ class PayloadParkProgram(SwitchProgram):
         self.config = config
         self.counters = CounterBank()
         self.lookup_tables: Dict[str, LookupTable] = {}
-        self._merge_paths: List[MergePath] = []
-        self._split_paths: List[SplitPath] = []
         #: ingress port -> the path serving it: Split for a traffic port,
         #: Merge for an NF port.
         self._split_of_port: Dict[int, SplitPath] = {}
@@ -387,8 +385,6 @@ class PayloadParkProgram(SwitchProgram):
             merge.install()
             self._install_forwarding(pipe, binding)
             self.lookup_tables[binding.name] = lookup
-            self._split_paths.append(split)
-            self._merge_paths.append(merge)
             self._merge_of_port[binding.nf_port] = merge
             self._split_of_port.update(dict.fromkeys(binding.ingress_ports, split))
 
@@ -462,8 +458,8 @@ class PayloadParkProgram(SwitchProgram):
         return self.counters.for_binding(binding_name)
 
     def drain_parked(
-        self, binding: Optional[str] = None, fraction: float = 1.0, recorder=None
-    ) -> Dict[str, int]:
+        self, binding: Optional[str] = None, fraction: float = 1.0
+    ) -> Dict[str, List[int]]:
         """Reclaim occupied parking slots, accounting each as an eviction.
 
         Drains the first ``ceil(occupied * fraction)`` occupied slots of
@@ -472,26 +468,21 @@ class PayloadParkProgram(SwitchProgram):
         policy would: the identity *outstanding == occupied* keeps
         holding, and the packet whose payload was drained registers a
         premature eviction when its header returns for the Merge.
-        *recorder* (repro.obs) closes each drained slot's park span.
-        Returns drained-slot counts per binding.  The port plans index
-        the register storage in place, so they see the drained slots as
-        they stand.
+        Returns the drained slot indices per binding, in drain order.
+        The port plans index the register storage in place, so they see
+        the drained slots as they stand.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"drain fraction must lie in (0, 1], got {fraction}")
-        drained: Dict[str, int] = {}
+        drained: Dict[str, List[int]] = {}
         for name, table in self.lookup_tables.items():
             if binding is not None and name != binding:
                 continue
             occupied = table.occupied_indices()
             counters = self.counters_for(name)
-            count = 0
+            indices = drained[name] = []
             for index in occupied[:math.ceil(len(occupied) * fraction)]:
                 if table.drain_slot(index):
                     counters.evictions += 1
-                    count += 1
-                    if recorder is not None:
-                        recorder.slot_drained(name, index)
-            drained[name] = count
+                    indices.append(index)
         return drained
-

@@ -68,8 +68,6 @@ class SplitPath:
         self.tagger = tagger
         self.counters = counters
         self._ingress_ports = frozenset(binding.ingress_ports)
-        #: Flight-recorder hook (repro.obs); None keeps the path lean.
-        self.obs_recorder = None
 
     # ------------------------------------------------------------------ #
     # Table installation
@@ -191,11 +189,8 @@ class SplitPath:
         probe = self.lookup.probe_and_claim(
             ctx, tbl_idx, clk, max_exp=self.config.expiry_threshold
         )
-        recorder = self.obs_recorder
         if probe.evicted:
             self.counters.evictions += 1
-            if recorder is not None:
-                recorder.slot_evicted(self.binding.name, tbl_idx)
         if not probe.claimed:
             self.counters.split_disabled_table_occupied += 1
             packet.pp = PayloadParkHeader.disabled()
@@ -208,10 +203,6 @@ class SplitPath:
             enb=1, op=OP_MERGE, tbl_idx=tbl_idx, clk=clk
         ).seal()
         self.counters.splits += 1
-        if recorder is not None:
-            recorder.payload_parked(
-                self.binding.name, tbl_idx, clk, packet.meta.get("obs_pkt")
-            )
 
     def _make_store_action(self, array, parks: bool):
         payloads = self.lookup.payloads
@@ -237,8 +228,8 @@ class SplitPath:
 
         The kernel takes the packet through Algorithm 1 in one function:
         it reads and writes the same registers as the tables above, in
-        the same order, and leaves the same header, counters, payload
-        row and recorder calls behind.  A parked payload is one store
+        the same order, and leaves the same header, counters and payload
+        row behind.  A parked payload is one store
         into the lookup table's payload row; the block tables' accesses
         move no bytes, so the kernel, which is not guarded, skips them.  A packet is not tagged (payload too
         small), finds its slot occupied, or is parked — in two passes
@@ -260,7 +251,7 @@ class SplitPath:
         <= 0xFFFF`` is checked at install, ``clk < clock_max <= 2**16``
         by ``PayloadParkConfig``.
         """
-        config, counters, name = self.config, self.counters, self.binding.name
+        config, counters = self.config, self.counters
         nf_port = self.binding.nf_port
         idx_cell, clk_cell = self.tagger.cells()
         table_entries, clock_max = self.tagger.table_entries, self.tagger.clock_max
@@ -292,11 +283,8 @@ class SplitPath:
                     set_frozen(slot, "clk", clk)
                     set_frozen(slot, "exp", config.expiry_threshold)
                     metadata[tbl_idx] = slot
-                    recorder = self.obs_recorder
                     if entry.exp == 1:
                         counters.evictions += 1
-                        if recorder is not None:
-                            recorder.slot_evicted(name, tbl_idx)
                     payload = packet.park_leading_payload(
                         min(config.parked_bytes, len(packet.payload))
                     )
@@ -305,10 +293,6 @@ class SplitPath:
                         crc = tag_crc(tbl_idx, clk)
                     enb, tag_idx, tag_clk = 1, tbl_idx, clk
                     counters.splits += 1
-                    if recorder is not None:
-                        recorder.payload_parked(
-                            name, tbl_idx, clk, packet.meta.get("obs_pkt")
-                        )
                     payloads[tbl_idx] = payload
             header = packet.pp = new(PayloadParkHeader)
             header.enb = enb

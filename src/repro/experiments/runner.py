@@ -267,9 +267,8 @@ class ScenarioConfig:
     #: Plain data for the same picklability reasons as ``faults``; the
     #: runner materializes it into an
     #: :class:`~repro.obs.plane.ObservabilityPlane` per deployment run.
-    #: Everything defaults off; the flight recorder's ``obs_recorder``
-    #: guards are the only hooks the engine carries, and the phase
-    #: profiler wraps its seams from outside for the run.
+    #: Everything defaults off; the engine carries no hook: the plane's
+    #: instruments wrap their seams from outside for the run.
     observe: Optional[object] = field(default_factory=lambda: current_options().observe)
 
     def __post_init__(self) -> None:
@@ -536,7 +535,7 @@ class ExperimentRunner:
         package layers on top of the runner.  Returns None when every
         feature is off, which keeps the run on the exact uninstrumented
         hot path; otherwise :meth:`_execute` detaches the plane in a
-        ``finally``, so no profiler wrapper outlives the run.
+        ``finally``, so no seam wrapper outlives the run.
         """
         if scenario.observe is None:
             return None

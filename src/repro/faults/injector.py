@@ -92,9 +92,6 @@ class FaultInjectorNode(Node):
         self._down_epoch: Dict[int, int] = {}
         self._loss_token: Dict[int, int] = {}
         self._jitter_token: Dict[int, int] = {}
-        # Flight-recorder hook (repro.obs): fault applications become
-        # trace annotations.
-        self.obs_recorder = None
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -166,17 +163,12 @@ class FaultInjectorNode(Node):
 
     def apply_event(self, event: FaultEvent) -> None:
         """Apply one event now (normally invoked by the event loop)."""
-        self._apply(event)  # looked up per event: the profiler's seam
+        self._apply(event)  # looked up per event: the observability seam
 
     def _apply(self, event: FaultEvent) -> None:
         handler = getattr(self, f"_apply_{event.kind}")
         handler(event)
         self.events_applied += 1
-        recorder = self.obs_recorder
-        if recorder is not None:
-            recorder.fault_applied(
-                event.kind, self.env.now, event.duration_ns, dict(event.params)
-            )
 
     def _apply_link_down(self, event: FaultEvent) -> None:
         links = self._select_links(event.params)
@@ -320,10 +312,9 @@ class FaultInjectorNode(Node):
         drained = self.program.drain_parked(
             binding=event.params.get("binding"),
             fraction=float(event.params.get("fraction", 1.0)),
-            recorder=self.obs_recorder,
         )
-        for name, count in drained.items():
-            self.slots_drained[name] = self.slots_drained.get(name, 0) + count
+        for name, indices in drained.items():
+            self.slots_drained[name] = self.slots_drained.get(name, 0) + len(indices)
 
     # ------------------------------------------------------------------ #
     # Reporting

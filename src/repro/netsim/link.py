@@ -24,16 +24,18 @@ per-size table that fills a size on its first lookup (the link rate is
 fixed after construction), and arrival calls the receiving node's
 ``handle_packet`` directly.
 
-Faults and the flight recorder stay off that path behind one
-per-direction flag, ``impaired``.  While it is clear, ``transmit`` runs
-no down, loss, jitter or arrival-clamp branch.  Every fault or hook setter
-(:meth:`Link.set_up`, :meth:`~Link.set_loss`, :meth:`~Link.set_jitter`,
-:meth:`~Link.set_observability`) sets it, and on the reference loop it
-is set for good.  Only ``transmit`` clears it, on a frame that finds the
-direction up, no loss or jitter window open, no hook installed and its
+Faults stay off that path behind one per-direction flag, ``impaired``.
+While it is clear, ``transmit`` runs no down, loss, jitter or
+arrival-clamp branch.  Every fault setter (:meth:`Link.set_up`,
+:meth:`~Link.set_loss`, :meth:`~Link.set_jitter`) sets it, and on the
+reference loop it is set for good.  Only ``transmit`` clears it, on a
+frame that finds the direction up, no loss or jitter window open and its
 un-jittered arrival no earlier than the last jittered one — so after a
 jitter window closes, arrivals stay clamped until they pass the last
-jittered arrival.  The flag only adds drops and jitter to the frame's
+jittered arrival.  Observability adds no condition: the flight recorder
+reads drops off the direction's counters around ``transmit``
+(:mod:`repro.obs.trace`), so a traced run takes the path an unobserved
+one takes.  The flag only adds drops and jitter to the frame's
 arithmetic, which is the same code either way.
 
 Serialization end is drained lazily.  Its only effect is to take the
@@ -60,8 +62,8 @@ construction).
 ``Link.transmit`` and every ``handle_packet`` are looked up per frame,
 never captured bound: the perf ledger's tracer and
 ``tests/integration/test_hop_seams.py`` wrap them at class level after
-the testbed is wired, and the phase profiler (:mod:`repro.obs.profiler`)
-wraps ``transmit`` on each link instance for one run.
+the testbed is wired, and the phase profiler and the flight recorder
+(:mod:`repro.obs`) wrap ``transmit`` on each link instance for one run.
 """
 from __future__ import annotations
 
@@ -135,8 +137,6 @@ class _LinkDirection:
     per-frame event callbacks.  :meth:`Link.transmit` drives it."""
 
     __slots__ = (
-        "env",
-        "name",
         "propagation_delay_ns",
         "buffer_bytes",
         "next_free_ns",
@@ -155,21 +155,17 @@ class _LinkDirection:
         "_loss_rng",
         "_jitter_rng",
         "last_arrival_ns",
-        "obs_recorder",
     )
 
     def __init__(
         self,
         env: EventLoop,
-        name: str,
         bandwidth_gbps: float,
         propagation_delay_ns: int,
         buffer_bytes: int,
         node: Node,
         port: int,
     ) -> None:
-        self.env = env
-        self.name = name
         self.propagation_delay_ns = propagation_delay_ns
         self.buffer_bytes = buffer_bytes
         self.next_free_ns = 0
@@ -193,8 +189,8 @@ class _LinkDirection:
         self._on_arrive = self._arrive
         #: True while ``transmit`` must run its fault, loss, jitter and
         #: clamp branches (see the module docstring).  Set by every
-        #: fault or hook setter and, on a loop without a calendar, for
-        #: good; only ``transmit`` clears it.
+        #: fault setter and, on a loop without a calendar, for good;
+        #: only ``transmit`` clears it.
         self.impaired = calendar_of(env)[0] is None
         # Fault-injection state (see repro.faults): a downed direction
         # drops every offered frame; an active loss window drops each
@@ -213,9 +209,6 @@ class _LinkDirection:
         #: once an un-jittered arrival has caught up with this, and an
         #: unimpaired transmit need not write it.
         self.last_arrival_ns = 0
-        # Flight-recorder hook (repro.obs), installed through
-        # ``Link.set_observability``.
-        self.obs_recorder = None
 
     def _finish(self, wire_bytes: int) -> None:
         """Serialization ended: the frame's bytes leave the egress buffer."""
@@ -225,14 +218,6 @@ class _LinkDirection:
         """The frame reached the far end: hand it to the receiving node."""
         self.stats.frames_delivered += 1
         self._node.handle_packet(packet, self._port)
-
-    def _record_drop(self, packet: Packet, reason: str) -> None:
-        """Flight-recorder drop hook (drop branches only, never the fast case)."""
-        recorder = self.obs_recorder
-        if recorder is not None:
-            pkt_id = packet.meta.get("obs_pkt")
-            if pkt_id is not None:
-                recorder.packet_dropped(pkt_id, self.env.now, self.name, reason)
 
 
 class Link:
@@ -261,8 +246,8 @@ class Link:
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
         self.node_a, self.node_b = node_a, node_b
         shape = (bandwidth_gbps, propagation_delay_ns, buffer_bytes)
-        self._a_to_b = _LinkDirection(env, f"{self.name}[a->b]", *shape, node_b, port_b)
-        self._b_to_a = _LinkDirection(env, f"{self.name}[b->a]", *shape, node_a, port_a)
+        self._a_to_b = _LinkDirection(env, *shape, node_b, port_b)
+        self._b_to_a = _LinkDirection(env, *shape, node_a, port_a)
         node_a.attach_link(port_a, self)
         node_b.attach_link(port_b, self)
 
@@ -285,14 +270,12 @@ class Link:
         if impaired:
             if not direction.up:
                 stats.frames_dropped_down += 1
-                direction._record_drop(packet, "link-down")
                 return
             if (
                 direction.loss_probability > 0.0
                 and direction._loss_rng.random() < direction.loss_probability
             ):
                 stats.frames_dropped_loss += 1
-                direction._record_drop(packet, "link-loss")
                 return
         wire_bytes = packet.wire_length
         now = self.env.now
@@ -302,7 +285,6 @@ class Link:
         queued = direction.queued_bytes + wire_bytes
         if queued > direction.buffer_bytes:
             stats.frames_dropped += 1
-            direction._record_drop(packet, "link-buffer-overflow")
             return
         next_free = direction.next_free_ns
         tx_done = (now if now > next_free else next_free) + direction.serialization[wire_bytes]
@@ -319,14 +301,9 @@ class Link:
                 arrival += int(direction._jitter_rng.random() * jitter)
             if arrival < direction.last_arrival_ns:
                 arrival = direction.last_arrival_ns
-            elif not (
-                jitter
-                or direction.loss_probability > 0.0
-                or direction.obs_recorder is not None
-                or buckets is None
-            ):
-                # Up, no window open, no hook, and the clamp has caught
-                # up: later frames need none of these branches.
+            elif not (jitter or direction.loss_probability > 0.0 or buckets is None):
+                # Up, no window open, and the clamp has caught up: later
+                # frames need none of these branches.
                 direction.impaired = False
             direction.last_arrival_ns = arrival
 
@@ -399,12 +376,6 @@ class Link:
                 direction._jitter_rng = random.Random((seed * 2 + salt + 1) & 0xFFFFFFFFFFFFFFFF)
             else:
                 direction._jitter_rng = None
-
-    def set_observability(self, recorder=None) -> None:
-        """Install (None: remove) the flight recorder on both directions."""
-        for direction in (self._a_to_b, self._b_to_a):
-            direction.obs_recorder = recorder
-            direction.impaired = True
 
     # ------------------------------------------------------------------ #
     # Reporting

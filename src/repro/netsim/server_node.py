@@ -103,8 +103,6 @@ class NfServerNode(Node):
         self.busy_ns = 0
         self.pcie_rx_bytes = 0  # device -> host (received frames)
         self.pcie_tx_bytes = 0  # host -> device (transmitted frames)
-        # Flight-recorder hook (repro.obs): None keeps the hot path lean.
-        self.obs_recorder = None
         # The two per-packet event callbacks, bound once: NF completion,
         # and the NIC-tx end, which is the switch port's sender (see
         # ``Node.port_sender``) — the frame goes straight onto the link.
@@ -136,13 +134,6 @@ class NfServerNode(Node):
         """A frame arrived from the switch on the server's NIC port."""
         if self._in_server >= self._buffer_capacity:
             self.overflow_drops += 1
-            recorder = self.obs_recorder
-            if recorder is not None:
-                pkt_id = packet.meta.get("obs_pkt")
-                if pkt_id is not None:
-                    recorder.packet_dropped(
-                        pkt_id, self.env.now, self.name, "server-buffer-overflow"
-                    )
             return
         self._in_server += 1
         self.accepted_packets += 1
@@ -207,21 +198,8 @@ class NfServerNode(Node):
         self._in_server -= 1
         self.processed_packets += 1
         result = self.model.process_packet(packet)
-        recorder = self.obs_recorder
-        if recorder is not None:
-            pkt_id = packet.meta.get("obs_pkt")
-            if pkt_id is not None:
-                recorder.nf_processed(
-                    pkt_id, self.env.now, self.name, result.forwarded
-                )
         if not result.forwarded:
             self.chain_dropped_packets += 1
-            if recorder is not None:
-                pkt_id = packet.meta.get("obs_pkt")
-                if pkt_id is not None:
-                    recorder.packet_dropped(
-                        pkt_id, self.env.now, self.name, "nf-chain-drop"
-                    )
             pp = packet.pp
             if not (self.model.config.explicit_drop and pp is not None and pp.enb == 1):
                 return

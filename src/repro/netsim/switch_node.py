@@ -45,15 +45,12 @@ class SwitchNode(Node):
         #: The calendar the egress event goes straight into (``None`` on
         #: the reference loop: ``schedule_at``).
         self._buckets, self._times = calendar_of(env)
-        # Flight-recorder hook (repro.obs): None keeps the hot path lean.
-        self.obs_recorder = None
 
     def handle_packet(self, packet: Packet, port: int) -> None:
         """Run the frame through the dataplane program and forward it."""
         egress, owed_ns, reason = self.program.process(packet, port)
         if reason is not None:
             self.packets_dropped += 1
-            self._record_drop(packet, reason)
             return
         send = self._egress.get(egress)
         if send is None:
@@ -69,11 +66,3 @@ class SwitchNode(Node):
                 heappush(self._times, when)
             else:
                 bucket.append((send, packet))
-
-    def _record_drop(self, packet: Packet, reason: str) -> None:
-        """Flight-recorder drop hook (off the hot path's common case)."""
-        recorder = self.obs_recorder
-        if recorder is not None:
-            pkt_id = packet.meta.get("obs_pkt")
-            if pkt_id is not None:
-                recorder.packet_dropped(pkt_id, self.env.now, self.name, reason)

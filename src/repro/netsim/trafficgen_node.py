@@ -75,11 +75,6 @@ class TrafficGenNode(Node):
         self.retransmitted_bytes = 0
         self.duplicate_packets_received = 0
         self.duplicate_bytes_received = 0
-        # Observability hooks (repro.obs): all default None so the
-        # uninstrumented hot path pays one predictable branch each.
-        self.obs_recorder = None
-        self.obs_latency_hist = None
-        self._obs_pkt_index = 0
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -123,24 +118,12 @@ class TrafficGenNode(Node):
         now = self.env.now
         links, tx_ports = self.links, self.tx_ports
         cursor, port_count = self._port_cursor, len(tx_ports)
-        recorder = self.obs_recorder
         sent_bytes = 0
         for packet in packets:
             packet.meta["tx_ns"] = now
             port = tx_ports[cursor]
             cursor = (cursor + 1) % port_count
-            wire_bytes = packet.wire_length
-            sent_bytes += wire_bytes
-            if recorder is not None:
-                # Deterministic 1-in-N sampling decided at generation
-                # time: the per-generator index depends only on emission
-                # order, so the fast and reference paths follow
-                # identical packets.
-                self._obs_pkt_index += 1
-                if self._obs_pkt_index % recorder.sample_every == 0:
-                    pkt_id = f"{self.name}#{self._obs_pkt_index}"
-                    packet.meta["obs_pkt"] = pkt_id
-                    recorder.packet_generated(pkt_id, now, port, wire_bytes)
+            sent_bytes += packet.wire_length
             link = links.get(port)
             if link is None:
                 raise ValueError(f"{self.name}: no link attached to port {port}")
@@ -270,18 +253,8 @@ class TrafficGenNode(Node):
         else:
             self.useful_bytes_received += packet.useful_bytes
         tx_ns = packet.meta.get("tx_ns")
-        latency_ns = None
         if tx_ns is not None:
-            latency_ns = self.env.now - tx_ns
-            self.latency.record(latency_ns)
-            histogram = self.obs_latency_hist
-            if histogram is not None:
-                histogram.observe(latency_ns / 1_000.0)
-        recorder = self.obs_recorder
-        if recorder is not None:
-            pkt_id = packet.meta.get("obs_pkt")
-            if pkt_id is not None:
-                recorder.packet_delivered(pkt_id, self.env.now, latency_ns)
+            self.latency.record(self.env.now - tx_ns)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -13,12 +13,12 @@ Three instruments, all default-off, all wired through the testbed by
   trace-event JSON; fault windows appear as trace annotations.
 * :class:`~repro.obs.profiler.PhaseProfiler` — wall-time attribution
   to engine stages (pipeline walk, NF processing, traffic generation,
-  link transmit, fault injection, residual event dispatch), by wrappers
-  it installs around the engine's seams for one run and removes after.
+  link transmit, fault injection, residual event dispatch).
 
-The engine carries one hook, the recorder's ``obs_recorder`` guards;
-their cost is bounded by the clock-free call budgets
-(``tests/integration/test_call_budget.py``) and the perf ledger.
+The recorder and the profiler wrap the engine's seams on one run's
+instances and the runner removes the wrappers after
+(:class:`~repro.obs.plane.SeamPatches`); the engine carries no
+observability hook.
 """
 
 from repro.lazy import lazy_exports

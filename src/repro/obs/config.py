@@ -7,8 +7,8 @@ frozen, hashable and picklable — campaign workers rebuild the plane on
 their side of the process boundary from this spec alone.
 
 Everything defaults *off*: a scenario without a spec (or with every
-feature flag false) builds no plane at all, so the run installs no hook
-and no profiler wrapper.
+feature flag false) builds no plane at all, so the run installs no
+seam wrapper.
 """
 
 from __future__ import annotations

@@ -6,18 +6,21 @@ enables anything), attaches it to the freshly built topology before
 traffic starts, arms the metric sampler alongside the traffic
 generators, finalizes it into a :class:`RunObservation` after the
 reports are computed, and detaches it in a ``finally``.  Attachment is
-purely additive: it assigns the flight recorder's optional hook
-attribute (``obs_recorder``), which every hot path guards with a single
-``is not None`` branch, lets the phase profiler wrap its seams from
-outside (:mod:`repro.obs.profiler`), and registers read-only sampling
-callbacks — simulation behavior is untouched, which the integration
-suite pins by comparing instrumented and uninstrumented reports.
+purely additive: the flight recorder and the phase profiler wrap
+their seams — methods the engine looks up per call — on the run's
+instances (:func:`seam_owners`), through one undo log
+(:class:`SeamPatches`) that ``detach`` restores newest first, and the
+metric series are read-only sampling callbacks.  No engine class is
+touched and the engine carries no observability hook, so simulation
+behavior is untouched, which the integration suite pins by comparing
+instrumented and uninstrumented reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.config import ObserveSpec
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
@@ -81,6 +84,53 @@ class RunObservation:
         return digest
 
 
+def seam_owners(topology: Any, program: Any) -> Dict[str, Tuple[Any, ...]]:
+    """Role -> the objects of one wired testbed that play it.
+
+    ``payloadpark`` is the program when it parks payloads (it has lookup
+    tables), else nobody.
+    """
+    attachments = topology.attachments
+    injector = topology.fault_injector
+    return {
+        "switch": (topology.switch,),
+        "program": (program,),
+        "payloadpark": (program,) if getattr(program, "lookup_tables", None) else (),
+        "server": tuple(attachment.server for attachment in attachments),
+        "pktgen": tuple(attachment.pktgen for attachment in attachments),
+        "link": tuple(
+            link for a in attachments for link in (*a.gen_links, a.server_link)
+        ),
+        "fault_injector": () if injector is None else (injector,),
+    }
+
+
+class SeamPatches:
+    """Per-instance seam replacements, undone in LIFO order."""
+
+    __slots__ = ("_patched",)
+
+    def __init__(self) -> None:
+        #: ``(owner, method, original)`` per replacement; ``original``
+        #: is None where the method came from the class.
+        self._patched: List[Tuple[Any, str, Any]] = []
+
+    def patch(self, owner: Any, name: str, wrap: Callable[[Any], Any]) -> None:
+        """Replace *owner*'s *name* with ``wrap(method)`` until :meth:`restore`."""
+        wrapper = wrap(getattr(owner, name))
+        self._patched.append((owner, name, vars(owner).get(name)))
+        setattr(owner, name, wrapper)
+
+    def restore(self) -> None:
+        """Undo every replacement, newest first (safe to call twice)."""
+        while self._patched:
+            owner, name, original = self._patched.pop()
+            if original is None:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, original)
+
+
 class ObservabilityPlane:
     """Wires metrics, tracing and profiling through one testbed."""
 
@@ -105,74 +155,51 @@ class ObservabilityPlane:
         )
         if self.recorder is not None:
             self.recorder.bind_clock(env)
+        self.patches = SeamPatches()
+        #: (histogram, generator latency recorder) per attachment: the
+        #: latency histograms are filled from the samples at finalize.
+        self._latencies: List[Tuple[Any, Any]] = []
 
     # ------------------------------------------------------------------ #
     # Wiring
     # ------------------------------------------------------------------ #
 
     def attach(self, topology: Any, program: Any) -> None:
-        """Install recorder hooks, wrap profiler seams, register series."""
-        recorder = self.recorder
-        if recorder is not None:
-            topology.switch.obs_recorder = recorder
-            for attachment in topology.attachments:
-                attachment.pktgen.obs_recorder = recorder
-                attachment.server.obs_recorder = recorder
-                for link in (*attachment.gen_links, attachment.server_link):
-                    link.set_observability(recorder)
-            injector = topology.fault_injector
-            if injector is not None:
-                injector.obs_recorder = recorder
-            # The PayloadPark split/merge paths emit park-span events; the
-            # baseline program has neither attribute and is skipped.
-            for path in getattr(program, "_split_paths", ()):
-                path.obs_recorder = recorder
-            for path in getattr(program, "_merge_paths", ()):
-                path.obs_recorder = recorder
-        if self.registry is not None:
-            self._register_series(topology, program)
-        # Last: nothing after it can raise before the runner's ``finally``.
-        if self.profiler is not None:
-            self.profiler.wrap(topology, program)
+        """Register series and wrap every instrument's seams (all or none)."""
+        owners = seam_owners(topology, program)
+        try:
+            if self.registry is not None:
+                self._register_series(topology, program)
+            if self.recorder is not None:
+                self.recorder.wrap(self.patches, owners)
+            if self.profiler is not None:
+                self.profiler.wrap(self.patches, owners)
+        except BaseException:
+            self.detach()
+            raise
 
     def detach(self) -> None:
-        """Restore every seam the profiler wrapped (safe to call twice)."""
-        if self.profiler is not None:
-            self.profiler.unwrap()
+        """Restore every seam the instruments wrapped (safe to call twice)."""
+        self.patches.restore()
 
     def _register_series(self, topology: Any, program: Any) -> None:
         registry = self.registry
         for attachment in topology.attachments:
             name = attachment.binding.name
-            pktgen = attachment.pktgen
-            server = attachment.server
-            registry.track(
-                f"pktgen.{name}.delivered_useful_bytes",
-                lambda g=pktgen: g.useful_bytes_received,
-                kind="cumulative",
-            )
-            registry.track(
-                f"pktgen.{name}.packets_sent",
-                lambda g=pktgen: g.packets_sent,
-                kind="cumulative",
-            )
-            registry.track(
-                f"pktgen.{name}.packets_received",
-                lambda g=pktgen: g.packets_received,
-                kind="cumulative",
-            )
-            registry.track(
-                f"server.{name}.processed_packets",
-                lambda s=server: s.processed_packets,
-                kind="cumulative",
-            )
-            registry.track(
-                f"server.{name}.queue_occupancy",
-                lambda s=server: s.queue_occupancy,
-                kind="gauge",
-            )
-            pktgen.obs_latency_hist = registry.histogram(
-                f"latency_us.{name}", LATENCY_BUCKETS_US
+            pktgen, server = attachment.pktgen, attachment.server
+            for series_name, owner, attribute, kind in (
+                ("pktgen.{}.delivered_useful_bytes", pktgen, "useful_bytes_received",
+                 "cumulative"),
+                ("pktgen.{}.packets_sent", pktgen, "packets_sent", "cumulative"),
+                ("pktgen.{}.packets_received", pktgen, "packets_received", "cumulative"),
+                ("server.{}.processed_packets", server, "processed_packets", "cumulative"),
+                ("server.{}.queue_occupancy", server, "queue_occupancy", "gauge"),
+            ):
+                registry.track(
+                    series_name.format(name), partial(getattr, owner, attribute), kind=kind
+                )
+            self._latencies.append(
+                (registry.histogram(f"latency_us.{name}", LATENCY_BUCKETS_US), pktgen.latency)
             )
             links = [(f"link.{name}.server", attachment.server_link)]
             links.extend(
@@ -180,16 +207,8 @@ class ObservabilityPlane:
                 for index, link in enumerate(attachment.gen_links)
             )
             for series_name, link in links:
-                registry.track(
-                    f"{series_name}.buffer_drops",
-                    lambda l=link: l.buffer_drops(),
-                    kind="cumulative",
-                )
-                registry.track(
-                    f"{series_name}.fault_drops",
-                    lambda l=link: l.fault_drops(),
-                    kind="cumulative",
-                )
+                registry.track(f"{series_name}.buffer_drops", link.buffer_drops, "cumulative")
+                registry.track(f"{series_name}.fault_drops", link.fault_drops, "cumulative")
             # NF cache efficiency (duck-typed: any NF exposing the
             # cache_lookups/cache_hits counter pair participates).
             for nf in server.model.chain:
@@ -202,22 +221,16 @@ class ObservabilityPlane:
                         kind="gauge",
                     )
         for binding_name, table in getattr(program, "lookup_tables", {}).items():
+            registry.track(f"switch.{binding_name}.sram_occupied_slots", table.occupancy)
             registry.track(
-                f"switch.{binding_name}.sram_occupied_slots",
-                lambda t=table: t.occupancy(),
-                kind="gauge",
-            )
-            registry.track(
-                f"switch.{binding_name}.sram_occupancy_fraction",
-                lambda t=table: t.occupancy_fraction(),
-                kind="gauge",
+                f"switch.{binding_name}.sram_occupancy_fraction", table.occupancy_fraction
             )
             counters = program.counters_for(binding_name)
             for counter_name in ("splits", "merges", "evictions",
                                  "premature_evictions", "explicit_drops"):
                 registry.track(
                     f"payloadpark.{binding_name}.{counter_name}",
-                    lambda c=counters, f=counter_name: getattr(c, f),
+                    partial(getattr, counters, counter_name),
                     kind="cumulative",
                 )
 
@@ -247,9 +260,12 @@ class ObservabilityPlane:
             duration_ns=duration_ns,
         )
         if self.registry is not None:
+            for histogram, latency in self._latencies:
+                for latency_ns in latency.samples_ns:
+                    histogram.observe(latency_ns / 1_000.0)
             observation.metrics = self.registry.export()
         if self.recorder is not None:
-            self.recorder.finalize(self.env.now)
+            self.recorder.finalize()
             observation.trace_jsonl = self.recorder.to_jsonl()
             observation.chrome_trace = self.recorder.to_chrome()
         if self.profiler is not None:

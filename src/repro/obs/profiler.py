@@ -4,10 +4,11 @@ The profiler attaches from outside the engine.  :data:`STAGES` maps
 each stage to the seams it times — methods the engine looks up per
 call — and :meth:`PhaseProfiler.wrap` replaces each seam, on the
 instances of one wired testbed, with a wrapper that brackets the call
-with ``enter(stage)`` / ``exit()``; :meth:`PhaseProfiler.unwrap`
-restores them (the runner calls it in a ``finally``).  Nothing in the
-engine knows a profiler exists, and no class is touched, so a profiled
-run takes the same engine path as an unobserved one.
+with ``enter(stage)`` / ``exit()``, through the plane's undo log
+(:class:`~repro.obs.plane.SeamPatches`; the runner restores it in a
+``finally``).  Nothing in the engine knows a profiler exists, and no
+class is touched, so a profiled run takes the same engine path as an
+unobserved one.
 
 The runner wraps every ``run_until`` call in :meth:`measure_total`.
 Stages nest (a burst transmits on a link); the accounting is
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 #: Report schema identifier; bump on incompatible layout changes.
@@ -33,7 +35,7 @@ DISPATCH_STAGE = "event_dispatch"
 
 #: Stage -> the seams it times, as ``(role, method)`` pairs: the method
 #: is wrapped on every object of the testbed that plays the role (see
-#: :func:`seam_owners`).  ``_on_complete`` is the server's completion
+#: :func:`~repro.obs.plane.seam_owners`).  ``_on_complete`` is the server's completion
 #: callback, bound in ``__init__`` and read per packet; ``_apply`` is
 #: the injector's per-event work behind the ``apply_event`` the
 #: calendar already holds.
@@ -46,34 +48,16 @@ STAGES: Dict[str, Tuple[Tuple[str, str], ...]] = {
 }
 
 
-def seam_owners(topology: Any, program: Any) -> Dict[str, Tuple[Any, ...]]:
-    """Role -> the objects of one wired testbed that play it."""
-    attachments = topology.attachments
-    injector = topology.fault_injector
-    return {
-        "program": (program,),
-        "server": tuple(attachment.server for attachment in attachments),
-        "pktgen": tuple(attachment.pktgen for attachment in attachments),
-        "link": tuple(
-            link for a in attachments for link in (*a.gen_links, a.server_link)
-        ),
-        "fault_injector": () if injector is None else (injector,),
-    }
-
-
 class PhaseProfiler:
     """Accumulates exclusive wall time and event counts per stage."""
 
-    __slots__ = ("_self_ns", "_events", "_stack", "_wrapped", "total_wall_ns")
+    __slots__ = ("_self_ns", "_events", "_stack", "total_wall_ns")
 
     def __init__(self) -> None:
         self._self_ns: Dict[str, int] = {}
         self._events: Dict[str, int] = {}
         #: Open frames: [stage, start_ns, child_ns].
         self._stack: List[List[Any]] = []
-        #: ``(owner, method, original)`` per installed wrapper;
-        #: ``original`` is None where the method came from the class.
-        self._wrapped: List[Tuple[Any, str, Any]] = []
         self.total_wall_ns = 0
 
     def enter(self, stage: str) -> None:
@@ -101,24 +85,12 @@ class PhaseProfiler:
 
         return timed
 
-    def wrap(self, topology: Any, program: Any) -> None:
-        """Time every seam of *topology* until :meth:`unwrap`."""
-        owners = seam_owners(topology, program)
+    def wrap(self, patches: Any, owners: Dict[str, Tuple[Any, ...]]) -> None:
+        """Time every seam of *owners* until *patches* are restored."""
         for stage, seams in STAGES.items():
             for role, name in seams:
                 for owner in owners[role]:
-                    method = getattr(owner, name)
-                    self._wrapped.append((owner, name, vars(owner).get(name)))
-                    setattr(owner, name, self._timed(stage, method))
-
-    def unwrap(self) -> None:
-        """Restore every seam :meth:`wrap` replaced."""
-        while self._wrapped:
-            owner, name, original = self._wrapped.pop()
-            if original is None:
-                delattr(owner, name)
-            else:
-                setattr(owner, name, original)
+                    patches.patch(owner, name, partial(self._timed, stage))
 
     @contextmanager
     def measure_total(self) -> Iterator[None]:

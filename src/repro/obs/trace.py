@@ -8,6 +8,12 @@ deliver/drop.  Park events open a span keyed by ``(binding, slot)``
 that the matching evict/merge/drain closes, which is how a
 parked-then-evicted payload becomes one visible span in the export.
 
+The recorder attaches from outside the engine, as the phase profiler
+does: :data:`EVENTS` maps each trace event to the seams it is read
+from, and :meth:`FlightRecorder.wrap` wraps those seams on the run's
+instances.  A sampled packet carries its id in
+``packet.meta["obs_pkt"]``, set where the generator hands it to a link.
+
 Two export formats:
 
 * JSONL (``repro.trace/v1``): a header line followed by one
@@ -24,10 +30,41 @@ export, per that format's convention).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from operator import attrgetter, ne
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: JSONL schema identifier; bump on incompatible layout changes.
 TRACE_SCHEMA = "repro.trace/v1"
+
+#: Trace event -> the seams it is read from, as ``(role, method)`` pairs
+#: (roles as in :func:`~repro.obs.plane.seam_owners`).  A generator's
+#: link samples the frames the generator offers it; the program's
+#: ``process`` tells Split and Merge outcomes from the binding's counter
+#: deltas across the call, the PayloadPark header before and after it,
+#: and the decision it returns; ``drain_parked`` returns the slots it
+#: drained; drops are counter deltas, or the decision's drop reason.
+_PROCESS = ("program", "process")
+EVENTS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "generate": (("link", "transmit"),),
+    "drop": (("link", "transmit"), _PROCESS, ("server", "handle_packet"),
+             ("server", "_on_complete")),
+    **dict.fromkeys(
+        ("park", "evict", "merge", "premature_eviction", "explicit_drop"), (_PROCESS,)
+    ),
+    "drain": (("payloadpark", "drain_parked"),),
+    "nf_process": (("server", "_on_complete"),),
+    "deliver": (("pktgen", "handle_packet"),),
+    "fault": (("fault_injector", "_apply"),),
+}
+
+#: A link direction's drop counters, and the reason each one records.
+_LINK_DROPS = attrgetter("frames_dropped_down", "frames_dropped_loss", "frames_dropped")
+_LINK_DROP_REASONS = ("link-down", "link-loss", "link-buffer-overflow")
+#: A binding's counters that tell what one switch pass did to a slot.
+_SLOT_COUNTS = attrgetter(
+    "evictions", "splits", "premature_evictions", "explicit_drops", "merges"
+)
 
 #: Chrome trace track (tid) assignments.
 _TID_PACKETS = 1
@@ -45,8 +82,7 @@ class FlightRecorder:
             raise ValueError(f"max_events must be >=1, got {max_events}")
         self.sample_every = sample_every
         self.max_events = max_events
-        #: Simulation clock bound by the plane; dataplane hooks (split,
-        #: merge, control plane) have no env reference of their own.
+        #: Simulation clock bound by the plane: it stamps every record.
         self._clock = None
         #: Flat record list in execution order (events, closed spans, faults).
         self.records: List[Dict[str, Any]] = []
@@ -55,13 +91,153 @@ class FlightRecorder:
         #: Open park spans: (binding, slot) -> (pkt_id, clk, start_ns).
         self._open_parks: Dict[Tuple[str, int], Tuple[str, int, int]] = {}
         self.spans_closed = 0
+        #: Generator (None: a link no generator sends on) -> its
+        #: emission index, shared by its links' wrappers.
+        self._emitted: Dict[Any, List[int]] = {}
 
     # ------------------------------------------------------------------ #
-    # Recording (hot-path hooks; every caller guards on ``is not None``)
+    # Seams
+    # ------------------------------------------------------------------ #
+
+    def wrap(self, patches: Any, owners: Dict[str, Tuple[Any, ...]]) -> None:
+        """Record every seam of :data:`EVENTS` on *owners* until *patches*
+        are restored; ``_trace_<role>_<method>`` builds a seam's wrapper."""
+        for role, name in dict.fromkeys(s for seams in EVENTS.values() for s in seams):
+            trace = getattr(self, f"_trace_{role}_{name.strip('_')}")
+            for owner in owners[role]:
+                patches.patch(owner, name, partial(trace, owners, owner))
+
+    def _trace_link_transmit(self, owners: Dict, link: Any, transmit: Callable) -> Callable:
+        """Drops from the sender's direction counters.  On a generator's
+        link, also the generator's 1-in-N sample: its emission index
+        counts the frames it offers all its links, so the fast and
+        reference paths follow identical packets."""
+        directions = {
+            link.node_a: (link.direction_stats(link.node_a), f"{link.name}[a->b]"),
+            link.node_b: (link.direction_stats(link.node_b), f"{link.name}[b->a]"),
+        }
+        pktgen, port = next(
+            ((gen, p) for gen in owners["pktgen"] for p, gen_link in gen.links.items()
+             if gen_link is link),
+            (None, None),
+        )
+        emitted = self._emitted.setdefault(pktgen, [0])
+
+        def traced(packet, sender) -> None:
+            meta = packet.meta
+            if sender is pktgen:
+                emitted[0] += 1
+                if emitted[0] % self.sample_every == 0:
+                    pkt_id = meta["obs_pkt"] = f"{pktgen.name}#{emitted[0]}"
+                    self.event("generate", pkt_id, port=port, bytes=packet.wire_length)
+            pkt_id, direction = meta.get("obs_pkt"), directions.get(sender)
+            if pkt_id is None or direction is None:
+                return transmit(packet, sender)
+            stats, where = direction
+            before = _LINK_DROPS(stats)
+            transmit(packet, sender)
+            after = _LINK_DROPS(stats)
+            if after != before:  # one frame, one drop counter at most
+                reason = _LINK_DROP_REASONS[[*map(ne, after, before)].index(True)]
+                self.event("drop", pkt_id, where=where, reason=reason)
+            return None
+
+        return traced
+
+    def _trace_program_process(self, owners: Dict, program: Any, process: Callable) -> Callable:
+        """Slot events from the binding's counters around one switch
+        pass, and a switch drop from the decision's reason."""
+        (switch,), parking = owners["switch"], getattr(program, "lookup_tables", ())
+        paths = {
+            port: (binding.name, program.counters_for(binding.name))
+            for binding in program.bindings if binding.name in parking
+            for port in (*binding.ingress_ports, binding.nf_port)
+        }
+
+        def traced(packet, ingress_port):
+            pkt_id, path = packet.meta.get("obs_pkt"), paths.get(ingress_port)
+            if path is None:
+                decision = process(packet, ingress_port)
+            else:
+                name, counters = path
+                header, before = packet.pp, _SLOT_COUNTS(counters)
+                decision = process(packet, ingress_port)
+                evicted, parked, premature, explicit, merged = map(
+                    ne, _SLOT_COUNTS(counters), before
+                )
+                if evicted:
+                    self.slot_closed(name, packet.pp.tbl_idx, "evicted")
+                if parked:
+                    self.payload_parked(name, packet.pp.tbl_idx, packet.pp.clk, pkt_id)
+                elif premature:
+                    self.event("premature_eviction", pkt_id, binding=name, slot=header.tbl_idx)
+                elif explicit or merged:
+                    outcome = "explicit-drop" if explicit else "merged"
+                    self.slot_closed(name, header.tbl_idx, outcome)
+            if pkt_id is not None and decision[2] is not None:
+                self.event("drop", pkt_id, where=switch.name, reason=decision[2])
+            return decision
+
+        return traced
+
+    def _trace_payloadpark_drain_parked(self, owners, program, drain_parked) -> Callable:
+        def traced(*args, **kwargs):
+            drained = drain_parked(*args, **kwargs)
+            for name, indices in drained.items():
+                for index in indices:
+                    self.slot_closed(name, index, "drained")
+            return drained
+
+        return traced
+
+    def _trace_server_handle_packet(self, owners, server, handle_packet) -> Callable:
+        def traced(packet, port) -> None:
+            overflows = server.overflow_drops
+            handle_packet(packet, port)
+            pkt_id = packet.meta.get("obs_pkt")
+            if pkt_id is not None and server.overflow_drops != overflows:
+                self.event(
+                    "drop", pkt_id, where=server.name, reason="server-buffer-overflow"
+                )
+
+        return traced
+
+    def _trace_server_on_complete(self, owners, server, complete) -> Callable:
+        def traced(packet) -> None:
+            chain_drops = server.chain_dropped_packets
+            complete(packet)
+            pkt_id = packet.meta.get("obs_pkt")
+            if pkt_id is not None:
+                forwarded = server.chain_dropped_packets == chain_drops
+                self.event("nf_process", pkt_id, server=server.name, forwarded=forwarded)
+                if not forwarded:
+                    self.event("drop", pkt_id, where=server.name, reason="nf-chain-drop")
+
+        return traced
+
+    def _trace_pktgen_handle_packet(self, owners, pktgen, handle_packet) -> Callable:
+        def traced(packet, port) -> None:
+            handle_packet(packet, port)
+            pkt_id, tx_ns = packet.meta.get("obs_pkt"), packet.meta.get("tx_ns")
+            if pkt_id is not None:
+                latency_ns = None if tx_ns is None else self.now() - tx_ns
+                self.event("deliver", pkt_id, latency_ns=latency_ns)
+
+        return traced
+
+    def _trace_fault_injector_apply(self, owners, injector, apply) -> Callable:
+        def traced(event) -> None:
+            apply(event)
+            self.fault_applied(event.kind, event.duration_ns, event.params)
+
+        return traced
+
+    # ------------------------------------------------------------------ #
+    # Recording
     # ------------------------------------------------------------------ #
 
     def bind_clock(self, env: Any) -> None:
-        """Attach the event loop whose ``now`` stamps clock-less hooks."""
+        """Attach the event loop whose ``now`` stamps the records."""
         self._clock = env
 
     def now(self) -> int:
@@ -74,29 +250,9 @@ class FlightRecorder:
             return
         self.records.append(record)
 
-    def packet_generated(self, pkt_id: str, t_ns: int, port: int, wire_bytes: int) -> None:
-        self._append(
-            {"type": "event", "ev": "generate", "ts": t_ns, "pkt": pkt_id,
-             "port": port, "bytes": wire_bytes}
-        )
-
-    def packet_delivered(self, pkt_id: str, t_ns: int, latency_ns: Optional[int]) -> None:
-        self._append(
-            {"type": "event", "ev": "deliver", "ts": t_ns, "pkt": pkt_id,
-             "latency_ns": latency_ns}
-        )
-
-    def packet_dropped(self, pkt_id: str, t_ns: int, where: str, reason: str) -> None:
-        self._append(
-            {"type": "event", "ev": "drop", "ts": t_ns, "pkt": pkt_id,
-             "where": where, "reason": reason}
-        )
-
-    def nf_processed(self, pkt_id: str, t_ns: int, server: str, forwarded: bool) -> None:
-        self._append(
-            {"type": "event", "ev": "nf_process", "ts": t_ns, "pkt": pkt_id,
-             "server": server, "forwarded": forwarded}
-        )
+    def event(self, ev: str, pkt_id: Optional[str], **fields: Any) -> None:
+        """Record packet event *ev* (``generate``, ``deliver``, ``drop``, ...) now."""
+        self._append({"type": "event", "ev": ev, "ts": self.now(), "pkt": pkt_id, **fields})
 
     def payload_parked(
         self, binding: str, slot: int, clk: int, pkt_id: Optional[str]
@@ -111,7 +267,8 @@ class FlightRecorder:
              "binding": binding, "slot": slot, "clk": clk}
         )
 
-    def _close_park(self, binding: str, slot: int, t_ns: int, outcome: str) -> None:
+    def slot_closed(self, binding: str, slot: int, outcome: str) -> None:
+        """Close the slot's park span, if one is open, with *outcome*."""
         opened = self._open_parks.pop((binding, slot), None)
         if opened is None:
             return
@@ -119,31 +276,11 @@ class FlightRecorder:
         self.spans_closed += 1
         self._append(
             {"type": "span", "span": "park", "binding": binding, "slot": slot,
-             "clk": clk, "pkt": pkt_id, "start_ns": start_ns, "end_ns": t_ns,
+             "clk": clk, "pkt": pkt_id, "start_ns": start_ns, "end_ns": self.now(),
              "outcome": outcome}
         )
 
-    def slot_evicted(self, binding: str, slot: int) -> None:
-        self._close_park(binding, slot, self.now(), "evicted")
-
-    def slot_merged(self, binding: str, slot: int) -> None:
-        self._close_park(binding, slot, self.now(), "merged")
-
-    def slot_drained(self, binding: str, slot: int) -> None:
-        self._close_park(binding, slot, self.now(), "drained")
-
-    def slot_released(self, binding: str, slot: int, outcome: str) -> None:
-        self._close_park(binding, slot, self.now(), outcome)
-
-    def premature_eviction(self, binding: str, slot: int, pkt_id: Optional[str]) -> None:
-        self._append(
-            {"type": "event", "ev": "premature_eviction", "ts": self.now(),
-             "pkt": pkt_id, "binding": binding, "slot": slot}
-        )
-
-    def fault_applied(
-        self, kind: str, t_ns: int, duration_ns: int, params: Dict[str, Any]
-    ) -> None:
+    def fault_applied(self, kind: str, duration_ns: int, params: Dict[str, Any]) -> None:
         """Annotate the trace with a fault window (or instant event)."""
         clean = {
             key: value
@@ -151,7 +288,7 @@ class FlightRecorder:
             if isinstance(value, (str, int, float, bool)) or value is None
         }
         self._append(
-            {"type": "fault", "kind": kind, "ts": t_ns,
+            {"type": "fault", "kind": kind, "ts": self.now(),
              "duration_ns": duration_ns, "params": clean}
         )
 
@@ -159,18 +296,10 @@ class FlightRecorder:
     # Finalization / export
     # ------------------------------------------------------------------ #
 
-    def finalize(self, t_ns: int) -> None:
+    def finalize(self) -> None:
         """Close every still-open park span with the ``open`` outcome."""
         for (binding, slot) in sorted(self._open_parks):
-            self._close_park(binding, slot, t_ns, "open")
-
-    def fault_windows(self) -> List[Dict[str, Any]]:
-        """The recorded fault annotations (trace order)."""
-        return [record for record in self.records if record["type"] == "fault"]
-
-    def park_spans(self) -> List[Dict[str, Any]]:
-        """Every closed park span (trace order)."""
-        return [record for record in self.records if record["type"] == "span"]
+            self.slot_closed(binding, slot, "open")
 
     def _summary_record(self) -> Dict[str, Any]:
         return {

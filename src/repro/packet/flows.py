@@ -27,6 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.compat import SLOTTED
 from repro.errors import WorkloadSpecError
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Address
 
@@ -102,7 +103,7 @@ def flow_hash(key: FlowKey) -> int:
     return flow_hash_ports(flow_hash_prefix(src, dst, protocol), src_port, dst_port)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class FiveTuple:
     """The classic connection 5-tuple."""
 

@@ -14,7 +14,7 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class IPv4Address:
     """A 32-bit IPv4 address stored as an integer."""
 

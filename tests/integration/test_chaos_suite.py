@@ -222,14 +222,14 @@ class TestInjectedBugsAreCaught:
         # must see it.
         original = PayloadParkProgram.drain_parked
 
-        def forgetful_drain(self, binding=None, fraction=1.0, recorder=None):
+        def forgetful_drain(self, binding=None, fraction=1.0):
             drained = {}
             for name, table in self.lookup_tables.items():
-                count = 0
-                for index in table.occupied_indices():
-                    if table.drain_slot(index):
-                        count += 1  # BUG: no eviction accounting
-                drained[name] = count
+                drained[name] = [
+                    index
+                    for index in table.occupied_indices()
+                    if table.drain_slot(index)  # BUG: no eviction accounting
+                ]
             return drained
 
         monkeypatch.setattr(PayloadParkProgram, "drain_parked", forgetful_drain)

@@ -2,12 +2,12 @@
 
 ``Link.transmit`` runs its down, loss, jitter and arrival-clamp
 branches only while a direction's ``impaired`` flag is set
-(``repro.netsim.link``).  Fault windows and the flight recorder's hook
-set it, the reference loop keeps it set, and only a transmit that finds
-nothing left to do clears it.  This run walks a flag through every
-transition on the default engine — link down and back up, a loss
-window, a jitter window, the recorder installed and removed — and holds
-it to the reference engine, whose flag never clears.
+(``repro.netsim.link``).  Every fault setter sets it, the reference loop
+keeps it set, and only a transmit that finds nothing left to do clears
+it.  This run walks a flag through every transition on the default
+engine — link down and back up, a loss window, a jitter window, and a
+loss and a jitter setter that open nothing — and holds it to the
+reference engine, whose flag never clears.
 
 The jitter window is wide and closes while jittered arrivals are still
 ahead of the un-jittered schedule.  The frames sent right after it must
@@ -31,7 +31,6 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import multi_server_384b
 from repro.netsim.link import Link
 from repro.netsim.server_node import NfServerNode
-from repro.obs.trace import FlightRecorder
 
 #: Fault windows (simulated µs from traffic start), each closing mid-run.
 FAULTS = {
@@ -45,15 +44,16 @@ FAULTS = {
     ],
 }
 
-#: The flight recorder's hook on the server link: installed, then removed.
-HOOKS_ON_NS, HOOKS_OFF_NS = 150_000, 350_000
+#: A ``set_loss(0.0)`` and a ``set_jitter(0)`` on the server link with
+#: no window open: each sets the flag and opens nothing.
+TOGGLE_ON_NS, TOGGLE_OFF_NS = 150_000, 350_000
 
 
 class _Lifecycle(RunObserver):
-    """Installs and removes the server link's recorder mid-run and
-    records, per run, the frames the switch's link accepted toward the
-    server (and how many of them while the recorder was installed) and
-    the frames the server received.
+    """Toggles the server link's flag mid-run through setters that open
+    no window and records, per run, the frames the switch's link
+    accepted toward the server (and how many of them between the two
+    setters) and the frames the server received.
     """
 
     def __init__(self, monkeypatch):
@@ -64,7 +64,7 @@ class _Lifecycle(RunObserver):
     def on_run_start(self, scenario, deployment, topology, program):
         link = topology.attachments[0].server_link
         switch = topology.switch
-        run = {"accepted": [], "received": [], "hooked": 0}
+        run = {"accepted": [], "received": [], "toggled": 0}
         self.runs.append(run)
         transmit = Link.transmit
         handle_packet = NfServerNode.handle_packet
@@ -80,15 +80,15 @@ class _Lifecycle(RunObserver):
             transmit(self, packet, sender)
             if stats.frames_sent > sent:
                 run["accepted"].append(packet)
-                run["hooked"] += HOOKS_ON_NS <= env.now < HOOKS_OFF_NS
+                run["toggled"] += TOGGLE_ON_NS <= env.now < TOGGLE_OFF_NS
 
         def received(self, packet, port):
             run["received"].append(packet)
             return handle_packet(self, packet, port)
 
         def closing_set_jitter(self, jitter_ns, seed=0):
-            if self is link and jitter_ns == 0:
-                direction = link._a_to_b if link.node_a is switch else link._b_to_a
+            direction = link._a_to_b if link.node_a is switch else link._b_to_a
+            if self is link and jitter_ns == 0 and direction.jitter_ns:
                 unjittered = max(env.now, direction.next_free_ns) + direction.propagation_delay_ns
                 pending_at_close.append(direction.last_arrival_ns - unjittered)
             return set_jitter(self, jitter_ns, seed)
@@ -96,10 +96,8 @@ class _Lifecycle(RunObserver):
         self._monkeypatch.setattr(Link, "transmit", counted_transmit)
         self._monkeypatch.setattr(NfServerNode, "handle_packet", received)
         self._monkeypatch.setattr(Link, "set_jitter", closing_set_jitter)
-        recorder = FlightRecorder()
-        recorder.bind_clock(env)
-        env.schedule_at(HOOKS_ON_NS, lambda: link.set_observability(recorder=recorder))
-        env.schedule_at(HOOKS_OFF_NS, link.set_observability)
+        env.schedule_at(TOGGLE_ON_NS, link.set_loss, 0.0)
+        env.schedule_at(TOGGLE_OFF_NS, link.set_jitter, 0)
 
 
 def _run(reference, deployment, monkeypatch):
@@ -129,9 +127,9 @@ def test_impairment_windows_open_and_close_identically_on_both_engines(
     assert fast_pending == ref_pending
 
     # The windows dropped frames, and the link accepted the same frames
-    # on both engines, with the recorder installed and overall.
+    # on both engines, between the two setters and overall.
     assert fast_report["drop_breakdown"]["link_fault_drops"] > 0
-    assert fast["hooked"] == ref["hooked"] > 0
+    assert fast["toggled"] == ref["toggled"] > 0
     assert len(fast["accepted"]) == len(ref["accepted"])
 
     # The jitter window closed with jittered arrivals still ahead of the

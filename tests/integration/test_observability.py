@@ -13,13 +13,15 @@ acceptance criteria end to end:
 Alongside, the determinism contract: instrumentation must not change
 simulation results (observe-on reports equal observe-off reports), and
 trace exports must be byte-identical across the fast and slow engine
-paths and across repeated runs at the same seed.  The phase profiler
-wraps the engine's seams from outside for one run: every wrapper is
-gone afterwards, even when the run raises, and each stage's event count
-is an engine count.
+paths and across repeated runs at the same seed.  The flight recorder,
+the phase profiler and the latency histogram wrap the engine's seams
+from outside for one run: every wrapper is gone afterwards, even when
+the run raises, a traced run leaves the links on the path an unobserved
+one takes, and each profiler stage's event count is an engine count.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import pickle
@@ -34,16 +36,23 @@ from repro.experiments.runner import (
     run_observer,
     run_options,
 )
-from repro.experiments.scenarios import fw_nat_lb_10ge, workload_scenario
+from repro.experiments.scenarios import (
+    explicit_drop_scenario,
+    fw_nat_lb_10ge,
+    memory_sweep_scenario,
+    workload_scenario,
+)
 from repro.faults.injector import FaultInjectorNode
 from repro.netsim.link import Link
 from repro.netsim.server_node import NfServerNode
 from repro.netsim.switch_node import SwitchNode
 from repro.netsim.trafficgen_node import TrafficGenNode
 from repro.obs.config import ObserveSpec
-from repro.obs.profiler import STAGES, seam_owners
+from repro.obs.plane import seam_owners
+from repro.obs.profiler import STAGES
 from repro.obs.schema import validate_observation
 from repro.obs.session import ObservationSink, observation_sink
+from repro.obs.trace import EVENTS
 from repro.orchestrator.executor import RunSpec, execute_run
 
 #: Every feature on: the ``repro observe run`` configuration.
@@ -234,19 +243,23 @@ class TestCampaignIntegration:
         assert "observability" not in record
 
 
-#: Every class a profiler seam's method is defined on.
+#: Every class a seam's method is defined on.
 SEAM_CLASSES = (
     SwitchProgram, BaselineProgram, PayloadParkProgram, SwitchNode,
     NfServerNode, TrafficGenNode, Link, FaultInjectorNode,
 )
 
 
-def _seams(topology, program):
-    """``(stage, owner, method)`` for every seam of one wired testbed."""
+def _seams(topology, program, spec=ObserveSpec(profile=True)):
+    """``(what, owner, method)`` for every seam *spec* wraps on one
+    wired testbed: profiler stages and trace events."""
+    tables = ((spec.profile, STAGES), (spec.trace, EVENTS))
     owners = seam_owners(topology, program)
     return [
-        (stage, owner, name)
-        for stage, seams in STAGES.items()
+        (what, owner, name)
+        for enabled, table in tables
+        if enabled
+        for what, seams in table.items()
         for role, name in seams
         for owner in owners[role]
     ]
@@ -268,7 +281,9 @@ class _Testbed(RunObserver):
 
     def on_run_start(self, scenario, deployment, topology, program):
         self.topology, self.program = topology, program
-        assert not any(_unwrapped(owner, name) for _, owner, name in _seams(topology, program))
+        spec = ObserveSpec.from_spec(scenario.observe) or ObserveSpec()
+        seams = _seams(topology, program, spec)
+        assert not any(_unwrapped(owner, name) for _, owner, name in seams)
         if self.raise_at_ns is not None:
             def boom():
                 raise RuntimeError("observer failed mid-window")
@@ -286,8 +301,11 @@ def _profiled(scenario, testbed, deployment=DeploymentKind.PAYLOADPARK, time_sca
 
 class TestOutsideInProfiler:
     @pytest.mark.parametrize("raise_at_ns", [None, 100_000], ids=["completes", "raises"])
-    def test_no_wrapper_outlives_the_run(self, raise_at_ns):
-        scenario = _chaos_scenario(ObserveSpec(profile=True))
+    @pytest.mark.parametrize(
+        "spec", [ObserveSpec(profile=True), FULL], ids=["profile", "trace-and-profile"]
+    )
+    def test_no_wrapper_outlives_the_run(self, spec, raise_at_ns):
+        scenario = _chaos_scenario(spec)
         classes = {cls: dict(vars(cls)) for cls in SEAM_CLASSES}
         testbed = _Testbed(raise_at_ns)
         if raise_at_ns is None:
@@ -295,8 +313,9 @@ class TestOutsideInProfiler:
         else:
             with pytest.raises(RuntimeError, match="mid-window"):
                 _profiled(scenario, testbed, time_scale=TIME_SCALE)
-        seams = _seams(testbed.topology, testbed.program)
-        assert {stage for stage, _, _ in seams} == set(STAGES)
+        seams = _seams(testbed.topology, testbed.program, spec)
+        expected = {**STAGES, **(EVENTS if spec.trace else {})}
+        assert {what for what, _, _ in seams} == set(expected)
         assert all(_unwrapped(owner, name) for _, owner, name in seams)
         assert {cls: dict(vars(cls)) for cls in SEAM_CLASSES} == classes
 
@@ -336,3 +355,78 @@ class TestOutsideInProfiler:
             "event_dispatch": 0,
         }
         assert min(count for name, count in events.items() if name != "event_dispatch") > 0
+
+
+#: sha256 of the ``repro.trace/v1`` JSONL and of the sorted-key metrics
+#: export of one fault-free PayloadPark run at seed 91, as commit 22c2b2b
+#: wrote them with the recorder's hooks inside Split, Merge, the links
+#: and the nodes; reading the same events off seams outside the engine
+#: must write the same bytes.
+PINNED_EXPORTS = {
+    "saturated": (
+        lambda: fw_nat_lb_10ge(10.5), 0.05,
+        "10f7db8ea5241820b19d49e5aeff71ccbd2c05021fa4256cea1a751f54b05def",
+        "2b6fa2ba03b5ff4402c918cc6ebc5bc0d932ea31bdf026717b6ea3b6ceb2cc9b",
+    ),
+    "evicting": (
+        lambda: memory_sweep_scenario(0.05, 30.0), 0.02,
+        "32084398fadb57fd7a02c47485c6e86bba0329054499ca1f6ff1f4a5c324b15a",
+        "40ba63d30d73e39b8bba8cab8ac160d9f83c7d8349ae9a37ffa7baad0a334682",
+    ),
+    "explicit-drop": (
+        lambda: explicit_drop_scenario(2, True), 0.05,
+        "85d35d943d981ab03555f0762ec40eb2650658e99903cccab89d53e6dca0986f",
+        "ca82ed8c6b79ef8dbc3dc7db7bc418fc63552f73daaef09409f7cfc1ddfd2aa1",
+    ),
+}
+
+
+class TestOutsideInRecorder:
+    @pytest.mark.parametrize("name", sorted(PINNED_EXPORTS))
+    def test_fault_free_exports_keep_their_bytes(self, name):
+        build, time_scale, trace_sha, metrics_sha = PINNED_EXPORTS[name]
+        scenario = dataclasses.replace(
+            build(), seed=91, observe=ObserveSpec(metrics=True, trace=True)
+        )
+        _report, observation = _profiled(scenario, _Testbed(), time_scale=time_scale)
+        metrics = json.dumps(observation.metrics, sort_keys=True)
+        assert hashlib.sha256(observation.trace_jsonl.encode()).hexdigest() == trace_sha
+        assert hashlib.sha256(metrics.encode()).hexdigest() == metrics_sha
+
+    @pytest.mark.parametrize(
+        "spec", [None, ObserveSpec(trace=True), FULL], ids=["unobserved", "traced", "full"]
+    )
+    def test_a_traced_run_leaves_every_link_direction_unimpaired(self, spec):
+        testbed = _Testbed()
+        scenario = dataclasses.replace(fw_nat_lb_10ge(), observe=spec)
+        with run_observer(testbed):
+            ExperimentRunner(time_scale=0.05).run_deployment(
+                scenario, DeploymentKind.PAYLOADPARK
+            )
+        links = [
+            link
+            for attachment in testbed.topology.attachments
+            for link in (*attachment.gen_links, attachment.server_link)
+        ]
+        directions = [direction for link in links for direction in (link._a_to_b, link._b_to_a)]
+        assert len(directions) == 6
+        assert [direction.impaired for direction in directions] == [False] * 6
+
+    def test_a_drain_closes_every_drained_slots_park_span(self):
+        """Every packet is sampled, so every occupied slot has an open
+        park span, and each slot ``drain_parked`` returns closes one."""
+        testbed = _Testbed()
+        scenario = dataclasses.replace(
+            workload_scenario("enterprise-poisson", chain="fw_nat_lb"),
+            faults="park-drain", observe=ObserveSpec(trace=True),
+        )
+        _report, observation = _profiled(scenario, testbed, time_scale=0.1)
+        records = [json.loads(line) for line in observation.trace_jsonl.splitlines()]
+        drained = [
+            record for record in records
+            if record["type"] == "span" and record["outcome"] == "drained"
+        ]
+        (drain,) = [record for record in records if record["type"] == "fault"]
+        assert drain["kind"] == "park_drain"
+        assert {record["end_ns"] for record in drained} == {drain["ts"]}
+        assert len(drained) == sum(testbed.topology.fault_injector.slots_drained.values()) > 0

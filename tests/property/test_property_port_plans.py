@@ -7,7 +7,9 @@ programs — one on plans, one walking its tables (PayloadPark's with the
 register guard on) — are fed the same random interleaving of everything
 an ingress port can see, and compared packet by packet — each lookup
 table slot's metadata and parked payload after every packet — and, at
-several points mid-stream, PayloadPark counter by counter.
+several points mid-stream, PayloadPark counter by counter and by the
+park, evict, merge, premature-eviction, explicit-drop and drop events
+the flight recorder's switch seam reads off each side.
 
 A plan returns the switch's egress decision, ``(egress_port, owed_ns,
 drop_reason)``; the walk leaves a :class:`PipelinePacket`.  Each plan's
@@ -19,6 +21,7 @@ mid-stream, each of which must drop the plans at once.
 
 import random
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.core.config import NfServerBinding, PayloadParkConfig
 from repro.core.header import OP_EXPLICIT_DROP, OP_MERGE, PayloadParkHeader
 from repro.core.lookup_table import MetadataEntry
 from repro.core.program import BaselineProgram, PayloadParkProgram
+from repro.obs.trace import FlightRecorder
 from repro.packet.packet import Packet
 from repro.switchsim.mat import MatchActionTable
 from repro.switchsim.pipe import Pipe
@@ -50,16 +54,6 @@ MERGE_DROP_REASONS = {
 }
 
 
-class _Recorder:
-    """Stands in for the flight recorder: keeps every hook call."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, hook):
-        return lambda *args: self.calls.append((hook, args))
-
-
 def _program(parked_bytes, plans):
     config = PayloadParkConfig(
         parked_bytes=parked_bytes,
@@ -70,12 +64,16 @@ def _program(parked_bytes, plans):
         clock_max=5,
     )
     program = PayloadParkProgram(config, bindings=BINDINGS)
-    recorder = _Recorder()
-    for path in (*program._split_paths, *program._merge_paths):
-        path.obs_recorder = recorder
     if plans:
         program.enable_fast_path()
-    return program, recorder
+    return program
+
+
+def _traced(program, process):
+    """*process* under the flight recorder's switch seam, and the recorder."""
+    recorder = FlightRecorder()
+    owners = {"switch": (SimpleNamespace(name="switch"),)}
+    return recorder, recorder._trace_program_process(owners, program, process)
 
 
 def _walk_decision(program, packet, port):
@@ -112,9 +110,10 @@ def _state(program, recorder):
         "bank": {name: c.as_dict() for name, c in program.counters.counters.items()},
         "slots": _slots(program),
         "taggers": {
-            split.binding.name: split.tagger.peek() for split in program._split_paths
+            split.binding.name: split.tagger.peek()
+            for split in program._split_of_port.values()
         },
-        "recorder": list(recorder.calls),
+        "recorder": list(recorder.records),
     }
 
 
@@ -137,8 +136,12 @@ def _noop_table(name, ingress_ports):
 @pytest.mark.parametrize("seed", [91, 92, 93])
 def test_plans_match_the_stage_walk(parked_bytes, seed):
     rng = random.Random(seed)
-    fast, fast_recorder = _program(parked_bytes, plans=True)
-    slow, slow_recorder = _program(parked_bytes, plans=False)
+    fast = _program(parked_bytes, plans=True)
+    slow = _program(parked_bytes, plans=False)
+    fast_recorder, fast_process = _traced(fast, fast.process)
+    slow_recorder, slow_process = _traced(
+        slow, lambda packet, port: _walk_decision(slow, packet, port)
+    )
     at_nf = {binding.name: [] for binding in BINDINGS}  # (fast copy, slow copy)
     outcomes = []
     binding_of = {port: b.name for b in BINDINGS for port in b.ingress_ports}
@@ -147,9 +150,9 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
 
     def compare(packet, twin, port):
         nonlocal slots
-        decision = fast.process(packet, port)
+        decision = fast_process(packet, port)
         outcome = _outcome(decision, packet)
-        assert outcome == _outcome(_walk_decision(slow, twin, port), twin)
+        assert outcome == _outcome(slow_process(twin, port), twin)
         before, slots = slots, _slots(fast)
         assert slots == _slots(slow)
         outcomes.append((port, decision))
@@ -161,6 +164,7 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
         return decision
 
     def send(packet, port):
+        packet.meta["obs_pkt"] = f"p{len(outcomes)}"  # every packet traced
         twin = packet.copy()
         return compare(packet, twin, port), packet, twin
 
@@ -225,7 +229,7 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
             assert slots == _slots(slow)
             for name, indices in occupied.items():
                 freed = [i for i in indices if not slots[name][i][0].occupied]
-                assert len(freed) == drained[0][name]
+                assert freed == drained[0][name]
                 assert all(slots[name][i][1] == b"" for i in freed)
         if step == STEPS // 2:
             # A late table that cannot match on any bound port: plans stay fused.
@@ -256,6 +260,8 @@ def test_plans_match_the_stage_walk(parked_bytes, seed):
     assert all(parks.values()), parks
     reasons = {reason for _port, (_egress, _owed, reason) in outcomes}
     assert MERGE_DROP_REASONS <= reasons
+    traced = {record.get("outcome", record.get("ev")) for record in final["recorder"]}
+    assert traced == {"park", "evicted", "merged", "explicit-drop", "premature_eviction", "drop"}
     # A second pass owes its latency on both sides, or on neither.
     nf_ports = {binding.nf_port for binding in BINDINGS}
     recirculated = {port in nf_ports for port, (_egress, owed, _reason) in outcomes if owed}
@@ -381,7 +387,7 @@ def test_fused_payloadpark_records_equal_constructor_built_ones(parked_bytes):
     """Split's decision, metadata entries and header, and merge's
     decision, for every outcome; the records field for field against
     their constructors."""
-    program, _recorder = _program(parked_bytes, plans=True)
+    program = _program(parked_bytes, plans=True)
     binding = BINDINGS[0]
     port, nf_port, egress = binding.ingress_ports[0], binding.nf_port, binding.default_egress_port
     lookup = program.lookup_tables[binding.name]

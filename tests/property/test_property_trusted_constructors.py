@@ -96,7 +96,7 @@ class TestTrustedConstructors:
             bindings=[BINDING],
         )
         program.enable_fast_path()
-        (split,) = program._split_paths
+        (split,) = set(program._split_of_port.values())
         idx_cell, clk_cell = split.tagger.cells()
         clk_cell[0] = start_clk % clock_max
         counters = program.counters.for_binding(BINDING.name)

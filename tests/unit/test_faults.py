@@ -380,24 +380,11 @@ def _occupy_slots(program, count):
     return table, counters
 
 
-class _DrainRecorder:
-    def __init__(self):
-        self.drained = []
-
-    def slot_drained(self, binding, index):
-        self.drained.append((binding, index))
-
-    def fault_applied(self, kind, at_ns, duration_ns, params):
-        pass
-
-
 class TestDrainParked:
     def test_drains_the_first_slots_in_index_order(self):
         program = _pp_program()
         table, counters = _occupy_slots(program, 4)
-        recorder = _DrainRecorder()
-        assert program.drain_parked(fraction=0.5, recorder=recorder) == {"srv0": 2}
-        assert recorder.drained == [("srv0", 0), ("srv0", 1)]
+        assert program.drain_parked(fraction=0.5) == {"srv0": [0, 1]}
         assert table.occupied_indices() == [2, 3]
 
     def test_accounts_evictions_and_clears_payload(self):
@@ -418,9 +405,9 @@ class TestDrainParked:
     def test_fraction_rounds_up_and_targets_one_binding(self):
         program = _pp_program()
         table, counters = _occupy_slots(program, 3)
-        assert program.drain_parked("srv0", fraction=0.5) == {"srv0": 2}
+        assert program.drain_parked("srv0", fraction=0.5) == {"srv0": [0, 1]}
         assert program.drain_parked("other", fraction=1.0) == {}
-        assert program.drain_parked(fraction=0.01) == {"srv0": 1}
+        assert program.drain_parked(fraction=0.01) == {"srv0": [2]}
         assert counters.evictions == 3 and table.occupancy() == 0
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
@@ -457,11 +444,17 @@ class TestInjectorProgramEvents:
         program = _pp_program()
         _occupy_slots(program, 4)
         injector = self._injector(program)
-        injector.obs_recorder = recorder = _DrainRecorder()
+        drain_parked, drained = program.drain_parked, []
+
+        def returned(**kwargs):
+            drained.append(drain_parked(**kwargs))
+            return drained[-1]
+
+        program.drain_parked = returned
         injector.apply_event(FaultEvent("park_drain", 0, {"fraction": 0.5}))
         injector.apply_event(FaultEvent("park_drain", 0, {"binding": "srv0"}))
         assert injector.slots_drained == {"srv0": 4}
-        assert [index for _name, index in recorder.drained] == [0, 1, 2, 3]
+        assert drained == [{"srv0": [0, 1]}, {"srv0": [2, 3]}]
 
     def test_program_events_on_the_baseline_change_nothing(self):
         from repro.faults.events import FaultEvent

@@ -1,5 +1,9 @@
 """Unit tests for 5-tuple flows and the PCAP reader/writer."""
 
+import copy
+import pickle
+import sys
+
 import pytest
 
 from repro.packet.flows import FLOW_PERIOD, FiveTuple, FlowGenerator
@@ -27,6 +31,25 @@ class TestFiveTuple:
 
     def test_str_contains_ports(self):
         assert "1000" in str(_tuple())
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_keep_value_and_hash(self, round_trip):
+        trusted = FlowGenerator(flow_count=8).flow(5)  # built without __init__
+        for value in (_tuple(), _tuple().src_ip, trusted, trusted.dst_ip):
+            again = round_trip(value)
+            assert again == value and hash(again) == hash(value)
+            assert type(again) is type(value)
+        assert round_trip(trusted).stable_hash() == trusted.stable_hash()
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="slots need dataclass(slots=)")
+    def test_flows_and_addresses_are_slotted(self):
+        flow = FlowGenerator(flow_count=8).flow(5)
+        for value in (flow, flow.src_ip, _tuple()):
+            assert not hasattr(value, "__dict__")
 
 
 class TestFlowGenerator:

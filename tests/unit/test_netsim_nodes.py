@@ -80,13 +80,20 @@ class TestSwitchNode:
         program = PayloadParkProgram(PayloadParkConfig(), bindings=[_binding()])
         env, switch, gen, server = self._wired_switch(program)
         reasons = []
-        switch._record_drop = lambda packet, reason: reasons.append(reason)
+        process = program.process
+
+        def reasoned(packet, port):
+            decision = process(packet, port)
+            reasons.append(decision[2])
+            return decision
+
+        program.process = reasoned  # the switch looks it up per frame
         packet = Packet.udp(total_size=500)
         switch.handle_packet(packet, port=0)
         packet.pp.clk ^= 1  # corrupt the tag
         switch.handle_packet(packet, port=2)
         assert switch.packets_dropped == 1
-        assert reasons == ["payloadpark-tag-corrupt"]
+        assert reasons == [None, "payloadpark-tag-corrupt"]
 
     @pytest.mark.parametrize("loop_cls", [EventLoop, FastEventLoop])
     def test_egress_to_an_unwired_port_raises_at_send_time(self, loop_cls):

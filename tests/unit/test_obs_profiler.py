@@ -11,7 +11,8 @@ from repro.faults.injector import FaultInjectorNode
 from repro.netsim.link import Link
 from repro.netsim.server_node import NfServerNode
 from repro.netsim.trafficgen_node import TrafficGenNode
-from repro.obs.profiler import DISPATCH_STAGE, STAGES, PhaseProfiler, seam_owners
+from repro.obs.plane import SeamPatches, seam_owners
+from repro.obs.profiler import DISPATCH_STAGE, STAGES, PhaseProfiler
 from repro.obs.schema import validate_profile
 
 
@@ -161,7 +162,9 @@ def _testbed(injector=None):
     attachment = SimpleNamespace(
         server=server, pktgen=pktgen, gen_links=(link,), server_link=_Link()
     )
-    topology = SimpleNamespace(attachments=(attachment,), fault_injector=injector)
+    topology = SimpleNamespace(
+        switch=SimpleNamespace(), attachments=(attachment,), fault_injector=injector
+    )
     return topology, _Program(link), attachment
 
 
@@ -172,23 +175,23 @@ def _events(profiler):
 class TestSeamWrapping:
     def test_a_wrapped_seam_is_timed_and_returns_its_value(self):
         topology, program, _ = _testbed()
-        profiler = PhaseProfiler()
-        profiler.wrap(topology, program)
+        profiler, patches = PhaseProfiler(), SeamPatches()
+        profiler.wrap(patches, seam_owners(topology, program))
         try:
             assert program.process(3) == 6
         finally:
-            profiler.unwrap()
+            patches.restore()
         assert _events(profiler) == {"pipeline_walk": 1, "link_transmit": 1}
 
     def test_nested_seams_get_exclusive_time(self):
         topology, program, _ = _testbed()
-        profiler = PhaseProfiler()
-        profiler.wrap(topology, program)
+        profiler, patches = PhaseProfiler(), SeamPatches()
+        profiler.wrap(patches, seam_owners(topology, program))
         try:
             with profiler.measure_total():
                 program.process(1)
         finally:
-            profiler.unwrap()
+            patches.restore()
         stages = {row["name"]: row for row in profiler.report()["stages"]}
         # The link's spin is credited to link_transmit, not to the
         # pipeline walk that called it.
@@ -197,26 +200,26 @@ class TestSeamWrapping:
 
     def test_a_raising_seam_closes_its_frames(self):
         topology, program, _ = _testbed()
-        profiler = PhaseProfiler()
-        profiler.wrap(topology, program)
+        profiler, patches = PhaseProfiler(), SeamPatches()
+        profiler.wrap(patches, seam_owners(topology, program))
         try:
             with pytest.raises(ValueError, match="negative frame"):
                 program.process(-1)
             assert program.process(2) == 4
         finally:
-            profiler.unwrap()
+            patches.restore()
         assert profiler._stack == []
         assert _events(profiler) == {"pipeline_walk": 2, "link_transmit": 2}
 
-    def test_wrappers_live_on_instances_and_unwrap_removes_them(self):
+    def test_wrappers_live_on_instances_and_restore_removes_them(self):
         topology, program, attachment = _testbed()
         classes = {cls: dict(vars(cls)) for cls in (_Program, _Link, _Server, _Pktgen)}
-        profiler = PhaseProfiler()
-        profiler.wrap(topology, program)
+        profiler, patches = PhaseProfiler(), SeamPatches()
+        profiler.wrap(patches, seam_owners(topology, program))
         assert "process" in vars(program)
         assert "transmit" in vars(attachment.server_link)
         assert {cls: dict(vars(cls)) for cls in classes} == classes
-        profiler.unwrap()
+        patches.restore()
         for owner, name in (
             (program, "process"),
             (attachment.gen_links[0], "transmit"),
@@ -227,25 +230,25 @@ class TestSeamWrapping:
             assert name not in vars(owner)
         assert {cls: dict(vars(cls)) for cls in classes} == classes
 
-    def test_unwrap_restores_a_callback_bound_in_init(self):
+    def test_restore_puts_back_a_callback_bound_in_init(self):
         topology, program, attachment = _testbed()
         server = attachment.server
         bound = server._on_complete
-        profiler = PhaseProfiler()
-        profiler.wrap(topology, program)
+        profiler, patches = PhaseProfiler(), SeamPatches()
+        profiler.wrap(patches, seam_owners(topology, program))
         assert server._on_complete is not bound
         server._on_complete("frame")
-        profiler.unwrap()
+        patches.restore()
         assert server._on_complete is bound
         assert server.completed == ["frame"]
         assert _events(profiler) == {"nf_processing": 1}
 
-    def test_unwrap_twice_is_a_no_op(self):
+    def test_restore_twice_is_a_no_op(self):
         topology, program, _ = _testbed()
-        profiler = PhaseProfiler()
-        profiler.wrap(topology, program)
-        profiler.unwrap()
-        profiler.unwrap()
+        profiler, patches = PhaseProfiler(), SeamPatches()
+        profiler.wrap(patches, seam_owners(topology, program))
+        patches.restore()
+        patches.restore()
         assert "process" not in vars(program)
         assert program.process(1) == 2
         assert _events(profiler) == {}
